@@ -9,6 +9,15 @@ exponential convolutions, and the value of the command *being computed*
 is recovered from a small implicit solve (the newest history node carries a
 nonzero quadrature weight, so the rim value appears on both sides).
 
+For a fixed delay estimate both parts are fixed linear maps per ``|n|``,
+which the :class:`~cylform.kernels.KernelSet` builds once: ``history_map``
+takes a command-in-flight profile to its convolution image, and the state
+part is the deviation contracted with the basis's ``state_weights`` and then
+with ``exp_s``.  A control step is therefore a few batched matrix-vector
+products: the target history is ``history_map @ transport`` minus the
+predicted flow, and the control law is its rim row (``history_map[-1]`` and
+``state_rim``) set to zero and solved for the rim node.
+
 Two realizations of the same control law live here.  The spectral one
 (:class:`ChannelController`) is the production path.  ``simpson_control``
 rebuilds the command from dense physical-space quadrature against the 2-D
@@ -85,8 +94,7 @@ def reconstruct_transport(line: DelayLine, t: float, delay_estimate: float,
     (held forward when queried at the current instant, i.e. the previous
     command until a fresh one is stored).
     """
-    times = t + delay_estimate * (grid.s - 1.0)
-    profiles = np.stack([line.lookup(tt) for tt in times])
+    profiles = line.lookup_many(t + delay_estimate * (grid.s - 1.0))
     gain = np.exp(0.5 * advection)
     return ModeStack(grid, grid.analyze(profiles).coeffs * gain)
 
@@ -127,11 +135,7 @@ def state_prediction(measured: ModeStack, ks: KernelSet) -> np.ndarray:
     Returns the (N, M) table of the predictor kernel integrated against the
     scaled deviation, evaluated along the axial grid.
     """
-    grid = measured.grid
-    sw = measured.coeffs @ ks.basis.mode_sine.T            # (N, i_max)
-    rows = np.abs(grid.modes)
-    return 2.0 * np.einsum("ni,nim->nm",
-                           sw * ks.basis.fwd_sine[None, :], ks.exp_s[rows])
+    return ks.apply(measured.coeffs @ ks.basis.state_weights, ks.exp_s)
 
 
 def to_target_history(transport: ModeStack, measured: ModeStack,
@@ -141,12 +145,8 @@ def to_target_history(transport: ModeStack, measured: ModeStack,
     Vanishes at the rim exactly when the newest command satisfies the
     control law, which makes the rim row a free consistency diagnostic.
     """
-    grid = transport.grid
-    rates = ks.rates_for_modes(grid.modes)
-    conv = exp_conv_paired(rates, transport.coeffs, grid.h_s)   # (N, i_max, M)
-    hist = np.einsum("i,nim->nm", ks.basis.fwd_edge, conv)
-    out = transport.coeffs - state_prediction(measured, ks) + 2.0 * ks.delay * hist
-    return ModeStack(grid, out)
+    hist = ks.apply(transport.coeffs, ks.history_map.transpose(0, 2, 1))
+    return ModeStack(transport.grid, hist - state_prediction(measured, ks))
 
 
 def from_target_history(history: ModeStack, target: ModeStack,
@@ -211,26 +211,19 @@ def control_modes(measured: ModeStack, transport: ModeStack,
                   ks: KernelSet) -> np.ndarray:
     """New command for every mode, with the rim node solved implicitly.
 
-    The history convolution at the rim gives the newest node a weight
-    comparable to the axial step, and the command being computed *is* that
-    node.  Zero it inside the convolution, then divide the open-form value
-    by ``1 + 2*delay*sum_i(edge_i * w0_i)``; the denominator is order one
-    but far from 1 whenever the kernel gain is large, so skipping this step
-    leaves a visible rim defect in the target history.
+    The law sets the rim row of the target history to zero.  That row is
+    ``history_map[-1] @ transport - state_rim @ measured``, and its
+    last entry weighs the rim node -- the command being computed -- with
+    ``1 + 2*delay*sum_i(edge_i * w0_i)``, order one but far from 1 whenever
+    the kernel gain is large.  So the rim node is left out of the history
+    sum and solved for; skipping this leaves a visible rim defect in the
+    target history.  The transport's own rim node is ignored.
     """
-    grid = measured.grid
-    rows = np.abs(grid.modes)
-    rates = ks.rates[rows]                       # (N, i_max)
-    sw = measured.coeffs @ ks.basis.mode_sine.T
-    pred_rim = 2.0 * np.einsum("ni,ni->n",
-                               sw * ks.basis.fwd_sine[None, :],
-                               ks.exp_s[rows][:, :, -1])
-    vals = transport.coeffs.copy()
-    vals[:, -1] = 0.0
-    tail = exp_conv_paired(rates, vals, grid.h_s)[:, :, -1]     # (N, i_max)
-    numer = pred_rim - 2.0 * ks.delay * (tail @ ks.basis.fwd_edge)
-    denom = 1.0 + 2.0 * ks.delay * (ks.endpoint_w[rows] @ ks.basis.fwd_edge)
-    return numer / denom
+    rows = np.abs(measured.grid.modes)
+    rim = ks.history_map[:, -1, :][rows]                           # (N, M)
+    pred = np.einsum("nm,nm->n", measured.coeffs, ks.state_rim[rows])
+    past = np.einsum("nm,nm->n", transport.coeffs[:, :-1], rim[:, :-1])
+    return (pred - past) / rim[:, -1]
 
 
 def control_modes_recorded(measured: ModeStack, line: DelayLine, t: float,

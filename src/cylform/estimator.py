@@ -96,7 +96,7 @@ def mismatch_drift(target: ModeStack, history: ModeStack,
     rho = (2.0 / ks.delay) * rates * basis.fwd_sine[None, :] * (sw + cw) \
         - 2.0 * basis.fwd_edge[None, :] \
         * (edge + history.coeffs[:, 0])[:, None]
-    return ModeStack(grid, np.einsum("ni,nim->nm", rho, ks.exp_s[rows]))
+    return ModeStack(grid, ks.apply(rho, ks.exp_s))
 
 
 def cross_exp_table(a_rates: np.ndarray, c_rates: np.ndarray,
@@ -117,7 +117,9 @@ def cross_exp_table(a_rates: np.ndarray, c_rates: np.ndarray,
     ea = np.exp(a[:, None, None] * s)                       # (i, 1, M)
     x = delta * s                                           # (i, j, M)
     near = np.abs(x) < 0.5
-    p1, p2 = phi_funcs(np.where(near, x, 0.0))
+    p1 = np.zeros_like(x)
+    p2 = np.zeros_like(x)
+    p1[near], p2[near] = phi_funcs(x[near])
     g0_near = s * ea * p1
     g1_near = s**2 * ea * p2
     dsafe = np.where(near, 1.0, np.broadcast_to(delta, x.shape))

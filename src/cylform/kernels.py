@@ -12,20 +12,22 @@ the Volterra kernels.
 :class:`KernelBasis` holds everything that depends only on the plant
 coefficients and the grid (sine coefficients, quadrature contraction tables,
 Volterra weight matrices).  :class:`KernelSet` adds the delay-estimate
-dependent exponential tables and is rebuilt whenever the estimate moves by
-more than the rebuild tolerance.
+dependent exponential tables and the per-wavenumber operators of the control
+step built from them, and is rebuilt whenever the estimate moves by more
+than the rebuild tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import KernelTruncationError
 from .geometry import CylinderGrid
 from .quadrature import (
-    exp_conv,
+    exp_half_weights,
     exp_lattice_weights,
     exp_pair_weights,
     interp_quadratic,
@@ -97,6 +99,28 @@ def inverse_kernel(s, tau, coeffs: PlantCoeffs):
     return _kernel_values(s, tau, coeffs, -1.0)
 
 
+def _lower_table(xi: np.ndarray, coeffs: PlantCoeffs, sign: float) -> np.ndarray:
+    """Kernel values on the triangle ``tau <= s`` of ``xi x xi``, zero above.
+
+    The row-weight matrices that multiply these tables vanish above the
+    diagonal, so only the lower triangle is evaluated.
+    """
+    rows, cols = np.tril_indices(xi.size)
+    table = np.zeros((xi.size, xi.size), dtype=complex)
+    table[rows, cols] = _kernel_values(xi[rows], xi[cols], coeffs, sign)
+    return table
+
+
+def _flush_subnormal(table: np.ndarray) -> np.ndarray:
+    """Zero, in place, every real or imaginary part below the smallest normal
+    double.  Such parts lie far below the roundoff of any sum they enter,
+    but subnormal operands slow the batched products of the control step
+    several-fold.  ``table`` must be C-contiguous; it is returned."""
+    parts = table.view(float) if np.iscomplexobj(table) else table
+    parts[np.abs(parts) < np.finfo(float).tiny] = 0.0
+    return table
+
+
 def sine_basis(i_max: int, x: np.ndarray) -> np.ndarray:
     """Matrix ``sin(i*pi*x)`` with harmonic index down the rows."""
     freqs = np.pi * np.arange(1, i_max + 1)
@@ -144,14 +168,16 @@ class KernelBasis:
 
         #: per-harmonic contraction weights on the production grid
         self.mode_sine = sine_weights(freqs, M, h)
+        #: node weights of the predictor's state part: ``profile @
+        #: state_weights`` times ``exp_s`` is the predicted command flow
+        self.state_weights = 2.0 * self.mode_sine.T * self.fwd_sine[None, :]
 
         # Triangular composition: running inverse-Volterra integrals of each
         # nodal cardinal function, evaluated on the refined grid, then pushed
         # into the sine basis.  Row r of `lam_rows` integrates the inverse
         # kernel against samples over [0, xi_r].
         tri_ref = self._row_weight_matrix(m_ref, h_ref)
-        l_full = _kernel_values(xi[:, None], xi[None, :], coeffs, -1.0)
-        lam_rows = tri_ref * l_full
+        lam_rows = tri_ref * _lower_table(xi, coeffs, -1.0)
         cardinals = interp_quadratic(np.eye(M), refine)  # (M, m_ref)
         lam_of_cardinal = lam_rows @ cardinals.T  # (m_ref, M)
         #: weights turning node samples into the sine coefficients of their
@@ -165,8 +191,8 @@ class KernelBasis:
         # and integrates on the fine grid, which removes the closure-panel
         # error of the literal rules below (the interpolation error of the
         # samples themselves, cubic in the coarse spacing, remains).
-        k_full = _kernel_values(xi[:, None], xi[None, :], coeffs, 1.0)
-        self.volterra_fwd_refined = ((tri_ref * k_full) @ cardinals.T)[::refine]
+        k_rows = tri_ref * _lower_table(xi, coeffs, 1.0)
+        self.volterra_fwd_refined = (k_rows @ cardinals.T)[::refine]
         self.volterra_inv_refined = lam_of_cardinal[::refine].copy()
 
         # Literal Volterra quadrature matrices on the production grid.
@@ -186,12 +212,29 @@ class KernelBasis:
 
 
 class KernelSet:
-    """Delay-estimate snapshot of the predictor kernels.
+    """Delay-estimate snapshot of the predictor kernels and the control step.
 
     Wavenumber enters only through ``n**2``, so tables are indexed by ``|n|``.
     ``rates[a, i]`` is the growth exponent of harmonic ``i`` for ``|n| = a``
     in the predictor kernel; ``inv_rates`` the (always decaying) analogue in
     the inverse kernel.
+
+    A set owns what the per-mode control step reads, built once:
+
+    * ``history_map[a]``, ``(N//2 + 1, M, M)``, maps a command-in-flight
+      profile to its history convolution image: identity plus
+      ``2*delay*sum_i fwd_edge_i W_i``, with ``W_i`` the running-convolution
+      matrix of :func:`~cylform.quadrature.exp_conv` for rate
+      ``rates[a, i]``, assembled in closed form;
+    * ``state_rim[a]``, ``(N//2 + 1, M)``, the rim value of the predicted
+      command flow as weights on a scaled deviation profile.  The whole
+      flow is ``profile @ basis.state_weights`` contracted with ``exp_s[a]``;
+      ``exp_s`` is read by the mismatch drift in the same step anyway, so
+      no dense state map is stored.
+
+    The control law is the rim row of the target history set to zero and
+    solved for the newest (rim) node; the target history is
+    ``history_map[a] @ transport`` minus the predicted flow.
     """
 
     def __init__(self, basis: KernelBasis, delay_estimate: float):
@@ -208,18 +251,58 @@ class KernelSet:
         self.rates = self.delay * (lam - n_abs[:, None] ** 2 - i2pi2[None, :])
         self.inv_rates = -self.delay * (n_abs[:, None] ** 2 + i2pi2[None, :]).astype(complex)
         #: exp(rates * s) on the axial grid, shape (|n| count, i_max, M)
-        self.exp_s = np.exp(self.rates[:, :, None] * grid.s[None, None, :])
-        self.inv_exp_s = np.exp(self.inv_rates[:, :, None] * grid.s[None, None, :])
-        # Weight of the newest node value inside the final convolution pair
-        # step (the lag kernel runs backwards, so this is the weight of the
-        # zero-lag node); needed to solve the command fixed point at the rim.
-        self.endpoint_w = exp_pair_weights(self.rates, grid.h_s)[0]
-
+        self.exp_s = _flush_subnormal(
+            np.exp(self.rates[:, :, None] * grid.s[None, None, :]))
         self._check_truncation()
+
+        #: mode-stack rows grouped by ``|n|``: ``pairs[a]`` holds the rows of
+        #: ``+a`` and ``-a``; the unpaired 0 and ``N/2`` repeat their one row
+        self.pairs = np.stack([np.flatnonzero(np.abs(grid.modes) == a)[[0, -1]]
+                               for a in n_abs])
+        self.history_map = _flush_subnormal(self._build_history_map())
+        self._history_views = tuple(self.history_map)
+        #: rim value of the predicted command flow, as weights on the profile
+        self.state_rim = self.exp_s[:, :, -1] @ basis.state_weights.T
+
         self._gamma_cache: dict[int, np.ndarray] = {}
         self._eta_cache: dict[int, np.ndarray] = {}
-        self._hist_solve_cache: dict[int, np.ndarray] = {}
         self._lattice_cache: tuple[float, np.ndarray] | None = None
+
+    def _build_history_map(self) -> np.ndarray:
+        """Closed-form assembly of ``history_map`` (see the class docstring).
+
+        ``W_i`` is Toeplitz in node pairs: even row ``2p`` gets
+        ``step2**(p-1-k) * c_l`` in column ``2k+l`` (``k < p``), and odd row
+        ``2p+1`` is ``step`` times even row ``2p`` plus the half-pair weights
+        ``g_l`` on its own pair.  Contracting the harmonic axis first leaves
+        per-lag tables (``even``/``odd`` rows) and the summed ``half``
+        weights, which are gathered into place.  ``step2**d`` and
+        ``step * step2**d`` are the even and odd columns of ``exp_s``.
+        """
+        grid = self.grid
+        m, pairs = grid.M, (grid.M - 1) // 2
+        edge = 2.0 * self.delay * self.basis.fwd_edge
+        w0, w1, w2 = exp_pair_weights(self.rates, grid.h_s)
+        # reversed kernel, as in exp_conv: c_l weighs node l of a pair
+        c = np.stack([w2, w1, w0], axis=1) * edge                       # (A, 3, i)
+        half = np.stack(exp_half_weights(self.rates, grid.h_s), axis=1) @ edge
+        # one zero column past the last lag stands for the empty upper part
+        zero = np.zeros(c.shape[:2] + (1,))
+        even = np.concatenate([c @ self.exp_s[:, :, 0:2 * pairs:2], zero], axis=2)
+        odd = np.concatenate([c @ self.exp_s[:, :, 1:2 * pairs:2], zero], axis=2)
+
+        lag = np.arange(pairs + 1)[:, None] - 1 - np.arange(pairs)[None, :]
+        lag = np.where(lag >= 0, lag, pairs)                            # (P+1, P)
+        out = np.zeros((self.rates.shape[0], m, m), dtype=complex)
+        diag = np.arange(pairs)
+        for l in range(3):
+            cols = slice(l, l + 2 * pairs, 2)
+            out[:, 0::2, cols] += even[:, l][:, lag]
+            out[:, 1::2, cols] += odd[:, l][:, lag[:-1]]
+            out[:, 2 * diag + 1, 2 * diag + l] += half[:, l, None]
+        out[:, np.arange(m), np.arange(m)] += 1.0
+        # real rates leave exact zeros in the imaginary parts of the weights
+        return np.ascontiguousarray(out.real) if np.isrealobj(self.rates) else out
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -246,6 +329,12 @@ class KernelSet:
     def peak_gain(self) -> float:
         """Largest exponential magnification across all table entries."""
         return float(np.max(np.abs(self.exp_s)))
+
+    @cached_property
+    def inv_exp_s(self) -> np.ndarray:
+        """``exp(inv_rates * s)`` on the axial grid; built on first use, since
+        only the inverse-kernel oracles read it."""
+        return np.exp(self.inv_rates[:, :, None] * self.grid.s[None, None, :])
 
     def index(self, n: int) -> int:
         a = abs(int(n))
@@ -334,16 +423,26 @@ class KernelSet:
         Row ``r`` holds the weights producing the history value at node ``r``
         from the raw profile (identity plus the running-convolution part), so
         undoing the history transform is one dense solve against this matrix.
+        A view of ``history_map``, shared by ``n`` and ``-n``.
         """
-        a = self.index(n)
-        if a not in self._hist_solve_cache:
-            m = self.grid.M
-            conv = exp_conv(self.rates[a], np.eye(m), self.grid.h_s)
-            mat = np.eye(m, dtype=complex) + 2.0 * self.delay * np.einsum(
-                "i,ijr->rj", self.basis.fwd_edge, conv
-            )
-            self._hist_solve_cache[a] = mat
-        return self._hist_solve_cache[a]
+        return self._history_views[self.index(n)]
+
+    def apply(self, coeffs: np.ndarray, mats: np.ndarray) -> np.ndarray:
+        """Row ``k`` of a mode table times ``mats[|n_k|]``, for all rows.
+
+        Rows ``+n`` and ``-n`` share one matrix, so they are paired into one
+        batched product instead of gathering a per-mode copy of ``mats``.
+        Real ``mats`` (real rates) act on the real and imaginary parts in
+        one real product, about twice as fast as the complex product.
+        """
+        rows = coeffs[self.pairs]                                       # (A, 2, K)
+        out = np.empty(coeffs.shape[:-1] + mats.shape[-1:], dtype=complex)
+        if np.isrealobj(mats):
+            parts = np.concatenate([rows.real, rows.imag], axis=1) @ mats
+            out[self.pairs] = parts[:, :2] + 1j * parts[:, 2:]
+        else:
+            out[self.pairs] = rows @ mats
+        return out
 
 
 def heat_ring_kernel(s: float, dtheta, delay: float, n_max: int):

@@ -159,13 +159,15 @@ def plant_rhs(vals: np.ndarray, coeffs: PlantCoeffs, grid: CylinderGrid) -> np.n
     """Interior semi-discrete derivative; rim rows are held, so zero there."""
     out = np.zeros_like(vals)
     h2 = grid.h_s * grid.h_s
-    up = np.roll(vals, -1, axis=1)
-    dn = np.roll(vals, 1, axis=1)
+    inner = vals[1:-1]
+    # angular neighbours with the periodic wrap, on interior rows only
+    up = np.concatenate((inner[:, 1:], inner[:, :1]), axis=1)
+    dn = np.concatenate((inner[:, -1:], inner[:, :-1]), axis=1)
     out[1:-1] = (
-        (vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / h2
-        + (up[1:-1] - 2.0 * vals[1:-1] + dn[1:-1]) / grid.h_theta**2
+        (vals[2:] - 2.0 * inner + vals[:-2]) / h2
+        + (up - 2.0 * inner + dn) / grid.h_theta**2
         + coeffs.advection * (vals[2:] - vals[:-2]) / (2.0 * grid.h_s)
-        + coeffs.reaction * vals[1:-1]
+        + coeffs.reaction * inner
     )
     return out
 

@@ -1,9 +1,12 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cylform
 from cylform.cli import main
 
 TINY = """
@@ -138,11 +141,14 @@ class TestUsageErrors:
 
 class TestSubprocessEntry:
     def test_module_invocation(self, tiny_path, tmp_path):
+        # the child imports the same package this test process imported
+        src = str(Path(cylform.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         out = tmp_path / "sub"
         proc = subprocess.run(
             [sys.executable, "-m", "cylform.cli", "run", str(tiny_path),
              "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0, proc.stderr
         assert "control rows" in proc.stdout
         assert (out / "series.csv").exists()

@@ -7,9 +7,12 @@ history pair) so the reciprocity itself is what gets verified, not a
 tautological matrix inversion.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from cylform import controller, estimator, kernels, quadrature
 from cylform.controller import (
     ChannelController,
     control_mode,
@@ -32,6 +35,7 @@ from cylform.controller import (
 from cylform.geometry import CylinderGrid, ModeStack
 from cylform.kernels import KernelBasis, KernelSet, PlantCoeffs
 from cylform.plant import DelayLine
+from oracles import seed_pipeline
 
 
 @pytest.fixture(scope="module")
@@ -253,6 +257,26 @@ class TestControlLaw:
         scale = np.max(np.abs(tht.coeffs)) + np.max(np.abs(phi.coeffs))
         assert np.max(np.abs(h.coeffs[:, -1])) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("coeffs", [PlantCoeffs(8.0, 1.0),
+                                        PlantCoeffs(10.0 + 2.0j, 0.5 + 0.5j)],
+                             ids=["real", "complex"])
+    @pytest.mark.parametrize("delay", [0.2, 1.0, 2.0])
+    def test_command_zeroes_reference_history_rim(self, coeffs, delay):
+        # the history image rebuilt from running convolutions, independent
+        # of the precomputed rim row the law solves against
+        g = CylinderGrid(21, 16)
+        ks = KernelSet(KernelBasis(coeffs, g), delay)
+        rng = np.random.default_rng(19)
+        phi = smooth_stack(rng, g, n_band=6)
+        tht = smooth_stack(rng, g, n_band=6, pinned_root=False)
+        cmd = control_modes(phi, tht, ks)
+        want = seed_pipeline.control_modes(phi, tht, ks)
+        assert np.max(np.abs(cmd - want)) <= 1e-12 * np.max(np.abs(want))
+        tht.coeffs[:, -1] = cmd
+        h = seed_pipeline.to_target_history(tht, phi, ks)
+        scale = np.max(np.abs(tht.coeffs)) + np.max(np.abs(phi.coeffs))
+        assert np.max(np.abs(h.coeffs[:, -1])) <= 1e-12 * scale
+
     def test_direct_law_disagrees_when_rim_is_stale(self, grid, kit):
         # the open-form law evaluated with a stale rim value must differ from
         # the implicit solve by a visible amount: the rim node's quadrature
@@ -351,6 +375,44 @@ class TestChannelController:
         gain = np.exp(0.5 * ctrl.advection)
         want = grid.analyze_profile(upd.command) * gain
         assert np.max(np.abs(upd.transport.coeffs[:, -1] - want)) <= 1e-12
+
+
+class TestPrecomputedStep:
+    def test_updates_build_no_weights_and_read_no_single_records(self, grid,
+                                                                 monkeypatch):
+        ks = KernelSet(KernelBasis(PlantCoeffs(8.0, 1.0), grid, i_max=64), 1.0)
+        rng = np.random.default_rng(20)
+        steady = rng.normal(size=(grid.M, grid.N))
+        ctrl = ChannelController(ks, steady, kind="real")
+        line = DelayLine(grid.N, 0.02, horizon=4.0)
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (quadrature, kernels, controller, estimator):
+            for name in ("exp_pair_weights", "exp_half_weights"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name,
+                                        counted(name, getattr(module, name)))
+        monkeypatch.setattr(DelayLine, "lookup", counted("lookup", DelayLine.lookup))
+        for k in range(8):
+            vals = steady + 0.1 * rng.normal(size=(grid.M, grid.N))
+            upd = run_update(ctrl, vals, line, k * 0.02)
+            assert np.all(np.isfinite(upd.command))
+        assert line.count == 8
+        assert calls == Counter()
+
+    def test_history_matches_reference_convolution(self, grid, kit):
+        rng = np.random.default_rng(21)
+        phi = smooth_stack(rng, grid)
+        tht = smooth_stack(rng, grid, pinned_root=False)
+        got = to_target_history(tht, phi, kit).coeffs
+        want = seed_pipeline.to_target_history(tht, phi, kit).coeffs
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestSimpsonControl:

@@ -13,7 +13,7 @@ from cylform.estimator import (_TAYLOR_CUT, EstimatorState, adaptation_drift,
                                update_signal)
 from cylform.geometry import CylinderGrid, ModeStack
 from cylform.kernels import KernelBasis, KernelSet, PlantCoeffs
-from cylform.quadrature import simpson_weights
+from cylform.quadrature import phi_funcs, simpson_weights
 from oracles import drift_reference as ref
 
 LAM = 8.0
@@ -314,6 +314,20 @@ class TestCrossExpHelpers:
         g0, g1 = cross_exp_table(np.array([-4.0]), np.array([-4.0]), self.s)
         assert np.max(np.abs(g0[0, 0] - self.s * np.exp(-4.0 * self.s))) < 1e-15
         assert np.max(np.abs(g1[0, 0] - 0.5 * self.s**2 * np.exp(-4.0 * self.s))) < 1e-15
+
+    def test_near_entries_match_full_phi_evaluation(self):
+        # the phi-series runs on the near entries only; they must come out
+        # exactly as if every entry had been sent through it
+        a = np.array([-2.0, -5.0, -40.0, 3.0])
+        c = np.array([-2.3, -5.1, -9.8])
+        g0, g1 = cross_exp_table(a, c, self.s)
+        x = (c[None, :, None] - a[:, None, None]) * self.s
+        near = np.abs(x) < 0.5
+        p1, p2 = phi_funcs(np.where(near, x, 0.0))
+        ea = np.exp(a[:, None, None] * self.s)
+        assert np.any(near) and not np.all(near)
+        assert np.array_equal(g0[near], np.broadcast_to(self.s * ea * p1, x.shape)[near])
+        assert np.array_equal(g1[near], np.broadcast_to(self.s**2 * ea * p2, x.shape)[near])
 
     def test_table_survives_stiff_gap(self):
         # gap*s in the tens of thousands: naive phi-form would hit 0 * inf

@@ -15,6 +15,7 @@ from cylform.kernels import (
     predictor_kernel_2d,
     sine_basis,
 )
+from oracles import seed_pipeline
 
 
 def quad12(f, a, b, **kw):
@@ -260,6 +261,19 @@ class TestHistorySolveMatrix:
             direct = prof + 2.0 * ks.delay * basis.fwd_edge @ conv
             via_mat = ks.history_solve_matrix(n) @ prof
             assert np.max(np.abs(via_mat - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("shape", [(21, 16), (51, 50)])
+    @pytest.mark.parametrize("coeffs", [PlantCoeffs(12.0, 0.5),
+                                        PlantCoeffs(10.0 + 2.0j, 0.5 + 0.5j)],
+                             ids=["real", "complex"])
+    def test_closed_form_matches_convolution_of_identity(self, shape, coeffs):
+        basis = KernelBasis(coeffs, CylinderGrid(*shape))
+        for delay in (0.2, 1.0, 2.0):
+            ks = KernelSet(basis, delay)
+            for n in range(ks.grid.N // 2 + 1):
+                want = seed_pipeline.history_map(ks, n)
+                got = ks.history_solve_matrix(n)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_cached_and_invertible(self):
         grid = CylinderGrid(21, 8)

@@ -84,6 +84,22 @@ class TestStencil:
         out = plant_rhs(field, coeffs, g)
         assert np.max(np.abs(out[1:-1] - expect[1:-1, None])) <= 1e-10
 
+    def test_bit_identical_to_rolled_neighbours(self):
+        g = self.grid
+        coeffs = PlantCoeffs(reaction=12.0 + 1.0j, advection=0.5)
+        rng = np.random.default_rng(3)
+        vals = rng.normal(size=(g.M, g.N)) + 1j * rng.normal(size=(g.M, g.N))
+        up = np.roll(vals, -1, axis=1)
+        dn = np.roll(vals, 1, axis=1)
+        want = np.zeros_like(vals)
+        want[1:-1] = (
+            (vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / g.h_s**2
+            + (up[1:-1] - 2.0 * vals[1:-1] + dn[1:-1]) / g.h_theta**2
+            + coeffs.advection * (vals[2:] - vals[:-2]) / (2.0 * g.h_s)
+            + coeffs.reaction * vals[1:-1]
+        )
+        assert np.array_equal(plant_rhs(vals, coeffs, g), want)
+
     def test_boundary_rows_imposed(self):
         g = self.grid
         line = DelayLine(g.N, 0.25, 4.0)

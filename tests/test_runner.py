@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from cylform.config import parse_config
+from cylform.config import parse_config, preset
 from cylform.geometry import CylinderGrid, Field
 from cylform.plant import stable_dt
 from cylform.runner import (
@@ -13,6 +15,7 @@ from cylform.runner import (
     write_snapshot,
 )
 from cylform.steady import formation_fields
+from oracles import seed_pipeline
 
 EQUILIBRIUM = """
 grid.M = 21
@@ -113,7 +116,6 @@ def transient_record(transient_cfg):
 
 class TestStepResolution:
     def test_explicit_dt_is_a_cap(self, transient_cfg):
-        import dataclasses
         cfg = dataclasses.replace(transient_cfg, dt=1e-3, control_period=5,
                                   snapshot_times=())
         rec = run(cfg)
@@ -151,6 +153,29 @@ class TestDeterminism:
         for a, b in zip(again.snapshots, transient_record.snapshots):
             assert np.array_equal(a.planar, b.planar)
             assert np.array_equal(a.axial, b.axial)
+
+
+class TestReferenceStep:
+    """The precomputed control step replays the convolution-built one."""
+
+    @pytest.mark.parametrize("fixed, duration", [(False, 0.8), (True, 1.5)],
+                             ids=["adapting", "known-delay"])
+    def test_record_matches_reference_pipeline(self, monkeypatch, fixed, duration):
+        # adapting from hi rebuilds the kernel sets; the fixed estimate at
+        # the true delay lets commands reach the plant after t = 1
+        cfg = dataclasses.replace(preset("moderate"), grid_m=21, grid_n=16,
+                                  ring_rows=(5, 11, 21), duration=duration,
+                                  fixed_estimate=fixed,
+                                  initial_estimate=1.0 if fixed else 2.0)
+        rec = run(cfg)
+        seed_pipeline.install(monkeypatch)
+        want = run(cfg)
+        assert not rec.terminated and not want.terminated
+        assert fixed or np.count_nonzero(np.diff(rec.estimates)) >= 3
+        for name in ("times", "estimates", "signals", "err_planar",
+                     "err_axial", "ring_errors", "control_sup"):
+            a, b = getattr(rec, name), getattr(want, name)
+            assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b)), name
 
 
 class TestTransientRecord:
