@@ -39,8 +39,6 @@ def _build_parser() -> _Parser:
                       help="output directory (default: config value or ./out)")
     runp.add_argument("--fixed-delay-estimate", type=float, metavar="X",
                       help="pin the delay estimate to X and disable adaptation")
-    runp.add_argument("--realization", choices=("spectral", "simpson"),
-                      help="override the command-synthesis route")
     return parser
 
 
@@ -53,8 +51,6 @@ def main(argv=None) -> int:
         if args.fixed_delay_estimate is not None:
             cfg = replace(cfg, fixed_estimate=True,
                           initial_estimate=args.fixed_delay_estimate)
-        if args.realization:
-            cfg = replace(cfg, realization=args.realization)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -35,8 +35,8 @@ _SECTIONS = {
     "initial": _FORMATION_KEYS,
     "desired": _FORMATION_KEYS,
     "delay": {"true", "lo", "hi", "gain", "initial_estimate", "mode"},
-    "run": {"dt", "control_period", "history_nodes", "duration", "snapshots",
-            "realization", "rings", "output_dir"},
+    "run": {"dt", "control_period", "duration", "snapshots", "rings",
+            "output_dir"},
 }
 
 _PAIR = re.compile(r"^\(([^,()]+),([^,()]+)\)$")
@@ -59,10 +59,8 @@ class ScenarioConfig:
     fixed_estimate: bool = False
     dt: float | None = None          #: None = derive from the stability bound
     control_period: int = 10
-    history_nodes: int = 51
     duration: float = 40.0
     snapshot_times: tuple = ()
-    realization: str = "spectral"
     ring_rows: tuple = (5, 15, 30, 51)   #: 1-based axial agent indices
     output_dir: str | None = None
 
@@ -89,20 +87,11 @@ class ScenarioConfig:
             raise ConfigError(f"run.dt must be positive or 'auto', got {self.dt}")
         if self.control_period < 1:
             raise ConfigError("run.control_period must be a positive step count")
-        if self.history_nodes < 3 or self.history_nodes % 2 == 0:
-            raise ConfigError(
-                f"run.history_nodes must be odd and >= 3, got {self.history_nodes}"
-            )
         for t in self.snapshot_times:
             if not 0.0 <= t <= self.duration:
                 raise ConfigError(
                     f"snapshot time {t} outside the run horizon [0, {self.duration}]"
                 )
-        if self.realization not in ("spectral", "simpson"):
-            raise ConfigError(
-                f"run.realization must be 'spectral' or 'simpson', "
-                f"got {self.realization!r}"
-            )
         for i in self.ring_rows:
             if not 1 <= i <= self.grid_m:
                 raise ConfigError(
@@ -298,12 +287,9 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
                                 "adaptive") == "fixed",
         dt=e.dt_val("run.dt", None),
         control_period=e.intval("run.control_period", 10),
-        history_nodes=e.intval("run.history_nodes", 51),
         duration=e.floatval("run.duration"),
         snapshot_times=tuple(sorted(e.floats("run.snapshots",
                                              DEFAULT_SNAPSHOTS))),
-        realization=e.choice("run.realization", ("spectral", "simpson"),
-                             "spectral"),
         ring_rows=e.ints("run.rings", (5, 15, 30, 51)),
         output_dir=e.strval("run.output_dir", None),
     )

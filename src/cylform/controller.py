@@ -17,11 +17,6 @@ with ``exp_s``.  A control step is therefore a few batched matrix-vector
 products: the target history is ``history_map @ transport`` minus the
 predicted flow, and the control law is its rim row (``history_map[-1]`` and
 ``state_rim``) set to zero and solved for the rim node.
-
-Two realizations of the same control law live here.  The spectral one
-(:class:`ChannelController`) is the production path.  ``simpson_control``
-rebuilds the command from dense physical-space quadrature against the 2-D
-kernel and serves as a cross-check of the whole spectral pipeline.
 """
 
 from __future__ import annotations
@@ -31,28 +26,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CylinderGrid, ModeStack
-from .kernels import KernelSet, predictor_kernel_2d
+from .kernels import KernelSet
 from .plant import DelayLine
-from .quadrature import exp_conv, exp_conv_paired, exp_weights, simpson_weights
 
 __all__ = [
     "remove_advection",
-    "restore_advection",
     "reconstruct_transport",
     "to_target_state",
-    "from_target_state",
-    "from_target_state_kernel",
     "state_prediction",
     "to_target_history",
-    "from_target_history",
-    "from_target_history_series",
-    "control_mode",
     "control_modes",
     "control_modes_recorded",
     "synthesize_command",
     "symmetrize_command",
-    "periodic_simpson_weights",
-    "simpson_control",
     "ChannelUpdate",
     "ChannelController",
 ]
@@ -74,15 +60,8 @@ def remove_advection(values: np.ndarray, steady_values: np.ndarray,
     return (np.asarray(values) - np.asarray(steady_values)) * lift[:, None]
 
 
-def restore_advection(scaled: np.ndarray, steady_values: np.ndarray,
-                      advection: complex, grid: CylinderGrid) -> np.ndarray:
-    """Undo :func:`remove_advection`."""
-    lift = np.exp(-0.5 * advection * grid.s)
-    return np.asarray(scaled) * lift[:, None] + np.asarray(steady_values)
-
-
 # ---------------------------------------------------------------------------
-# transport reconstruction and transform pairs
+# transport reconstruction and forward transforms
 
 
 def reconstruct_transport(line: DelayLine, t: float, delay_estimate: float,
@@ -105,30 +84,6 @@ def to_target_state(measured: ModeStack, ks: KernelSet) -> ModeStack:
     return ModeStack(measured.grid, measured.coeffs - measured.coeffs @ v.T)
 
 
-def from_target_state(target: ModeStack, ks: KernelSet) -> ModeStack:
-    """Undo :func:`to_target_state` exactly (triangular dense solve).
-
-    The closed-form inverse kernel gives an independent route to the same
-    map (:func:`from_target_state_kernel`); it is quadrature-limited, so the
-    production inverse solves against the forward matrix instead.
-    """
-    grid = target.grid
-    mat = np.eye(grid.M) - ks.basis.volterra_fwd_refined
-    return ModeStack(grid, np.linalg.solve(mat, target.coeffs.T).T)
-
-
-def from_target_state_kernel(target: ModeStack, ks: KernelSet) -> ModeStack:
-    """Recover the scaled deviation through the closed-form inverse kernel.
-
-    Independent of :func:`from_target_state`: composing this with
-    :func:`to_target_state` checks the reciprocity of the kernel pair, with
-    a defect set by the node-sample interpolation (cubic in the spacing),
-    not by the identity itself.
-    """
-    v = ks.basis.volterra_inv_refined
-    return ModeStack(target.grid, target.coeffs + target.coeffs @ v.T)
-
-
 def state_prediction(measured: ModeStack, ks: KernelSet) -> np.ndarray:
     """State-driven part of the predicted command flow, per mode and node.
 
@@ -149,62 +104,8 @@ def to_target_history(transport: ModeStack, measured: ModeStack,
     return ModeStack(transport.grid, hist - state_prediction(measured, ks))
 
 
-def from_target_history(history: ModeStack, target: ModeStack,
-                        ks: KernelSet) -> ModeStack:
-    """Undo :func:`to_target_history` exactly given the target state.
-
-    The deviation is recovered first (exact solve), its prediction moves to
-    the right-hand side, and the remaining convolution relation is solved
-    per wavenumber magnitude against the cached dense map.
-    """
-    grid = history.grid
-    measured = from_target_state(target, ks)
-    rhs = history.coeffs + state_prediction(measured, ks)
-    out = np.empty_like(rhs)
-    absn = np.abs(grid.modes)
-    for a in np.unique(absn):
-        rows = np.flatnonzero(absn == a)
-        out[rows] = np.linalg.solve(ks.history_solve_matrix(a), rhs[rows].T).T
-    return ModeStack(grid, out)
-
-
-def from_target_history_series(history: ModeStack, target: ModeStack,
-                               ks: KernelSet) -> ModeStack:
-    """Inverse-kernel-series route to the command-in-flight profile.
-
-    Independent of :func:`from_target_history`; its round-trip defect decays
-    only like the reciprocal of the truncation order (the lag-kernel edge
-    coefficients do not decay), so it serves as a structural oracle rather
-    than a production inverse.
-    """
-    grid = history.grid
-    rows = np.abs(grid.modes)
-    sw = target.coeffs @ ks.basis.mode_sine.T                    # (N, i_max)
-    eta_part = 2.0 * np.einsum("ni,nim->nm",
-                               sw * ks.basis.inv_sine[None, :],
-                               ks.inv_exp_s[rows])
-    conv = exp_conv_paired(ks.inv_rates[rows], history.coeffs, grid.h_s)
-    q_part = -2.0 * ks.delay * np.einsum("i,nim->nm", ks.basis.inv_edge, conv)
-    return ModeStack(grid, history.coeffs + eta_part + q_part)
-
-
 # ---------------------------------------------------------------------------
-# command synthesis (spectral route)
-
-
-def control_mode(n: int, measured_row: np.ndarray, transport_row: np.ndarray,
-                 ks: KernelSet) -> complex:
-    """Direct single-mode command: both rim integrals evaluated as given.
-
-    Takes the transport rim node at face value, so this is the open form of
-    the law (useful for oracle comparisons); the production path solves for
-    the rim node implicitly instead.
-    """
-    a = ks.index(n)
-    sw = ks.basis.mode_sine @ np.asarray(measured_row)
-    pred_rim = 2.0 * np.dot(ks.basis.fwd_sine * sw, ks.exp_s[a, :, -1])
-    conv = exp_conv(ks.rates[a], np.asarray(transport_row), ks.grid.h_s)[:, -1]
-    return complex(pred_rim - 2.0 * ks.delay * np.dot(ks.basis.fwd_edge, conv))
+# command synthesis
 
 
 def control_modes(measured: ModeStack, transport: ModeStack,
@@ -234,14 +135,20 @@ def control_modes_recorded(measured: ModeStack, line: DelayLine, t: float,
     Same law as :func:`control_modes`, different quadrature for the history
     term: the recorded commands are integrated on their own lattice (exact
     exponential moments of the linear record interpolant) instead of being
-    resampled onto the much sparser axial grid first.  For a one-shot
-    evaluation both routes agree to quadrature accuracy, but inside the
-    closed loop the command is a *recursion* on its own records, and the
-    sparse resampling aliases record-rate components into the band the edge
-    kernel amplifies -- the loop then grows regardless of how fine the axial
-    grid or the record cadence is made individually.  Integrating where the
-    records live removes the aliasing and the recursion inherits the decay
-    of its continuous counterpart.
+    resampled onto the much sparser axial grid first.  The two routes do
+    not agree to quadrature accuracy even in a one-shot evaluation: on a
+    constant unit record history with zero state (reaction 12, advection
+    0.5, delay 1, mode 0) this route gives -78.7 against -57.0 at 21 axial
+    nodes and record spacing 0.01, and -96.6 against -73.2 at 51 nodes and
+    0.0025.  Each route still moves by 5-15 % per halving of its own spacing
+    (the lag kernel has an inverse-square-root singularity at zero lag), so
+    neither is converged at these resolutions.  Inside the closed loop the
+    command is a *recursion* on its own records, and the sparse resampling
+    aliases record-rate components into the band the edge kernel amplifies
+    -- the loop then grows regardless of how fine the axial grid or the
+    record cadence is made individually.  Integrating where the records
+    live removes the aliasing and the recursion inherits the decay of its
+    continuous counterpart.
 
     Returns ``(cmd, denom, rhs)`` with ``cmd = rhs / denom``, so a caller
     that post-processes ``cmd`` (symmetrization) can report the honest rim
@@ -279,74 +186,6 @@ def synthesize_command(cmd: np.ndarray, advection: complex,
     """Physical rim command profile from its scaled mode vector."""
     gain = np.exp(-0.5 * advection)
     return grid.synthesize_profile(np.asarray(cmd) * gain, kind=kind)
-
-
-# ---------------------------------------------------------------------------
-# command synthesis (dense physical-space route)
-
-
-def periodic_simpson_weights(n: int, h: float) -> np.ndarray:
-    """Alternating Simpson weights on a periodic grid with even ``n``.
-
-    Integrates every grid harmonic exactly except the unpaired extreme one.
-    """
-    if n < 4 or n % 2:
-        raise ValueError(f"periodic Simpson rule needs even n >= 4, got {n}")
-    w = np.full(n, 2.0 * h / 3.0)
-    w[1::2] = 4.0 * h / 3.0
-    return w
-
-
-def simpson_control(values: np.ndarray, steady_values: np.ndarray,
-                    line: DelayLine, t: float, ks: KernelSet,
-                    m_prime: int = 51, kind: str = "complex") -> np.ndarray:
-    """Rim profile (steady rim plus command) from dense physical quadrature.
-
-    The state term integrates the 2-D kernel against the scaled deviation
-    with a Simpson product rule (plain axially, alternating-periodic in the
-    angle).  The history term re-samples recorded commands on ``m_prime``
-    uniform nodes across the in-flight window and integrates each kernel
-    harmonic with exponential product weights -- node sampling would face an
-    inverse-square-root blow-up of the lag kernel at zero lag.  The newest
-    node is the command being computed, so its circulant weight block moves
-    to the left-hand side of a small dense solve.
-    """
-    grid = ks.grid
-    if m_prime < 3 or m_prime % 2 == 0:
-        raise ValueError(f"history node count must be odd and >= 3, got {m_prime}")
-    adv = ks.basis.coeffs.advection
-    scaled = remove_advection(values, steady_values, adv, grid)
-
-    n, m = grid.N, grid.M
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-
-    ws = simpson_weights(m, grid.h_s)
-    wt = periodic_simpson_weights(n, grid.h_theta)
-    k2d = predictor_kernel_2d(ks, 1.0, grid.s, grid.h_theta * np.arange(n))
-    state_term = np.einsum("m,mjl,ml->j", ws, k2d[:, idx], wt[None, :] * scaled)
-
-    # past commands, scaled, on the uniform in-flight window [t - delay, t]
-    xs = np.linspace(0.0, 1.0, m_prime)
-    gain = np.exp(0.5 * adv)
-    past = np.stack([line.lookup(t + ks.delay * (x - 1.0)) for x in xs[:-1]])
-    past = past * gain
-
-    # exp_weights integrates against exp(a*x); the predictor weighs sample x
-    # by exp(a*(1-x)), so flip the node axis (pairs map onto pairs: m' odd)
-    w_hist = exp_weights(ks.rates_for_modes(grid.modes), m_prime,
-                         1.0 / (m_prime - 1))[..., ::-1]          # (N, i_max, m')
-    t_nk = np.einsum("i,nik->nk", ks.basis.fwd_edge, w_hist)
-    e_nd = np.exp(1j * np.multiply.outer(grid.modes,
-                                         grid.h_theta * np.arange(n)))
-    g_kd = (-2.0 * ks.delay / n) * np.einsum("nk,nd->kd", t_nk, e_nd)
-    hist_past = np.einsum("kjl,kl->j", g_kd[:-1][:, idx], past)
-
-    rim_block = np.eye(n) - g_kd[-1][idx]
-    cmd_scaled = np.linalg.solve(rim_block, state_term + hist_past)
-    command = cmd_scaled * np.exp(-0.5 * adv)
-    if kind == "real":
-        command = command.real
-    return np.asarray(steady_values)[-1] + command
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 
 from .geometry import CylinderGrid, ModeStack
 from .kernels import KernelSet
-from .quadrature import exp_conv, exp_conv_paired, phi_funcs, simpson_weights
+from .quadrature import exp_conv_paired, phi_funcs, simpson_weights
 
 __all__ = [
     "EstimatorState",
@@ -145,8 +145,8 @@ def cross_exp_conv(a_rates: np.ndarray, c_rates: np.ndarray,
     """
     a = np.asarray(a_rates, dtype=complex)
     c = np.asarray(c_rates, dtype=complex)
-    i0a = exp_conv(a, values, h)                            # (i, M)
-    i0c = exp_conv(c, values, h)                            # (j, M)
+    i0a = exp_conv_paired(a, values, h)                     # (i, M)
+    i0c = exp_conv_paired(c, values, h)                     # (j, M)
     moments = [i0a]
     for k in (1, 2, 3, 4):
         moments.append(k * exp_conv_paired(a[:, None], moments[-1], h)[:, 0])
@@ -204,7 +204,7 @@ def adaptation_drift(target: ModeStack, history: ModeStack,
             part_b = -4.0 * np.einsum(
                 "i,j,ijm->m", basis.fwd_edge, basis.inv_sine * sw[r], state_cross
             )
-            i0 = exp_conv(ra, h_row, grid.h_s)
+            i0 = exp_conv_paired(ra, h_row, grid.h_s)
             i1 = exp_conv_paired(ra[:, None], i0, grid.h_s)[:, 0]
             part_c = -2.0 * np.einsum(
                 "i,im->m", basis.fwd_edge, i0 + ra[:, None] * i1

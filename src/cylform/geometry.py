@@ -85,19 +85,11 @@ class CylinderGrid:
             return Field(self, vals.real.copy())
         return Field(self, vals)
 
-    def analyze_profile(self, values: np.ndarray) -> np.ndarray:
-        """Fourier coefficients of a single ring profile (length ``N``)."""
-        values = np.asarray(values)
-        if values.shape != (self.N,):
-            raise ValueError(f"profile length {values.shape} does not match N={self.N}")
-        return np.fft.fftshift(np.fft.fft(values)) / self.N * self._parity
-
     def analyze_rows(self, values: np.ndarray) -> np.ndarray:
-        """Fourier coefficients of a stack of ring profiles, row by row.
+        """Fourier coefficients of a ring profile, or of a stack of them.
 
-        Accepts any ``(..., N)`` array (a delay window, a snapshot sequence)
-        and transforms the last axis; each row matches
-        :meth:`analyze_profile` exactly.
+        Accepts any ``(..., N)`` array (one profile, a delay window, a
+        snapshot sequence) and transforms the last axis.
         """
         values = np.asarray(values)
         if values.shape[-1] != self.N:
@@ -105,7 +97,7 @@ class CylinderGrid:
         return np.fft.fftshift(np.fft.fft(values, axis=-1), axes=-1) / self.N * self._parity
 
     def synthesize_profile(self, coeffs: np.ndarray, kind: str = "complex") -> np.ndarray:
-        """Ring profile from mode coefficients; inverse of analyze_profile."""
+        """Ring profile from mode coefficients; inverse of analyze_rows."""
         coeffs = np.asarray(coeffs, dtype=complex)
         if coeffs.shape != (self.N,):
             raise ValueError(f"coefficient count {coeffs.shape} does not match N={self.N}")
@@ -172,37 +164,6 @@ class Field:
         ring = np.sum(np.abs(self.values) ** 2, axis=1) * g.h_theta
         return float(np.sqrt(np.abs(g._simpson_s @ ring)))
 
-    def h1_norm(self) -> float:
-        """Sobolev H1 norm from finite-difference first partials."""
-        g = self.grid
-        total = (
-            self.l2_norm() ** 2
-            + Field(g, g.d_s(self.values)).l2_norm() ** 2
-            + Field(g, g.d_theta(self.values)).l2_norm() ** 2
-        )
-        return float(np.sqrt(total))
-
-    def h2_norm(self) -> float:
-        """H2 norm: adds both pure second partials and twice the mixed one."""
-        g = self.grid
-        mixed = g.d_theta(g.d_s(self.values))
-        total = (
-            self.h1_norm() ** 2
-            + Field(g, g.d2_s(self.values)).l2_norm() ** 2
-            + 2.0 * Field(g, mixed).l2_norm() ** 2
-            + Field(g, g.d2_theta(self.values)).l2_norm() ** 2
-        )
-        return float(np.sqrt(total))
-
-    def laplacian(self) -> "Field":
-        """Discrete surface Laplacian (axial + angular second differences).
-
-        Rim rows use one-sided second-order stencils so the array is fully
-        populated; callers that impose Dirichlet data overwrite those rows.
-        """
-        g = self.grid
-        return Field(g, g.d2_s(self.values) + g.d2_theta(self.values))
-
 
 class ModeStack:
     """Per-wavenumber complex profiles along the cylinder axis.
@@ -241,19 +202,3 @@ class ModeStack:
             b = self.mode(-n)
             worst = max(worst, float(np.max(np.abs(b - np.conj(a)))))
         return worst
-
-    def enforce_conjugate_symmetry(self) -> "ModeStack":
-        """Project onto the conjugate-symmetric subspace (real synthesis).
-
-        Paired modes are averaged, the zero mode and the unpaired extreme
-        mode are made real.  Mutates in place and returns self.
-        """
-        g = self.grid
-        half = g.N // 2
-        self.coeffs[half] = self.coeffs[half].real
-        self.coeffs[0] = self.coeffs[0].real  # unpaired mode -N/2
-        for n in range(1, half):
-            avg = 0.5 * (self.coeffs[half + n] + np.conj(self.coeffs[half - n]))
-            self.coeffs[half + n] = avg
-            self.coeffs[half - n] = np.conj(avg)
-        return self

@@ -11,16 +11,15 @@ the Volterra kernels.
 
 :class:`KernelBasis` holds everything that depends only on the plant
 coefficients and the grid (sine coefficients, quadrature contraction tables,
-Volterra weight matrices).  :class:`KernelSet` adds the delay-estimate
-dependent exponential tables and the per-wavenumber operators of the control
-step built from them, and is rebuilt whenever the estimate moves by more
-than the rebuild tolerance.
+the refined Volterra weight matrices).  :class:`KernelSet` adds the
+delay-estimate dependent exponential tables and the per-wavenumber
+operators of the control step built from them, and is rebuilt whenever the
+estimate moves by more than the rebuild tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -121,12 +120,6 @@ def _flush_subnormal(table: np.ndarray) -> np.ndarray:
     return table
 
 
-def sine_basis(i_max: int, x: np.ndarray) -> np.ndarray:
-    """Matrix ``sin(i*pi*x)`` with harmonic index down the rows."""
-    freqs = np.pi * np.arange(1, i_max + 1)
-    return np.sin(np.outer(freqs, x))
-
-
 class KernelBasis:
     """Delay-independent kernel data for one channel on one grid.
 
@@ -134,8 +127,8 @@ class KernelBasis:
     on a refinement of the axial grid; their sine coefficients (exact
     sine-weighted quadrature of the piecewise-quadratic edge interpolant);
     the triangular composition table coupling the inverse Volterra kernel
-    into the sine basis; and plain Volterra quadrature matrices on the
-    production grid.
+    into the sine basis; and the Volterra quadrature matrices on the
+    production nodes, integrated on the refined grid.
     """
 
     def __init__(self, coeffs: PlantCoeffs, grid: CylinderGrid, i_max: int = 64,
@@ -186,22 +179,14 @@ class KernelBasis:
         #: weights for the inverse-kernel edge integral over the full span
         self.edge_weights = lam_of_cardinal[-1].copy()
 
-        # Volterra matrices restricted back to the production nodes.  The
-        # refined pair routes node samples through the cardinal interpolants
-        # and integrates on the fine grid, which removes the closure-panel
-        # error of the literal rules below (the interpolation error of the
+        # Volterra matrices restricted back to the production nodes.  They
+        # route node samples through the cardinal interpolants and integrate
+        # on the fine grid, which removes the closure-panel error a row rule
+        # on the production nodes would carry (the interpolation error of the
         # samples themselves, cubic in the coarse spacing, remains).
         k_rows = tri_ref * _lower_table(xi, coeffs, 1.0)
         self.volterra_fwd_refined = (k_rows @ cardinals.T)[::refine]
         self.volterra_inv_refined = lam_of_cardinal[::refine].copy()
-
-        # Literal Volterra quadrature matrices on the production grid.
-        tri = self._row_weight_matrix(M, h)
-        s_col = grid.s[:, None]
-        tau_row = grid.s[None, :]
-        mask = tau_row <= s_col
-        self.volterra_fwd = tri * np.where(mask, _kernel_values(s_col, tau_row, coeffs, 1.0), 0.0)
-        self.volterra_inv = tri * np.where(mask, _kernel_values(s_col, tau_row, coeffs, -1.0), 0.0)
 
     @staticmethod
     def _row_weight_matrix(m: int, h: float) -> np.ndarray:
@@ -224,7 +209,7 @@ class KernelSet:
     * ``history_map[a]``, ``(N//2 + 1, M, M)``, maps a command-in-flight
       profile to its history convolution image: identity plus
       ``2*delay*sum_i fwd_edge_i W_i``, with ``W_i`` the running-convolution
-      matrix of :func:`~cylform.quadrature.exp_conv` for rate
+      matrix of :func:`~cylform.quadrature.exp_conv_paired` for rate
       ``rates[a, i]``, assembled in closed form;
     * ``state_rim[a]``, ``(N//2 + 1, M)``, the rim value of the predicted
       command flow as weights on a scaled deviation profile.  The whole
@@ -260,12 +245,9 @@ class KernelSet:
         self.pairs = np.stack([np.flatnonzero(np.abs(grid.modes) == a)[[0, -1]]
                                for a in n_abs])
         self.history_map = _flush_subnormal(self._build_history_map())
-        self._history_views = tuple(self.history_map)
         #: rim value of the predicted command flow, as weights on the profile
         self.state_rim = self.exp_s[:, :, -1] @ basis.state_weights.T
 
-        self._gamma_cache: dict[int, np.ndarray] = {}
-        self._eta_cache: dict[int, np.ndarray] = {}
         self._lattice_cache: tuple[float, np.ndarray] | None = None
 
     def _build_history_map(self) -> np.ndarray:
@@ -283,7 +265,7 @@ class KernelSet:
         m, pairs = grid.M, (grid.M - 1) // 2
         edge = 2.0 * self.delay * self.basis.fwd_edge
         w0, w1, w2 = exp_pair_weights(self.rates, grid.h_s)
-        # reversed kernel, as in exp_conv: c_l weighs node l of a pair
+        # reversed kernel, as in exp_conv_paired: c_l weighs node l of a pair
         c = np.stack([w2, w1, w0], axis=1) * edge                       # (A, 3, i)
         half = np.stack(exp_half_weights(self.rates, grid.h_s), axis=1) @ edge
         # one zero column past the last lag stands for the empty upper part
@@ -330,22 +312,6 @@ class KernelSet:
         """Largest exponential magnification across all table entries."""
         return float(np.max(np.abs(self.exp_s)))
 
-    @cached_property
-    def inv_exp_s(self) -> np.ndarray:
-        """``exp(inv_rates * s)`` on the axial grid; built on first use, since
-        only the inverse-kernel oracles read it."""
-        return np.exp(self.inv_rates[:, :, None] * self.grid.s[None, None, :])
-
-    def index(self, n: int) -> int:
-        a = abs(int(n))
-        if a > self.grid.N // 2:
-            raise KeyError(f"wavenumber {n} beyond grid band +-{self.grid.N // 2}")
-        return a
-
-    def rates_for_modes(self, modes: np.ndarray) -> np.ndarray:
-        """Growth-rate rows aligned with an explicit wavenumber vector."""
-        return self.rates[np.abs(np.asarray(modes, dtype=int))]
-
     def command_lattice(self, dt_record: float) -> np.ndarray:
         """History weights on the raw command-record lattice, per ``|n|`` row.
 
@@ -370,63 +336,6 @@ class KernelSet:
             self._lattice_cache = (float(dt_record), np.stack(rows))
         return self._lattice_cache[1]
 
-    # -- kernel tables (lazy; used by tests, oracles, diagnostics) --------
-
-    def predictor_table(self, n: int) -> np.ndarray:
-        """Values of the predictor kernel on the (s, tau) grid for mode n."""
-        a = self.index(n)
-        if a not in self._gamma_cache:
-            sin_tab = sine_basis(self.basis.i_max, self.grid.s)
-            self._gamma_cache[a] = 2.0 * np.einsum(
-                "ir,ij->rj", self.exp_s[a], sin_tab * self.basis.fwd_sine[:, None]
-            )
-        return self._gamma_cache[a]
-
-    def inverse_table(self, n: int) -> np.ndarray:
-        """Values of the inverse predictor kernel on the (s, tau) grid."""
-        a = self.index(n)
-        if a not in self._eta_cache:
-            sin_tab = sine_basis(self.basis.i_max, self.grid.s)
-            self._eta_cache[a] = 2.0 * np.einsum(
-                "ir,ij->rj", self.inv_exp_s[a], sin_tab * self.basis.inv_sine[:, None]
-            )
-        return self._eta_cache[a]
-
-    def edge_derivative(self, n: int) -> np.ndarray:
-        """tau-derivative of the predictor kernel at the far edge tau = 1,
-        tabulated along s (truncated series value)."""
-        a = self.index(n)
-        return 2.0 * np.einsum("ir,i->r", self.exp_s[a], self.basis.fwd_edge)
-
-    def history_kernel(self, n: int, sigma) -> np.ndarray:
-        """Convolution kernel tying past commands into the target state.
-
-        Equals minus the edge derivative evaluated at lag ``sigma``.  The
-        underlying function has an integrable inverse-square-root blow-up at
-        ``sigma = 0``; a truncated series evaluated there returns the finite
-        partial sum, so quadrature against this function must use product
-        rules rather than node sampling (the production path does).
-        """
-        a = self.index(n)
-        e = np.exp(np.multiply.outer(np.asarray(sigma, dtype=float), self.rates[a]))
-        return -2.0 * e @ self.basis.fwd_edge
-
-    def inverse_history_kernel(self, n: int, sigma) -> np.ndarray:
-        """Inverse-transform analogue of :meth:`history_kernel`."""
-        a = self.index(n)
-        e = np.exp(np.multiply.outer(np.asarray(sigma, dtype=float), self.inv_rates[a]))
-        return -2.0 * e @ self.basis.inv_edge
-
-    def history_solve_matrix(self, n: int) -> np.ndarray:
-        """Dense map from a transport profile to its target-history image.
-
-        Row ``r`` holds the weights producing the history value at node ``r``
-        from the raw profile (identity plus the running-convolution part), so
-        undoing the history transform is one dense solve against this matrix.
-        A view of ``history_map``, shared by ``n`` and ``-n``.
-        """
-        return self._history_views[self.index(n)]
-
     def apply(self, coeffs: np.ndarray, mats: np.ndarray) -> np.ndarray:
         """Row ``k`` of a mode table times ``mats[|n_k|]``, for all rows.
 
@@ -443,28 +352,3 @@ class KernelSet:
         else:
             out[self.pairs] = rows @ mats
         return out
-
-
-def heat_ring_kernel(s: float, dtheta, delay: float, n_max: int):
-    """Periodic heat kernel on the unit circle, truncated at ``|n| <= n_max``.
-
-    Normalised so its angular integral is exactly 1 for every ``s``.
-    """
-    dtheta = np.asarray(dtheta, dtype=float)
-    n = np.arange(1, n_max + 1)
-    damping = np.exp(-delay * n**2 * s)
-    return (1.0 + 2.0 * np.cos(np.multiply.outer(dtheta, n)) @ damping) / (2.0 * np.pi)
-
-
-def predictor_kernel_2d(ks: KernelSet, s: float, tau, dtheta, n_max: int | None = None):
-    """Physical-space predictor kernel: angular heat kernel times the
-    wavenumber-zero axial series.  Used by the quadrature realization of the
-    rim control law and as a cross-check oracle for the spectral one."""
-    if n_max is None:
-        n_max = ks.grid.N // 2
-    tau = np.asarray(tau, dtype=float)
-    ring = heat_ring_kernel(s, dtheta, ks.delay, n_max)
-    axial = 2.0 * np.exp(ks.rates[0] * s) * ks.basis.fwd_sine @ sine_basis(
-        ks.basis.i_max, tau
-    )
-    return np.multiply.outer(axial, ring)

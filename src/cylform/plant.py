@@ -105,38 +105,38 @@ class DelayLine:
     def lookup_many(self, times: np.ndarray) -> np.ndarray:
         """Profiles at many instants in one vectorized pass.
 
-        Row ``k`` equals ``lookup(times[k])`` -- same interpolation, same
-        pre-history policy, same hold beyond the newest record -- without the
-        per-instant Python overhead, which matters when a control update
-        has to gather an entire delay window of records.
+        Row ``k`` equals ``lookup(times[k])`` for finite records -- same
+        interpolation, same pre-history policy, same hold beyond the newest
+        record -- without the per-instant Python overhead, which matters when
+        a control update has to gather an entire delay window of records.
+        Every instant is clamped onto the recorded span and interpolated
+        between its two neighbours (a hold is the newest record interpolated
+        with itself); pre-history rows are zeroed afterwards.
         """
         times = np.asarray(times, dtype=float)
-        out = np.zeros(times.shape + (self.width,), dtype=complex)
         if self._count == 0:
             if self.policy == "strict":
                 raise HistoryUnderrunError("lookup before any record")
-            return out
+            return np.zeros(times.shape + (self.width,), dtype=complex)
         x = (times - self._t0) / self.dt
         pre = x < -1e-9
-        if np.any(pre) and self.policy == "strict":
+        if self.policy == "strict" and np.any(pre):
             raise HistoryUnderrunError(
                 f"lookup at t={times[pre].min()} precedes recorded history"
             )
-        newest = x >= self._count - 1
-        mid = ~(pre | newest)
-        if np.any(mid):
-            xm = np.clip(x[mid], 0.0, None)
-            i0 = np.floor(xm).astype(int)
-            if np.any(i0 < self._count - self.capacity):
-                raise HistoryUnderrunError(
-                    "requested sample already evicted (horizon too short)"
-                )
-            frac = (xm - i0)[:, None]
-            r0 = self._buf[i0 % self.capacity]
-            r1 = self._buf[np.minimum(i0 + 1, self._count - 1) % self.capacity]
-            out[mid] = (1.0 - frac) * r0 + frac * r1
-        if np.any(newest):
-            out[newest] = self._buf[(self._count - 1) % self.capacity]
+        last = self._count - 1
+        xc = np.clip(x, 0.0, last)
+        i0 = xc.astype(int)
+        evicted = self._count - self.capacity
+        if evicted > 0 and np.any((i0 < evicted) & ~pre):
+            raise HistoryUnderrunError(
+                "requested sample already evicted (horizon too short)"
+            )
+        frac = (xc - i0)[..., None]
+        r0 = self._buf[i0 % self.capacity]
+        r1 = self._buf[np.minimum(i0 + 1, last) % self.capacity]
+        out = (1.0 - frac) * r0 + frac * r1
+        out[pre] = 0.0
         return out
 
 

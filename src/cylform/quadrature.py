@@ -201,59 +201,21 @@ def sine_weights(freqs: np.ndarray, m: int, h: float) -> np.ndarray:
     return exp_weights(1j * np.asarray(freqs, dtype=float), m, h).imag
 
 
-def exp_conv(z: np.ndarray, values: np.ndarray, h: float) -> np.ndarray:
+def exp_conv_paired(z: np.ndarray, values: np.ndarray, h: float) -> np.ndarray:
     """Running convolution ``I(s_r) = int_0^{s_r} exp(z*(s_r - tau)) v(tau) dtau``.
 
-    ``values`` holds ``v`` at the grid nodes along its last axis; ``z`` is a
-    rate array that broadcasts against the leading axes of ``values`` (a new
-    leading axis is prepended for it).  Every node value is the exact
-    convolution of the piecewise-quadratic interpolant of ``v`` (breakpoints
-    at even nodes): even rows advance by a full pair, odd rows by the first
-    half of the covering pair.  The recurrence form keeps the update stable
-    for arbitrarily stiff ``z``.
+    ``values`` holds ``v`` at the grid nodes along its last axis; ``z`` has
+    shape ``(..., K)`` and ``values`` shape ``(..., M)``, and their leading
+    axes broadcast against each other.  The result has shape
+    ``(..., K, M)``: entry ``[..., k, r]`` convolves profile ``values[...]``
+    with rate ``z[..., k]`` up to node ``r``.  One call therefore serves a
+    single profile against a family of rates, or a whole stack of angular
+    modes each carrying its own family.
 
-    Returns an array of shape ``z.shape + values.shape`` with the convolution
-    evaluated at every node ``s_r``.
-    """
-    values = np.asarray(values)
-    m = values.shape[-1]
-    if m % 2 == 0:
-        raise ValueError("exp_conv expects an odd node count")
-    z = np.asarray(z, dtype=complex)
-    # Broadcast shape for per-rate factors against z.shape + values.shape[:-1].
-    bshape = z.shape + (1,) * (values.ndim - 1)
-    zb = z.reshape(bshape)
-    step = np.exp(zb * h)
-    step2 = np.exp(zb * 2.0 * h)
-    # Quadratic weights for int_0^{2h} e^{z(2h-x)} q(x) dx: reversing the
-    # integration variable swaps the outer Lagrange basis functions.
-    w0, w1, w2 = exp_pair_weights(z, h)
-    c0, c1, c2 = w2.reshape(bshape), w1.reshape(bshape), w0.reshape(bshape)
-    g0, g1, g2 = (g.reshape(bshape) for g in exp_half_weights(z, h))
-
-    out = np.zeros(z.shape + values.shape, dtype=complex)
-    acc = np.zeros(z.shape + values.shape[:-1], dtype=complex)
-    v = np.broadcast_to(values, z.shape + values.shape)
-    for r in range(2, m, 2):
-        out[..., r - 1] = acc * step + (
-            g0 * v[..., r - 2] + g1 * v[..., r - 1] + g2 * v[..., r]
-        )
-        acc = acc * step2 + (
-            c0 * v[..., r - 2] + c1 * v[..., r - 1] + c2 * v[..., r]
-        )
-        out[..., r] = acc
-    return out
-
-
-def exp_conv_paired(z: np.ndarray, values: np.ndarray, h: float) -> np.ndarray:
-    """Like :func:`exp_conv`, but pairing rates with profiles axis-by-axis.
-
-    ``z`` has shape ``(..., K)`` and ``values`` shape ``(..., M)``; the leading
-    axes broadcast against each other (they are *shared*, not stacked the way
-    ``exp_conv`` stacks them).  The result has shape ``(..., K, M)``: entry
-    ``[..., k, r]`` convolves profile ``values[...]`` with rate ``z[..., k]``.
-    One call therefore serves a whole stack of angular modes, each carrying
-    its own family of exponential rates.
+    Every node value is the exact convolution of the piecewise-quadratic
+    interpolant of ``v`` (breakpoints at even nodes): even rows advance by a
+    full pair, odd rows by the first half of the covering pair.  The
+    recurrence form keeps the update stable for arbitrarily stiff ``z``.
     """
     values = np.asarray(values)
     m = values.shape[-1]
@@ -262,8 +224,10 @@ def exp_conv_paired(z: np.ndarray, values: np.ndarray, h: float) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     step = np.exp(z * h)
     step2 = np.exp(z * 2.0 * h)
+    # Quadratic weights for int_0^{2h} e^{z(2h-x)} q(x) dx: reversing the
+    # integration variable swaps the outer Lagrange basis functions.
     w0, w1, w2 = exp_pair_weights(z, h)
-    c0, c1, c2 = w2, w1, w0  # reversed kernel, as in exp_conv
+    c0, c1, c2 = w2, w1, w0
     g0, g1, g2 = exp_half_weights(z, h)
 
     lead = np.broadcast_shapes(z.shape[:-1], values.shape[:-1])
@@ -322,8 +286,9 @@ def interp_quadratic(values: np.ndarray, refine: int) -> np.ndarray:
 
     ``values`` has nodes on its last axis (odd count).  The output has
     ``refine * (m - 1) + 1`` nodes and reproduces the input at the originals.
-    Used by tests to evaluate reference quadratures against the same state
-    model the production weights assume.
+    :class:`~cylform.kernels.KernelBasis` samples the nodal cardinal
+    functions with it, so its refined-grid quadratures assume the same state
+    model as the production weights.
     """
     values = np.asarray(values)
     m = values.shape[-1]

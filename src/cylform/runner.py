@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ScenarioConfig
-from .controller import ChannelController, ChannelUpdate, simpson_control
+from .controller import ChannelController, ChannelUpdate
 from .errors import InstabilityError
 from .estimator import (EstimatorState, adaptation_drift, mismatch_drift,
                         step_estimate, update_signal)
@@ -169,17 +169,8 @@ def run(cfg: ScenarioConfig, capture_residuals=False) -> RunRecord:
         if k % per == 0:
             upd_p = ctrl_p.update(chan_p.values, line_p, t)
             upd_z = ctrl_z.update(chan_z.values, line_z, t)
-            if cfg.realization == "simpson":
-                cmd_p = simpson_control(chan_p.values, ctrl_p.steady_values,
-                                        line_p, t, ks_p, cfg.history_nodes,
-                                        "complex") - ctrl_p.steady_values[-1]
-                cmd_z = simpson_control(chan_z.values, ctrl_z.steady_values,
-                                        line_z, t, ks_z, cfg.history_nodes,
-                                        "real") - ctrl_z.steady_values[-1]
-            else:
-                cmd_p, cmd_z = upd_p.command, upd_z.command
-            line_p.record(t, cmd_p)
-            line_z.record(t, cmd_z)
+            line_p.record(t, upd_p.command)
+            line_z.record(t, upd_z.command)
 
             drift_p = mismatch_drift(upd_p.target_state, upd_p.target_history, ks_p)
             drift_z = mismatch_drift(upd_z.target_state, upd_z.target_history, ks_z)
@@ -195,8 +186,8 @@ def run(cfg: ScenarioConfig, capture_residuals=False) -> RunRecord:
                          Field(grid, dev_p).l2_norm(),
                          Field(grid, dev_z).l2_norm(),
                          ring,
-                         max(float(np.max(np.abs(cmd_p))),
-                             float(np.max(np.abs(cmd_z)))),
+                         max(float(np.max(np.abs(upd_p.command))),
+                             float(np.max(np.abs(upd_z.command)))),
                          max(upd_p.h_residual, upd_z.h_residual)))
 
             if prev is not None:

@@ -1,9 +1,9 @@
 """Reference control step built the way the package first computed it.
 
-Every map here is rebuilt from the running exponential convolutions of
-:mod:`cylform.quadrature` on each call -- the history map from
-``exp_conv`` on the identity, the command law and the target history from
-``exp_conv_paired`` over the whole mode stack, the transport from one
+Every map here is rebuilt from the running exponential convolution
+:func:`cylform.quadrature.exp_conv_paired` on each call -- the history map
+from the convolution of the identity, the command law and the target
+history from the convolution of the whole mode stack, the transport from one
 ``DelayLine.lookup`` per node, and the mismatch drift from a per-mode copy
 of the exponential tables.  The production path precomputes the same maps
 per kernel set in closed form; these functions are what it is checked
@@ -15,15 +15,15 @@ import numpy as np
 
 from cylform import controller, runner
 from cylform.geometry import ModeStack
-from cylform.quadrature import exp_conv, exp_conv_paired, exp_pair_weights
+from cylform.quadrature import exp_conv_paired, exp_pair_weights
 
 
 def history_map(ks, n):
-    """Dense history map of mode ``n`` from ``exp_conv`` on the identity."""
+    """Dense history map of mode ``n`` from the convolution of the identity."""
     m = ks.grid.M
-    conv = exp_conv(ks.rates[abs(n)], np.eye(m), ks.grid.h_s)
+    conv = exp_conv_paired(ks.rates[abs(n)], np.eye(m), ks.grid.h_s)
     return np.eye(m, dtype=complex) + 2.0 * ks.delay * np.einsum(
-        "i,ijr->rj", ks.basis.fwd_edge, conv)
+        "i,jir->rj", ks.basis.fwd_edge, conv)
 
 
 def reconstruct_transport(line, t, delay_estimate, grid, advection=0.0):
@@ -43,7 +43,7 @@ def state_prediction(measured, ks):
 
 def to_target_history(transport, measured, ks):
     grid = transport.grid
-    rates = ks.rates_for_modes(grid.modes)
+    rates = ks.rates[np.abs(grid.modes)]
     conv = exp_conv_paired(rates, transport.coeffs, grid.h_s)
     hist = np.einsum("i,nim->nm", ks.basis.fwd_edge, conv)
     out = transport.coeffs - state_prediction(measured, ks) + 2.0 * ks.delay * hist

@@ -84,14 +84,6 @@ class TestRunCommand:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_realization_override(self, tiny_path, tmp_path, capsys):
-        out = tmp_path / "simp"
-        code = main(["run", str(tiny_path), "--out", str(out),
-                     "--realization", "simpson"])
-        assert code == 0
-        capsys.readouterr()
-        assert (out / "series.csv").exists()
-
     def test_guard_termination_exits_2_with_partial_results(self, tmp_path,
                                                             capsys):
         text = TINY.replace("run.duration = 0.05", "run.duration = 0.5\n"

@@ -59,10 +59,8 @@ class TestParsing:
 
     def test_defaults_echoed(self):
         cfg = parse_config(MINIMAL, "m")
-        assert cfg.history_nodes == 51
         assert cfg.control_period == 10
         assert cfg.dt is None
-        assert cfg.realization == "spectral"
         assert cfg.fixed_estimate is False
         assert cfg.output_dir is None
 
@@ -163,10 +161,6 @@ class TestValidation:
         with pytest.raises(ConfigError, match="dt"):
             parse_config(MINIMAL + "\nrun.dt = -1e-3\n", "m")
 
-    def test_history_nodes_odd(self):
-        with pytest.raises(ConfigError, match="history_nodes"):
-            parse_config(MINIMAL + "\nrun.history_nodes = 50\n", "m")
-
     def test_snapshot_beyond_horizon(self):
         text = edit(MINIMAL, "run.snapshots = none", "run.snapshots = 0 0.5")
         with pytest.raises(ConfigError, match="snapshot"):
@@ -182,9 +176,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="grid"):
             parse_config(text, "m")
 
-    def test_bad_realization(self):
-        with pytest.raises(ConfigError, match="realization"):
-            parse_config(MINIMAL + "\nrun.realization = exact\n", "m")
+    @pytest.mark.parametrize("key", ["realization", "history_nodes"])
+    def test_removed_run_keys_are_unknown(self, key):
+        with pytest.raises(ConfigError,
+                           match=rf"m:\d+: unknown key '{key}' in section 'run'"):
+            parse_config(MINIMAL + f"\nrun.{key} = 51\n", "m")
 
     def test_direct_construction_validates_too(self):
         cfg = parse_config(MINIMAL, "m")
@@ -209,7 +205,6 @@ class TestPresets:
         assert cfg.duration == 40.0
         assert cfg.snapshot_times == (0.0, 0.09, 0.2, 2.0, 4.0, 40.0)
         assert cfg.ring_rows == (5, 15, 30, 51)
-        assert cfg.history_nodes == 51
         assert cfg.dt is None
 
     def test_paper_formations(self):

@@ -15,20 +15,11 @@ import pytest
 from cylform import controller, estimator, kernels, quadrature
 from cylform.controller import (
     ChannelController,
-    control_mode,
     control_modes,
-    from_target_history,
-    from_target_history_series,
-    from_target_state,
-    from_target_state_kernel,
-    periodic_simpson_weights,
     reconstruct_transport,
     remove_advection,
-    restore_advection,
-    simpson_control,
     state_prediction,
     symmetrize_command,
-    synthesize_command,
     to_target_history,
     to_target_state,
 )
@@ -36,6 +27,15 @@ from cylform.geometry import CylinderGrid, ModeStack
 from cylform.kernels import KernelBasis, KernelSet, PlantCoeffs
 from cylform.plant import DelayLine
 from oracles import seed_pipeline
+from oracles.dense_law import periodic_simpson_weights, simpson_control
+from oracles.transforms import (
+    control_mode,
+    from_target_history,
+    from_target_history_series,
+    from_target_state,
+    from_target_state_kernel,
+    restore_advection,
+)
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +96,7 @@ class TestReconstructTransport:
         for k in range(40):
             line.record(k * 0.05, prof)
         stack = reconstruct_transport(line, 1.9, 1.0, grid)
-        want = grid.analyze_profile(prof)
+        want = grid.analyze_rows(prof)
         assert np.max(np.abs(stack.coeffs - want[:, None])) <= 1e-13
 
     def test_zero_delay_limit(self, grid):
@@ -373,7 +373,7 @@ class TestChannelController:
         vals = steady + np.outer(grid.s**2, np.exp(1j * grid.theta)).real
         upd = ctrl.update(vals, line, 0.0)
         gain = np.exp(0.5 * ctrl.advection)
-        want = grid.analyze_profile(upd.command) * gain
+        want = grid.analyze_rows(upd.command) * gain
         assert np.max(np.abs(upd.transport.coeffs[:, -1] - want)) <= 1e-12
 
 
@@ -438,8 +438,8 @@ class TestSimpsonControl:
         assert np.max(np.abs(rim - steady[-1])) <= 1e-12
 
     def test_agrees_with_spectral_route(self, grid):
-        # the full cross-realization sweep lives in the acceptance suite;
-        # here one smooth state with a non-trivial history
+        # the dense physical-space law against the spectral one, for one
+        # smooth state with a non-trivial history
         ctrl_basis = KernelBasis(PlantCoeffs(8.0, 1.0), grid, i_max=64)
         ks = KernelSet(ctrl_basis, 1.0)
         rng = np.random.default_rng(17)

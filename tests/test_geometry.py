@@ -7,7 +7,9 @@ sqrt(2*pi); of sin(pi*s) it is sqrt(pi) (axial integral 1/2 times 2*pi).
 import numpy as np
 import pytest
 
+from cylform.controller import symmetrize_command
 from cylform.geometry import CylinderGrid, Field, ModeStack
+from oracles.field_norms import h1_norm, h2_norm, laplacian
 
 
 @pytest.fixture
@@ -64,9 +66,8 @@ class TestSpectralRoundTrip:
     def test_enforce_symmetry_projects(self, grid):
         rng = np.random.default_rng(2)
         coeffs = rng.normal(size=(grid.N, grid.M)) + 1j * rng.normal(size=(grid.N, grid.M))
-        stack = ModeStack(grid, coeffs)
-        assert stack.conjugate_symmetry_defect() > 0.1
-        stack.enforce_conjugate_symmetry()
+        assert ModeStack(grid, coeffs).conjugate_symmetry_defect() > 0.1
+        stack = ModeStack(grid, symmetrize_command(grid, coeffs))
         assert stack.conjugate_symmetry_defect() < 1e-14
 
     def test_defect_sees_imaginary_zero_mode(self, grid):
@@ -101,7 +102,7 @@ class TestNorms:
         f = Field(grid, vals)
         want = np.sqrt(np.pi + 9 * np.pi * np.sinc(3 * 2 / grid.N) ** 2)
         # central differences damp the derivative by sin(n h)/(n h)
-        assert abs(f.h1_norm() - want) < 1e-10
+        assert abs(h1_norm(f) - want) < 1e-10
 
     def test_h2_exceeds_h1_exceeds_l2(self, grid):
         rng = np.random.default_rng(4)
@@ -110,7 +111,7 @@ class TestNorms:
         for n in range(-4, 5):
             stack[n + grid.N // 2] = rng.normal(size=grid.M) + 1j * rng.normal(size=grid.M)
         f = grid.synthesize(ModeStack(grid, stack))
-        assert f.h2_norm() > f.h1_norm() > f.l2_norm() > 0
+        assert h2_norm(f) > h1_norm(f) > f.l2_norm() > 0
 
 
 class TestDerivatives:
@@ -119,7 +120,7 @@ class TestDerivatives:
         for M, N in [(41, 32), (81, 64)]:
             g = CylinderGrid(M, N)
             vals = np.outer(np.sin(np.pi * g.s), np.cos(2 * g.theta))
-            lap = Field(g, vals).laplacian().values
+            lap = laplacian(Field(g, vals)).values
             want = -(np.pi**2 + 4.0) * vals
             errs.append(np.max(np.abs(lap - want)))
         ratio = errs[0] / errs[1]
@@ -149,21 +150,21 @@ class TestProfileTransforms:
     def test_round_trip(self, grid):
         rng = np.random.default_rng(21)
         vals = rng.normal(size=grid.N) + 1j * rng.normal(size=grid.N)
-        back = grid.synthesize_profile(grid.analyze_profile(vals))
+        back = grid.synthesize_profile(grid.analyze_rows(vals))
         assert np.allclose(back, vals, atol=1e-13)
 
     def test_agrees_with_field_transform_rows(self, grid):
         rng = np.random.default_rng(22)
         vals = rng.normal(size=(grid.M, grid.N))
         stack = grid.analyze(vals)
-        row = grid.analyze_profile(vals[5])
+        row = grid.analyze_rows(vals[5])
         assert np.allclose(row, stack.coeffs[:, 5], atol=1e-13)
         back = grid.synthesize_profile(stack.coeffs[:, 5], kind="real")
         assert np.allclose(back, vals[5], atol=1e-13)
 
     def test_single_harmonic_coefficient(self, grid):
         prof = np.exp(3j * grid.theta)
-        coeffs = grid.analyze_profile(prof)
+        coeffs = grid.analyze_rows(prof)
         n_idx = np.flatnonzero(grid.modes == 3)[0]
         assert abs(coeffs[n_idx] - 1.0) < 1e-13
         others = np.delete(coeffs, n_idx)
@@ -171,6 +172,6 @@ class TestProfileTransforms:
 
     def test_shape_validation(self, grid):
         with pytest.raises(ValueError):
-            grid.analyze_profile(np.zeros(grid.N + 1))
+            grid.analyze_rows(np.zeros(grid.N + 1))
         with pytest.raises(ValueError):
             grid.synthesize_profile(np.zeros(grid.N - 2, dtype=complex))

@@ -10,12 +10,17 @@ from cylform.kernels import (
     PlantCoeffs,
     bessel_ratio,
     forward_kernel,
-    heat_ring_kernel,
     inverse_kernel,
+)
+from cylform.quadrature import exp_conv_paired
+from oracles import seed_pipeline
+from oracles.dense_law import (
+    heat_ring_kernel,
     predictor_kernel_2d,
+    rates_for_modes,
     sine_basis,
 )
-from oracles import seed_pipeline
+from oracles.transforms import edge_derivative, predictor_table
 
 
 def quad12(f, a, b, **kw):
@@ -93,20 +98,6 @@ class TestVolterraKernels:
         b = -forward_kernel(s, tau, flipped)
         assert np.max(np.abs(a - b)) <= 1e-13 * (1 + np.max(np.abs(a)))
 
-    def test_volterra_matrices_are_mutual_inverses(self):
-        # agreement is limited by the row quadrature, not by the identity:
-        # the defect must be small and shrink at second order in the spacing
-        def defect(m):
-            grid = CylinderGrid(m, 8)
-            basis = KernelBasis(self.coeffs, grid, i_max=16)
-            eye = np.eye(grid.M)
-            prod = (eye - basis.volterra_fwd) @ (eye + basis.volterra_inv)
-            return np.max(np.abs(prod - eye))
-
-        d51, d101 = defect(51), defect(101)
-        assert d51 <= 1e-2
-        assert d101 <= 0.35 * d51
-
 
 class TestSineCoefficients:
     @pytest.mark.parametrize("lam", [-5.0, 8.0, 12.0])
@@ -133,7 +124,7 @@ class TestSineCoefficients:
         assert np.all(basis.fwd_sine == 0.0)
         assert np.all(basis.inv_sine == 0.0)
         ks = KernelSet(basis, 1.0)
-        assert np.max(np.abs(ks.predictor_table(0))) == 0.0
+        assert np.max(np.abs(predictor_table(ks, 0))) == 0.0
 
     def test_advection_only_enters_through_shift(self):
         grid = CylinderGrid(21, 8)
@@ -202,14 +193,14 @@ class TestKernelSet:
 
     def test_rates_for_modes_uses_wavenumber_magnitude(self, ks):
         modes = ks.grid.modes
-        rows = ks.rates_for_modes(modes)
+        rows = rates_for_modes(ks, modes)
         n = 3
         j_pos = np.where(modes == n)[0][0]
         j_neg = np.where(modes == -n)[0][0]
         assert np.array_equal(rows[j_pos], rows[j_neg])
 
     def test_predictor_table_edge_values(self, ks):
-        tab = ks.predictor_table(1)
+        tab = predictor_table(ks, 1)
         assert np.max(np.abs(tab[:, 0])) == 0.0
         assert np.max(np.abs(tab[:, -1])) <= 1e-10 * np.max(np.abs(tab))
 
@@ -217,15 +208,15 @@ class TestKernelSet:
         # one-sided difference of the table toward tau = 1, mid-span row
         grid = ks.grid
         h = grid.h_s
-        tab = ks.predictor_table(2)
+        tab = predictor_table(ks, 2)
         r = grid.M // 2
         fd = (3 * tab[r, -1] - 4 * tab[r, -2] + tab[r, -3]) / (2 * h)
-        exact = ks.edge_derivative(2)[r]
+        exact = edge_derivative(ks, 2)[r]
         assert abs(fd - exact) <= 5e-3 * (abs(exact) + 1.0)
 
     def test_wavenumber_out_of_band_rejected(self, ks):
         with pytest.raises(KeyError):
-            ks.predictor_table(ks.grid.N // 2 + 1)
+            predictor_table(ks, ks.grid.N // 2 + 1)
 
     def test_truncation_guard_trips_for_tiny_delay(self, ks):
         with pytest.raises(KernelTruncationError):
@@ -249,17 +240,15 @@ class TestKernelSet:
 
 class TestHistorySolveMatrix:
     def test_reproduces_forward_history_map(self):
-        from cylform.quadrature import exp_conv
-
         grid = CylinderGrid(21, 16)
         basis = KernelBasis(PlantCoeffs(8.0, 1.0), grid, i_max=48)
         ks = KernelSet(basis, 1.3)
         rng = np.random.default_rng(5)
         prof = rng.normal(size=grid.M) + 1j * rng.normal(size=grid.M)
         for n in (0, 2, 7):
-            conv = exp_conv(ks.rates[abs(n)], prof, grid.h_s)
+            conv = exp_conv_paired(ks.rates[abs(n)], prof, grid.h_s)
             direct = prof + 2.0 * ks.delay * basis.fwd_edge @ conv
-            via_mat = ks.history_solve_matrix(n) @ prof
+            via_mat = ks.history_map[abs(n)] @ prof
             assert np.max(np.abs(via_mat - direct)) <= 1e-12 * np.max(np.abs(direct))
 
     @pytest.mark.parametrize("shape", [(21, 16), (51, 50)])
@@ -272,16 +261,18 @@ class TestHistorySolveMatrix:
             ks = KernelSet(basis, delay)
             for n in range(ks.grid.N // 2 + 1):
                 want = seed_pipeline.history_map(ks, n)
-                got = ks.history_solve_matrix(n)
+                got = ks.history_map[n]
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_cached_and_invertible(self):
+        # one map per |n|, built with the set and well conditioned
         grid = CylinderGrid(21, 8)
         basis = KernelBasis(PlantCoeffs(4.0, 0.0), grid, i_max=32)
         ks = KernelSet(basis, 0.8)
-        m1 = ks.history_solve_matrix(3)
-        assert ks.history_solve_matrix(-3) is m1
-        assert np.linalg.cond(m1) < 1e6
+        assert ks.history_map.shape == (grid.N // 2 + 1, grid.M, grid.M)
+        assert ks.history_map.flags.c_contiguous
+        for a in range(grid.N // 2 + 1):
+            assert np.linalg.cond(ks.history_map[a]) < 1e6
 
 
 class TestHeatRingKernel:

@@ -60,6 +60,58 @@ class TestDelayLine:
         assert line.lookup(18.5)[0] == pytest.approx(18.5)
 
 
+class TestLookupMany:
+    """``lookup_many`` row by row against the scalar ``lookup``."""
+
+    @staticmethod
+    def _line(policy):
+        rng = np.random.default_rng(6)
+        line = DelayLine(5, 0.1, horizon=5.0, policy=policy)
+        for k in range(30):
+            line.record(0.3 + 0.1 * k,
+                        rng.normal(size=5) + 1j * rng.normal(size=5))
+        return line
+
+    @pytest.mark.parametrize("policy", ["zero", "strict"])
+    def test_rows_equal_stacked_lookup(self, policy):
+        line = self._line(policy)
+        t0, newest = 0.3, line.newest_time
+        times = np.concatenate([
+            np.random.default_rng(7).uniform(t0, newest, 500),
+            t0 + 0.1 * np.arange(line.count),            # record instants
+            [t0 - 1e-11, t0, newest, newest + 0.04, newest + 10.0],
+        ])
+        if policy == "zero":
+            times = np.concatenate([times, [t0 - 1e-7, t0 - 0.05, -4.0]])
+        want = np.stack([line.lookup(t) for t in times])
+        assert np.array_equal(line.lookup_many(times), want)
+
+    def test_strict_policy_raises_on_prehistory(self):
+        line = self._line("strict")
+        with pytest.raises(HistoryUnderrunError, match="precedes"):
+            line.lookup_many(np.array([1.0, 0.3 - 1e-7]))
+
+    @pytest.mark.parametrize("policy", ["zero", "strict"])
+    def test_empty_line(self, policy):
+        line = DelayLine(4, 0.1, 1.0, policy=policy)
+        if policy == "strict":
+            with pytest.raises(HistoryUnderrunError):
+                line.lookup_many(np.array([0.0]))
+        else:
+            out = line.lookup_many(np.array([0.0, 2.0]))
+            assert out.shape == (2, 4) and np.all(out == 0.0)
+
+    def test_eviction_raises_but_prehistory_does_not(self):
+        line = DelayLine(1, 1.0, 3.0)  # capacity 7
+        for k in range(20):
+            line.record(float(k), np.array([float(k)]))
+        with pytest.raises(HistoryUnderrunError, match="evicted"):
+            line.lookup_many(np.array([18.5, 2.0]))
+        times = np.array([-3.0, 13.0, 18.5, 19.0, 25.0])
+        want = np.stack([line.lookup(t) for t in times])
+        assert np.array_equal(line.lookup_many(times), want)
+
+
 class TestStencil:
     grid = CylinderGrid(21, 16)
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from cylform.quadrature import (
-    exp_conv,
     exp_conv_paired,
     exp_half_weights,
     exp_lin_weights,
@@ -125,7 +124,7 @@ class TestExpConv:
     def test_exact_for_quadratic_data(self, z):
         m, h = 11, 0.1
         x = np.arange(m) * h
-        out = exp_conv(np.array([z]), x**2, h)[0]
+        out = exp_conv_paired(np.array([z]), x**2, h)[0]
         for r in range(m):
             want = complex_quad(lambda t: np.exp(z * (x[r] - t)) * t * t, 0, x[r]) if r else 0.0
             scale = max(1.0, abs(want))
@@ -137,23 +136,24 @@ class TestExpConv:
         for m in (11, 21, 41):
             h = 1.0 / (m - 1)
             x = np.linspace(0, 1, m)
-            out = exp_conv(np.array([z]), np.sin(2 * x) + 0.3 * x, h)[0]
+            out = exp_conv_paired(np.array([z]), np.sin(2 * x) + 0.3 * x, h)[0]
             want = complex_quad(lambda t: np.exp(z * (1 - t)) * (np.sin(2 * t) + 0.3 * t), 0, 1)
             errs.append(abs(out[-1] - want))
         assert errs[0] / errs[1] > 12.0
         assert errs[1] / errs[2] > 12.0
 
     def test_broadcasts_over_rates_and_stacks(self):
+        # one family of rates shared by a stack of profiles
         zs = np.array([0.5 + 1j, -2.0 + 0j, 7.0 - 3j])
         vals = np.random.default_rng(7).normal(size=(4, 9))
-        out = exp_conv(zs, vals, 0.125)
-        assert out.shape == (3, 4, 9)
-        single = exp_conv(zs[1:2], vals[2], 0.125)[0]
-        assert np.allclose(out[1, 2], single)
+        out = exp_conv_paired(zs, vals, 0.125)
+        assert out.shape == (4, 3, 9)
+        single = exp_conv_paired(zs[1:2], vals[2], 0.125)[0]
+        assert np.array_equal(out[2, 1], single)
 
     def test_rejects_even_node_count(self):
         with pytest.raises(ValueError):
-            exp_conv(np.array([1.0 + 0j]), np.zeros(8), 0.1)
+            exp_conv_paired(np.array([1.0 + 0j]), np.zeros(8), 0.1)
 
 
 class TestExpConvPaired:
@@ -164,7 +164,7 @@ class TestExpConvPaired:
         out = exp_conv_paired(zs, vals, 0.125)
         assert out.shape == (4, 3, 9)
         for r in range(4):
-            want = exp_conv(zs[r], vals[r], 0.125)
+            want = exp_conv_paired(zs[r], vals[r], 0.125)
             assert np.allclose(out[r], want, atol=1e-14)
 
     def test_broadcast_rates_against_stack(self):
@@ -174,7 +174,7 @@ class TestExpConvPaired:
         vals = rng.normal(size=9)
         out = exp_conv_paired(zs, vals, 0.125)
         assert out.shape == (5, 2, 9)
-        assert np.allclose(out[3], exp_conv(zs[3], vals, 0.125))
+        assert np.allclose(out[3], exp_conv_paired(zs[3], vals, 0.125))
 
     def test_rejects_even_node_count(self):
         with pytest.raises(ValueError):

@@ -252,31 +252,6 @@ class TestFixedEstimate:
         assert np.any(rec.signals != 0.0)
 
 
-class TestSimpsonRealization:
-    def test_exact_zero_at_equilibrium(self):
-        # quadrature of a zero deviation is exactly zero, and the steady
-        # rim offset must cancel exactly in the applied command
-        import dataclasses
-        cfg = dataclasses.replace(parse_config(EQUILIBRIUM, "eq"),
-                                  realization="simpson")
-        rec = run(cfg)
-        assert rec.control_sup.max() == 0.0
-        assert rec.err_planar.max() <= 1e-10
-
-    def test_tracks_spectral_route(self, transient_cfg, transient_record):
-        # the tight static equivalence of the two synthesis routes lives in
-        # the controller tests; here we only check the wiring at matched
-        # state (t = 0, identical plant, empty actuation history)
-        import dataclasses
-        cfg = dataclasses.replace(transient_cfg, realization="simpson",
-                                  snapshot_times=())
-        rec = run(cfg)
-        assert not rec.terminated
-        assert np.all(np.isfinite(rec.control_sup))
-        a, b = rec.control_sup[0], transient_record.control_sup[0]
-        assert abs(a - b) <= 0.2 * b
-
-
 class TestTargetResiduals:
     def test_equilibrium_residuals_vanish(self):
         cfg = parse_config(EQUILIBRIUM, "eq")
