@@ -14,7 +14,9 @@ files, so each preset doubles as a schema example.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
+import math
 import re
 from pathlib import Path
 
@@ -81,10 +83,12 @@ class ScenarioConfig:
             )
         if not 0.0 < self.gain < 1.0:
             raise ConfigError(f"delay.gain must be in (0, 1), got {self.gain}")
-        if self.duration <= 0.0:
-            raise ConfigError(f"run.duration must be positive, got {self.duration}")
-        if self.dt is not None and self.dt <= 0.0:
-            raise ConfigError(f"run.dt must be positive or 'auto', got {self.dt}")
+        if not (math.isfinite(self.duration) and self.duration > 0.0):
+            raise ConfigError(
+                f"run.duration must be finite and positive, got {self.duration}")
+        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ConfigError(
+                f"run.dt must be finite and positive or 'auto', got {self.dt}")
         if self.control_period < 1:
             raise ConfigError("run.control_period must be a positive step count")
         for t in self.snapshot_times:
@@ -149,14 +153,21 @@ class _Entries:
         raise ConfigError(f"{self.source}:{lineno}: {key} expects {what}, "
                           f"got {value!r}")
 
+    def _finite(self, key, shown, *vals):
+        """Reject nan and infinities, which ``float`` parses without complaint."""
+        if not all(cmath.isfinite(v) for v in vals):
+            self._fail(key, "a finite number", shown)
+
     def floatval(self, key, default=_REQUIRED):
         raw = self._fetch(key, default)
         if not isinstance(raw, str):
             return raw
         try:
-            return float(raw)
+            val = float(raw)
         except ValueError:
             self._fail(key, "a number", raw)
+        self._finite(key, raw, val)
+        return val
 
     def intval(self, key, default=_REQUIRED):
         raw = self._fetch(key, default)
@@ -177,6 +188,7 @@ class _Entries:
                 else complex(float(raw), 0.0)
         except ValueError:
             self._fail(key, "a number or an (re,im) pair", raw)
+        self._finite(key, raw, val)
         # keep purely real input on the float path
         return val.real if val.imag == 0.0 else val
 
@@ -194,9 +206,11 @@ class _Entries:
         if raw == "auto":
             return None
         try:
-            return float(raw)
+            val = float(raw)
         except ValueError:
             self._fail(key, "'auto' or a number", raw)
+        self._finite(key, raw, val)
+        return val
 
     def choice(self, key, options, default=_REQUIRED):
         raw = self._fetch(key, default)
@@ -211,9 +225,11 @@ class _Entries:
         if raw == "none":
             return ()
         try:
-            return tuple(float(tok) for tok in raw.split())
+            vals = tuple(float(tok) for tok in raw.split())
         except ValueError:
             self._fail(key, "whitespace-separated numbers or 'none'", raw)
+        self._finite(key, raw, *vals)
+        return vals
 
     def ints(self, key, default=_REQUIRED):
         raw = self._fetch(key, default)
@@ -243,6 +259,7 @@ class _Entries:
                 val = complex(float(m.group(2)), float(m.group(3)))
             except ValueError:
                 self._fail(key, "(wavenumber,re,im) triples", tok)
+            self._finite(key, tok, val)
             if n in out:
                 self._fail(key, "distinct wavenumbers", tok)
             out[n] = val

@@ -9,8 +9,12 @@ either bound when the signal points outward, and one forward-Euler step
 moves it otherwise.
 
 The companion *adaptation drift* (the sensitivity to the estimate's own
-motion) never feeds back into the law -- it is computed only for residual
-diagnostics -- so its implementation favors clarity over speed.
+motion) never feeds back into the law; it is computed only for residual
+diagnostics.  Its two cross terms are double sums over pairs of harmonics
+of the predictor and inverse series.  Each pair sum is folded first onto
+single-rate kernels (divided differences for well-separated rates, one
+Taylor rule below the gap ``_TAYLOR_CUT``), so a call is a few contractions
+over the whole mode stack, with no loop over modes.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from .geometry import CylinderGrid, ModeStack
 from .kernels import KernelSet
-from .quadrature import exp_conv_paired, phi_funcs, simpson_weights
+from .quadrature import exp_conv_paired, simpson_weights
 
 __all__ = [
     "EstimatorState",
@@ -31,15 +35,19 @@ __all__ = [
     "update_signal",
     "project",
     "step_estimate",
-    "cross_exp_table",
-    "cross_exp_conv",
 ]
 
-#: rate-gap magnitude below which the cross convolutions switch from
-#: divided differences to their Taylor expansion.  The divided difference
-#: amplifies the fixed interpolation error of the chained moments by
-#: 1/gap while the Taylor branch holds it flat, so the worst case over
-#: all gaps is minimized near 0.03 (measured ~7e-8 on a constant profile).
+#: rate-gap magnitude below which both cross terms of the adaptation drift
+#: (state and history) switch from divided differences to their Taylor
+#: expansion in the gap.  On the history term the divided difference
+#: amplifies the fixed interpolation error of the chained moment
+#: convolutions by 1/gap while the Taylor branch holds it flat, so the
+#: worst case over all gaps is minimized near 0.03 (measured ~7e-8 on a
+#: constant profile).  The state term's kernels are exact exponentials;
+#: there the Taylor branch truncates at gap^4, but the edge coefficients of
+#: two coinciding harmonics vanish with their gap, so near pairs carry
+#: little weight (the drift moved by <= 3e-13 relative against exact
+#: phi-functions on the cases in ``tests/test_estimator.py``).
 _TAYLOR_CUT = 3e-2
 
 
@@ -99,74 +107,28 @@ def mismatch_drift(target: ModeStack, history: ModeStack,
     return ModeStack(grid, ks.apply(rho, ks.exp_s))
 
 
-def cross_exp_table(a_rates: np.ndarray, c_rates: np.ndarray,
-                    s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sliding cross products of two exponential kernels on ``[0, s]``.
+def _pair_coefficients(w: np.ndarray, a: np.ndarray,
+                       delta: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Fold a harmonic pair sum onto the single-rate kernels of each side.
 
-    Entry ``[i, j, r]`` of the first array is
-    ``int_0^{s_r} exp(a_i (s_r - x)) exp(c_j x) dx``; the second carries an
-    extra ``(s_r - x)`` factor.  Divided differences of the two exponentials
-    for well-separated rates, phi-functions near coincidence -- the gap
-    times s can reach tens of thousands, where the direct phi form would
-    overflow into 0 * inf.
+    A cross term is ``sum_ij w_ij (X0_ij + a_i X1_ij)`` over pairs with the
+    rate gap ``delta_ij = c_j - a_i``.  Far pairs take the divided
+    differences ``X0 = (E^c_j - E^a_i)/delta`` and ``X1 = (X0 - M1_i)/delta``,
+    near pairs (``|delta| < _TAYLOR_CUT``) the Taylor expansion
+    ``X0 = M1 + delta (M2/2 + delta (M3/6 + delta M4/24))``,
+    ``X1 = M2/2 + delta (M3/6 + delta M4/24)``, with ``M_k`` the kernel of
+    ``E^a`` times ``s^k``.  ``w`` is ``(..., i, j)``, ``a`` ``(..., i)`` and
+    ``delta`` ``(i, j)``; returns the coefficients on ``E^a_i`` and
+    ``M1_i .. M4_i`` (each ``(..., i)``) and on ``E^c_j`` (``(..., j)``).
     """
-    a = np.asarray(a_rates, dtype=complex)
-    c = np.asarray(c_rates, dtype=complex)
-    s = np.asarray(s, dtype=float)
-    delta = c[None, :, None] - a[:, None, None]             # (i, j, 1)
-    ea = np.exp(a[:, None, None] * s)                       # (i, 1, M)
-    x = delta * s                                           # (i, j, M)
-    near = np.abs(x) < 0.5
-    p1 = np.zeros_like(x)
-    p2 = np.zeros_like(x)
-    p1[near], p2[near] = phi_funcs(x[near])
-    g0_near = s * ea * p1
-    g1_near = s**2 * ea * p2
-    dsafe = np.where(near, 1.0, np.broadcast_to(delta, x.shape))
-    ec = np.exp(c[None, :, None] * s)                       # (1, j, M)
-    g0_far = (ec - ea) / dsafe
-    g1_far = (g0_far - s * ea) / dsafe
-    g0 = np.where(near, g0_near, g0_far)
-    g1 = np.where(near, g1_near, g1_far)
-    return g0, g1
-
-
-def cross_exp_conv(a_rates: np.ndarray, c_rates: np.ndarray,
-                   values: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Running convolutions of a profile with the sliding cross products.
-
-    Returns ``(conv0, conv1)`` of shape ``(i, j, M)``: the convolution of
-    ``values`` with each entry produced by :func:`cross_exp_table`, at every
-    node.  Well-separated rates use divided differences of single-rate
-    convolutions; below the rate gap ``_TAYLOR_CUT`` a short Taylor expansion in
-    the gap takes over (chained first-through-fourth moment convolutions),
-    which keeps the result finite and accurate through an exactly vanishing
-    gap.
-    """
-    a = np.asarray(a_rates, dtype=complex)
-    c = np.asarray(c_rates, dtype=complex)
-    i0a = exp_conv_paired(a, values, h)                     # (i, M)
-    i0c = exp_conv_paired(c, values, h)                     # (j, M)
-    moments = [i0a]
-    for k in (1, 2, 3, 4):
-        moments.append(k * exp_conv_paired(a[:, None], moments[-1], h)[:, 0])
-    i1, i2, i3, i4 = moments[1:]
-
-    delta = c[None, :] - a[:, None]                         # (i, j)
-    small = np.abs(delta) < _TAYLOR_CUT
-    dsafe = np.where(small, 1.0, delta)[..., None]
-    d = delta[..., None]
-    conv0_dd = (i0c[None, :, :] - i0a[:, None, :]) / dsafe
-    conv0_ty = i1[:, None, :] + d * (
-        i2[:, None, :] / 2.0 + d * (i3[:, None, :] / 6.0 + d * i4[:, None, :] / 24.0)
-    )
-    conv0 = np.where(small[..., None], conv0_ty, conv0_dd)
-    conv1_dd = (conv0 - i1[:, None, :]) / dsafe
-    conv1_ty = i2[:, None, :] / 2.0 + d * (
-        i3[:, None, :] / 6.0 + d * i4[:, None, :] / 24.0
-    )
-    conv1 = np.where(small[..., None], conv1_ty, conv1_dd)
-    return conv0, conv1
+    near = np.abs(delta) < _TAYLOR_CUT
+    inv = np.where(near, 0.0, 1.0 / np.where(near, 1.0, delta))  # far 1/delta
+    tables = np.stack([inv, inv**2] + [near * delta**k for k in range(4)])
+    f1, f2, n0, n1, n2, n3 = np.einsum("...ij,kij->k...i", w, tables)
+    on_c = np.einsum("...ij,ij->...j", w, inv) \
+        + np.einsum("...ij,...i,ij->...j", w, a, inv**2)
+    return (-(f1 + a * f2), n0 - a * f1, (n1 + a * n0) / 2.0,
+            (n2 + a * n1) / 6.0, (n3 + a * n2) / 24.0, on_c)
 
 
 def adaptation_drift(target: ModeStack, history: ModeStack,
@@ -178,46 +140,47 @@ def adaptation_drift(target: ModeStack, history: ModeStack,
     composition), the cross product of the lag kernel's estimate derivative
     with the inverse predictor series against the state, and the plain and
     cross-convolved lag-kernel derivatives against the history itself.
+    Each cross term is folded by :func:`_pair_coefficients` onto single-rate
+    kernels -- closed-form exponentials against the state, running
+    convolutions of the history -- and contracted over the whole stack.
     Diagnostics only -- the update signal never reads this.
     """
     grid = target.grid
     basis = ks.basis
     s = grid.s
     absn = np.abs(grid.modes)
+    a = ks.rates[absn]                                      # (N, i)
+    c = ks.inv_rates[absn]                                  # (N, j)
+    # the gap c_j - a_i is the same for every wavenumber
+    delta = ks.inv_rates[0][None, :] - ks.rates[0][:, None]  # (i, j)
     sw = target.coeffs @ basis.mode_sine.T                  # (N, i)
     cw = target.coeffs @ basis.composition.T                # (N, i)
-    out = np.empty_like(target.coeffs)
-    for a_idx in np.unique(absn):
-        rows = np.flatnonzero(absn == a_idx)
-        ra = ks.rates[a_idx]
-        rc = ks.inv_rates[a_idx]
-        exp_a = ks.exp_s[a_idx]                             # (i, M)
-        g0, g1 = cross_exp_table(ra, rc, s)
-        state_cross = g0 + ra[:, None, None] * g1           # (i, j, M)
-        for r in rows:
-            h_row = history.coeffs[r]
-            part_a = (2.0 / ks.delay) * np.einsum(
-                "i,im->m",
-                ra * basis.fwd_sine * (sw[r] + cw[r]),
-                s[None, :] * exp_a,
-            )
-            part_b = -4.0 * np.einsum(
-                "i,j,ijm->m", basis.fwd_edge, basis.inv_sine * sw[r], state_cross
-            )
-            i0 = exp_conv_paired(ra, h_row, grid.h_s)
-            i1 = exp_conv_paired(ra[:, None], i0, grid.h_s)[:, 0]
-            part_c = -2.0 * np.einsum(
-                "i,im->m", basis.fwd_edge, i0 + ra[:, None] * i1
-            )
-            conv0, conv1 = cross_exp_conv(ra, rc, h_row, grid.h_s)
-            part_d = 4.0 * ks.delay * np.einsum(
-                "i,j,ijm->m",
-                basis.fwd_edge,
-                basis.inv_edge,
-                conv0 + ra[:, None, None] * conv1,
-            )
-            out[r] = part_a + part_b + part_c + part_d
-    return ModeStack(grid, out)
+
+    # state term: E^a = e^{as}, E^c = e^{cs}, M_k = s^k e^{as}
+    *on_a, on_c = _pair_coefficients(
+        -4.0 * basis.fwd_edge[:, None] * (basis.inv_sine * sw)[:, None, :],
+        a, delta)
+    on_a[1] = on_a[1] + (2.0 / ks.delay) * a * basis.fwd_sine * (sw + cw)
+    per_power = np.stack(on_a, axis=1) @ ks.exp_s[absn]     # (N, 5, M)
+    state = (per_power * s ** np.arange(5)[:, None]).sum(axis=1) \
+        + np.einsum("nj,njm->nm", on_c, np.exp(c[:, :, None] * s))
+
+    # history term: the same kernels as running convolutions of the history
+    *on_a, on_c = _pair_coefficients(
+        4.0 * ks.delay * np.multiply.outer(basis.fwd_edge, basis.inv_edge),
+        a, delta)
+    on_a[0] = on_a[0] - 2.0 * basis.fwd_edge
+    on_a[1] = on_a[1] - 2.0 * basis.fwd_edge * a
+    h, ak = grid.h_s, a[..., None]
+    e_a = exp_conv_paired(a, history.coeffs, h)             # (N, i, M)
+    m1 = exp_conv_paired(ak, e_a, h)[..., 0, :]
+    m2 = 2.0 * exp_conv_paired(ak, m1, h)[..., 0, :]
+    m3 = 3.0 * exp_conv_paired(ak, m2, h)[..., 0, :]
+    m4 = 4.0 * exp_conv_paired(ak, m3, h)[..., 0, :]
+    hist = np.einsum("nki,nkim->nm", np.stack(on_a, axis=1),
+                     np.stack([e_a, m1, m2, m3, m4], axis=1)) \
+        + np.einsum("nj,njm->nm", on_c, exp_conv_paired(c, history.coeffs, h))
+    return ModeStack(grid, state + hist)
 
 
 # ---------------------------------------------------------------------------

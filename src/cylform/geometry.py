@@ -115,10 +115,6 @@ class CylinderGrid:
         out[-1] = (3.0 * vals[-1] - 4.0 * vals[-2] + vals[-3]) / (2.0 * h)
         return out
 
-    def d_theta(self, vals: np.ndarray) -> np.ndarray:
-        """First angular derivative (central differences, periodic wrap)."""
-        return (np.roll(vals, -1, axis=1) - np.roll(vals, 1, axis=1)) / (2.0 * self.h_theta)
-
     def d2_s(self, vals: np.ndarray) -> np.ndarray:
         """Second axial derivative; one-sided 2nd-order stencils at the rims."""
         out = np.empty_like(vals)
@@ -127,10 +123,6 @@ class CylinderGrid:
         out[0] = (2.0 * vals[0] - 5.0 * vals[1] + 4.0 * vals[2] - vals[3]) / h2
         out[-1] = (2.0 * vals[-1] - 5.0 * vals[-2] + 4.0 * vals[-3] - vals[-4]) / h2
         return out
-
-    def d2_theta(self, vals: np.ndarray) -> np.ndarray:
-        """Second angular derivative (periodic three-point stencil)."""
-        return (np.roll(vals, -1, axis=1) - 2.0 * vals + np.roll(vals, 1, axis=1)) / self.h_theta**2
 
 
 class Field:

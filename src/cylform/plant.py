@@ -217,20 +217,3 @@ class Channel:
             raise InstabilityError(
                 f"field magnitude {peak:.3e} exceeded the guard at t={t + dt:.6f}"
             )
-
-
-class Plant:
-    """Both channels plus the shared clock."""
-
-    def __init__(self, planar: Channel, axial: Channel, dt: float, t0: float = 0.0):
-        if planar.grid is not axial.grid and planar.grid != axial.grid:
-            raise ValueError("channels must share one grid")
-        self.planar = planar
-        self.axial = axial
-        self.dt = float(dt)
-        self.t = float(t0)
-
-    def step(self) -> None:
-        self.planar.step(self.t, self.dt)
-        self.axial.step(self.t, self.dt)
-        self.t += self.dt

@@ -131,6 +131,25 @@ class TestUsageErrors:
         assert "error:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("key,value", [
+        ("run.duration", "inf"),
+        ("run.duration", "nan"),
+        ("run.dt", "nan"),
+        ("initial.planar_reaction", "inf"),
+        ("desired.axial_reaction", "nan"),
+    ])
+    def test_non_finite_number_is_a_config_error(self, tmp_path, capsys, key,
+                                                  value):
+        text = "\n".join(line for line in TINY.splitlines()
+                         if not line.startswith(f"{key} ="))
+        p = tmp_path / "nonfinite.cfg"
+        p.write_text(text + f"\n{key} = {value}\n", encoding="utf-8")
+        assert main(["run", str(p), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert f"{key} expects a finite number" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
 class TestSubprocessEntry:
     def test_module_invocation(self, tiny_path, tmp_path):
         # the child imports the same package this test process imported

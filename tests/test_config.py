@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 
@@ -40,6 +41,14 @@ run.snapshots = none
 def edit(text, old, new):
     assert old in text
     return text.replace(old, new)
+
+
+def set_key(text, key, value):
+    """Set ``key`` to ``value``, replacing its line or appending one."""
+    line = re.compile(rf"^{re.escape(key)} = .*$", re.MULTILINE)
+    if line.search(text):
+        return line.sub(f"{key} = {value}", text)
+    return text + f"{key} = {value}\n"
 
 
 class TestParsing:
@@ -181,6 +190,32 @@ class TestValidation:
         with pytest.raises(ConfigError,
                            match=rf"m:\d+: unknown key '{key}' in section 'run'"):
             parse_config(MINIMAL + f"\nrun.{key} = 51\n", "m")
+
+    # one key per number reader: floatval, complexval (plain and pair),
+    # realval, dt_val, floats and coeff_map
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key,template", [
+        ("delay.true", "{}"),
+        ("run.duration", "{}"),
+        ("initial.planar_reaction", "{}"),
+        ("desired.planar_reaction", "(5,{})"),
+        ("desired.axial_reaction", "{}"),
+        ("run.dt", "{}"),
+        ("run.snapshots", "0 {}"),
+        ("initial.planar_anchor", "(1,{},0)"),
+    ])
+    def test_non_finite_numbers_rejected(self, key, template, bad):
+        text = set_key(MINIMAL, key, template.format(bad))
+        with pytest.raises(ConfigError,
+                           match=rf"m:\d+: {re.escape(key)} expects a finite number"):
+            parse_config(text, "m")
+
+    @pytest.mark.parametrize("field", ["duration", "dt"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_direct_construction_rejects_non_finite(self, field, bad):
+        cfg = parse_config(MINIMAL, "m")
+        with pytest.raises(ConfigError, match=f"run.{field}"):
+            dataclasses.replace(cfg, **{field: bad})
 
     def test_direct_construction_validates_too(self):
         cfg = parse_config(MINIMAL, "m")

@@ -7,7 +7,6 @@ from cylform.kernels import PlantCoeffs
 from cylform.plant import (
     Channel,
     DelayLine,
-    Plant,
     apply_boundary,
     plant_rhs,
     stable_dt,
@@ -257,16 +256,3 @@ class TestTimeMarching:
         with pytest.raises(InstabilityError):
             for k in range(5000):
                 ch.step(k * dt, dt)
-
-    def test_plant_advances_both_channels(self):
-        g = self.grid
-        field, rate = self.mode_and_rate()
-        pl = Plant(
-            make_channel(g, PlantCoeffs(1.0, 0.0), field),
-            make_channel(g, PlantCoeffs(0.5, 0.0), 0.5 * field),
-            dt=1e-3,
-        )
-        for _ in range(10):
-            pl.step()
-        assert pl.t == pytest.approx(0.01)
-        assert np.max(np.abs(pl.planar.values)) < np.max(np.abs(field))

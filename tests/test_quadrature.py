@@ -17,11 +17,11 @@ from cylform.quadrature import (
     exp_pair_weights,
     exp_weights,
     interp_quadratic,
-    phi_funcs,
     simpson_trap_row_weights,
     simpson_weights,
     sine_weights,
 )
+from oracles.drift_rowwise import phi_funcs
 
 
 def complex_quad(f, a, b):

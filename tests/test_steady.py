@@ -12,6 +12,7 @@ from cylform.steady import (
     steady_field,
     steady_mode,
 )
+from oracles.field_norms import d2_theta
 
 
 class TestSteadyMode:
@@ -111,7 +112,7 @@ class TestSteadyField:
         def resid(g):
             fld = steady_field(coeffs, {0: 1.0, 1: 0.5j}, {0: -0.3, 1: 1.0}, g)
             v = fld.values
-            r = (g.d2_s(v) + g.d2_theta(v) + coeffs.advection * g.d_s(v)
+            r = (g.d2_s(v) + d2_theta(g, v) + coeffs.advection * g.d_s(v)
                  + coeffs.reaction * v)
             return np.max(np.abs(r[2:-2]))
 
