@@ -45,6 +45,12 @@ _PAIR = re.compile(r"^\(([^,()]+),([^,()]+)\)$")
 _TRIPLE = re.compile(r"^\(([^,()]+),([^,()]+),([^,()]+)\)$")
 
 
+def snapshot_label(t: float) -> str:
+    """Label of the snapshot files of instant ``t``: ``%g``, which keeps six
+    significant digits, so distinct instants can share one."""
+    return "%g" % t
+
+
 @dataclasses.dataclass(frozen=True)
 class ScenarioConfig:
     """Validated description of one closed-loop experiment."""
@@ -71,6 +77,8 @@ class ScenarioConfig:
             CylinderGrid(self.grid_m, self.grid_n)
         except ValueError as exc:
             raise ConfigError(f"grid: {exc}") from None
+        if not self.delay_lo > 0.0:
+            raise ConfigError(f"delay.lo must be positive, got {self.delay_lo}")
         if not self.delay_lo <= self.true_delay <= self.delay_hi:
             raise ConfigError(
                 f"delay.true = {self.true_delay} outside declared bounds "
@@ -91,11 +99,19 @@ class ScenarioConfig:
                 f"run.dt must be finite and positive or 'auto', got {self.dt}")
         if self.control_period < 1:
             raise ConfigError("run.control_period must be a positive step count")
+        labels = {}
         for t in self.snapshot_times:
             if not 0.0 <= t <= self.duration:
                 raise ConfigError(
                     f"snapshot time {t} outside the run horizon [0, {self.duration}]"
                 )
+            label = snapshot_label(t)
+            if label in labels:
+                raise ConfigError(
+                    f"snapshot times {labels[label]} and {t} share the file "
+                    f"label 't{label}'"
+                )
+            labels[label] = t
         for i in self.ring_rows:
             if not 1 <= i <= self.grid_m:
                 raise ConfigError(

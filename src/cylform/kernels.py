@@ -98,15 +98,18 @@ def inverse_kernel(s, tau, coeffs: PlantCoeffs):
     return _kernel_values(s, tau, coeffs, -1.0)
 
 
-def _lower_table(xi: np.ndarray, coeffs: PlantCoeffs, sign: float) -> np.ndarray:
-    """Kernel values on the triangle ``tau <= s`` of ``xi x xi``, zero above.
+def _lower_table(xi: np.ndarray, coeffs: PlantCoeffs, sign: float,
+                 step: int = 1) -> np.ndarray:
+    """Kernel values on the triangle ``tau <= s`` of ``xi x xi``, zero above,
+    for every ``step``-th ``s`` (rows ``0, step, 2*step, ...``).
 
     The row-weight matrices that multiply these tables vanish above the
     diagonal, so only the lower triangle is evaluated.
     """
-    rows, cols = np.tril_indices(xi.size)
-    table = np.zeros((xi.size, xi.size), dtype=complex)
-    table[rows, cols] = _kernel_values(xi[rows], xi[cols], coeffs, sign)
+    s_idx = np.arange(0, xi.size, step)
+    rows, cols = np.nonzero(np.arange(xi.size)[None, :] <= s_idx[:, None])
+    table = np.zeros((s_idx.size, xi.size), dtype=complex)
+    table[rows, cols] = _kernel_values(xi[s_idx[rows]], xi[cols], coeffs, sign)
     return table
 
 
@@ -184,8 +187,8 @@ class KernelBasis:
         # on the fine grid, which removes the closure-panel error a row rule
         # on the production nodes would carry (the interpolation error of the
         # samples themselves, cubic in the coarse spacing, remains).
-        k_rows = tri_ref * _lower_table(xi, coeffs, 1.0)
-        self.volterra_fwd_refined = (k_rows @ cardinals.T)[::refine]
+        k_rows = tri_ref[::refine] * _lower_table(xi, coeffs, 1.0, refine)
+        self.volterra_fwd_refined = k_rows @ cardinals.T
         self.volterra_inv_refined = lam_of_cardinal[::refine].copy()
 
     @staticmethod

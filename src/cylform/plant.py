@@ -5,7 +5,11 @@ cylinder surface; only the rim rows differ.  The anchor rim (s = 0) holds the
 formation's anchor profile, the leader rim (s = 1) holds the formation's
 leader profile plus the actuation signal delayed by the true (unknown to the
 controller) dead time.  Commands travel through a :class:`DelayLine`, a
-uniformly sampled ring buffer with linear interpolation.
+uniformly sampled ring buffer with linear interpolation that reads zero
+before its first record.  The plant reads it once per control block: the
+delayed instants of every RK4 stage of the block (:func:`stage_instants`)
+go through one :meth:`DelayLine.lookup_many`, and :meth:`Channel.step` takes
+the three arrived rows of its own step.
 """
 
 from __future__ import annotations
@@ -25,27 +29,26 @@ GUARD_LIMIT = 1e30
 #: Runge-Kutta stability region
 _RK4_REAL_AXIS = 2.785
 
+#: instants at which one classical RK4 step reads its rims, as fractions of
+#: the step: its start, its midpoint (both middle stages) and its end
+_RK4_STAGES = np.array([0.0, 0.5, 1.0])
+
 
 class DelayLine:
     """Uniformly sampled actuation history with linear interpolation.
 
     Samples are theta-profiles recorded at strictly regular instants.
-    Queries before the first record return zeros under the default ``zero``
-    policy (actuation had not started) or raise under ``strict``; queries
-    beyond the newest record hold its value, which serves the zero-delay and
-    inner-stage lookups.
+    Queries before the first record return zeros (actuation had not
+    started); queries beyond the newest record hold its value, which serves
+    the zero-delay and inner-stage reads.
     """
 
-    def __init__(self, width: int, dt_record: float, horizon: float,
-                 policy: str = "zero"):
+    def __init__(self, width: int, dt_record: float, horizon: float):
         if dt_record <= 0 or horizon <= 0:
             raise ValueError("delay line spacing and horizon must be positive")
-        if policy not in ("zero", "strict"):
-            raise ValueError(f"unknown pre-history policy {policy!r}")
         self.width = int(width)
         self.dt = float(dt_record)
         self.capacity = int(math.ceil(horizon / dt_record)) + 4
-        self.policy = policy
         self._buf = np.zeros((self.capacity, self.width), dtype=complex)
         self._count = 0
         self._t0 = 0.0
@@ -74,56 +77,22 @@ class DelayLine:
         self._buf[self._count % self.capacity] = profile
         self._count += 1
 
-    def _row(self, idx: int) -> np.ndarray:
-        if idx < self._count - self.capacity:
-            raise HistoryUnderrunError(
-                f"sample {idx} already evicted (horizon too short)"
-            )
-        return self._buf[idx % self.capacity]
-
-    def lookup(self, t: float) -> np.ndarray:
-        """Profile at time ``t``, linearly interpolated between records."""
-        if self._count == 0:
-            if self.policy == "strict":
-                raise HistoryUnderrunError("lookup before any record")
-            return np.zeros(self.width, dtype=complex)
-        x = (t - self._t0) / self.dt
-        if x <= 0.0:
-            if x < -1e-9:
-                if self.policy == "strict":
-                    raise HistoryUnderrunError(
-                        f"lookup at t={t} precedes recorded history"
-                    )
-                return np.zeros(self.width, dtype=complex)
-            return self._row(0).copy()
-        if x >= self._count - 1:
-            return self._row(self._count - 1).copy()
-        i = int(math.floor(x))
-        frac = x - i
-        return (1.0 - frac) * self._row(i) + frac * self._row(i + 1)
-
     def lookup_many(self, times: np.ndarray) -> np.ndarray:
-        """Profiles at many instants in one vectorized pass.
+        """Profiles at the instants ``times``, shape ``times.shape + (width,)``.
 
-        Row ``k`` equals ``lookup(times[k])`` for finite records -- same
-        interpolation, same pre-history policy, same hold beyond the newest
-        record -- without the per-instant Python overhead, which matters when
-        a control update has to gather an entire delay window of records.
-        Every instant is clamped onto the recorded span and interpolated
-        between its two neighbours (a hold is the newest record interpolated
-        with itself); pre-history rows are zeroed afterwards.
+        The one read path of the line: the controller gathers a delay window
+        of records through it, and the plant the delayed RK4 stage instants
+        of a control block.  Every instant is clamped onto the recorded span
+        and interpolated linearly between its two neighbours (a hold beyond
+        the newest record is that record interpolated with itself); rows of
+        instants before the first record are zero.  An instant whose record
+        has already left the ring raises :class:`HistoryUnderrunError`.
         """
         times = np.asarray(times, dtype=float)
         if self._count == 0:
-            if self.policy == "strict":
-                raise HistoryUnderrunError("lookup before any record")
             return np.zeros(times.shape + (self.width,), dtype=complex)
         x = (times - self._t0) / self.dt
         pre = x < -1e-9
-        if self.policy == "strict" and np.any(pre):
-            raise HistoryUnderrunError(
-                f"lookup at t={times[pre].min()} precedes recorded history"
-            )
         last = self._count - 1
         xc = np.clip(x, 0.0, last)
         i0 = xc.astype(int)
@@ -172,46 +141,50 @@ def plant_rhs(vals: np.ndarray, coeffs: PlantCoeffs, grid: CylinderGrid) -> np.n
     return out
 
 
-def apply_boundary(vals: np.ndarray, t: float, anchor: np.ndarray,
-                   leader_base: np.ndarray, line: DelayLine,
-                   true_delay: float) -> None:
-    """Impose rim rows in place: anchor profile and delayed actuation."""
-    vals[0, :] = anchor
-    vals[-1, :] = leader_base + line.lookup(t - true_delay)
+def stage_instants(k0: int, steps: int, dt: float, delay: float) -> np.ndarray:
+    """Delayed rim-read instants of ``steps`` RK4 steps from step ``k0``.
+
+    Row ``j`` holds ``k*dt``, ``k*dt + dt/2`` and ``k*dt + dt``, each minus
+    ``delay``, for ``k = k0 + j``: the stage instants :meth:`Channel.step`
+    reads, formed with the same floating-point operations as a step at
+    ``t = k*dt`` forms them.
+    """
+    t = np.arange(k0, k0 + steps) * dt
+    return (t[:, None] + _RK4_STAGES * dt) - delay
 
 
 class Channel:
     """One scalar field marching under held rims and delayed commands."""
 
     def __init__(self, grid: CylinderGrid, coeffs: PlantCoeffs,
-                 anchor: np.ndarray, leader_base: np.ndarray, line: DelayLine,
-                 true_delay: float, initial: np.ndarray):
+                 anchor: np.ndarray, leader_base: np.ndarray,
+                 initial: np.ndarray):
         self.grid = grid
         self.coeffs = coeffs
         self.anchor = np.asarray(anchor, dtype=complex)
         self.leader_base = np.asarray(leader_base, dtype=complex)
-        self.line = line
-        self.true_delay = float(true_delay)
         self.values = np.array(initial, dtype=complex)
         if self.values.shape != (grid.M, grid.N):
             raise ValueError("initial state shape does not match the grid")
 
-    def _staged(self, base: np.ndarray, t: float) -> np.ndarray:
-        v = base.copy()
-        apply_boundary(v, t, self.anchor, self.leader_base, self.line,
-                       self.true_delay)
-        return v
+    def _rhs(self, vals: np.ndarray, rim: np.ndarray) -> np.ndarray:
+        """Pin the rims of the stage array ``vals`` in place; its derivative."""
+        vals[0] = self.anchor
+        vals[-1] = rim
+        return plant_rhs(vals, self.coeffs, self.grid)
 
-    def step(self, t: float, dt: float) -> None:
-        g, c = self.grid, self.coeffs
-        v0 = self._staged(self.values, t)
-        k1 = plant_rhs(v0, c, g)
-        k2 = plant_rhs(self._staged(self.values + 0.5 * dt * k1, t + 0.5 * dt), c, g)
-        k3 = plant_rhs(self._staged(self.values + 0.5 * dt * k2, t + 0.5 * dt), c, g)
-        k4 = plant_rhs(self._staged(self.values + dt * k3, t + dt), c, g)
+    def step(self, t: float, dt: float, arrived: np.ndarray) -> None:
+        """One RK4 step from ``t``.  ``arrived`` holds the delayed commands
+        at the step's start, midpoint and end (one row of
+        :func:`stage_instants` read through the delay line)."""
+        rims = self.leader_base + arrived
+        k1 = self._rhs(self.values.copy(), rims[0])
+        k2 = self._rhs(self.values + 0.5 * dt * k1, rims[1])
+        k3 = self._rhs(self.values + 0.5 * dt * k2, rims[1])
+        k4 = self._rhs(self.values + dt * k3, rims[2])
         self.values += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        apply_boundary(self.values, t + dt, self.anchor, self.leader_base,
-                       self.line, self.true_delay)
+        self.values[0] = self.anchor
+        self.values[-1] = rims[2]
         peak = np.max(np.abs(self.values))
         if not np.isfinite(peak) or peak > GUARD_LIMIT:
             raise InstabilityError(

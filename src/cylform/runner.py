@@ -25,14 +25,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ScenarioConfig
+from .config import ScenarioConfig, snapshot_label
 from .controller import ChannelController, ChannelUpdate
 from .errors import InstabilityError
 from .estimator import (EstimatorState, adaptation_drift, mismatch_drift,
                         step_estimate, update_signal)
 from .geometry import CylinderGrid, Field, ModeStack
 from .kernels import KernelBasis, KernelSet
-from .plant import Channel, DelayLine, stable_dt
+from .plant import Channel, DelayLine, stable_dt, stage_instants
 from .steady import formation_fields
 
 #: relative slack when matching snapshot instants to the step grid
@@ -139,9 +139,9 @@ def run(cfg: ScenarioConfig, capture_residuals=False) -> RunRecord:
     line_p = DelayLine(grid.N, dt_ctrl, horizon)
     line_z = DelayLine(grid.N, dt_ctrl, horizon)
     chan_p = Channel(grid, coeffs_p, goal_planar.values[0], goal_planar.values[-1],
-                     line_p, cfg.true_delay, init_planar.values)
+                     init_planar.values)
     chan_z = Channel(grid, coeffs_z, goal_axial.values[0], goal_axial.values[-1],
-                     line_z, cfg.true_delay, init_axial.values)
+                     init_axial.values)
 
     basis_p = KernelBasis(coeffs_p, grid)
     basis_z = KernelBasis(coeffs_z, grid)
@@ -171,6 +171,10 @@ def run(cfg: ScenarioConfig, capture_residuals=False) -> RunRecord:
             upd_z = ctrl_z.update(chan_z.values, line_z, t)
             line_p.record(t, upd_p.command)
             line_z.record(t, upd_z.command)
+            # every rim the coming block's RK4 stages read, in one pass
+            instants = stage_instants(k, per, dt, cfg.true_delay)
+            arrived_p = line_p.lookup_many(instants)
+            arrived_z = line_z.lookup_many(instants)
 
             drift_p = mismatch_drift(upd_p.target_state, upd_p.target_history, ks_p)
             drift_z = mismatch_drift(upd_z.target_state, upd_z.target_history, ks_z)
@@ -213,8 +217,8 @@ def run(cfg: ScenarioConfig, capture_residuals=False) -> RunRecord:
                     ctrl_z.ks = ks_z
         if k < n_steps:
             try:
-                chan_p.step(t, dt)
-                chan_z.step(t, dt)
+                chan_p.step(t, dt, arrived_p[k % per])
+                chan_z.step(t, dt, arrived_z[k % per])
             except InstabilityError as exc:
                 terminated, reason = True, str(exc)
                 break
@@ -304,10 +308,6 @@ def target_residual(prev: ChannelUpdate, curr: ChannelUpdate, dt: float,
 # serialization
 
 
-def _time_label(t: float) -> str:
-    return "%g" % t
-
-
 def write_series(record: RunRecord, directory) -> Path:
     """Write the per-control-step series as ``series.csv``; returns the path.
 
@@ -333,12 +333,13 @@ def write_series(record: RunRecord, directory) -> Path:
 def write_snapshot(fields: dict, t: float, directory) -> list:
     """One grid-shaped CSV per named real field at one instant.
 
-    Filenames are ``snapshot_t<label>_<name>.csv`` with the label formatted
-    compactly from ``t``.  Complex fields must be split by the caller.
+    Filenames are ``snapshot_t<label>_<name>.csv`` with the label of ``t``
+    from :func:`~cylform.config.snapshot_label`.  Complex fields must be
+    split by the caller.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    label = _time_label(t)
+    label = snapshot_label(t)
     paths = []
     for name, values in fields.items():
         values = np.asarray(values)
@@ -363,7 +364,7 @@ def write_positions(planar: np.ndarray, axial: np.ndarray, t: float,
     si, tj = np.meshgrid(np.arange(1, m + 1), np.arange(1, n + 1), indexing="ij")
     data = np.column_stack([si.ravel(), tj.ravel(), planar.real.ravel(),
                             planar.imag.ravel(), axial.real.ravel()])
-    path = Path(directory) / f"snapshot_t{_time_label(t)}_positions.csv"
+    path = Path(directory) / f"snapshot_t{snapshot_label(t)}_positions.csv"
     np.savetxt(path, data, fmt=["%d", "%d", "%.17g", "%.17g", "%.17g"],
                delimiter=",", header="s_index,theta_index,x,y,z", comments="",
                encoding="utf-8")

@@ -11,6 +11,7 @@ import numpy as np
 
 from cylform.controller import remove_advection
 from cylform.quadrature import exp_weights, simpson_weights
+from oracles.delay_lookup import lookup
 
 
 def sine_basis(i_max, x):
@@ -90,7 +91,7 @@ def simpson_control(values, steady_values, line, t, ks, m_prime=51,
     # past commands, scaled, on the uniform in-flight window [t - delay, t]
     xs = np.linspace(0.0, 1.0, m_prime)
     gain = np.exp(0.5 * adv)
-    past = np.stack([line.lookup(t + ks.delay * (x - 1.0)) for x in xs[:-1]])
+    past = np.stack([lookup(line, t + ks.delay * (x - 1.0)) for x in xs[:-1]])
     past = past * gain
 
     # exp_weights integrates against exp(a*x); the predictor weighs sample x

@@ -4,7 +4,7 @@ Every map here is rebuilt from the running exponential convolution
 :func:`cylform.quadrature.exp_conv_paired` on each call -- the history map
 from the convolution of the identity, the command law and the target
 history from the convolution of the whole mode stack, the transport from one
-``DelayLine.lookup`` per node, and the mismatch drift from a per-mode copy
+scalar delay-line read per node, and the mismatch drift from a per-mode copy
 of the exponential tables.  The production path precomputes the same maps
 per kernel set in closed form; these functions are what it is checked
 against.  :func:`install` swaps them into the package so that a whole run
@@ -16,6 +16,7 @@ import numpy as np
 from cylform import controller, runner
 from cylform.geometry import ModeStack
 from cylform.quadrature import exp_conv_paired, exp_pair_weights
+from oracles.delay_lookup import lookup
 
 
 def history_map(ks, n):
@@ -28,7 +29,7 @@ def history_map(ks, n):
 
 def reconstruct_transport(line, t, delay_estimate, grid, advection=0.0):
     times = t + delay_estimate * (grid.s - 1.0)
-    profiles = np.stack([line.lookup(tt) for tt in times])
+    profiles = np.stack([lookup(line, tt) for tt in times])
     gain = np.exp(0.5 * advection)
     return ModeStack(grid, grid.analyze(profiles).coeffs * gain)
 

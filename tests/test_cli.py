@@ -150,6 +150,19 @@ class TestUsageErrors:
         assert "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("lo", ["0", "-1"])
+    def test_non_positive_delay_bound_is_a_config_error(self, tmp_path, capsys,
+                                                       lo):
+        p = tmp_path / "lo.cfg"
+        p.write_text(TINY.replace("delay.lo = 0.1", f"delay.lo = {lo}"),
+                     encoding="utf-8")
+        assert main(["run", str(p), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert "delay.lo must be positive" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
+
 class TestSubprocessEntry:
     def test_module_invocation(self, tiny_path, tmp_path):
         # the child imports the same package this test process imported

@@ -9,6 +9,7 @@ from cylform.config import (
     load_config,
     parse_config,
     preset,
+    snapshot_label,
 )
 from cylform.errors import ConfigError
 
@@ -149,6 +150,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match="outside declared bounds"):
             parse_config(text, "m")
 
+    @pytest.mark.parametrize("lo", ["0", "-1"])
+    def test_lower_delay_bound_must_be_positive(self, lo):
+        # true delay and estimate stay inside [lo, hi]
+        text = edit(MINIMAL, "delay.lo = 0.1", f"delay.lo = {lo}")
+        with pytest.raises(ConfigError, match="delay.lo must be positive"):
+            parse_config(text, "m")
+
     def test_initial_estimate_outside_bounds(self):
         text = edit(MINIMAL, "delay.initial_estimate = 0.5",
                     "delay.initial_estimate = 0.05")
@@ -174,6 +182,17 @@ class TestValidation:
         text = edit(MINIMAL, "run.snapshots = none", "run.snapshots = 0 0.5")
         with pytest.raises(ConfigError, match="snapshot"):
             parse_config(text, "m")
+
+    @pytest.mark.parametrize("times", ["0.01000001 0.01000004", "0.02 0.02"])
+    def test_snapshots_sharing_a_file_label(self, times):
+        text = edit(MINIMAL, "run.snapshots = none", f"run.snapshots = {times}")
+        with pytest.raises(ConfigError, match="share the file label"):
+            parse_config(text, "m")
+
+    def test_snapshot_labels_unchanged(self):
+        assert [snapshot_label(t) for t in (0.0, 0.09, 2.0, 40.0, 0.123,
+                                            0.01000001)] == \
+            ["0", "0.09", "2", "40", "0.123", "0.01"]
 
     def test_ring_out_of_range(self):
         text = edit(MINIMAL, "run.rings = 1 8 15", "run.rings = 1 16")

@@ -398,13 +398,15 @@ class TestPrecomputedStep:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name,
                                         counted(name, getattr(module, name)))
-        monkeypatch.setattr(DelayLine, "lookup", counted("lookup", DelayLine.lookup))
+        monkeypatch.setattr(DelayLine, "lookup_many",
+                            counted("lookup_many", DelayLine.lookup_many))
         for k in range(8):
             vals = steady + 0.1 * rng.normal(size=(grid.M, grid.N))
             upd = run_update(ctrl, vals, line, k * 0.02)
             assert np.all(np.isfinite(upd.command))
         assert line.count == 8
-        assert calls == Counter()
+        # one read of the whole in-flight window per update, nothing else
+        assert calls == Counter(lookup_many=8)
 
     def test_history_matches_reference_convolution(self, grid, kit):
         rng = np.random.default_rng(21)

@@ -8,11 +8,12 @@ from cylform.kernels import (
     KernelBasis,
     KernelSet,
     PlantCoeffs,
+    _kernel_values,
     bessel_ratio,
     forward_kernel,
     inverse_kernel,
 )
-from cylform.quadrature import exp_conv_paired
+from cylform.quadrature import exp_conv_paired, interp_quadratic
 from oracles import seed_pipeline
 from oracles.dense_law import (
     heat_ring_kernel,
@@ -181,6 +182,29 @@ class TestCompositionTable:
         for i in (1, 4, 13):
             ref = quad12(lambda x: x * (1 - x) * np.sin(i * np.pi * x), 0.0, 1.0)
             assert abs(basis.mode_sine[i - 1] @ w - ref) <= 1e-12
+
+
+class TestRefinedVolterra:
+    @pytest.mark.parametrize("coeffs", [PlantCoeffs(12.0, 0.5),
+                                        PlantCoeffs(8.0, 0.5),
+                                        PlantCoeffs(12.0 + 3.0j, 0.5 + 0.2j)],
+                             ids=["12", "8", "complex"])
+    @pytest.mark.parametrize("m", [21, 51])
+    def test_forward_rows_equal_full_table_product(self, coeffs, m):
+        # the basis evaluates the forward kernel on the kept rows only; the
+        # reference evaluates the whole refined lower triangle and then keeps
+        # every refine-th row of the product
+        basis = KernelBasis(coeffs, CylinderGrid(m, 8), i_max=16)
+        refine = basis.refine
+        m_ref = refine * (m - 1) + 1
+        xi = np.linspace(0.0, 1.0, m_ref)
+        rows, cols = np.tril_indices(m_ref)
+        table = np.zeros((m_ref, m_ref), dtype=complex)
+        table[rows, cols] = _kernel_values(xi[rows], xi[cols], coeffs, 1.0)
+        tri = KernelBasis._row_weight_matrix(m_ref, basis.grid.h_s / refine)
+        cardinals = interp_quadratic(np.eye(m), refine)
+        want = ((tri * table) @ cardinals.T)[::refine]
+        assert np.array_equal(basis.volterra_fwd_refined, want)
 
 
 class TestKernelSet:

@@ -25,6 +25,7 @@ STALE_TRACER_TARGETS = {
     "cylform.controller:exp_conv_paired",
     "cylform.estimator:exp_conv",
     "cylform.geometry:CylinderGrid.analyze_profile",
+    "cylform.plant:DelayLine.lookup",
 }
 
 

@@ -1,11 +1,13 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from cylform.config import parse_config, preset
+from cylform.controller import ChannelController
 from cylform.geometry import CylinderGrid, Field
-from cylform.plant import stable_dt
+from cylform.plant import Channel, DelayLine, stable_dt
 from cylform.runner import (
     RunRecord,
     Snapshot,
@@ -153,6 +155,44 @@ class TestDeterminism:
         for a, b in zip(again.snapshots, transient_record.snapshots):
             assert np.array_equal(a.planar, b.planar)
             assert np.array_equal(a.axial, b.axial)
+
+
+class TestPlantReads:
+    """The plant reads the delay line once per channel per control step,
+    covering every RK4 stage of the coming block, and never inside a step."""
+
+    @pytest.mark.parametrize("period", [3, 7])
+    def test_one_block_read_per_channel_per_control_step(self, transient_cfg,
+                                                         monkeypatch, period):
+        cfg = dataclasses.replace(transient_cfg, control_period=period,
+                                  dt=2e-3, duration=0.2, snapshot_times=())
+        where = ["runner"]
+        reads = Counter()
+
+        def inside(name, fn):
+            def wrapper(*args, **kwargs):
+                where.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    where.pop()
+            return wrapper
+
+        def lookup_many(line, times):
+            reads[where[-1], np.shape(times)] += 1
+            return read(line, times)
+
+        read = DelayLine.lookup_many
+        monkeypatch.setattr(DelayLine, "lookup_many", lookup_many)
+        monkeypatch.setattr(ChannelController, "update",
+                            inside("controller", ChannelController.update))
+        monkeypatch.setattr(Channel, "step", inside("plant", Channel.step))
+        rec = run(cfg)
+        steps = rec.times.size
+        assert not rec.terminated and steps > 2
+        assert reads == Counter({("runner", (period, 3)): 2 * steps,
+                                 ("controller", (cfg.grid_m,)): 2 * steps})
+        assert not hasattr(DelayLine, "lookup")
 
 
 class TestReferenceStep:
