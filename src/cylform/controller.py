@@ -65,17 +65,21 @@ def remove_advection(values: np.ndarray, steady_values: np.ndarray,
 
 
 def reconstruct_transport(line: DelayLine, t: float, delay_estimate: float,
-                          grid: CylinderGrid, advection: complex = 0.0) -> ModeStack:
+                          grid: CylinderGrid, advection: complex = 0.0
+                          ) -> tuple[ModeStack, float]:
     """Command-in-flight profile implied by the recorded history.
 
     Node ``r`` holds the (scaled) command that was issued
     ``delay_estimate*(1 - s_r)`` ago, so the rim node is the newest record
     (held forward when queried at the current instant, i.e. the previous
-    command until a fresh one is stored).
+    command until a fresh one is stored).  Also returns the largest scaled
+    magnitude in flight below the rim node, which the rim diagnostic
+    measures against.
     """
     profiles = line.lookup_many(t + delay_estimate * (grid.s - 1.0))
     gain = np.exp(0.5 * advection)
-    return ModeStack(grid, grid.analyze(profiles).coeffs * gain)
+    peak = float(np.max(np.abs(profiles[:-1]))) * abs(gain)
+    return ModeStack(grid, grid.analyze(profiles).coeffs * gain), peak
 
 
 def to_target_state(measured: ModeStack, ks: KernelSet) -> ModeStack:
@@ -227,7 +231,8 @@ class ChannelController:
         grid, ks = self.grid, self.ks
         scaled = remove_advection(values, self.steady_values, self.advection, grid)
         measured = grid.analyze(scaled)
-        transport = reconstruct_transport(line, t, ks.delay, grid, self.advection)
+        transport, in_flight = reconstruct_transport(line, t, ks.delay, grid,
+                                                     self.advection)
         target = to_target_state(measured, ks)
         cmd = control_modes(measured, transport, ks)
         if self.kind == "real":
@@ -236,9 +241,11 @@ class ChannelController:
         transport.coeffs[:, -1] = cmd
         history = to_target_history(transport, measured, ks)
 
+        # scale: largest scaled deviation plus largest command in flight,
+        # the rim node being the new command
         rim = grid.synthesize_profile(history.coeffs[:, -1])
-        scale = (np.max(np.abs(scaled))
-                 + np.max(np.abs(grid.synthesize(transport).values)) + 1e-30)
+        in_flight = max(in_flight, float(np.max(np.abs(grid.synthesize_profile(cmd)))))
+        scale = np.max(np.abs(scaled)) + in_flight + 1e-30
         return ChannelUpdate(
             command=command,
             measured=measured,

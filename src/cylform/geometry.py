@@ -182,15 +182,3 @@ class ModeStack:
         if not 0 <= idx < self.grid.N:
             raise KeyError(f"mode {n} outside band [{-self.grid.N // 2}, {self.grid.N // 2 - 1}]")
         return self.coeffs[idx]
-
-    def conjugate_symmetry_defect(self) -> float:
-        """Max mismatch between mode ``-n`` and ``conj(mode n)`` plus any
-        imaginary part of the unpaired extreme mode."""
-        g = self.grid
-        worst = float(np.max(np.abs(self.coeffs[0].imag), initial=0.0))  # unpaired -N/2
-        worst = max(worst, float(np.max(np.abs(self.coeffs[g.N // 2].imag))))
-        for n in range(1, g.N // 2):
-            a = self.mode(n)
-            b = self.mode(-n)
-            worst = max(worst, float(np.max(np.abs(b - np.conj(a)))))
-        return worst

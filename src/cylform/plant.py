@@ -1,26 +1,41 @@
-"""Time integration of the coupled surface fields with delayed rim actuation.
+"""Exact time integration of the coupled surface fields with delayed rim actuation.
 
-Both channels evolve by the same reaction-advection-diffusion stencil on the
-cylinder surface; only the rim rows differ.  The anchor rim (s = 0) holds the
-formation's anchor profile, the leader rim (s = 1) holds the formation's
-leader profile plus the actuation signal delayed by the true (unknown to the
-controller) dead time.  Commands travel through a :class:`DelayLine`, a
-uniformly sampled ring buffer with linear interpolation that reads zero
-before its first record.  The plant reads it once per control block: the
-delayed instants of every RK4 stage of the block (:func:`stage_instants`)
-go through one :meth:`DelayLine.lookup_many`, and :meth:`Channel.step` takes
-the three arrived rows of its own step.
+Both channels evolve by the same semi-discrete reaction-advection-diffusion
+stencil on the cylinder surface; only the rim rows differ.  The anchor rim
+(s = 0) holds the formation's anchor profile, the leader rim (s = 1) holds
+the formation's leader profile plus the actuation signal delayed by the true
+(unknown to the controller) dead time.  Commands travel through a
+:class:`DelayLine`, a uniformly sampled ring buffer with linear interpolation
+that reads zero before its first record.
+
+The stencil is linear, has constant coefficients and is circulant in theta,
+so :class:`Channel` integrates it in closed form instead of marching it.  A
+DFT in theta leaves one tridiagonal Toeplitz system per wavenumber; the lift
+``y_j = rho^j z_j`` with ``rho = sqrt(q/p)`` makes it symmetric, and the
+DST-I diagonalises it with eigenvalues in closed form (:attr:`Channel.rates`).
+The delayed command is piecewise linear in time, with breaks at the record
+instants plus the delay (the jump from the zero pre-history at ``t = D``
+among them), and between breaks every eigencoordinate is integrated exactly
+with :func:`~cylform.quadrature.exp_lin_weights`.  One :meth:`Channel.step`
+advances a whole control block.  The line records once per block, so a
+break falls at the same offset ``D mod block`` of every block and the
+block's weights are built once.  Each step reads its rims with one
+:meth:`DelayLine.lookup_many`: two instants per linear piece, at a third
+and two thirds of its length, extrapolated linearly to its ends.
 """
 
 from __future__ import annotations
 
+import copy
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import HistoryUnderrunError, InstabilityError
 from .geometry import CylinderGrid
 from .kernels import PlantCoeffs
+from .quadrature import exp_lin_weights
 
 #: hard bound on any field magnitude before the run is declared unstable
 GUARD_LIMIT = 1e30
@@ -29,9 +44,9 @@ GUARD_LIMIT = 1e30
 #: Runge-Kutta stability region
 _RK4_REAL_AXIS = 2.785
 
-#: instants at which one classical RK4 step reads its rims, as fractions of
-#: the step: its start, its midpoint (both middle stages) and its end
-_RK4_STAGES = np.array([0.0, 0.5, 1.0])
+#: a command break closer than this fraction of a block to the block's
+#: edge is taken to lie on it (the lookup's own record-snapping tolerance)
+_BREAK_TOL = 1e-9
 
 
 class DelayLine:
@@ -40,7 +55,8 @@ class DelayLine:
     Samples are theta-profiles recorded at strictly regular instants.
     Queries before the first record return zeros (actuation had not
     started); queries beyond the newest record hold its value, which serves
-    the zero-delay and inner-stage reads.
+    a block whose delayed instants run past the newest record (a delay
+    shorter than the block).
     """
 
     def __init__(self, width: int, dt_record: float, horizon: float):
@@ -81,8 +97,8 @@ class DelayLine:
         """Profiles at the instants ``times``, shape ``times.shape + (width,)``.
 
         The one read path of the line: the controller gathers a delay window
-        of records through it, and the plant the delayed RK4 stage instants
-        of a control block.  Every instant is clamped onto the recorded span
+        of records through it, and the plant the delayed instants of a
+        control block.  Every instant is clamped onto the recorded span
         and interpolated linearly between its two neighbours (a hold beyond
         the newest record is that record interpolated with itself); rows of
         instants before the first record are zero.  An instant whose record
@@ -110,11 +126,15 @@ class DelayLine:
 
 
 def stable_dt(grid: CylinderGrid, *coeffs: PlantCoeffs, safety: float = 0.9) -> float:
-    """Largest safe step for the explicit stencil under classical RK4.
+    """Default step of a run, which sets its control cadence.
 
-    Bounds the spectral radius of the semi-discrete operator by the row-sum
-    of its stiffest contributions and keeps ``dt * radius`` inside the
-    stability interval with the given safety factor.
+    A run's control period is ``control_period`` of these steps, and its
+    snapshots land on multiples of one.  The bound is the classical RK4
+    stability limit of the explicit stencil: the row-sum bound of the
+    stiffest contributions to its spectral radius, times the stability
+    interval and the safety factor.  :class:`Channel` integrates exactly and
+    needs no such limit; the default cadence keeps it so that the control
+    lattice does not move.
     """
     worst = 0.0
     for c in coeffs:
@@ -124,69 +144,123 @@ def stable_dt(grid: CylinderGrid, *coeffs: PlantCoeffs, safety: float = 0.9) -> 
     return safety * _RK4_REAL_AXIS / worst
 
 
-def plant_rhs(vals: np.ndarray, coeffs: PlantCoeffs, grid: CylinderGrid) -> np.ndarray:
-    """Interior semi-discrete derivative; rim rows are held, so zero there."""
-    out = np.zeros_like(vals)
-    h2 = grid.h_s * grid.h_s
-    inner = vals[1:-1]
-    # angular neighbours with the periodic wrap, on interior rows only
-    up = np.concatenate((inner[:, 1:], inner[:, :1]), axis=1)
-    dn = np.concatenate((inner[:, -1:], inner[:, :-1]), axis=1)
-    out[1:-1] = (
-        (vals[2:] - 2.0 * inner + vals[:-2]) / h2
-        + (up - 2.0 * inner + dn) / grid.h_theta**2
-        + coeffs.advection * (vals[2:] - vals[:-2]) / (2.0 * grid.h_s)
-        + coeffs.reaction * inner
-    )
-    return out
+class _Plan(NamedTuple):
+    """Closed-form map of one stretch of a block, in eigencoordinates:
+    ``decay * state + held`` plus, per FFT bin, ``weights`` applied to the
+    FFTs of the rim reads taken ``reads`` past the block start."""
 
-
-def stage_instants(k0: int, steps: int, dt: float, delay: float) -> np.ndarray:
-    """Delayed rim-read instants of ``steps`` RK4 steps from step ``k0``.
-
-    Row ``j`` holds ``k*dt``, ``k*dt + dt/2`` and ``k*dt + dt``, each minus
-    ``delay``, for ``k = k0 + j``: the stage instants :meth:`Channel.step`
-    reads, formed with the same floating-point operations as a step at
-    ``t = k*dt`` forms them.
-    """
-    t = np.arange(k0, k0 + steps) * dt
-    return (t[:, None] + _RK4_STAGES * dt) - delay
+    decay: np.ndarray       #: (M-2, N)
+    held: np.ndarray        #: (M-2, N), the response to the held rims
+    weights: np.ndarray     #: (N, M-2, reads), bin-major for one batched matmul
+    reads: np.ndarray       #: (reads,)
 
 
 class Channel:
-    """One scalar field marching under held rims and delayed commands."""
+    """One scalar field advanced block by block, in closed form, under held
+    rims and delayed commands.
+
+    The interior is kept in eigencoordinates of its semi-discrete operator:
+    ``fft`` along theta, then the inverse of ``diag(rho^j) @ DST-I`` along
+    ``s``.  ``values`` is the physical field at the latest block end (the
+    initial field before the first step); a ``"real"`` channel keeps it
+    real.  ``line`` must record once per ``block``.  The lift spans a factor
+    of about ``e^{|advection|/2}`` along the axis, and the transform's
+    roundoff grows by up to that factor: harmless unless the advection is
+    in the tens.
+    """
 
     def __init__(self, grid: CylinderGrid, coeffs: PlantCoeffs,
                  anchor: np.ndarray, leader_base: np.ndarray,
-                 initial: np.ndarray):
+                 initial: np.ndarray, block: float, delay: float,
+                 kind: str = "complex"):
+        if kind not in ("complex", "real"):
+            raise ValueError(f"unknown channel kind {kind!r}")
+        if not (block > 0.0 and delay >= 0.0):
+            raise ValueError("block must be positive and delay non-negative")
         self.grid = grid
-        self.coeffs = coeffs
+        self.kind = kind
+        self.block = float(block)
+        self.delay = float(delay)
         self.anchor = np.asarray(anchor, dtype=complex)
         self.leader_base = np.asarray(leader_base, dtype=complex)
-        self.values = np.array(initial, dtype=complex)
-        if self.values.shape != (grid.M, grid.N):
+        values = np.array(initial, dtype=complex)
+        if values.shape != (grid.M, grid.N):
             raise ValueError("initial state shape does not match the grid")
+        self.values = values.real.copy() if kind == "real" else values
 
-    def _rhs(self, vals: np.ndarray, rim: np.ndarray) -> np.ndarray:
-        """Pin the rims of the stage array ``vals`` in place; its derivative."""
+        m, h = grid.M - 2, grid.h_s
+        p = 1.0 / h**2 + coeffs.advection / (2.0 * h)    # weight of row i + 1
+        q = 1.0 / h**2 - coeffs.advection / (2.0 * h)    # weight of row i - 1
+        rho = np.sqrt(complex(q / p))
+        j = np.arange(1, m + 1)
+        sine = np.sqrt(2.0 / (m + 1)) * np.sin(np.outer(j, j) * np.pi / (m + 1))
+        lift = rho ** j
+        self._to_field = lift[:, None] * sine
+        self._to_eigen = sine / lift[None, :]
+        #: eigenvalues per (DST index, FFT bin): axial, then angular part
+        self.rates = (
+            (coeffs.reaction - 2.0 / h**2
+             + 2.0 * p * rho * np.cos(j * np.pi / (m + 1)))[:, None]
+            - (4.0 / grid.h_theta**2)
+            * np.sin(np.pi * np.arange(grid.N) / grid.N)[None, :] ** 2
+        )
+        self._rim_gain = p * self._to_eigen[:, -1:]
+        self._rims_held = (np.outer(q * self._to_eigen[:, 0], np.fft.fft(self.anchor))
+                           + self._rim_gain * np.fft.fft(self.leader_base))
+        self._state = self._to_eigen @ np.fft.fft(values[1:-1], axis=1)
+
+        off = math.fmod(self.delay, self.block)
+        self._break = 0.0 if min(off, self.block - off) <= _BREAK_TOL * self.block else off
+        self._block_plan = self._plan(0.0, self.block)
+
+    def _plan(self, start: float, stop: float) -> _Plan:
+        """Compose the exact maps of the linear pieces of ``[start, stop]``."""
+        cuts = [start, self._break, stop] if start < self._break < stop else [start, stop]
+        spans = np.diff(cuts)
+        decays = np.exp(self.rates * spans[:, None, None])
+        los, his = exp_lin_weights(self.rates, spans[:, None, None])
+        decay = np.ones(self.rates.shape, dtype=complex)
+        held = np.zeros(self.rates.shape, dtype=complex)
+        weights, reads = [], []
+        for a, span, e, lo, hi in zip(cuts, spans, decays, los, his):
+            decay = e * decay
+            held = e * held + (lo + hi) * self._rims_held
+            weights = [e * w for w in weights]
+            # rim ends from the reads at a third and two thirds of the piece
+            weights += [(2.0 * lo - hi) * self._rim_gain, (2.0 * hi - lo) * self._rim_gain]
+            reads += [a + span / 3.0, a + 2.0 * span / 3.0]
+        weights = np.ascontiguousarray(np.stack(weights, axis=-1).transpose(1, 0, 2))
+        return _Plan(decay, held, weights, np.array(reads))
+
+    def advance(self, t: float, start: float, stop: float, line: DelayLine) -> None:
+        """Move the field from ``t + start`` to ``t + stop`` inside the block
+        that starts at ``t`` (``0 <= start < stop <= block``)."""
+        if line.dt != self.block:
+            raise ValueError(f"delay line spacing {line.dt} is not the block {self.block}")
+        whole = start == 0.0 and stop == self.block
+        plan = self._block_plan if whole else self._plan(start, stop)
+        rows = line.lookup_many(t + plan.reads - self.delay)
+        forced = plan.weights @ np.fft.fft(rows, axis=1).T[:, :, None]
+        self._state = plan.decay * self._state + plan.held + forced[:, :, 0].T
+        vals = np.empty((self.grid.M, self.grid.N), dtype=complex)
         vals[0] = self.anchor
-        vals[-1] = rim
-        return plant_rhs(vals, self.coeffs, self.grid)
+        vals[1:-1] = np.fft.ifft(self._to_field @ self._state, axis=1)
+        vals[-1] = self.leader_base + (2.0 * rows[-1] - rows[-2])
+        self.values = vals.real.copy() if self.kind == "real" else vals
 
-    def step(self, t: float, dt: float, arrived: np.ndarray) -> None:
-        """One RK4 step from ``t``.  ``arrived`` holds the delayed commands
-        at the step's start, midpoint and end (one row of
-        :func:`stage_instants` read through the delay line)."""
-        rims = self.leader_base + arrived
-        k1 = self._rhs(self.values.copy(), rims[0])
-        k2 = self._rhs(self.values + 0.5 * dt * k1, rims[1])
-        k3 = self._rhs(self.values + 0.5 * dt * k2, rims[1])
-        k4 = self._rhs(self.values + dt * k3, rims[2])
-        self.values += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        self.values[0] = self.anchor
-        self.values[-1] = rims[2]
+    def peek(self, t: float, tau: float, line: DelayLine) -> np.ndarray:
+        """The field at ``t + tau`` inside the block from ``t``; the channel
+        itself does not move."""
+        probe = copy.copy(self)
+        probe.advance(t, 0.0, tau, line)
+        return probe.values
+
+    def step(self, t: float, line: DelayLine) -> None:
+        """Advance one block, ``[t, t + block]``, then check the guard."""
+        self.advance(t, 0.0, self.block, line)
         peak = np.max(np.abs(self.values))
         if not np.isfinite(peak) or peak > GUARD_LIMIT:
             raise InstabilityError(
-                f"field magnitude {peak:.3e} exceeded the guard at t={t + dt:.6f}"
+                f"field magnitude {peak:.3e} exceeded the guard at "
+                f"t={t + self.block:.6f}"
             )

@@ -110,7 +110,10 @@ def exp_pair_weights(z: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, n
 
 
 def exp_lin_weights(z: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Node weights of ``int_0^h exp(z*(h - x)) q(x) dx`` for linear ``q``."""
+    """Node weights of ``int_0^h exp(z*(h - x)) q(x) dx`` for linear ``q``.
+
+    ``h`` may be an array of widths that broadcasts against ``z``.
+    """
     z = np.asarray(z, dtype=complex)
     m0, m1, _ = _exp_moments(z * h)
     # int e^{z(h-x)} (1 - x/h) dx = h * m1(u); int e^{z(h-x)} x/h dx = h*(m0 - m1).

@@ -1,19 +1,24 @@
 """Closed-loop experiment driver and CSV serialization.
 
-One run marches both channels from the initial formation toward the desired
-one.  The plant integrates the desired formation's coefficients from the
-start (the dynamics switch the instant the new formation is commanded), with
-anchor and leader rims held at the desired profiles; rim actuation reaches
-the leader row only after the true dead time.  Every ``control_period``
-plant steps the controllers measure the fields, issue new rim commands, and
-the delay estimate takes one projected gradient step driven by both
-channels.  Kernel tables are rebuilt only when the estimate has drifted a
-fixed fraction of the admissible interval away from the tables in use.
+One run advances both channels from the initial formation toward the
+desired one.  The plant integrates the desired formation's coefficients
+from the start (the dynamics switch the instant the new formation is
+commanded), with anchor and leader rims held at the desired profiles; rim
+actuation reaches the leader row only after the true dead time.  The run
+is a sequence of control blocks of ``control_period`` steps.  At each block
+start the controllers measure the fields, issue new rim commands, and the
+delay estimate takes one projected gradient step driven by both channels;
+then each channel advances over the whole block in one exact step, and the
+guard is checked at the block end.  Kernel tables are rebuilt only when the
+estimate has drifted a fixed fraction of the admissible interval away from
+the tables in use.
 
 Results are collected in a :class:`RunRecord` (one logged row per control
 step) and serialized as CSV: a single time series plus, per requested
 snapshot instant, one grid-shaped file per field and an agent-position
-table.  All floats are written with 17 significant digits, so a read-back
+table.  A snapshot is taken at the first step instant reaching its request;
+one that falls inside a block is a copy of the channels propagated to that
+instant.  All floats are written with 17 significant digits, so a read-back
 reproduces the run bit for bit.
 """
 
@@ -32,7 +37,7 @@ from .estimator import (EstimatorState, adaptation_drift, mismatch_drift,
                         step_estimate, update_signal)
 from .geometry import CylinderGrid, Field, ModeStack
 from .kernels import KernelBasis, KernelSet
-from .plant import Channel, DelayLine, stable_dt, stage_instants
+from .plant import Channel, DelayLine, stable_dt
 from .steady import formation_fields
 
 #: relative slack when matching snapshot instants to the step grid
@@ -104,6 +109,11 @@ def _residual_queue(requested):
     return False, sorted(requested) if requested else []
 
 
+def _reached(queue, t: float) -> bool:
+    """Whether the first pending request of ``queue`` is due at ``t``."""
+    return bool(queue) and queue[0] <= t + _SNAP_TOL * max(1.0, t)
+
+
 def _resolve_steps(cfg: ScenarioConfig, grid: CylinderGrid) -> tuple[int, float]:
     """Step count and size: a whole number of control blocks spanning the
     horizon exactly, with the step never above the requested/stable bound."""
@@ -139,9 +149,9 @@ def run(cfg: ScenarioConfig, capture_residuals=False) -> RunRecord:
     line_p = DelayLine(grid.N, dt_ctrl, horizon)
     line_z = DelayLine(grid.N, dt_ctrl, horizon)
     chan_p = Channel(grid, coeffs_p, goal_planar.values[0], goal_planar.values[-1],
-                     init_planar.values)
+                     init_planar.values, dt_ctrl, cfg.true_delay)
     chan_z = Channel(grid, coeffs_z, goal_axial.values[0], goal_axial.values[-1],
-                     init_axial.values)
+                     init_axial.values, dt_ctrl, cfg.true_delay, kind="real")
 
     basis_p = KernelBasis(coeffs_p, grid)
     basis_z = KernelBasis(coeffs_z, grid)
@@ -160,68 +170,70 @@ def run(cfg: ScenarioConfig, capture_residuals=False) -> RunRecord:
     prev = None                 # (planar update, axial update, estimate used)
     terminated, reason = False, None
 
-    for k in range(n_steps + 1):
+    for k in range(0, n_steps + 1, per):
         t = k * dt
-        while snap_queue and snap_queue[0] <= t + _SNAP_TOL * max(1.0, t):
-            snaps.append(Snapshot(snap_queue.pop(0), t,
-                                  chan_p.values.copy(),
-                                  chan_z.values.real.copy()))
-        if k % per == 0:
-            upd_p = ctrl_p.update(chan_p.values, line_p, t)
-            upd_z = ctrl_z.update(chan_z.values, line_z, t)
-            line_p.record(t, upd_p.command)
-            line_z.record(t, upd_z.command)
-            # every rim the coming block's RK4 stages read, in one pass
-            instants = stage_instants(k, per, dt, cfg.true_delay)
-            arrived_p = line_p.lookup_many(instants)
-            arrived_z = line_z.lookup_many(instants)
+        while _reached(snap_queue, t):
+            snaps.append(Snapshot(snap_queue.pop(0), t, chan_p.values.copy(),
+                                  chan_z.values.copy()))
+        upd_p = ctrl_p.update(chan_p.values, line_p, t)
+        upd_z = ctrl_z.update(chan_z.values, line_z, t)
+        line_p.record(t, upd_p.command)
+        line_z.record(t, upd_z.command)
 
-            drift_p = mismatch_drift(upd_p.target_state, upd_p.target_history, ks_p)
-            drift_z = mismatch_drift(upd_z.target_state, upd_z.target_history, ks_z)
-            signal = (update_signal(upd_p.target_history, drift_p, grid)
-                      + update_signal(upd_z.target_history, drift_z, grid))
+        drift_p = mismatch_drift(upd_p.target_state, upd_p.target_history, ks_p)
+        drift_z = mismatch_drift(upd_z.target_state, upd_z.target_history, ks_z)
+        signal = (update_signal(upd_p.target_history, drift_p, grid)
+                  + update_signal(upd_z.target_history, drift_z, grid))
 
-            dev_p = chan_p.values - goal_planar.values
-            dev_z = chan_z.values - goal_axial.values
-            ring = np.sqrt(np.sum((np.abs(dev_p[ring_idx]) ** 2
-                                   + np.abs(dev_z[ring_idx]) ** 2)
-                                  * grid.h_theta, axis=1))
-            rows.append((t, est.estimate, signal,
-                         Field(grid, dev_p).l2_norm(),
-                         Field(grid, dev_z).l2_norm(),
-                         ring,
-                         max(float(np.max(np.abs(upd_p.command))),
-                             float(np.max(np.abs(upd_z.command)))),
-                         max(upd_p.h_residual, upd_z.h_residual)))
+        dev_p = chan_p.values - goal_planar.values
+        dev_z = chan_z.values - goal_axial.values
+        ring = np.sqrt(np.sum((np.abs(dev_p[ring_idx]) ** 2
+                               + np.abs(dev_z[ring_idx]) ** 2)
+                              * grid.h_theta, axis=1))
+        rows.append((t, est.estimate, signal,
+                     Field(grid, dev_p).l2_norm(),
+                     Field(grid, dev_z).l2_norm(),
+                     ring,
+                     max(float(np.max(np.abs(upd_p.command))),
+                         float(np.max(np.abs(upd_z.command)))),
+                     max(upd_p.h_residual, upd_z.h_residual)))
 
-            if prev is not None:
-                want = res_always
-                while res_queue and res_queue[0] <= t + _SNAP_TOL * max(1.0, t):
-                    res_queue.pop(0)
-                    want = True
-                if want:
-                    rate = (est.estimate - prev[2]) / dt_ctrl
-                    residuals.append((t,
-                                      target_residual(prev[0], upd_p, dt_ctrl,
-                                                      ks_p, rate),
-                                      target_residual(prev[1], upd_z, dt_ctrl,
-                                                      ks_z, rate)))
-            prev = (upd_p, upd_z, est.estimate)
+        if prev is not None:
+            want = res_always
+            while _reached(res_queue, t):
+                res_queue.pop(0)
+                want = True
+            if want:
+                rate = (est.estimate - prev[2]) / dt_ctrl
+                residuals.append((t,
+                                  target_residual(prev[0], upd_p, dt_ctrl,
+                                                  ks_p, rate),
+                                  target_residual(prev[1], upd_z, dt_ctrl,
+                                                  ks_z, rate)))
+        prev = (upd_p, upd_z, est.estimate)
 
-            if not cfg.fixed_estimate:
-                est = step_estimate(est, signal)
-                if not ks_p.matches(est.estimate, retable_tol):
-                    ks_p = KernelSet(basis_p, est.estimate)
-                    ks_z = KernelSet(basis_z, est.estimate)
-                    ctrl_p.ks = ks_p
-                    ctrl_z.ks = ks_z
-        if k < n_steps:
-            try:
-                chan_p.step(t, dt, arrived_p[k % per])
-                chan_z.step(t, dt, arrived_z[k % per])
-            except InstabilityError as exc:
-                terminated, reason = True, str(exc)
-                break
+        if not cfg.fixed_estimate:
+            est = step_estimate(est, signal)
+            if not ks_p.matches(est.estimate, retable_tol):
+                ks_p = KernelSet(basis_p, est.estimate)
+                ks_z = KernelSet(basis_z, est.estimate)
+                ctrl_p.ks = ks_p
+                ctrl_z.ks = ks_z
+        if k == n_steps:
+            break
+        # snapshots on the block's inner step instants
+        for j in range(1, per):
+            tj = (k + j) * dt
+            while _reached(snap_queue, tj):
+                snaps.append(Snapshot(snap_queue.pop(0), tj,
+                                      chan_p.peek(t, j * dt, line_p),
+                                      chan_z.peek(t, j * dt, line_z)))
+        try:
+            chan_p.step(t, line_p)
+            chan_z.step(t, line_z)
+        except InstabilityError as exc:
+            terminated, reason = True, str(exc)
+            break
 
     if rows:
         t_arr, e_arr, s_arr, eu, ez, rg, cs, hr = zip(*rows)

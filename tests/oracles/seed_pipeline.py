@@ -31,7 +31,8 @@ def reconstruct_transport(line, t, delay_estimate, grid, advection=0.0):
     times = t + delay_estimate * (grid.s - 1.0)
     profiles = np.stack([lookup(line, tt) for tt in times])
     gain = np.exp(0.5 * advection)
-    return ModeStack(grid, grid.analyze(profiles).coeffs * gain)
+    peak = float(np.max(np.abs(profiles[:-1]))) * abs(gain)
+    return ModeStack(grid, grid.analyze(profiles).coeffs * gain), peak
 
 
 def state_prediction(measured, ks):

@@ -86,9 +86,13 @@ class TestRunCommand:
 
     def test_guard_termination_exits_2_with_partial_results(self, tmp_path,
                                                             capsys):
-        text = TINY.replace("run.duration = 0.05", "run.duration = 0.5\n"
-                            "run.dt = 0.01")
-        text = text.replace("run.snapshots = 0 0.05", "run.snapshots = none")
+        # open-loop growth far above pi^2, and the delay keeps every command
+        # from the rim until the guard trips
+        text = (TINY
+                .replace("desired.planar_reaction = 5", "desired.planar_reaction = 150")
+                .replace("delay.true = 0.3", "delay.true = 1")
+                .replace("run.duration = 0.05", "run.duration = 1")
+                .replace("run.snapshots = 0 0.05", "run.snapshots = none"))
         p = tmp_path / "blowup.cfg"
         p.write_text(text, encoding="utf-8")
         out = tmp_path / "partial"

@@ -28,6 +28,7 @@ from cylform.kernels import KernelBasis, KernelSet, PlantCoeffs
 from cylform.plant import DelayLine
 from oracles import seed_pipeline
 from oracles.dense_law import periodic_simpson_weights, simpson_control
+from oracles.mode_symmetry import conjugate_symmetry_defect
 from oracles.transforms import (
     control_mode,
     from_target_history,
@@ -95,7 +96,7 @@ class TestReconstructTransport:
         prof = np.cos(grid.theta) + 2.0
         for k in range(40):
             line.record(k * 0.05, prof)
-        stack = reconstruct_transport(line, 1.9, 1.0, grid)
+        stack, _ = reconstruct_transport(line, 1.9, 1.0, grid)
         want = grid.analyze_rows(prof)
         assert np.max(np.abs(stack.coeffs - want[:, None])) <= 1e-13
 
@@ -103,7 +104,7 @@ class TestReconstructTransport:
         line = self._line(grid)
         for k in range(10):
             line.record(k * 0.05, np.full(grid.N, float(k)))
-        stack = reconstruct_transport(line, 0.45, 0.0, grid)
+        stack, _ = reconstruct_transport(line, 0.45, 0.0, grid)
         assert np.allclose(stack.coeffs[grid.N // 2], 9.0, atol=1e-12)
         assert np.max(np.abs(np.diff(stack.coeffs, axis=1))) <= 1e-12
 
@@ -114,7 +115,7 @@ class TestReconstructTransport:
         for k in range(80):
             line.record(k * 0.05, np.full(grid.N, k * 0.05))
         t, dhat = 3.0, 1.25
-        stack = reconstruct_transport(line, t, dhat, grid)
+        stack, _ = reconstruct_transport(line, t, dhat, grid)
         want = t + dhat * (grid.s - 1.0)
         got = stack.coeffs[grid.N // 2].real
         assert np.max(np.abs(got - want)) <= 1e-12
@@ -123,8 +124,24 @@ class TestReconstructTransport:
         line = self._line(grid)
         for k in range(10):
             line.record(k * 0.05, np.ones(grid.N))
-        stack = reconstruct_transport(line, 0.45, 0.2, grid, advection=2.0)
+        stack, peak = reconstruct_transport(line, 0.45, 0.2, grid, advection=2.0)
         assert abs(stack.coeffs[grid.N // 2, 0] - np.exp(1.0)) <= 1e-12
+        assert peak == pytest.approx(np.exp(1.0), rel=1e-15)
+
+    def test_peak_is_largest_scaled_magnitude_below_the_rim(self, grid):
+        # the newest record, which the rim node reads, is the largest: the
+        # peak leaves it out (the rim row is the command being computed)
+        line = self._line(grid)
+        rng = np.random.default_rng(5)
+        for k in range(30):
+            scale = 100.0 if k == 29 else 1.0
+            line.record(k * 0.05, scale * (rng.normal(size=grid.N)
+                                           + 1j * rng.normal(size=grid.N)))
+        t, dhat, adv = 1.45, 0.9, 0.5 + 0.2j
+        stack, peak = reconstruct_transport(line, t, dhat, grid, advection=adv)
+        field = grid.synthesize(stack).values
+        assert peak == pytest.approx(np.max(np.abs(field[:-1])), rel=1e-13)
+        assert peak < 0.9 * np.max(np.abs(field[-1]))
 
 
 class TestStateTransformPair:
@@ -359,13 +376,31 @@ class TestChannelController:
             upd = run_update(ctrl, vals, line, k * 0.02)
             assert upd.h_residual <= 1e-10
 
+    @pytest.mark.parametrize("kind", ["complex", "real"])
+    def test_residual_scale_equals_full_transport_synthesis(self, grid, kind):
+        # the scale takes the in-flight peak from the transport reads and
+        # the rim row from the command; synthesizing the whole transport
+        # stack gives the same number up to the transform round trip
+        ctrl, line, steady = self._setup(grid, lam=6.0, beta=0.5, kind=kind)
+        rng = np.random.default_rng(15)
+        for k in range(8):
+            vals = steady + 0.1 * rng.normal(size=(grid.M, grid.N))
+            vals[0] = steady[0]
+            upd = run_update(ctrl, vals, line, k * 0.02)
+            scaled = remove_advection(vals, steady, ctrl.advection, grid)
+            rim = grid.synthesize_profile(upd.target_history.coeffs[:, -1])
+            scale = (np.max(np.abs(scaled))
+                     + np.max(np.abs(grid.synthesize(upd.transport).values)) + 1e-30)
+            want = np.max(np.abs(rim)) / scale
+            assert upd.h_residual == pytest.approx(want, rel=1e-12, abs=1e-300)
+
     def test_real_channel_emits_real_commands(self, grid):
         ctrl, line, steady = self._setup(grid, lam=6.0, beta=0.5, kind="real")
         vals = steady + 0.2 * np.outer(np.sin(np.pi * grid.s),
                                        np.sin(2 * grid.theta))
         upd = ctrl.update(vals, line, 0.0)
         assert upd.command.dtype == np.float64
-        defect = upd.transport.conjugate_symmetry_defect()
+        defect = conjugate_symmetry_defect(upd.transport)
         assert defect <= 1e-12 * (1 + np.max(np.abs(upd.transport.coeffs)))
 
     def test_transport_rim_row_is_new_command(self, grid):

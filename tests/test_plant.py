@@ -2,17 +2,12 @@ import numpy as np
 import pytest
 
 from cylform.errors import HistoryUnderrunError, InstabilityError
-from cylform.geometry import CylinderGrid
+from cylform.geometry import CylinderGrid, Field
 from cylform.kernels import PlantCoeffs
-from cylform.plant import (
-    Channel,
-    DelayLine,
-    plant_rhs,
-    stable_dt,
-    stage_instants,
-)
+from cylform.plant import Channel, DelayLine, stable_dt
 from cylform.steady import steady_field
 from oracles.delay_lookup import lookup
+from oracles.rk4_plant import RK4Channel, plant_rhs
 
 
 class TestDelayLine:
@@ -135,28 +130,49 @@ class TestStencil:
     def test_boundary_rows_imposed(self):
         g = self.grid
         line = DelayLine(g.N, 0.25, 4.0)
-        line.record(0.0, np.full(g.N, 5.0))
         anchor = np.cos(g.theta)
         base = np.sin(g.theta)
         ch = Channel(g, PlantCoeffs(1.0, 0.0), anchor, base,
-                     np.zeros((g.M, g.N)))
-        dt = 1e-4
-        # delay 0.5: at t = 0.3 the command has not arrived, at t = 0.6 it has
-        for k, leader in ((3000, base), (6000, base + 5.0)):
-            ch.step(k * dt, dt, line.lookup_many(stage_instants(k, 1, dt, 0.5))[0])
+                     np.zeros((g.M, g.N)), 0.25, 0.5)
+        # delay 0.5: the block ending at 0.25 has no command yet, the one
+        # ending at 0.75 carries the first
+        for t, leader in ((0.0, base), (0.25, base), (0.5, base + 5.0)):
+            line.record(t, np.full(g.N, 5.0))
+            ch.step(t, line)
             assert np.array_equal(ch.values[0], anchor)
             assert np.array_equal(ch.values[-1], leader)
 
+    def test_rates_are_stencil_eigenvalues(self):
+        # the closed-form rates belong to the stencil itself: the stencil
+        # maps each lifted DST-I x DFT mode to its rate times the mode
+        g = self.grid
+        for coeffs in (PlantCoeffs(12.0, 0.5), PlantCoeffs(12.0 + 3.0j, 0.5 + 0.2j)):
+            ch = Channel(g, coeffs, np.zeros(g.N), np.zeros(g.N),
+                         np.zeros((g.M, g.N)), 0.05, 0.3)
+            for k, b in ((0, 0), (3, 5), (g.M - 3, g.N // 2)):
+                field = eigenmode(ch, k, b)
+                out = plant_rhs(field, coeffs, g)
+                scale = np.max(np.abs(ch.rates[k, b] * field))
+                assert np.max(np.abs(out - ch.rates[k, b] * field)) <= 1e-12 * scale
 
-def make_channel(grid, coeffs, initial):
+
+def eigenmode(ch, k, b):
+    """Field of eigencoordinate ``(k, b)`` of ``ch`` with zero rims."""
+    g = ch.grid
+    z = np.zeros((g.M - 2, g.N), dtype=complex)
+    z[k, b] = 1.0
+    field = np.zeros((g.M, g.N), dtype=complex)
+    field[1:-1] = np.fft.ifft(ch._to_field @ z, axis=1)
+    return field
+
+
+def make_channel(grid, coeffs, initial, block=0.05, delay=0.3):
     zeros = np.zeros(grid.N)
-    return Channel(grid, coeffs, zeros, zeros, initial)
+    return Channel(grid, coeffs, zeros, zeros, initial, block, delay)
 
 
 class TestTimeMarching:
     grid = CylinderGrid(21, 16)
-    #: arrived rows of one step while no command has reached the rim
-    idle = np.zeros((3, 16))
 
     def mode_and_rate(self, reaction=1.0):
         g = self.grid
@@ -168,32 +184,30 @@ class TestTimeMarching:
         )
         return field, rate
 
+    @pytest.mark.parametrize("coeffs", [PlantCoeffs(12.0, 0.5),
+                                        PlantCoeffs(12.0 + 3.0j, 0.5 + 0.2j)],
+                             ids=["real", "complex"])
+    def test_one_step_scales_an_eigenmode_by_its_exponential(self, coeffs):
+        g, block = self.grid, 0.05
+        probe = make_channel(g, coeffs, np.zeros((g.M, g.N)), block)
+        for k, b in ((0, 1), (4, 3), (g.M - 3, g.N - 1)):
+            field = eigenmode(probe, k, b)
+            ch = make_channel(g, coeffs, field, block)
+            ch.step(0.0, DelayLine(g.N, block, 1.0))
+            want = np.exp(probe.rates[k, b] * block) * field
+            assert np.max(np.abs(ch.values - want)) <= 1e-12 * np.max(np.abs(field))
+
     def test_homogeneous_mode_decays_at_discrete_rate(self):
         g = self.grid
         field, rate = self.mode_and_rate()
-        ch = make_channel(g, PlantCoeffs(1.0, 0.0), field)
-        dt, T = 1e-4, 0.5
-        for k in range(int(round(T / dt))):
-            ch.step(k * dt, dt, self.idle)
+        block, T = 0.01, 0.5
+        ch = make_channel(g, PlantCoeffs(1.0, 0.0), field, block)
+        line = DelayLine(g.N, block, 1.0)
+        for b in range(int(round(T / block))):
+            ch.step(b * block, line)
         expect = np.exp(rate * T) * field
         err = np.max(np.abs(ch.values - expect)) / np.max(np.abs(expect))
-        assert err <= 1e-8
-
-    def test_fourth_order_in_time(self):
-        g = self.grid
-        field, rate = self.mode_and_rate()
-
-        def run(dt, T=0.3):
-            ch = make_channel(g, PlantCoeffs(1.0, 0.0), field)
-            n = int(round(T / dt))
-            for k in range(n):
-                ch.step(k * dt, dt, self.idle)
-            expect = np.exp(rate * (n * dt)) * field
-            return np.max(np.abs(ch.values - expect))
-
-        dt0 = stable_dt(g, PlantCoeffs(1.0, 0.0)) * 0.8
-        e1, e2 = run(dt0), run(dt0 / 2.0)
-        assert e1 / e2 == pytest.approx(16.0, rel=0.25)
+        assert err <= 1e-12
 
     def test_steady_field_is_preserved_to_stencil_accuracy(self):
         coeffs = PlantCoeffs(6.0, 0.7)
@@ -202,13 +216,12 @@ class TestTimeMarching:
 
         def drift(g):
             fld = steady_field(coeffs, anchor, leader, g)
-            ch = Channel(g, coeffs, fld.values[0], fld.values[-1], fld.values)
-            idle = np.zeros((3, g.N))
-            dt = stable_dt(g, coeffs)
-            n = int(round(1.0 / dt))
-            for k in range(n):
-                ch.step(k * dt, dt, idle)
-            from cylform.geometry import Field
+            block = 0.05
+            ch = Channel(g, coeffs, fld.values[0], fld.values[-1], fld.values,
+                         block, 0.3)
+            line = DelayLine(g.N, block, 1.0)
+            for b in range(20):
+                ch.step(b * block, line)
             return Field(g, ch.values - fld.values).l2_norm() / fld.l2_norm()
 
         g1 = CylinderGrid(21, 16)
@@ -217,93 +230,157 @@ class TestTimeMarching:
         assert d1 <= 5.0 * g1.h_s**2
         assert d2 <= 0.35 * d1
 
-    def test_guard_trips_on_unstable_plant(self):
+    def test_real_channel_is_the_real_part(self):
+        g, block, delay = self.grid, 0.05, 0.12
+        rng = np.random.default_rng(4)
+        anchor, base = rng.normal(size=(2, g.N))
+        start = rng.normal(size=(g.M, g.N))
+        coeffs = PlantCoeffs(8.0, 0.5)
+        real = Channel(g, coeffs, anchor, base, start, block, delay, kind="real")
+        full = Channel(g, coeffs, anchor, base, start, block, delay)
+        line = DelayLine(g.N, block, 1.0)
+        for b in range(6):
+            line.record(b * block, rng.normal(size=g.N))
+            real.step(b * block, line)
+            full.step(b * block, line)
+        assert real.values.dtype == np.float64
+        assert np.max(np.abs(full.values.imag)) <= 1e-12
+        assert np.max(np.abs(real.values - full.values.real)) <= 1e-12
+
+    def test_line_must_record_once_per_block(self):
         g = self.grid
+        ch = make_channel(g, PlantCoeffs(1.0, 0.0), np.zeros((g.M, g.N)), 0.05)
+        with pytest.raises(ValueError, match="block"):
+            ch.step(0.0, DelayLine(g.N, 0.025, 1.0))
+
+    def test_guard_trips_on_unstable_plant(self):
+        g, block = self.grid, 0.05
         field, rate = self.mode_and_rate(reaction=60.0)
         assert rate > 0
-        ch = make_channel(g, PlantCoeffs(60.0, 0.0), 1e6 * field)
-        dt = stable_dt(g, PlantCoeffs(60.0, 0.0))
-        with pytest.raises(InstabilityError):
-            for k in range(40000):
-                ch.step(k * dt, dt, self.idle)
-
-    def test_guard_trips_on_oversized_step(self):
-        g = self.grid
-        rng = np.random.default_rng(7)
-        noise = 1e-3 * rng.standard_normal((g.M, g.N))
-        noise[0] = noise[-1] = 0.0
-        ch = make_channel(g, PlantCoeffs(1.0, 0.0), noise.astype(complex))
-        dt = stable_dt(g, PlantCoeffs(1.0, 0.0)) * 1.45
-        with pytest.raises(InstabilityError):
-            for k in range(5000):
-                ch.step(k * dt, dt, self.idle)
-
-
-def reference_step(ch, line, delay, t, dt):
-    """RK4 step of ``ch`` reading the line with one scalar lookup per stage,
-    as the plant once did; the block-read ``Channel.step`` must match it."""
-    g, c = ch.grid, ch.coeffs
-
-    def staged(base, tt):
-        v = base.copy()
-        v[0, :] = ch.anchor
-        v[-1, :] = ch.leader_base + lookup(line, tt - delay)
-        return v
-
-    k1 = plant_rhs(staged(ch.values, t), c, g)
-    k2 = plant_rhs(staged(ch.values + 0.5 * dt * k1, t + 0.5 * dt), c, g)
-    k3 = plant_rhs(staged(ch.values + 0.5 * dt * k2, t + 0.5 * dt), c, g)
-    k4 = plant_rhs(staged(ch.values + dt * k3, t + dt), c, g)
-    ch.values += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    ch.values[0, :] = ch.anchor
-    ch.values[-1, :] = ch.leader_base + lookup(line, t + dt - delay)
+        ch = make_channel(g, PlantCoeffs(60.0, 0.0), 1e6 * field, block)
+        line = DelayLine(g.N, block, 1.0)
+        with pytest.raises(InstabilityError, match=r"t=\d"):
+            for b in range(100):
+                ch.step(b * block, line)
+        # 1e6 * e^{rate * t} passes 1e30 in the block that trips
+        assert np.log(1e24) / rate <= (b + 1) * block < np.log(1e24) / rate + block
 
 
 class TestBlockReads:
-    """One ``lookup_many`` per control block drives ``Channel.step`` exactly
-    as a scalar read at every stage would."""
+    """One block equals two half-blocks: the break, the pre-history jump
+    and the hold are placed where they fall, and each linear piece is read
+    at a third and two thirds of its length."""
 
     grid = CylinderGrid(11, 8)
     coeffs = PlantCoeffs(3.0 + 0.5j, 0.4)
     period = 4
 
-    # in steps: shorter than the control period (stages read past the newest
-    # record, the hold), a delay whose blocks straddle record instants and
-    # start before the first command arrives, and one on the record lattice
+    # in steps: shorter than the control period (the block reads past the
+    # newest record, the hold), a delay whose blocks straddle record
+    # instants and start before the first command arrives, and one on the
+    # record lattice
     @pytest.mark.parametrize("delay_steps", [2.5, 9.5, 8.0],
                              ids=["hold", "straddle", "on-records"])
-    def test_bit_identical_to_per_stage_reads(self, delay_steps):
+    def test_one_block_equals_two_half_blocks(self, delay_steps):
         g, per = self.grid, self.period
         rng = np.random.default_rng(11)
         dt = 0.9 * stable_dt(g, self.coeffs)
-        delay = delay_steps * dt
-        line = DelayLine(g.N, per * dt, delay + 4 * per * dt)
+        block, delay = per * dt, delay_steps * dt
+        line = DelayLine(g.N, block, delay + 4 * block)
         start = rng.normal(size=(g.M, g.N)) + 1j * rng.normal(size=(g.M, g.N))
         anchor, base = rng.normal(size=(2, g.N))
-        block = Channel(g, self.coeffs, anchor, base, start)
-        ref = Channel(g, self.coeffs, anchor, base, start)
+        whole = Channel(g, self.coeffs, anchor, base, start, block, delay)
+        halves = Channel(g, self.coeffs, anchor, base, start, block, delay)
         seen = set()
-        for k in range(12 * per):
-            t = k * dt
-            if k % per == 0:
-                line.record(t, rng.normal(size=g.N) + 1j * rng.normal(size=g.N))
-                instants = stage_instants(k, per, dt, delay)
-                arrived = line.lookup_many(instants)
-                seen.add("before" if instants.min() < 0.0 else "after")
-                seen.add("hold" if instants.max() > line.newest_time else "inside")
-            block.step(t, dt, arrived[k % per])
-            reference_step(ref, line, delay, t, dt)
-            assert np.array_equal(block.values, ref.values), k
-        assert np.all(np.isfinite(block.values))
+        for b in range(12):
+            t = b * block
+            line.record(t, rng.normal(size=g.N) + 1j * rng.normal(size=g.N))
+            first, last = t - delay, t + block - delay
+            seen.add("before" if last <= 0.0 else "jump" if first < 0.0 else "after")
+            seen.add("hold" if last > line.newest_time else "inside")
+            whole.step(t, line)
+            halves.advance(t, 0.0, 0.5 * block, line)
+            halves.advance(t, 0.5 * block, block, line)
+            scale = np.max(np.abs(whole.values))
+            assert np.max(np.abs(whole.values - halves.values)) <= 1e-12 * scale, b
+        assert np.all(np.isfinite(whole.values))
         if delay_steps < per:
             assert "hold" in seen
         else:
             assert {"before", "after"} <= seen
+        # off the record lattice a block holds the pre-history jump
+        assert ("jump" in seen) == (delay_steps % per != 0)
 
-    def test_stage_instants_match_scalar_forms(self):
-        dt, delay = 0.0123, 0.731
-        got = stage_instants(5, 3, dt, delay)
-        want = [[k * dt - delay, (k * dt + 0.5 * dt) - delay,
-                 (k * dt + dt) - delay] for k in (5, 6, 7)]
-        assert got.shape == (3, 3)
-        assert np.array_equal(got, want)
+    def test_peek_leaves_the_channel_and_matches_advance(self):
+        g = self.grid
+        rng = np.random.default_rng(12)
+        block, delay = 0.04, 0.13
+        line = DelayLine(g.N, block, 1.0)
+        start = rng.normal(size=(g.M, g.N)) + 1j * rng.normal(size=(g.M, g.N))
+        ch = Channel(g, self.coeffs, np.zeros(g.N), np.zeros(g.N), start, block, delay)
+        for b in range(5):
+            line.record(b * block, rng.normal(size=g.N))
+            ch.step(b * block, line)
+        t = 5 * block
+        line.record(t, rng.normal(size=g.N))
+        before = ch.values.copy()
+        peeked = ch.peek(t, 0.75 * block, line)
+        assert np.array_equal(ch.values, before)
+        ch.advance(t, 0.0, 0.75 * block, line)
+        assert np.array_equal(peeked, ch.values)
+
+
+class TestAgainstRK4:
+    """The explicit RK4 march converges to the exact block step: at fourth
+    order while the rims are constant, at first order once the jump of the
+    command at the end of the zero pre-history falls inside a step."""
+
+    grid = CylinderGrid(21, 16)
+    period = 4
+    blocks = 12
+
+    def errors(self, coeffs, commands):
+        g, per = self.grid, self.period
+        rng = np.random.default_rng(1)
+        anchor, base = rng.normal(size=(2, g.N)) + 1j * rng.normal(size=(2, g.N))
+        start = rng.normal(size=(g.M, g.N)).astype(complex)
+        dt = 0.9 * stable_dt(g, coeffs)
+        block = per * dt
+        # the jump sits a third into an RK4 step, then two thirds, ...:
+        # the same first-order error constant at every refinement
+        delay = (28.0 / 3.0) * dt
+        exact = Channel(g, coeffs, anchor, base, start, block, delay)
+        line = DelayLine(g.N, block, delay + 2 * self.blocks * block)
+        for b in range(self.blocks):
+            line.record(b * block, commands[b])
+            exact.step(b * block, line)
+        errs = []
+        for r in (1, 2, 4):
+            march = RK4Channel(g, coeffs, anchor, base, start, delay)
+            line = DelayLine(g.N, block, delay + 2 * self.blocks * block)
+            h = dt / r
+            for b in range(self.blocks):
+                line.record(b * block, commands[b])
+                for i in range(per * r):
+                    march.step(b * block + i * h, h, line)
+            errs.append(np.max(np.abs(march.values - exact.values)))
+        return errs
+
+    @pytest.mark.parametrize("coeffs", [PlantCoeffs(12.0, 0.5),
+                                        PlantCoeffs(12.0 + 3.0j, 0.5 + 0.2j)],
+                             ids=["real", "complex"])
+    def test_fourth_order_with_constant_rims(self, coeffs):
+        e1, e2, e4 = self.errors(coeffs, np.zeros((self.blocks, self.grid.N)))
+        assert 14.0 <= e1 / e2 <= 19.0
+        assert 14.0 <= e2 / e4 <= 19.0
+
+    @pytest.mark.parametrize("coeffs", [PlantCoeffs(12.0, 0.5),
+                                        PlantCoeffs(12.0 + 3.0j, 0.5 + 0.2j)],
+                             ids=["real", "complex"])
+    def test_first_order_with_moving_rims(self, coeffs):
+        rng = np.random.default_rng(2)
+        g = self.grid
+        commands = rng.normal(size=(self.blocks, g.N)) + 1j * rng.normal(size=(self.blocks, g.N))
+        e1, e2, e4 = self.errors(coeffs, commands)
+        assert e1 > e2 > e4
+        assert 1.8 <= e2 / e4 <= 2.2

@@ -94,6 +94,14 @@ class TestExpWeights:
         want = complex_quad(lambda x: np.exp(z * (h - x)) * (1 + 2 * x / h), 0, h)
         assert abs(got - want) < 1e-14
 
+    def test_lin_weights_broadcast_over_widths(self):
+        z = np.array([0.3, -40.0, 2.0 - 7.0j, -900.0])
+        h = np.array([0.01, 0.004])[:, None]
+        a, b = exp_lin_weights(z, h)
+        for i, hi in enumerate(h[:, 0]):
+            ai, bi = exp_lin_weights(z, hi)
+            assert np.array_equal(a[i], ai) and np.array_equal(b[i], bi)
+
     @given(
         re=st.floats(-60.0, 60.0),
         im=st.floats(-60.0, 60.0),

@@ -7,6 +7,7 @@ import pytest
 from cylform.config import parse_config, preset
 from cylform.controller import ChannelController
 from cylform.geometry import CylinderGrid, Field
+from cylform import plant
 from cylform.plant import Channel, DelayLine, stable_dt
 from cylform.runner import (
     RunRecord,
@@ -158,16 +159,14 @@ class TestDeterminism:
 
 
 class TestPlantReads:
-    """The plant reads the delay line once per channel per control step,
-    covering every RK4 stage of the coming block, and never inside a step."""
+    """Per control step each channel makes one block step, which reads the
+    delay line once; the block weights are built before the loop."""
 
-    @pytest.mark.parametrize("period", [3, 7])
-    def test_one_block_read_per_channel_per_control_step(self, transient_cfg,
-                                                         monkeypatch, period):
-        cfg = dataclasses.replace(transient_cfg, control_period=period,
-                                  dt=2e-3, duration=0.2, snapshot_times=())
-        where = ["runner"]
-        reads = Counter()
+    @staticmethod
+    def _probe(monkeypatch):
+        """Count delay-line reads and weight builds, keyed by name, caller,
+        whether the first control step has begun, and argument shape."""
+        where, updates, calls = ["runner"], Counter(), Counter()
 
         def inside(name, fn):
             def wrapper(*args, **kwargs):
@@ -178,21 +177,57 @@ class TestPlantReads:
                     where.pop()
             return wrapper
 
-        def lookup_many(line, times):
-            reads[where[-1], np.shape(times)] += 1
-            return read(line, times)
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name, where[-1], updates.total() > 0, np.shape(args[-1])] += 1
+                return fn(*args, **kwargs)
+            return wrapper
 
-        read = DelayLine.lookup_many
-        monkeypatch.setattr(DelayLine, "lookup_many", lookup_many)
-        monkeypatch.setattr(ChannelController, "update",
-                            inside("controller", ChannelController.update))
+        def update(self, *args, **kwargs):
+            updates["controller"] += 1
+            return controller_update(self, *args, **kwargs)
+
+        controller_update = inside("controller", ChannelController.update)
+        monkeypatch.setattr(DelayLine, "lookup_many",
+                            counted("read", DelayLine.lookup_many))
+        monkeypatch.setattr(plant, "exp_lin_weights",
+                            counted("weights", plant.exp_lin_weights))
+        monkeypatch.setattr(ChannelController, "update", update)
         monkeypatch.setattr(Channel, "step", inside("plant", Channel.step))
+        monkeypatch.setattr(Channel, "peek", inside("peek", Channel.peek))
+        return updates, calls
+
+    @pytest.mark.parametrize("period", [3, 7])
+    def test_one_block_read_per_channel_per_control_step(self, transient_cfg,
+                                                         monkeypatch, period):
+        cfg = dataclasses.replace(transient_cfg, control_period=period,
+                                  dt=2e-3, duration=0.2, snapshot_times=())
+        updates, calls = self._probe(monkeypatch)
         rec = run(cfg)
-        steps = rec.times.size
-        assert not rec.terminated and steps > 2
-        assert reads == Counter({("runner", (period, 3)): 2 * steps,
-                                 ("controller", (cfg.grid_m,)): 2 * steps})
+        rows = rec.times.size
+        assert not rec.terminated and rows > 2
+        assert updates["controller"] == 2 * rows
+        assert calls.pop(("read", "controller", True, (cfg.grid_m,))) == 2 * rows
+        (key, n), = [(k, n) for k, n in calls.items() if k[1] == "plant"]
+        assert key[0] == "read" and key[3] in {(2,), (4,)}   # two per linear piece
+        assert n == 2 * (rows - 1)
+        del calls[key]
+        # all that is left: the block weights of the two channels, built
+        # before the first control step
+        assert {(name, loop) for name, _, loop, _ in calls} == {("weights", False)}
         assert not hasattr(DelayLine, "lookup")
+
+    def test_snapshot_inside_a_block_builds_its_own_weights(self, transient_cfg,
+                                                            monkeypatch):
+        cfg = dataclasses.replace(transient_cfg, control_period=5, dt=2e-3,
+                                  duration=0.1, snapshot_times=(0.05, 0.064))
+        _, calls = self._probe(monkeypatch)
+        rec = run(cfg)
+        # 0.05 is a block start, 0.064 the second step inside a block
+        assert [s.actual_t for s in rec.snapshots] == [25 * 2e-3, 32 * 2e-3]
+        peek_reads = sum(n for k, n in calls.items() if k[:2] == ("read", "peek"))
+        loop_weights = sum(n for k, n in calls.items() if k[0] == "weights" and k[2])
+        assert peek_reads == loop_weights == 2    # one per channel
 
 
 class TestReferenceStep:
@@ -263,6 +298,21 @@ class TestSnapshots:
         mid = snaps[1]
         assert mid.requested_t - 1e-9 <= mid.actual_t < mid.requested_t + dt
 
+    def test_inner_snapshot_is_the_state_at_its_step(self):
+        # no command reaches the rim before t = 1, so the plant runs open
+        # loop and its state at a step instant does not depend on the
+        # control period: a snapshot two steps into a block equals one
+        # taken at a block start when every step starts a block
+        text = (TRANSIENT.replace("delay.true = 0.3", "delay.true = 1")
+                .replace("run.duration = 0.4", "run.duration = 0.1\nrun.dt = 0.002")
+                .replace("run.snapshots = 0 0.123 0.4", "run.snapshots = 0.064"))
+        base = parse_config(text, "open-loop")
+        inner, = run(dataclasses.replace(base, control_period=5)).snapshots
+        start, = run(dataclasses.replace(base, control_period=1)).snapshots
+        assert inner.actual_t == start.actual_t == 32 * 0.002
+        for a, b in ((inner.planar, start.planar), (inner.axial, start.axial)):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
     def test_field_copies_and_kinds(self, transient_record):
         snap = transient_record.snapshots[0]
         assert np.iscomplexobj(snap.planar)
@@ -271,9 +321,15 @@ class TestSnapshots:
 
 
 class TestGuard:
-    def test_unstable_step_terminates_with_reason(self, transient_cfg):
-        import dataclasses
-        cfg = dataclasses.replace(transient_cfg, dt=0.01, snapshot_times=())
+    def test_unstable_step_terminates_with_reason(self):
+        # open-loop growth far above pi^2 and no command reaching the rim
+        # before t = 1: the field passes the guard within half a second
+        text = (TRANSIENT
+                .replace("desired.planar_reaction = 5", "desired.planar_reaction = 150")
+                .replace("delay.true = 0.3", "delay.true = 1")
+                .replace("run.duration = 0.4", "run.duration = 1")
+                .replace("run.snapshots = 0 0.123 0.4", "run.snapshots = none"))
+        cfg = parse_config(text, "unstable")
         rec = run(cfg)
         assert rec.terminated
         assert "t=" in rec.reason
