@@ -26,7 +26,7 @@ import numpy as np
 
 from .geometry import CylinderGrid, ModeStack
 from .kernels import KernelSet
-from .quadrature import exp_conv_paired, simpson_weights
+from .quadrature import exp_conv_paired
 
 __all__ = [
     "EstimatorState",
@@ -198,9 +198,8 @@ def update_signal(history: ModeStack, drift: ModeStack,
     on real ones; both channels add their share, since they observe one and
     the same physical delay.
     """
-    w = simpson_weights(grid.M, grid.h_s)
     paired = np.real(history.coeffs * np.conj(drift.coeffs)).sum(axis=0)
-    return float(-4.0 * np.pi * np.sum(paired * (1.0 + grid.s) * w))
+    return float(-4.0 * np.pi * np.sum(paired * (1.0 + grid.s) * grid.simpson_s))
 
 
 def project(estimate: float, signal: float, lo: float, hi: float) -> float:

@@ -43,7 +43,17 @@ class CylinderGrid:
         # Phase factors mapping FFT bins (frequency n mod N) onto our
         # theta origin at -pi:  exp(-i n theta_0) = (-1)^n.
         self._parity = np.where(self.modes % 2 == 0, 1.0, -1.0)
-        self._simpson_s = simpson_weights(M, self.h_s)
+        # FFT bin order -> ascending wavenumbers.  For even N this one
+        # gather is both fftshift and ifftshift (a roll by N/2).
+        self._shift = np.fft.fftshift(np.arange(N))
+        #: composite Simpson weights along s
+        self.simpson_s = simpson_weights(M, self.h_s)
+        #: mode-stack rows grouped by ``|n|``: ``mode_pairs[a]`` holds the
+        #: rows of ``-a`` and ``+a``; the unpaired 0 and ``N/2`` repeat their
+        #: one row
+        half = N // 2
+        a = np.arange(half + 1)
+        self.mode_pairs = np.stack([half - a, (half + a) % N], axis=1)
 
     def __eq__(self, other):
         return isinstance(other, CylinderGrid) and (self.M, self.N) == (other.M, other.N)
@@ -66,7 +76,7 @@ class CylinderGrid:
         vals = field.values if isinstance(field, Field) else np.asarray(field)
         if vals.shape != (self.M, self.N):
             raise ValueError(f"field shape {vals.shape} does not match grid {(self.M, self.N)}")
-        spec = np.fft.fftshift(np.fft.fft(vals, axis=1), axes=1) / self.N
+        spec = np.fft.fft(vals, axis=1)[:, self._shift] / self.N
         coeffs = (spec * self._parity).T  # (N modes, M)
         return ModeStack(self, np.ascontiguousarray(coeffs))
 
@@ -80,7 +90,7 @@ class CylinderGrid:
         if coeffs.shape != (self.N, self.M):
             raise ValueError(f"mode stack shape {coeffs.shape} does not match grid")
         spec = (coeffs.T * self._parity) * self.N
-        vals = np.fft.ifft(np.fft.ifftshift(spec, axes=1), axis=1)
+        vals = np.fft.ifft(spec[:, self._shift], axis=1)
         if kind == "real":
             return Field(self, vals.real.copy())
         return Field(self, vals)
@@ -94,14 +104,14 @@ class CylinderGrid:
         values = np.asarray(values)
         if values.shape[-1] != self.N:
             raise ValueError(f"last axis {values.shape[-1]} does not match N={self.N}")
-        return np.fft.fftshift(np.fft.fft(values, axis=-1), axes=-1) / self.N * self._parity
+        return np.fft.fft(values, axis=-1)[..., self._shift] / self.N * self._parity
 
     def synthesize_profile(self, coeffs: np.ndarray, kind: str = "complex") -> np.ndarray:
         """Ring profile from mode coefficients; inverse of analyze_rows."""
         coeffs = np.asarray(coeffs, dtype=complex)
         if coeffs.shape != (self.N,):
             raise ValueError(f"coefficient count {coeffs.shape} does not match N={self.N}")
-        vals = np.fft.ifft(np.fft.ifftshift(coeffs * self._parity * self.N))
+        vals = np.fft.ifft((coeffs * self._parity * self.N)[self._shift])
         return vals.real.copy() if kind == "real" else vals
 
     # -- calculus on the grid ------------------------------------------------
@@ -154,7 +164,7 @@ class Field:
         """Surface L2 norm: Simpson along s, rectangle rule around theta."""
         g = self.grid
         ring = np.sum(np.abs(self.values) ** 2, axis=1) * g.h_theta
-        return float(np.sqrt(np.abs(g._simpson_s @ ring)))
+        return float(np.sqrt(np.abs(g.simpson_s @ ring)))
 
 
 class ModeStack:

@@ -13,8 +13,8 @@ the Volterra kernels.
 coefficients and the grid (sine coefficients, quadrature contraction tables,
 the refined Volterra weight matrices).  :class:`KernelSet` adds the
 delay-estimate dependent exponential tables and the per-wavenumber
-operators of the control step built from them, and is rebuilt whenever the
-estimate moves by more than the rebuild tolerance.
+operators of the control step built from them; the runner replaces it
+whenever the estimate moves by more than the rebuild tolerance.
 """
 
 from __future__ import annotations
@@ -130,8 +130,9 @@ class KernelBasis:
     on a refinement of the axial grid; their sine coefficients (exact
     sine-weighted quadrature of the piecewise-quadratic edge interpolant);
     the triangular composition table coupling the inverse Volterra kernel
-    into the sine basis; and the Volterra quadrature matrices on the
-    production nodes, integrated on the refined grid.
+    into the sine basis; the Volterra quadrature matrices on the
+    production nodes, integrated on the refined grid; and the kernel
+    exponents per unit delay.
     """
 
     def __init__(self, coeffs: PlantCoeffs, grid: CylinderGrid, i_max: int = 64,
@@ -191,6 +192,14 @@ class KernelBasis:
         self.volterra_fwd_refined = k_rows @ cardinals.T
         self.volterra_inv_refined = lam_of_cardinal[::refine].copy()
 
+        # Kernel exponents per unit delay, indexed by ``|n|`` and harmonic;
+        # a KernelSet scales them by its estimate.
+        n2 = np.arange(grid.N // 2 + 1)[:, None] ** 2
+        #: ``lam - n**2 - (i*pi)**2``, predictor growth per unit delay
+        self.base_rates = coeffs.shifted_reaction - n2 - freqs[None, :] ** 2
+        #: ``n**2 + (i*pi)**2``, inverse-kernel decay per unit delay
+        self.base_inv_rates = (n2 + freqs[None, :] ** 2).astype(complex)
+
     @staticmethod
     def _row_weight_matrix(m: int, h: float) -> np.ndarray:
         rows = np.zeros((m, m))
@@ -233,20 +242,13 @@ class KernelSet:
         self.grid = grid
         self.delay = float(delay_estimate)
 
-        lam = basis.coeffs.shifted_reaction
-        n_abs = np.arange(grid.N // 2 + 1)
-        i2pi2 = (np.pi * np.arange(1, basis.i_max + 1)) ** 2
-        self.rates = self.delay * (lam - n_abs[:, None] ** 2 - i2pi2[None, :])
-        self.inv_rates = -self.delay * (n_abs[:, None] ** 2 + i2pi2[None, :]).astype(complex)
+        self.rates = self.delay * basis.base_rates
+        self.inv_rates = -self.delay * basis.base_inv_rates
         #: exp(rates * s) on the axial grid, shape (|n| count, i_max, M)
         self.exp_s = _flush_subnormal(
             np.exp(self.rates[:, :, None] * grid.s[None, None, :]))
         self._check_truncation()
 
-        #: mode-stack rows grouped by ``|n|``: ``pairs[a]`` holds the rows of
-        #: ``+a`` and ``-a``; the unpaired 0 and ``N/2`` repeat their one row
-        self.pairs = np.stack([np.flatnonzero(np.abs(grid.modes) == a)[[0, -1]]
-                               for a in n_abs])
         self.history_map = _flush_subnormal(self._build_history_map())
         #: rim value of the predicted command flow, as weights on the profile
         self.state_rim = self.exp_s[:, :, -1] @ basis.state_weights.T
@@ -342,16 +344,18 @@ class KernelSet:
     def apply(self, coeffs: np.ndarray, mats: np.ndarray) -> np.ndarray:
         """Row ``k`` of a mode table times ``mats[|n_k|]``, for all rows.
 
-        Rows ``+n`` and ``-n`` share one matrix, so they are paired into one
-        batched product instead of gathering a per-mode copy of ``mats``.
+        Rows ``+n`` and ``-n`` share one matrix, so they are paired (by
+        ``grid.mode_pairs``) into one batched product instead of gathering
+        a per-mode copy of ``mats``.
         Real ``mats`` (real rates) act on the real and imaginary parts in
         one real product, about twice as fast as the complex product.
         """
-        rows = coeffs[self.pairs]                                       # (A, 2, K)
+        pairs = self.grid.mode_pairs
+        rows = coeffs[pairs]                                            # (A, 2, K)
         out = np.empty(coeffs.shape[:-1] + mats.shape[-1:], dtype=complex)
         if np.isrealobj(mats):
             parts = np.concatenate([rows.real, rows.imag], axis=1) @ mats
-            out[self.pairs] = parts[:, :2] + 1j * parts[:, 2:]
+            out[pairs] = parts[:, :2] + 1j * parts[:, 2:]
         else:
-            out[self.pairs] = rows @ mats
+            out[pairs] = rows @ mats
         return out

@@ -11,7 +11,9 @@ delay estimate takes one projected gradient step driven by both channels;
 then each channel advances over the whole block in one exact step, and the
 guard is checked at the block end.  Kernel tables are rebuilt only when the
 estimate has drifted a fixed fraction of the admissible interval away from
-the tables in use.
+the tables in use.  The tables a rebuild replaces are kept as a spare, and
+an estimate that returns within that fraction of them (a projected estimate
+flipping between its bounds) swaps them back instead of rebuilding.
 
 Results are collected in a :class:`RunRecord` (one logged row per control
 step) and serialized as CSV: a single time series plus, per requested
@@ -44,7 +46,8 @@ from .steady import formation_fields
 _SNAP_TOL = 1e-9
 
 #: fraction of the admissible delay interval the estimate may drift from the
-#: cached kernel tables before they are rebuilt
+#: cached kernel tables before they are rebuilt, or swapped for the tables
+#: they replaced if the estimate has returned to those
 _RETABLE_FRACTION = 1e-4
 
 
@@ -159,6 +162,7 @@ def run(cfg: ScenarioConfig, capture_residuals=False) -> RunRecord:
                          cfg.gain, dt_ctrl)
     ks_p = KernelSet(basis_p, est.estimate)
     ks_z = KernelSet(basis_z, est.estimate)
+    spare = None                # the (planar, axial) sets last replaced
     ctrl_p = ChannelController(ks_p, goal_planar.values, "complex")
     ctrl_z = ChannelController(ks_z, goal_axial.values, "real")
     retable_tol = _RETABLE_FRACTION * (cfg.delay_hi - cfg.delay_lo)
@@ -215,8 +219,12 @@ def run(cfg: ScenarioConfig, capture_residuals=False) -> RunRecord:
         if not cfg.fixed_estimate:
             est = step_estimate(est, signal)
             if not ks_p.matches(est.estimate, retable_tol):
-                ks_p = KernelSet(basis_p, est.estimate)
-                ks_z = KernelSet(basis_z, est.estimate)
+                if spare is not None and spare[0].matches(est.estimate, retable_tol):
+                    (ks_p, ks_z), spare = spare, (ks_p, ks_z)
+                else:
+                    spare = (ks_p, ks_z)
+                    ks_p = KernelSet(basis_p, est.estimate)
+                    ks_z = KernelSet(basis_z, est.estimate)
                 ctrl_p.ks = ks_p
                 ctrl_z.ks = ks_z
         if k == n_steps:

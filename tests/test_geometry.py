@@ -176,3 +176,34 @@ class TestProfileTransforms:
             grid.analyze_rows(np.zeros(grid.N + 1))
         with pytest.raises(ValueError):
             grid.synthesize_profile(np.zeros(grid.N - 2, dtype=complex))
+
+
+class TestShiftGather:
+    """The transforms reorder FFT bins with one precomputed gather; they must
+    equal the ``fftshift``/``ifftshift`` formulas bit for bit."""
+
+    @pytest.mark.parametrize("N", [4, 16, 50])
+    def test_transforms_equal_fftshift_formulas(self, N):
+        grid = CylinderGrid(M=7, N=N)
+        rng = np.random.default_rng(N)
+        vals = rng.normal(size=(grid.M, N)) + 1j * rng.normal(size=(grid.M, N))
+        coeffs = rng.normal(size=(N, grid.M)) + 1j * rng.normal(size=(N, grid.M))
+        rows = rng.normal(size=(3, grid.M, N))
+        parity = np.where(grid.modes % 2 == 0, 1.0, -1.0)
+
+        spec = np.fft.fftshift(np.fft.fft(vals, axis=1), axes=1) / N
+        assert np.array_equal(grid.analyze(vals).coeffs, (spec * parity).T)
+        spec = (coeffs.T * parity) * N
+        want = np.fft.ifft(np.fft.ifftshift(spec, axes=1), axis=1)
+        assert np.array_equal(grid.synthesize(coeffs).values, want)
+        want = np.fft.fftshift(np.fft.fft(rows, axis=-1), axes=-1) / N * parity
+        assert np.array_equal(grid.analyze_rows(rows), want)
+        want = np.fft.ifft(np.fft.ifftshift(coeffs[:, 0] * parity * N))
+        assert np.array_equal(grid.synthesize_profile(coeffs[:, 0]), want)
+
+    @pytest.mark.parametrize("N", [4, 16, 50])
+    def test_mode_pairs_group_rows_by_magnitude(self, N):
+        grid = CylinderGrid(M=3, N=N)
+        absn = np.abs(grid.modes)
+        want = [np.flatnonzero(absn == a)[[0, -1]] for a in range(N // 2 + 1)]
+        assert np.array_equal(grid.mode_pairs, want)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from cylform.quadrature import (
+    _exp_moments,
     exp_conv_paired,
     exp_half_weights,
     exp_lin_weights,
@@ -101,6 +102,24 @@ class TestExpWeights:
         for i, hi in enumerate(h[:, 0]):
             ai, bi = exp_lin_weights(z, hi)
             assert np.array_equal(a[i], ai) and np.array_equal(b[i], bi)
+
+    def test_stacked_moment_series_equals_plain_division(self):
+        """The small-argument branch scales the three series by stacked
+        reciprocals; that must be bit for bit the per-series sum of
+        ``u**q / (q! (q + 1 + p))``."""
+        rng = np.random.default_rng(4)
+        u = rng.uniform(-0.7, 0.7, 300) + 1j * rng.uniform(-0.7, 0.7, 300)
+        u[:50] = u[:50].real
+        want = [np.zeros_like(u) for _ in range(3)]
+        upow, fact = np.ones_like(u), 1.0
+        for q in range(24):
+            if q > 0:
+                fact *= q
+                upow = upow * u
+            for p in range(3):
+                want[p] += upow / (fact * (q + 1 + p))
+        for got, ref in zip(_exp_moments(u), want):
+            assert np.array_equal(got, ref)
 
     @given(
         re=st.floats(-60.0, 60.0),

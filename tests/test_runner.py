@@ -7,7 +7,7 @@ import pytest
 from cylform.config import parse_config, preset
 from cylform.controller import ChannelController
 from cylform.geometry import CylinderGrid, Field
-from cylform import plant
+from cylform import plant, runner
 from cylform.plant import Channel, DelayLine, stable_dt
 from cylform.runner import (
     RunRecord,
@@ -105,6 +105,15 @@ run.control_period = 5
 run.snapshots = none
 run.rings = 1 11 21
 """
+
+
+def moderate_21x16(fixed, duration):
+    """The ``moderate`` preset on a 21x16 grid: the estimate fixed at the
+    true delay, or adapting from ``hi`` (it then flips between the bounds)."""
+    return dataclasses.replace(preset("moderate"), grid_m=21, grid_n=16,
+                               ring_rows=(5, 11, 21), duration=duration,
+                               fixed_estimate=fixed,
+                               initial_estimate=1.0 if fixed else 2.0)
 
 
 @pytest.fixture(scope="module")
@@ -238,10 +247,7 @@ class TestReferenceStep:
     def test_record_matches_reference_pipeline(self, monkeypatch, fixed, duration):
         # adapting from hi rebuilds the kernel sets; the fixed estimate at
         # the true delay lets commands reach the plant after t = 1
-        cfg = dataclasses.replace(preset("moderate"), grid_m=21, grid_n=16,
-                                  ring_rows=(5, 11, 21), duration=duration,
-                                  fixed_estimate=fixed,
-                                  initial_estimate=1.0 if fixed else 2.0)
+        cfg = moderate_21x16(fixed, duration)
         rec = run(cfg)
         seed_pipeline.install(monkeypatch)
         want = run(cfg)
@@ -251,6 +257,48 @@ class TestReferenceStep:
                      "err_axial", "ring_errors", "control_sup"):
             a, b = getattr(rec, name), getattr(want, name)
             assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b)), name
+
+
+class TestKernelReuse:
+    """A rebuild keeps the kernel sets it replaces as a spare, and an
+    estimate that returns to them swaps them back instead of rebuilding."""
+
+    @staticmethod
+    def _probe(monkeypatch):
+        """Count set builds per kernel basis (one per channel) and log the
+        delay of the tables each controller update reads."""
+        builds, used = Counter(), []
+
+        def build(basis, delay_estimate):
+            builds[basis] += 1
+            return kernel_set(basis, delay_estimate)
+
+        def update(self, values, line, t):
+            used.append((t, self.ks.delay))
+            return controller_update(self, values, line, t)
+
+        kernel_set, controller_update = runner.KernelSet, ChannelController.update
+        monkeypatch.setattr(runner, "KernelSet", build)
+        monkeypatch.setattr(ChannelController, "update", update)
+        return builds, used
+
+    def test_flipping_estimate_builds_each_bound_once(self, monkeypatch):
+        cfg = moderate_21x16(fixed=False, duration=0.8)
+        builds, used = self._probe(monkeypatch)
+        rec = run(cfg)
+        assert not rec.terminated
+        assert np.count_nonzero(np.diff(rec.estimates)) >= 3
+        tol = runner._RETABLE_FRACTION * (cfg.delay_hi - cfg.delay_lo)
+        t, delay = np.array(used).T
+        assert np.array_equal(t, np.repeat(rec.times, 2))
+        assert np.all(np.abs(delay - np.repeat(rec.estimates, 2)) <= tol)
+        assert len(builds) == 2 and max(builds.values()) <= 2
+
+    def test_fixed_estimate_builds_one_set_per_channel(self, monkeypatch):
+        builds, used = self._probe(monkeypatch)
+        rec = run(moderate_21x16(fixed=True, duration=0.8))
+        assert sorted(builds.values()) == [1, 1]
+        assert {d for _, d in used} == {1.0} and len(used) == 2 * rec.times.size
 
 
 class TestTransientRecord:
