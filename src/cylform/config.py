@@ -154,10 +154,8 @@ class _Entries:
     def __init__(self, entries: dict, source: str):
         self.entries = entries
         self.source = source
-        self.seen = set()
 
     def _fetch(self, key, default):
-        self.seen.add(key)
         if key in self.entries:
             return self.entries[key][0]
         if default is _REQUIRED:

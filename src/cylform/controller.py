@@ -15,8 +15,10 @@ takes a command-in-flight profile to its convolution image, and the state
 part is the deviation contracted with the basis's ``state_weights`` and then
 with ``exp_s``.  A control step is therefore a few batched matrix-vector
 products: the target history is ``history_map @ transport`` minus the
-predicted flow, and the control law is its rim row (``history_map[-1]`` and
-``state_rim``) set to zero and solved for the rim node.
+predicted flow, evaluated once with the transport's rim node zeroed.  The
+control law sets the rim row of the target history to zero: the command is
+that row over the rim node's own weight ``history_map[|n|, -1, -1]``, and
+the command's column of ``history_map`` then completes the image.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ __all__ = [
     "state_prediction",
     "to_target_history",
     "control_modes",
-    "control_modes_recorded",
     "synthesize_command",
     "symmetrize_command",
     "ChannelUpdate",
@@ -112,65 +113,19 @@ def to_target_history(transport: ModeStack, measured: ModeStack,
 # command synthesis
 
 
-def control_modes(measured: ModeStack, transport: ModeStack,
-                  ks: KernelSet) -> np.ndarray:
+def control_modes(history: ModeStack, ks: KernelSet) -> np.ndarray:
     """New command for every mode, with the rim node solved implicitly.
 
-    The law sets the rim row of the target history to zero.  That row is
-    ``history_map[-1] @ transport - state_rim @ measured``, and its
-    last entry weighs the rim node -- the command being computed -- with
-    ``1 + 2*delay*sum_i(edge_i * w0_i)``, order one but far from 1 whenever
-    the kernel gain is large.  So the rim node is left out of the history
-    sum and solved for; skipping this leaves a visible rim defect in the
-    target history.  The transport's own rim node is ignored.
+    ``history`` is the target image of a transport whose rim node is zero.
+    The law sets the rim row of the target history to zero, and the rim
+    node -- the command being computed -- enters that row with the weight
+    ``history_map[|n|, -1, -1] = 1 + 2*delay*sum_i(edge_i * w0_i)``, order
+    one but far from 1 whenever the kernel gain is large.  So the command
+    is the rim row of ``history`` over that weight, negated; taking the
+    previous command as the rim node instead leaves a visible rim defect.
     """
-    rows = np.abs(measured.grid.modes)
-    rim = ks.history_map[:, -1, :][rows]                           # (N, M)
-    pred = np.einsum("nm,nm->n", measured.coeffs, ks.state_rim[rows])
-    past = np.einsum("nm,nm->n", transport.coeffs[:, :-1], rim[:, :-1])
-    return (pred - past) / rim[:, -1]
-
-
-def control_modes_recorded(measured: ModeStack, line: DelayLine, t: float,
-                           ks: KernelSet) -> tuple[np.ndarray, np.ndarray,
-                                                   np.ndarray]:
-    """New command per mode from the raw record lattice, rim node implicit.
-
-    Same law as :func:`control_modes`, different quadrature for the history
-    term: the recorded commands are integrated on their own lattice (exact
-    exponential moments of the linear record interpolant) instead of being
-    resampled onto the much sparser axial grid first.  The two routes do
-    not agree to quadrature accuracy even in a one-shot evaluation: on a
-    constant unit record history with zero state (reaction 12, advection
-    0.5, delay 1, mode 0) this route gives -78.7 against -57.0 at 21 axial
-    nodes and record spacing 0.01, and -96.6 against -73.2 at 51 nodes and
-    0.0025.  Each route still moves by 5-15 % per halving of its own spacing
-    (the lag kernel has an inverse-square-root singularity at zero lag), so
-    neither is converged at these resolutions.  Inside the closed loop the
-    command is a *recursion* on its own records, and the sparse resampling
-    aliases record-rate components into the band the edge kernel amplifies
-    -- the loop then grows regardless of how fine the axial grid or the
-    record cadence is made individually.  Integrating where the records
-    live removes the aliasing and the recursion inherits the decay of its
-    continuous counterpart.
-
-    Returns ``(cmd, denom, rhs)`` with ``cmd = rhs / denom``, so a caller
-    that post-processes ``cmd`` (symmetrization) can report the honest rim
-    defect of the implicit solve as ``cmd * denom - rhs``.
-    """
-    grid = measured.grid
-    rows = np.abs(grid.modes)
-    w = ks.command_lattice(line.dt)[rows]                       # (N, nodes)
-    win = line.lookup_many(t - line.dt * np.arange(1, w.shape[1]))
-    gain = np.exp(0.5 * ks.basis.coeffs.advection)
-    lattice = grid.analyze_rows(win) * gain                     # (nodes-1, N)
-    sw = measured.coeffs @ ks.basis.mode_sine.T
-    pred_rim = 2.0 * np.einsum("ni,ni->n",
-                               sw * ks.basis.fwd_sine[None, :],
-                               ks.exp_s[rows][:, :, -1])
-    rhs = pred_rim - np.einsum("nj,jn->n", w[:, 1:], lattice)
-    denom = 1.0 + w[:, 0]
-    return rhs / denom, denom, rhs
+    rows = np.abs(history.grid.modes)
+    return -history.coeffs[:, -1] / ks.history_map[rows, -1, -1]
 
 
 def symmetrize_command(grid: CylinderGrid, cmd: np.ndarray) -> np.ndarray:
@@ -201,7 +156,6 @@ class ChannelUpdate:
     """Everything one control step produces for a single channel."""
 
     command: np.ndarray          #: physical rim command profile (deviation part)
-    measured: ModeStack          #: scaled deviation, mode space
     target_state: ModeStack      #: decoupled state image
     transport: ModeStack         #: command-in-flight, rim node = new command
     target_history: ModeStack    #: history image (rim row ~ 0 by construction)
@@ -233,23 +187,24 @@ class ChannelController:
         measured = grid.analyze(scaled)
         transport, in_flight = reconstruct_transport(line, t, ks.delay, grid,
                                                      self.advection)
-        target = to_target_state(measured, ks)
-        cmd = control_modes(measured, transport, ks)
+        transport.coeffs[:, -1] = 0.0
+        history = to_target_history(transport, measured, ks)
+        cmd = control_modes(history, ks)
         if self.kind == "real":
             cmd = symmetrize_command(grid, cmd)
         command = synthesize_command(cmd, self.advection, grid, self.kind)
         transport.coeffs[:, -1] = cmd
-        history = to_target_history(transport, measured, ks)
+        history.coeffs += cmd[:, None] * ks.history_map[np.abs(grid.modes), :, -1]
 
         # scale: largest scaled deviation plus largest command in flight,
-        # the rim node being the new command
+        # the rim node being the new command (unscaled by the advection gain)
         rim = grid.synthesize_profile(history.coeffs[:, -1])
-        in_flight = max(in_flight, float(np.max(np.abs(grid.synthesize_profile(cmd)))))
+        gain = abs(np.exp(-0.5 * self.advection))
+        in_flight = max(in_flight, float(np.max(np.abs(command))) / gain)
         scale = np.max(np.abs(scaled)) + in_flight + 1e-30
         return ChannelUpdate(
             command=command,
-            measured=measured,
-            target_state=target,
+            target_state=to_target_state(measured, ks),
             transport=transport,
             target_history=history,
             h_residual=float(np.max(np.abs(rim)) / scale),

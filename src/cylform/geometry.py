@@ -76,8 +76,7 @@ class CylinderGrid:
         vals = field.values if isinstance(field, Field) else np.asarray(field)
         if vals.shape != (self.M, self.N):
             raise ValueError(f"field shape {vals.shape} does not match grid {(self.M, self.N)}")
-        spec = np.fft.fft(vals, axis=1)[:, self._shift] / self.N
-        coeffs = (spec * self._parity).T  # (N modes, M)
+        coeffs = self._to_modes(vals).T  # (N modes, M)
         return ModeStack(self, np.ascontiguousarray(coeffs))
 
     def synthesize(self, stack: "ModeStack | np.ndarray", kind: str = "complex") -> "Field":
@@ -89,11 +88,7 @@ class CylinderGrid:
         coeffs = stack.coeffs if isinstance(stack, ModeStack) else np.asarray(stack)
         if coeffs.shape != (self.N, self.M):
             raise ValueError(f"mode stack shape {coeffs.shape} does not match grid")
-        spec = (coeffs.T * self._parity) * self.N
-        vals = np.fft.ifft(spec[:, self._shift], axis=1)
-        if kind == "real":
-            return Field(self, vals.real.copy())
-        return Field(self, vals)
+        return Field(self, self._to_ring(coeffs.T, kind))
 
     def analyze_rows(self, values: np.ndarray) -> np.ndarray:
         """Fourier coefficients of a ring profile, or of a stack of them.
@@ -104,14 +99,22 @@ class CylinderGrid:
         values = np.asarray(values)
         if values.shape[-1] != self.N:
             raise ValueError(f"last axis {values.shape[-1]} does not match N={self.N}")
-        return np.fft.fft(values, axis=-1)[..., self._shift] / self.N * self._parity
+        return self._to_modes(values)
 
     def synthesize_profile(self, coeffs: np.ndarray, kind: str = "complex") -> np.ndarray:
         """Ring profile from mode coefficients; inverse of analyze_rows."""
         coeffs = np.asarray(coeffs, dtype=complex)
         if coeffs.shape != (self.N,):
             raise ValueError(f"coefficient count {coeffs.shape} does not match N={self.N}")
-        vals = np.fft.ifft((coeffs * self._parity * self.N)[self._shift])
+        return self._to_ring(coeffs, kind)
+
+    def _to_modes(self, values: np.ndarray) -> np.ndarray:
+        """Wavenumber coefficients, ascending, of rings along the last axis."""
+        return np.fft.fft(values, axis=-1)[..., self._shift] / self.N * self._parity
+
+    def _to_ring(self, coeffs: np.ndarray, kind: str) -> np.ndarray:
+        """Ring values along the last axis; inverse of :meth:`_to_modes`."""
+        vals = np.fft.ifft((coeffs * self._parity * self.N)[..., self._shift], axis=-1)
         return vals.real.copy() if kind == "real" else vals
 
     # -- calculus on the grid ------------------------------------------------

@@ -27,7 +27,6 @@ from .errors import KernelTruncationError
 from .geometry import CylinderGrid
 from .quadrature import (
     exp_half_weights,
-    exp_lattice_weights,
     exp_pair_weights,
     interp_quadratic,
     simpson_trap_row_weights,
@@ -217,21 +216,18 @@ class KernelSet:
     the inverse kernel.
 
     A set owns what the per-mode control step reads, built once:
+    ``history_map[a]``, ``(N//2 + 1, M, M)``, maps a command-in-flight
+    profile to its history convolution image: identity plus
+    ``2*delay*sum_i fwd_edge_i W_i``, with ``W_i`` the running-convolution
+    matrix of :func:`~cylform.quadrature.exp_conv_paired` for rate
+    ``rates[a, i]``, assembled in closed form.  The predicted command flow
+    is a scaled deviation profile contracted with ``basis.state_weights``
+    and then with ``exp_s[a]``, which the mismatch drift reads in the same
+    step anyway, so no dense state map is stored.
 
-    * ``history_map[a]``, ``(N//2 + 1, M, M)``, maps a command-in-flight
-      profile to its history convolution image: identity plus
-      ``2*delay*sum_i fwd_edge_i W_i``, with ``W_i`` the running-convolution
-      matrix of :func:`~cylform.quadrature.exp_conv_paired` for rate
-      ``rates[a, i]``, assembled in closed form;
-    * ``state_rim[a]``, ``(N//2 + 1, M)``, the rim value of the predicted
-      command flow as weights on a scaled deviation profile.  The whole
-      flow is ``profile @ basis.state_weights`` contracted with ``exp_s[a]``;
-      ``exp_s`` is read by the mismatch drift in the same step anyway, so
-      no dense state map is stored.
-
-    The control law is the rim row of the target history set to zero and
-    solved for the newest (rim) node; the target history is
-    ``history_map[a] @ transport`` minus the predicted flow.
+    The target history is ``history_map[a] @ transport`` minus the predicted
+    flow.  The control law is its rim row set to zero and solved for the
+    newest (rim) node, whose weight in that row is ``history_map[a, -1, -1]``.
     """
 
     def __init__(self, basis: KernelBasis, delay_estimate: float):
@@ -250,10 +246,6 @@ class KernelSet:
         self._check_truncation()
 
         self.history_map = _flush_subnormal(self._build_history_map())
-        #: rim value of the predicted command flow, as weights on the profile
-        self.state_rim = self.exp_s[:, :, -1] @ basis.state_weights.T
-
-        self._lattice_cache: tuple[float, np.ndarray] | None = None
 
     def _build_history_map(self) -> np.ndarray:
         """Closed-form assembly of ``history_map`` (see the class docstring).
@@ -316,30 +308,6 @@ class KernelSet:
     def peak_gain(self) -> float:
         """Largest exponential magnification across all table entries."""
         return float(np.max(np.abs(self.exp_s)))
-
-    def command_lattice(self, dt_record: float) -> np.ndarray:
-        """History weights on the raw command-record lattice, per ``|n|`` row.
-
-        ``w[a, j]`` multiplies the scaled command recorded ``j`` steps ago so
-        that ``sum_j w[a, j] * cmd(t - j*dt)`` is the edge-kernel history
-        integral of the command law for wavenumber row ``a``; ``j = 0`` is
-        the slot of the command being solved for.  Integrating the records
-        where they live -- instead of resampling them onto the sparser axial
-        grid -- keeps the command recursion from amplifying record-rate
-        components that a coarse resampling would alias into the band the
-        kernel weights heavily.  Cached per spacing.
-        """
-        if dt_record <= 0.0:
-            raise ValueError(f"record spacing must be positive, got {dt_record}")
-        if self._lattice_cache is None or self._lattice_cache[0] != float(dt_record):
-            edge = self.basis.fwd_edge
-            rows = [
-                2.0 * (edge @ exp_lattice_weights(row / self.delay,
-                                                  dt_record, self.delay))
-                for row in self.rates
-            ]
-            self._lattice_cache = (float(dt_record), np.stack(rows))
-        return self._lattice_cache[1]
 
     def apply(self, coeffs: np.ndarray, mats: np.ndarray) -> np.ndarray:
         """Row ``k`` of a mode table times ``mats[|n_k|]``, for all rows.

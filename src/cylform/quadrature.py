@@ -124,39 +124,6 @@ def exp_lin_weights(z: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def exp_lattice_weights(z: np.ndarray, h: float, span: float) -> np.ndarray:
-    """Weights ``W`` with ``W @ v = int_0^span exp(z*x) v(x) dx``.
-
-    ``v`` is piecewise *linear* on the lattice ``x_j = j*h`` -- the natural
-    model for a signal recorded at a fixed cadence -- and the kernel is
-    integrated against that interpolant exactly, interval by interval.  The
-    span need not be a lattice multiple: a trailing partial interval keeps
-    the chord of its covering pair and clips the kernel at ``span``.  Shape:
-    ``z.shape + (n,)`` with ``n`` the smallest node count covering the span.
-    """
-    if h <= 0 or span <= 0:
-        raise ValueError("lattice spacing and span must be positive")
-    z = np.asarray(z, dtype=complex)
-    n_full = int(np.floor(span / h + 1e-9))
-    rem = span - n_full * h
-    if rem < 1e-9 * h:
-        rem = 0.0
-    n = n_full + (2 if rem > 0.0 else 1)
-    out = np.zeros(z.shape + (n,), dtype=complex)
-    if n_full > 0:
-        a, b = exp_lin_weights(z, h)
-        # Flip the orientation: against e^{zx} the left node pairs with b.
-        starts = np.exp(np.multiply.outer(z, h * np.arange(n_full)))
-        out[..., :n_full] += starts * b[..., None]
-        out[..., 1:n_full + 1] += starts * a[..., None]
-    if rem > 0.0:
-        m0, m1, _ = _exp_moments(z * rem)
-        base = np.exp(z * (n_full * h))
-        out[..., n_full] += base * (rem * m0 - (rem * rem / h) * m1)
-        out[..., n_full + 1] += base * (rem * rem / h) * m1
-    return out
-
-
 def exp_half_weights(z: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Node weights of ``int_0^h exp(z*(h - x)) q(x) dx`` for quadratic ``q``.
 

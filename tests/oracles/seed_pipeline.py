@@ -3,7 +3,8 @@
 Every map here is rebuilt from the running exponential convolution
 :func:`cylform.quadrature.exp_conv_paired` on each call -- the history map
 from the convolution of the identity, the command law and the target
-history from the convolution of the whole mode stack, the transport from one
+history from the convolution of the whole mode stack, the rim node's weight
+in the command law from a fresh pair-weight build, the transport from one
 scalar delay-line read per node, and the mismatch drift from a per-mode copy
 of the exponential tables.  The production path precomputes the same maps
 per kernel set in closed form; these functions are what it is checked
@@ -66,6 +67,19 @@ def control_modes(measured, transport, ks):
     return numer / denom
 
 
+def rim_solve(history, ks):
+    """Command law on a history image whose transport rim node is zero.
+
+    The rim node's weight in the rim row is the pair weight of the newest
+    node, rebuilt here from :func:`exp_pair_weights`.
+    """
+    grid = history.grid
+    rates = ks.rates[np.abs(grid.modes)]
+    endpoint_w = exp_pair_weights(rates, grid.h_s)[0]
+    denom = 1.0 + 2.0 * ks.delay * (endpoint_w @ ks.basis.fwd_edge)
+    return -history.coeffs[:, -1] / denom
+
+
 def mismatch_drift(target, history, ks):
     grid = target.grid
     basis = ks.basis
@@ -82,6 +96,7 @@ def mismatch_drift(target, history, ks):
 
 def install(monkeypatch):
     """Route the controller and the runner through the reference step."""
-    for name in ("reconstruct_transport", "control_modes", "to_target_history"):
+    for name in ("reconstruct_transport", "to_target_history"):
         monkeypatch.setattr(controller, name, globals()[name])
+    monkeypatch.setattr(controller, "control_modes", rim_solve)
     monkeypatch.setattr(runner, "mismatch_drift", mismatch_drift)

@@ -29,6 +29,7 @@ from cylform.plant import DelayLine
 from oracles import seed_pipeline
 from oracles.dense_law import periodic_simpson_weights, simpson_control
 from oracles.mode_symmetry import conjugate_symmetry_defect
+from oracles.recorded_law import control_modes_recorded
 from oracles.transforms import (
     control_mode,
     from_target_history,
@@ -226,6 +227,13 @@ class TestHistoryTransformPair:
         assert errs[2] <= 0.65 * errs[1]
 
 
+def rim_solve(measured, transport, ks):
+    """The command law for a transport whose rim node is ignored."""
+    zeroed = transport.copy()
+    zeroed.coeffs[:, -1] = 0.0
+    return control_modes(to_target_history(zeroed, measured, ks), ks)
+
+
 class TestControlLaw:
     def test_zero_kernel_command_is_zero(self, grid):
         basis = KernelBasis(PlantCoeffs(0.0, 0.0), grid, i_max=16)
@@ -233,14 +241,14 @@ class TestControlLaw:
         rng = np.random.default_rng(8)
         phi = smooth_stack(rng, grid)
         tht = smooth_stack(rng, grid, pinned_root=False)
-        cmd = control_modes(phi, tht, ks)
+        cmd = rim_solve(phi, tht, ks)
         assert np.max(np.abs(cmd)) <= 1e-14
         single = control_mode(3, phi.mode(3), tht.mode(3), ks)
         assert abs(single) <= 1e-14
 
     def test_zero_inputs_give_zero(self, kit, grid):
         zero = ModeStack(grid, np.zeros((grid.N, grid.M), dtype=complex))
-        assert np.max(np.abs(control_modes(zero, zero, kit))) == 0.0
+        assert np.max(np.abs(rim_solve(zero, zero, kit))) == 0.0
         assert control_mode(0, zero.mode(0), zero.mode(0), kit) == 0.0
 
     def test_state_integral_against_refined_contraction(self):
@@ -268,7 +276,7 @@ class TestControlLaw:
         rng = np.random.default_rng(9)
         phi = smooth_stack(rng, grid)
         tht = smooth_stack(rng, grid, pinned_root=False)
-        cmd = control_modes(phi, tht, kit)
+        cmd = rim_solve(phi, tht, kit)
         tht.coeffs[:, -1] = cmd
         h = to_target_history(tht, phi, kit)
         scale = np.max(np.abs(tht.coeffs)) + np.max(np.abs(phi.coeffs))
@@ -286,7 +294,7 @@ class TestControlLaw:
         rng = np.random.default_rng(19)
         phi = smooth_stack(rng, g, n_band=6)
         tht = smooth_stack(rng, g, n_band=6, pinned_root=False)
-        cmd = control_modes(phi, tht, ks)
+        cmd = rim_solve(phi, tht, ks)
         want = seed_pipeline.control_modes(phi, tht, ks)
         assert np.max(np.abs(cmd - want)) <= 1e-12 * np.max(np.abs(want))
         tht.coeffs[:, -1] = cmd
@@ -301,10 +309,40 @@ class TestControlLaw:
         rng = np.random.default_rng(10)
         phi = smooth_stack(rng, grid)
         tht = smooth_stack(rng, grid, pinned_root=False)
-        cmd = control_modes(phi, tht, kit)
+        cmd = rim_solve(phi, tht, kit)
         direct = np.array([control_mode(int(n), phi.mode(int(n)), tht.mode(int(n)), kit)
                            for n in grid.modes])
         assert np.max(np.abs(cmd - direct)) > 1e-6 * np.max(np.abs(cmd))
+
+
+class TestRecordLatticeLaw:
+    """The two history quadratures on one constant record history.
+
+    Zero state, unit records up to one step before ``t`` (reaction 12,
+    advection 0.5, delay 1, mode 0): the lattice route of the oracle and the
+    axial-grid route of the package disagree by tens of percent, and each
+    moves with its own spacing, so both values are pinned as they are.
+    """
+
+    @pytest.mark.parametrize("M, dt, lattice, axial", [
+        (21, 0.01, -78.66135715887484, -56.98855094599946),
+        (51, 0.0025, -96.60463258917048, -73.21193382535078),
+    ])
+    def test_unit_history_commands(self, M, dt, lattice, axial):
+        g = CylinderGrid(M, 16)
+        ks = KernelSet(KernelBasis(PlantCoeffs(12.0, 0.5), g), 1.0)
+        last = round(2.0 / dt)
+        line = DelayLine(g.N, dt, horizon=4.0)
+        for j in range(last + 1):
+            line.record(j * dt, np.ones(g.N))
+        t = (last + 1) * dt
+        zero = ModeStack(g, np.zeros((g.N, g.M), dtype=complex))
+        row = g.N // 2                                      # mode 0
+        cmd, denom, rhs = control_modes_recorded(zero, line, t, ks)
+        assert cmd[row] == pytest.approx(lattice, rel=1e-9)
+        assert np.array_equal(cmd, rhs / denom)
+        transport, _ = reconstruct_transport(line, t, ks.delay, g, 0.5)
+        assert rim_solve(zero, transport, ks)[row] == pytest.approx(axial, rel=1e-9)
 
 
 class TestSymmetrize:

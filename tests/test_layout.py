@@ -1,5 +1,5 @@
-"""Package layout: public names resolve, the package stands alone, and the
-benchmark's tracer still finds what it wraps.
+"""Package layout: public names resolve, the package stands alone, every
+definition has a use, and the benchmark's tracer still finds what it wraps.
 
 Reference implementations live under ``tests/oracles``; the package must
 not reach into them.
@@ -9,6 +9,7 @@ import ast
 import importlib
 import pkgutil
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,15 @@ STALE_TRACER_TARGETS = {
     "cylform.estimator:exp_conv",
     "cylform.geometry:CylinderGrid.analyze_profile",
     "cylform.plant:DelayLine.lookup",
+    "cylform.kernels:exp_lattice_weights",
+    "cylform.kernels:KernelSet.command_lattice",
+    "cylform.controller:control_modes_recorded",
+}
+
+#: definitions that a library calls by name, so no source line refers to
+#: them; qualified name -> who calls it
+CALLED_FROM_OUTSIDE = {
+    "_Parser.error": "argparse, on every usage error",
 }
 
 
@@ -50,6 +60,44 @@ def test_no_module_imports_oracles(name):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             imported.add(node.module.split(".")[0])
     assert "oracles" not in imported
+
+
+def _names(node):
+    """Every identifier ``node`` reads or writes: names and attributes."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+
+
+def _definitions(body, prefix=""):
+    """``(qualified name, node)`` of every function and class, nested too."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield prefix + node.name, node
+            yield from _definitions(node.body, f"{prefix}{node.name}.")
+
+
+def test_every_definition_is_used():
+    # a definition counts as used when its name is read somewhere in the
+    # package or the tests outside its own body; strings (``__all__``,
+    # docstrings) and imports do not count.  Dunder methods are called by
+    # the language itself.
+    src = Path(cylform.__path__[0])
+    root = src.parents[1]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for top in ("src", "tests") for path in sorted((root / top).rglob("*.py"))}
+    uses = Counter(name for tree in trees.values() for name in _names(tree))
+    unused = []
+    for name in MODULES:
+        for qual, node in _definitions(trees[src / f"{name}.py"].body):
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            own = sum(1 for n in _names(node) if n == node.name)
+            if uses[node.name] == own and qual not in CALLED_FROM_OUTSIDE:
+                unused.append(f"{name}:{qual}")
+    assert unused == []
 
 
 @pytest.fixture(scope="module")
