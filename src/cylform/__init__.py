@@ -8,6 +8,11 @@ top rim, with the actuation travelling through an unknown constant delay.
 It provides the spatial discretisation, the closed-form and series gain
 kernels, the predictor-based rim controller, the delay estimator, and a
 scenario runner with a small CLI.
+
+Fields and per-wavenumber mode tables are plain NumPy arrays: a field is
+``(M, N)`` (axial node by angle), its mode table ``(N, M)`` (wavenumber by
+axial node).  :class:`CylinderGrid` converts between them and checks the
+shape; ``M`` is odd and ``N`` even, so a transposed array never passes.
 """
 
 from .errors import (
@@ -18,12 +23,10 @@ from .errors import (
     KernelTruncationError,
     ResonantModeError,
 )
-from .geometry import CylinderGrid, Field, ModeStack
+from .geometry import CylinderGrid
 
 __all__ = [
     "CylinderGrid",
-    "Field",
-    "ModeStack",
     "CylformError",
     "ConfigError",
     "ResonantModeError",

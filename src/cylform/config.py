@@ -64,13 +64,13 @@ class ScenarioConfig:
     delay_hi: float
     gain: float
     initial_estimate: float
-    fixed_estimate: bool = False
-    dt: float | None = None          #: None = derive from the stability bound
-    control_period: int = 10
-    duration: float = 40.0
-    snapshot_times: tuple = ()
-    ring_rows: tuple = (5, 15, 30, 51)   #: 1-based axial agent indices
-    output_dir: str | None = None
+    fixed_estimate: bool
+    dt: float | None                 #: None = derive from the stability bound
+    control_period: int
+    duration: float
+    snapshot_times: tuple
+    ring_rows: tuple                 #: 1-based axial agent indices
+    output_dir: str | None
 
     def __post_init__(self):
         try:

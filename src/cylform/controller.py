@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CylinderGrid, ModeStack
+from .geometry import CylinderGrid
 from .kernels import KernelSet
 from .plant import DelayLine
 
@@ -67,7 +67,7 @@ def remove_advection(values: np.ndarray, steady_values: np.ndarray,
 
 def reconstruct_transport(line: DelayLine, t: float, delay_estimate: float,
                           grid: CylinderGrid, advection: complex = 0.0
-                          ) -> tuple[ModeStack, float]:
+                          ) -> tuple[np.ndarray, float]:
     """Command-in-flight profile implied by the recorded history.
 
     Node ``r`` holds the (scaled) command that was issued
@@ -80,40 +80,40 @@ def reconstruct_transport(line: DelayLine, t: float, delay_estimate: float,
     profiles = line.lookup_many(t + delay_estimate * (grid.s - 1.0))
     gain = np.exp(0.5 * advection)
     peak = float(np.max(np.abs(profiles[:-1]))) * abs(gain)
-    return ModeStack(grid, grid.analyze(profiles).coeffs * gain), peak
+    return grid.analyze(profiles) * gain, peak
 
 
-def to_target_state(measured: ModeStack, ks: KernelSet) -> ModeStack:
+def to_target_state(measured: np.ndarray, ks: KernelSet) -> np.ndarray:
     """Map the scaled deviation onto the decoupled target variable."""
     v = ks.basis.volterra_fwd_refined
-    return ModeStack(measured.grid, measured.coeffs - measured.coeffs @ v.T)
+    return measured - measured @ v.T
 
 
-def state_prediction(measured: ModeStack, ks: KernelSet) -> np.ndarray:
+def state_prediction(measured: np.ndarray, ks: KernelSet) -> np.ndarray:
     """State-driven part of the predicted command flow, per mode and node.
 
     Returns the (N, M) table of the predictor kernel integrated against the
     scaled deviation, evaluated along the axial grid.
     """
-    return ks.apply(measured.coeffs @ ks.basis.state_weights, ks.exp_s)
+    return ks.apply(measured @ ks.basis.state_weights, ks.exp_s)
 
 
-def to_target_history(transport: ModeStack, measured: ModeStack,
-                      ks: KernelSet) -> ModeStack:
+def to_target_history(transport: np.ndarray, measured: np.ndarray,
+                      ks: KernelSet) -> np.ndarray:
     """Target image of the command-in-flight profile.
 
     Vanishes at the rim exactly when the newest command satisfies the
     control law, which makes the rim row a free consistency diagnostic.
     """
-    hist = ks.apply(transport.coeffs, ks.history_map.transpose(0, 2, 1))
-    return ModeStack(transport.grid, hist - state_prediction(measured, ks))
+    hist = ks.apply(transport, ks.history_map.transpose(0, 2, 1))
+    return hist - state_prediction(measured, ks)
 
 
 # ---------------------------------------------------------------------------
 # command synthesis
 
 
-def control_modes(history: ModeStack, ks: KernelSet) -> np.ndarray:
+def control_modes(history: np.ndarray, ks: KernelSet) -> np.ndarray:
     """New command for every mode, with the rim node solved implicitly.
 
     ``history`` is the target image of a transport whose rim node is zero.
@@ -124,8 +124,8 @@ def control_modes(history: ModeStack, ks: KernelSet) -> np.ndarray:
     is the rim row of ``history`` over that weight, negated; taking the
     previous command as the rim node instead leaves a visible rim defect.
     """
-    rows = np.abs(history.grid.modes)
-    return -history.coeffs[:, -1] / ks.history_map[rows, -1, -1]
+    rows = np.abs(ks.grid.modes)
+    return -history[:, -1] / ks.history_map[rows, -1, -1]
 
 
 def symmetrize_command(grid: CylinderGrid, cmd: np.ndarray) -> np.ndarray:
@@ -155,10 +155,10 @@ def synthesize_command(cmd: np.ndarray, advection: complex,
 class ChannelUpdate:
     """Everything one control step produces for a single channel."""
 
-    command: np.ndarray          #: physical rim command profile (deviation part)
-    target_state: ModeStack      #: decoupled state image
-    transport: ModeStack         #: command-in-flight, rim node = new command
-    target_history: ModeStack    #: history image (rim row ~ 0 by construction)
+    command: np.ndarray          #: (N,) physical rim command profile (deviation part)
+    target_state: np.ndarray     #: (N, M) mode table of the decoupled state image
+    transport: np.ndarray        #: (N, M) command in flight, rim node = new command
+    target_history: np.ndarray   #: (N, M) history image (rim row ~ 0 by construction)
     h_residual: float            #: rim defect of the history image, relative
 
 
@@ -187,18 +187,18 @@ class ChannelController:
         measured = grid.analyze(scaled)
         transport, in_flight = reconstruct_transport(line, t, ks.delay, grid,
                                                      self.advection)
-        transport.coeffs[:, -1] = 0.0
+        transport[:, -1] = 0.0
         history = to_target_history(transport, measured, ks)
         cmd = control_modes(history, ks)
         if self.kind == "real":
             cmd = symmetrize_command(grid, cmd)
         command = synthesize_command(cmd, self.advection, grid, self.kind)
-        transport.coeffs[:, -1] = cmd
-        history.coeffs += cmd[:, None] * ks.history_map[np.abs(grid.modes), :, -1]
+        transport[:, -1] = cmd
+        history += cmd[:, None] * ks.history_map[np.abs(grid.modes), :, -1]
 
         # scale: largest scaled deviation plus largest command in flight,
         # the rim node being the new command (unscaled by the advection gain)
-        rim = grid.synthesize_profile(history.coeffs[:, -1])
+        rim = grid.synthesize_profile(history[:, -1])
         gain = abs(np.exp(-0.5 * self.advection))
         in_flight = max(in_flight, float(np.max(np.abs(command))) / gain)
         scale = np.max(np.abs(scaled)) + in_flight + 1e-30

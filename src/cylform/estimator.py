@@ -14,7 +14,7 @@ diagnostics.  Its two cross terms are double sums over pairs of harmonics
 of the predictor and inverse series.  Each pair sum is folded first onto
 single-rate kernels (divided differences for well-separated rates, one
 Taylor rule below the gap ``_TAYLOR_CUT``), so a call is a few contractions
-over the whole mode stack, with no loop over modes.
+over the whole mode table, with no loop over modes.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import CylinderGrid, ModeStack
+from .geometry import CylinderGrid
 from .kernels import KernelSet
 from .quadrature import exp_conv_paired
 
@@ -83,8 +83,8 @@ class EstimatorState:
 # drift profiles
 
 
-def mismatch_drift(target: ModeStack, history: ModeStack,
-                   ks: KernelSet) -> ModeStack:
+def mismatch_drift(target: np.ndarray, history: np.ndarray,
+                   ks: KernelSet) -> np.ndarray:
     """Sensitivity of the target history to the delay-estimate error.
 
     Per wavenumber the profile is a finite exponential series along the
@@ -94,17 +94,16 @@ def mismatch_drift(target: ModeStack, history: ModeStack,
     history.  Vanishes identically at the transformed equilibrium, making it
     a fixed point of the adaptation.
     """
-    grid = target.grid
     basis = ks.basis
-    rows = np.abs(grid.modes)
+    rows = np.abs(ks.grid.modes)
     rates = ks.rates[rows]                                  # (N, i)
-    sw = target.coeffs @ basis.mode_sine.T                  # (N, i)
-    cw = target.coeffs @ basis.composition.T                # (N, i)
-    edge = target.coeffs @ basis.edge_weights               # (N,)
+    sw = target @ basis.mode_sine.T                         # (N, i)
+    cw = target @ basis.composition.T                       # (N, i)
+    edge = target @ basis.edge_weights                      # (N,)
     rho = (2.0 / ks.delay) * rates * basis.fwd_sine[None, :] * (sw + cw) \
         - 2.0 * basis.fwd_edge[None, :] \
-        * (edge + history.coeffs[:, 0])[:, None]
-    return ModeStack(grid, ks.apply(rho, ks.exp_s))
+        * (edge + history[:, 0])[:, None]
+    return ks.apply(rho, ks.exp_s)
 
 
 def _pair_coefficients(w: np.ndarray, a: np.ndarray,
@@ -131,8 +130,8 @@ def _pair_coefficients(w: np.ndarray, a: np.ndarray,
             (n2 + a * n1) / 6.0, (n3 + a * n2) / 24.0, on_c)
 
 
-def adaptation_drift(target: ModeStack, history: ModeStack,
-                     ks: KernelSet) -> ModeStack:
+def adaptation_drift(target: np.ndarray, history: np.ndarray,
+                     ks: KernelSet) -> np.ndarray:
     """Sensitivity of the target history to the estimate's rate of change.
 
     Four contributions per wavenumber: the explicit estimate-derivative of
@@ -142,10 +141,10 @@ def adaptation_drift(target: ModeStack, history: ModeStack,
     cross-convolved lag-kernel derivatives against the history itself.
     Each cross term is folded by :func:`_pair_coefficients` onto single-rate
     kernels -- closed-form exponentials against the state, running
-    convolutions of the history -- and contracted over the whole stack.
+    convolutions of the history -- and contracted over the whole table.
     Diagnostics only -- the update signal never reads this.
     """
-    grid = target.grid
+    grid = ks.grid
     basis = ks.basis
     s = grid.s
     absn = np.abs(grid.modes)
@@ -153,8 +152,8 @@ def adaptation_drift(target: ModeStack, history: ModeStack,
     c = ks.inv_rates[absn]                                  # (N, j)
     # the gap c_j - a_i is the same for every wavenumber
     delta = ks.inv_rates[0][None, :] - ks.rates[0][:, None]  # (i, j)
-    sw = target.coeffs @ basis.mode_sine.T                  # (N, i)
-    cw = target.coeffs @ basis.composition.T                # (N, i)
+    sw = target @ basis.mode_sine.T                         # (N, i)
+    cw = target @ basis.composition.T                       # (N, i)
 
     # state term: E^a = e^{as}, E^c = e^{cs}, M_k = s^k e^{as}
     *on_a, on_c = _pair_coefficients(
@@ -172,22 +171,22 @@ def adaptation_drift(target: ModeStack, history: ModeStack,
     on_a[0] = on_a[0] - 2.0 * basis.fwd_edge
     on_a[1] = on_a[1] - 2.0 * basis.fwd_edge * a
     h, ak = grid.h_s, a[..., None]
-    e_a = exp_conv_paired(a, history.coeffs, h)             # (N, i, M)
+    e_a = exp_conv_paired(a, history, h)                    # (N, i, M)
     m1 = exp_conv_paired(ak, e_a, h)[..., 0, :]
     m2 = 2.0 * exp_conv_paired(ak, m1, h)[..., 0, :]
     m3 = 3.0 * exp_conv_paired(ak, m2, h)[..., 0, :]
     m4 = 4.0 * exp_conv_paired(ak, m3, h)[..., 0, :]
     hist = np.einsum("nki,nkim->nm", np.stack(on_a, axis=1),
                      np.stack([e_a, m1, m2, m3, m4], axis=1)) \
-        + np.einsum("nj,njm->nm", on_c, exp_conv_paired(c, history.coeffs, h))
-    return ModeStack(grid, state + hist)
+        + np.einsum("nj,njm->nm", on_c, exp_conv_paired(c, history, h))
+    return state + hist
 
 
 # ---------------------------------------------------------------------------
 # update law
 
 
-def update_signal(history: ModeStack, drift: ModeStack,
+def update_signal(history: np.ndarray, drift: np.ndarray,
                   grid: CylinderGrid) -> float:
     """One channel's share of the signal driving the delay adaptation.
 
@@ -198,7 +197,7 @@ def update_signal(history: ModeStack, drift: ModeStack,
     on real ones; both channels add their share, since they observe one and
     the same physical delay.
     """
-    paired = np.real(history.coeffs * np.conj(drift.coeffs)).sum(axis=0)
+    paired = np.real(history * np.conj(drift)).sum(axis=0)
     return float(-4.0 * np.pi * np.sum(paired * (1.0 + grid.s) * grid.simpson_s))
 
 

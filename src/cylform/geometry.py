@@ -1,12 +1,16 @@
-"""Cylinder-surface grid, fields, and angular Fourier mode stacks.
+"""Cylinder-surface grid and its angular Fourier transforms.
 
 The computational domain is the lateral surface of a unit-height cylinder:
 axial coordinate ``s`` in ``[0, 1]`` sampled at ``M`` nodes including both
 rims, and angle ``theta`` in ``[-pi, pi)`` sampled at ``N`` periodic nodes.
-A :class:`Field` stores one scalar per surface node; a :class:`ModeStack`
-stores, per angular wavenumber ``n``, the complex coefficient profile along
-``s``.  The two are linked by :meth:`CylinderGrid.analyze` and
-:meth:`CylinderGrid.synthesize`, which are exact inverses on the grid.
+Data are plain arrays in two orientations.  A *field* is an ``(M, N)``
+array, one scalar per surface node (row ``i`` is the ring at ``s_i``).  A
+*mode table* is an ``(N, M)`` complex array: row ``k`` is the axial
+coefficient profile of wavenumber ``n = modes[k]``, so mode ``n`` sits in
+row ``n + N // 2``.  :meth:`CylinderGrid.analyze` maps a field to its mode
+table and :meth:`CylinderGrid.synthesize` back; they are exact inverses on
+the grid.  Both check the shape, and since ``M`` is odd and ``N`` even, an
+array passed in the other orientation never has the shape they expect.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ class CylinderGrid:
         self._shift = np.fft.fftshift(np.arange(N))
         #: composite Simpson weights along s
         self.simpson_s = simpson_weights(M, self.h_s)
-        #: mode-stack rows grouped by ``|n|``: ``mode_pairs[a]`` holds the
+        #: mode-table rows grouped by ``|n|``: ``mode_pairs[a]`` holds the
         #: rows of ``-a`` and ``+a``; the unpaired 0 and ``N/2`` repeat their
         #: one row
         half = N // 2
@@ -66,29 +70,29 @@ class CylinderGrid:
 
     # -- spectral transforms -------------------------------------------------
 
-    def analyze(self, field: "Field | np.ndarray") -> "ModeStack":
-        """Angular Fourier coefficients of a field, one profile per mode.
+    def analyze(self, values: np.ndarray) -> np.ndarray:
+        """Mode table ``(N, M)`` of an ``(M, N)`` field, one profile per mode.
 
         The coefficient of mode ``n`` at axial node ``i`` is the rectangle-rule
         angular average ``(1/2pi) sum_j f(s_i, theta_j) exp(-i n theta_j) h_theta``,
         which on a periodic grid is exact for band-limited data.
         """
-        vals = field.values if isinstance(field, Field) else np.asarray(field)
-        if vals.shape != (self.M, self.N):
-            raise ValueError(f"field shape {vals.shape} does not match grid {(self.M, self.N)}")
-        coeffs = self._to_modes(vals).T  # (N modes, M)
-        return ModeStack(self, np.ascontiguousarray(coeffs))
+        values = np.asarray(values)
+        if values.shape != (self.M, self.N):
+            raise ValueError(f"field shape {values.shape} does not match grid {(self.M, self.N)}")
+        return np.ascontiguousarray(self._to_modes(values).T)
 
-    def synthesize(self, stack: "ModeStack | np.ndarray", kind: str = "complex") -> "Field":
-        """Reassemble a field from its mode stack; exact inverse of analyze.
+    def synthesize(self, coeffs: np.ndarray, kind: str = "complex") -> np.ndarray:
+        """Reassemble the ``(M, N)`` field of an ``(N, M)`` mode table; exact
+        inverse of analyze.
 
         ``kind='real'`` asserts the coefficients carry conjugate symmetry and
         returns a real-valued field (the tiny imaginary residue is dropped).
         """
-        coeffs = stack.coeffs if isinstance(stack, ModeStack) else np.asarray(stack)
+        coeffs = np.asarray(coeffs)
         if coeffs.shape != (self.N, self.M):
-            raise ValueError(f"mode stack shape {coeffs.shape} does not match grid")
-        return Field(self, self._to_ring(coeffs.T, kind))
+            raise ValueError(f"mode table shape {coeffs.shape} does not match grid {(self.N, self.M)}")
+        return self._to_ring(coeffs.T, kind)
 
     def analyze_rows(self, values: np.ndarray) -> np.ndarray:
         """Fourier coefficients of a ring profile, or of a stack of them.
@@ -137,61 +141,8 @@ class CylinderGrid:
         out[-1] = (2.0 * vals[-1] - 5.0 * vals[-2] + 4.0 * vals[-3] - vals[-4]) / h2
         return out
 
-
-class Field:
-    """Scalar samples on a :class:`CylinderGrid`, complex or real valued."""
-
-    def __init__(self, grid: CylinderGrid, values: np.ndarray):
-        values = np.asarray(values)
-        if values.shape != (grid.M, grid.N):
-            raise ValueError(
-                f"values shape {values.shape} does not match grid ({grid.M}, {grid.N})"
-            )
-        self.grid = grid
-        self.values = values
-
-    @property
-    def is_real(self) -> bool:
-        return not np.iscomplexobj(self.values)
-
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
-    def __sub__(self, other: "Field") -> "Field":
-        return Field(self.grid, self.values - other.values)
-
-    def __add__(self, other: "Field") -> "Field":
-        return Field(self.grid, self.values + other.values)
-
-    def l2_norm(self) -> float:
-        """Surface L2 norm: Simpson along s, rectangle rule around theta."""
-        g = self.grid
-        ring = np.sum(np.abs(self.values) ** 2, axis=1) * g.h_theta
-        return float(np.sqrt(np.abs(g.simpson_s @ ring)))
-
-
-class ModeStack:
-    """Per-wavenumber complex profiles along the cylinder axis.
-
-    ``coeffs[k]`` is the length-``M`` profile of mode ``n = grid.modes[k]``;
-    modes are stored in ascending wavenumber order.
-    """
-
-    def __init__(self, grid: CylinderGrid, coeffs: np.ndarray):
-        coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.shape != (grid.N, grid.M):
-            raise ValueError(
-                f"coeffs shape {coeffs.shape} does not match ({grid.N}, {grid.M})"
-            )
-        self.grid = grid
-        self.coeffs = coeffs
-
-    def copy(self) -> "ModeStack":
-        return ModeStack(self.grid, self.coeffs.copy())
-
-    def mode(self, n: int) -> np.ndarray:
-        """Profile of wavenumber ``n`` (view into the stack)."""
-        idx = n + self.grid.N // 2
-        if not 0 <= idx < self.grid.N:
-            raise KeyError(f"mode {n} outside band [{-self.grid.N // 2}, {self.grid.N // 2 - 1}]")
-        return self.coeffs[idx]
+    def l2_norm(self, values: np.ndarray) -> float:
+        """Surface L2 norm of an ``(M, N)`` field: Simpson along s, rectangle
+        rule around theta."""
+        ring = np.sum(np.abs(values) ** 2, axis=1) * self.h_theta
+        return float(np.sqrt(np.abs(self.simpson_s @ ring)))

@@ -1,8 +1,8 @@
 """Gain kernels for the delay-compensated rim controller.
 
-Two families of kernels appear.  The axial Volterra pair (``forward_kernel``,
-``inverse_kernel``) maps the advection-free error state to a plain heat state
-and back; both have closed forms through one entire Bessel-type power series.
+Two families of kernels appear.  The axial Volterra pair maps the
+advection-free error state to a plain heat state and back; both have closed
+forms through one entire Bessel-type power series (``_kernel_values``).
 The per-wavenumber predictor kernels couple the reconstructed actuation
 history to the state over the delay horizon; they are sine series in the
 integration variable with exponential growth factors in the other, and their
@@ -70,31 +70,6 @@ def bessel_ratio(y):
 def _kernel_values(s, tau, coeffs: PlantCoeffs, sign: float):
     lam = coeffs.shifted_reaction
     return -lam * tau * bessel_ratio(sign * lam * (np.asarray(s) ** 2 - np.asarray(tau) ** 2))
-
-
-def _check_domain(s, tau):
-    s = np.asarray(s, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    if np.any(s < -1e-12) or np.any(s > 1.0 + 1e-12):
-        raise ValueError("first argument must lie in [0, 1]")
-    if np.any(tau < -1e-12) or np.any(tau - s > 1e-12):
-        raise ValueError("second argument must lie in [0, s]")
-
-
-def forward_kernel(s, tau, coeffs: PlantCoeffs):
-    """Volterra kernel of the state-flattening transform.
-
-    Defined on the triangle ``0 <= tau <= s <= 1``; vanishes on ``tau = 0``
-    and equals ``-(shifted_reaction/2) * s`` on the diagonal.
-    """
-    _check_domain(s, tau)
-    return _kernel_values(s, tau, coeffs, 1.0)
-
-
-def inverse_kernel(s, tau, coeffs: PlantCoeffs):
-    """Volterra kernel of the inverse transform (oscillatory branch)."""
-    _check_domain(s, tau)
-    return _kernel_values(s, tau, coeffs, -1.0)
 
 
 def _lower_table(xi: np.ndarray, coeffs: PlantCoeffs, sign: float,

@@ -73,10 +73,6 @@ class DelayLine:
     def count(self) -> int:
         return self._count
 
-    @property
-    def newest_time(self) -> float:
-        return self._t0 + (self._count - 1) * self.dt
-
     def record(self, t: float, profile: np.ndarray) -> None:
         profile = np.asarray(profile)
         if profile.shape != (self.width,):

@@ -37,7 +37,7 @@ from .controller import ChannelController, ChannelUpdate
 from .errors import InstabilityError
 from .estimator import (EstimatorState, adaptation_drift, mismatch_drift,
                         step_estimate, update_signal)
-from .geometry import CylinderGrid, Field, ModeStack
+from .geometry import CylinderGrid
 from .kernels import KernelBasis, KernelSet
 from .plant import Channel, DelayLine, stable_dt
 from .steady import formation_fields
@@ -103,15 +103,6 @@ class RunRecord:
     residuals: list = field(default_factory=list)
 
 
-def _residual_queue(requested):
-    """Normalize the capture request: ``True`` means every eligible step,
-    otherwise a sorted queue of instants, each consumed by the first
-    eligible control step at or after it."""
-    if requested is True:
-        return True, []
-    return False, sorted(requested) if requested else []
-
-
 def _reached(queue, t: float) -> bool:
     """Whether the first pending request of ``queue`` is due at ``t``."""
     return bool(queue) and queue[0] <= t + _SNAP_TOL * max(1.0, t)
@@ -128,15 +119,14 @@ def _resolve_steps(cfg: ScenarioConfig, grid: CylinderGrid) -> tuple[int, float]
     return n_steps, cfg.duration / n_steps
 
 
-def run(cfg: ScenarioConfig, capture_residuals=False) -> RunRecord:
+def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
     """Simulate one scenario; deterministic for a fixed config.
 
-    ``capture_residuals`` may be ``True`` (every control step after the
-    first evaluates :func:`target_residual` for both channels) or a
-    collection of instants, each triggering one capture at the first
-    control step at or after it.  The evaluation is far more expensive
-    than a control step itself, so pointwise capture is the practical
-    choice outside tiny runs.
+    ``capture_residuals`` is a collection of instants.  Each triggers one
+    :func:`target_residual` capture for both channels at the first control
+    step at or after it, but not before the second step (a capture spans two
+    consecutive updates).  The evaluation is far more expensive than a
+    control step itself.
     """
     grid = CylinderGrid(cfg.grid_m, cfg.grid_n)
     init_planar, init_axial = formation_fields(cfg.initial, grid)
@@ -151,10 +141,10 @@ def run(cfg: ScenarioConfig, capture_residuals=False) -> RunRecord:
     horizon = max(cfg.true_delay, cfg.delay_hi) + 4.0 * dt_ctrl
     line_p = DelayLine(grid.N, dt_ctrl, horizon)
     line_z = DelayLine(grid.N, dt_ctrl, horizon)
-    chan_p = Channel(grid, coeffs_p, goal_planar.values[0], goal_planar.values[-1],
-                     init_planar.values, dt_ctrl, cfg.true_delay)
-    chan_z = Channel(grid, coeffs_z, goal_axial.values[0], goal_axial.values[-1],
-                     init_axial.values, dt_ctrl, cfg.true_delay, kind="real")
+    chan_p = Channel(grid, coeffs_p, goal_planar[0], goal_planar[-1],
+                     init_planar, dt_ctrl, cfg.true_delay)
+    chan_z = Channel(grid, coeffs_z, goal_axial[0], goal_axial[-1],
+                     init_axial, dt_ctrl, cfg.true_delay, kind="real")
 
     basis_p = KernelBasis(coeffs_p, grid)
     basis_z = KernelBasis(coeffs_z, grid)
@@ -163,13 +153,13 @@ def run(cfg: ScenarioConfig, capture_residuals=False) -> RunRecord:
     ks_p = KernelSet(basis_p, est.estimate)
     ks_z = KernelSet(basis_z, est.estimate)
     spare = None                # the (planar, axial) sets last replaced
-    ctrl_p = ChannelController(ks_p, goal_planar.values, "complex")
-    ctrl_z = ChannelController(ks_z, goal_axial.values, "real")
+    ctrl_p = ChannelController(ks_p, goal_planar, "complex")
+    ctrl_z = ChannelController(ks_z, goal_axial, "real")
     retable_tol = _RETABLE_FRACTION * (cfg.delay_hi - cfg.delay_lo)
 
     ring_idx = [i - 1 for i in cfg.ring_rows]
     snap_queue = list(cfg.snapshot_times)
-    res_always, res_queue = _residual_queue(capture_residuals)
+    res_queue = sorted(capture_residuals)
     rows, snaps, residuals = [], [], []
     prev = None                 # (planar update, axial update, estimate used)
     terminated, reason = False, None
@@ -189,31 +179,26 @@ def run(cfg: ScenarioConfig, capture_residuals=False) -> RunRecord:
         signal = (update_signal(upd_p.target_history, drift_p, grid)
                   + update_signal(upd_z.target_history, drift_z, grid))
 
-        dev_p = chan_p.values - goal_planar.values
-        dev_z = chan_z.values - goal_axial.values
+        dev_p = chan_p.values - goal_planar
+        dev_z = chan_z.values - goal_axial
         ring = np.sqrt(np.sum((np.abs(dev_p[ring_idx]) ** 2
                                + np.abs(dev_z[ring_idx]) ** 2)
                               * grid.h_theta, axis=1))
         rows.append((t, est.estimate, signal,
-                     Field(grid, dev_p).l2_norm(),
-                     Field(grid, dev_z).l2_norm(),
+                     grid.l2_norm(dev_p),
+                     grid.l2_norm(dev_z),
                      ring,
                      max(float(np.max(np.abs(upd_p.command))),
                          float(np.max(np.abs(upd_z.command)))),
                      max(upd_p.h_residual, upd_z.h_residual)))
 
-        if prev is not None:
-            want = res_always
+        if prev is not None and _reached(res_queue, t):
             while _reached(res_queue, t):
                 res_queue.pop(0)
-                want = True
-            if want:
-                rate = (est.estimate - prev[2]) / dt_ctrl
-                residuals.append((t,
-                                  target_residual(prev[0], upd_p, dt_ctrl,
-                                                  ks_p, rate),
-                                  target_residual(prev[1], upd_z, dt_ctrl,
-                                                  ks_z, rate)))
+            rate = (est.estimate - prev[2]) / dt_ctrl
+            residuals.append((t,
+                              target_residual(prev[0], upd_p, dt_ctrl, ks_p, rate),
+                              target_residual(prev[1], upd_z, dt_ctrl, ks_z, rate)))
         prev = (upd_p, upd_z, est.estimate)
 
         if not cfg.fixed_estimate:
@@ -280,7 +265,7 @@ def target_residual(prev: ChannelUpdate, curr: ChannelUpdate, dt: float,
                     ks: KernelSet, estimate_rate: float = 0.0) -> TargetResiduals:
     """Defects of the decoupled equations between two consecutive updates.
 
-    Works per angular wavenumber on the transformed stacks the controller
+    Works per angular wavenumber on the mode tables the controller
     already produced.  The moving-rim coupling is removed from the state by
     subtracting ``s`` times the history value at the near rim; what remains
     must satisfy a pure heat equation with pinned ends, driven by the rim
@@ -294,8 +279,8 @@ def target_residual(prev: ChannelUpdate, curr: ChannelUpdate, dt: float,
     s = grid.s
     n2 = (grid.modes.astype(float) ** 2)[:, None]          # (N, 1)
 
-    w0, w1 = prev.target_state.coeffs, curr.target_state.coeffs
-    h0, h1 = prev.target_history.coeffs, curr.target_history.coeffs
+    w0, w1 = prev.target_state, curr.target_state
+    h0, h1 = prev.target_history, curr.target_history
     near0, near1 = h0[:, 0], h1[:, 0]                      # rim coupling value
     m0 = w0 - s[None, :] * near0[:, None]
     m1 = w1 - s[None, :] * near1[:, None]
@@ -309,8 +294,7 @@ def target_residual(prev: ChannelUpdate, curr: ChannelUpdate, dt: float,
                  + s[None, :] * ((near1 - near0) / dt)[:, None])
 
     h_mid = 0.5 * (h0 + h1)
-    drift = adaptation_drift(ModeStack(grid, 0.5 * (w0 + w1)),
-                             ModeStack(grid, h_mid), ks).coeffs
+    drift = adaptation_drift(0.5 * (w0 + w1), h_mid, ks)
     flow_res = (ks.delay * (h1 - h0) / dt
                 - grid.d_s(h_mid.T).T
                 + ks.delay * estimate_rate * drift)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ResonantModeError
-from .geometry import CylinderGrid, Field
+from .geometry import CylinderGrid
 from .kernels import PlantCoeffs
 
 #: relative root separation below which the double-root branch is used
@@ -105,8 +105,8 @@ def rim_profile(coeff_map: dict, grid: CylinderGrid, real: bool = False) -> np.n
 
 
 def steady_field(coeffs: PlantCoeffs, anchor: dict, leader: dict,
-                 grid: CylinderGrid, real: bool = False) -> Field:
-    """Assemble the equilibrium field of one channel on the grid.
+                 grid: CylinderGrid, real: bool = False) -> np.ndarray:
+    """Assemble the ``(M, N)`` equilibrium field of one channel on the grid.
 
     The rim rows of the result are the synthesized rim data themselves (they
     are imposed, and the per-mode profiles meet them to roundoff anyway).
@@ -120,12 +120,13 @@ def steady_field(coeffs: PlantCoeffs, anchor: dict, leader: dict,
         stack[j] = steady_mode(int(n), coeffs, a, b, grid.s)
 
     out = grid.synthesize(stack, kind="real" if real else "complex")
-    out.values[0, :] = rim_profile(anchor, grid, real)
-    out.values[-1, :] = rim_profile(leader, grid, real)
+    out[0, :] = rim_profile(anchor, grid, real)
+    out[-1, :] = rim_profile(leader, grid, real)
     return out
 
 
-def formation_fields(spec: FormationSpec, grid: CylinderGrid) -> tuple[Field, Field]:
+def formation_fields(spec: FormationSpec,
+                     grid: CylinderGrid) -> tuple[np.ndarray, np.ndarray]:
     """Both channel equilibria of a formation."""
     planar = steady_field(spec.planar_coeffs, spec.planar_anchor,
                           spec.planar_leader, grid)

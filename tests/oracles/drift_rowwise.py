@@ -5,7 +5,7 @@ For each wavenumber row the two cross terms are built as full
 exponential kernels (phi-functions near a rate coincidence, divided
 differences elsewhere), the history term from running convolutions of the
 row's history with those cross products.  The package contracts the same
-pair sums over the whole mode stack at once; this module is what it is
+pair sums over the whole mode table at once; this module is what it is
 checked against.
 """
 
@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from cylform.estimator import _TAYLOR_CUT
-from cylform.geometry import ModeStack
 from cylform.kernels import KernelSet
 from cylform.quadrature import exp_conv_paired
 
@@ -124,8 +123,8 @@ def cross_exp_conv(a_rates: np.ndarray, c_rates: np.ndarray,
     return conv0, conv1
 
 
-def adaptation_drift(target: ModeStack, history: ModeStack,
-                     ks: KernelSet) -> ModeStack:
+def adaptation_drift(target: np.ndarray, history: np.ndarray,
+                     ks: KernelSet) -> np.ndarray:
     """Sensitivity of the target history to the estimate's rate of change.
 
     Four contributions per wavenumber: the explicit estimate-derivative of
@@ -135,13 +134,13 @@ def adaptation_drift(target: ModeStack, history: ModeStack,
     cross-convolved lag-kernel derivatives against the history itself.
     Diagnostics only -- the update signal never reads this.
     """
-    grid = target.grid
+    grid = ks.grid
     basis = ks.basis
     s = grid.s
     absn = np.abs(grid.modes)
-    sw = target.coeffs @ basis.mode_sine.T                  # (N, i)
-    cw = target.coeffs @ basis.composition.T                # (N, i)
-    out = np.empty_like(target.coeffs)
+    sw = target @ basis.mode_sine.T                         # (N, i)
+    cw = target @ basis.composition.T                       # (N, i)
+    out = np.empty(target.shape, dtype=complex)
     for a_idx in np.unique(absn):
         rows = np.flatnonzero(absn == a_idx)
         ra = ks.rates[a_idx]
@@ -150,7 +149,7 @@ def adaptation_drift(target: ModeStack, history: ModeStack,
         g0, g1 = cross_exp_table(ra, rc, s)
         state_cross = g0 + ra[:, None, None] * g1           # (i, j, M)
         for r in rows:
-            h_row = history.coeffs[r]
+            h_row = history[r]
             part_a = (2.0 / ks.delay) * np.einsum(
                 "i,im->m",
                 ra * basis.fwd_sine * (sw[r] + cw[r]),
@@ -172,4 +171,4 @@ def adaptation_drift(target: ModeStack, history: ModeStack,
                 conv0 + ra[:, None, None] * conv1,
             )
             out[r] = part_a + part_b + part_c + part_d
-    return ModeStack(grid, out)
+    return out

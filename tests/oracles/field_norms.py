@@ -1,13 +1,11 @@
-"""Sobolev norms and the surface Laplacian of a :class:`~cylform.geometry.Field`.
+"""Sobolev norms and the surface Laplacian of an ``(M, N)`` field.
 
 Built from the grid's axial finite-difference partials, the periodic
-angular ones below and the surface L2 norm; the package itself measures
-errors in L2 only.
+angular ones below and the grid's surface L2 norm; the package itself
+measures errors in L2 only.
 """
 
 import numpy as np
-
-from cylform.geometry import Field
 
 
 def d_theta(grid, vals):
@@ -20,35 +18,32 @@ def d2_theta(grid, vals):
     return (np.roll(vals, -1, axis=1) - 2.0 * vals + np.roll(vals, 1, axis=1)) / grid.h_theta**2
 
 
-def h1_norm(f):
+def h1_norm(g, vals):
     """Sobolev H1 norm from finite-difference first partials."""
-    g = f.grid
     total = (
-        f.l2_norm() ** 2
-        + Field(g, g.d_s(f.values)).l2_norm() ** 2
-        + Field(g, d_theta(g, f.values)).l2_norm() ** 2
+        g.l2_norm(vals) ** 2
+        + g.l2_norm(g.d_s(vals)) ** 2
+        + g.l2_norm(d_theta(g, vals)) ** 2
     )
     return float(np.sqrt(total))
 
 
-def h2_norm(f):
+def h2_norm(g, vals):
     """H2 norm: adds both pure second partials and twice the mixed one."""
-    g = f.grid
-    mixed = d_theta(g, g.d_s(f.values))
+    mixed = d_theta(g, g.d_s(vals))
     total = (
-        h1_norm(f) ** 2
-        + Field(g, g.d2_s(f.values)).l2_norm() ** 2
-        + 2.0 * Field(g, mixed).l2_norm() ** 2
-        + Field(g, d2_theta(g, f.values)).l2_norm() ** 2
+        h1_norm(g, vals) ** 2
+        + g.l2_norm(g.d2_s(vals)) ** 2
+        + 2.0 * g.l2_norm(mixed) ** 2
+        + g.l2_norm(d2_theta(g, vals)) ** 2
     )
     return float(np.sqrt(total))
 
 
-def laplacian(f):
+def laplacian(g, vals):
     """Discrete surface Laplacian (axial + angular second differences).
 
     Rim rows use one-sided second-order stencils so the array is fully
     populated.
     """
-    g = f.grid
-    return Field(g, g.d2_s(f.values) + d2_theta(g, f.values))
+    return g.d2_s(vals) + d2_theta(g, vals)

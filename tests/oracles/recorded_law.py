@@ -106,13 +106,13 @@ def control_modes_recorded(measured, line, t, ks):
     that post-processes ``cmd`` (symmetrization) can report the honest rim
     defect of the implicit solve as ``cmd * denom - rhs``.
     """
-    grid = measured.grid
+    grid = ks.grid
     rows = np.abs(grid.modes)
     w = command_lattice(ks, line.dt)[rows]                      # (N, nodes)
     win = line.lookup_many(t - line.dt * np.arange(1, w.shape[1]))
     gain = np.exp(0.5 * ks.basis.coeffs.advection)
     lattice = grid.analyze_rows(win) * gain                     # (nodes-1, N)
-    sw = measured.coeffs @ ks.basis.mode_sine.T
+    sw = measured @ ks.basis.mode_sine.T
     pred_rim = 2.0 * np.einsum("ni,ni->n",
                                sw * ks.basis.fwd_sine[None, :],
                                ks.exp_s[rows][:, :, -1])

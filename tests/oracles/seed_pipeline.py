@@ -3,7 +3,7 @@
 Every map here is rebuilt from the running exponential convolution
 :func:`cylform.quadrature.exp_conv_paired` on each call -- the history map
 from the convolution of the identity, the command law and the target
-history from the convolution of the whole mode stack, the rim node's weight
+history from the convolution of the whole mode table, the rim node's weight
 in the command law from a fresh pair-weight build, the transport from one
 scalar delay-line read per node, and the mismatch drift from a per-mode copy
 of the exponential tables.  The production path precomputes the same maps
@@ -15,7 +15,6 @@ can be replayed on the reference step.
 import numpy as np
 
 from cylform import controller, runner
-from cylform.geometry import ModeStack
 from cylform.quadrature import exp_conv_paired, exp_pair_weights
 from oracles.delay_lookup import lookup
 
@@ -33,32 +32,30 @@ def reconstruct_transport(line, t, delay_estimate, grid, advection=0.0):
     profiles = np.stack([lookup(line, tt) for tt in times])
     gain = np.exp(0.5 * advection)
     peak = float(np.max(np.abs(profiles[:-1]))) * abs(gain)
-    return ModeStack(grid, grid.analyze(profiles).coeffs * gain), peak
+    return grid.analyze(profiles) * gain, peak
 
 
 def state_prediction(measured, ks):
-    grid = measured.grid
-    sw = measured.coeffs @ ks.basis.mode_sine.T
-    rows = np.abs(grid.modes)
+    sw = measured @ ks.basis.mode_sine.T
+    rows = np.abs(ks.grid.modes)
     return 2.0 * np.einsum("ni,nim->nm",
                            sw * ks.basis.fwd_sine[None, :], ks.exp_s[rows])
 
 
 def to_target_history(transport, measured, ks):
-    grid = transport.grid
+    grid = ks.grid
     rates = ks.rates[np.abs(grid.modes)]
-    conv = exp_conv_paired(rates, transport.coeffs, grid.h_s)
+    conv = exp_conv_paired(rates, transport, grid.h_s)
     hist = np.einsum("i,nim->nm", ks.basis.fwd_edge, conv)
-    out = transport.coeffs - state_prediction(measured, ks) + 2.0 * ks.delay * hist
-    return ModeStack(grid, out)
+    return transport - state_prediction(measured, ks) + 2.0 * ks.delay * hist
 
 
 def control_modes(measured, transport, ks):
-    grid = measured.grid
+    grid = ks.grid
     rows = np.abs(grid.modes)
     rates = ks.rates[rows]
     pred_rim = state_prediction(measured, ks)[:, -1]
-    vals = transport.coeffs.copy()
+    vals = transport.copy()
     vals[:, -1] = 0.0
     tail = exp_conv_paired(rates, vals, grid.h_s)[:, :, -1]
     numer = pred_rim - 2.0 * ks.delay * (tail @ ks.basis.fwd_edge)
@@ -73,25 +70,24 @@ def rim_solve(history, ks):
     The rim node's weight in the rim row is the pair weight of the newest
     node, rebuilt here from :func:`exp_pair_weights`.
     """
-    grid = history.grid
+    grid = ks.grid
     rates = ks.rates[np.abs(grid.modes)]
     endpoint_w = exp_pair_weights(rates, grid.h_s)[0]
     denom = 1.0 + 2.0 * ks.delay * (endpoint_w @ ks.basis.fwd_edge)
-    return -history.coeffs[:, -1] / denom
+    return -history[:, -1] / denom
 
 
 def mismatch_drift(target, history, ks):
-    grid = target.grid
     basis = ks.basis
-    rows = np.abs(grid.modes)
+    rows = np.abs(ks.grid.modes)
     rates = ks.rates[rows]
-    sw = target.coeffs @ basis.mode_sine.T
-    cw = target.coeffs @ basis.composition.T
-    edge = target.coeffs @ basis.edge_weights
+    sw = target @ basis.mode_sine.T
+    cw = target @ basis.composition.T
+    edge = target @ basis.edge_weights
     rho = (2.0 / ks.delay) * rates * basis.fwd_sine[None, :] * (sw + cw) \
         - 2.0 * basis.fwd_edge[None, :] \
-        * (edge + history.coeffs[:, 0])[:, None]
-    return ModeStack(grid, np.einsum("ni,nim->nm", rho, ks.exp_s[rows]))
+        * (edge + history[:, 0])[:, None]
+    return np.einsum("ni,nim->nm", rho, ks.exp_s[rows])
 
 
 def install(monkeypatch):

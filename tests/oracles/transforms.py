@@ -10,7 +10,6 @@ can check the forward maps against something they do not share.
 import numpy as np
 
 from cylform.controller import state_prediction
-from cylform.geometry import ModeStack
 from cylform.quadrature import exp_conv_paired
 from oracles.dense_law import sine_basis
 
@@ -24,9 +23,8 @@ def restore_advection(scaled, steady_values, advection, grid):
 def from_target_state(target, ks):
     """Undo :func:`cylform.controller.to_target_state` exactly (triangular
     dense solve against the forward matrix)."""
-    grid = target.grid
-    mat = np.eye(grid.M) - ks.basis.volterra_fwd_refined
-    return ModeStack(grid, np.linalg.solve(mat, target.coeffs.T).T)
+    mat = np.eye(ks.grid.M) - ks.basis.volterra_fwd_refined
+    return np.linalg.solve(mat, target.T).T
 
 
 def from_target_state_kernel(target, ks):
@@ -38,7 +36,7 @@ def from_target_state_kernel(target, ks):
     by the identity itself.
     """
     v = ks.basis.volterra_inv_refined
-    return ModeStack(target.grid, target.coeffs + target.coeffs @ v.T)
+    return target + target @ v.T
 
 
 def from_target_history(history, target, ks):
@@ -49,15 +47,14 @@ def from_target_history(history, target, ks):
     the right-hand side, and the remaining convolution relation is solved
     per wavenumber magnitude against ``ks.history_map``.
     """
-    grid = history.grid
     measured = from_target_state(target, ks)
-    rhs = history.coeffs + state_prediction(measured, ks)
+    rhs = history + state_prediction(measured, ks)
     out = np.empty_like(rhs)
-    absn = np.abs(grid.modes)
+    absn = np.abs(ks.grid.modes)
     for a in np.unique(absn):
         rows = np.flatnonzero(absn == a)
         out[rows] = np.linalg.solve(ks.history_map[a], rhs[rows].T).T
-    return ModeStack(grid, out)
+    return out
 
 
 def inv_exp_s(ks):
@@ -73,15 +70,15 @@ def from_target_history_series(history, target, ks):
     coefficients do not decay), so it is a structural check rather than an
     inverse to rely on.
     """
-    grid = history.grid
+    grid = ks.grid
     rows = np.abs(grid.modes)
-    sw = target.coeffs @ ks.basis.mode_sine.T                    # (N, i_max)
+    sw = target @ ks.basis.mode_sine.T                           # (N, i_max)
     eta_part = 2.0 * np.einsum("ni,nim->nm",
                                sw * ks.basis.inv_sine[None, :],
                                inv_exp_s(ks)[rows])
-    conv = exp_conv_paired(ks.inv_rates[rows], history.coeffs, grid.h_s)
+    conv = exp_conv_paired(ks.inv_rates[rows], history, grid.h_s)
     q_part = -2.0 * ks.delay * np.einsum("i,nim->nm", ks.basis.inv_edge, conv)
-    return ModeStack(grid, history.coeffs + eta_part + q_part)
+    return history + eta_part + q_part
 
 
 def mode_index(ks, n):

@@ -23,7 +23,7 @@ from cylform.controller import (
     to_target_history,
     to_target_state,
 )
-from cylform.geometry import CylinderGrid, ModeStack
+from cylform.geometry import CylinderGrid
 from cylform.kernels import KernelBasis, KernelSet, PlantCoeffs
 from cylform.plant import DelayLine
 from oracles import seed_pipeline
@@ -52,7 +52,7 @@ def kit(grid):
 
 
 def smooth_stack(rng, grid, n_band=8, k_s=4, pinned_root=True):
-    """Random angular-bandlimited stack, axially smooth."""
+    """Random angular-bandlimited mode table, axially smooth."""
     coeffs = np.zeros((grid.N, grid.M), dtype=complex)
     half = grid.N // 2
     for n in range(-n_band, n_band + 1):
@@ -63,7 +63,7 @@ def smooth_stack(rng, grid, n_band=8, k_s=4, pinned_root=True):
         else:
             prof = sum(a * np.cos(k * grid.s) for k, a in enumerate(amp))
         coeffs[half + n] = prof / (1 + n * n)
-    return ModeStack(grid, coeffs)
+    return coeffs
 
 
 class TestAdvectionLift:
@@ -99,15 +99,15 @@ class TestReconstructTransport:
             line.record(k * 0.05, prof)
         stack, _ = reconstruct_transport(line, 1.9, 1.0, grid)
         want = grid.analyze_rows(prof)
-        assert np.max(np.abs(stack.coeffs - want[:, None])) <= 1e-13
+        assert np.max(np.abs(stack - want[:, None])) <= 1e-13
 
     def test_zero_delay_limit(self, grid):
         line = self._line(grid)
         for k in range(10):
             line.record(k * 0.05, np.full(grid.N, float(k)))
         stack, _ = reconstruct_transport(line, 0.45, 0.0, grid)
-        assert np.allclose(stack.coeffs[grid.N // 2], 9.0, atol=1e-12)
-        assert np.max(np.abs(np.diff(stack.coeffs, axis=1))) <= 1e-12
+        assert np.allclose(stack[grid.N // 2], 9.0, atol=1e-12)
+        assert np.max(np.abs(np.diff(stack, axis=1))) <= 1e-12
 
     def test_ramp_history_is_exact(self, grid):
         # linear interpolation reproduces a ramp exactly, so each node holds
@@ -118,7 +118,7 @@ class TestReconstructTransport:
         t, dhat = 3.0, 1.25
         stack, _ = reconstruct_transport(line, t, dhat, grid)
         want = t + dhat * (grid.s - 1.0)
-        got = stack.coeffs[grid.N // 2].real
+        got = stack[grid.N // 2].real
         assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_advection_gain_applied(self, grid):
@@ -126,7 +126,7 @@ class TestReconstructTransport:
         for k in range(10):
             line.record(k * 0.05, np.ones(grid.N))
         stack, peak = reconstruct_transport(line, 0.45, 0.2, grid, advection=2.0)
-        assert abs(stack.coeffs[grid.N // 2, 0] - np.exp(1.0)) <= 1e-12
+        assert abs(stack[grid.N // 2, 0] - np.exp(1.0)) <= 1e-12
         assert peak == pytest.approx(np.exp(1.0), rel=1e-15)
 
     def test_peak_is_largest_scaled_magnitude_below_the_rim(self, grid):
@@ -140,7 +140,7 @@ class TestReconstructTransport:
                                            + 1j * rng.normal(size=grid.N)))
         t, dhat, adv = 1.45, 0.9, 0.5 + 0.2j
         stack, peak = reconstruct_transport(line, t, dhat, grid, advection=adv)
-        field = grid.synthesize(stack).values
+        field = grid.synthesize(stack)
         assert peak == pytest.approx(np.max(np.abs(field[:-1])), rel=1e-13)
         assert peak < 0.9 * np.max(np.abs(field[-1]))
 
@@ -151,14 +151,14 @@ class TestStateTransformPair:
         ks = KernelSet(basis, 1.0)
         phi = smooth_stack(np.random.default_rng(2), grid)
         w = to_target_state(phi, ks)
-        assert np.max(np.abs(w.coeffs - phi.coeffs)) <= 1e-14
+        assert np.max(np.abs(w - phi)) <= 1e-14
 
     def test_exact_round_trip(self, grid, kit):
         rng = np.random.default_rng(3)
         for _ in range(3):
             phi = smooth_stack(rng, grid)
             back = from_target_state(to_target_state(phi, kit), kit)
-            assert np.max(np.abs(back.coeffs - phi.coeffs)) <= 1e-12
+            assert np.max(np.abs(back - phi)) <= 1e-12
 
     def test_kernel_route_round_trip(self, grid, kit):
         # independent inverse through the closed-form kernel; accuracy is
@@ -166,8 +166,8 @@ class TestStateTransformPair:
         rng = np.random.default_rng(4)
         phi = smooth_stack(rng, grid)
         back = from_target_state_kernel(to_target_state(phi, kit), kit)
-        scale = np.max(np.abs(phi.coeffs))
-        assert np.max(np.abs(back.coeffs - phi.coeffs)) <= 1e-4 * scale
+        scale = np.max(np.abs(phi))
+        assert np.max(np.abs(back - phi)) <= 1e-4 * scale
 
     def test_kernel_route_converges_cubically(self):
         # the same round trip on refining grids: defect must drop by ~8x
@@ -178,11 +178,10 @@ class TestStateTransformPair:
             basis = KernelBasis(PlantCoeffs(8.0, 0.0), g, i_max=48)
             ks = KernelSet(basis, 1.0)
             prof = np.sin(np.pi / 2 * g.s) + 0.4 * np.sin(np.pi * g.s)
-            coeffs = np.zeros((g.N, g.M), dtype=complex)
-            coeffs[g.N // 2] = prof
-            phi = ModeStack(g, coeffs)
+            phi = np.zeros((g.N, g.M), dtype=complex)
+            phi[g.N // 2] = prof
             back = from_target_state_kernel(to_target_state(phi, ks), ks)
-            errs.append(np.max(np.abs(back.coeffs - phi.coeffs)))
+            errs.append(np.max(np.abs(back - phi)))
         assert errs[1] <= 0.22 * errs[0]
         assert errs[2] <= 0.22 * errs[1]
 
@@ -195,7 +194,7 @@ class TestHistoryTransformPair:
         tht = smooth_stack(rng, grid, pinned_root=False)
         phi = smooth_stack(rng, grid)
         h = to_target_history(tht, phi, ks)
-        assert np.max(np.abs(h.coeffs - tht.coeffs)) <= 1e-14
+        assert np.max(np.abs(h - tht)) <= 1e-14
 
     def test_exact_round_trip(self, grid, kit):
         rng = np.random.default_rng(6)
@@ -205,7 +204,7 @@ class TestHistoryTransformPair:
             w = to_target_state(phi, kit)
             h = to_target_history(tht, phi, kit)
             back = from_target_history(h, w, kit)
-            assert np.max(np.abs(back.coeffs - tht.coeffs)) <= 1e-11
+            assert np.max(np.abs(back - tht)) <= 1e-11
 
     def test_series_route_improves_with_truncation_order(self, grid):
         # the series inverse carries an O(1/i_max) identity defect because
@@ -222,7 +221,7 @@ class TestHistoryTransformPair:
             w = to_target_state(phi, ks)
             h = to_target_history(tht, phi, ks)
             back = from_target_history_series(h, w, ks)
-            errs.append(np.max(np.abs(back.coeffs - tht.coeffs)))
+            errs.append(np.max(np.abs(back - tht)))
         assert errs[1] <= 0.65 * errs[0]
         assert errs[2] <= 0.65 * errs[1]
 
@@ -230,7 +229,7 @@ class TestHistoryTransformPair:
 def rim_solve(measured, transport, ks):
     """The command law for a transport whose rim node is ignored."""
     zeroed = transport.copy()
-    zeroed.coeffs[:, -1] = 0.0
+    zeroed[:, -1] = 0.0
     return control_modes(to_target_history(zeroed, measured, ks), ks)
 
 
@@ -243,13 +242,14 @@ class TestControlLaw:
         tht = smooth_stack(rng, grid, pinned_root=False)
         cmd = rim_solve(phi, tht, ks)
         assert np.max(np.abs(cmd)) <= 1e-14
-        single = control_mode(3, phi.mode(3), tht.mode(3), ks)
+        row = 3 + grid.N // 2
+        single = control_mode(3, phi[row], tht[row], ks)
         assert abs(single) <= 1e-14
 
     def test_zero_inputs_give_zero(self, kit, grid):
-        zero = ModeStack(grid, np.zeros((grid.N, grid.M), dtype=complex))
+        zero = np.zeros((grid.N, grid.M), dtype=complex)
         assert np.max(np.abs(rim_solve(zero, zero, kit))) == 0.0
-        assert control_mode(0, zero.mode(0), zero.mode(0), kit) == 0.0
+        assert control_mode(0, zero[grid.N // 2], zero[grid.N // 2], kit) == 0.0
 
     def test_state_integral_against_refined_contraction(self):
         # manufactured deviation profile with a single axial sine: the state
@@ -277,10 +277,10 @@ class TestControlLaw:
         phi = smooth_stack(rng, grid)
         tht = smooth_stack(rng, grid, pinned_root=False)
         cmd = rim_solve(phi, tht, kit)
-        tht.coeffs[:, -1] = cmd
+        tht[:, -1] = cmd
         h = to_target_history(tht, phi, kit)
-        scale = np.max(np.abs(tht.coeffs)) + np.max(np.abs(phi.coeffs))
-        assert np.max(np.abs(h.coeffs[:, -1])) <= 1e-12 * scale
+        scale = np.max(np.abs(tht)) + np.max(np.abs(phi))
+        assert np.max(np.abs(h[:, -1])) <= 1e-12 * scale
 
     @pytest.mark.parametrize("coeffs", [PlantCoeffs(8.0, 1.0),
                                         PlantCoeffs(10.0 + 2.0j, 0.5 + 0.5j)],
@@ -297,10 +297,10 @@ class TestControlLaw:
         cmd = rim_solve(phi, tht, ks)
         want = seed_pipeline.control_modes(phi, tht, ks)
         assert np.max(np.abs(cmd - want)) <= 1e-12 * np.max(np.abs(want))
-        tht.coeffs[:, -1] = cmd
+        tht[:, -1] = cmd
         h = seed_pipeline.to_target_history(tht, phi, ks)
-        scale = np.max(np.abs(tht.coeffs)) + np.max(np.abs(phi.coeffs))
-        assert np.max(np.abs(h.coeffs[:, -1])) <= 1e-12 * scale
+        scale = np.max(np.abs(tht)) + np.max(np.abs(phi))
+        assert np.max(np.abs(h[:, -1])) <= 1e-12 * scale
 
     def test_direct_law_disagrees_when_rim_is_stale(self, grid, kit):
         # the open-form law evaluated with a stale rim value must differ from
@@ -310,8 +310,8 @@ class TestControlLaw:
         phi = smooth_stack(rng, grid)
         tht = smooth_stack(rng, grid, pinned_root=False)
         cmd = rim_solve(phi, tht, kit)
-        direct = np.array([control_mode(int(n), phi.mode(int(n)), tht.mode(int(n)), kit)
-                           for n in grid.modes])
+        direct = np.array([control_mode(int(n), phi[k], tht[k], kit)
+                           for k, n in enumerate(grid.modes)])
         assert np.max(np.abs(cmd - direct)) > 1e-6 * np.max(np.abs(cmd))
 
 
@@ -336,7 +336,7 @@ class TestRecordLatticeLaw:
         for j in range(last + 1):
             line.record(j * dt, np.ones(g.N))
         t = (last + 1) * dt
-        zero = ModeStack(g, np.zeros((g.N, g.M), dtype=complex))
+        zero = np.zeros((g.N, g.M), dtype=complex)
         row = g.N // 2                                      # mode 0
         cmd, denom, rhs = control_modes_recorded(zero, line, t, ks)
         assert cmd[row] == pytest.approx(lattice, rel=1e-9)
@@ -426,9 +426,9 @@ class TestChannelController:
             vals[0] = steady[0]
             upd = run_update(ctrl, vals, line, k * 0.02)
             scaled = remove_advection(vals, steady, ctrl.advection, grid)
-            rim = grid.synthesize_profile(upd.target_history.coeffs[:, -1])
+            rim = grid.synthesize_profile(upd.target_history[:, -1])
             scale = (np.max(np.abs(scaled))
-                     + np.max(np.abs(grid.synthesize(upd.transport).values)) + 1e-30)
+                     + np.max(np.abs(grid.synthesize(upd.transport))) + 1e-30)
             want = np.max(np.abs(rim)) / scale
             assert upd.h_residual == pytest.approx(want, rel=1e-12, abs=1e-300)
 
@@ -439,7 +439,7 @@ class TestChannelController:
         upd = ctrl.update(vals, line, 0.0)
         assert upd.command.dtype == np.float64
         defect = conjugate_symmetry_defect(upd.transport)
-        assert defect <= 1e-12 * (1 + np.max(np.abs(upd.transport.coeffs)))
+        assert defect <= 1e-12 * (1 + np.max(np.abs(upd.transport)))
 
     def test_transport_rim_row_is_new_command(self, grid):
         ctrl, line, steady = self._setup(grid)
@@ -447,7 +447,7 @@ class TestChannelController:
         upd = ctrl.update(vals, line, 0.0)
         gain = np.exp(0.5 * ctrl.advection)
         want = grid.analyze_rows(upd.command) * gain
-        assert np.max(np.abs(upd.transport.coeffs[:, -1] - want)) <= 1e-12
+        assert np.max(np.abs(upd.transport[:, -1] - want)) <= 1e-12
 
 
 class TestPrecomputedStep:
@@ -485,8 +485,8 @@ class TestPrecomputedStep:
         rng = np.random.default_rng(21)
         phi = smooth_stack(rng, grid)
         tht = smooth_stack(rng, grid, pinned_root=False)
-        got = to_target_history(tht, phi, kit).coeffs
-        want = seed_pipeline.to_target_history(tht, phi, kit).coeffs
+        got = to_target_history(tht, phi, kit)
+        want = seed_pipeline.to_target_history(tht, phi, kit)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -551,6 +551,6 @@ class TestStatePrediction:
         pred = state_prediction(phi, kit)
         zero = np.zeros(grid.M, dtype=complex)
         for n in (-7, -1, 0, 2, 5):
-            got = control_mode(n, phi.mode(n), zero, kit)
+            got = control_mode(n, phi[n + grid.N // 2], zero, kit)
             want = pred[n + grid.N // 2, -1]
             assert abs(got - want) <= 1e-13 * (1 + abs(want))

@@ -12,7 +12,7 @@ from cylform import estimator
 from cylform.estimator import (_TAYLOR_CUT, EstimatorState, adaptation_drift,
                                mismatch_drift, project, step_estimate,
                                update_signal)
-from cylform.geometry import CylinderGrid, ModeStack
+from cylform.geometry import CylinderGrid
 from cylform.kernels import KernelBasis, KernelSet, PlantCoeffs
 from cylform.quadrature import simpson_weights
 from oracles import drift_reference as ref
@@ -49,11 +49,11 @@ def mid_set():
 
 
 def single_row_stacks(grid, n, interior, boundary):
-    tgt = ModeStack(grid, np.zeros((grid.N, grid.M), dtype=complex))
-    hist = ModeStack(grid, np.zeros((grid.N, grid.M), dtype=complex))
+    tgt = np.zeros((grid.N, grid.M), dtype=complex)
+    hist = np.zeros((grid.N, grid.M), dtype=complex)
     row = n + grid.N // 2
-    tgt.coeffs[row] = interior
-    hist.coeffs[row] = boundary
+    tgt[row] = interior
+    hist[row] = boundary
     return tgt, hist, row
 
 
@@ -157,7 +157,7 @@ class TestUpdateSignal:
         return CylinderGrid(51, 50)
 
     def zeros(self, grid):
-        return ModeStack(grid, np.zeros((grid.N, grid.M), dtype=complex))
+        return np.zeros((grid.N, grid.M), dtype=complex)
 
     def test_zero_inputs(self, grid):
         z = self.zeros(grid)
@@ -166,8 +166,8 @@ class TestUpdateSignal:
     def test_closed_form_constant_zero_mode(self, grid):
         # flat unit profiles in the zero wavenumber: -4*pi * int (1+s) ds
         hist, drift = self.zeros(grid), self.zeros(grid)
-        hist.coeffs[grid.N // 2] = 1.0
-        drift.coeffs[grid.N // 2] = 1.0
+        hist[grid.N // 2] = 1.0
+        drift[grid.N // 2] = 1.0
         assert abs(update_signal(hist, drift, grid) + 6.0 * np.pi) < 1e-10
 
     def test_quadratic_homogeneity_is_exact(self, grid):
@@ -175,8 +175,8 @@ class TestUpdateSignal:
         hist = grid.analyze(rng.standard_normal((grid.M, grid.N)))
         drift = grid.analyze(rng.standard_normal((grid.M, grid.N)))
         base = update_signal(hist, drift, grid)
-        hist2 = ModeStack(grid, 2.0 * hist.coeffs)
-        drift2 = ModeStack(grid, 2.0 * drift.coeffs)
+        hist2 = 2.0 * hist
+        drift2 = 2.0 * drift
         assert update_signal(hist2, drift2, grid) == 4.0 * base
 
     def test_additive_in_drift(self, grid):
@@ -184,7 +184,7 @@ class TestUpdateSignal:
         hist = grid.analyze(rng.standard_normal((grid.M, grid.N)))
         d1 = grid.analyze(rng.standard_normal((grid.M, grid.N)))
         d2 = grid.analyze(rng.standard_normal((grid.M, grid.N)))
-        both = ModeStack(grid, d1.coeffs + d2.coeffs)
+        both = d1 + d2
         a = update_signal(hist, d1, grid) + update_signal(hist, d2, grid)
         b = update_signal(hist, both, grid)
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
@@ -194,7 +194,7 @@ class TestUpdateSignal:
         hist = grid.analyze(rng.standard_normal((grid.M, grid.N)))
         drift = grid.analyze(rng.standard_normal((grid.M, grid.N)))
         w = simpson_weights(grid.M, grid.h_s)
-        paired = (hist.coeffs * np.conj(drift.coeffs)).sum(axis=0)
+        paired = (hist * np.conj(drift)).sum(axis=0)
         full = -4.0 * np.pi * np.sum(paired * (1.0 + grid.s) * w)
         assert abs(full.imag) <= 1e-12 * abs(full.real)
         got = update_signal(hist, drift, grid)
@@ -206,7 +206,7 @@ class TestMismatchDrift:
         grid = fine_set.grid
         tgt, hist, _ = single_row_stacks(grid, 0, 0.0, 0.0)
         out = mismatch_drift(tgt, hist, fine_set)
-        assert np.max(np.abs(out.coeffs)) == 0.0
+        assert np.max(np.abs(out)) == 0.0
 
     def test_zero_reaction_coefficient_kills_drift(self):
         grid = CylinderGrid(51, 8)
@@ -215,19 +215,19 @@ class TestMismatchDrift:
         tgt = grid.analyze(rng.standard_normal((grid.M, grid.N)))
         hist = grid.analyze(rng.standard_normal((grid.M, grid.N)))
         out = mismatch_drift(tgt, hist, ks)
-        assert np.max(np.abs(out.coeffs)) == 0.0
+        assert np.max(np.abs(out)) == 0.0
 
     @pytest.mark.parametrize("n,h0", [(2, 0.0), (2, 0.7), (0, 0.0)])
     def test_matches_independent_reference(self, fine_set, refs, n, h0):
         grid = fine_set.grid
         tgt, hist, row = single_row_stacks(grid, n, np.sin(np.pi * grid.s), h0)
-        got = mismatch_drift(tgt, hist, fine_set).coeffs[row]
+        got = mismatch_drift(tgt, hist, fine_set)[row]
         want = ref.mismatch_reference(LAM, DHAT, n, grid.s,
                                       refs["k"], refs["t"], refs["e"], h0)
         scale = np.max(np.abs(want))
         assert np.max(np.abs(got - want)) <= 1e-7 * scale
         # untouched wavenumbers stay clean
-        others = np.delete(mismatch_drift(tgt, hist, fine_set).coeffs, row, axis=0)
+        others = np.delete(mismatch_drift(tgt, hist, fine_set), row, axis=0)
         assert np.max(np.abs(others)) == 0.0
 
     def test_power_of_two_scaling_is_exact(self, fine_set):
@@ -235,10 +235,10 @@ class TestMismatchDrift:
         rng = np.random.default_rng(6)
         tgt = grid.analyze(rng.standard_normal((grid.M, grid.N)))
         hist = grid.analyze(rng.standard_normal((grid.M, grid.N)))
-        base = mismatch_drift(tgt, hist, fine_set).coeffs
-        tgt2 = ModeStack(grid, 2.0 * tgt.coeffs)
-        hist2 = ModeStack(grid, 2.0 * hist.coeffs)
-        assert np.array_equal(mismatch_drift(tgt2, hist2, fine_set).coeffs,
+        base = mismatch_drift(tgt, hist, fine_set)
+        tgt2 = 2.0 * tgt
+        hist2 = 2.0 * hist
+        assert np.array_equal(mismatch_drift(tgt2, hist2, fine_set),
                               2.0 * base)
 
     def test_preserves_conjugate_symmetry(self, fine_set):
@@ -247,7 +247,7 @@ class TestMismatchDrift:
         tgt = grid.analyze(rng.standard_normal((grid.M, grid.N)))
         hist = grid.analyze(rng.standard_normal((grid.M, grid.N)))
         out = mismatch_drift(tgt, hist, fine_set)
-        scale = np.max(np.abs(out.coeffs))
+        scale = np.max(np.abs(out))
         assert conjugate_symmetry_defect(out) <= 1e-12 * scale
 
 
@@ -256,13 +256,13 @@ class TestAdaptationDrift:
         grid = mid_set.grid
         tgt, hist, _ = single_row_stacks(grid, 0, 0.0, 0.0)
         out = adaptation_drift(tgt, hist, mid_set)
-        assert np.max(np.abs(out.coeffs)) == 0.0
+        assert np.max(np.abs(out)) == 0.0
 
     def test_matches_independent_reference(self, mid_set, refs):
         grid = mid_set.grid
         tgt, hist, row = single_row_stacks(grid, 2, np.sin(np.pi * grid.s),
                                            grid.s - grid.s**2)
-        got = adaptation_drift(tgt, hist, mid_set).coeffs[row]
+        got = adaptation_drift(tgt, hist, mid_set)[row]
         for s_val, idx in ((0.4, 40), (1.0, 100)):
             terms = ref.adaptation_terms(LAM, DHAT, 2, s_val,
                                          refs["k"][:32], refs["l"][:32],
@@ -283,7 +283,7 @@ class TestAdaptationDrift:
         assert np.min(gaps) < 1e-12
         tgt, hist, row = single_row_stacks(grid, 0, np.sin(np.pi * grid.s),
                                            grid.s - grid.s**2)
-        out = adaptation_drift(tgt, hist, ks).coeffs
+        out = adaptation_drift(tgt, hist, ks)
         assert np.all(np.isfinite(out))
         assert np.max(np.abs(out[row])) > 0.0
         others = np.delete(out, row, axis=0)
@@ -294,10 +294,10 @@ class TestAdaptationDrift:
         rng = np.random.default_rng(8)
         tgt = grid.analyze(rng.standard_normal((grid.M, grid.N)))
         hist = grid.analyze(rng.standard_normal((grid.M, grid.N)))
-        base = adaptation_drift(tgt, hist, mid_set).coeffs
-        tgt2 = ModeStack(grid, 2.0 * tgt.coeffs)
-        hist2 = ModeStack(grid, 2.0 * hist.coeffs)
-        assert np.array_equal(adaptation_drift(tgt2, hist2, mid_set).coeffs,
+        base = adaptation_drift(tgt, hist, mid_set)
+        tgt2 = 2.0 * tgt
+        hist2 = 2.0 * hist
+        assert np.array_equal(adaptation_drift(tgt2, hist2, mid_set),
                               2.0 * base)
 
 
@@ -312,16 +312,16 @@ def split_stacks(grid, seed):
     rng = np.random.default_rng(seed)
     tgt = grid.analyze(rng.standard_normal((grid.M, grid.N)))
     hist = grid.analyze(rng.standard_normal((grid.M, grid.N)))
-    tgt.coeffs[grid.modes % 3 == 2] = 0.0
-    hist.coeffs[grid.modes % 3 == 1] = 0.0
+    tgt[grid.modes % 3 == 2] = 0.0
+    hist[grid.modes % 3 == 1] = 0.0
     return tgt, hist
 
 
 def assert_matches_rowwise(ks, seed, rtol=1e-11):
     grid = ks.grid
     tgt, hist = split_stacks(grid, seed)
-    got = adaptation_drift(tgt, hist, ks).coeffs
-    want = drift_rowwise.adaptation_drift(tgt, hist, ks).coeffs
+    got = adaptation_drift(tgt, hist, ks)
+    want = drift_rowwise.adaptation_drift(tgt, hist, ks)
     for name, rows in (("state", 1), ("history", 2), ("combined", 0)):
         mask = grid.modes % 3 == rows
         scale = np.max(np.abs(want[mask]))

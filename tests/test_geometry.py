@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cylform.controller import symmetrize_command
-from cylform.geometry import CylinderGrid, Field, ModeStack
+from cylform.geometry import CylinderGrid
 from oracles.field_norms import h1_norm, h2_norm, laplacian
 from oracles.mode_symmetry import conjugate_symmetry_defect
 
@@ -35,75 +35,69 @@ class TestSpectralRoundTrip:
     def test_analyze_synthesize_identity(self, grid):
         rng = np.random.default_rng(11)
         vals = rng.normal(size=(grid.M, grid.N)) + 1j * rng.normal(size=(grid.M, grid.N))
-        back = grid.synthesize(grid.analyze(Field(grid, vals)))
-        assert np.max(np.abs(back.values - vals)) < 1e-12
+        back = grid.synthesize(grid.analyze(vals))
+        assert np.max(np.abs(back - vals)) < 1e-12
 
     def test_single_harmonic_lands_in_one_mode(self, grid):
         n = 5
         vals = np.outer(np.sin(np.pi * grid.s), np.exp(1j * n * grid.theta))
-        stack = grid.analyze(Field(grid, vals))
-        assert np.allclose(stack.mode(n), np.sin(np.pi * grid.s), atol=1e-12)
+        table = grid.analyze(vals)
+        assert np.allclose(table[n + grid.N // 2], np.sin(np.pi * grid.s), atol=1e-12)
         others = [k for k in grid.modes if k != n]
-        worst = max(np.max(np.abs(stack.mode(k))) for k in others)
+        worst = max(np.max(np.abs(table[k + grid.N // 2])) for k in others)
         assert worst < 1e-12
 
     def test_parseval(self, grid):
         rng = np.random.default_rng(5)
         vals = rng.normal(size=(grid.M, grid.N))
-        stack = grid.analyze(Field(grid, vals))
+        table = grid.analyze(vals)
         lhs = np.sum(np.abs(vals) ** 2, axis=1) / grid.N
-        rhs = np.sum(np.abs(stack.coeffs) ** 2, axis=0)
+        rhs = np.sum(np.abs(table) ** 2, axis=0)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_real_synthesis_requires_symmetry(self, grid):
         rng = np.random.default_rng(8)
         vals = rng.normal(size=(grid.M, grid.N))
-        stack = grid.analyze(Field(grid, vals))
-        assert conjugate_symmetry_defect(stack) < 1e-12
-        back = grid.synthesize(stack, kind="real")
-        assert back.is_real
-        assert np.max(np.abs(back.values - vals)) < 1e-12
+        table = grid.analyze(vals)
+        assert conjugate_symmetry_defect(table) < 1e-12
+        back = grid.synthesize(table, kind="real")
+        assert not np.iscomplexobj(back)
+        assert np.max(np.abs(back - vals)) < 1e-12
 
     def test_enforce_symmetry_projects(self, grid):
         rng = np.random.default_rng(2)
         coeffs = rng.normal(size=(grid.N, grid.M)) + 1j * rng.normal(size=(grid.N, grid.M))
-        assert conjugate_symmetry_defect(ModeStack(grid, coeffs)) > 0.1
-        stack = ModeStack(grid, symmetrize_command(grid, coeffs))
-        assert conjugate_symmetry_defect(stack) < 1e-14
+        assert conjugate_symmetry_defect(coeffs) > 0.1
+        assert conjugate_symmetry_defect(symmetrize_command(grid, coeffs)) < 1e-14
 
     def test_defect_sees_imaginary_zero_mode(self, grid):
-        # an otherwise symmetric stack with a complex zero-mode row must be
+        # an otherwise symmetric table with a complex zero-mode row must be
         # flagged: real synthesis would silently drop the imaginary part
         coeffs = np.zeros((grid.N, grid.M), dtype=complex)
         coeffs[grid.N // 2] = 0.3j
-        stack = ModeStack(grid, coeffs)
-        assert abs(conjugate_symmetry_defect(stack) - 0.3) < 1e-15
+        assert abs(conjugate_symmetry_defect(coeffs) - 0.3) < 1e-15
 
     def test_defect_sees_imaginary_unpaired_mode(self, grid):
         coeffs = np.zeros((grid.N, grid.M), dtype=complex)
         coeffs[0] = 0.7j
-        stack = ModeStack(grid, coeffs)
-        assert abs(conjugate_symmetry_defect(stack) - 0.7) < 1e-15
+        assert abs(conjugate_symmetry_defect(coeffs) - 0.7) < 1e-15
 
 
 class TestNorms:
     def test_l2_of_constant(self, grid):
-        f = Field(grid, np.ones((grid.M, grid.N)))
-        assert abs(f.l2_norm() - np.sqrt(2 * np.pi)) < 1e-12
+        assert abs(grid.l2_norm(np.ones((grid.M, grid.N))) - np.sqrt(2 * np.pi)) < 1e-12
 
     def test_l2_of_axial_sine(self, grid):
         vals = np.outer(np.sin(np.pi * grid.s), np.ones(grid.N))
-        f = Field(grid, vals)
         # Simpson on sin^2(pi s) at M=41 is accurate far below 1e-8.
-        assert abs(f.l2_norm() - np.sqrt(np.pi)) < 1e-8
+        assert abs(grid.l2_norm(vals) - np.sqrt(np.pi)) < 1e-8
 
     def test_h1_of_angular_harmonic(self, grid):
         # f = cos(3 theta): |f|^2 = pi, |f_theta|^2 = 9 pi, f_s = 0.
         vals = np.outer(np.ones(grid.M), np.cos(3 * grid.theta))
-        f = Field(grid, vals)
         want = np.sqrt(np.pi + 9 * np.pi * np.sinc(3 * 2 / grid.N) ** 2)
         # central differences damp the derivative by sin(n h)/(n h)
-        assert abs(h1_norm(f) - want) < 1e-10
+        assert abs(h1_norm(grid, vals) - want) < 1e-10
 
     def test_h2_exceeds_h1_exceeds_l2(self, grid):
         rng = np.random.default_rng(4)
@@ -111,8 +105,8 @@ class TestNorms:
         # band-limited random field: only |n| <= 4 populated
         for n in range(-4, 5):
             stack[n + grid.N // 2] = rng.normal(size=grid.M) + 1j * rng.normal(size=grid.M)
-        f = grid.synthesize(ModeStack(grid, stack))
-        assert h2_norm(f) > h1_norm(f) > f.l2_norm() > 0
+        f = grid.synthesize(stack)
+        assert h2_norm(grid, f) > h1_norm(grid, f) > grid.l2_norm(f) > 0
 
 
 class TestDerivatives:
@@ -121,7 +115,7 @@ class TestDerivatives:
         for M, N in [(41, 32), (81, 64)]:
             g = CylinderGrid(M, N)
             vals = np.outer(np.sin(np.pi * g.s), np.cos(2 * g.theta))
-            lap = laplacian(Field(g, vals)).values
+            lap = laplacian(g, vals)
             want = -(np.pi**2 + 4.0) * vals
             errs.append(np.max(np.abs(lap - want)))
         ratio = errs[0] / errs[1]
@@ -137,14 +131,15 @@ class TestDerivatives:
 
     def test_field_shape_validation(self, grid):
         with pytest.raises(ValueError):
-            Field(grid, np.zeros((grid.M, grid.N + 1)))
+            grid.analyze(np.zeros((grid.M, grid.N + 1)))
         with pytest.raises(ValueError):
-            ModeStack(grid, np.zeros((grid.N, grid.M - 1)))
-
-    def test_mode_lookup_bounds(self, grid):
-        stack = ModeStack(grid, np.zeros((grid.N, grid.M), dtype=complex))
-        with pytest.raises(KeyError):
-            stack.mode(grid.N // 2)
+            grid.synthesize(np.zeros((grid.N, grid.M - 1)))
+        # M is odd and N even, so neither transform takes the other's array
+        table = grid.analyze(np.zeros((grid.M, grid.N)))
+        with pytest.raises(ValueError):
+            grid.analyze(table)
+        with pytest.raises(ValueError):
+            grid.synthesize(table.T)
 
 
 class TestProfileTransforms:
@@ -157,10 +152,10 @@ class TestProfileTransforms:
     def test_agrees_with_field_transform_rows(self, grid):
         rng = np.random.default_rng(22)
         vals = rng.normal(size=(grid.M, grid.N))
-        stack = grid.analyze(vals)
+        table = grid.analyze(vals)
         row = grid.analyze_rows(vals[5])
-        assert np.allclose(row, stack.coeffs[:, 5], atol=1e-13)
-        back = grid.synthesize_profile(stack.coeffs[:, 5], kind="real")
+        assert np.allclose(row, table[:, 5], atol=1e-13)
+        back = grid.synthesize_profile(table[:, 5], kind="real")
         assert np.allclose(back, vals[5], atol=1e-13)
 
     def test_single_harmonic_coefficient(self, grid):
@@ -192,10 +187,10 @@ class TestShiftGather:
         parity = np.where(grid.modes % 2 == 0, 1.0, -1.0)
 
         spec = np.fft.fftshift(np.fft.fft(vals, axis=1), axes=1) / N
-        assert np.array_equal(grid.analyze(vals).coeffs, (spec * parity).T)
+        assert np.array_equal(grid.analyze(vals), (spec * parity).T)
         spec = (coeffs.T * parity) * N
         want = np.fft.ifft(np.fft.ifftshift(spec, axes=1), axis=1)
-        assert np.array_equal(grid.synthesize(coeffs).values, want)
+        assert np.array_equal(grid.synthesize(coeffs), want)
         want = np.fft.fftshift(np.fft.fft(rows, axis=-1), axes=-1) / N * parity
         assert np.array_equal(grid.analyze_rows(rows), want)
         want = np.fft.ifft(np.fft.ifftshift(coeffs[:, 0] * parity * N))

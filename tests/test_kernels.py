@@ -10,8 +10,6 @@ from cylform.kernels import (
     PlantCoeffs,
     _kernel_values,
     bessel_ratio,
-    forward_kernel,
-    inverse_kernel,
 )
 from cylform.quadrature import exp_conv_paired, interp_quadratic
 from oracles import seed_pipeline
@@ -22,6 +20,7 @@ from oracles.dense_law import (
     sine_basis,
 )
 from oracles.transforms import edge_derivative, predictor_table
+from oracles.volterra_kernels import forward_kernel, inverse_kernel
 
 
 def quad12(f, a, b, **kw):

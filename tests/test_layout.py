@@ -32,10 +32,15 @@ STALE_TRACER_TARGETS = {
     "cylform.controller:control_modes_recorded",
 }
 
-#: definitions that a library calls by name, so no source line refers to
-#: them; qualified name -> who calls it
+#: definitions that no package line calls by name: a library calls them,
+#: or they are public names kept for callers outside the package;
+#: qualified name -> who calls it
 CALLED_FROM_OUTSIDE = {
     "_Parser.error": "argparse, on every usage error",
+    "CylinderGrid.analyze_rows": "the benchmark's tracer wraps it as a "
+                                 "transform; oracles/recorded_law.py reads it",
+    "KernelSet.peak_gain": "the planned gain preflight and per-step trace "
+                           "(ROADMAP items 4-5)",
 }
 
 
@@ -81,13 +86,13 @@ def _definitions(body, prefix=""):
 
 def test_every_definition_is_used():
     # a definition counts as used when its name is read somewhere in the
-    # package or the tests outside its own body; strings (``__all__``,
-    # docstrings) and imports do not count.  Dunder methods are called by
-    # the language itself.
+    # package outside its own body; uses in tests do not count, so code only
+    # tests reach belongs under tests/oracles.  Strings (``__all__``,
+    # docstrings) and imports do not count either.  Dunder methods are
+    # called by the language itself.
     src = Path(cylform.__path__[0])
-    root = src.parents[1]
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
-             for top in ("src", "tests") for path in sorted((root / top).rglob("*.py"))}
+             for path in sorted(src.glob("*.py"))}
     uses = Counter(name for tree in trees.values() for name in _names(tree))
     unused = []
     for name in MODULES:

@@ -96,22 +96,21 @@ class TestSteadyField:
         anchor = {1: -1.0 + 0.0j, -2: 1.0}
         leader = {1: 1.0, -2: -0.5j}
         fld = steady_field(PlantCoeffs(10.0, 0.0), anchor, leader, self.grid)
-        assert np.array_equal(fld.values[0], rim_profile(anchor, self.grid))
-        assert np.array_equal(fld.values[-1], rim_profile(leader, self.grid))
+        assert np.array_equal(fld[0], rim_profile(anchor, self.grid))
+        assert np.array_equal(fld[-1], rim_profile(leader, self.grid))
 
     def test_single_mode_field_matches_profile(self):
         fld = steady_field(PlantCoeffs(6.0, 1.0), {2: 0.5}, {2: 1.5}, self.grid)
         prof = steady_mode(2, PlantCoeffs(6.0, 1.0), 0.5, 1.5, self.grid.s)
         ref = np.outer(prof, np.exp(2j * self.grid.theta)).T
         # interior from mode synthesis, rims imposed; all should agree
-        assert np.max(np.abs(fld.values - ref.T)) <= 1e-12
+        assert np.max(np.abs(fld - ref.T)) <= 1e-12
 
     def test_interior_satisfies_steady_equation(self):
         coeffs = PlantCoeffs(8.0, 0.7)
 
         def resid(g):
-            fld = steady_field(coeffs, {0: 1.0, 1: 0.5j}, {0: -0.3, 1: 1.0}, g)
-            v = fld.values
+            v = steady_field(coeffs, {0: 1.0, 1: 0.5j}, {0: -0.3, 1: 1.0}, g)
             r = (g.d2_s(v) + d2_theta(g, v) + coeffs.advection * g.d_s(v)
                  + coeffs.reaction * v)
             return np.max(np.abs(r[2:-2]))
@@ -136,10 +135,10 @@ class TestSteadyField:
             axial_leader={0: 1.9},
         )
         planar, axial = formation_fields(spec, self.grid)
-        assert axial.values.dtype == np.float64
-        assert planar.values.dtype == np.complex128
+        assert axial.dtype == np.float64
+        assert planar.dtype == np.complex128
         # axial mode 0 with reaction 5: cos/sin combination, real throughout
-        assert np.max(np.abs(axial.values.imag if np.iscomplexobj(axial.values)
+        assert np.max(np.abs(axial.imag if np.iscomplexobj(axial)
                              else 0.0)) == 0.0
 
 
