@@ -10,9 +10,10 @@ kernels, the predictor-based rim controller, the delay estimator, and a
 scenario runner with a small CLI.
 
 Fields and per-wavenumber mode tables are plain NumPy arrays: a field is
-``(M, N)`` (axial node by angle), its mode table ``(N, M)`` (wavenumber by
-axial node).  :class:`CylinderGrid` converts between them and checks the
-shape; ``M`` is odd and ``N`` even, so a transposed array never passes.
+``(M, N)`` (axial node by angle), its mode table ``(len(modes), M)``
+(wavenumber by axial node), one row per wavenumber of the grid's band.
+:class:`CylinderGrid` converts between them and checks the shape; ``M`` is
+odd and ``N`` even, so a transposed array never passes.
 """
 
 from .errors import (

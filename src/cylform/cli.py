@@ -60,6 +60,8 @@ def main(argv=None) -> int:
     write_series(record, outdir)
     write_all_snapshots(record, outdir)
 
+    print(f"wavenumbers |n| <= {abs(record.modes).max()} "
+          f"({record.modes.size} of {cfg.grid_n})")
     if record.times.size:
         print(f"{record.times.size} control rows -> {outdir / 'series.csv'} "
               f"(t_final={record.times[-1]:g}, "

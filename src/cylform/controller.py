@@ -92,7 +92,7 @@ def to_target_state(measured: np.ndarray, ks: KernelSet) -> np.ndarray:
 def state_prediction(measured: np.ndarray, ks: KernelSet) -> np.ndarray:
     """State-driven part of the predicted command flow, per mode and node.
 
-    Returns the (N, M) table of the predictor kernel integrated against the
+    Returns the mode table of the predictor kernel integrated against the
     scaled deviation, evaluated along the axial grid.
     """
     return ks.apply(measured @ ks.basis.state_weights, ks.exp_s)
@@ -129,14 +129,17 @@ def control_modes(history: np.ndarray, ks: KernelSet) -> np.ndarray:
 
 
 def symmetrize_command(grid: CylinderGrid, cmd: np.ndarray) -> np.ndarray:
-    """Project a command mode vector onto the real-synthesis subspace."""
+    """Project a command mode vector onto the real-synthesis subspace.
+
+    Each pair of rows ``-a``, ``+a`` (``grid.mode_pairs``) becomes the
+    conjugate pair of their mean; an unpaired row (``0``, ``N/2``) keeps
+    its real part.
+    """
     out = np.array(cmd, dtype=complex)
-    half = grid.N // 2
-    out[half] = out[half].real
-    out[0] = out[0].real
-    avg = 0.5 * (out[half + 1:] + np.conj(out[1:half][::-1]))
-    out[half + 1:] = avg
-    out[1:half] = np.conj(avg)[::-1]
+    neg, pos = grid.mode_pairs.T
+    avg = 0.5 * (out[pos] + np.conj(out[neg]))
+    out[neg] = np.conj(avg)
+    out[pos] = avg
     return out
 
 
@@ -156,9 +159,9 @@ class ChannelUpdate:
     """Everything one control step produces for a single channel."""
 
     command: np.ndarray          #: (N,) physical rim command profile (deviation part)
-    target_state: np.ndarray     #: (N, M) mode table of the decoupled state image
-    transport: np.ndarray        #: (N, M) command in flight, rim node = new command
-    target_history: np.ndarray   #: (N, M) history image (rim row ~ 0 by construction)
+    target_state: np.ndarray     #: mode table of the decoupled state image
+    transport: np.ndarray        #: command-in-flight table, rim node = new command
+    target_history: np.ndarray   #: history image table (rim row ~ 0 by construction)
     h_residual: float            #: rim defect of the history image, relative
 
 

@@ -96,10 +96,10 @@ def mismatch_drift(target: np.ndarray, history: np.ndarray,
     """
     basis = ks.basis
     rows = np.abs(ks.grid.modes)
-    rates = ks.rates[rows]                                  # (N, i)
-    sw = target @ basis.mode_sine.T                         # (N, i)
-    cw = target @ basis.composition.T                       # (N, i)
-    edge = target @ basis.edge_weights                      # (N,)
+    rates = ks.rates[rows]                                  # (modes, i)
+    sw = target @ basis.mode_sine.T                         # (modes, i)
+    cw = target @ basis.composition.T                       # (modes, i)
+    edge = target @ basis.edge_weights                      # (modes,)
     rho = (2.0 / ks.delay) * rates * basis.fwd_sine[None, :] * (sw + cw) \
         - 2.0 * basis.fwd_edge[None, :] \
         * (edge + history[:, 0])[:, None]
@@ -148,19 +148,19 @@ def adaptation_drift(target: np.ndarray, history: np.ndarray,
     basis = ks.basis
     s = grid.s
     absn = np.abs(grid.modes)
-    a = ks.rates[absn]                                      # (N, i)
-    c = ks.inv_rates[absn]                                  # (N, j)
+    a = ks.rates[absn]                                      # (modes, i)
+    c = ks.inv_rates[absn]                                  # (modes, j)
     # the gap c_j - a_i is the same for every wavenumber
     delta = ks.inv_rates[0][None, :] - ks.rates[0][:, None]  # (i, j)
-    sw = target @ basis.mode_sine.T                         # (N, i)
-    cw = target @ basis.composition.T                       # (N, i)
+    sw = target @ basis.mode_sine.T                         # (modes, i)
+    cw = target @ basis.composition.T                       # (modes, i)
 
     # state term: E^a = e^{as}, E^c = e^{cs}, M_k = s^k e^{as}
     *on_a, on_c = _pair_coefficients(
         -4.0 * basis.fwd_edge[:, None] * (basis.inv_sine * sw)[:, None, :],
         a, delta)
     on_a[1] = on_a[1] + (2.0 / ks.delay) * a * basis.fwd_sine * (sw + cw)
-    per_power = np.stack(on_a, axis=1) @ ks.exp_s[absn]     # (N, 5, M)
+    per_power = np.stack(on_a, axis=1) @ ks.exp_s[absn]     # (modes, 5, M)
     state = (per_power * s ** np.arange(5)[:, None]).sum(axis=1) \
         + np.einsum("nj,njm->nm", on_c, np.exp(c[:, :, None] * s))
 
@@ -171,7 +171,7 @@ def adaptation_drift(target: np.ndarray, history: np.ndarray,
     on_a[0] = on_a[0] - 2.0 * basis.fwd_edge
     on_a[1] = on_a[1] - 2.0 * basis.fwd_edge * a
     h, ak = grid.h_s, a[..., None]
-    e_a = exp_conv_paired(a, history, h)                    # (N, i, M)
+    e_a = exp_conv_paired(a, history, h)                    # (modes, i, M)
     m1 = exp_conv_paired(ak, e_a, h)[..., 0, :]
     m2 = 2.0 * exp_conv_paired(ak, m1, h)[..., 0, :]
     m3 = 3.0 * exp_conv_paired(ak, m2, h)[..., 0, :]

@@ -166,9 +166,9 @@ class KernelBasis:
         self.volterra_fwd_refined = k_rows @ cardinals.T
         self.volterra_inv_refined = lam_of_cardinal[::refine].copy()
 
-        # Kernel exponents per unit delay, indexed by ``|n|`` and harmonic;
-        # a KernelSet scales them by its estimate.
-        n2 = np.arange(grid.N // 2 + 1)[:, None] ** 2
+        # Kernel exponents per unit delay, indexed by ``|n|`` (0 .. the
+        # grid's band) and harmonic; a KernelSet scales them by its estimate.
+        n2 = np.arange(grid.band + 1)[:, None] ** 2
         #: ``lam - n**2 - (i*pi)**2``, predictor growth per unit delay
         self.base_rates = coeffs.shifted_reaction - n2 - freqs[None, :] ** 2
         #: ``n**2 + (i*pi)**2``, inverse-kernel decay per unit delay
@@ -191,7 +191,7 @@ class KernelSet:
     the inverse kernel.
 
     A set owns what the per-mode control step reads, built once:
-    ``history_map[a]``, ``(N//2 + 1, M, M)``, maps a command-in-flight
+    ``history_map[a]``, ``(band + 1, M, M)``, maps a command-in-flight
     profile to its history convolution image: identity plus
     ``2*delay*sum_i fwd_edge_i W_i``, with ``W_i`` the running-convolution
     matrix of :func:`~cylform.quadrature.exp_conv_paired` for rate

@@ -10,7 +10,9 @@ that reads zero before its first record.
 
 The stencil is linear, has constant coefficients and is circulant in theta,
 so :class:`Channel` integrates it in closed form instead of marching it.  A
-DFT in theta leaves one tridiagonal Toeplitz system per wavenumber; the lift
+DFT in theta leaves one tridiagonal Toeplitz system per wavenumber, and the
+channel keeps only the FFT bins of the grid's band: the rims, the commands
+and the initial field carry no others, so the rest stay zero.  The lift
 ``y_j = rho^j z_j`` with ``rho = sqrt(q/p)`` makes it symmetric, and the
 DST-I diagonalises it with eigenvalues in closed form (:attr:`Channel.rates`).
 The delayed command is piecewise linear in time, with breaks at the record
@@ -145,9 +147,9 @@ class _Plan(NamedTuple):
     ``decay * state + held`` plus, per FFT bin, ``weights`` applied to the
     FFTs of the rim reads taken ``reads`` past the block start."""
 
-    decay: np.ndarray       #: (M-2, N)
-    held: np.ndarray        #: (M-2, N), the response to the held rims
-    weights: np.ndarray     #: (N, M-2, reads), bin-major for one batched matmul
+    decay: np.ndarray       #: (M-2, bins)
+    held: np.ndarray        #: (M-2, bins), the response to the held rims
+    weights: np.ndarray     #: (bins, M-2, reads), bin-major for one batched matmul
     reads: np.ndarray       #: (reads,)
 
 
@@ -156,13 +158,14 @@ class Channel:
     rims and delayed commands.
 
     The interior is kept in eigencoordinates of its semi-discrete operator:
-    ``fft`` along theta, then the inverse of ``diag(rho^j) @ DST-I`` along
-    ``s``.  ``values`` is the physical field at the latest block end (the
-    initial field before the first step); a ``"real"`` channel keeps it
-    real.  ``line`` must record once per ``block``.  The lift spans a factor
-    of about ``e^{|advection|/2}`` along the axis, and the transform's
-    roundoff grows by up to that factor: harmless unless the advection is
-    in the tens.
+    ``fft`` along theta, restricted to the bins of the grid's wavenumber
+    band, then the inverse of ``diag(rho^j) @ DST-I`` along ``s``.
+    ``values`` is the physical field at the latest block end (the initial
+    field before the first step); a ``"real"`` channel keeps it real.
+    ``line`` must record once per ``block``.  The lift spans a factor of
+    about ``e^{|advection|/2}`` along the axis, and the transform's roundoff
+    grows by up to that factor: harmless unless the advection is in the
+    tens.
     """
 
     def __init__(self, grid: CylinderGrid, coeffs: PlantCoeffs,
@@ -193,17 +196,20 @@ class Channel:
         lift = rho ** j
         self._to_field = lift[:, None] * sine
         self._to_eigen = sine / lift[None, :]
-        #: eigenvalues per (DST index, FFT bin): axial, then angular part
+        # FFT bins of the band's wavenumbers, ascending (all N on a full band)
+        self._bins = np.sort(grid.modes % grid.N)
+        #: eigenvalues per (DST index, kept FFT bin): axial, then angular part
         self.rates = (
             (coeffs.reaction - 2.0 / h**2
              + 2.0 * p * rho * np.cos(j * np.pi / (m + 1)))[:, None]
             - (4.0 / grid.h_theta**2)
-            * np.sin(np.pi * np.arange(grid.N) / grid.N)[None, :] ** 2
+            * np.sin(np.pi * self._bins / grid.N)[None, :] ** 2
         )
         self._rim_gain = p * self._to_eigen[:, -1:]
-        self._rims_held = (np.outer(q * self._to_eigen[:, 0], np.fft.fft(self.anchor))
-                           + self._rim_gain * np.fft.fft(self.leader_base))
-        self._state = self._to_eigen @ np.fft.fft(values[1:-1], axis=1)
+        self._rims_held = (
+            np.outer(q * self._to_eigen[:, 0], np.fft.fft(self.anchor)[self._bins])
+            + self._rim_gain * np.fft.fft(self.leader_base)[self._bins])
+        self._state = self._to_eigen @ np.fft.fft(values[1:-1], axis=1)[:, self._bins]
 
         off = math.fmod(self.delay, self.block)
         self._break = 0.0 if min(off, self.block - off) <= _BREAK_TOL * self.block else off
@@ -236,11 +242,12 @@ class Channel:
         whole = start == 0.0 and stop == self.block
         plan = self._block_plan if whole else self._plan(start, stop)
         rows = line.lookup_many(t + plan.reads - self.delay)
-        forced = plan.weights @ np.fft.fft(rows, axis=1).T[:, :, None]
+        forced = plan.weights @ np.fft.fft(rows, axis=1)[:, self._bins].T[:, :, None]
         self._state = plan.decay * self._state + plan.held + forced[:, :, 0].T
-        vals = np.empty((self.grid.M, self.grid.N), dtype=complex)
+        vals = np.zeros((self.grid.M, self.grid.N), dtype=complex)
+        vals[1:-1, self._bins] = self._to_field @ self._state
+        vals[1:-1] = np.fft.ifft(vals[1:-1], axis=1)
         vals[0] = self.anchor
-        vals[1:-1] = np.fft.ifft(self._to_field @ self._state, axis=1)
         vals[-1] = self.leader_base + (2.0 * rows[-1] - rows[-2])
         self.values = vals.real.copy() if self.kind == "real" else vals
 

@@ -9,7 +9,12 @@ is a sequence of control blocks of ``control_period`` steps.  At each block
 start the controllers measure the fields, issue new rim commands, and the
 delay estimate takes one projected gradient step driven by both channels;
 then each channel advances over the whole block in one exact step, and the
-guard is checked at the block end.  Kernel tables are rebuilt only when the
+guard is checked at the block end.  Everything in mode space -- the plant's
+eigencoordinates, the kernel tables, the control law and the drift -- keeps
+only the wavenumbers ``|n| <= band``, where ``band`` is the largest ``|n|``
+listed in the rim data of either formation: no other wavenumber is ever
+excited, so the rest would carry roundoff only.  Fields, the delay lines,
+snapshots, ring errors and the guard stay on the whole ``(M, N)`` grid.  Kernel tables are rebuilt only when the
 estimate has drifted a fixed fraction of the admissible interval away from
 the tables in use.  The tables a rebuild replaces are kept as a spare, and
 an estimate that returns within that fraction of them (a projected estimate
@@ -88,6 +93,7 @@ class RunRecord:
 
     config: ScenarioConfig
     ring_rows: tuple
+    modes: np.ndarray            #: the wavenumbers the run kept, ascending
     times: np.ndarray
     estimates: np.ndarray
     signals: np.ndarray
@@ -128,7 +134,8 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
     consecutive updates).  The evaluation is far more expensive than a
     control step itself.
     """
-    grid = CylinderGrid(cfg.grid_m, cfg.grid_n)
+    grid = CylinderGrid(cfg.grid_m, cfg.grid_n,
+                        band=max(cfg.initial.band, cfg.desired.band))
     init_planar, init_axial = formation_fields(cfg.initial, grid)
     goal_planar, goal_axial = formation_fields(cfg.desired, grid)
     coeffs_p = cfg.desired.planar_coeffs
@@ -237,6 +244,7 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
     return RunRecord(
         config=cfg,
         ring_rows=tuple(cfg.ring_rows),
+        modes=grid.modes,
         times=np.array(t_arr, dtype=float),
         estimates=np.array(e_arr, dtype=float),
         signals=np.array(s_arr, dtype=float),
@@ -277,7 +285,7 @@ def target_residual(prev: ChannelUpdate, curr: ChannelUpdate, dt: float,
     """
     grid = ks.grid
     s = grid.s
-    n2 = (grid.modes.astype(float) ** 2)[:, None]          # (N, 1)
+    n2 = (grid.modes.astype(float) ** 2)[:, None]          # (modes, 1)
 
     w0, w1 = prev.target_state, curr.target_state
     h0, h1 = prev.target_history, curr.target_history

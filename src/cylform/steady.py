@@ -39,6 +39,14 @@ class FormationSpec:
     axial_anchor: dict = field(default_factory=dict)
     axial_leader: dict = field(default_factory=dict)
 
+    @property
+    def band(self) -> int:
+        """Largest ``|n|`` listed in any of the four rim maps (0 if none);
+        a listed zero coefficient counts."""
+        maps = (self.planar_anchor, self.planar_leader,
+                self.axial_anchor, self.axial_leader)
+        return max((abs(int(n)) for m in maps for n in m), default=0)
+
     def __post_init__(self):
         if abs(complex(self.axial_coeffs.reaction).imag) > 0 or \
                 abs(complex(self.axial_coeffs.advection).imag) > 0:
@@ -110,8 +118,15 @@ def steady_field(coeffs: PlantCoeffs, anchor: dict, leader: dict,
 
     The rim rows of the result are the synthesized rim data themselves (they
     are imposed, and the per-mode profiles meet them to roundoff anyway).
+    The interior is built from the grid's band, which must hold every
+    wavenumber of the rim data.
     """
-    stack = np.zeros((grid.N, grid.M), dtype=complex)
+    rims = rim_profile(anchor, grid, real), rim_profile(leader, grid, real)
+    wide = sorted(n for n in {*anchor, *leader} if abs(n) > grid.band)
+    if wide:
+        raise ValueError(f"rim data at wavenumbers {wide} lie outside the "
+                         f"grid's band |n| <= {grid.band}")
+    stack = np.zeros((grid.modes.size, grid.M), dtype=complex)
     for j, n in enumerate(grid.modes):
         a = anchor.get(int(n), 0.0)
         b = leader.get(int(n), 0.0)
@@ -120,8 +135,7 @@ def steady_field(coeffs: PlantCoeffs, anchor: dict, leader: dict,
         stack[j] = steady_mode(int(n), coeffs, a, b, grid.s)
 
     out = grid.synthesize(stack, kind="real" if real else "complex")
-    out[0, :] = rim_profile(anchor, grid, real)
-    out[-1, :] = rim_profile(leader, grid, real)
+    out[0, :], out[-1, :] = rims
     return out
 
 

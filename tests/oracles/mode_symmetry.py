@@ -1,9 +1,11 @@
-"""Conjugate symmetry of an ``(N, M)`` mode table.
+"""Conjugate symmetry of a mode table.
 
-The mode table of a real field pairs mode ``-n`` (row ``N/2 - n``) with the
-conjugate of mode ``n`` (row ``N/2 + n``) and keeps the unpaired modes ``0``
-and ``-N/2`` real.  The package projects onto that subspace where it needs
-it (``symmetrize_command``); the defect below is how tests check the result.
+The mode table of a real field pairs mode ``-n`` with the conjugate of mode
+``n`` and keeps the unpaired modes real: ``0``, and ``-N/2`` in a table of
+all ``N`` rows (``-N/2 .. N/2 - 1``; mode ``n`` in row ``N/2 + n``).  A band
+table of ``2K + 1`` rows (``-K .. K``) has no unpaired extreme.  The
+package projects onto that subspace where it needs it
+(``symmetrize_command``); the defect below is how tests check the result.
 """
 
 import numpy as np
@@ -11,10 +13,12 @@ import numpy as np
 
 def conjugate_symmetry_defect(table):
     """Max mismatch between mode ``-n`` and ``conj(mode n)`` plus any
-    imaginary part of the unpaired extreme mode."""
-    half = table.shape[0] // 2
-    worst = float(np.max(np.abs(table[0].imag), initial=0.0))  # unpaired -N/2
-    worst = max(worst, float(np.max(np.abs(table[half].imag))))
-    for n in range(1, half):
+    imaginary part of an unpaired mode."""
+    rows = table.shape[0]
+    half = rows // 2                                            # mode 0
+    worst = float(np.max(np.abs(table[half].imag)))
+    if rows % 2 == 0:                                           # unpaired -N/2
+        worst = max(worst, float(np.max(np.abs(table[0].imag), initial=0.0)))
+    for n in range(1, (rows + 1) // 2):
         worst = max(worst, float(np.max(np.abs(table[half - n] - np.conj(table[half + n])))))
     return worst

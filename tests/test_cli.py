@@ -48,6 +48,8 @@ class TestRunCommand:
         code = main(["run", str(tiny_path), "--out", str(out)])
         assert code == 0
         stdout = capsys.readouterr().out
+        # the rim data list |n| <= 1, so 3 of the grid's 8 wavenumbers run
+        assert "wavenumbers |n| <= 1 (3 of 8)" in stdout.splitlines()
         assert "control rows" in stdout
         assert "2 snapshots" in stdout
         series = out / "series.csv"

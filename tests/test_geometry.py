@@ -202,3 +202,87 @@ class TestShiftGather:
         absn = np.abs(grid.modes)
         want = [np.flatnonzero(absn == a)[[0, -1]] for a in range(N // 2 + 1)]
         assert np.array_equal(grid.mode_pairs, want)
+
+    @pytest.mark.parametrize("N, band", [(4, 1), (16, 0), (16, 7), (50, 2)])
+    def test_mode_pairs_on_a_band(self, N, band):
+        grid = CylinderGrid(M=3, N=N, band=band)
+        assert np.array_equal(grid.mode_pairs,
+                              np.stack([band - np.arange(band + 1),
+                                        band + np.arange(band + 1)], axis=1))
+
+    @pytest.mark.parametrize("N", [4, 16, 50])
+    def test_pairs_equal_index_formulas_on_the_whole_band(self, N):
+        # the row layout ``n + N // 2`` the pairs replaced
+        grid = CylinderGrid(M=5, N=N)
+        half = N // 2
+        a = np.arange(half + 1)
+        assert np.array_equal(grid.mode_pairs,
+                              np.stack([half - a, (half + a) % N], axis=1))
+        rng = np.random.default_rng(N)
+        cmd = rng.normal(size=N) + 1j * rng.normal(size=N)
+        want = cmd.copy()
+        want[half] = want[half].real
+        want[0] = want[0].real
+        avg = 0.5 * (want[half + 1:] + np.conj(want[1:half][::-1]))
+        want[half + 1:] = avg
+        want[1:half] = np.conj(avg)[::-1]
+        assert np.array_equal(symmetrize_command(grid, cmd), want)
+
+    @pytest.mark.parametrize("band", [0, 1, 2, 7])
+    def test_symmetrize_on_a_band_is_conjugate_symmetric(self, band):
+        grid = CylinderGrid(M=5, N=16, band=band)
+        rng = np.random.default_rng(band)
+        cmd = rng.normal(size=grid.modes.size) + 1j * rng.normal(size=grid.modes.size)
+        out = symmetrize_command(grid, cmd)
+        assert np.array_equal(out[::-1], np.conj(out))
+        # the projection keeps the mean of each pair
+        assert np.allclose(out[band:] + np.conj(out[band::-1]),
+                           cmd[band:] + np.conj(cmd[band::-1]), rtol=1e-15, atol=0)
+
+
+class TestBand:
+    """A grid that keeps the wavenumbers ``|n| <= band`` transforms like the
+    whole grid restricted to them."""
+
+    @pytest.mark.parametrize("N, band", [(16, 0), (16, 2), (16, 7), (50, 2)])
+    def test_band_rows_equal_whole_grid_rows(self, N, band):
+        full, grid = CylinderGrid(M=7, N=N), CylinderGrid(M=7, N=N, band=band)
+        rows = np.abs(full.modes) <= band
+        assert np.array_equal(grid.modes, full.modes[rows])
+        assert grid.modes.size == 2 * band + 1
+        rng = np.random.default_rng(band)
+        vals = rng.normal(size=(grid.M, N)) + 1j * rng.normal(size=(grid.M, N))
+        assert np.array_equal(grid.analyze(vals), full.analyze(vals)[rows])
+        assert np.array_equal(grid.analyze_rows(vals), full.analyze_rows(vals)[:, rows])
+        table = rng.normal(size=(grid.modes.size, grid.M)) + 0j
+        padded = np.zeros((N, grid.M), dtype=complex)
+        padded[rows] = table
+        assert np.array_equal(grid.synthesize(table), full.synthesize(padded))
+        assert np.array_equal(grid.synthesize_profile(table[:, 0]),
+                              full.synthesize_profile(padded[:, 0]))
+
+    def test_band_limited_round_trip(self):
+        grid = CylinderGrid(M=9, N=16, band=3)
+        rng = np.random.default_rng(1)
+        table = rng.normal(size=(7, 9)) + 1j * rng.normal(size=(7, 9))
+        assert np.max(np.abs(grid.analyze(grid.synthesize(table)) - table)) < 1e-14
+
+    @pytest.mark.parametrize("band, rows", [(None, 16), (8, 16), (40, 16),
+                                            (7, 15), (0, 1)])
+    def test_band_row_count(self, band, rows):
+        # a band reaching N/2 or beyond keeps the whole grid
+        grid = CylinderGrid(M=3, N=16, band=band)
+        assert grid.modes.size == rows
+        assert (grid == CylinderGrid(3, 16)) == (rows == 16)
+
+    def test_negative_band_rejected(self):
+        with pytest.raises(ValueError):
+            CylinderGrid(3, 16, band=-1)
+
+    def test_shape_checks_follow_the_band(self):
+        grid = CylinderGrid(M=5, N=16, band=2)
+        with pytest.raises(ValueError):
+            grid.synthesize(np.zeros((16, 5), dtype=complex))
+        with pytest.raises(ValueError):
+            grid.synthesize_profile(np.zeros(16, dtype=complex))
+        assert grid.synthesize(np.zeros((5, 5))).shape == (5, 16)

@@ -298,6 +298,29 @@ class TestHistorySolveMatrix:
             assert np.linalg.cond(ks.history_map[a]) < 1e6
 
 
+class TestBandTables:
+    def test_band_set_is_the_leading_rows_of_the_whole_set(self):
+        # tables are indexed by |n|, so a band keeps rows 0 .. band of them
+        coeffs = PlantCoeffs(12.0, 0.5)
+        full = KernelSet(KernelBasis(coeffs, CylinderGrid(21, 16)), 1.3)
+        ks = KernelSet(KernelBasis(coeffs, CylinderGrid(21, 16, band=2)), 1.3)
+        assert ks.history_map.shape == (3, 21, 21)
+        for name in ("rates", "inv_rates", "exp_s", "history_map"):
+            got, want = getattr(ks, name), getattr(full, name)[:3]
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), name
+
+    def test_apply_on_a_band_equals_the_whole_grid(self):
+        coeffs = PlantCoeffs(12.0, 0.5)
+        full = KernelSet(KernelBasis(coeffs, CylinderGrid(21, 16)), 1.3)
+        ks = KernelSet(KernelBasis(coeffs, CylinderGrid(21, 16, band=2)), 1.3)
+        rows = np.abs(full.grid.modes) <= 2
+        rng = np.random.default_rng(3)
+        table = rng.normal(size=(16, 21)) + 1j * rng.normal(size=(16, 21))
+        want = full.apply(table, full.history_map)[rows]
+        got = ks.apply(table[rows], ks.history_map)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 class TestHeatRingKernel:
     def test_angular_normalization_exact_on_grid(self):
         grid = CylinderGrid(11, 32)

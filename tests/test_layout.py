@@ -67,40 +67,47 @@ def test_no_module_imports_oracles(name):
     assert "oracles" not in imported
 
 
-def _names(node):
-    """Every identifier ``node`` reads or writes: names and attributes."""
+def _reads(node):
+    """``(identifier, as attribute)`` of every name ``node`` reads: a bare
+    name, or the attribute of an ``x.attr`` expression."""
     for n in ast.walk(node):
-        if isinstance(n, ast.Name):
-            yield n.id
-        elif isinstance(n, ast.Attribute):
-            yield n.attr
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            yield n.id, False
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            yield n.attr, True
 
 
-def _definitions(body, prefix=""):
-    """``(qualified name, node)`` of every function and class, nested too."""
+def _definitions(body, prefix="", in_class=False):
+    """``(qualified name, node, is a method)`` of every function and class,
+    nested too."""
     for node in body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield prefix + node.name, node
-            yield from _definitions(node.body, f"{prefix}{node.name}.")
+            yield prefix + node.name, node, in_class
+            yield from _definitions(node.body, f"{prefix}{node.name}.",
+                                    isinstance(node, ast.ClassDef))
 
 
 def test_every_definition_is_used():
     # a definition counts as used when its name is read somewhere in the
     # package outside its own body; uses in tests do not count, so code only
-    # tests reach belongs under tests/oracles.  Strings (``__all__``,
-    # docstrings) and imports do not count either.  Dunder methods are
-    # called by the language itself.
+    # tests reach belongs under tests/oracles.  A method counts only when it
+    # is read as an attribute (``x.name``): a bare name of the same spelling
+    # is some other variable.  Strings (``__all__``, docstrings), imports and
+    # assignments do not count either.  Dunder methods are called by the
+    # language itself.
     src = Path(cylform.__path__[0])
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(src.glob("*.py"))}
-    uses = Counter(name for tree in trees.values() for name in _names(tree))
+    uses = Counter(read for tree in trees.values() for read in _reads(tree))
     unused = []
     for name in MODULES:
-        for qual, node in _definitions(trees[src / f"{name}.py"].body):
+        for qual, node, method in _definitions(trees[src / f"{name}.py"].body):
             if node.name.startswith("__") and node.name.endswith("__"):
                 continue
-            own = sum(1 for n in _names(node) if n == node.name)
-            if uses[node.name] == own and qual not in CALLED_FROM_OUTSIDE:
+            kinds = (True,) if method else (False, True)
+            own = Counter(read for read in _reads(node) if read[0] == node.name)
+            if all(uses[node.name, k] == own[node.name, k] for k in kinds) \
+                    and qual not in CALLED_FROM_OUTSIDE:
                 unused.append(f"{name}:{qual}")
     assert unused == []
 

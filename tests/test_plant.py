@@ -329,6 +329,32 @@ class TestBlockReads:
         assert np.array_equal(peeked, ch.values)
 
 
+class TestBand:
+    def test_band_channel_equals_whole_grid_on_band_limited_data(self):
+        # rims, commands and the initial field in |n| <= 2: the channel that
+        # keeps only those bins moves like the one that keeps all 16
+        full, band = CylinderGrid(21, 16), CylinderGrid(21, 16, band=2)
+        rng = np.random.default_rng(4)
+        kept = (np.abs(full.modes) <= 2)[:, None]
+
+        def limited(m=1):
+            table = (rng.normal(size=(16, m)) + 1j * rng.normal(size=(16, m))) * kept
+            return full.synthesize(table) if m > 1 else full.synthesize_profile(table[:, 0])
+
+        anchor, base, start = limited(), limited(), limited(21)
+        coeffs, block = PlantCoeffs(12.0, 0.5), 0.01
+        chans = [Channel(g, coeffs, anchor, base, start, block, 0.025) for g in (full, band)]
+        lines = [DelayLine(16, block, 1.0) for _ in chans]
+        for b in range(8):
+            cmd = limited()
+            for ch, line in zip(chans, lines):
+                line.record(b * block, cmd)
+                ch.step(b * block, line)
+        a, b = (ch.values for ch in chans)
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
+        assert chans[1].rates.shape == (19, 5)
+
+
 class TestAgainstRK4:
     """The explicit RK4 march converges to the exact block step: at fourth
     order while the rims are constant, at first order once the jump of the

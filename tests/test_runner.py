@@ -301,6 +301,57 @@ class TestKernelReuse:
         assert {d for _, d in used} == {1.0} and len(used) == 2 * rec.times.size
 
 
+@pytest.fixture(scope="module")
+def band_pair():
+    """The known-delay ``moderate`` run at 21x16 over 4 s, snapshots at
+    1..4: on its own rim band (|n| <= 2, 5 of 16 wavenumbers), and with zero
+    anchor entries at 7 and -8 added, which widen the band to the grid."""
+    cfg = dataclasses.replace(moderate_21x16(fixed=True, duration=4.0),
+                              snapshot_times=(1.0, 2.0, 3.0, 4.0))
+    anchor = {**cfg.desired.planar_anchor, 7: 0j, -8: 0j}
+    full = dataclasses.replace(
+        cfg, desired=dataclasses.replace(cfg.desired, planar_anchor=anchor))
+    return run(cfg), run(full)
+
+
+class TestWavenumberBand:
+    """The loop keeps only the wavenumbers its rim data list; the others
+    carry roundoff only, so dropping them changes nothing else."""
+
+    def test_band_is_the_largest_listed_wavenumber(self, band_pair):
+        band, full = band_pair
+        assert np.array_equal(band.modes, np.arange(-2, 3))
+        assert np.array_equal(full.modes, np.arange(-8, 8))
+
+    def test_out_of_band_modes_stay_at_roundoff(self, band_pair):
+        _, full = band_pair
+        grid = CylinderGrid(full.config.grid_m, full.config.grid_n)
+        outside = np.abs(grid.modes) > 2
+        assert [s.requested_t for s in full.snapshots] == [1.0, 2.0, 3.0, 4.0]
+        for snap in full.snapshots:
+            for values in (snap.planar, snap.axial):
+                table = np.abs(grid.analyze(values))
+                assert table[outside].max() <= 1e-12 * table.max()
+
+    def test_band_run_equals_full_run(self, band_pair):
+        band, full = band_pair
+        assert not band.terminated and not full.terminated
+        assert np.array_equal(band.times, full.times)
+        assert np.array_equal(band.estimates, full.estimates)
+        for name in ("signals", "err_planar", "err_axial", "ring_errors",
+                     "control_sup"):
+            a, b = getattr(band, name), getattr(full, name)
+            assert np.all(np.abs(a - b) <= 1e-12 * np.max(np.abs(b), axis=0)), name
+        # the rim residual is the roundoff of one subtraction in both runs,
+        # so it is bounded, not matched
+        assert max(band.rim_residual.max(), full.rim_residual.max()) <= 1e-14
+        for a, b in zip(band.snapshots, full.snapshots):
+            assert a.planar.shape == b.planar.shape == (21, 16)
+            scale = np.max(np.abs(b.planar)) + np.max(np.abs(b.axial))
+            assert np.max(np.abs(a.planar - b.planar)) <= 1e-12 * scale
+            assert np.max(np.abs(a.axial - b.axial)) <= 1e-12 * scale
+
+
 class TestTransientRecord:
     def test_rows_strictly_increasing_and_finite(self, transient_record):
         rec = transient_record
@@ -454,7 +505,8 @@ class TestSeriesWriter:
 
     def test_empty_record_header_only(self, transient_cfg, tmp_path):
         empty = RunRecord(config=transient_cfg, ring_rows=(1, 8, 15),
-                          times=np.zeros(0), estimates=np.zeros(0),
+                          modes=np.arange(-1, 2), times=np.zeros(0),
+                          estimates=np.zeros(0),
                           signals=np.zeros(0), err_planar=np.zeros(0),
                           err_axial=np.zeros(0),
                           ring_errors=np.zeros((0, 3)),

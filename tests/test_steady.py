@@ -142,6 +142,35 @@ class TestSteadyField:
                              else 0.0)) == 0.0
 
 
+class TestBand:
+    spec = FormationSpec(
+        planar_coeffs=PlantCoeffs(10.0, 0.5),
+        axial_coeffs=PlantCoeffs(5.0, 0.5),
+        planar_anchor={1: -1.0, -2: 1.0},
+        planar_leader={1: 1.0, -2: -1.0},
+        axial_anchor={0: -1.9},
+        axial_leader={0: 1.9},
+    )
+
+    def test_band_is_the_largest_listed_wavenumber(self):
+        assert self.spec.band == 2
+        coeffs = PlantCoeffs(1.0, 0.0)
+        assert FormationSpec(coeffs, coeffs).band == 0
+        # a listed zero counts
+        assert FormationSpec(coeffs, coeffs, axial_leader={3: 0.0, -3: 0.0}).band == 3
+
+    def test_fields_on_the_band_equal_the_whole_grid(self):
+        full = formation_fields(self.spec, CylinderGrid(21, 16))
+        band = formation_fields(self.spec, CylinderGrid(21, 16, band=2))
+        for a, b in zip(band, full):
+            assert a.dtype == b.dtype
+            assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
+
+    def test_rim_data_outside_the_band_rejected(self):
+        with pytest.raises(ValueError, match=r"\[-2\]"):
+            formation_fields(self.spec, CylinderGrid(21, 16, band=1))
+
+
 class TestFormationSpecValidation:
     def test_axial_symmetry_enforced(self):
         with pytest.raises(ConfigError):
