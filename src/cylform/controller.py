@@ -1,13 +1,15 @@
 """Rim-command synthesis from field measurements and recorded actuation.
 
-Everything here works on one scalar channel.  The measured field is first
-shifted by the steady profile and scaled by the advection lift; all further
-work happens per angular wavenumber.  The command applied at the moving rim
-is produced by a predictor: the current scaled deviation is propagated
-through the kernel tables, past commands are folded in through running
-exponential convolutions, and the value of the command *being computed*
-is recovered from a small implicit solve (the newest history node carries a
-nonzero quadrature weight, so the rim value appears on both sides).
+Everything here works on one scalar channel, and per angular wavenumber: the
+controller measures the plant's mode table (:attr:`~cylform.plant.Channel.table`),
+subtracts the steady profile's table and scales each row by the advection
+lift, and it reads the delay line's band coefficient rows as they are.  The
+command applied at the moving rim is produced by a predictor: the current
+scaled deviation is propagated through the kernel tables, past commands are
+folded in through running exponential convolutions, and the value of the
+command *being computed* is recovered from a small implicit solve (the
+newest history node carries a nonzero quadrature weight, so the rim value
+appears on both sides).
 
 For a fixed delay estimate both parts are fixed linear maps per ``|n|``,
 which the :class:`~cylform.kernels.KernelSet` builds once: ``history_map``
@@ -18,7 +20,9 @@ products: the target history is ``history_map @ transport`` minus the
 predicted flow, evaluated once with the transport's rim node zeroed.  The
 control law sets the rim row of the target history to zero: the command is
 that row over the rim node's own weight ``history_map[|n|, -1, -1]``, and
-the command's column of ``history_map`` then completes the image.
+the command's column of ``history_map`` then completes the image.  The only
+transform of a step is the synthesis of the physical command, which the
+run logs.
 """
 
 from __future__ import annotations
@@ -32,33 +36,15 @@ from .kernels import KernelSet
 from .plant import DelayLine
 
 __all__ = [
-    "remove_advection",
     "reconstruct_transport",
     "to_target_state",
     "state_prediction",
     "to_target_history",
     "control_modes",
-    "synthesize_command",
     "symmetrize_command",
     "ChannelUpdate",
     "ChannelController",
 ]
-
-
-# ---------------------------------------------------------------------------
-# advection lift
-
-
-def remove_advection(values: np.ndarray, steady_values: np.ndarray,
-                     advection: complex, grid: CylinderGrid) -> np.ndarray:
-    """Scaled deviation of a field from its steady profile.
-
-    Multiplying the deviation by ``exp(advection * s / 2)`` turns the
-    advection term of the channel into a pure shift of the reaction rate,
-    which is the form every kernel table assumes.
-    """
-    lift = np.exp(0.5 * advection * grid.s)
-    return (np.asarray(values) - np.asarray(steady_values)) * lift[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -67,20 +53,18 @@ def remove_advection(values: np.ndarray, steady_values: np.ndarray,
 
 def reconstruct_transport(line: DelayLine, t: float, delay_estimate: float,
                           grid: CylinderGrid, advection: complex = 0.0
-                          ) -> tuple[np.ndarray, float]:
-    """Command-in-flight profile implied by the recorded history.
+                          ) -> np.ndarray:
+    """Command-in-flight mode table implied by the recorded history.
 
     Node ``r`` holds the (scaled) command that was issued
     ``delay_estimate*(1 - s_r)`` ago, so the rim node is the newest record
     (held forward when queried at the current instant, i.e. the previous
-    command until a fresh one is stored).  Also returns the largest scaled
-    magnitude in flight below the rim node, which the rim diagnostic
-    measures against.
+    command until a fresh one is stored).  ``line`` holds the commands'
+    band coefficients, so the table is its rows scaled by the advection
+    gain.
     """
-    profiles = line.lookup_many(t + delay_estimate * (grid.s - 1.0))
-    gain = np.exp(0.5 * advection)
-    peak = float(np.max(np.abs(profiles[:-1]))) * abs(gain)
-    return grid.analyze(profiles) * gain, peak
+    rows = line.lookup_many(t + delay_estimate * (grid.s - 1.0))
+    return rows.T * np.exp(0.5 * advection)
 
 
 def to_target_state(measured: np.ndarray, ks: KernelSet) -> np.ndarray:
@@ -143,13 +127,6 @@ def symmetrize_command(grid: CylinderGrid, cmd: np.ndarray) -> np.ndarray:
     return out
 
 
-def synthesize_command(cmd: np.ndarray, advection: complex,
-                       grid: CylinderGrid, kind: str = "complex") -> np.ndarray:
-    """Physical rim command profile from its scaled mode vector."""
-    gain = np.exp(-0.5 * advection)
-    return grid.synthesize_profile(np.asarray(cmd) * gain, kind=kind)
-
-
 # ---------------------------------------------------------------------------
 # per-channel driver
 
@@ -159,6 +136,7 @@ class ChannelUpdate:
     """Everything one control step produces for a single channel."""
 
     command: np.ndarray          #: (N,) physical rim command profile (deviation part)
+    command_modes: np.ndarray    #: band coefficients of ``command``, the row the line records
     target_state: np.ndarray     #: mode table of the decoupled state image
     transport: np.ndarray        #: command-in-flight table, rim node = new command
     target_history: np.ndarray   #: history image table (rim row ~ 0 by construction)
@@ -177,38 +155,45 @@ class ChannelController:
         if kind not in ("complex", "real"):
             raise ValueError(f"unknown channel kind {kind!r}")
         self.ks = kernel_set
-        self.grid = kernel_set.grid
-        self.steady_values = np.array(steady_values, dtype=complex)
-        if self.steady_values.shape != (self.grid.M, self.grid.N):
+        grid = self.grid = kernel_set.grid
+        steady_values = np.asarray(steady_values)
+        if steady_values.shape != (grid.M, grid.N):
             raise ValueError("steady profile shape does not match the grid")
         self.kind = kind
         self.advection = kernel_set.basis.coeffs.advection
+        #: mode table of the steady profile the deviation is measured from
+        self.steady_table = grid.analyze(steady_values)
+        #: ``exp(advection * s / 2)``: scaling the deviation by it turns the
+        #: advection term into a pure shift of the reaction rate, which is
+        #: the form every kernel table assumes
+        self.lift = np.exp(0.5 * self.advection * grid.s)
 
-    def update(self, values: np.ndarray, line: DelayLine, t: float) -> ChannelUpdate:
+    def update(self, table: np.ndarray, line: DelayLine, t: float) -> ChannelUpdate:
+        """One control step from the plant's mode table ``table`` and the
+        band rows of ``line``."""
         grid, ks = self.grid, self.ks
-        scaled = remove_advection(values, self.steady_values, self.advection, grid)
-        measured = grid.analyze(scaled)
-        transport, in_flight = reconstruct_transport(line, t, ks.delay, grid,
-                                                     self.advection)
+        measured = (table - self.steady_table) * self.lift[None, :]
+        transport = reconstruct_transport(line, t, ks.delay, grid, self.advection)
         transport[:, -1] = 0.0
         history = to_target_history(transport, measured, ks)
         cmd = control_modes(history, ks)
         if self.kind == "real":
             cmd = symmetrize_command(grid, cmd)
-        command = synthesize_command(cmd, self.advection, grid, self.kind)
+        command_modes = cmd * np.exp(-0.5 * self.advection)
         transport[:, -1] = cmd
         history += cmd[:, None] * ks.history_map[np.abs(grid.modes), :, -1]
 
-        # scale: largest scaled deviation plus largest command in flight,
-        # the rim node being the new command (unscaled by the advection gain)
-        rim = grid.synthesize_profile(history[:, -1])
-        gain = abs(np.exp(-0.5 * self.advection))
-        in_flight = max(in_flight, float(np.max(np.abs(command))) / gain)
-        scale = np.max(np.abs(scaled)) + in_flight + 1e-30
+        # rim defect against the largest scaled deviation plus the largest
+        # command in flight, the rim node being the new command; each ring
+        # is measured by the sum of its coefficients' magnitudes, which
+        # bounds its sup over theta
+        scale = (np.max(np.sum(np.abs(measured), axis=0))
+                 + np.max(np.sum(np.abs(transport), axis=0)) + 1e-30)
         return ChannelUpdate(
-            command=command,
+            command=grid.synthesize_profile(command_modes, self.kind),
+            command_modes=command_modes,
             target_state=to_target_state(measured, ks),
             transport=transport,
             target_history=history,
-            h_residual=float(np.max(np.abs(rim)) / scale),
+            h_residual=float(np.sum(np.abs(history[:, -1])) / scale),
         )

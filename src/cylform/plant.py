@@ -6,24 +6,32 @@ stencil on the cylinder surface; only the rim rows differ.  The anchor rim
 the formation's leader profile plus the actuation signal delayed by the true
 (unknown to the controller) dead time.  Commands travel through a
 :class:`DelayLine`, a uniformly sampled ring buffer with linear interpolation
-that reads zero before its first record.
+that reads zero before its first record.  Its rows are the command's
+Fourier coefficients on the grid's wavenumber band, in ``grid.modes``
+order: interpolation, hold and the zero pre-history act on each
+coefficient alone, so a line of band rows reads the coefficients of what
+a line of physical command profiles would read.
 
 The stencil is linear, has constant coefficients and is circulant in theta,
 so :class:`Channel` integrates it in closed form instead of marching it.  A
-DFT in theta leaves one tridiagonal Toeplitz system per wavenumber, and the
-channel keeps only the FFT bins of the grid's band: the rims, the commands
-and the initial field carry no others, so the rest stay zero.  The lift
-``y_j = rho^j z_j`` with ``rho = sqrt(q/p)`` makes it symmetric, and the
-DST-I diagonalises it with eigenvalues in closed form (:attr:`Channel.rates`).
-The delayed command is piecewise linear in time, with breaks at the record
-instants plus the delay (the jump from the zero pre-history at ``t = D``
-among them), and between breaks every eigencoordinate is integrated exactly
-with :func:`~cylform.quadrature.exp_lin_weights`.  One :meth:`Channel.step`
+Fourier series in theta leaves one tridiagonal Toeplitz system per
+wavenumber, and the channel keeps only the wavenumbers of the grid's band:
+the rims, the commands and the initial field carry no others, so the rest
+stay zero.  The lift ``y_j = rho^j z_j`` with ``rho = sqrt(q/p)`` makes it
+symmetric, and the DST-I diagonalises it with eigenvalues in closed form
+(:attr:`Channel.rates`).  The delayed command is piecewise linear in time,
+with breaks at the record instants plus the delay (the jump from the zero
+pre-history at ``t = D`` among them), and between breaks every
+eigencoordinate is integrated exactly with
+:func:`~cylform.quadrature.exp_lin_weights`.  One :meth:`Channel.step`
 advances a whole control block.  The line records once per block, so a
 break falls at the same offset ``D mod block`` of every block and the
 block's weights are built once.  Each step reads its rims with one
 :meth:`DelayLine.lookup_many`: two instants per linear piece, at a third
-and two thirds of its length, extrapolated linearly to its ends.
+and two thirds of its length, extrapolated linearly to its ends.  The
+weights act on the coefficient rows as read, so a step transforms nothing
+but its result: the mode table :attr:`Channel.table`, which the controller
+measures, and one synthesis of it into the physical field.
 """
 
 from __future__ import annotations
@@ -54,7 +62,8 @@ _BREAK_TOL = 1e-9
 class DelayLine:
     """Uniformly sampled actuation history with linear interpolation.
 
-    Samples are theta-profiles recorded at strictly regular instants.
+    Samples are rows of ``width`` entries (the band coefficients of a rim
+    command, in a run) recorded at strictly regular instants.
     Queries before the first record return zeros (actuation had not
     started); queries beyond the newest record hold its value, which serves
     a block whose delayed instants run past the newest record (a delay
@@ -71,14 +80,10 @@ class DelayLine:
         self._count = 0
         self._t0 = 0.0
 
-    @property
-    def count(self) -> int:
-        return self._count
-
-    def record(self, t: float, profile: np.ndarray) -> None:
-        profile = np.asarray(profile)
-        if profile.shape != (self.width,):
-            raise ValueError(f"profile shape {profile.shape} != ({self.width},)")
+    def record(self, t: float, row: np.ndarray) -> None:
+        row = np.asarray(row)
+        if row.shape != (self.width,):
+            raise ValueError(f"row shape {row.shape} != ({self.width},)")
         if self._count == 0:
             self._t0 = float(t)
         else:
@@ -88,11 +93,11 @@ class DelayLine:
                     f"record at t={t} breaks the uniform spacing "
                     f"(expected {expected})"
                 )
-        self._buf[self._count % self.capacity] = profile
+        self._buf[self._count % self.capacity] = row
         self._count += 1
 
     def lookup_many(self, times: np.ndarray) -> np.ndarray:
-        """Profiles at the instants ``times``, shape ``times.shape + (width,)``.
+        """Rows at the instants ``times``, shape ``times.shape + (width,)``.
 
         The one read path of the line: the controller gathers a delay window
         of records through it, and the plant the delayed instants of a
@@ -144,12 +149,12 @@ def stable_dt(grid: CylinderGrid, *coeffs: PlantCoeffs, safety: float = 0.9) -> 
 
 class _Plan(NamedTuple):
     """Closed-form map of one stretch of a block, in eigencoordinates:
-    ``decay * state + held`` plus, per FFT bin, ``weights`` applied to the
-    FFTs of the rim reads taken ``reads`` past the block start."""
+    ``decay * state + held`` plus, per wavenumber, ``weights`` applied to
+    its coefficients in the rim reads taken ``reads`` past the block start."""
 
-    decay: np.ndarray       #: (M-2, bins)
-    held: np.ndarray        #: (M-2, bins), the response to the held rims
-    weights: np.ndarray     #: (bins, M-2, reads), bin-major for one batched matmul
+    decay: np.ndarray       #: (M-2, modes)
+    held: np.ndarray        #: (M-2, modes), the response to the held rims
+    weights: np.ndarray     #: (modes, M-2, reads), mode-major for one batched matmul
     reads: np.ndarray       #: (reads,)
 
 
@@ -158,11 +163,12 @@ class Channel:
     rims and delayed commands.
 
     The interior is kept in eigencoordinates of its semi-discrete operator:
-    ``fft`` along theta, restricted to the bins of the grid's wavenumber
-    band, then the inverse of ``diag(rho^j) @ DST-I`` along ``s``.
-    ``values`` is the physical field at the latest block end (the initial
-    field before the first step); a ``"real"`` channel keeps it real.
-    ``line`` must record once per ``block``.  The lift spans a factor of
+    the Fourier coefficients of the grid's wavenumber band along theta, in
+    ``grid.modes`` order, then the inverse of ``diag(rho^j) @ DST-I`` along
+    ``s``.  ``table`` is the field's mode table and ``values`` the physical
+    field, both at the latest block end (the initial field before the first
+    step); a ``"real"`` channel keeps ``values`` real.  ``line`` must record
+    band coefficient rows once per ``block``.  The lift spans a factor of
     about ``e^{|advection|/2}`` along the axis, and the transform's roundoff
     grows by up to that factor: harmless unless the advection is in the
     tens.
@@ -186,6 +192,8 @@ class Channel:
         if values.shape != (grid.M, grid.N):
             raise ValueError("initial state shape does not match the grid")
         self.values = values.real.copy() if kind == "real" else values
+        #: (len(modes), M) mode table of ``values``
+        self.table = grid.analyze(self.values)
 
         m, h = grid.M - 2, grid.h_s
         p = 1.0 / h**2 + coeffs.advection / (2.0 * h)    # weight of row i + 1
@@ -196,20 +204,19 @@ class Channel:
         lift = rho ** j
         self._to_field = lift[:, None] * sine
         self._to_eigen = sine / lift[None, :]
-        # FFT bins of the band's wavenumbers, ascending (all N on a full band)
-        self._bins = np.sort(grid.modes % grid.N)
-        #: eigenvalues per (DST index, kept FFT bin): axial, then angular part
+        #: eigenvalues per (DST index, wavenumber): axial, then angular part
         self.rates = (
             (coeffs.reaction - 2.0 / h**2
              + 2.0 * p * rho * np.cos(j * np.pi / (m + 1)))[:, None]
             - (4.0 / grid.h_theta**2)
-            * np.sin(np.pi * self._bins / grid.N)[None, :] ** 2
+            * np.sin(np.pi * grid.modes / grid.N)[None, :] ** 2
         )
         self._rim_gain = p * self._to_eigen[:, -1:]
-        self._rims_held = (
-            np.outer(q * self._to_eigen[:, 0], np.fft.fft(self.anchor)[self._bins])
-            + self._rim_gain * np.fft.fft(self.leader_base)[self._bins])
-        self._state = self._to_eigen @ np.fft.fft(values[1:-1], axis=1)[:, self._bins]
+        self._anchor_modes, self._leader_modes = grid.analyze_rows(
+            np.stack([self.anchor, self.leader_base]))
+        self._rims_held = (np.outer(q * self._to_eigen[:, 0], self._anchor_modes)
+                           + self._rim_gain * self._leader_modes)
+        self._state = self._to_eigen @ self.table[:, 1:-1].T
 
         off = math.fmod(self.delay, self.block)
         self._break = 0.0 if min(off, self.block - off) <= _BREAK_TOL * self.block else off
@@ -242,13 +249,20 @@ class Channel:
         whole = start == 0.0 and stop == self.block
         plan = self._block_plan if whole else self._plan(start, stop)
         rows = line.lookup_many(t + plan.reads - self.delay)
-        forced = plan.weights @ np.fft.fft(rows, axis=1)[:, self._bins].T[:, :, None]
+        forced = plan.weights @ rows.T[:, :, None]
         self._state = plan.decay * self._state + plan.held + forced[:, :, 0].T
-        vals = np.zeros((self.grid.M, self.grid.N), dtype=complex)
-        vals[1:-1, self._bins] = self._to_field @ self._state
-        vals[1:-1] = np.fft.ifft(vals[1:-1], axis=1)
+        # the rims are synthesized without their base profiles, which are
+        # added in physical space: the anchor row is the anchor exactly,
+        # and the leader row its base plus the synthesized command
+        table = np.zeros((self.grid.modes.size, self.grid.M), dtype=complex)
+        table[:, 1:-1] = (self._to_field @ self._state).T
+        table[:, -1] = 2.0 * rows[-1] - rows[-2]
+        vals = self.grid.synthesize(table)
         vals[0] = self.anchor
-        vals[-1] = self.leader_base + (2.0 * rows[-1] - rows[-2])
+        vals[-1] += self.leader_base
+        table[:, 0] = self._anchor_modes
+        table[:, -1] += self._leader_modes
+        self.table = table
         self.values = vals.real.copy() if self.kind == "real" else vals
 
     def peek(self, t: float, tau: float, line: DelayLine) -> np.ndarray:

@@ -9,16 +9,21 @@ is a sequence of control blocks of ``control_period`` steps.  At each block
 start the controllers measure the fields, issue new rim commands, and the
 delay estimate takes one projected gradient step driven by both channels;
 then each channel advances over the whole block in one exact step, and the
-guard is checked at the block end.  Everything in mode space -- the plant's
-eigencoordinates, the kernel tables, the control law and the drift -- keeps
+guard is checked at the block end.  The loop works in mode space and keeps
 only the wavenumbers ``|n| <= band``, where ``band`` is the largest ``|n|``
 listed in the rim data of either formation: no other wavenumber is ever
-excited, so the rest would carry roundoff only.  Fields, the delay lines,
-snapshots, ring errors and the guard stay on the whole ``(M, N)`` grid.  Kernel tables are rebuilt only when the
-estimate has drifted a fixed fraction of the admissible interval away from
-the tables in use.  The tables a rebuild replaces are kept as a spare, and
-an estimate that returns within that fraction of them (a projected estimate
-flipping between its bounds) swaps them back instead of rebuilding.
+excited, so the rest would carry roundoff only.  The controllers measure
+the channels' mode tables, the delay lines record the commands' band
+coefficients, and the plant's eigencoordinates, the kernel tables, the
+control law and the drift hold the band's rows.  Each block synthesizes the
+physical fields once, for the guard, the errors and ring errors and the
+snapshots, and each control step the physical commands, for
+``control_sup``; nothing in the loop reads those back.  Kernel tables are
+rebuilt only when the estimate has drifted a fixed fraction of the
+admissible interval away from the tables in use.  The tables a rebuild
+replaces are kept as a spare, and an estimate that returns within that
+fraction of them (a projected estimate flipping between its bounds) swaps
+them back instead of rebuilding.
 
 Results are collected in a :class:`RunRecord` (one logged row per control
 step) and serialized as CSV: a single time series plus, per requested
@@ -146,8 +151,8 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
     dt_ctrl = per * dt
 
     horizon = max(cfg.true_delay, cfg.delay_hi) + 4.0 * dt_ctrl
-    line_p = DelayLine(grid.N, dt_ctrl, horizon)
-    line_z = DelayLine(grid.N, dt_ctrl, horizon)
+    line_p = DelayLine(grid.modes.size, dt_ctrl, horizon)
+    line_z = DelayLine(grid.modes.size, dt_ctrl, horizon)
     chan_p = Channel(grid, coeffs_p, goal_planar[0], goal_planar[-1],
                      init_planar, dt_ctrl, cfg.true_delay)
     chan_z = Channel(grid, coeffs_z, goal_axial[0], goal_axial[-1],
@@ -176,10 +181,10 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
         while _reached(snap_queue, t):
             snaps.append(Snapshot(snap_queue.pop(0), t, chan_p.values.copy(),
                                   chan_z.values.copy()))
-        upd_p = ctrl_p.update(chan_p.values, line_p, t)
-        upd_z = ctrl_z.update(chan_z.values, line_z, t)
-        line_p.record(t, upd_p.command)
-        line_z.record(t, upd_z.command)
+        upd_p = ctrl_p.update(chan_p.table, line_p, t)
+        upd_z = ctrl_z.update(chan_z.table, line_z, t)
+        line_p.record(t, upd_p.command_modes)
+        line_z.record(t, upd_z.command_modes)
 
         drift_p = mismatch_drift(upd_p.target_state, upd_p.target_history, ks_p)
         drift_z = mismatch_drift(upd_z.target_state, upd_z.target_history, ks_z)

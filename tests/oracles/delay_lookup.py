@@ -15,7 +15,7 @@ from cylform.errors import HistoryUnderrunError
 
 
 def _row(line, idx):
-    if idx < line.count - line.capacity:
+    if idx < line._count - line.capacity:
         raise HistoryUnderrunError(
             f"sample {idx} already evicted (horizon too short)")
     return line._buf[idx % line.capacity]
@@ -24,15 +24,15 @@ def _row(line, idx):
 def lookup(line, t):
     """Profile of ``line`` at time ``t``, linearly interpolated between
     records; zero before the first record, the newest record held after."""
-    if line.count == 0:
+    if line._count == 0:
         return np.zeros(line.width, dtype=complex)
     x = (t - line._t0) / line.dt
     if x <= 0.0:
         if x < -1e-9:
             return np.zeros(line.width, dtype=complex)
         return _row(line, 0).copy()
-    if x >= line.count - 1:
-        return _row(line, line.count - 1).copy()
+    if x >= line._count - 1:
+        return _row(line, line._count - 1).copy()
     i = int(math.floor(x))
     frac = x - i
     return (1.0 - frac) * _row(line, i) + frac * _row(line, i + 1)

@@ -4,14 +4,26 @@ The package computes the command per angular wavenumber.  This module
 rebuilds the same command from the 2-D predictor kernel by quadrature over
 the whole surface and over a uniform re-sampling of the in-flight window,
 so it shares none of the spectral pipeline's per-mode operators and serves
-as a dense cross-check of it.
+as a dense cross-check of it.  The delay line holds band coefficient rows;
+the law synthesizes the ones it reads back into ring profiles.
 """
 
 import numpy as np
 
-from cylform.controller import remove_advection
 from cylform.quadrature import exp_weights, simpson_weights
 from oracles.delay_lookup import lookup
+
+
+def remove_advection(values, steady_values, advection, grid):
+    """Scaled deviation of a field from its steady profile.
+
+    Multiplying the deviation by ``exp(advection * s / 2)`` turns the
+    advection term of the channel into a pure shift of the reaction rate,
+    which is the form every kernel table assumes.  The controller applies
+    the same lift to the rows of a mode table.
+    """
+    lift = np.exp(0.5 * advection * grid.s)
+    return (np.asarray(values) - np.asarray(steady_values)) * lift[:, None]
 
 
 def sine_basis(i_max, x):
@@ -91,7 +103,8 @@ def simpson_control(values, steady_values, line, t, ks, m_prime=51,
     # past commands, scaled, on the uniform in-flight window [t - delay, t]
     xs = np.linspace(0.0, 1.0, m_prime)
     gain = np.exp(0.5 * adv)
-    past = np.stack([lookup(line, t + ks.delay * (x - 1.0)) for x in xs[:-1]])
+    past = np.stack([grid.synthesize_profile(lookup(line, t + ks.delay * (x - 1.0)))
+                     for x in xs[:-1]])
     past = past * gain
 
     # exp_weights integrates against exp(a*x); the predictor weighs sample x

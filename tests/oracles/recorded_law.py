@@ -108,10 +108,10 @@ def control_modes_recorded(measured, line, t, ks):
     """
     grid = ks.grid
     rows = np.abs(grid.modes)
-    w = command_lattice(ks, line.dt)[rows]                      # (N, nodes)
+    w = command_lattice(ks, line.dt)[rows]                      # (modes, nodes)
     win = line.lookup_many(t - line.dt * np.arange(1, w.shape[1]))
     gain = np.exp(0.5 * ks.basis.coeffs.advection)
-    lattice = grid.analyze_rows(win) * gain                     # (nodes-1, N)
+    lattice = win * gain                                        # (nodes-1, modes)
     sw = measured @ ks.basis.mode_sine.T
     pred_rim = 2.0 * np.einsum("ni,ni->n",
                                sw * ks.basis.fwd_sine[None, :],

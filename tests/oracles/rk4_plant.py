@@ -5,7 +5,8 @@ Both integrate the same semi-discrete system: the three-point stencil in
 ``s`` and ``theta`` on interior rows, the anchor row held and the leader row
 set to its base plus the delayed command.  The march pins the rims at its
 stage instants (each step's start, midpoint and end) and reads the command
-with one scalar delay-line lookup per stage, so it converges to the exact
+with one scalar delay-line lookup per stage, synthesized from the line's
+band coefficients into a ring profile, so it converges to the exact
 solution at fourth order in ``dt`` while the rims are constant, and only at
 first order once a jump of the command (the end of the zero pre-history)
 falls inside a step.
@@ -54,7 +55,8 @@ class RK4Channel:
 
     def step(self, t, dt, line):
         """One RK4 step from ``t``, the rims read at its stage instants."""
-        rims = [self.leader_base + lookup(line, tt - self.delay)
+        rims = [self.leader_base
+                + self.grid.synthesize_profile(lookup(line, tt - self.delay))
                 for tt in (t, t + 0.5 * dt, t + dt)]
         k1 = self._rhs(self.values.copy(), rims[0])
         k2 = self._rhs(self.values + 0.5 * dt * k1, rims[1])

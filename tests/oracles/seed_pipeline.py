@@ -29,10 +29,8 @@ def history_map(ks, n):
 
 def reconstruct_transport(line, t, delay_estimate, grid, advection=0.0):
     times = t + delay_estimate * (grid.s - 1.0)
-    profiles = np.stack([lookup(line, tt) for tt in times])
-    gain = np.exp(0.5 * advection)
-    peak = float(np.max(np.abs(profiles[:-1]))) * abs(gain)
-    return grid.analyze(profiles) * gain, peak
+    rows = np.stack([lookup(line, tt) for tt in times])
+    return rows.T * np.exp(0.5 * advection)
 
 
 def state_prediction(measured, ks):

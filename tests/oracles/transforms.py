@@ -15,7 +15,7 @@ from oracles.dense_law import sine_basis
 
 
 def restore_advection(scaled, steady_values, advection, grid):
-    """Undo :func:`cylform.controller.remove_advection`."""
+    """Undo :func:`oracles.dense_law.remove_advection`."""
     lift = np.exp(-0.5 * advection * grid.s)
     return np.asarray(scaled) * lift[:, None] + np.asarray(steady_values)
 

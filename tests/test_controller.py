@@ -17,7 +17,6 @@ from cylform.controller import (
     ChannelController,
     control_modes,
     reconstruct_transport,
-    remove_advection,
     state_prediction,
     symmetrize_command,
     to_target_history,
@@ -27,7 +26,12 @@ from cylform.geometry import CylinderGrid
 from cylform.kernels import KernelBasis, KernelSet, PlantCoeffs
 from cylform.plant import DelayLine
 from oracles import seed_pipeline
-from oracles.dense_law import periodic_simpson_weights, simpson_control
+from oracles.delay_lookup import lookup
+from oracles.dense_law import (
+    periodic_simpson_weights,
+    remove_advection,
+    simpson_control,
+)
 from oracles.mode_symmetry import conjugate_symmetry_defect
 from oracles.recorded_law import control_modes_recorded
 from oracles.transforms import (
@@ -89,23 +93,25 @@ class TestAdvectionLift:
 
 
 class TestReconstructTransport:
+    """The line records the band coefficients of each command profile."""
+
     def _line(self, grid, dt=0.05):
-        return DelayLine(grid.N, dt, horizon=5.0)
+        return DelayLine(grid.modes.size, dt, horizon=5.0)
 
     def test_constant_history(self, grid):
         line = self._line(grid)
         prof = np.cos(grid.theta) + 2.0
         for k in range(40):
-            line.record(k * 0.05, prof)
-        stack, _ = reconstruct_transport(line, 1.9, 1.0, grid)
+            line.record(k * 0.05, grid.analyze_rows(prof))
+        stack = reconstruct_transport(line, 1.9, 1.0, grid)
         want = grid.analyze_rows(prof)
         assert np.max(np.abs(stack - want[:, None])) <= 1e-13
 
     def test_zero_delay_limit(self, grid):
         line = self._line(grid)
         for k in range(10):
-            line.record(k * 0.05, np.full(grid.N, float(k)))
-        stack, _ = reconstruct_transport(line, 0.45, 0.0, grid)
+            line.record(k * 0.05, grid.analyze_rows(np.full(grid.N, float(k))))
+        stack = reconstruct_transport(line, 0.45, 0.0, grid)
         assert np.allclose(stack[grid.N // 2], 9.0, atol=1e-12)
         assert np.max(np.abs(np.diff(stack, axis=1))) <= 1e-12
 
@@ -114,9 +120,9 @@ class TestReconstructTransport:
         # the lookup time itself
         line = self._line(grid)
         for k in range(80):
-            line.record(k * 0.05, np.full(grid.N, k * 0.05))
+            line.record(k * 0.05, grid.analyze_rows(np.full(grid.N, k * 0.05)))
         t, dhat = 3.0, 1.25
-        stack, _ = reconstruct_transport(line, t, dhat, grid)
+        stack = reconstruct_transport(line, t, dhat, grid)
         want = t + dhat * (grid.s - 1.0)
         got = stack[grid.N // 2].real
         assert np.max(np.abs(got - want)) <= 1e-12
@@ -124,25 +130,25 @@ class TestReconstructTransport:
     def test_advection_gain_applied(self, grid):
         line = self._line(grid)
         for k in range(10):
-            line.record(k * 0.05, np.ones(grid.N))
-        stack, peak = reconstruct_transport(line, 0.45, 0.2, grid, advection=2.0)
+            line.record(k * 0.05, grid.analyze_rows(np.ones(grid.N)))
+        stack = reconstruct_transport(line, 0.45, 0.2, grid, advection=2.0)
         assert abs(stack[grid.N // 2, 0] - np.exp(1.0)) <= 1e-12
-        assert peak == pytest.approx(np.exp(1.0), rel=1e-15)
 
-    def test_peak_is_largest_scaled_magnitude_below_the_rim(self, grid):
-        # the newest record, which the rim node reads, is the largest: the
-        # peak leaves it out (the rim row is the command being computed)
-        line = self._line(grid)
+    def test_table_synthesizes_to_the_scaled_profiles(self, grid):
+        # each node of the table is the scaled command profile in flight,
+        # read from a line of physical profiles one scalar lookup at a time
+        band, physical = self._line(grid), DelayLine(grid.N, 0.05, horizon=5.0)
         rng = np.random.default_rng(5)
         for k in range(30):
-            scale = 100.0 if k == 29 else 1.0
-            line.record(k * 0.05, scale * (rng.normal(size=grid.N)
-                                           + 1j * rng.normal(size=grid.N)))
+            prof = rng.normal(size=grid.N) + 1j * rng.normal(size=grid.N)
+            band.record(k * 0.05, grid.analyze_rows(prof))
+            physical.record(k * 0.05, prof)
         t, dhat, adv = 1.45, 0.9, 0.5 + 0.2j
-        stack, peak = reconstruct_transport(line, t, dhat, grid, advection=adv)
-        field = grid.synthesize(stack)
-        assert peak == pytest.approx(np.max(np.abs(field[:-1])), rel=1e-13)
-        assert peak < 0.9 * np.max(np.abs(field[-1]))
+        stack = reconstruct_transport(band, t, dhat, grid, advection=adv)
+        want = np.exp(0.5 * adv) * np.stack(
+            [lookup(physical, tt) for tt in t + dhat * (grid.s - 1.0)])
+        assert np.max(np.abs(grid.synthesize(stack) - want)) \
+            <= 1e-13 * np.max(np.abs(want))
 
 
 class TestStateTransformPair:
@@ -332,16 +338,16 @@ class TestRecordLatticeLaw:
         g = CylinderGrid(M, 16)
         ks = KernelSet(KernelBasis(PlantCoeffs(12.0, 0.5), g), 1.0)
         last = round(2.0 / dt)
-        line = DelayLine(g.N, dt, horizon=4.0)
+        line = DelayLine(g.modes.size, dt, horizon=4.0)
         for j in range(last + 1):
-            line.record(j * dt, np.ones(g.N))
+            line.record(j * dt, g.analyze_rows(np.ones(g.N)))
         t = (last + 1) * dt
         zero = np.zeros((g.N, g.M), dtype=complex)
         row = g.N // 2                                      # mode 0
         cmd, denom, rhs = control_modes_recorded(zero, line, t, ks)
         assert cmd[row] == pytest.approx(lattice, rel=1e-9)
         assert np.array_equal(cmd, rhs / denom)
-        transport, _ = reconstruct_transport(line, t, ks.delay, g, 0.5)
+        transport = reconstruct_transport(line, t, ks.delay, g, 0.5)
         assert rim_solve(zero, transport, ks)[row] == pytest.approx(axial, rel=1e-9)
 
 
@@ -380,8 +386,10 @@ class TestPeriodicSimpson:
 
 
 def run_update(controller, values, line, t):
-    upd = controller.update(values, line, t)
-    line.record(t, upd.command)
+    """One control step on the mode table of ``values``; the line records
+    the command's band coefficients, as a run does."""
+    upd = controller.update(controller.grid.analyze(values), line, t)
+    line.record(t, upd.command_modes)
     return upd
 
 
@@ -394,12 +402,12 @@ class TestChannelController:
         if kind == "complex":
             steady = steady + 1j * rng.normal(size=(grid.M, grid.N))
         ctrl = ChannelController(ks, steady, kind=kind)
-        line = DelayLine(grid.N, 0.02, horizon=4.0)
+        line = DelayLine(grid.modes.size, 0.02, horizon=4.0)
         return ctrl, line, steady
 
     def test_steady_state_and_empty_history_give_zero_command(self, grid):
         ctrl, line, steady = self._setup(grid)
-        upd = ctrl.update(steady, line, 0.0)
+        upd = ctrl.update(grid.analyze(steady), line, 0.0)
         assert np.max(np.abs(upd.command)) <= 1e-12
         assert upd.h_residual <= 1e-12
 
@@ -415,28 +423,29 @@ class TestChannelController:
             assert upd.h_residual <= 1e-10
 
     @pytest.mark.parametrize("kind", ["complex", "real"])
-    def test_residual_scale_equals_full_transport_synthesis(self, grid, kind):
-        # the scale takes the in-flight peak from the transport reads and
-        # the rim row from the command; synthesizing the whole transport
-        # stack gives the same number up to the transform round trip
+    def test_residual_is_the_band_norm_ratio(self, grid, kind):
+        # the defect and the scale measure each ring by the sum of its
+        # coefficients' magnitudes: the defect is the rim row of the
+        # history image, the scale the largest ring of the scaled deviation
+        # plus the largest ring of the transport, whose rim node is the
+        # new command
         ctrl, line, steady = self._setup(grid, lam=6.0, beta=0.5, kind=kind)
         rng = np.random.default_rng(15)
         for k in range(8):
             vals = steady + 0.1 * rng.normal(size=(grid.M, grid.N))
             vals[0] = steady[0]
             upd = run_update(ctrl, vals, line, k * 0.02)
-            scaled = remove_advection(vals, steady, ctrl.advection, grid)
-            rim = grid.synthesize_profile(upd.target_history[:, -1])
-            scale = (np.max(np.abs(scaled))
-                     + np.max(np.abs(grid.synthesize(upd.transport))) + 1e-30)
-            want = np.max(np.abs(rim)) / scale
+            measured = grid.analyze(remove_advection(vals, steady, ctrl.advection, grid))
+            scale = (np.max(np.sum(np.abs(measured), axis=0))
+                     + np.max(np.sum(np.abs(upd.transport), axis=0)) + 1e-30)
+            want = np.sum(np.abs(upd.target_history[:, -1])) / scale
             assert upd.h_residual == pytest.approx(want, rel=1e-12, abs=1e-300)
 
     def test_real_channel_emits_real_commands(self, grid):
         ctrl, line, steady = self._setup(grid, lam=6.0, beta=0.5, kind="real")
         vals = steady + 0.2 * np.outer(np.sin(np.pi * grid.s),
                                        np.sin(2 * grid.theta))
-        upd = ctrl.update(vals, line, 0.0)
+        upd = ctrl.update(grid.analyze(vals), line, 0.0)
         assert upd.command.dtype == np.float64
         defect = conjugate_symmetry_defect(upd.transport)
         assert defect <= 1e-12 * (1 + np.max(np.abs(upd.transport)))
@@ -444,10 +453,44 @@ class TestChannelController:
     def test_transport_rim_row_is_new_command(self, grid):
         ctrl, line, steady = self._setup(grid)
         vals = steady + np.outer(grid.s**2, np.exp(1j * grid.theta)).real
-        upd = ctrl.update(vals, line, 0.0)
+        upd = ctrl.update(grid.analyze(vals), line, 0.0)
         gain = np.exp(0.5 * ctrl.advection)
         want = grid.analyze_rows(upd.command) * gain
         assert np.max(np.abs(upd.transport[:, -1] - want)) <= 1e-12
+        assert np.max(np.abs(upd.command_modes * gain - upd.transport[:, -1])) \
+            <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("kind", ["complex", "real"])
+    def test_command_equals_the_field_route(self, grid, kind):
+        # the controller measures a mode table and reads band rows; the
+        # route it replaced measured the scaled field and read a line of
+        # physical command profiles, transforming both every step
+        ctrl, line, steady = self._setup(grid, lam=6.0, beta=0.5, kind=kind)
+        ks, adv = ctrl.ks, ctrl.advection
+        physical = DelayLine(grid.N, 0.02, horizon=4.0)
+        rng = np.random.default_rng(22)
+        commands = []
+        for k in range(12):
+            t = k * 0.02
+            vals = steady + 0.1 * rng.normal(size=(grid.M, grid.N))
+            vals[0] = steady[0]
+            upd = run_update(ctrl, vals, line, t)
+            measured = grid.analyze(remove_advection(vals, steady, adv, grid))
+            reads = physical.lookup_many(t + ks.delay * (grid.s - 1.0))
+            transport = grid.analyze(reads) * np.exp(0.5 * adv)
+            transport[:, -1] = 0.0
+            cmd = control_modes(to_target_history(transport, measured, ks), ks)
+            if kind == "real":
+                cmd = symmetrize_command(grid, cmd)
+            want = grid.synthesize_profile(cmd * np.exp(-0.5 * adv), kind)
+            physical.record(t, want)
+            assert np.max(np.abs(upd.command - want)) <= 1e-13 * np.max(np.abs(want)), k
+            commands.append(upd.command)
+        # the line of band rows synthesizes to the physical commands
+        rows = line.lookup_many(0.02 * np.arange(12))
+        for row, command in zip(rows, commands):
+            back = grid.synthesize_profile(row, kind)
+            assert np.max(np.abs(back - command)) <= 1e-13 * np.max(np.abs(command))
 
 
 class TestPrecomputedStep:
@@ -457,7 +500,7 @@ class TestPrecomputedStep:
         rng = np.random.default_rng(20)
         steady = rng.normal(size=(grid.M, grid.N))
         ctrl = ChannelController(ks, steady, kind="real")
-        line = DelayLine(grid.N, 0.02, horizon=4.0)
+        line = DelayLine(grid.modes.size, 0.02, horizon=4.0)
         calls = Counter()
 
         def counted(name, fn):
@@ -477,9 +520,11 @@ class TestPrecomputedStep:
             vals = steady + 0.1 * rng.normal(size=(grid.M, grid.N))
             upd = run_update(ctrl, vals, line, k * 0.02)
             assert np.all(np.isfinite(upd.command))
-        assert line.count == 8
         # one read of the whole in-flight window per update, nothing else
         assert calls == Counter(lookup_many=8)
+        # the newest record is the last update's command
+        assert np.array_equal(line.lookup_many(np.array([7 * 0.02]))[0],
+                              upd.command_modes)
 
     def test_history_matches_reference_convolution(self, grid, kit):
         rng = np.random.default_rng(21)
@@ -506,9 +551,9 @@ class TestSimpsonControl:
         rng = np.random.default_rng(16)
         steady = rng.normal(size=(grid.M, grid.N))
         vals = steady + rng.normal(size=(grid.M, grid.N))
-        line = DelayLine(grid.N, 0.02, horizon=4.0)
+        line = DelayLine(grid.modes.size, 0.02, horizon=4.0)
         for k in range(30):
-            line.record(k * 0.02, rng.normal(size=grid.N))
+            line.record(k * 0.02, grid.analyze_rows(rng.normal(size=grid.N)))
         rim = simpson_control(vals, steady, line, 29 * 0.02, ks)
         assert np.max(np.abs(rim - steady[-1])) <= 1e-12
 
@@ -520,13 +565,13 @@ class TestSimpsonControl:
         rng = np.random.default_rng(17)
         steady = rng.normal(size=(grid.M, grid.N))
         ctrl = ChannelController(ks, steady)
-        line = DelayLine(grid.N, 0.02, horizon=4.0)
+        line = DelayLine(grid.modes.size, 0.02, horizon=4.0)
         vals = steady + 0.3 * np.outer(np.sin(np.pi * grid.s),
                                        np.cos(grid.theta) + 0.4)
         for k in range(60):
             upd = run_update(ctrl, vals, line, k * 0.02)
         t = 60 * 0.02
-        upd = ctrl.update(vals, line, t)
+        upd = ctrl.update(grid.analyze(vals), line, t)
         spectral_rim = steady[-1] + upd.command
         dense_rim = simpson_control(vals, steady, line, t, ks)
         scale = np.max(np.abs(spectral_rim - steady[-1])) + 1e-30

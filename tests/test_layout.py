@@ -37,8 +37,6 @@ STALE_TRACER_TARGETS = {
 #: qualified name -> who calls it
 CALLED_FROM_OUTSIDE = {
     "_Parser.error": "argparse, on every usage error",
-    "CylinderGrid.analyze_rows": "the benchmark's tracer wraps it as a "
-                                 "transform; oracles/recorded_law.py reads it",
     "KernelSet.peak_gain": "the planned gain preflight and per-step trace "
                            "(ROADMAP items 4-5)",
 }

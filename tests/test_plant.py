@@ -64,7 +64,7 @@ class TestLookupMany:
         t0, newest = 0.3, 0.3 + 0.1 * 29
         times = np.concatenate([
             np.random.default_rng(7).uniform(t0, newest, 500),
-            t0 + 0.1 * np.arange(line.count),            # record instants
+            t0 + 0.1 * np.arange(30),                    # record instants
             [t0 - 1e-11, t0, newest, newest + 0.04, newest + 10.0],
             [t0 - 1e-7, t0 - 0.05, -4.0],                # before the first record
         ])
@@ -135,9 +135,9 @@ class TestStencil:
         ch = Channel(g, PlantCoeffs(1.0, 0.0), anchor, base,
                      np.zeros((g.M, g.N)), 0.25, 0.5)
         # delay 0.5: the block ending at 0.25 has no command yet, the one
-        # ending at 0.75 carries the first
+        # ending at 0.75 carries the first, the constant 5 (mode 0 only)
         for t, leader in ((0.0, base), (0.25, base), (0.5, base + 5.0)):
-            line.record(t, np.full(g.N, 5.0))
+            line.record(t, np.where(g.modes == 0, 5.0, 0.0))
             ch.step(t, line)
             assert np.array_equal(ch.values[0], anchor)
             assert np.array_equal(ch.values[-1], leader)
@@ -157,13 +157,14 @@ class TestStencil:
 
 
 def eigenmode(ch, k, b):
-    """Field of eigencoordinate ``(k, b)`` of ``ch`` with zero rims."""
+    """Field of eigencoordinate ``(k, b)`` of ``ch`` with zero rims: DST
+    index ``k``, wavenumber ``ch.grid.modes[b]``."""
     g = ch.grid
-    z = np.zeros((g.M - 2, g.N), dtype=complex)
+    z = np.zeros((g.M - 2, g.modes.size), dtype=complex)
     z[k, b] = 1.0
-    field = np.zeros((g.M, g.N), dtype=complex)
-    field[1:-1] = np.fft.ifft(ch._to_field @ z, axis=1)
-    return field
+    table = np.zeros((g.modes.size, g.M), dtype=complex)
+    table[:, 1:-1] = (ch._to_field @ z).T
+    return g.synthesize(table)
 
 
 def make_channel(grid, coeffs, initial, block=0.05, delay=0.3):
@@ -239,7 +240,7 @@ class TestTimeMarching:
         full = Channel(g, coeffs, anchor, base, start, block, delay)
         line = DelayLine(g.N, block, 1.0)
         for b in range(6):
-            line.record(b * block, rng.normal(size=g.N))
+            line.record(b * block, g.analyze_rows(rng.normal(size=g.N)))
             real.step(b * block, line)
             full.step(b * block, line)
         assert real.values.dtype == np.float64
@@ -344,15 +345,57 @@ class TestBand:
         anchor, base, start = limited(), limited(), limited(21)
         coeffs, block = PlantCoeffs(12.0, 0.5), 0.01
         chans = [Channel(g, coeffs, anchor, base, start, block, 0.025) for g in (full, band)]
-        lines = [DelayLine(16, block, 1.0) for _ in chans]
+        lines = [DelayLine(g.modes.size, block, 1.0) for g in (full, band)]
         for b in range(8):
             cmd = limited()
             for ch, line in zip(chans, lines):
-                line.record(b * block, cmd)
+                line.record(b * block, ch.grid.analyze_rows(cmd))
                 ch.step(b * block, line)
         a, b = (ch.values for ch in chans)
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
         assert chans[1].rates.shape == (19, 5)
+
+
+class TestTable:
+    """``Channel.table`` is the mode table of ``Channel.values``: the
+    controller measures the table, and the guard, the errors and the
+    snapshots read the field."""
+
+    grid = CylinderGrid(21, 16)
+
+    @pytest.mark.parametrize("kind", ["complex", "real"])
+    def test_table_is_the_analysis_of_the_field(self, kind):
+        g, block, delay = self.grid, 0.05, 0.12
+        rng = np.random.default_rng(13)
+        anchor, base = rng.normal(size=(2, g.N))
+        start = rng.normal(size=(g.M, g.N))
+        coeffs = PlantCoeffs(8.0, 0.5)
+        if kind == "complex":
+            anchor = anchor + 1j * rng.normal(size=g.N)
+            start = start + 1j * rng.normal(size=(g.M, g.N))
+            coeffs = PlantCoeffs(8.0 + 1.0j, 0.5 + 0.2j)
+        ch = Channel(g, coeffs, anchor, base, start, block, delay, kind=kind)
+        line = DelayLine(g.modes.size, block, 1.0)
+
+        def close(table, values):
+            want = g.analyze(values)
+            return np.max(np.abs(table - want)) <= 1e-13 * np.max(np.abs(want))
+
+        assert close(ch.table, ch.values)
+        for b in range(6):
+            cmd = rng.normal(size=g.N)
+            if kind == "complex":
+                cmd = cmd + 1j * rng.normal(size=g.N)
+            line.record(b * block, g.analyze_rows(cmd))
+            ch.step(b * block, line)
+            assert close(ch.table, ch.values), b
+        t = 6 * block
+        line.record(t, g.analyze_rows(rng.normal(size=g.N)))
+        before = ch.table.copy()
+        ch.peek(t, 0.4 * block, line)
+        assert np.array_equal(ch.table, before)
+        ch.advance(t, 0.0, 0.4 * block, line)
+        assert close(ch.table, ch.values)
 
 
 class TestAgainstRK4:
@@ -376,8 +419,9 @@ class TestAgainstRK4:
         delay = (28.0 / 3.0) * dt
         exact = Channel(g, coeffs, anchor, base, start, block, delay)
         line = DelayLine(g.N, block, delay + 2 * self.blocks * block)
+        rows = g.analyze_rows(commands)
         for b in range(self.blocks):
-            line.record(b * block, commands[b])
+            line.record(b * block, rows[b])
             exact.step(b * block, line)
         errs = []
         for r in (1, 2, 4):
@@ -385,7 +429,7 @@ class TestAgainstRK4:
             line = DelayLine(g.N, block, delay + 2 * self.blocks * block)
             h = dt / r
             for b in range(self.blocks):
-                line.record(b * block, commands[b])
+                line.record(b * block, rows[b])
                 for i in range(per * r):
                     march.step(b * block + i * h, h, line)
             errs.append(np.max(np.abs(march.values - exact.values)))

@@ -239,6 +239,38 @@ class TestPlantReads:
         assert peek_reads == loop_weights == 2    # one per channel
 
 
+class TestTransforms:
+    """The loop works in mode space: per control step each channel
+    synthesizes its command, for ``control_sup``, and its field at the
+    block end; it transforms nothing else."""
+
+    @pytest.mark.parametrize("fixed", [False, True], ids=["adapting", "known-delay"])
+    def test_at_most_two_ffts_per_channel_per_control_step(self, monkeypatch, fixed):
+        calls, started = Counter(), []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name, bool(started)] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def update(self, *args, **kwargs):
+            started.append(True)
+            return controller_update(self, *args, **kwargs)
+
+        for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "fft2", "ifft2"):
+            monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+        controller_update = ChannelController.update
+        monkeypatch.setattr(ChannelController, "update", update)
+        cfg = dataclasses.replace(moderate_21x16(fixed, duration=1.5),
+                                  snapshot_times=())
+        rec = run(cfg)
+        assert not rec.terminated
+        assert fixed or np.count_nonzero(np.diff(rec.estimates)) >= 3
+        in_loop = sum(n for (_, loop), n in calls.items() if loop)
+        assert 0 < in_loop <= 2 * 2 * rec.times.size
+
+
 class TestReferenceStep:
     """The precomputed control step replays the convolution-built one."""
 
