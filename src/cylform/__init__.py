@@ -13,7 +13,8 @@ Fields and per-wavenumber mode tables are plain NumPy arrays: a field is
 ``(M, N)`` (axial node by angle), its mode table ``(len(modes), M)``
 (wavenumber by axial node), one row per wavenumber of the grid's band.
 :class:`CylinderGrid` converts between them and checks the shape; ``M`` is
-odd and ``N`` even, so a transposed array never passes.
+odd and ``N`` even, so a transposed array never passes.  A run works on
+mode tables throughout and synthesizes fields only for its output.
 """
 
 from .errors import (

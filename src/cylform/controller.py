@@ -150,19 +150,18 @@ class ChannelController:
     estimate drifts far enough that the cached tables are rebuilt.
     """
 
-    def __init__(self, kernel_set: KernelSet, steady_values: np.ndarray,
+    def __init__(self, kernel_set: KernelSet, steady_table: np.ndarray,
                  kind: str = "complex"):
         if kind not in ("complex", "real"):
             raise ValueError(f"unknown channel kind {kind!r}")
         self.ks = kernel_set
         grid = self.grid = kernel_set.grid
-        steady_values = np.asarray(steady_values)
-        if steady_values.shape != (grid.M, grid.N):
-            raise ValueError("steady profile shape does not match the grid")
+        #: mode table of the steady profile the deviation is measured from
+        self.steady_table = np.asarray(steady_table)
+        if self.steady_table.shape != (grid.modes.size, grid.M):
+            raise ValueError("steady table shape does not match the grid")
         self.kind = kind
         self.advection = kernel_set.basis.coeffs.advection
-        #: mode table of the steady profile the deviation is measured from
-        self.steady_table = grid.analyze(steady_values)
         #: ``exp(advection * s / 2)``: scaling the deviation by it turns the
         #: advection term into a pure shift of the reaction rate, which is
         #: the form every kernel table assumes

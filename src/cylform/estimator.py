@@ -56,7 +56,7 @@ class EstimatorState:
     """Scalar adaptation state: the current estimate and the law's constants.
 
     ``gain`` is the adaptation rate (open unit interval), ``dt`` the update
-    period, ``last_signal`` the most recent update signal (kept for logging).
+    period.
     """
 
     estimate: float
@@ -64,7 +64,6 @@ class EstimatorState:
     hi: float
     gain: float
     dt: float
-    last_signal: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.lo <= self.hi:
@@ -224,12 +223,8 @@ def step_estimate(state: EstimatorState, signal: float) -> EstimatorState:
     """
     signal = float(signal)
     if math.isnan(signal):
-        return replace(state, last_signal=signal)
+        return state
     moved = state.estimate + state.dt * state.gain * project(
         state.estimate, signal, state.lo, state.hi
     )
-    return replace(
-        state,
-        estimate=float(min(max(moved, state.lo), state.hi)),
-        last_signal=signal,
-    )
+    return replace(state, estimate=float(min(max(moved, state.lo), state.hi)))

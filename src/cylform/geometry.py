@@ -162,8 +162,11 @@ class CylinderGrid:
         out[-1] = (2.0 * vals[-1] - 5.0 * vals[-2] + 4.0 * vals[-3] - vals[-4]) / h2
         return out
 
-    def l2_norm(self, values: np.ndarray) -> float:
-        """Surface L2 norm of an ``(M, N)`` field: Simpson along s, rectangle
-        rule around theta."""
-        ring = np.sum(np.abs(values) ** 2, axis=1) * self.h_theta
+    def l2_norm(self, table: np.ndarray) -> float:
+        """Surface L2 norm of the field of a ``(len(modes), M)`` mode table.
+
+        By Parseval each ring's rectangle-rule integral of ``|f|^2`` around
+        theta is ``2pi sum_n |c_n|^2``, and Simpson integrates that along s.
+        """
+        ring = TWO_PI * np.sum(np.abs(table) ** 2, axis=0)
         return float(np.sqrt(np.abs(self.simpson_s @ ring)))

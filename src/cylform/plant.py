@@ -16,8 +16,10 @@ The stencil is linear, has constant coefficients and is circulant in theta,
 so :class:`Channel` integrates it in closed form instead of marching it.  A
 Fourier series in theta leaves one tridiagonal Toeplitz system per
 wavenumber, and the channel keeps only the wavenumbers of the grid's band:
-the rims, the commands and the initial field carry no others, so the rest
-stay zero.  The lift ``y_j = rho^j z_j`` with ``rho = sqrt(q/p)`` makes it
+the rims, the commands and the initial state carry no others, so the rest
+stay zero.  It takes its rims as coefficient rows and its initial state as
+a mode table, and synthesizes the physical field only when it is read.
+The lift ``y_j = rho^j z_j`` with ``rho = sqrt(q/p)`` makes the system
 symmetric, and the DST-I diagonalises it with eigenvalues in closed form
 (:attr:`Channel.rates`).  The delayed command is piecewise linear in time,
 with breaks at the record instants plus the delay (the jump from the zero
@@ -29,9 +31,9 @@ break falls at the same offset ``D mod block`` of every block and the
 block's weights are built once.  Each step reads its rims with one
 :meth:`DelayLine.lookup_many`: two instants per linear piece, at a third
 and two thirds of its length, extrapolated linearly to its ends.  The
-weights act on the coefficient rows as read, so a step transforms nothing
-but its result: the mode table :attr:`Channel.table`, which the controller
-measures, and one synthesis of it into the physical field.
+weights act on the coefficient rows as read, and a step writes the mode
+table :attr:`Channel.table`, which the controller measures, with no
+transform at all.
 """
 
 from __future__ import annotations
@@ -47,7 +49,9 @@ from .geometry import CylinderGrid
 from .kernels import PlantCoeffs
 from .quadrature import exp_lin_weights
 
-#: hard bound on any field magnitude before the run is declared unstable
+#: hard bound on the field before the run is declared unstable, applied to
+#: the largest sum over wavenumbers of the coefficient magnitudes at one
+#: axial node (the l1 bound of that ring's sup over theta)
 GUARD_LIMIT = 1e30
 
 #: extent of the negative real axis covered by the classical fourth-order
@@ -165,13 +169,14 @@ class Channel:
     The interior is kept in eigencoordinates of its semi-discrete operator:
     the Fourier coefficients of the grid's wavenumber band along theta, in
     ``grid.modes`` order, then the inverse of ``diag(rho^j) @ DST-I`` along
-    ``s``.  ``table`` is the field's mode table and ``values`` the physical
-    field, both at the latest block end (the initial field before the first
-    step); a ``"real"`` channel keeps ``values`` real.  ``line`` must record
-    band coefficient rows once per ``block``.  The lift spans a factor of
-    about ``e^{|advection|/2}`` along the axis, and the transform's roundoff
-    grows by up to that factor: harmless unless the advection is in the
-    tens.
+    ``s``.  ``anchor`` and ``leader_base`` are the rims' band coefficient
+    rows and ``initial`` the starting mode table.  ``table`` is the field's
+    mode table at the latest block end (``initial`` before the first step);
+    ``values`` synthesizes it, real for a ``"real"`` channel.  ``line``
+    must record band coefficient rows once per ``block``.  The lift spans a
+    factor of about ``e^{|advection|/2}`` along the axis, and the
+    transform's roundoff grows by up to that factor: harmless unless the
+    advection is in the tens.
     """
 
     def __init__(self, grid: CylinderGrid, coeffs: PlantCoeffs,
@@ -188,12 +193,12 @@ class Channel:
         self.delay = float(delay)
         self.anchor = np.asarray(anchor, dtype=complex)
         self.leader_base = np.asarray(leader_base, dtype=complex)
-        values = np.array(initial, dtype=complex)
-        if values.shape != (grid.M, grid.N):
-            raise ValueError("initial state shape does not match the grid")
-        self.values = values.real.copy() if kind == "real" else values
-        #: (len(modes), M) mode table of ``values``
-        self.table = grid.analyze(self.values)
+        if not self.anchor.shape == self.leader_base.shape == grid.modes.shape:
+            raise ValueError("rim rows do not match the grid's modes")
+        #: (len(modes), M) mode table of the field
+        self.table = np.array(initial, dtype=complex)
+        if self.table.shape != (grid.modes.size, grid.M):
+            raise ValueError("initial table shape does not match the grid")
 
         m, h = grid.M - 2, grid.h_s
         p = 1.0 / h**2 + coeffs.advection / (2.0 * h)    # weight of row i + 1
@@ -212,10 +217,8 @@ class Channel:
             * np.sin(np.pi * grid.modes / grid.N)[None, :] ** 2
         )
         self._rim_gain = p * self._to_eigen[:, -1:]
-        self._anchor_modes, self._leader_modes = grid.analyze_rows(
-            np.stack([self.anchor, self.leader_base]))
-        self._rims_held = (np.outer(q * self._to_eigen[:, 0], self._anchor_modes)
-                           + self._rim_gain * self._leader_modes)
+        self._rims_held = (np.outer(q * self._to_eigen[:, 0], self.anchor)
+                           + self._rim_gain * self.leader_base)
         self._state = self._to_eigen @ self.table[:, 1:-1].T
 
         off = math.fmod(self.delay, self.block)
@@ -251,19 +254,17 @@ class Channel:
         rows = line.lookup_many(t + plan.reads - self.delay)
         forced = plan.weights @ rows.T[:, :, None]
         self._state = plan.decay * self._state + plan.held + forced[:, :, 0].T
-        # the rims are synthesized without their base profiles, which are
-        # added in physical space: the anchor row is the anchor exactly,
-        # and the leader row its base plus the synthesized command
-        table = np.zeros((self.grid.modes.size, self.grid.M), dtype=complex)
+        table = np.empty((self.grid.modes.size, self.grid.M), dtype=complex)
+        table[:, 0] = self.anchor
         table[:, 1:-1] = (self._to_field @ self._state).T
-        table[:, -1] = 2.0 * rows[-1] - rows[-2]
-        vals = self.grid.synthesize(table)
-        vals[0] = self.anchor
-        vals[-1] += self.leader_base
-        table[:, 0] = self._anchor_modes
-        table[:, -1] += self._leader_modes
+        table[:, -1] = self.leader_base + (2.0 * rows[-1] - rows[-2])
         self.table = table
-        self.values = vals.real.copy() if self.kind == "real" else vals
+
+    @property
+    def values(self) -> np.ndarray:
+        """The physical ``(M, N)`` field of :attr:`table`, synthesized on
+        each read."""
+        return self.grid.synthesize(self.table, self.kind)
 
     def peek(self, t: float, tau: float, line: DelayLine) -> np.ndarray:
         """The field at ``t + tau`` inside the block from ``t``; the channel
@@ -275,7 +276,7 @@ class Channel:
     def step(self, t: float, line: DelayLine) -> None:
         """Advance one block, ``[t, t + block]``, then check the guard."""
         self.advance(t, 0.0, self.block, line)
-        peak = np.max(np.abs(self.values))
+        peak = np.max(np.sum(np.abs(self.table), axis=0))
         if not np.isfinite(peak) or peak > GUARD_LIMIT:
             raise InstabilityError(
                 f"field magnitude {peak:.3e} exceeded the guard at "

@@ -12,13 +12,14 @@ then each channel advances over the whole block in one exact step, and the
 guard is checked at the block end.  The loop works in mode space and keeps
 only the wavenumbers ``|n| <= band``, where ``band`` is the largest ``|n|``
 listed in the rim data of either formation: no other wavenumber is ever
-excited, so the rest would carry roundoff only.  The controllers measure
-the channels' mode tables, the delay lines record the commands' band
-coefficients, and the plant's eigencoordinates, the kernel tables, the
-control law and the drift hold the band's rows.  Each block synthesizes the
-physical fields once, for the guard, the errors and ring errors and the
-snapshots, and each control step the physical commands, for
-``control_sup``; nothing in the loop reads those back.  Kernel tables are
+excited, so the rest would carry roundoff only.  The formations, the
+plant state and the errors are mode tables: the controllers measure the
+channels' tables against the goal's, the delay lines record the commands'
+band coefficients, and the plant's eigencoordinates, the kernel tables, the
+control law and the drift hold the band's rows.  The formation errors and
+ring errors come from the deviation table by Parseval.  A physical field is
+synthesized only where it leaves the loop: the snapshots, and each control
+step the physical commands, for ``control_sup``.  Kernel tables are
 rebuilt only when the estimate has drifted a fixed fraction of the
 admissible interval away from the tables in use.  The tables a rebuild
 replaces are kept as a spare, and an estimate that returns within that
@@ -47,7 +48,7 @@ from .controller import ChannelController, ChannelUpdate
 from .errors import InstabilityError
 from .estimator import (EstimatorState, adaptation_drift, mismatch_drift,
                         step_estimate, update_signal)
-from .geometry import CylinderGrid
+from .geometry import TWO_PI, CylinderGrid
 from .kernels import KernelBasis, KernelSet
 from .plant import Channel, DelayLine, stable_dt
 from .steady import formation_fields
@@ -153,9 +154,9 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
     horizon = max(cfg.true_delay, cfg.delay_hi) + 4.0 * dt_ctrl
     line_p = DelayLine(grid.modes.size, dt_ctrl, horizon)
     line_z = DelayLine(grid.modes.size, dt_ctrl, horizon)
-    chan_p = Channel(grid, coeffs_p, goal_planar[0], goal_planar[-1],
+    chan_p = Channel(grid, coeffs_p, goal_planar[:, 0], goal_planar[:, -1],
                      init_planar, dt_ctrl, cfg.true_delay)
-    chan_z = Channel(grid, coeffs_z, goal_axial[0], goal_axial[-1],
+    chan_z = Channel(grid, coeffs_z, goal_axial[:, 0], goal_axial[:, -1],
                      init_axial, dt_ctrl, cfg.true_delay, kind="real")
 
     basis_p = KernelBasis(coeffs_p, grid)
@@ -179,8 +180,8 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
     for k in range(0, n_steps + 1, per):
         t = k * dt
         while _reached(snap_queue, t):
-            snaps.append(Snapshot(snap_queue.pop(0), t, chan_p.values.copy(),
-                                  chan_z.values.copy()))
+            snaps.append(Snapshot(snap_queue.pop(0), t, chan_p.values,
+                                  chan_z.values))
         upd_p = ctrl_p.update(chan_p.table, line_p, t)
         upd_z = ctrl_z.update(chan_z.table, line_z, t)
         line_p.record(t, upd_p.command_modes)
@@ -191,11 +192,10 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
         signal = (update_signal(upd_p.target_history, drift_p, grid)
                   + update_signal(upd_z.target_history, drift_z, grid))
 
-        dev_p = chan_p.values - goal_planar
-        dev_z = chan_z.values - goal_axial
-        ring = np.sqrt(np.sum((np.abs(dev_p[ring_idx]) ** 2
-                               + np.abs(dev_z[ring_idx]) ** 2)
-                              * grid.h_theta, axis=1))
+        dev_p = chan_p.table - goal_planar
+        dev_z = chan_z.table - goal_axial
+        ring = np.sqrt(TWO_PI * np.sum(np.abs(dev_p[:, ring_idx]) ** 2
+                                       + np.abs(dev_z[:, ring_idx]) ** 2, axis=0))
         rows.append((t, est.estimate, signal,
                      grid.l2_norm(dev_p),
                      grid.l2_norm(dev_z),

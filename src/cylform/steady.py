@@ -1,10 +1,12 @@
-"""Equilibrium formation fields.
+"""Equilibrium formations, as mode tables.
 
 A formation is specified per angular wavenumber by its two rim profiles
 (anchor rim at s = 0, leader rim at s = 1) and by the plant coefficients of
 each channel.  Each wavenumber solves a constant-coefficient two-point
 boundary value problem in s whose general solution is a combination of two
-exponentials, so the equilibrium is assembled mode by mode in closed form.
+exponentials, so the equilibrium is assembled mode by mode in closed form,
+one row of a mode table per wavenumber of the grid's band.  The run works
+on these tables throughout; nothing here builds a physical field.
 """
 
 from __future__ import annotations
@@ -103,47 +105,37 @@ def _check_band(coeff_map: dict, grid: CylinderGrid) -> None:
             )
 
 
-def rim_profile(coeff_map: dict, grid: CylinderGrid, real: bool = False) -> np.ndarray:
-    """Angular profile synthesized directly from a sparse coefficient map."""
-    _check_band(coeff_map, grid)
-    vals = np.zeros(grid.N, dtype=complex)
-    for n, c in coeff_map.items():
-        vals += c * np.exp(1j * n * grid.theta)
-    return vals.real if real else vals
+def steady_table(coeffs: PlantCoeffs, anchor: dict, leader: dict,
+                 grid: CylinderGrid) -> np.ndarray:
+    """Mode table ``(len(grid.modes), M)`` of one channel's equilibrium.
 
-
-def steady_field(coeffs: PlantCoeffs, anchor: dict, leader: dict,
-                 grid: CylinderGrid, real: bool = False) -> np.ndarray:
-    """Assemble the ``(M, N)`` equilibrium field of one channel on the grid.
-
-    The rim rows of the result are the synthesized rim data themselves (they
-    are imposed, and the per-mode profiles meet them to roundoff anyway).
-    The interior is built from the grid's band, which must hold every
-    wavenumber of the rim data.
+    Row ``n`` is :func:`steady_mode` of the rim coefficients at ``n``, and
+    its rim columns are those coefficients exactly (they are imposed, and
+    the profile meets them to roundoff anyway).  The grid's band must hold
+    every wavenumber of the rim data.
     """
-    rims = rim_profile(anchor, grid, real), rim_profile(leader, grid, real)
+    _check_band(anchor, grid)
+    _check_band(leader, grid)
     wide = sorted(n for n in {*anchor, *leader} if abs(n) > grid.band)
     if wide:
         raise ValueError(f"rim data at wavenumbers {wide} lie outside the "
                          f"grid's band |n| <= {grid.band}")
-    stack = np.zeros((grid.modes.size, grid.M), dtype=complex)
+    table = np.zeros((grid.modes.size, grid.M), dtype=complex)
     for j, n in enumerate(grid.modes):
         a = anchor.get(int(n), 0.0)
         b = leader.get(int(n), 0.0)
         if a == 0.0 and b == 0.0:
             continue
-        stack[j] = steady_mode(int(n), coeffs, a, b, grid.s)
-
-    out = grid.synthesize(stack, kind="real" if real else "complex")
-    out[0, :], out[-1, :] = rims
-    return out
+        table[j] = steady_mode(int(n), coeffs, a, b, grid.s)
+        table[j, 0], table[j, -1] = a, b
+    return table
 
 
 def formation_fields(spec: FormationSpec,
                      grid: CylinderGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Both channel equilibria of a formation."""
-    planar = steady_field(spec.planar_coeffs, spec.planar_anchor,
-                          spec.planar_leader, grid)
-    axial = steady_field(spec.axial_coeffs, spec.axial_anchor,
-                         spec.axial_leader, grid, real=True)
-    return planar, axial
+    """Both channel equilibria of a formation, as (planar, axial) mode
+    tables."""
+    return (steady_table(spec.planar_coeffs, spec.planar_anchor,
+                         spec.planar_leader, grid),
+            steady_table(spec.axial_coeffs, spec.axial_anchor,
+                         spec.axial_leader, grid))

@@ -1,8 +1,8 @@
-"""Sobolev norms and the surface Laplacian of an ``(M, N)`` field.
+"""Surface norms and the surface Laplacian of an ``(M, N)`` field.
 
 Built from the grid's axial finite-difference partials, the periodic
-angular ones below and the grid's surface L2 norm; the package itself
-measures errors in L2 only.
+angular ones below and the field's surface L2 norm below; the package
+itself measures errors in L2 only, from mode tables.
 """
 
 import numpy as np
@@ -18,12 +18,19 @@ def d2_theta(grid, vals):
     return (np.roll(vals, -1, axis=1) - 2.0 * vals + np.roll(vals, 1, axis=1)) / grid.h_theta**2
 
 
+def field_l2(g, vals):
+    """Surface L2 norm of a field: Simpson along s, rectangle rule around
+    theta (what ``CylinderGrid.l2_norm`` computes from the mode table)."""
+    ring = np.sum(np.abs(vals) ** 2, axis=1) * g.h_theta
+    return float(np.sqrt(np.abs(g.simpson_s @ ring)))
+
+
 def h1_norm(g, vals):
     """Sobolev H1 norm from finite-difference first partials."""
     total = (
-        g.l2_norm(vals) ** 2
-        + g.l2_norm(g.d_s(vals)) ** 2
-        + g.l2_norm(d_theta(g, vals)) ** 2
+        field_l2(g, vals) ** 2
+        + field_l2(g, g.d_s(vals)) ** 2
+        + field_l2(g, d_theta(g, vals)) ** 2
     )
     return float(np.sqrt(total))
 
@@ -33,9 +40,9 @@ def h2_norm(g, vals):
     mixed = d_theta(g, g.d_s(vals))
     total = (
         h1_norm(g, vals) ** 2
-        + g.l2_norm(g.d2_s(vals)) ** 2
-        + 2.0 * g.l2_norm(mixed) ** 2
-        + g.l2_norm(d2_theta(g, vals)) ** 2
+        + field_l2(g, g.d2_s(vals)) ** 2
+        + 2.0 * field_l2(g, mixed) ** 2
+        + field_l2(g, d2_theta(g, vals)) ** 2
     )
     return float(np.sqrt(total))
 

@@ -401,7 +401,7 @@ class TestChannelController:
         steady = rng.normal(size=(grid.M, grid.N))
         if kind == "complex":
             steady = steady + 1j * rng.normal(size=(grid.M, grid.N))
-        ctrl = ChannelController(ks, steady, kind=kind)
+        ctrl = ChannelController(ks, grid.analyze(steady), kind=kind)
         line = DelayLine(grid.modes.size, 0.02, horizon=4.0)
         return ctrl, line, steady
 
@@ -499,7 +499,7 @@ class TestPrecomputedStep:
         ks = KernelSet(KernelBasis(PlantCoeffs(8.0, 1.0), grid, i_max=64), 1.0)
         rng = np.random.default_rng(20)
         steady = rng.normal(size=(grid.M, grid.N))
-        ctrl = ChannelController(ks, steady, kind="real")
+        ctrl = ChannelController(ks, grid.analyze(steady), kind="real")
         line = DelayLine(grid.modes.size, 0.02, horizon=4.0)
         calls = Counter()
 
@@ -564,7 +564,7 @@ class TestSimpsonControl:
         ks = KernelSet(ctrl_basis, 1.0)
         rng = np.random.default_rng(17)
         steady = rng.normal(size=(grid.M, grid.N))
-        ctrl = ChannelController(ks, steady)
+        ctrl = ChannelController(ks, grid.analyze(steady))
         line = DelayLine(grid.modes.size, 0.02, horizon=4.0)
         vals = steady + 0.3 * np.outer(np.sin(np.pi * grid.s),
                                        np.cos(grid.theta) + 0.4)

@@ -3,7 +3,6 @@ against the row-by-row assembly, the gating rules of the scalar update law,
 and the cross-exponential helpers of that row-by-row assembly."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -61,7 +60,6 @@ class TestEstimatorState:
     def test_holds_fields(self):
         st = EstimatorState(estimate=2.0, lo=0.1, hi=4.0, gain=0.05, dt=0.01)
         assert st.estimate == 2.0
-        assert st.last_signal == 0.0
 
     def test_frozen(self):
         st = EstimatorState(estimate=2.0, lo=0.1, hi=4.0, gain=0.05, dt=0.01)
@@ -117,7 +115,6 @@ class TestStepEstimate:
     def test_euler_step_value(self):
         st = step_estimate(self.base(), 1.0)
         assert abs(st.estimate - 2.0005) < 1e-12
-        assert st.last_signal == 1.0
 
     def test_zero_signal_leaves_estimate(self):
         assert step_estimate(self.base(), 0.0).estimate == 2.0
@@ -125,7 +122,6 @@ class TestStepEstimate:
     def test_gated_at_bound_stays_put(self):
         st = step_estimate(self.base(estimate=4.0), 10.0)
         assert st.estimate == 4.0
-        assert st.last_signal == 10.0
 
     def test_overshoot_parks_exactly_on_bound(self):
         st = self.base(estimate=3.999, gain=0.5, dt=1.0)
@@ -137,7 +133,6 @@ class TestStepEstimate:
     def test_nan_signal_keeps_estimate(self):
         st = step_estimate(self.base(), float("nan"))
         assert st.estimate == 2.0
-        assert math.isnan(st.last_signal)
 
     def test_infinite_signal_parks_at_bound(self):
         assert step_estimate(self.base(), float("inf")).estimate == 4.0

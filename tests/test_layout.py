@@ -39,6 +39,10 @@ CALLED_FROM_OUTSIDE = {
     "_Parser.error": "argparse, on every usage error",
     "KernelSet.peak_gain": "the planned gain preflight and per-step trace "
                            "(ROADMAP items 4-5)",
+    "CylinderGrid.analyze": "public: tests, oracles and the bench tracer; the "
+                            "loop works on mode tables from the start",
+    "CylinderGrid.analyze_rows": "public: tests, oracles and the bench tracer; "
+                                 "the loop works on mode tables from the start",
 }
 
 

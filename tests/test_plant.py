@@ -5,9 +5,15 @@ from cylform.errors import HistoryUnderrunError, InstabilityError
 from cylform.geometry import CylinderGrid
 from cylform.kernels import PlantCoeffs
 from cylform.plant import Channel, DelayLine, stable_dt
-from cylform.steady import steady_field
+from cylform.steady import steady_table
 from oracles.delay_lookup import lookup
 from oracles.rk4_plant import RK4Channel, plant_rhs
+
+
+def field_channel(grid, coeffs, anchor, base, initial, block, delay, kind="complex"):
+    """A :class:`Channel` from physical rim profiles and an initial field."""
+    return Channel(grid, coeffs, *grid.analyze_rows(np.stack([anchor, base])),
+                   grid.analyze(initial), block, delay, kind)
 
 
 class TestDelayLine:
@@ -130,25 +136,27 @@ class TestStencil:
     def test_boundary_rows_imposed(self):
         g = self.grid
         line = DelayLine(g.N, 0.25, 4.0)
-        anchor = np.cos(g.theta)
-        base = np.sin(g.theta)
+        anchor, base = g.analyze_rows(np.stack([np.cos(g.theta), np.sin(g.theta)]))
         ch = Channel(g, PlantCoeffs(1.0, 0.0), anchor, base,
-                     np.zeros((g.M, g.N)), 0.25, 0.5)
+                     np.zeros((g.modes.size, g.M)), 0.25, 0.5)
         # delay 0.5: the block ending at 0.25 has no command yet, the one
-        # ending at 0.75 carries the first, the constant 5 (mode 0 only)
-        for t, leader in ((0.0, base), (0.25, base), (0.5, base + 5.0)):
-            line.record(t, np.where(g.modes == 0, 5.0, 0.0))
+        # ending at 0.75 carries the first, the constant 5 (mode 0 only);
+        # the leader rim is the base plus the row extrapolated to the block
+        # end, 2 * 5 - 5
+        five = np.where(g.modes == 0, 5.0, 0.0)
+        for t, leader in ((0.0, base), (0.25, base), (0.5, base + five)):
+            line.record(t, five)
             ch.step(t, line)
-            assert np.array_equal(ch.values[0], anchor)
-            assert np.array_equal(ch.values[-1], leader)
+            assert np.array_equal(ch.table[:, 0], anchor)
+            assert np.array_equal(ch.table[:, -1], leader)
 
     def test_rates_are_stencil_eigenvalues(self):
         # the closed-form rates belong to the stencil itself: the stencil
         # maps each lifted DST-I x DFT mode to its rate times the mode
         g = self.grid
         for coeffs in (PlantCoeffs(12.0, 0.5), PlantCoeffs(12.0 + 3.0j, 0.5 + 0.2j)):
-            ch = Channel(g, coeffs, np.zeros(g.N), np.zeros(g.N),
-                         np.zeros((g.M, g.N)), 0.05, 0.3)
+            ch = field_channel(g, coeffs, np.zeros(g.N), np.zeros(g.N),
+                               np.zeros((g.M, g.N)), 0.05, 0.3)
             for k, b in ((0, 0), (3, 5), (g.M - 3, g.N // 2)):
                 field = eigenmode(ch, k, b)
                 out = plant_rhs(field, coeffs, g)
@@ -169,7 +177,7 @@ def eigenmode(ch, k, b):
 
 def make_channel(grid, coeffs, initial, block=0.05, delay=0.3):
     zeros = np.zeros(grid.N)
-    return Channel(grid, coeffs, zeros, zeros, initial, block, delay)
+    return field_channel(grid, coeffs, zeros, zeros, initial, block, delay)
 
 
 class TestTimeMarching:
@@ -216,13 +224,13 @@ class TestTimeMarching:
         leader = {0: -0.3, 1: 1.0}
 
         def drift(g):
-            fld = steady_field(coeffs, anchor, leader, g)
+            tab = steady_table(coeffs, anchor, leader, g)
             block = 0.05
-            ch = Channel(g, coeffs, fld[0], fld[-1], fld, block, 0.3)
+            ch = Channel(g, coeffs, tab[:, 0], tab[:, -1], tab, block, 0.3)
             line = DelayLine(g.N, block, 1.0)
             for b in range(20):
                 ch.step(b * block, line)
-            return g.l2_norm(ch.values - fld) / g.l2_norm(fld)
+            return g.l2_norm(ch.table - tab) / g.l2_norm(tab)
 
         g1 = CylinderGrid(21, 16)
         g2 = CylinderGrid(41, 32)
@@ -236,8 +244,8 @@ class TestTimeMarching:
         anchor, base = rng.normal(size=(2, g.N))
         start = rng.normal(size=(g.M, g.N))
         coeffs = PlantCoeffs(8.0, 0.5)
-        real = Channel(g, coeffs, anchor, base, start, block, delay, kind="real")
-        full = Channel(g, coeffs, anchor, base, start, block, delay)
+        real = field_channel(g, coeffs, anchor, base, start, block, delay, kind="real")
+        full = field_channel(g, coeffs, anchor, base, start, block, delay)
         line = DelayLine(g.N, block, 1.0)
         for b in range(6):
             line.record(b * block, g.analyze_rows(rng.normal(size=g.N)))
@@ -289,8 +297,8 @@ class TestBlockReads:
         line = DelayLine(g.N, block, delay + 4 * block)
         start = rng.normal(size=(g.M, g.N)) + 1j * rng.normal(size=(g.M, g.N))
         anchor, base = rng.normal(size=(2, g.N))
-        whole = Channel(g, self.coeffs, anchor, base, start, block, delay)
-        halves = Channel(g, self.coeffs, anchor, base, start, block, delay)
+        whole = field_channel(g, self.coeffs, anchor, base, start, block, delay)
+        halves = field_channel(g, self.coeffs, anchor, base, start, block, delay)
         seen = set()
         for b in range(12):
             t = b * block
@@ -317,7 +325,7 @@ class TestBlockReads:
         block, delay = 0.04, 0.13
         line = DelayLine(g.N, block, 1.0)
         start = rng.normal(size=(g.M, g.N)) + 1j * rng.normal(size=(g.M, g.N))
-        ch = Channel(g, self.coeffs, np.zeros(g.N), np.zeros(g.N), start, block, delay)
+        ch = field_channel(g, self.coeffs, np.zeros(g.N), np.zeros(g.N), start, block, delay)
         for b in range(5):
             line.record(b * block, rng.normal(size=g.N))
             ch.step(b * block, line)
@@ -344,7 +352,8 @@ class TestBand:
 
         anchor, base, start = limited(), limited(), limited(21)
         coeffs, block = PlantCoeffs(12.0, 0.5), 0.01
-        chans = [Channel(g, coeffs, anchor, base, start, block, 0.025) for g in (full, band)]
+        chans = [field_channel(g, coeffs, anchor, base, start, block, 0.025)
+                 for g in (full, band)]
         lines = [DelayLine(g.modes.size, block, 1.0) for g in (full, band)]
         for b in range(8):
             cmd = limited()
@@ -357,9 +366,8 @@ class TestBand:
 
 
 class TestTable:
-    """``Channel.table`` is the mode table of ``Channel.values``: the
-    controller measures the table, and the guard, the errors and the
-    snapshots read the field."""
+    """``Channel.table`` is the mode table of ``Channel.values``: the loop
+    reads the table, and only snapshots and ``peek`` read the field."""
 
     grid = CylinderGrid(21, 16)
 
@@ -374,7 +382,7 @@ class TestTable:
             anchor = anchor + 1j * rng.normal(size=g.N)
             start = start + 1j * rng.normal(size=(g.M, g.N))
             coeffs = PlantCoeffs(8.0 + 1.0j, 0.5 + 0.2j)
-        ch = Channel(g, coeffs, anchor, base, start, block, delay, kind=kind)
+        ch = field_channel(g, coeffs, anchor, base, start, block, delay, kind=kind)
         line = DelayLine(g.modes.size, block, 1.0)
 
         def close(table, values):
@@ -417,7 +425,7 @@ class TestAgainstRK4:
         # the jump sits a third into an RK4 step, then two thirds, ...:
         # the same first-order error constant at every refinement
         delay = (28.0 / 3.0) * dt
-        exact = Channel(g, coeffs, anchor, base, start, block, delay)
+        exact = field_channel(g, coeffs, anchor, base, start, block, delay)
         line = DelayLine(g.N, block, delay + 2 * self.blocks * block)
         rows = g.analyze_rows(commands)
         for b in range(self.blocks):

@@ -8,11 +8,11 @@ from cylform.kernels import PlantCoeffs
 from cylform.steady import (
     FormationSpec,
     formation_fields,
-    rim_profile,
-    steady_field,
     steady_mode,
+    steady_table,
 )
 from oracles.field_norms import d2_theta
+from oracles.mode_symmetry import conjugate_symmetry_defect
 
 
 class TestSteadyMode:
@@ -89,18 +89,27 @@ class TestSteadyMode:
         assert np.max(np.abs(prof)) > 1e3
 
 
+def map_row(coeff_map, grid):
+    """A sparse ``wavenumber -> value`` map as a row in ``grid.modes`` order."""
+    return np.array([coeff_map.get(int(n), 0.0) for n in grid.modes], dtype=complex)
+
+
 class TestSteadyField:
+    """``steady_table`` builds the equilibrium's mode table; its synthesis
+    is the physical field."""
+
     grid = CylinderGrid(41, 24)
 
     def test_rim_rows_are_imposed_data(self):
         anchor = {1: -1.0 + 0.0j, -2: 1.0}
         leader = {1: 1.0, -2: -0.5j}
-        fld = steady_field(PlantCoeffs(10.0, 0.0), anchor, leader, self.grid)
-        assert np.array_equal(fld[0], rim_profile(anchor, self.grid))
-        assert np.array_equal(fld[-1], rim_profile(leader, self.grid))
+        tab = steady_table(PlantCoeffs(10.0, 0.0), anchor, leader, self.grid)
+        assert np.array_equal(tab[:, 0], map_row(anchor, self.grid))
+        assert np.array_equal(tab[:, -1], map_row(leader, self.grid))
 
     def test_single_mode_field_matches_profile(self):
-        fld = steady_field(PlantCoeffs(6.0, 1.0), {2: 0.5}, {2: 1.5}, self.grid)
+        fld = self.grid.synthesize(steady_table(PlantCoeffs(6.0, 1.0), {2: 0.5},
+                                                {2: 1.5}, self.grid))
         prof = steady_mode(2, PlantCoeffs(6.0, 1.0), 0.5, 1.5, self.grid.s)
         ref = np.outer(prof, np.exp(2j * self.grid.theta)).T
         # interior from mode synthesis, rims imposed; all should agree
@@ -110,7 +119,7 @@ class TestSteadyField:
         coeffs = PlantCoeffs(8.0, 0.7)
 
         def resid(g):
-            v = steady_field(coeffs, {0: 1.0, 1: 0.5j}, {0: -0.3, 1: 1.0}, g)
+            v = g.synthesize(steady_table(coeffs, {0: 1.0, 1: 0.5j}, {0: -0.3, 1: 1.0}, g))
             r = (g.d2_s(v) + d2_theta(g, v) + coeffs.advection * g.d_s(v)
                  + coeffs.reaction * v)
             return np.max(np.abs(r[2:-2]))
@@ -123,7 +132,7 @@ class TestSteadyField:
 
     def test_out_of_band_coefficient_rejected(self):
         with pytest.raises(ConfigError):
-            steady_field(PlantCoeffs(1.0, 0.0), {self.grid.N // 2: 1.0}, {}, self.grid)
+            steady_table(PlantCoeffs(1.0, 0.0), {self.grid.N // 2: 1.0}, {}, self.grid)
 
     def test_axial_channel_comes_out_real(self):
         spec = FormationSpec(
@@ -135,11 +144,41 @@ class TestSteadyField:
             axial_leader={0: 1.9},
         )
         planar, axial = formation_fields(spec, self.grid)
-        assert axial.dtype == np.float64
-        assert planar.dtype == np.complex128
-        # axial mode 0 with reaction 5: cos/sin combination, real throughout
-        assert np.max(np.abs(axial.imag if np.iscomplexobj(axial)
-                             else 0.0)) == 0.0
+        assert planar.shape == axial.shape == (self.grid.N, self.grid.M)
+        # axial mode 0 with reaction 5: cos/sin combination, real throughout,
+        # so the table is the table of a real field
+        assert conjugate_symmetry_defect(axial) == 0.0
+        assert np.max(np.abs(self.grid.synthesize(axial).imag)) == 0.0
+
+
+class TestFormationTables:
+    """The rim columns of both formation tables are the rim maps exactly,
+    on the whole grid and on a band; synthesized, they are the rim profiles
+    ``sum_n c_n exp(i n theta)``."""
+
+    spec = FormationSpec(
+        planar_coeffs=PlantCoeffs(10.0, 0.5),
+        axial_coeffs=PlantCoeffs(5.0, 0.5),
+        planar_anchor={1: -1.0 + 0.3j, -2: 1.0},
+        planar_leader={1: 1.0, -2: -0.5j, 0: 0.25},
+        axial_anchor={0: -1.9, 1: 0.2 + 0.1j, -1: 0.2 - 0.1j},
+        axial_leader={0: 1.9, 2: 0.3j, -2: -0.3j},
+    )
+
+    @pytest.mark.parametrize("band", [None, 2], ids=["full", "band"])
+    def test_rim_columns_are_the_maps(self, band):
+        grid = CylinderGrid(21, 16, band=band)
+        planar, axial = formation_fields(self.spec, grid)
+        for tab, anchor, leader in (
+                (planar, self.spec.planar_anchor, self.spec.planar_leader),
+                (axial, self.spec.axial_anchor, self.spec.axial_leader)):
+            for col, coeff_map in ((0, anchor), (-1, leader)):
+                assert np.array_equal(tab[:, col], map_row(coeff_map, grid))
+                want = np.zeros(grid.N, dtype=complex)
+                for n, c in coeff_map.items():
+                    want += c * np.exp(1j * n * grid.theta)
+                got = grid.synthesize_profile(tab[:, col])
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestBand:
@@ -160,11 +199,13 @@ class TestBand:
         assert FormationSpec(coeffs, coeffs, axial_leader={3: 0.0, -3: 0.0}).band == 3
 
     def test_fields_on_the_band_equal_the_whole_grid(self):
-        full = formation_fields(self.spec, CylinderGrid(21, 16))
+        whole = CylinderGrid(21, 16)
+        full = formation_fields(self.spec, whole)
         band = formation_fields(self.spec, CylinderGrid(21, 16, band=2))
+        kept = np.abs(whole.modes) <= 2
         for a, b in zip(band, full):
-            assert a.dtype == b.dtype
-            assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
+            assert np.all(b[~kept] == 0.0)
+            assert np.max(np.abs(a - b[kept])) <= 1e-14 * np.max(np.abs(b))
 
     def test_rim_data_outside_the_band_rejected(self):
         with pytest.raises(ValueError, match=r"\[-2\]"):
