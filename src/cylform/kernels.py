@@ -3,6 +3,13 @@
 Two families of kernels appear.  The axial Volterra pair maps the
 advection-free error state to a plain heat state and back; both have closed
 forms through one entire Bessel-type power series (``_kernel_values``).
+A real shifted reaction sums that series in float64, a complex one in
+complex128.  Each term is scaled by the reciprocal of its real divisor,
+which is the arithmetic of numpy's complex-by-real division, so the real
+path gives the complex path's values bit for bit at about half the cost.
+The stopping test runs on the entry of largest argument first and on all
+entries only once that one has passed.
+
 The per-wavenumber predictor kernels couple the reconstructed actuation
 history to the state over the delay horizon; they are sine series in the
 integration variable with exponential growth factors in the other, and their
@@ -29,7 +36,6 @@ from .quadrature import (
     exp_half_weights,
     exp_pair_weights,
     interp_quadratic,
-    simpson_trap_row_weights,
     sine_weights,
 )
 
@@ -55,35 +61,73 @@ def bessel_ratio(y):
     arguments this equals ``J1(sqrt(-y)) / sqrt(-y)``, which is what makes a
     single routine serve both Volterra kernels.  Terms are added until they
     fall below 1e-16 of the running sum.
+
+    Real input runs in float64 and complex input in complex128, both in
+    place.  Each term is scaled by the reciprocal of its real divisor,
+    which is how numpy divides a complex by a real, so a real ``y`` gives
+    bit for bit the real part of the complex evaluation.  The stopping
+    test looks first at the entry of largest ``|y|``, whose terms are the
+    largest, and only once that entry has converged at all entries; the
+    sum stops at the same term as with the full test alone.
+
+    Raises :class:`KernelTruncationError` when the largest term exceeds
+    ``1e8`` times the largest value: for large negative ``y`` the
+    alternating terms cancel, and float64 keeps too few digits of the sum.
     """
-    y = np.asarray(y, dtype=complex)
-    term = np.full(y.shape, 0.5, dtype=complex)
+    y = np.asarray(y, dtype=complex if np.iscomplexobj(y) else float)
+    term = np.full(y.shape, 0.5, dtype=y.dtype)
     acc = term.copy()
+    peak = np.argmax(np.abs(y))
+    largest = 0.5
     for m in range(300):
-        term = term * y / (4.0 * (m + 1) * (m + 2))
+        term *= y
+        term *= 1.0 / (4.0 * (m + 1) * (m + 2))
         acc += term
-        if np.all(np.abs(term) <= 1e-16 * (np.abs(acc) + 1e-300)):
+        lead = abs(term.flat[peak])
+        largest = max(largest, lead)
+        if lead <= 1e-16 * (abs(acc.flat[peak]) + 1e-300) \
+                and np.all(np.abs(term) <= 1e-16 * (np.abs(acc) + 1e-300)):
             break
-    return acc if acc.shape else complex(acc)
+    if largest > 1e8 * np.max(np.abs(acc)):
+        raise KernelTruncationError(
+            f"the series of I1(sqrt(y))/sqrt(y) cancels at y = {y.flat[peak]:.6g}: "
+            f"its largest term, {largest:.3e}, is over 1e8 times its largest "
+            f"value, so float64 keeps too few digits of the sum")
+    return acc if acc.shape else acc.item()
 
 
 def _kernel_values(s, tau, coeffs: PlantCoeffs, sign: float):
-    lam = coeffs.shifted_reaction
-    return -lam * tau * bessel_ratio(sign * lam * (np.asarray(s) ** 2 - np.asarray(tau) ** 2))
+    """Volterra kernel values at ``(s, tau)``: the forward kernel for
+    ``sign = 1``, the inverse for ``sign = -1``.
+
+    A real shifted reaction takes the float64 series; the values are
+    complex either way, so the products that read them use one routine.
+    """
+    lam = complex(coeffs.shifted_reaction)
+    if lam.imag == 0.0:
+        lam = lam.real
+    s, tau = np.asarray(s), np.asarray(tau)
+    try:
+        ratio = bessel_ratio(sign * lam * (s**2 - tau**2))
+    except KernelTruncationError as err:
+        raise KernelTruncationError(
+            f"shifted reaction {coeffs.shifted_reaction}: {err}") from None
+    return np.asarray(-lam * tau * ratio, dtype=complex)
 
 
 def _lower_table(xi: np.ndarray, coeffs: PlantCoeffs, sign: float,
-                 step: int = 1) -> np.ndarray:
-    """Kernel values on the triangle ``tau <= s`` of ``xi x xi``, zero above,
-    for every ``step``-th ``s`` (rows ``0, step, 2*step, ...``).
+                 weights: np.ndarray, step: int = 1) -> np.ndarray:
+    """``weights`` times the kernel values on the triangle ``tau <= s`` of
+    ``xi x xi``, for every ``step``-th ``s`` (rows ``0, step, 2*step, ...``
+    of ``weights``).
 
-    The row-weight matrices that multiply these tables vanish above the
-    diagonal, so only the lower triangle is evaluated.
+    The row weights vanish above the diagonal, so only their nonzero
+    entries are evaluated, and the product is taken in the same scatter.
     """
-    s_idx = np.arange(0, xi.size, step)
-    rows, cols = np.nonzero(np.arange(xi.size)[None, :] <= s_idx[:, None])
-    table = np.zeros((s_idx.size, xi.size), dtype=complex)
-    table[rows, cols] = _kernel_values(xi[s_idx[rows]], xi[cols], coeffs, sign)
+    lower = weights != 0.0
+    s, tau = np.broadcast_arrays(xi[::step, None], xi)
+    table = np.zeros(weights.shape, dtype=complex)
+    table[lower] = weights[lower] * _kernel_values(s[lower], tau[lower], coeffs, sign)
     return table
 
 
@@ -148,7 +192,7 @@ class KernelBasis:
         # into the sine basis.  Row r of `lam_rows` integrates the inverse
         # kernel against samples over [0, xi_r].
         tri_ref = self._row_weight_matrix(m_ref, h_ref)
-        lam_rows = tri_ref * _lower_table(xi, coeffs, -1.0)
+        lam_rows = _lower_table(xi, coeffs, -1.0, tri_ref)
         cardinals = interp_quadratic(np.eye(M), refine)  # (M, m_ref)
         lam_of_cardinal = lam_rows @ cardinals.T  # (m_ref, M)
         #: weights turning node samples into the sine coefficients of their
@@ -162,9 +206,8 @@ class KernelBasis:
         # on the fine grid, which removes the closure-panel error a row rule
         # on the production nodes would carry (the interpolation error of the
         # samples themselves, cubic in the coarse spacing, remains).
-        k_rows = tri_ref[::refine] * _lower_table(xi, coeffs, 1.0, refine)
+        k_rows = _lower_table(xi, coeffs, 1.0, tri_ref[::refine], refine)
         self.volterra_fwd_refined = k_rows @ cardinals.T
-        self.volterra_inv_refined = lam_of_cardinal[::refine].copy()
 
         # Kernel exponents per unit delay, indexed by ``|n|`` (0 .. the
         # grid's band) and harmonic; a KernelSet scales them by its estimate.
@@ -176,9 +219,21 @@ class KernelBasis:
 
     @staticmethod
     def _row_weight_matrix(m: int, h: float) -> np.ndarray:
-        rows = np.zeros((m, m))
-        for r in range(1, m):
-            rows[r, : r + 1] = simpson_trap_row_weights(r, h)
+        """Row ``r`` integrates over nodes ``0..r``: composite Simpson, and
+        for odd ``r`` one trapezoid panel closing the last interval; row 0
+        is empty."""
+        third = h / 3.0
+        pattern = np.full(m, 2.0 * third)
+        pattern[1::2] = 4.0 * third
+        rows = np.tril(np.broadcast_to(pattern, (m, m)))
+        rows[1:, 0] = third
+        even = np.arange(2, m, 2)
+        rows[even, even] = third
+        odd = np.arange(1, m, 2)
+        rows[odd, odd - 1] = third + 0.5 * h
+        rows[odd, odd] = 0.5 * h
+        rows[0, 0] = 0.0
+        rows[1, 0] = 0.5 * h
         return rows
 
 

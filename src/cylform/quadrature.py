@@ -39,25 +39,6 @@ def simpson_weights(m: int, h: float) -> np.ndarray:
     return w * (h / 3.0)
 
 
-def simpson_trap_row_weights(j: int, h: float) -> np.ndarray:
-    """Weights for ``int_0^{s_j}`` over nodes ``0..j`` of a uniform grid.
-
-    Even panel counts use composite Simpson; an odd count is closed with a
-    single trapezoid panel at the far end.  ``j == 0`` yields an empty rule.
-    """
-    if j == 0:
-        return np.zeros(1)
-    if j == 1:
-        return np.array([0.5 * h, 0.5 * h])
-    if j % 2 == 0:
-        return simpson_weights(j + 1, h)
-    w = np.zeros(j + 1)
-    w[:j] = simpson_weights(j, h)
-    w[j - 1] += 0.5 * h
-    w[j] += 0.5 * h
-    return w
-
-
 def _exp_moments(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Scaled moments ``int_0^1 x^p exp(u*x) dx`` for ``p = 0, 1, 2``.
 

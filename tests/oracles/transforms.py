@@ -10,8 +10,9 @@ can check the forward maps against something they do not share.
 import numpy as np
 
 from cylform.controller import state_prediction
-from cylform.quadrature import exp_conv_paired
+from cylform.quadrature import exp_conv_paired, interp_quadratic
 from oracles.dense_law import sine_basis
+from oracles.volterra_kernels import inverse_kernel, row_weight_matrix_loop
 
 
 def restore_advection(scaled, steady_values, advection, grid):
@@ -35,8 +36,23 @@ def from_target_state_kernel(target, ks):
     defect set by the node-sample interpolation (cubic in the spacing), not
     by the identity itself.
     """
-    v = ks.basis.volterra_inv_refined
+    v = inverse_volterra_rows(ks.basis)
     return target + target @ v.T
+
+
+def inverse_volterra_rows(basis):
+    """Inverse-kernel Volterra matrix on the production nodes: the row rule
+    of each node applied on the basis's refined grid to the cardinal
+    interpolants, as ``basis.volterra_fwd_refined`` is for the forward
+    kernel."""
+    refine, m = basis.refine, basis.grid.M
+    xi = np.linspace(0.0, 1.0, refine * (m - 1) + 1)
+    table = np.zeros((m, xi.size), dtype=complex)
+    for r in range(1, m):
+        end = refine * r + 1
+        table[r, :end] = inverse_kernel(xi[end - 1], xi[:end], basis.coeffs)
+    weights = row_weight_matrix_loop(xi.size, basis.grid.h_s / refine)[::refine]
+    return (weights * table) @ interp_quadratic(np.eye(m), refine).T
 
 
 def from_target_history(history, target, ks):

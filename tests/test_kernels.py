@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from cylform import kernels
 from cylform.errors import KernelTruncationError
 from cylform.geometry import CylinderGrid
 from cylform.kernels import (
     KernelBasis,
     KernelSet,
     PlantCoeffs,
-    _kernel_values,
     bessel_ratio,
 )
 from cylform.quadrature import exp_conv_paired, interp_quadratic
@@ -20,7 +20,20 @@ from oracles.dense_law import (
     sine_basis,
 )
 from oracles.transforms import edge_derivative, predictor_table
-from oracles.volterra_kernels import forward_kernel, inverse_kernel
+from oracles.volterra_kernels import (
+    bessel_ratio_loop,
+    forward_kernel,
+    inverse_kernel,
+    kernel_values_loop,
+    row_weight_matrix_loop,
+)
+
+#: coefficient pairs of the bit-exactness checks: both channels of the
+#: benchmark scenarios, a stiffer and a zero-advection real one, and a
+#: complex one
+EXACT_COEFFS = [PlantCoeffs(12.0, 0.5), PlantCoeffs(8.0, 0.5),
+                PlantCoeffs(12.0 + 3.0j, 0.5 + 0.2j), PlantCoeffs(30.0, 1.0),
+                PlantCoeffs(10.0, 0.0)]
 
 
 def quad12(f, a, b, **kw):
@@ -51,6 +64,64 @@ class TestBesselRatio:
     def test_array_shape_preserved(self):
         y = np.zeros((3, 5))
         assert bessel_ratio(y).shape == (3, 5)
+
+    def test_real_input_is_the_real_part_of_the_complex_series(self):
+        y = np.linspace(-60.0, 40.0, 15).reshape(3, 5)
+        y[1, 2] = 0.0
+        got = bessel_ratio(y)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, bessel_ratio(y.astype(complex)).real)
+        assert np.array_equal(got, bessel_ratio_loop(y).real)
+        for x in (0.0, -7.5, 3.0):
+            assert bessel_ratio(x) == bessel_ratio(complex(x)).real
+
+    def test_complex_input_equals_the_loop(self):
+        rng = np.random.default_rng(11)
+        z = 30.0 * (rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6)))
+        got = bessel_ratio(z)
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, bessel_ratio_loop(z))
+
+    def test_cancelling_series_is_an_error(self):
+        # float64 still holds J1(sqrt(300))/sqrt(300) to ~1e-10; at -1000
+        # the cancellation costs about 1e-4 and at -3000 the sign
+        x = np.sqrt(300.0)
+        assert bessel_ratio(-300.0) == pytest.approx(special.jv(1, x) / x, rel=1e-9)
+        for y in (-1000.0, np.array([0.0, -3000.0])):
+            with pytest.raises(KernelTruncationError, match="cancels"):
+                bessel_ratio(y)
+
+
+class TestRowWeights:
+    @pytest.mark.parametrize("m", [3, 4, 5, 6, 241, 601, 1201])
+    def test_closed_form_equals_the_row_loop(self, m):
+        h = 1.0 / (m - 1)
+        assert np.array_equal(KernelBasis._row_weight_matrix(m, h),
+                              row_weight_matrix_loop(m, h))
+
+
+class TestBasisIsExact:
+    @pytest.mark.parametrize("coeffs", EXACT_COEFFS,
+                             ids=["12", "8", "complex", "30", "10"])
+    @pytest.mark.parametrize("shape", [(21, 16, None), (51, 50, 2)],
+                             ids=["21x16", "51x50-band2"])
+    def test_every_table_equals_the_complex_loop_build(self, shape, coeffs,
+                                                       monkeypatch):
+        grid = CylinderGrid(*shape)
+        got = vars(KernelBasis(coeffs, grid))
+        monkeypatch.setattr(kernels, "_kernel_values", kernel_values_loop)
+        want = vars(KernelBasis(coeffs, grid))
+        tables = [k for k, v in want.items() if isinstance(v, np.ndarray)]
+        assert len(tables) == 11
+        for name in tables:
+            assert got[name].dtype == want[name].dtype, name
+            assert np.array_equal(got[name], want[name]), name
+
+    def test_cancelling_inverse_kernel_is_an_error(self):
+        grid = CylinderGrid(21, 16)
+        KernelBasis(PlantCoeffs(60.0, 0.0), grid)
+        with pytest.raises(KernelTruncationError, match="shifted reaction 1000"):
+            KernelBasis(PlantCoeffs(1000.0, 0.0), grid)
 
 
 class TestVolterraKernels:
@@ -199,8 +270,8 @@ class TestRefinedVolterra:
         xi = np.linspace(0.0, 1.0, m_ref)
         rows, cols = np.tril_indices(m_ref)
         table = np.zeros((m_ref, m_ref), dtype=complex)
-        table[rows, cols] = _kernel_values(xi[rows], xi[cols], coeffs, 1.0)
-        tri = KernelBasis._row_weight_matrix(m_ref, basis.grid.h_s / refine)
+        table[rows, cols] = kernel_values_loop(xi[rows], xi[cols], coeffs, 1.0)
+        tri = row_weight_matrix_loop(m_ref, basis.grid.h_s / refine)
         cardinals = interp_quadratic(np.eye(m), refine)
         want = ((tri * table) @ cardinals.T)[::refine]
         assert np.array_equal(basis.volterra_fwd_refined, want)

@@ -18,11 +18,11 @@ from cylform.quadrature import (
     exp_pair_weights,
     exp_weights,
     interp_quadratic,
-    simpson_trap_row_weights,
     simpson_weights,
     sine_weights,
 )
 from oracles.drift_rowwise import phi_funcs
+from oracles.volterra_kernels import simpson_trap_row_weights
 
 
 def complex_quad(f, a, b):
