@@ -52,8 +52,7 @@ __all__ = [
 
 
 def reconstruct_transport(line: DelayLine, t: float, delay_estimate: float,
-                          grid: CylinderGrid, advection: complex = 0.0
-                          ) -> np.ndarray:
+                          grid: CylinderGrid, gain: complex = 1.0) -> np.ndarray:
     """Command-in-flight mode table implied by the recorded history.
 
     Node ``r`` holds the (scaled) command that was issued
@@ -61,10 +60,10 @@ def reconstruct_transport(line: DelayLine, t: float, delay_estimate: float,
     (held forward when queried at the current instant, i.e. the previous
     command until a fresh one is stored).  ``line`` holds the commands'
     band coefficients, so the table is its rows scaled by the advection
-    gain.
+    gain ``exp(advection / 2)``.
     """
     rows = line.lookup_many(t + delay_estimate * (grid.s - 1.0))
-    return rows.T * np.exp(0.5 * advection)
+    return rows.T * gain
 
 
 def to_target_state(measured: np.ndarray, ks: KernelSet) -> np.ndarray:
@@ -108,8 +107,7 @@ def control_modes(history: np.ndarray, ks: KernelSet) -> np.ndarray:
     is the rim row of ``history`` over that weight, negated; taking the
     previous command as the rim node instead leaves a visible rim defect.
     """
-    rows = np.abs(ks.grid.modes)
-    return -history[:, -1] / ks.history_map[rows, -1, -1]
+    return -history[:, -1] / ks.rim_weight
 
 
 def symmetrize_command(grid: CylinderGrid, cmd: np.ndarray) -> np.ndarray:
@@ -166,21 +164,24 @@ class ChannelController:
         #: advection term into a pure shift of the reaction rate, which is
         #: the form every kernel table assumes
         self.lift = np.exp(0.5 * self.advection * grid.s)
+        #: ``exp(advection / 2)``, the lift at the rim, and its reciprocal
+        self.gain = np.exp(0.5 * self.advection)
+        self.inv_gain = np.exp(-0.5 * self.advection)
 
     def update(self, table: np.ndarray, line: DelayLine, t: float) -> ChannelUpdate:
         """One control step from the plant's mode table ``table`` and the
         band rows of ``line``."""
         grid, ks = self.grid, self.ks
         measured = (table - self.steady_table) * self.lift[None, :]
-        transport = reconstruct_transport(line, t, ks.delay, grid, self.advection)
+        transport = reconstruct_transport(line, t, ks.delay, grid, self.gain)
         transport[:, -1] = 0.0
         history = to_target_history(transport, measured, ks)
         cmd = control_modes(history, ks)
         if self.kind == "real":
             cmd = symmetrize_command(grid, cmd)
-        command_modes = cmd * np.exp(-0.5 * self.advection)
+        command_modes = cmd * self.inv_gain
         transport[:, -1] = cmd
-        history += cmd[:, None] * ks.history_map[np.abs(grid.modes), :, -1]
+        history += cmd[:, None] * ks.command_column
 
         # rim defect against the largest scaled deviation plus the largest
         # command in flight, the rim node being the new command; each ring

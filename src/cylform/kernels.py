@@ -276,6 +276,11 @@ class KernelSet:
         self._check_truncation()
 
         self.history_map = _flush_subnormal(self._build_history_map())
+        rows = np.abs(grid.modes)
+        #: per mode-table row: the rim node's weight in the rim row of the
+        #: history map, and the rim node's column
+        self.rim_weight = self.history_map[rows, -1, -1]
+        self.command_column = self.history_map[rows, :, -1]
 
     def _build_history_map(self) -> np.ndarray:
         """Closed-form assembly of ``history_map`` (see the class docstring).

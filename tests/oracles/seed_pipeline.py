@@ -27,10 +27,10 @@ def history_map(ks, n):
         "i,jir->rj", ks.basis.fwd_edge, conv)
 
 
-def reconstruct_transport(line, t, delay_estimate, grid, advection=0.0):
+def reconstruct_transport(line, t, delay_estimate, grid, gain=1.0):
     times = t + delay_estimate * (grid.s - 1.0)
     rows = np.stack([lookup(line, tt) for tt in times])
-    return rows.T * np.exp(0.5 * advection)
+    return rows.T * gain
 
 
 def state_prediction(measured, ks):

@@ -131,7 +131,7 @@ class TestReconstructTransport:
         line = self._line(grid)
         for k in range(10):
             line.record(k * 0.05, grid.analyze_rows(np.ones(grid.N)))
-        stack = reconstruct_transport(line, 0.45, 0.2, grid, advection=2.0)
+        stack = reconstruct_transport(line, 0.45, 0.2, grid, gain=np.exp(1.0))
         assert abs(stack[grid.N // 2, 0] - np.exp(1.0)) <= 1e-12
 
     def test_table_synthesizes_to_the_scaled_profiles(self, grid):
@@ -144,7 +144,7 @@ class TestReconstructTransport:
             band.record(k * 0.05, grid.analyze_rows(prof))
             physical.record(k * 0.05, prof)
         t, dhat, adv = 1.45, 0.9, 0.5 + 0.2j
-        stack = reconstruct_transport(band, t, dhat, grid, advection=adv)
+        stack = reconstruct_transport(band, t, dhat, grid, gain=np.exp(0.5 * adv))
         want = np.exp(0.5 * adv) * np.stack(
             [lookup(physical, tt) for tt in t + dhat * (grid.s - 1.0)])
         assert np.max(np.abs(grid.synthesize(stack) - want)) \
@@ -347,7 +347,7 @@ class TestRecordLatticeLaw:
         cmd, denom, rhs = control_modes_recorded(zero, line, t, ks)
         assert cmd[row] == pytest.approx(lattice, rel=1e-9)
         assert np.array_equal(cmd, rhs / denom)
-        transport = reconstruct_transport(line, t, ks.delay, g, 0.5)
+        transport = reconstruct_transport(line, t, ks.delay, g, np.exp(0.25))
         assert rim_solve(zero, transport, ks)[row] == pytest.approx(axial, rel=1e-9)
 
 
