@@ -11,18 +11,20 @@ command *being computed* is recovered from a small implicit solve (the
 newest history node carries a nonzero quadrature weight, so the rim value
 appears on both sides).
 
-For a fixed delay estimate both parts are fixed linear maps per ``|n|``,
-which the :class:`~cylform.kernels.KernelSet` builds once: ``history_map``
-takes a command-in-flight profile to its convolution image, and the state
-part is the deviation contracted with the basis's ``state_weights`` and then
-with ``exp_s``.  A control step is therefore a few batched matrix-vector
-products: the target history is ``history_map @ transport`` minus the
-predicted flow, evaluated once with the transport's rim node zeroed.  The
-control law sets the rim row of the target history to zero: the command is
-that row over the rim node's own weight ``history_map[|n|, -1, -1]``, and
-the command's column of ``history_map`` then completes the image.  The only
-transform of a step is the synthesis of the physical command, which the
-run logs.
+For a fixed delay estimate all of this is linear per ``|n|`` in the two
+tables a step reads, the command-in-flight table (``transport``) and the
+scaled deviation, and the :class:`~cylform.kernels.KernelSet` folds it into
+one ``step_map``.  A control step is one product (:func:`step_images`) of
+the row ``[transport | deviation]``, with the transport's rim node zeroed,
+giving the target history and the state part of the estimator's mismatch
+drift.  The control law sets the rim row of the target history to zero: the
+command is that row over the rim node's own weight, and the command's
+column of the history map then completes the image.  The drift is completed
+by the estimator from the history's root value
+(:func:`~cylform.estimator.mismatch_drift`).  The target state, which only
+the residual diagnostics read, is one matrix product of the deviation.  The
+only transform of a step is the synthesis of the physical command, which
+the run logs.
 """
 
 from __future__ import annotations
@@ -38,8 +40,7 @@ from .plant import DelayLine
 __all__ = [
     "reconstruct_transport",
     "to_target_state",
-    "state_prediction",
-    "to_target_history",
+    "step_images",
     "control_modes",
     "symmetrize_command",
     "ChannelUpdate",
@@ -72,24 +73,20 @@ def to_target_state(measured: np.ndarray, ks: KernelSet) -> np.ndarray:
     return measured - measured @ v.T
 
 
-def state_prediction(measured: np.ndarray, ks: KernelSet) -> np.ndarray:
-    """State-driven part of the predicted command flow, per mode and node.
+def step_images(transport: np.ndarray, measured: np.ndarray,
+                ks: KernelSet) -> tuple[np.ndarray, np.ndarray]:
+    """Target history and state drift of one step, from one product.
 
-    Returns the mode table of the predictor kernel integrated against the
-    scaled deviation, evaluated along the axial grid.
+    The row ``[transport | measured]`` times ``ks.step_map``: the history
+    image of the command-in-flight table minus the predicted command flow,
+    and the part of the mismatch drift the deviation drives.  Both are
+    views of the product's halves.  The history vanishes at the rim exactly
+    when the newest command satisfies the control law, which makes its rim
+    row a free consistency diagnostic.
     """
-    return ks.apply(measured @ ks.basis.state_weights, ks.exp_s)
-
-
-def to_target_history(transport: np.ndarray, measured: np.ndarray,
-                      ks: KernelSet) -> np.ndarray:
-    """Target image of the command-in-flight profile.
-
-    Vanishes at the rim exactly when the newest command satisfies the
-    control law, which makes the rim row a free consistency diagnostic.
-    """
-    hist = ks.apply(transport, ks.history_map.transpose(0, 2, 1))
-    return hist - state_prediction(measured, ks)
+    images = ks.apply(np.concatenate([transport, measured], axis=1), ks.step_map)
+    m = ks.grid.M
+    return images[:, :m], images[:, m:]
 
 
 # ---------------------------------------------------------------------------
@@ -102,10 +99,11 @@ def control_modes(history: np.ndarray, ks: KernelSet) -> np.ndarray:
     ``history`` is the target image of a transport whose rim node is zero.
     The law sets the rim row of the target history to zero, and the rim
     node -- the command being computed -- enters that row with the weight
-    ``history_map[|n|, -1, -1] = 1 + 2*delay*sum_i(edge_i * w0_i)``, order
-    one but far from 1 whenever the kernel gain is large.  So the command
-    is the rim row of ``history`` over that weight, negated; taking the
-    previous command as the rim node instead leaves a visible rim defect.
+    ``ks.rim_weight``, that is ``history_map[|n|, -1, -1] = 1 +
+    2*delay*sum_i(edge_i * w0_i)``, order one but far from 1 whenever the
+    kernel gain is large.  So the command is the rim row of ``history``
+    over that weight, negated; taking the previous command as the rim node
+    instead leaves a visible rim defect.
     """
     return -history[:, -1] / ks.rim_weight
 
@@ -138,6 +136,7 @@ class ChannelUpdate:
     target_state: np.ndarray     #: mode table of the decoupled state image
     transport: np.ndarray        #: command-in-flight table, rim node = new command
     target_history: np.ndarray   #: history image table (rim row ~ 0 by construction)
+    state_drift: np.ndarray      #: mismatch drift less its history-root term
     h_residual: float            #: rim defect of the history image, relative
 
 
@@ -175,7 +174,7 @@ class ChannelController:
         measured = (table - self.steady_table) * self.lift[None, :]
         transport = reconstruct_transport(line, t, ks.delay, grid, self.gain)
         transport[:, -1] = 0.0
-        history = to_target_history(transport, measured, ks)
+        history, state_drift = step_images(transport, measured, ks)
         cmd = control_modes(history, ks)
         if self.kind == "real":
             cmd = symmetrize_command(grid, cmd)
@@ -195,5 +194,6 @@ class ChannelController:
             target_state=to_target_state(measured, ks),
             transport=transport,
             target_history=history,
+            state_drift=state_drift,
             h_residual=float(np.sum(np.abs(history[:, -1])) / scale),
         )

@@ -1,12 +1,16 @@
 """Delay-estimate adaptation: drift terms, update signal, projected stepping.
 
 The delay estimate follows a scalar gradient-like law.  Each control period
-the target-state pair of every channel is folded into a *mismatch drift*
-profile (the sensitivity of the target history to the estimate error); the
-inner product of the history against that drift, taken with an increasing
-axial weight, is the update signal.  A projection freezes the estimate at
-either bound when the signal points outward, and one forward-Euler step
-moves it otherwise.
+every channel yields a *mismatch drift* profile (the sensitivity of the
+target history to the estimate error); the inner product of the history
+against that drift, taken with an increasing axial weight, is the update
+signal.  A projection freezes the estimate at either bound when the signal
+points outward, and one forward-Euler step moves it otherwise.
+
+The drift is linear in the target state and in the history's root value.
+Its state part comes out of the controller's one product per step, through
+the kernel set's ``step_map`` (see :class:`~cylform.kernels.KernelSet`);
+:func:`mismatch_drift` adds the root-value part, a rank-one table.
 
 The companion *adaptation drift* (the sensitivity to the estimate's own
 motion) never feeds back into the law; it is computed only for residual
@@ -82,7 +86,7 @@ class EstimatorState:
 # drift profiles
 
 
-def mismatch_drift(target: np.ndarray, history: np.ndarray,
+def mismatch_drift(state_drift: np.ndarray, history: np.ndarray,
                    ks: KernelSet) -> np.ndarray:
     """Sensitivity of the target history to the delay-estimate error.
 
@@ -90,19 +94,13 @@ def mismatch_drift(target: np.ndarray, history: np.ndarray,
     axial coordinate; each series coefficient couples the sine transform of
     the target state, the sine transform of its running inverse-Volterra
     integral, the full-span edge integral, and the root value of the target
-    history.  Vanishes identically at the transformed equilibrium, making it
-    a fixed point of the adaptation.
+    history.  ``state_drift`` is the sum of the state terms, which the
+    control step's product already holds
+    (:attr:`~cylform.controller.ChannelUpdate.state_drift`); the root value
+    enters along ``ks.edge_flow``.  Vanishes identically at the transformed
+    equilibrium, making it a fixed point of the adaptation.
     """
-    basis = ks.basis
-    rows = np.abs(ks.grid.modes)
-    rates = ks.rates[rows]                                  # (modes, i)
-    sw = target @ basis.mode_sine.T                         # (modes, i)
-    cw = target @ basis.composition.T                       # (modes, i)
-    edge = target @ basis.edge_weights                      # (modes,)
-    rho = (2.0 / ks.delay) * rates * basis.fwd_sine[None, :] * (sw + cw) \
-        - 2.0 * basis.fwd_edge[None, :] \
-        * (edge + history[:, 0])[:, None]
-    return ks.apply(rho, ks.exp_s)
+    return state_drift - history[:, :1] * ks.edge_flow
 
 
 def _pair_coefficients(w: np.ndarray, a: np.ndarray,

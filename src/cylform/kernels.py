@@ -245,19 +245,33 @@ class KernelSet:
     in the predictor kernel; ``inv_rates`` the (always decaying) analogue in
     the inverse kernel.
 
-    A set owns what the per-mode control step reads, built once:
-    ``history_map[a]``, ``(band + 1, M, M)``, maps a command-in-flight
-    profile to its history convolution image: identity plus
-    ``2*delay*sum_i fwd_edge_i W_i``, with ``W_i`` the running-convolution
-    matrix of :func:`~cylform.quadrature.exp_conv_paired` for rate
-    ``rates[a, i]``, assembled in closed form.  The predicted command flow
-    is a scaled deviation profile contracted with ``basis.state_weights``
-    and then with ``exp_s[a]``, which the mismatch drift reads in the same
-    step anyway, so no dense state map is stored.
+    For a fixed estimate everything a control step computes from its two
+    inputs -- the command-in-flight table (``transport``) and the scaled
+    deviation table (``measured``) -- is linear per ``|n|``, so a set builds
+    it once as ``step_map[a]``, ``(band + 1, 2M, 2M)``, real when the rates
+    are.  It takes the row ``[transport | measured]`` to ``[target history |
+    state drift]``:
 
-    The target history is ``history_map[a] @ transport`` minus the predicted
-    flow.  The control law is its rim row set to zero and solved for the
-    newest (rim) node, whose weight in that row is ``history_map[a, -1, -1]``.
+    * ``history_map[a]``, the top-left block (transposed, as the product
+      runs on rows), maps a transport profile to its history convolution
+      image: identity plus ``2*delay*sum_i fwd_edge_i W_i``, with ``W_i``
+      the running-convolution matrix of
+      :func:`~cylform.quadrature.exp_conv_paired` for rate ``rates[a, i]``,
+      assembled in closed form;
+    * the deviation enters the history through the predicted command flow,
+      ``-state_weights @ exp_s[a]``;
+    * the state drift is the part of the estimator's mismatch drift that
+      the deviation drives: the target-state map, the sine and composition
+      contractions and the edge integral, each against ``exp_s[a]``, folded
+      into one ``(M, M)`` block.  The transport does not enter it.
+
+    The control law sets the rim row of the target history to zero and
+    solves for the newest (rim) node.  The step therefore applies the map
+    with that node zeroed and completes both images with rank-one tables
+    read per mode-table row: ``rim_weight`` (the node's weight in the rim
+    row), ``command_column`` (its column of the history map) and
+    ``edge_flow`` (which carries the history's root value into the drift,
+    see :func:`~cylform.estimator.mismatch_drift`).
     """
 
     def __init__(self, basis: KernelBasis, delay_estimate: float):
@@ -275,12 +289,46 @@ class KernelSet:
             np.exp(self.rates[:, :, None] * grid.s[None, None, :]))
         self._check_truncation()
 
-        self.history_map = _flush_subnormal(self._build_history_map())
+        edge_flow = 2.0 * self._real_if_rates(basis.fwd_edge) @ self.exp_s
+        self.step_map = _flush_subnormal(
+            self._build_step_map(self._build_history_map(), edge_flow))
+        #: transport profile to history image, per ``|n|``: a view of the
+        #: step map's top-left block
+        self.history_map = self.step_map[:, :grid.M, :grid.M].transpose(0, 2, 1)
         rows = np.abs(grid.modes)
         #: per mode-table row: the rim node's weight in the rim row of the
-        #: history map, and the rim node's column
+        #: history map, the rim node's column, and the drift per unit
+        #: history root value
         self.rim_weight = self.history_map[rows, -1, -1]
         self.command_column = self.history_map[rows, :, -1]
+        self.edge_flow = edge_flow[rows]
+
+    def _real_if_rates(self, table: np.ndarray) -> np.ndarray:
+        """``table``, or its real part when the rates are real.  The basis
+        tables are complex either way, but a real shifted reaction leaves
+        exact zeros in their imaginary parts and in those of the weights
+        built from them."""
+        return table.real if np.isrealobj(self.rates) else table
+
+    def _build_step_map(self, history_map: np.ndarray,
+                        edge_flow: np.ndarray) -> np.ndarray:
+        """Assemble ``step_map`` (see the class docstring) from the history
+        map and ``edge_flow = 2*fwd_edge @ exp_s``."""
+        basis, m, part = self.basis, self.grid.M, self._real_if_rates
+        # mismatch-drift coefficients of a target profile: (2/delay) *
+        # rates * fwd_sine on its sine and composition contractions, and
+        # -edge_flow on its edge integral
+        gain = (2.0 / self.delay) * self.rates * part(basis.fwd_sine)    # (A, i)
+        contract = part(basis.mode_sine + basis.composition).T           # (M, i)
+        drift = (contract * gain[:, None, :]) @ self.exp_s \
+            - part(basis.edge_weights)[:, None] * edge_flow[:, None, :]
+        # the target state is measured @ (I - V^T)
+        to_target = np.eye(m) - part(basis.volterra_fwd_refined).T
+        out = np.zeros(history_map.shape[:1] + (2 * m, 2 * m), dtype=history_map.dtype)
+        out[:, :m, :m] = history_map.transpose(0, 2, 1)
+        out[:, m:, :m] = -(part(basis.state_weights) @ self.exp_s)
+        out[:, m:, m:] = to_target @ drift
+        return out
 
     def _build_history_map(self) -> np.ndarray:
         """Closed-form assembly of ``history_map`` (see the class docstring).
@@ -315,8 +363,7 @@ class KernelSet:
             out[:, 1::2, cols] += odd[:, l][:, lag[:-1]]
             out[:, 2 * diag + 1, 2 * diag + l] += half[:, l, None]
         out[:, np.arange(m), np.arange(m)] += 1.0
-        # real rates leave exact zeros in the imaginary parts of the weights
-        return np.ascontiguousarray(out.real) if np.isrealobj(self.rates) else out
+        return self._real_if_rates(out)
 
     # -- bookkeeping -----------------------------------------------------
 

@@ -6,13 +6,17 @@ from the start (the dynamics switch the instant the new formation is
 commanded), with anchor and leader rims held at the desired profiles; rim
 actuation reaches the leader row only after the true dead time.  The run
 is a sequence of control blocks of ``control_period`` steps.  At each block
-start the controllers measure the fields, issue new rim commands, and the
-delay estimate takes one projected gradient step driven by both channels;
-then each channel advances over the whole block in one exact step, and the
-guard is checked at the block end.  The loop works in mode space and keeps
-only the wavenumbers ``|n| <= band``, where ``band`` is the largest ``|n|``
-listed in the rim data of either formation: no other wavenumber is ever
-excited, so the rest would carry roundoff only.  The formations, the
+start the controllers measure the fields and issue new rim commands, and
+the delay estimate takes one projected gradient step driven by both
+channels; then each channel advances over the whole block in one exact
+step, and the guard is checked at the block end.  A controller's step is
+one product with its kernel set's ``step_map``, which yields the target
+history and the state part of the mismatch drift; the estimator completes
+each channel's drift from the history's root value and forms the update
+signal from the two.  The loop works in mode space and keeps only the
+wavenumbers ``|n| <= band``, where ``band`` is the largest ``|n|`` listed
+in the rim data of either formation: no other wavenumber is ever excited,
+so the rest would carry roundoff only.  The formations, the
 plant state and the errors are mode tables: the controllers measure the
 channels' tables against the goal's, the delay lines record the commands'
 band coefficients, and the plant's eigencoordinates, the kernel tables, the
@@ -24,7 +28,7 @@ rebuilt only when the estimate has drifted a fixed fraction of the
 admissible interval away from the tables in use.  The tables a rebuild
 replaces are kept as a spare, and an estimate that returns within that
 fraction of them (a projected estimate flipping between its bounds) swaps
-them back instead of rebuilding.
+them back, step maps included, instead of rebuilding.
 
 Results are collected in a :class:`RunRecord` (one logged row per control
 step) and serialized as CSV: a single time series plus, per requested
@@ -187,8 +191,8 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
         line_p.record(t, upd_p.command_modes)
         line_z.record(t, upd_z.command_modes)
 
-        drift_p = mismatch_drift(upd_p.target_state, upd_p.target_history, ks_p)
-        drift_z = mismatch_drift(upd_z.target_state, upd_z.target_history, ks_z)
+        drift_p = mismatch_drift(upd_p.state_drift, upd_p.target_history, ks_p)
+        drift_z = mismatch_drift(upd_z.state_drift, upd_z.target_history, ks_z)
         signal = (update_signal(upd_p.target_history, drift_p, grid)
                   + update_signal(upd_z.target_history, drift_z, grid))
 

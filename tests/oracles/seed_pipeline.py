@@ -7,10 +7,14 @@ history from the convolution of the whole mode table, the rim node's weight
 in the command law from a fresh pair-weight build, the transport from one
 scalar delay-line read per node, and the mismatch drift from a per-mode copy
 of the exponential tables.  The production path precomputes the same maps
-per kernel set in closed form; these functions are what it is checked
-against.  :func:`install` swaps them into the package so that a whole run
-can be replayed on the reference step.
+per kernel set in closed form and folds them into one product with
+``KernelSet.step_map``; these functions are what it is checked against.
+:func:`install` swaps them into the package so that a whole run can be
+replayed on the reference step.
 """
+
+import sys
+from collections import Counter
 
 import numpy as np
 
@@ -88,9 +92,42 @@ def mismatch_drift(target, history, ks):
     return np.einsum("ni,nim->nm", rho, ks.exp_s[rows])
 
 
+def step_images(transport, measured, ks):
+    """Target history and the drift's state part, as
+    :func:`cylform.controller.step_images` returns them: the history of
+    :func:`to_target_history`, and the :func:`mismatch_drift` of the target
+    state with a zero history."""
+    history = to_target_history(transport, measured, ks)
+    target = controller.to_target_state(measured, ks)
+    return history, mismatch_drift(target, np.zeros_like(history), ks)
+
+
+def finish_drift(state_drift, history, ks):
+    """The history's share of the drift, :func:`mismatch_drift` of a zero
+    target state, added to the state part."""
+    return state_drift + mismatch_drift(np.zeros_like(history), history, ks)
+
+
 def install(monkeypatch):
-    """Route the controller and the runner through the reference step."""
-    for name in ("reconstruct_transport", "to_target_history"):
-        monkeypatch.setattr(controller, name, globals()[name])
-    monkeypatch.setattr(controller, "control_modes", rim_solve)
-    monkeypatch.setattr(runner, "mismatch_drift", mismatch_drift)
+    """Route the controller and the runner through the reference step.
+
+    Returns a :class:`~collections.Counter` of the calls made to the
+    reference functions by name, so a replay can show that it ran them.
+    """
+    calls = Counter()
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    here = sys.modules[__name__]
+    for name in ("to_target_history", "mismatch_drift"):
+        monkeypatch.setattr(here, name, counted(getattr(here, name)))
+    monkeypatch.setattr(controller, "reconstruct_transport",
+                        counted(reconstruct_transport))
+    monkeypatch.setattr(controller, "step_images", counted(step_images))
+    monkeypatch.setattr(controller, "control_modes", counted(rim_solve))
+    monkeypatch.setattr(runner, "mismatch_drift", counted(finish_drift))
+    return calls

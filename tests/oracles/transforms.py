@@ -1,6 +1,7 @@
 """Inverse transforms, the open-form command law and kernel tables.
 
-The control step only runs the forward maps of :mod:`cylform.controller`.
+The control step only runs the forward maps of :mod:`cylform.controller`
+(folded into one product with the kernel set's ``step_map``).
 The functions here undo them (exactly, or through the independent
 closed-form inverse kernels), evaluate the law for one mode with the rim
 node taken at face value, and tabulate the predictor kernel, so that tests
@@ -9,9 +10,9 @@ can check the forward maps against something they do not share.
 
 import numpy as np
 
-from cylform.controller import state_prediction
 from cylform.quadrature import exp_conv_paired, interp_quadratic
 from oracles.dense_law import sine_basis
+from oracles.seed_pipeline import state_prediction
 from oracles.volterra_kernels import inverse_kernel, row_weight_matrix_loop
 
 
@@ -56,8 +57,8 @@ def inverse_volterra_rows(basis):
 
 
 def from_target_history(history, target, ks):
-    """Undo :func:`cylform.controller.to_target_history` exactly given the
-    target state.
+    """Undo the target history of :func:`cylform.controller.step_images`
+    exactly given the target state.
 
     The deviation is recovered first (exact solve), its prediction moves to
     the right-hand side, and the remaining convolution relation is solved

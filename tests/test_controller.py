@@ -17,9 +17,8 @@ from cylform.controller import (
     ChannelController,
     control_modes,
     reconstruct_transport,
-    state_prediction,
+    step_images,
     symmetrize_command,
-    to_target_history,
     to_target_state,
 )
 from cylform.geometry import CylinderGrid
@@ -68,6 +67,11 @@ def smooth_stack(rng, grid, n_band=8, k_s=4, pinned_root=True):
             prof = sum(a * np.cos(k * grid.s) for k, a in enumerate(amp))
         coeffs[half + n] = prof / (1 + n * n)
     return coeffs
+
+
+def to_target_history(transport, measured, ks):
+    """The target history half of the control step's product."""
+    return step_images(transport, measured, ks)[0]
 
 
 class TestAdvectionLift:
@@ -535,6 +539,46 @@ class TestPrecomputedStep:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+class TestStepProduct:
+    """One product per step gives the target history and the mismatch
+    drift of the reference maps, which rebuild them from running
+    convolutions and per-mode exponential tables."""
+
+    @pytest.mark.parametrize("delay", [0.2, 2.0], ids=["lo", "hi"])
+    @pytest.mark.parametrize("band", [None, 2], ids=["full-band", "banded"])
+    @pytest.mark.parametrize("coeffs, kind", [
+        (PlantCoeffs(12.0, 0.5), "real"),
+        (PlantCoeffs(12.0 + 3.0j, 0.5 + 0.2j), "complex")],
+        ids=["real", "complex"])
+    def test_update_matches_reference_maps(self, coeffs, kind, band, delay):
+        g = CylinderGrid(21, 16, band=band)
+        ks = KernelSet(KernelBasis(coeffs, g), delay)
+        assert np.isrealobj(ks.step_map) == (kind == "real")
+        rng = np.random.default_rng(23)
+
+        def table(scale=1.0):
+            vals = rng.normal(size=(g.M, g.N))
+            if kind == "complex":
+                vals = vals + 1j * rng.normal(size=(g.M, g.N))
+            return g.analyze(scale * vals)
+
+        steady = table()
+        ctrl = ChannelController(ks, steady, kind=kind)
+        line = DelayLine(g.modes.size, 0.05, horizon=4.0)
+        for k in range(30):
+            line.record(k * 0.05, table()[:, -1])
+        for t in (1.5, 1.55, 1.6):
+            current = steady + table(0.1)
+            upd = ctrl.update(current, line, t)
+            line.record(t, upd.command_modes)
+            measured = (current - steady) * ctrl.lift
+            want_hist = seed_pipeline.to_target_history(upd.transport, measured, ks)
+            want_drift = seed_pipeline.mismatch_drift(upd.target_state, want_hist, ks)
+            drift = estimator.mismatch_drift(upd.state_drift, upd.target_history, ks)
+            for got, want in ((upd.target_history, want_hist), (drift, want_drift)):
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 class TestSimpsonControl:
     def test_trivial_state_returns_steady_rim(self, grid):
         basis = KernelBasis(PlantCoeffs(8.0, 1.0), grid, i_max=64)
@@ -593,7 +637,7 @@ class TestStatePrediction:
         # paths, so this pins the wiring between them
         rng = np.random.default_rng(18)
         phi = smooth_stack(rng, grid)
-        pred = state_prediction(phi, kit)
+        pred = -to_target_history(np.zeros_like(phi), phi, kit)
         zero = np.zeros(grid.M, dtype=complex)
         for n in (-7, -1, 0, 2, 5):
             got = control_mode(n, phi[n + grid.N // 2], zero, kit)

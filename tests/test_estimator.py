@@ -1,5 +1,6 @@
-"""Estimator checks: drift assembly against scratch-built references and
-against the row-by-row assembly, the gating rules of the scalar update law,
+"""Estimator checks: the mismatch drift a control step forms and the
+adaptation drift against scratch-built references (the latter also against
+the row-by-row assembly), the gating rules of the scalar update law,
 and the cross-exponential helpers of that row-by-row assembly."""
 
 import dataclasses
@@ -8,16 +9,19 @@ import numpy as np
 import pytest
 
 from cylform import estimator
+from cylform.controller import ChannelController, step_images
 from cylform.estimator import (_TAYLOR_CUT, EstimatorState, adaptation_drift,
                                mismatch_drift, project, step_estimate,
                                update_signal)
 from cylform.geometry import CylinderGrid
 from cylform.kernels import KernelBasis, KernelSet, PlantCoeffs
+from cylform.plant import DelayLine
 from cylform.quadrature import simpson_weights
 from oracles import drift_reference as ref
 from oracles import drift_rowwise
 from oracles.drift_rowwise import cross_exp_conv, cross_exp_table, phi_funcs
 from oracles.mode_symmetry import conjugate_symmetry_defect
+from oracles.transforms import from_target_state
 
 LAM = 8.0
 DHAT = 1.0
@@ -196,52 +200,65 @@ class TestUpdateSignal:
         assert abs(got - full.real) <= 1e-12 * max(1.0, abs(full.real))
 
 
+def loop_drift(target, history, ks):
+    """The mismatch drift as a control step forms it: the state part from
+    the step product on the deviation whose target state is ``target``
+    (recovered by an exact solve), the root-value part from ``history``."""
+    _, state = step_images(np.zeros_like(target), from_target_state(target, ks), ks)
+    return mismatch_drift(state, history, ks)
+
+
+def step_drift(transport, measured, ks):
+    """Drift of one control step's own history, from the step's inputs."""
+    history, state = step_images(transport, measured, ks)
+    return mismatch_drift(state, history, ks)
+
+
 class TestMismatchDrift:
-    def test_zero_stacks_give_zero(self, fine_set):
+    def test_equilibrium_is_a_fixed_point(self, fine_set):
         grid = fine_set.grid
-        tgt, hist, _ = single_row_stacks(grid, 0, 0.0, 0.0)
-        out = mismatch_drift(tgt, hist, fine_set)
+        steady = grid.analyze(np.random.default_rng(4).standard_normal((grid.M, grid.N)))
+        ctrl = ChannelController(fine_set, steady, "real")
+        upd = ctrl.update(steady, DelayLine(grid.modes.size, 0.01, 2.0), 0.0)
+        out = mismatch_drift(upd.state_drift, upd.target_history, fine_set)
         assert np.max(np.abs(out)) == 0.0
 
     def test_zero_reaction_coefficient_kills_drift(self):
         grid = CylinderGrid(51, 8)
         ks = KernelSet(KernelBasis(PlantCoeffs(0.0, 0.0), grid, i_max=8), 1.5)
         rng = np.random.default_rng(5)
-        tgt = grid.analyze(rng.standard_normal((grid.M, grid.N)))
-        hist = grid.analyze(rng.standard_normal((grid.M, grid.N)))
-        out = mismatch_drift(tgt, hist, ks)
+        tht = grid.analyze(rng.standard_normal((grid.M, grid.N)))
+        phi = grid.analyze(rng.standard_normal((grid.M, grid.N)))
+        out = step_drift(tht, phi, ks)
         assert np.max(np.abs(out)) == 0.0
 
     @pytest.mark.parametrize("n,h0", [(2, 0.0), (2, 0.7), (0, 0.0)])
     def test_matches_independent_reference(self, fine_set, refs, n, h0):
         grid = fine_set.grid
         tgt, hist, row = single_row_stacks(grid, n, np.sin(np.pi * grid.s), h0)
-        got = mismatch_drift(tgt, hist, fine_set)[row]
+        got = loop_drift(tgt, hist, fine_set)
         want = ref.mismatch_reference(LAM, DHAT, n, grid.s,
                                       refs["k"], refs["t"], refs["e"], h0)
         scale = np.max(np.abs(want))
-        assert np.max(np.abs(got - want)) <= 1e-7 * scale
+        assert np.max(np.abs(got[row] - want)) <= 1e-7 * scale
         # untouched wavenumbers stay clean
-        others = np.delete(mismatch_drift(tgt, hist, fine_set), row, axis=0)
-        assert np.max(np.abs(others)) == 0.0
+        assert np.max(np.abs(np.delete(got, row, axis=0))) == 0.0
 
     def test_power_of_two_scaling_is_exact(self, fine_set):
         grid = fine_set.grid
         rng = np.random.default_rng(6)
-        tgt = grid.analyze(rng.standard_normal((grid.M, grid.N)))
-        hist = grid.analyze(rng.standard_normal((grid.M, grid.N)))
-        base = mismatch_drift(tgt, hist, fine_set)
-        tgt2 = 2.0 * tgt
-        hist2 = 2.0 * hist
-        assert np.array_equal(mismatch_drift(tgt2, hist2, fine_set),
+        tht = grid.analyze(rng.standard_normal((grid.M, grid.N)))
+        phi = grid.analyze(rng.standard_normal((grid.M, grid.N)))
+        base = step_drift(tht, phi, fine_set)
+        assert np.array_equal(step_drift(2.0 * tht, 2.0 * phi, fine_set),
                               2.0 * base)
 
     def test_preserves_conjugate_symmetry(self, fine_set):
         grid = fine_set.grid
         rng = np.random.default_rng(7)
-        tgt = grid.analyze(rng.standard_normal((grid.M, grid.N)))
-        hist = grid.analyze(rng.standard_normal((grid.M, grid.N)))
-        out = mismatch_drift(tgt, hist, fine_set)
+        tht = grid.analyze(rng.standard_normal((grid.M, grid.N)))
+        phi = grid.analyze(rng.standard_normal((grid.M, grid.N)))
+        out = step_drift(tht, phi, fine_set)
         scale = np.max(np.abs(out))
         assert conjugate_symmetry_defect(out) <= 1e-12 * scale
 

@@ -359,14 +359,39 @@ class TestHistorySolveMatrix:
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_cached_and_invertible(self):
-        # one map per |n|, built with the set and well conditioned
+        # one map per |n|, built with the set as a block of the contiguous
+        # step map, and well conditioned
         grid = CylinderGrid(21, 8)
         basis = KernelBasis(PlantCoeffs(4.0, 0.0), grid, i_max=32)
         ks = KernelSet(basis, 0.8)
         assert ks.history_map.shape == (grid.N // 2 + 1, grid.M, grid.M)
-        assert ks.history_map.flags.c_contiguous
+        assert ks.step_map.flags.c_contiguous
+        assert np.shares_memory(ks.history_map, ks.step_map)
         for a in range(grid.N // 2 + 1):
             assert np.linalg.cond(ks.history_map[a]) < 1e6
+
+
+class TestStepMap:
+    @pytest.mark.parametrize("coeffs, dtype", [
+        (PlantCoeffs(12.0, 0.5), np.float64),
+        (PlantCoeffs(10.0 + 2.0j, 0.5 + 0.5j), np.complex128)],
+        ids=["real", "complex"])
+    def test_layout(self, coeffs, dtype):
+        # [transport | measured] -> [history | state drift]: real when the
+        # rates are, and the transport does not enter the drift
+        grid = CylinderGrid(21, 16, band=3)
+        ks = KernelSet(KernelBasis(coeffs, grid), 1.3)
+        m = grid.M
+        assert ks.step_map.shape == (4, 2 * m, 2 * m)
+        assert ks.step_map.dtype == dtype
+        assert np.all(ks.step_map[:, :m, m:] == 0.0)
+        assert np.array_equal(ks.history_map, ks.step_map[:, :m, :m].transpose(0, 2, 1))
+        rows = np.abs(grid.modes)
+        assert np.array_equal(ks.rim_weight, ks.history_map[rows, -1, -1])
+        assert np.array_equal(ks.command_column, ks.history_map[rows, :, -1])
+        for name in ("rim_weight", "command_column", "edge_flow"):
+            assert getattr(ks, name).dtype == dtype, name
+            assert len(getattr(ks, name)) == grid.modes.size, name
 
 
 class TestBandTables:

@@ -30,6 +30,7 @@ STALE_TRACER_TARGETS = {
     "cylform.kernels:exp_lattice_weights",
     "cylform.kernels:KernelSet.command_lattice",
     "cylform.controller:control_modes_recorded",
+    "cylform.controller:to_target_history",
 }
 
 #: definitions that no package line calls by name: a library calls them,

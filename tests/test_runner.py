@@ -7,7 +7,8 @@ import pytest
 from cylform.config import parse_config, preset
 from cylform.controller import ChannelController
 from cylform.geometry import CylinderGrid
-from cylform import plant, runner
+from cylform.kernels import KernelSet
+from cylform import controller, plant, runner
 from cylform.plant import Channel, DelayLine, stable_dt
 from cylform.runner import (
     RunRecord,
@@ -282,10 +283,16 @@ class TestReferenceStep:
         # the true delay lets commands reach the plant after t = 1
         cfg = moderate_21x16(fixed, duration)
         rec = run(cfg)
-        seed_pipeline.install(monkeypatch)
+        calls = seed_pipeline.install(monkeypatch)
         want = run(cfg)
         assert not rec.terminated and not want.terminated
         assert fixed or np.count_nonzero(np.diff(rec.estimates)) >= 3
+        # every map of the replay's step came from the reference: per
+        # channel and control step, one history and one drift split in two
+        steps = 2 * want.times.size
+        assert calls == Counter(reconstruct_transport=steps, step_images=steps,
+                                rim_solve=steps, finish_drift=steps,
+                                to_target_history=steps, mismatch_drift=2 * steps)
         for name in ("times", "estimates", "signals", "err_planar",
                      "err_axial", "ring_errors", "control_sup"):
             a, b = getattr(rec, name), getattr(want, name)
@@ -332,6 +339,48 @@ class TestKernelReuse:
         rec = run(moderate_21x16(fixed=True, duration=0.8))
         assert sorted(builds.values()) == [1, 1]
         assert {d for _, d in used} == {1.0} and len(used) == 2 * rec.times.size
+
+
+    def test_a_swap_reuses_the_step_maps(self, monkeypatch):
+        builds, _ = self._probe(monkeypatch)
+        read = []
+
+        def step_images(transport, measured, ks):
+            read.append(ks.step_map)
+            return images(transport, measured, ks)
+
+        images = controller.step_images
+        monkeypatch.setattr(controller, "step_images", step_images)
+        rec = run(moderate_21x16(fixed=False, duration=0.8))
+        assert len(read) == 2 * rec.times.size
+        planar = [id(m) for m in read[::2]]
+        assert np.count_nonzero(np.diff(planar)) >= 3
+        assert len({id(m) for m in read}) == sum(builds.values()) <= 4
+
+
+class TestOneProduct:
+    """Per control step each channel makes one table product, with its
+    kernel set's step map; nothing else in the loop calls ``apply``."""
+
+    @pytest.mark.parametrize("fixed", [False, True], ids=["adapting", "known-delay"])
+    def test_one_apply_per_channel_per_control_step(self, monkeypatch, fixed):
+        calls, started = Counter(), []
+
+        def update(self, *args, **kwargs):
+            started.append(True)
+            return controller_update(self, *args, **kwargs)
+
+        def apply(self, coeffs, mats):
+            calls[bool(started), mats is self.step_map] += 1
+            return kernel_apply(self, coeffs, mats)
+
+        controller_update, kernel_apply = ChannelController.update, KernelSet.apply
+        monkeypatch.setattr(ChannelController, "update", update)
+        monkeypatch.setattr(KernelSet, "apply", apply)
+        rec = run(moderate_21x16(fixed, duration=0.8))
+        assert not rec.terminated
+        assert fixed or np.count_nonzero(np.diff(rec.estimates)) >= 3
+        assert calls == Counter({(True, True): 2 * rec.times.size})
 
 
 @pytest.fixture(scope="module")
