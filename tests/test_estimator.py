@@ -215,6 +215,10 @@ def step_drift(transport, measured, ks):
 
 
 class TestMismatchDrift:
+    def test_zero_stacks_give_zero(self, fine_set):
+        zero = np.zeros((fine_set.grid.modes.size, fine_set.grid.M), dtype=complex)
+        assert np.max(np.abs(step_drift(zero, zero, fine_set))) == 0.0
+
     def test_equilibrium_is_a_fixed_point(self, fine_set):
         grid = fine_set.grid
         steady = grid.analyze(np.random.default_rng(4).standard_normal((grid.M, grid.N)))
