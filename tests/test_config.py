@@ -229,6 +229,42 @@ class TestValidation:
                            match=rf"m:\d+: {re.escape(key)} expects a finite number"):
             parse_config(text, "m")
 
+    # one case per way a value fails to convert, with the message in full
+    @pytest.mark.parametrize("key,value,expects", [
+        ("grid.M", "1.5", "an integer"),
+        ("delay.true", "soon", "a number"),
+        ("delay.mode", "auto", "one of ['adaptive', 'fixed']"),
+        ("run.dt", "soon", "'auto' or a number"),
+        ("run.rings", "1 x", "whitespace-separated integers"),
+        ("run.snapshots", "0 x", "whitespace-separated numbers or 'none'"),
+        ("initial.planar_reaction", "(4,x)", "a number or an (re,im) pair"),
+        ("initial.axial_reaction", "(3,1)",
+         "a real number (the height channel is real-valued)"),
+    ])
+    def test_unconvertible_value_message(self, key, value, expects):
+        text = set_key(MINIMAL, key, value)
+        want = f"{key} expects {expects}, got {value!r}"
+        with pytest.raises(ConfigError, match=rf"^m:\d+: {re.escape(want)}$"):
+            parse_config(text, "m")
+
+    # a triple list shows the offending token, not the whole value
+    @pytest.mark.parametrize("value,expects,token", [
+        ("(1,0.8) (2,1,0)", "(wavenumber,re,im) triples or 'none'", "(1,0.8)"),
+        ("(2,1,0) (1,x,0)", "(wavenumber,re,im) triples", "(1,x,0)"),
+        ("(1,1,0) (1,2,0)", "distinct wavenumbers", "(1,2,0)"),
+    ])
+    def test_bad_triple_message_shows_the_token(self, value, expects, token):
+        text = set_key(MINIMAL, "initial.planar_anchor", value)
+        want = f"initial.planar_anchor expects {expects}, got {token!r}"
+        with pytest.raises(ConfigError, match=rf"^m:\d+: {re.escape(want)}$"):
+            parse_config(text, "m")
+
+    def test_missing_required_key_message(self):
+        text = edit(MINIMAL, "run.duration = 0.4", "")
+        with pytest.raises(ConfigError,
+                           match=r"^m: missing required key 'run\.duration'$"):
+            parse_config(text, "m")
+
     @pytest.mark.parametrize("field", ["duration", "dt"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_direct_construction_rejects_non_finite(self, field, bad):

@@ -561,6 +561,38 @@ class TestTargetResiduals:
         assert rp.rim_defect <= 1e-12
         assert rz.rim_defect <= 1e-12
 
+    def test_capture_pairs_each_channel_with_its_own_tables(self, monkeypatch):
+        # adapting from hi, the estimate flips between the bounds and the
+        # loop swaps its kernel sets; a capture at every step must hand each
+        # channel's previous and current update to that channel's tables
+        cfg = moderate_21x16(fixed=False, duration=0.8)
+        made, calls = {}, []
+
+        def update(self, *args, **kwargs):
+            upd = controller_update(self, *args, **kwargs)
+            made[id(upd)] = (self, self.ks)
+            return upd
+
+        def residual(prev, curr, dt, ks, rate=0.0):
+            calls.append((made[id(prev)], made[id(curr)], ks))
+            return target_residual(prev, curr, dt, ks, rate)
+
+        controller_update, target_residual = ChannelController.update, runner.target_residual
+        monkeypatch.setattr(ChannelController, "update", update)
+        monkeypatch.setattr(runner, "target_residual", residual)
+        rec = run(cfg, capture_residuals=run(cfg).times[1:])
+        assert np.count_nonzero(np.diff(rec.estimates)) >= 3
+        assert len(rec.residuals) == rec.times.size - 1
+        assert len(calls) == 2 * len(rec.residuals)
+        swaps = 0
+        for k, ((c0, ks0), (c1, ks1), ks) in enumerate(calls):
+            assert c0 is c1 and ks is ks1
+            assert c1.kind == ("complex", "real")[k % 2]
+            want = (cfg.desired.planar_coeffs, cfg.desired.axial_coeffs)[k % 2]
+            assert ks.basis.coeffs == want and ks0.basis is ks.basis
+            swaps += ks0 is not ks
+        assert swaps >= 2
+
     def test_refinement_beyond_first_order(self):
         # Slope kinks of the command flow echo at multiples of the dead
         # time and decay through the loop's smoothing; capture well past
