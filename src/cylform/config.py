@@ -14,7 +14,7 @@ files, so each preset doubles as a schema example.
 
 from __future__ import annotations
 
-import cmath
+import copy
 import dataclasses
 import math
 import re
@@ -26,20 +26,6 @@ from .kernels import PlantCoeffs
 from .steady import FormationSpec
 
 _REQUIRED = object()
-
-_FORMATION_KEYS = {
-    "planar_reaction", "planar_advection", "axial_reaction", "axial_advection",
-    "planar_anchor", "planar_leader", "axial_anchor", "axial_leader",
-}
-
-_SECTIONS = {
-    "grid": {"M", "N"},
-    "initial": _FORMATION_KEYS,
-    "desired": _FORMATION_KEYS,
-    "delay": {"true", "lo", "hi", "gain", "initial_estimate", "mode"},
-    "run": {"dt", "control_period", "duration", "snapshots", "rings",
-            "output_dir"},
-}
 
 _PAIR = re.compile(r"^\(([^,()]+),([^,()]+)\)$")
 _TRIPLE = re.compile(r"^\(([^,()]+),([^,()]+),([^,()]+)\)$")
@@ -137,9 +123,9 @@ def _raw_entries(text: str, source: str) -> dict:
             raise ConfigError(f"{source}:{lineno}: key {key!r} is not dotted "
                               f"'section.name'")
         section, name = key.split(".")
-        if section not in _SECTIONS:
+        if section not in _SCHEMA:
             raise ConfigError(f"{source}:{lineno}: unknown section {section!r}")
-        if name not in _SECTIONS[section]:
+        if name not in _SCHEMA[section]:
             raise ConfigError(f"{source}:{lineno}: unknown key {name!r} in "
                               f"section {section!r}")
         if key in entries:
@@ -148,183 +134,173 @@ def _raw_entries(text: str, source: str) -> dict:
     return entries
 
 
-class _Entries:
-    """Typed access to raw key strings with error context."""
+class _Expects(Exception):
+    """A converter's rejection: what the key expects, and the raw text to
+    quote (the value, or the token of a list that fails)."""
 
-    def __init__(self, entries: dict, source: str):
-        self.entries = entries
-        self.source = source
-
-    def _fetch(self, key, default):
-        if key in self.entries:
-            return self.entries[key][0]
-        if default is _REQUIRED:
-            raise ConfigError(f"{self.source}: missing required key {key!r}")
-        return default
-
-    def _fail(self, key, what, value):
-        lineno = self.entries[key][1]
-        raise ConfigError(f"{self.source}:{lineno}: {key} expects {what}, "
-                          f"got {value!r}")
-
-    def _finite(self, key, shown, *vals):
-        """Reject nan and infinities, which ``float`` parses without complaint."""
-        if not all(cmath.isfinite(v) for v in vals):
-            self._fail(key, "a finite number", shown)
-
-    def floatval(self, key, default=_REQUIRED):
-        raw = self._fetch(key, default)
-        if not isinstance(raw, str):
-            return raw
-        try:
-            val = float(raw)
-        except ValueError:
-            self._fail(key, "a number", raw)
-        self._finite(key, raw, val)
-        return val
-
-    def intval(self, key, default=_REQUIRED):
-        raw = self._fetch(key, default)
-        if not isinstance(raw, str):
-            return raw
-        try:
-            return int(raw)
-        except ValueError:
-            self._fail(key, "an integer", raw)
-
-    def complexval(self, key, default=_REQUIRED):
-        raw = self._fetch(key, default)
-        if not isinstance(raw, str):
-            return raw
-        m = _PAIR.match(raw)
-        try:
-            val = complex(float(m.group(1)), float(m.group(2))) if m \
-                else complex(float(raw), 0.0)
-        except ValueError:
-            self._fail(key, "a number or an (re,im) pair", raw)
-        self._finite(key, raw, val)
-        # keep purely real input on the float path
-        return val.real if val.imag == 0.0 else val
-
-    def realval(self, key, default=_REQUIRED):
-        val = self.complexval(key, default)
-        if isinstance(val, complex):
-            self._fail(key, "a real number (the height channel is "
-                       "real-valued)", self.entries[key][0])
-        return val
-
-    def dt_val(self, key, default=_REQUIRED):
-        raw = self._fetch(key, default)
-        if not isinstance(raw, str):
-            return raw
-        if raw == "auto":
-            return None
-        try:
-            val = float(raw)
-        except ValueError:
-            self._fail(key, "'auto' or a number", raw)
-        self._finite(key, raw, val)
-        return val
-
-    def choice(self, key, options, default=_REQUIRED):
-        raw = self._fetch(key, default)
-        if raw not in options:
-            self._fail(key, f"one of {sorted(options)}", raw)
-        return raw
-
-    def floats(self, key, default=_REQUIRED):
-        raw = self._fetch(key, default)
-        if not isinstance(raw, str):
-            return raw
-        if raw == "none":
-            return ()
-        try:
-            vals = tuple(float(tok) for tok in raw.split())
-        except ValueError:
-            self._fail(key, "whitespace-separated numbers or 'none'", raw)
-        self._finite(key, raw, *vals)
-        return vals
-
-    def ints(self, key, default=_REQUIRED):
-        raw = self._fetch(key, default)
-        if not isinstance(raw, str):
-            return raw
-        try:
-            return tuple(int(tok) for tok in raw.split())
-        except ValueError:
-            self._fail(key, "whitespace-separated integers", raw)
-
-    def strval(self, key, default=_REQUIRED):
-        return self._fetch(key, default)
-
-    def coeff_map(self, key, default=_REQUIRED):
-        raw = self._fetch(key, default)
-        if not isinstance(raw, str):
-            return raw
-        if raw == "none":
-            return {}
-        out = {}
-        for tok in raw.split():
-            m = _TRIPLE.match(tok)
-            if not m:
-                self._fail(key, "(wavenumber,re,im) triples or 'none'", tok)
-            try:
-                n = int(m.group(1))
-                val = complex(float(m.group(2)), float(m.group(3)))
-            except ValueError:
-                self._fail(key, "(wavenumber,re,im) triples", tok)
-            self._finite(key, tok, val)
-            if n in out:
-                self._fail(key, "distinct wavenumbers", tok)
-            out[n] = val
-        return out
+    def __init__(self, what: str, shown: str):
+        super().__init__(what)
+        self.shown = shown
 
 
-def _formation(e: _Entries, section: str) -> FormationSpec:
-    return FormationSpec(
-        planar_coeffs=PlantCoeffs(
-            e.complexval(f"{section}.planar_reaction"),
-            e.complexval(f"{section}.planar_advection", 0.0),
-        ),
-        axial_coeffs=PlantCoeffs(
-            e.realval(f"{section}.axial_reaction"),
-            e.realval(f"{section}.axial_advection", 0.0),
-        ),
-        planar_anchor=e.coeff_map(f"{section}.planar_anchor", {}),
-        planar_leader=e.coeff_map(f"{section}.planar_leader", {}),
-        axial_anchor=e.coeff_map(f"{section}.axial_anchor", {}),
-        axial_leader=e.coeff_map(f"{section}.axial_leader", {}),
-    )
+def _numbers(tokens, shown: str, what: str, parse=float) -> tuple:
+    """``parse`` of every token.  A token it rejects is reported as not
+    ``what``, and then a nan or infinite float (``float`` reads those
+    without complaint) as not finite, both quoting ``shown``."""
+    try:
+        vals = tuple(parse(tok) for tok in tokens)
+    except ValueError:
+        raise _Expects(what, shown) from None
+    if parse is float and not all(math.isfinite(v) for v in vals):
+        raise _Expects("a finite number", shown)
+    return vals
 
 
-#: snapshot instants used when a config does not name its own
+def _integer(raw: str) -> int:
+    return _numbers([raw], raw, "an integer", int)[0]
+
+
+def _number(raw: str, what: str = "a number") -> float:
+    return _numbers([raw], raw, what)[0]
+
+
+def _step(raw: str) -> float | None:
+    return None if raw == "auto" else _number(raw, "'auto' or a number")
+
+
+def _scalar(raw: str) -> complex | float:
+    m = _PAIR.match(raw)
+    re_, im = _numbers(m.groups() if m else (raw, "0"), raw,
+                       "a number or an (re,im) pair")
+    # keep purely real input on the float path
+    return re_ if im == 0.0 else complex(re_, im)
+
+
+def _real(raw: str) -> float:
+    val = _scalar(raw)
+    if isinstance(val, complex):
+        raise _Expects("a real number (the height channel is real-valued)", raw)
+    return val
+
+
+def _fixed_estimate(raw: str) -> bool:
+    modes = ["adaptive", "fixed"]
+    if raw not in modes:
+        raise _Expects(f"one of {modes}", raw)
+    return raw == "fixed"
+
+
+def _times(raw: str) -> tuple:
+    tokens = () if raw == "none" else raw.split()
+    vals = _numbers(tokens, raw, "whitespace-separated numbers or 'none'")
+    return tuple(sorted(vals))
+
+
+def _integers(raw: str) -> tuple:
+    return _numbers(raw.split(), raw, "whitespace-separated integers", int)
+
+
+def _rim(raw: str) -> dict:
+    out = {}
+    for tok in () if raw == "none" else raw.split():
+        m = _TRIPLE.match(tok)
+        if not m:
+            raise _Expects("(wavenumber,re,im) triples or 'none'", tok)
+        n, = _numbers(m.groups()[:1], tok, "(wavenumber,re,im) triples", int)
+        re_, im = _numbers(m.groups()[1:], tok, "(wavenumber,re,im) triples")
+        if n in out:
+            raise _Expects("distinct wavenumbers", tok)
+        out[n] = complex(re_, im)
+    return out
+
+
+#: snapshot instants, ascending, used when a config does not name its own
 DEFAULT_SNAPSHOTS = (0.0, 0.09, 0.2, 2.0, 4.0, 40.0)
+
+_FORMATION = {
+    "planar_reaction": (_scalar, _REQUIRED),
+    "planar_advection": (_scalar, 0.0),
+    "axial_reaction": (_real, _REQUIRED),
+    "axial_advection": (_real, 0.0),
+    "planar_anchor": (_rim, {}),
+    "planar_leader": (_rim, {}),
+    "axial_anchor": (_rim, {}),
+    "axial_leader": (_rim, {}),
+}
+
+#: section -> key -> (converter, default), in the order keys are read; a
+#: missing key takes its default, or is an error when that is _REQUIRED
+_SCHEMA = {
+    "grid": {"M": (_integer, _REQUIRED), "N": (_integer, _REQUIRED)},
+    "initial": _FORMATION,
+    "desired": _FORMATION,
+    "delay": {
+        "true": (_number, _REQUIRED),
+        "lo": (_number, _REQUIRED),
+        "hi": (_number, _REQUIRED),
+        "gain": (_number, _REQUIRED),
+        "initial_estimate": (_number, _REQUIRED),
+        "mode": (_fixed_estimate, False),
+    },
+    "run": {
+        "dt": (_step, None),
+        "control_period": (_integer, 10),
+        "duration": (_number, _REQUIRED),
+        "snapshots": (_times, DEFAULT_SNAPSHOTS),
+        "rings": (_integers, (5, 15, 30, 51)),
+        "output_dir": (str, None),
+    },
+}
+
+
+def _formation(keys: dict) -> FormationSpec:
+    """A formation from its section's values; the rim keys are its fields."""
+    rims = ("planar_anchor", "planar_leader", "axial_anchor", "axial_leader")
+    return FormationSpec(
+        planar_coeffs=PlantCoeffs(keys["planar_reaction"], keys["planar_advection"]),
+        axial_coeffs=PlantCoeffs(keys["axial_reaction"], keys["axial_advection"]),
+        **{name: keys[name] for name in rims})
 
 
 def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
     """Parse and validate a config given as text."""
-    e = _Entries(_raw_entries(text, source), source)
-    cfg = ScenarioConfig(
-        grid_m=e.intval("grid.M"),
-        grid_n=e.intval("grid.N"),
-        initial=_formation(e, "initial"),
-        desired=_formation(e, "desired"),
-        true_delay=e.floatval("delay.true"),
-        delay_lo=e.floatval("delay.lo"),
-        delay_hi=e.floatval("delay.hi"),
-        gain=e.floatval("delay.gain"),
-        initial_estimate=e.floatval("delay.initial_estimate"),
-        fixed_estimate=e.choice("delay.mode", ("adaptive", "fixed"),
-                                "adaptive") == "fixed",
-        dt=e.dt_val("run.dt", None),
-        control_period=e.intval("run.control_period", 10),
-        duration=e.floatval("run.duration"),
-        snapshot_times=tuple(sorted(e.floats("run.snapshots",
-                                             DEFAULT_SNAPSHOTS))),
-        ring_rows=e.ints("run.rings", (5, 15, 30, 51)),
-        output_dir=e.strval("run.output_dir", None),
+    entries = _raw_entries(text, source)
+    values = {}
+    for section, keys in _SCHEMA.items():
+        got = values[section] = {}
+        for name, (convert, default) in keys.items():
+            key = f"{section}.{name}"
+            if key in entries:
+                raw, lineno = entries[key]
+                try:
+                    got[name] = convert(raw)
+                except _Expects as exc:
+                    raise ConfigError(f"{source}:{lineno}: {key} expects {exc}, "
+                                      f"got {exc.shown!r}") from None
+            elif default is _REQUIRED:
+                raise ConfigError(f"{source}: missing required key {key!r}")
+            else:
+                # a copy, so that no two configs share a mutable default
+                got[name] = copy.copy(default)
+    delay, run = values["delay"], values["run"]
+    return ScenarioConfig(
+        grid_m=values["grid"]["M"],
+        grid_n=values["grid"]["N"],
+        initial=_formation(values["initial"]),
+        desired=_formation(values["desired"]),
+        true_delay=delay["true"],
+        delay_lo=delay["lo"],
+        delay_hi=delay["hi"],
+        gain=delay["gain"],
+        initial_estimate=delay["initial_estimate"],
+        fixed_estimate=delay["mode"],
+        dt=run["dt"],
+        control_period=run["control_period"],
+        duration=run["duration"],
+        snapshot_times=run["snapshots"],
+        ring_rows=run["rings"],
+        output_dir=run["output_dir"],
     )
-    return cfg
 
 
 def load_config(path) -> ScenarioConfig:

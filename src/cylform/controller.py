@@ -22,9 +22,10 @@ command is that row over the rim node's own weight, and the command's
 column of the history map then completes the image.  The drift is completed
 by the estimator from the history's root value
 (:func:`~cylform.estimator.mismatch_drift`).  The target state, which only
-the residual diagnostics read, is one matrix product of the deviation.  The
-only transform of a step is the synthesis of the physical command, which
-the run logs.
+the residual diagnostics read, is one matrix product of the deviation
+(:func:`to_target_state`); an update carries the deviation, and the
+diagnostics map it when they capture.  The only transform of a step is the
+synthesis of the physical command, which the run logs.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ class ChannelUpdate:
 
     command: np.ndarray          #: (N,) physical rim command profile (deviation part)
     command_modes: np.ndarray    #: band coefficients of ``command``, the row the line records
-    target_state: np.ndarray     #: mode table of the decoupled state image
+    measured: np.ndarray         #: scaled deviation table the step read
     transport: np.ndarray        #: command-in-flight table, rim node = new command
     target_history: np.ndarray   #: history image table (rim row ~ 0 by construction)
     state_drift: np.ndarray      #: mismatch drift less its history-root term
@@ -191,7 +192,7 @@ class ChannelController:
         return ChannelUpdate(
             command=grid.synthesize_profile(command_modes, self.kind),
             command_modes=command_modes,
-            target_state=to_target_state(measured, ks),
+            measured=measured,
             transport=transport,
             target_history=history,
             state_drift=state_drift,

@@ -153,18 +153,17 @@ class KernelBasis:
     exponents per unit delay.
     """
 
-    def __init__(self, coeffs: PlantCoeffs, grid: CylinderGrid, i_max: int = 64,
-                 refine: int = 12):
+    #: the fine grid has ``refine`` intervals per production interval
+    refine = 12
+
+    def __init__(self, coeffs: PlantCoeffs, grid: CylinderGrid, i_max: int = 64):
         if i_max < 8:
             raise ValueError(f"series truncation order must be >= 8, got {i_max}")
-        if refine < 4:
-            raise ValueError(f"refinement factor must be >= 4, got {refine}")
         self.coeffs = coeffs
         self.grid = grid
         self.i_max = i_max
-        self.refine = refine
 
-        M, h = grid.M, grid.h_s
+        M, h, refine = grid.M, grid.h_s, self.refine
         m_ref = refine * (M - 1) + 1
         h_ref = h / refine
         xi = np.linspace(0.0, 1.0, m_ref)
@@ -385,11 +384,6 @@ class KernelSet:
 
     def matches(self, delay_estimate: float, tol: float) -> bool:
         return abs(self.delay - delay_estimate) <= tol
-
-    @property
-    def peak_gain(self) -> float:
-        """Largest exponential magnification across all table entries."""
-        return float(np.max(np.abs(self.exp_s)))
 
     def apply(self, coeffs: np.ndarray, mats: np.ndarray) -> np.ndarray:
         """Row ``k`` of a mode table times ``mats[|n_k|]``, for all rows.

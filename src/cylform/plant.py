@@ -132,23 +132,23 @@ class DelayLine:
         return out
 
 
-def stable_dt(grid: CylinderGrid, *coeffs: PlantCoeffs, safety: float = 0.9) -> float:
+def stable_dt(grid: CylinderGrid, *coeffs: PlantCoeffs) -> float:
     """Default step of a run, which sets its control cadence.
 
     A run's control period is ``control_period`` of these steps, and its
     snapshots land on multiples of one.  The bound is the classical RK4
     stability limit of the explicit stencil: the row-sum bound of the
     stiffest contributions to its spectral radius, times the stability
-    interval and the safety factor.  :class:`Channel` integrates exactly and
-    needs no such limit; the default cadence keeps it so that the control
-    lattice does not move.
+    interval and a safety factor of 0.9.  :class:`Channel` integrates
+    exactly and needs no such limit; the default cadence keeps it so that
+    the control lattice does not move.
     """
     worst = 0.0
     for c in coeffs:
         radius = (4.0 / grid.h_s**2 + 4.0 / grid.h_theta**2
                   + abs(c.reaction) + abs(c.advection) / grid.h_s)
         worst = max(worst, radius)
-    return safety * _RK4_REAL_AXIS / worst
+    return 0.9 * _RK4_REAL_AXIS / worst
 
 
 class _Plan(NamedTuple):

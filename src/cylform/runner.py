@@ -1,34 +1,38 @@
 """Closed-loop experiment driver and CSV serialization.
 
 One run advances both channels from the initial formation toward the
-desired one.  The plant integrates the desired formation's coefficients
-from the start (the dynamics switch the instant the new formation is
-commanded), with anchor and leader rims held at the desired profiles; rim
-actuation reaches the leader row only after the true dead time.  The run
-is a sequence of control blocks of ``control_period`` steps.  At each block
-start the controllers measure the fields and issue new rim commands, and
-the delay estimate takes one projected gradient step driven by both
-channels; then each channel advances over the whole block in one exact
-step, and the guard is checked at the block end.  A controller's step is
-one product with its kernel set's ``step_map``, which yields the target
-history and the state part of the mismatch drift; the estimator completes
-each channel's drift from the history's root value and forms the update
-signal from the two.  The loop works in mode space and keeps only the
-wavenumbers ``|n| <= band``, where ``band`` is the largest ``|n|`` listed
-in the rim data of either formation: no other wavenumber is ever excited,
-so the rest would carry roundoff only.  The formations, the
-plant state and the errors are mode tables: the controllers measure the
-channels' tables against the goal's, the delay lines record the commands'
-band coefficients, and the plant's eigencoordinates, the kernel tables, the
-control law and the drift hold the band's rows.  The formation errors and
-ring errors come from the deviation table by Parseval.  A physical field is
-synthesized only where it leaves the loop: the snapshots, and each control
-step the physical commands, for ``control_sup``.  Kernel tables are
-rebuilt only when the estimate has drifted a fixed fraction of the
-admissible interval away from the tables in use.  The tables a rebuild
-replaces are kept as a spare, and an estimate that returns within that
-fraction of them (a projected estimate flipping between its bounds) swaps
-them back, step maps included, instead of rebuilding.
+desired one.  Each channel, planar then axial, has its own plant, delay
+line and controller, and one loop body steps both in that order; the sums
+over channels (the update signal, the ring errors) keep it too.  The plant
+integrates the desired formation's coefficients from the start (the
+dynamics switch the instant the new formation is commanded), with anchor
+and leader rims held at the desired profiles; rim actuation reaches the
+leader row only after the true dead time.  The run is a sequence of control
+blocks of ``control_period`` steps.  At each block start the controllers
+measure the fields and issue new rim commands, and the delay estimate takes
+one projected gradient step driven by both channels; then each channel
+advances over the whole block in one exact step, and the guard is checked
+at the block end.  A controller's step is one product with its kernel set's
+``step_map``, which yields the target history and the state part of the
+mismatch drift; the estimator completes each channel's drift from the
+history's root value and forms the update signal from the two.  The loop
+works in mode space and keeps only the wavenumbers ``|n| <= band``, where
+``band`` is the largest ``|n|`` listed in the rim data of either formation:
+no other wavenumber is ever excited, so the rest would carry roundoff only.
+The formations, the plant state and the errors are mode tables: the
+controllers measure the channels' tables against the goal's, the delay
+lines record the commands' band coefficients, and the plant's
+eigencoordinates, the kernel tables, the control law and the drift hold the
+band's rows.  The formation errors and ring errors come from the deviation
+table by Parseval.  A physical field is synthesized only where it leaves
+the loop: the snapshots, and each control step the physical commands, for
+``control_sup``.  Kernel tables are rebuilt only when the estimate has
+drifted a fixed fraction of the admissible interval away from the tables in
+use.  The tables a rebuild replaces are kept as a spare, and an estimate
+that returns within that fraction of them (a projected estimate flipping
+between its bounds) swaps them back, step maps included, instead of
+rebuilding.  Either way the loop repoints each controller's ``ks``, the
+only reference it keeps to a channel's tables.
 
 Results are collected in a :class:`RunRecord` (one logged row per control
 step) and serialized as CSV: a single time series plus, per requested
@@ -48,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ScenarioConfig, snapshot_label
-from .controller import ChannelController, ChannelUpdate
+from .controller import ChannelController, ChannelUpdate, to_target_state
 from .errors import InstabilityError
 from .estimator import (EstimatorState, adaptation_drift, mismatch_drift,
                         step_estimate, update_signal)
@@ -146,88 +150,78 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
     """
     grid = CylinderGrid(cfg.grid_m, cfg.grid_n,
                         band=max(cfg.initial.band, cfg.desired.band))
-    init_planar, init_axial = formation_fields(cfg.initial, grid)
-    goal_planar, goal_axial = formation_fields(cfg.desired, grid)
-    coeffs_p = cfg.desired.planar_coeffs
-    coeffs_z = cfg.desired.axial_coeffs
+    inits = formation_fields(cfg.initial, grid)
+    goals = formation_fields(cfg.desired, grid)
+    coeffs = (cfg.desired.planar_coeffs, cfg.desired.axial_coeffs)
 
     n_steps, dt = _resolve_steps(cfg, grid)
     per = cfg.control_period
     dt_ctrl = per * dt
 
     horizon = max(cfg.true_delay, cfg.delay_hi) + 4.0 * dt_ctrl
-    line_p = DelayLine(grid.modes.size, dt_ctrl, horizon)
-    line_z = DelayLine(grid.modes.size, dt_ctrl, horizon)
-    chan_p = Channel(grid, coeffs_p, goal_planar[:, 0], goal_planar[:, -1],
-                     init_planar, dt_ctrl, cfg.true_delay)
-    chan_z = Channel(grid, coeffs_z, goal_axial[:, 0], goal_axial[:, -1],
-                     init_axial, dt_ctrl, cfg.true_delay, kind="real")
-
-    basis_p = KernelBasis(coeffs_p, grid)
-    basis_z = KernelBasis(coeffs_z, grid)
     est = EstimatorState(cfg.initial_estimate, cfg.delay_lo, cfg.delay_hi,
                          cfg.gain, dt_ctrl)
-    ks_p = KernelSet(basis_p, est.estimate)
-    ks_z = KernelSet(basis_z, est.estimate)
+    # (plant, delay line, controller) of each channel, planar then axial
+    channels = [
+        (Channel(grid, c, goal[:, 0], goal[:, -1], init, dt_ctrl,
+                 cfg.true_delay, kind=kind),
+         DelayLine(grid.modes.size, dt_ctrl, horizon),
+         ChannelController(KernelSet(KernelBasis(c, grid), est.estimate),
+                           goal, kind))
+        for c, init, goal, kind in zip(coeffs, inits, goals, ("complex", "real"))]
+    ctrls = [ctrl for _, _, ctrl in channels]
     spare = None                # the (planar, axial) sets last replaced
-    ctrl_p = ChannelController(ks_p, goal_planar, "complex")
-    ctrl_z = ChannelController(ks_z, goal_axial, "real")
     retable_tol = _RETABLE_FRACTION * (cfg.delay_hi - cfg.delay_lo)
 
     ring_idx = [i - 1 for i in cfg.ring_rows]
     snap_queue = list(cfg.snapshot_times)
     res_queue = sorted(capture_residuals)
     rows, snaps, residuals = [], [], []
-    prev = None                 # (planar update, axial update, estimate used)
+    prev = None                 # ((planar, axial) updates, estimate used)
     terminated, reason = False, None
 
     for k in range(0, n_steps + 1, per):
         t = k * dt
         while _reached(snap_queue, t):
-            snaps.append(Snapshot(snap_queue.pop(0), t, chan_p.values,
-                                  chan_z.values))
-        upd_p = ctrl_p.update(chan_p.table, line_p, t)
-        upd_z = ctrl_z.update(chan_z.table, line_z, t)
-        line_p.record(t, upd_p.command_modes)
-        line_z.record(t, upd_z.command_modes)
-
-        drift_p = mismatch_drift(upd_p.state_drift, upd_p.target_history, ks_p)
-        drift_z = mismatch_drift(upd_z.state_drift, upd_z.target_history, ks_z)
-        signal = (update_signal(upd_p.target_history, drift_p, grid)
-                  + update_signal(upd_z.target_history, drift_z, grid))
-
-        dev_p = chan_p.table - goal_planar
-        dev_z = chan_z.table - goal_axial
-        ring = np.sqrt(TWO_PI * np.sum(np.abs(dev_p[:, ring_idx]) ** 2
-                                       + np.abs(dev_z[:, ring_idx]) ** 2, axis=0))
-        rows.append((t, est.estimate, signal,
-                     grid.l2_norm(dev_p),
-                     grid.l2_norm(dev_z),
-                     ring,
-                     max(float(np.max(np.abs(upd_p.command))),
-                         float(np.max(np.abs(upd_z.command)))),
-                     max(upd_p.h_residual, upd_z.h_residual)))
+            snaps.append(Snapshot(snap_queue.pop(0), t,
+                                  *(chan.values for chan, _, _ in channels)))
+        upds, signals, errs, ring_sq = [], [], [], []
+        for chan, line, ctrl in channels:
+            upd = ctrl.update(chan.table, line, t)
+            line.record(t, upd.command_modes)
+            drift = mismatch_drift(upd.state_drift, upd.target_history, ctrl.ks)
+            dev = chan.table - ctrl.steady_table
+            upds.append(upd)
+            signals.append(update_signal(upd.target_history, drift, grid))
+            errs.append(grid.l2_norm(dev))
+            ring_sq.append(np.abs(dev[:, ring_idx]) ** 2)
+        signal = signals[0] + signals[1]
+        ring = np.sqrt(TWO_PI * np.sum(ring_sq[0] + ring_sq[1], axis=0))
+        # the record's series, in the order of its fields
+        rows.append((t, est.estimate, signal, *errs, ring,
+                     max(float(np.max(np.abs(upd.command))) for upd in upds),
+                     max(upd.h_residual for upd in upds)))
 
         if prev is not None and _reached(res_queue, t):
             while _reached(res_queue, t):
                 res_queue.pop(0)
-            rate = (est.estimate - prev[2]) / dt_ctrl
-            residuals.append((t,
-                              target_residual(prev[0], upd_p, dt_ctrl, ks_p, rate),
-                              target_residual(prev[1], upd_z, dt_ctrl, ks_z, rate)))
-        prev = (upd_p, upd_z, est.estimate)
+            rate = (est.estimate - prev[1]) / dt_ctrl
+            residuals.append((t, *(
+                target_residual(before, upd, dt_ctrl, ctrl.ks, rate)
+                for before, upd, ctrl in zip(prev[0], upds, ctrls))))
+        prev = (upds, est.estimate)
 
         if not cfg.fixed_estimate:
             est = step_estimate(est, signal)
-            if not ks_p.matches(est.estimate, retable_tol):
+            if not ctrls[0].ks.matches(est.estimate, retable_tol):
+                sets = [ctrl.ks for ctrl in ctrls]
                 if spare is not None and spare[0].matches(est.estimate, retable_tol):
-                    (ks_p, ks_z), spare = spare, (ks_p, ks_z)
+                    sets, spare = spare, sets
                 else:
-                    spare = (ks_p, ks_z)
-                    ks_p = KernelSet(basis_p, est.estimate)
-                    ks_z = KernelSet(basis_z, est.estimate)
-                ctrl_p.ks = ks_p
-                ctrl_z.ks = ks_z
+                    spare = sets
+                    sets = [KernelSet(ks.basis, est.estimate) for ks in spare]
+                for ctrl, ks in zip(ctrls, sets):
+                    ctrl.ks = ks
         if k == n_steps:
             break
         # snapshots on the block's inner step instants
@@ -235,38 +229,19 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
             tj = (k + j) * dt
             while _reached(snap_queue, tj):
                 snaps.append(Snapshot(snap_queue.pop(0), tj,
-                                      chan_p.peek(t, j * dt, line_p),
-                                      chan_z.peek(t, j * dt, line_z)))
+                                      *(chan.peek(t, j * dt, line)
+                                        for chan, line, _ in channels)))
         try:
-            chan_p.step(t, line_p)
-            chan_z.step(t, line_z)
+            for chan, line, _ in channels:
+                chan.step(t, line)
         except InstabilityError as exc:
             terminated, reason = True, str(exc)
             break
 
-    if rows:
-        t_arr, e_arr, s_arr, eu, ez, rg, cs, hr = zip(*rows)
-        ring_errors = np.array(rg)
-    else:
-        t_arr = e_arr = s_arr = eu = ez = cs = hr = ()
-        ring_errors = np.zeros((0, len(cfg.ring_rows)))
-    return RunRecord(
-        config=cfg,
-        ring_rows=tuple(cfg.ring_rows),
-        modes=grid.modes,
-        times=np.array(t_arr, dtype=float),
-        estimates=np.array(e_arr, dtype=float),
-        signals=np.array(s_arr, dtype=float),
-        err_planar=np.array(eu, dtype=float),
-        err_axial=np.array(ez, dtype=float),
-        ring_errors=ring_errors,
-        control_sup=np.array(cs, dtype=float),
-        rim_residual=np.array(hr, dtype=float),
-        snapshots=snaps,
-        terminated=terminated,
-        reason=reason,
-        residuals=residuals,
-    )
+    return RunRecord(cfg, tuple(cfg.ring_rows), grid.modes,
+                     *(np.array(col, dtype=float) for col in zip(*rows)),
+                     snapshots=snaps, terminated=terminated, reason=reason,
+                     residuals=residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -282,21 +257,25 @@ def target_residual(prev: ChannelUpdate, curr: ChannelUpdate, dt: float,
                     ks: KernelSet, estimate_rate: float = 0.0) -> TargetResiduals:
     """Defects of the decoupled equations between two consecutive updates.
 
-    Works per angular wavenumber on the mode tables the controller
-    already produced.  The moving-rim coupling is removed from the state by
-    subtracting ``s`` times the history value at the near rim; what remains
-    must satisfy a pure heat equation with pinned ends, driven by the rim
-    motion.  The history must satisfy a transport equation whose speed is
-    the reciprocal of the delay estimate, corrected by the adaptation drift
-    when the estimate is moving.  Time derivatives are centered on the
-    interval, so the discretization itself contributes at second order in
-    ``dt`` on top of the grid's second-order spatial error.
+    Works per angular wavenumber on the mode tables of the two updates; the
+    target states are mapped from their scaled deviations through the
+    delay-independent Volterra table of ``ks.basis``, so both sides of a
+    capture that spans a kernel swap see one map.  The moving-rim coupling is
+    removed from the state by subtracting ``s`` times the history value at
+    the near rim; what remains must satisfy a pure heat equation with pinned
+    ends, driven by the rim motion.  The history must satisfy a transport
+    equation whose speed is the reciprocal of the delay estimate, corrected
+    by the adaptation drift when the estimate is moving.  Time derivatives
+    are centered on the interval, so the discretization itself contributes
+    at second order in ``dt`` on top of the grid's second-order spatial
+    error.
     """
     grid = ks.grid
     s = grid.s
     n2 = (grid.modes.astype(float) ** 2)[:, None]          # (modes, 1)
 
-    w0, w1 = prev.target_state, curr.target_state
+    w0 = to_target_state(prev.measured, ks)
+    w1 = to_target_state(curr.measured, ks)
     h0, h1 = prev.target_history, curr.target_history
     near0, near1 = h0[:, 0], h1[:, 0]                      # rim coupling value
     m0 = w0 - s[None, :] * near0[:, None]

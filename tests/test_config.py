@@ -210,8 +210,8 @@ class TestValidation:
                            match=rf"m:\d+: unknown key '{key}' in section 'run'"):
             parse_config(MINIMAL + f"\nrun.{key} = 51\n", "m")
 
-    # one key per number reader: floatval, complexval (plain and pair),
-    # realval, dt_val, floats and coeff_map
+    # one key per converter that reads floats: _number, _scalar (plain and
+    # pair), _real, _step, _times and _rim
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("key,template", [
         ("delay.true", "{}"),

@@ -573,7 +573,8 @@ class TestStepProduct:
             line.record(t, upd.command_modes)
             measured = (current - steady) * ctrl.lift
             want_hist = seed_pipeline.to_target_history(upd.transport, measured, ks)
-            want_drift = seed_pipeline.mismatch_drift(upd.target_state, want_hist, ks)
+            want_drift = seed_pipeline.mismatch_drift(to_target_state(measured, ks),
+                                                      want_hist, ks)
             drift = estimator.mismatch_drift(upd.state_drift, upd.target_history, ks)
             for got, want in ((upd.target_history, want_hist), (drift, want_drift)):
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

@@ -316,21 +316,6 @@ class TestKernelSet:
         with pytest.raises(KernelTruncationError):
             KernelSet(ks.basis, 0.005)
 
-    def test_peak_gain(self, ks):
-        # widest-wavenumber leading harmonic decays here, so the tables peak
-        # at the launch edge s = 0
-        lam = ks.basis.coeffs.shifted_reaction.real
-        expect = max(1.0, np.exp(ks.delay * (lam - np.pi**2)))
-        assert ks.peak_gain == pytest.approx(expect, rel=1e-12)
-        hot = KernelSet(ks.basis, 2.0)
-        assert hot.peak_gain == pytest.approx(1.0, rel=1e-12)
-
-    def test_peak_gain_grows_for_supercritical_reaction(self):
-        basis = KernelBasis(PlantCoeffs(12.0, 0.0), CylinderGrid(51, 16), i_max=64)
-        ks = KernelSet(basis, 1.5)
-        expect = np.exp(1.5 * (12.0 - np.pi**2))
-        assert ks.peak_gain == pytest.approx(expect, rel=1e-12)
-
 
 class TestHistorySolveMatrix:
     def test_reproduces_forward_history_map(self):
