@@ -135,7 +135,6 @@ class ChannelUpdate:
     command: np.ndarray          #: (N,) physical rim command profile (deviation part)
     command_modes: np.ndarray    #: band coefficients of ``command``, the row the line records
     measured: np.ndarray         #: scaled deviation table the step read
-    transport: np.ndarray        #: command-in-flight table, rim node = new command
     target_history: np.ndarray   #: history image table (rim row ~ 0 by construction)
     state_drift: np.ndarray      #: mismatch drift less its history-root term
     h_residual: float            #: rim defect of the history image, relative
@@ -193,7 +192,6 @@ class ChannelController:
             command=grid.synthesize_profile(command_modes, self.kind),
             command_modes=command_modes,
             measured=measured,
-            transport=transport,
             target_history=history,
             state_drift=state_drift,
             h_residual=float(np.sum(np.abs(history[:, -1])) / scale),

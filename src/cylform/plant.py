@@ -13,24 +13,18 @@ coefficient alone, so a line of band rows reads the coefficients of what
 a line of physical command profiles would read.
 
 The stencil is linear, has constant coefficients and is circulant in theta,
-so :class:`Channel` integrates it in closed form instead of marching it.  A
-Fourier series in theta leaves one tridiagonal Toeplitz system per
-wavenumber, and the channel keeps only the wavenumbers of the grid's band:
+so :class:`Channel` integrates it in closed form in the eigencoordinates of
+its :class:`Stencil`, and keeps only the wavenumbers of the grid's band:
 the rims, the commands and the initial state carry no others, so the rest
-stay zero.  It takes its rims as coefficient rows and its initial state as
-a mode table, and synthesizes the physical field only when it is read.
-The lift ``y_j = rho^j z_j`` with ``rho = sqrt(q/p)`` makes the system
-symmetric, and the DST-I diagonalises it with eigenvalues in closed form
-(:attr:`Channel.rates`).  The delayed command is piecewise linear in time,
-with breaks at the record instants plus the delay (the jump from the zero
-pre-history at ``t = D`` among them), and between breaks every
-eigencoordinate is integrated exactly with
-:func:`~cylform.quadrature.exp_lin_weights`.  One :meth:`Channel.step`
-advances a whole control block.  The line records once per block, so a
-break falls at the same offset ``D mod block`` of every block and the
-block's weights are built once.  Each step reads its rims with one
-:meth:`DelayLine.lookup_many`: two instants per linear piece, at a third
-and two thirds of its length, extrapolated linearly to its ends.  The
+stay zero.  The delayed command is piecewise linear in time, with breaks at
+the record instants plus the delay (the jump from the zero pre-history at
+``t = D`` among them), and between breaks every eigencoordinate is
+integrated exactly with :func:`~cylform.quadrature.exp_lin_weights`.  One
+:meth:`Channel.step` advances a whole control block.  The line records once
+per block, so a break falls at the same offset ``D mod block`` of every
+block and the block's weights are built once.  Each step reads its rims
+with one :meth:`DelayLine.lookup_many`: two instants per linear piece, at a
+third and two thirds of its length, extrapolated linearly to its ends.  The
 weights act on the coefficient rows as read, and a step writes the mode
 table :attr:`Channel.table`, which the controller measures, with no
 transform at all.
@@ -132,23 +126,52 @@ class DelayLine:
         return out
 
 
-def stable_dt(grid: CylinderGrid, *coeffs: PlantCoeffs) -> float:
-    """Default step of a run, which sets its control cadence.
+class Stencil:
+    """The semi-discrete operator of one channel, diagonalised in closed form.
 
-    A run's control period is ``control_period`` of these steps, and its
-    snapshots land on multiples of one.  The bound is the classical RK4
-    stability limit of the explicit stencil: the row-sum bound of the
-    stiffest contributions to its spectral radius, times the stability
-    interval and a safety factor of 0.9.  :class:`Channel` integrates
-    exactly and needs no such limit; the default cadence keeps it so that
-    the control lattice does not move.
+    A Fourier series in theta leaves one tridiagonal Toeplitz system per
+    wavenumber of ``grid.modes``, weighting row ``i + 1`` by ``p`` and row
+    ``i - 1`` by ``q``.  The lift ``y_j = rho^j z_j`` with ``rho =
+    sqrt(q/p)`` makes it symmetric, and the DST-I diagonalises it with the
+    eigenvalues :attr:`rates` per (DST index, wavenumber).  :attr:`to_eigen`
+    maps the interior of a mode table's row to eigencoordinates and
+    :attr:`to_field` back.  The lift spans a factor of about
+    ``e^{|advection|/2}`` along the axis, and the transform's roundoff grows
+    by up to that factor: harmless unless the advection is in the tens.
     """
-    worst = 0.0
-    for c in coeffs:
-        radius = (4.0 / grid.h_s**2 + 4.0 / grid.h_theta**2
-                  + abs(c.reaction) + abs(c.advection) / grid.h_s)
-        worst = max(worst, radius)
-    return 0.9 * _RK4_REAL_AXIS / worst
+
+    def __init__(self, grid: CylinderGrid, coeffs: PlantCoeffs):
+        self.grid = grid
+        m, h = grid.M - 2, grid.h_s
+        p = 1.0 / h**2 + coeffs.advection / (2.0 * h)    # weight of row i + 1
+        q = 1.0 / h**2 - coeffs.advection / (2.0 * h)    # weight of row i - 1
+        rho = np.sqrt(complex(q / p))
+        j = np.arange(1, m + 1)
+        sine = np.sqrt(2.0 / (m + 1)) * np.sin(np.outer(j, j) * np.pi / (m + 1))
+        lift = rho ** j
+        self.to_field = lift[:, None] * sine
+        self.to_eigen = sine / lift[None, :]
+        #: eigenvalues per (DST index, wavenumber): axial, then angular part
+        self.rates = (
+            (coeffs.reaction - 2.0 / h**2
+             + 2.0 * p * rho * np.cos(j * np.pi / (m + 1)))[:, None]
+            - (4.0 / grid.h_theta**2)
+            * np.sin(np.pi * grid.modes / grid.N)[None, :] ** 2
+        )
+        #: (M-2, 1) drive of each eigencoordinate per unit of the leader rim
+        self.rim_gain = p * self.to_eigen[:, -1:]
+        self._anchor_gain = q * self.to_eigen[:, 0]
+        #: the classical RK4 limit of the explicit stencil (row-sum bound of
+        #: its spectral radius, safety 0.9): a run's default step, which sets
+        #: its control cadence; the exact :class:`Channel` needs no such limit
+        self.rk4_step = 0.9 * _RK4_REAL_AXIS / (
+            4.0 / grid.h_s**2 + 4.0 / grid.h_theta**2
+            + abs(coeffs.reaction) + abs(coeffs.advection) / grid.h_s)
+
+    def held(self, anchor: np.ndarray, leader: np.ndarray) -> np.ndarray:
+        """``(M-2, modes)`` drive of the eigencoordinates by rims held at
+        the band coefficient rows ``anchor`` and ``leader``."""
+        return np.outer(self._anchor_gain, anchor) + self.rim_gain * leader
 
 
 class _Plan(NamedTuple):
@@ -166,28 +189,23 @@ class Channel:
     """One scalar field advanced block by block, in closed form, under held
     rims and delayed commands.
 
-    The interior is kept in eigencoordinates of its semi-discrete operator:
-    the Fourier coefficients of the grid's wavenumber band along theta, in
-    ``grid.modes`` order, then the inverse of ``diag(rho^j) @ DST-I`` along
-    ``s``.  ``anchor`` and ``leader_base`` are the rims' band coefficient
-    rows and ``initial`` the starting mode table.  ``table`` is the field's
-    mode table at the latest block end (``initial`` before the first step);
-    ``values`` synthesizes it, real for a ``"real"`` channel.  ``line``
-    must record band coefficient rows once per ``block``.  The lift spans a
-    factor of about ``e^{|advection|/2}`` along the axis, and the
-    transform's roundoff grows by up to that factor: harmless unless the
-    advection is in the tens.
+    The interior is kept in the eigencoordinates of ``stencil`` (see
+    :class:`Stencil`).  ``anchor`` and ``leader_base`` are the rims' band
+    coefficient rows and ``initial`` the starting mode table.  ``table`` is
+    the field's mode table at the latest block end (``initial`` before the
+    first step); ``values`` synthesizes it, real for a ``"real"`` channel.
+    ``line`` must record band coefficient rows once per ``block``.
     """
 
-    def __init__(self, grid: CylinderGrid, coeffs: PlantCoeffs,
-                 anchor: np.ndarray, leader_base: np.ndarray,
-                 initial: np.ndarray, block: float, delay: float,
-                 kind: str = "complex"):
+    def __init__(self, stencil: Stencil, anchor: np.ndarray,
+                 leader_base: np.ndarray, initial: np.ndarray, block: float,
+                 delay: float, kind: str = "complex"):
         if kind not in ("complex", "real"):
             raise ValueError(f"unknown channel kind {kind!r}")
         if not (block > 0.0 and delay >= 0.0):
             raise ValueError("block must be positive and delay non-negative")
-        self.grid = grid
+        grid = stencil.grid
+        self.stencil = stencil
         self.kind = kind
         self.block = float(block)
         self.delay = float(delay)
@@ -199,27 +217,8 @@ class Channel:
         self.table = np.array(initial, dtype=complex)
         if self.table.shape != (grid.modes.size, grid.M):
             raise ValueError("initial table shape does not match the grid")
-
-        m, h = grid.M - 2, grid.h_s
-        p = 1.0 / h**2 + coeffs.advection / (2.0 * h)    # weight of row i + 1
-        q = 1.0 / h**2 - coeffs.advection / (2.0 * h)    # weight of row i - 1
-        rho = np.sqrt(complex(q / p))
-        j = np.arange(1, m + 1)
-        sine = np.sqrt(2.0 / (m + 1)) * np.sin(np.outer(j, j) * np.pi / (m + 1))
-        lift = rho ** j
-        self._to_field = lift[:, None] * sine
-        self._to_eigen = sine / lift[None, :]
-        #: eigenvalues per (DST index, wavenumber): axial, then angular part
-        self.rates = (
-            (coeffs.reaction - 2.0 / h**2
-             + 2.0 * p * rho * np.cos(j * np.pi / (m + 1)))[:, None]
-            - (4.0 / grid.h_theta**2)
-            * np.sin(np.pi * grid.modes / grid.N)[None, :] ** 2
-        )
-        self._rim_gain = p * self._to_eigen[:, -1:]
-        self._rims_held = (np.outer(q * self._to_eigen[:, 0], self.anchor)
-                           + self._rim_gain * self.leader_base)
-        self._state = self._to_eigen @ self.table[:, 1:-1].T
+        self._held = stencil.held(self.anchor, self.leader_base)
+        self._state = stencil.to_eigen @ self.table[:, 1:-1].T
 
         off = math.fmod(self.delay, self.block)
         self._break = 0.0 if min(off, self.block - off) <= _BREAK_TOL * self.block else off
@@ -228,18 +227,19 @@ class Channel:
     def _plan(self, start: float, stop: float) -> _Plan:
         """Compose the exact maps of the linear pieces of ``[start, stop]``."""
         cuts = [start, self._break, stop] if start < self._break < stop else [start, stop]
+        st = self.stencil
         spans = np.diff(cuts)
-        decays = np.exp(self.rates * spans[:, None, None])
-        los, his = exp_lin_weights(self.rates, spans[:, None, None])
-        decay = np.ones(self.rates.shape, dtype=complex)
-        held = np.zeros(self.rates.shape, dtype=complex)
+        decays = np.exp(st.rates * spans[:, None, None])
+        los, his = exp_lin_weights(st.rates, spans[:, None, None])
+        decay = np.ones(st.rates.shape, dtype=complex)
+        held = np.zeros(st.rates.shape, dtype=complex)
         weights, reads = [], []
         for a, span, e, lo, hi in zip(cuts, spans, decays, los, his):
             decay = e * decay
-            held = e * held + (lo + hi) * self._rims_held
+            held = e * held + (lo + hi) * self._held
             weights = [e * w for w in weights]
             # rim ends from the reads at a third and two thirds of the piece
-            weights += [(2.0 * lo - hi) * self._rim_gain, (2.0 * hi - lo) * self._rim_gain]
+            weights += [(2.0 * lo - hi) * st.rim_gain, (2.0 * hi - lo) * st.rim_gain]
             reads += [a + span / 3.0, a + 2.0 * span / 3.0]
         weights = np.ascontiguousarray(np.stack(weights, axis=-1).transpose(1, 0, 2))
         return _Plan(decay, held, weights, np.array(reads))
@@ -254,9 +254,9 @@ class Channel:
         rows = line.lookup_many(t + plan.reads - self.delay)
         forced = plan.weights @ rows.T[:, :, None]
         self._state = plan.decay * self._state + plan.held + forced[:, :, 0].T
-        table = np.empty((self.grid.modes.size, self.grid.M), dtype=complex)
+        table = np.empty_like(self.table)
         table[:, 0] = self.anchor
-        table[:, 1:-1] = (self._to_field @ self._state).T
+        table[:, 1:-1] = (self.stencil.to_field @ self._state).T
         table[:, -1] = self.leader_base + (2.0 * rows[-1] - rows[-2])
         self.table = table
 
@@ -264,7 +264,7 @@ class Channel:
     def values(self) -> np.ndarray:
         """The physical ``(M, N)`` field of :attr:`table`, synthesized on
         each read."""
-        return self.grid.synthesize(self.table, self.kind)
+        return self.stencil.grid.synthesize(self.table, self.kind)
 
     def peek(self, t: float, tau: float, line: DelayLine) -> np.ndarray:
         """The field at ``t + tau`` inside the block from ``t``; the channel

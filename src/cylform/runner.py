@@ -58,7 +58,7 @@ from .estimator import (EstimatorState, adaptation_drift, mismatch_drift,
                         step_estimate, update_signal)
 from .geometry import TWO_PI, CylinderGrid
 from .kernels import KernelBasis, KernelSet
-from .plant import Channel, DelayLine, stable_dt
+from .plant import Channel, DelayLine, Stencil
 from .steady import formation_fields
 
 #: relative slack when matching snapshot instants to the step grid
@@ -128,12 +128,12 @@ def _reached(queue, t: float) -> bool:
     return bool(queue) and queue[0] <= t + _SNAP_TOL * max(1.0, t)
 
 
-def _resolve_steps(cfg: ScenarioConfig, grid: CylinderGrid) -> tuple[int, float]:
+def _resolve_steps(cfg: ScenarioConfig, stencils: list) -> tuple[int, float]:
     """Step count and size: a whole number of control blocks spanning the
     horizon exactly, with the step never above the requested/stable bound."""
     cap = cfg.dt
     if cap is None:
-        cap = stable_dt(grid, cfg.desired.planar_coeffs, cfg.desired.axial_coeffs)
+        cap = min(st.rk4_step for st in stencils)
     blocks = max(1, math.ceil(cfg.duration / (cfg.control_period * cap)))
     n_steps = cfg.control_period * blocks
     return n_steps, cfg.duration / n_steps
@@ -153,8 +153,9 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
     inits = formation_fields(cfg.initial, grid)
     goals = formation_fields(cfg.desired, grid)
     coeffs = (cfg.desired.planar_coeffs, cfg.desired.axial_coeffs)
+    stencils = [Stencil(grid, c) for c in coeffs]
 
-    n_steps, dt = _resolve_steps(cfg, grid)
+    n_steps, dt = _resolve_steps(cfg, stencils)
     per = cfg.control_period
     dt_ctrl = per * dt
 
@@ -163,12 +164,12 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
                          cfg.gain, dt_ctrl)
     # (plant, delay line, controller) of each channel, planar then axial
     channels = [
-        (Channel(grid, c, goal[:, 0], goal[:, -1], init, dt_ctrl,
-                 cfg.true_delay, kind=kind),
+        (Channel(st, goal[:, 0], goal[:, -1], init, dt_ctrl, cfg.true_delay, kind),
          DelayLine(grid.modes.size, dt_ctrl, horizon),
          ChannelController(KernelSet(KernelBasis(c, grid), est.estimate),
                            goal, kind))
-        for c, init, goal, kind in zip(coeffs, inits, goals, ("complex", "real"))]
+        for st, c, init, goal, kind in zip(stencils, coeffs, inits, goals,
+                                           ("complex", "real"))]
     ctrls = [ctrl for _, _, ctrl in channels]
     spare = None                # the (planar, axial) sets last replaced
     retable_tol = _RETABLE_FRACTION * (cfg.delay_hi - cfg.delay_lo)

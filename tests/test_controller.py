@@ -397,6 +397,16 @@ def run_update(controller, values, line, t):
     return upd
 
 
+def in_flight(controller, line, t, upd):
+    """The command-in-flight table of ``upd``, from the line as the update
+    read it (before its command is recorded): the lifted reads under the
+    estimate, with the new command at the rim node."""
+    transport = reconstruct_transport(line, t, controller.ks.delay, controller.grid,
+                                      controller.gain)
+    transport[:, -1] = upd.command_modes * controller.gain
+    return transport
+
+
 class TestChannelController:
     def _setup(self, grid, lam=8.0, beta=1.0, dhat=1.0, kind="complex"):
         basis = KernelBasis(PlantCoeffs(lam, beta), grid, i_max=64)
@@ -438,10 +448,12 @@ class TestChannelController:
         for k in range(8):
             vals = steady + 0.1 * rng.normal(size=(grid.M, grid.N))
             vals[0] = steady[0]
-            upd = run_update(ctrl, vals, line, k * 0.02)
+            upd = ctrl.update(grid.analyze(vals), line, k * 0.02)
+            transport = in_flight(ctrl, line, k * 0.02, upd)
+            line.record(k * 0.02, upd.command_modes)
             measured = grid.analyze(remove_advection(vals, steady, ctrl.advection, grid))
             scale = (np.max(np.sum(np.abs(measured), axis=0))
-                     + np.max(np.sum(np.abs(upd.transport), axis=0)) + 1e-30)
+                     + np.max(np.sum(np.abs(transport), axis=0)) + 1e-30)
             want = np.sum(np.abs(upd.target_history[:, -1])) / scale
             assert upd.h_residual == pytest.approx(want, rel=1e-12, abs=1e-300)
 
@@ -451,17 +463,21 @@ class TestChannelController:
                                        np.sin(2 * grid.theta))
         upd = ctrl.update(grid.analyze(vals), line, 0.0)
         assert upd.command.dtype == np.float64
-        defect = conjugate_symmetry_defect(upd.transport)
-        assert defect <= 1e-12 * (1 + np.max(np.abs(upd.transport)))
+        transport = in_flight(ctrl, line, 0.0, upd)
+        defect = conjugate_symmetry_defect(transport)
+        assert defect <= 1e-12 * (1 + np.max(np.abs(transport)))
 
     def test_transport_rim_row_is_new_command(self, grid):
+        # once recorded, the new command is the rim node of the transport
+        # rebuilt at the same instant
         ctrl, line, steady = self._setup(grid)
         vals = steady + np.outer(grid.s**2, np.exp(1j * grid.theta)).real
-        upd = ctrl.update(grid.analyze(vals), line, 0.0)
+        upd = run_update(ctrl, vals, line, 0.0)
         gain = np.exp(0.5 * ctrl.advection)
+        transport = reconstruct_transport(line, 0.0, ctrl.ks.delay, grid, gain)
         want = grid.analyze_rows(upd.command) * gain
-        assert np.max(np.abs(upd.transport[:, -1] - want)) <= 1e-12
-        assert np.max(np.abs(upd.command_modes * gain - upd.transport[:, -1])) \
+        assert np.max(np.abs(transport[:, -1] - want)) <= 1e-12
+        assert np.max(np.abs(upd.command_modes * gain - transport[:, -1])) \
             <= 1e-15 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("kind", ["complex", "real"])
@@ -570,9 +586,10 @@ class TestStepProduct:
         for t in (1.5, 1.55, 1.6):
             current = steady + table(0.1)
             upd = ctrl.update(current, line, t)
+            transport = in_flight(ctrl, line, t, upd)
             line.record(t, upd.command_modes)
             measured = (current - steady) * ctrl.lift
-            want_hist = seed_pipeline.to_target_history(upd.transport, measured, ks)
+            want_hist = seed_pipeline.to_target_history(transport, measured, ks)
             want_drift = seed_pipeline.mismatch_drift(to_target_state(measured, ks),
                                                       want_hist, ks)
             drift = estimator.mismatch_drift(upd.state_drift, upd.target_history, ks)

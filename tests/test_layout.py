@@ -1,5 +1,6 @@
 """Package layout: public names resolve, the package stands alone, every
-definition has a use, and the benchmark's tracer still finds what it wraps.
+definition and dataclass field has a use, and the benchmark's tracer still
+finds what it wraps.
 
 Reference implementations live under ``tests/oracles``; the package must
 not reach into them.
@@ -42,6 +43,16 @@ CALLED_FROM_OUTSIDE = {
                             "loop works on mode tables from the start",
     "CylinderGrid.analyze_rows": "public: tests, oracles and the bench tracer; "
                                  "the loop works on mode tables from the start",
+}
+
+#: dataclass fields that no package line reads: the package fills them for
+#: readers outside it; qualified name -> who reads it
+READ_FROM_OUTSIDE = {
+    **{f"TargetResiduals.{name}": "the bench's record_digest and check_operation"
+       for name in ("interior", "boundary_flow", "rim_defect", "anchor_defect",
+                    "seam_defect")},
+    "RunRecord.residuals": "the bench's record_digest and check_operation",
+    "Snapshot.actual_t": "public: tests read the instant a snapshot was taken",
 }
 
 
@@ -128,6 +139,47 @@ def test_outside_callers_name_unread_definitions():
     # itself, is stale
     unread = {qual for _, qual in _unused_definitions()}
     assert sorted(set(CALLED_FROM_OUTSIDE) - unread) == []
+
+
+def _is_dataclass(node):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _unread_fields():
+    """``(module, qualified name)`` of every dataclass field that no package
+    line reads as an attribute (``x.field``).
+
+    Like :func:`_unused_definitions` this goes by name: a field counts as
+    read when any attribute of that spelling is read anywhere in the
+    package.  Keyword arguments, ``dataclasses.astuple`` and the like do not
+    count, so a field only they reach is unread.
+    """
+    src = Path(cylform.__path__[0])
+    trees = {name: ast.parse((src / f"{name}.py").read_text(encoding="utf-8"))
+             for name in MODULES}
+    uses = Counter(read for tree in trees.values() for read in _reads(tree))
+    return [(name, f"{cls.name}.{item.target.id}")
+            for name, tree in trees.items()
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+            for item in cls.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            and uses[item.target.id, True] == 0]
+
+
+def test_every_dataclass_field_is_read():
+    unread = [f"{module}:{qual}" for module, qual in _unread_fields()
+              if qual not in READ_FROM_OUTSIDE]
+    assert unread == []
+
+
+def test_outside_readers_name_unread_fields():
+    # an exemption must name a field that no package line reads: one whose
+    # field is gone, or that the package now reads itself, is stale
+    unread = {qual for _, qual in _unread_fields()}
+    assert sorted(set(READ_FROM_OUTSIDE) - unread) == []
 
 
 @pytest.fixture(scope="module")

@@ -4,15 +4,18 @@ import pytest
 from cylform.errors import HistoryUnderrunError, InstabilityError
 from cylform.geometry import CylinderGrid
 from cylform.kernels import PlantCoeffs
-from cylform.plant import Channel, DelayLine, stable_dt
+from cylform.plant import Channel, DelayLine, Stencil
 from cylform.steady import steady_table
 from oracles.delay_lookup import lookup
 from oracles.rk4_plant import RK4Channel, plant_rhs
 
+#: a real and a complex channel's coefficients
+COEFFS = (PlantCoeffs(12.0, 0.5), PlantCoeffs(12.0 + 3.0j, 0.5 + 0.2j))
+
 
 def field_channel(grid, coeffs, anchor, base, initial, block, delay, kind="complex"):
     """A :class:`Channel` from physical rim profiles and an initial field."""
-    return Channel(grid, coeffs, *grid.analyze_rows(np.stack([anchor, base])),
+    return Channel(Stencil(grid, coeffs), *grid.analyze_rows(np.stack([anchor, base])),
                    grid.analyze(initial), block, delay, kind)
 
 
@@ -137,7 +140,7 @@ class TestStencil:
         g = self.grid
         line = DelayLine(g.N, 0.25, 4.0)
         anchor, base = g.analyze_rows(np.stack([np.cos(g.theta), np.sin(g.theta)]))
-        ch = Channel(g, PlantCoeffs(1.0, 0.0), anchor, base,
+        ch = Channel(Stencil(g, PlantCoeffs(1.0, 0.0)), anchor, base,
                      np.zeros((g.modes.size, g.M)), 0.25, 0.5)
         # delay 0.5: the block ending at 0.25 has no command yet, the one
         # ending at 0.75 carries the first, the constant 5 (mode 0 only);
@@ -154,24 +157,50 @@ class TestStencil:
         # the closed-form rates belong to the stencil itself: the stencil
         # maps each lifted DST-I x DFT mode to its rate times the mode
         g = self.grid
-        for coeffs in (PlantCoeffs(12.0, 0.5), PlantCoeffs(12.0 + 3.0j, 0.5 + 0.2j)):
-            ch = field_channel(g, coeffs, np.zeros(g.N), np.zeros(g.N),
-                               np.zeros((g.M, g.N)), 0.05, 0.3)
+        for coeffs in COEFFS:
+            st = Stencil(g, coeffs)
             for k, b in ((0, 0), (3, 5), (g.M - 3, g.N // 2)):
-                field = eigenmode(ch, k, b)
+                field = eigenmode(st, k, b)
                 out = plant_rhs(field, coeffs, g)
-                scale = np.max(np.abs(ch.rates[k, b] * field))
-                assert np.max(np.abs(out - ch.rates[k, b] * field)) <= 1e-12 * scale
+                scale = np.max(np.abs(st.rates[k, b] * field))
+                assert np.max(np.abs(out - st.rates[k, b] * field)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("coeffs", COEFFS, ids=["real", "complex"])
+    def test_to_eigen_inverts_to_field(self, coeffs):
+        st = Stencil(self.grid, coeffs)
+        eye = np.eye(self.grid.M - 2)
+        assert np.max(np.abs(st.to_eigen @ st.to_field - eye)) <= 1e-13
+
+    @pytest.mark.parametrize("coeffs", COEFFS, ids=["real", "complex"])
+    def test_held_is_the_rims_drive_of_the_stencil(self, coeffs):
+        # a field that is zero inside: the stencil's interior rows see only
+        # the rims, and their eigencoordinates are the held drive
+        g = self.grid
+        st = Stencil(g, coeffs)
+        rng = np.random.default_rng(5)
+        rims = rng.normal(size=(2, g.N)) + 1j * rng.normal(size=(2, g.N))
+        field = np.zeros((g.M, g.N), dtype=complex)
+        field[0], field[-1] = rims
+        drive = st.to_eigen @ g.analyze(plant_rhs(field, coeffs, g))[:, 1:-1].T
+        held = st.held(*g.analyze_rows(rims))
+        assert np.max(np.abs(held - drive)) <= 1e-12 * np.max(np.abs(drive))
+
+    @pytest.mark.parametrize("coeffs", COEFFS, ids=["real", "complex"])
+    def test_rk4_step_bounds_every_rate(self, coeffs):
+        # the row-sum bound covers the spectral radius: every rate times
+        # the step lies within the safety share of RK4's real interval
+        st = Stencil(self.grid, coeffs)
+        assert np.max(np.abs(st.rates)) * st.rk4_step <= 0.9 * 2.785
 
 
-def eigenmode(ch, k, b):
-    """Field of eigencoordinate ``(k, b)`` of ``ch`` with zero rims: DST
-    index ``k``, wavenumber ``ch.grid.modes[b]``."""
-    g = ch.grid
+def eigenmode(st, k, b):
+    """Field of eigencoordinate ``(k, b)`` of the stencil ``st`` with zero
+    rims: DST index ``k``, wavenumber ``st.grid.modes[b]``."""
+    g = st.grid
     z = np.zeros((g.M - 2, g.modes.size), dtype=complex)
     z[k, b] = 1.0
     table = np.zeros((g.modes.size, g.M), dtype=complex)
-    table[:, 1:-1] = (ch._to_field @ z).T
+    table[:, 1:-1] = (st.to_field @ z).T
     return g.synthesize(table)
 
 
@@ -198,12 +227,12 @@ class TestTimeMarching:
                              ids=["real", "complex"])
     def test_one_step_scales_an_eigenmode_by_its_exponential(self, coeffs):
         g, block = self.grid, 0.05
-        probe = make_channel(g, coeffs, np.zeros((g.M, g.N)), block)
+        st = Stencil(g, coeffs)
         for k, b in ((0, 1), (4, 3), (g.M - 3, g.N - 1)):
-            field = eigenmode(probe, k, b)
+            field = eigenmode(st, k, b)
             ch = make_channel(g, coeffs, field, block)
             ch.step(0.0, DelayLine(g.N, block, 1.0))
-            want = np.exp(probe.rates[k, b] * block) * field
+            want = np.exp(st.rates[k, b] * block) * field
             assert np.max(np.abs(ch.values - want)) <= 1e-12 * np.max(np.abs(field))
 
     def test_homogeneous_mode_decays_at_discrete_rate(self):
@@ -226,7 +255,7 @@ class TestTimeMarching:
         def drift(g):
             tab = steady_table(coeffs, anchor, leader, g)
             block = 0.05
-            ch = Channel(g, coeffs, tab[:, 0], tab[:, -1], tab, block, 0.3)
+            ch = Channel(Stencil(g, coeffs), tab[:, 0], tab[:, -1], tab, block, 0.3)
             line = DelayLine(g.N, block, 1.0)
             for b in range(20):
                 ch.step(b * block, line)
@@ -292,7 +321,7 @@ class TestBlockReads:
     def test_one_block_equals_two_half_blocks(self, delay_steps):
         g, per = self.grid, self.period
         rng = np.random.default_rng(11)
-        dt = 0.9 * stable_dt(g, self.coeffs)
+        dt = 0.9 * Stencil(g, self.coeffs).rk4_step
         block, delay = per * dt, delay_steps * dt
         line = DelayLine(g.N, block, delay + 4 * block)
         start = rng.normal(size=(g.M, g.N)) + 1j * rng.normal(size=(g.M, g.N))
@@ -358,11 +387,11 @@ class TestBand:
         for b in range(8):
             cmd = limited()
             for ch, line in zip(chans, lines):
-                line.record(b * block, ch.grid.analyze_rows(cmd))
+                line.record(b * block, ch.stencil.grid.analyze_rows(cmd))
                 ch.step(b * block, line)
         a, b = (ch.values for ch in chans)
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
-        assert chans[1].rates.shape == (19, 5)
+        assert chans[1].stencil.rates.shape == (19, 5)
 
 
 class TestTable:
@@ -420,7 +449,7 @@ class TestAgainstRK4:
         rng = np.random.default_rng(1)
         anchor, base = rng.normal(size=(2, g.N)) + 1j * rng.normal(size=(2, g.N))
         start = rng.normal(size=(g.M, g.N)).astype(complex)
-        dt = 0.9 * stable_dt(g, coeffs)
+        dt = 0.9 * Stencil(g, coeffs).rk4_step
         block = per * dt
         # the jump sits a third into an RK4 step, then two thirds, ...:
         # the same first-order error constant at every refinement

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from collections import Counter
 
 import numpy as np
@@ -9,7 +10,7 @@ from cylform.controller import ChannelController
 from cylform.geometry import CylinderGrid
 from cylform.kernels import KernelSet
 from cylform import controller, plant, runner
-from cylform.plant import Channel, DelayLine, stable_dt
+from cylform.plant import Channel, DelayLine, Stencil
 from cylform.runner import (
     RunRecord,
     Snapshot,
@@ -137,11 +138,16 @@ class TestStepResolution:
         assert rec.times[-1] == pytest.approx(0.4, abs=1e-12)
 
     def test_auto_dt_respects_stability_bound(self, transient_cfg, transient_record):
-        grid = CylinderGrid(transient_cfg.grid_m, transient_cfg.grid_n)
-        cap = stable_dt(grid, transient_cfg.desired.planar_coeffs,
-                        transient_cfg.desired.axial_coeffs)
+        # the step is capped by the stiffer channel's RK4 bound, and the
+        # run takes the fewest whole blocks that keep it under the cap
+        cfg = transient_cfg
+        grid = CylinderGrid(cfg.grid_m, cfg.grid_n)
+        cap = min(Stencil(grid, c).rk4_step
+                  for c in (cfg.desired.planar_coeffs, cfg.desired.axial_coeffs))
         dt_ctrl = transient_record.times[1] - transient_record.times[0]
-        assert dt_ctrl / transient_cfg.control_period <= cap * (1 + 1e-12)
+        assert dt_ctrl / cfg.control_period <= cap * (1 + 1e-12)
+        blocks = round(cfg.duration / dt_ctrl)
+        assert blocks == math.ceil(cfg.duration / (cfg.control_period * cap))
 
 
 class TestEquilibrium:
