@@ -118,8 +118,8 @@ def symmetrize_command(grid: CylinderGrid, cmd: np.ndarray) -> np.ndarray:
     """
     out = np.array(cmd, dtype=complex)
     neg, pos = grid.mode_pairs.T
-    avg = 0.5 * (out[pos] + np.conj(out[neg]))
-    out[neg] = np.conj(avg)
+    avg = 0.5 * (out[pos] + out[neg].conj())
+    out[neg] = avg.conj()
     out[pos] = avg
     return out
 
@@ -186,13 +186,13 @@ class ChannelController:
         # command in flight, the rim node being the new command; each ring
         # is measured by the sum of its coefficients' magnitudes, which
         # bounds its sup over theta
-        scale = (np.max(np.sum(np.abs(measured), axis=0))
-                 + np.max(np.sum(np.abs(transport), axis=0)) + 1e-30)
+        scale = (abs(measured).sum(axis=0).max()
+                 + abs(transport).sum(axis=0).max() + 1e-30)
         return ChannelUpdate(
             command=grid.synthesize_profile(command_modes, self.kind),
             command_modes=command_modes,
             measured=measured,
             target_history=history,
             state_drift=state_drift,
-            h_residual=float(np.sum(np.abs(history[:, -1])) / scale),
+            h_residual=float(abs(history[:, -1]).sum() / scale),
         )

@@ -194,8 +194,8 @@ def update_signal(history: np.ndarray, drift: np.ndarray,
     on real ones; both channels add their share, since they observe one and
     the same physical delay.
     """
-    paired = np.real(history * np.conj(drift)).sum(axis=0)
-    return float(-4.0 * np.pi * np.sum(paired * (1.0 + grid.s) * grid.simpson_s))
+    paired = (history * drift.conj()).real.sum(axis=0)
+    return float(-4.0 * np.pi * (paired * (1.0 + grid.s) * grid.simpson_s).sum())
 
 
 def project(estimate: float, signal: float, lo: float, hi: float) -> float:

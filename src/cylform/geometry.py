@@ -161,12 +161,3 @@ class CylinderGrid:
         out[0] = (2.0 * vals[0] - 5.0 * vals[1] + 4.0 * vals[2] - vals[3]) / h2
         out[-1] = (2.0 * vals[-1] - 5.0 * vals[-2] + 4.0 * vals[-3] - vals[-4]) / h2
         return out
-
-    def l2_norm(self, table: np.ndarray) -> float:
-        """Surface L2 norm of the field of a ``(len(modes), M)`` mode table.
-
-        By Parseval each ring's rectangle-rule integral of ``|f|^2`` around
-        theta is ``2pi sum_n |c_n|^2``, and Simpson integrates that along s.
-        """
-        ring = TWO_PI * np.sum(np.abs(table) ** 2, axis=0)
-        return float(np.sqrt(np.abs(self.simpson_s @ ring)))

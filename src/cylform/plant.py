@@ -111,10 +111,10 @@ class DelayLine:
         x = (times - self._t0) / self.dt
         pre = x < -1e-9
         last = self._count - 1
-        xc = np.clip(x, 0.0, last)
+        xc = np.minimum(np.maximum(x, 0.0), last)
         i0 = xc.astype(int)
         evicted = self._count - self.capacity
-        if evicted > 0 and np.any((i0 < evicted) & ~pre):
+        if evicted > 0 and ((i0 < evicted) & ~pre).any():
             raise HistoryUnderrunError(
                 "requested sample already evicted (horizon too short)"
             )
@@ -276,8 +276,8 @@ class Channel:
     def step(self, t: float, line: DelayLine) -> None:
         """Advance one block, ``[t, t + block]``, then check the guard."""
         self.advance(t, 0.0, self.block, line)
-        peak = np.max(np.sum(np.abs(self.table), axis=0))
-        if not np.isfinite(peak) or peak > GUARD_LIMIT:
+        peak = abs(self.table).sum(axis=0).max()
+        if not math.isfinite(peak) or peak > GUARD_LIMIT:
             raise InstabilityError(
                 f"field magnitude {peak:.3e} exceeded the guard at "
                 f"t={t + self.block:.6f}"

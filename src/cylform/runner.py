@@ -191,16 +191,19 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
             upd = ctrl.update(chan.table, line, t)
             line.record(t, upd.command_modes)
             drift = mismatch_drift(upd.state_drift, upd.target_history, ctrl.ks)
-            dev = chan.table - ctrl.steady_table
+            # |deviation|^2 per (wavenumber, ring): by Parseval each ring's
+            # rectangle-rule integral of |f|^2 around theta is 2pi times its
+            # column sum, and Simpson integrates that along s
+            sq = abs(chan.table - ctrl.steady_table) ** 2
             upds.append(upd)
             signals.append(update_signal(upd.target_history, drift, grid))
-            errs.append(grid.l2_norm(dev))
-            ring_sq.append(np.abs(dev[:, ring_idx]) ** 2)
+            errs.append(math.sqrt(abs(grid.simpson_s @ (TWO_PI * sq.sum(axis=0)))))
+            ring_sq.append(sq[:, ring_idx])
         signal = signals[0] + signals[1]
-        ring = np.sqrt(TWO_PI * np.sum(ring_sq[0] + ring_sq[1], axis=0))
+        ring = np.sqrt(TWO_PI * (ring_sq[0] + ring_sq[1]).sum(axis=0))
         # the record's series, in the order of its fields
         rows.append((t, est.estimate, signal, *errs, ring,
-                     max(float(np.max(np.abs(upd.command))) for upd in upds),
+                     max(abs(upd.command).max() for upd in upds),
                      max(upd.h_residual for upd in upds)))
 
         if prev is not None and _reached(res_queue, t):

@@ -2,7 +2,8 @@
 
 Built from the grid's axial finite-difference partials, the periodic
 angular ones below and the field's surface L2 norm below; the package
-itself measures errors in L2 only, from mode tables.
+itself measures errors in L2 only, from mode tables (:func:`l2_norm` is
+the runner's formula as a function of one table).
 """
 
 import numpy as np
@@ -20,8 +21,18 @@ def d2_theta(grid, vals):
 
 def field_l2(g, vals):
     """Surface L2 norm of a field: Simpson along s, rectangle rule around
-    theta (what ``CylinderGrid.l2_norm`` computes from the mode table)."""
+    theta (what :func:`l2_norm` computes from the mode table)."""
     ring = np.sum(np.abs(vals) ** 2, axis=1) * g.h_theta
+    return float(np.sqrt(np.abs(g.simpson_s @ ring)))
+
+
+def l2_norm(g, table):
+    """Surface L2 norm of the field of a ``(len(modes), M)`` mode table.
+
+    By Parseval each ring's rectangle-rule integral of ``|f|^2`` around
+    theta is ``2pi sum_n |c_n|^2``, and Simpson integrates that along s.
+    """
+    ring = 2.0 * np.pi * np.sum(np.abs(table) ** 2, axis=0)
     return float(np.sqrt(np.abs(g.simpson_s @ ring)))
 
 

@@ -7,6 +7,7 @@ from cylform.kernels import PlantCoeffs
 from cylform.plant import Channel, DelayLine, Stencil
 from cylform.steady import steady_table
 from oracles.delay_lookup import lookup
+from oracles.field_norms import l2_norm
 from oracles.rk4_plant import RK4Channel, plant_rhs
 
 #: a real and a complex channel's coefficients
@@ -259,7 +260,7 @@ class TestTimeMarching:
             line = DelayLine(g.N, block, 1.0)
             for b in range(20):
                 ch.step(b * block, line)
-            return g.l2_norm(ch.table - tab) / g.l2_norm(tab)
+            return l2_norm(g, ch.table - tab) / l2_norm(g, tab)
 
         g1 = CylinderGrid(21, 16)
         g2 = CylinderGrid(41, 32)
