@@ -20,10 +20,23 @@ cases:
 Digests are bit-exact, so they depend on the BLAS build: compare two
 checkouts on one machine, never against numbers from another.  BLAS runs
 single-threaded, as in the bench.
+
+A change that moves the records by roundoff is measured instead::
+
+    python3 tools/record_digests.py --save DIR      # in the parent checkout
+    python3 tools/record_digests.py --compare DIR   # in the changed one
+
+``--save`` writes each case's logged series, snapshots and residual
+captures to ``DIR/<case>.npz``; ``--compare`` reads them back and prints,
+per case, whether the row counts and the delay-estimate series are
+identical, then per array the largest deviation over the saved array's
+largest magnitude (over the rows both records hold), and the current
+array's largest magnitude.  Both print the digests first.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import os
@@ -33,9 +46,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def digests() -> dict:
-    """Case name -> record digest."""
-    from cylbench.harness import record_digest
+def records() -> dict:
+    """Case name -> the run's record."""
     from cylbench.scenarios import WORKLOADS, scenario_text
     from cylform.config import parse_config, preset
     from cylform.runner import run
@@ -44,22 +56,86 @@ def digests() -> dict:
     for name, workload in WORKLOADS.items():
         for seed in (0, 1):
             cfg = parse_config(scenario_text(workload, seed), f"{name}-seed{seed}")
-            out[f"{name}/seed{seed}"] = record_digest(
-                run(cfg, capture_residuals=workload.residual_times))
+            out[f"{name}/seed{seed}"] = run(cfg, capture_residuals=workload.residual_times)
     moderate = dataclasses.replace(preset("moderate"), duration=1.0,
                                    snapshot_times=(0.0, 0.5, 0.51))
-    out["moderate-1s"] = record_digest(run(moderate, capture_residuals=(0.3, 0.6)))
+    out["moderate-1s"] = run(moderate, capture_residuals=(0.3, 0.6))
     mismatch = dataclasses.replace(preset("mismatch"), duration=3.0)
-    out["mismatch-3s"] = record_digest(run(mismatch))
+    out["mismatch-3s"] = run(mismatch)
     return out
 
 
-def main() -> int:
+def arrays(record) -> dict:
+    """Array name -> every array ``record_digest`` hashes."""
+    import numpy as np
+    from cylbench.harness import _logged
+
+    out = dict(_logged(record))
+    for i, snap in enumerate(record.snapshots):
+        out[f"snapshot{i}.planar"] = snap.planar
+        out[f"snapshot{i}.axial"] = snap.axial
+    if record.residuals:
+        out["residuals"] = np.array([[t, *dataclasses.astuple(res_p),
+                                      *dataclasses.astuple(res_z)]
+                                     for t, res_p, res_z in record.residuals])
+    return out
+
+
+def compare(saved: dict, now: dict, series: list) -> list:
+    """Report lines for one case, the saved arrays against the current;
+    the ``series`` are compared over the rows both records hold."""
+    import numpy as np
+
+    def same(flag):
+        return "identical" if flag else "DIFFERENT"
+
+    rows = len(saved["times"]), len(now["times"])
+    lines = [f"  rows {rows[0]} -> {rows[1]} ({same(rows[0] == rows[1])}); "
+             f"Dhat {same(np.array_equal(saved['estimates'], now['estimates']))}"]
+    for name in dict.fromkeys([*saved, *now]):
+        if name not in saved or name not in now:
+            lines.append(f"  {name:<20} in one record only")
+            continue
+        a, b = saved[name], now[name]
+        if name in series:
+            a, b = a[:min(rows)], b[:min(rows)]
+        if a.shape != b.shape:
+            lines.append(f"  {name:<20} shape {a.shape} -> {b.shape}")
+            continue
+        scale = np.abs(a).max(initial=0.0)
+        dev = np.abs(b - a).max(initial=0.0)
+        lines.append(f"  {name:<20} {dev / scale if scale else dev:.3e}"
+                     f"  (largest {np.abs(b).max(initial=0.0):.3e})")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--save", metavar="DIR",
+                        help="also write each case's arrays to DIR")
+    parser.add_argument("--compare", metavar="DIR",
+                        help="also compare each case with the arrays saved in DIR")
+    args = parser.parse_args(argv)
     # before numpy is first imported, which is when the BLAS pool starts
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
-    print(json.dumps(digests(), indent=2))
+    import numpy as np
+    from cylbench.harness import _logged, record_digest
+
+    recs = records()
+    print(json.dumps({name: record_digest(rec) for name, rec in recs.items()},
+                     indent=2))
+    for name, rec in recs.items():
+        path = Path(args.save or args.compare or ".") / f"{name.replace('/', '_')}.npz"
+        if args.save:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            np.savez(path, **arrays(rec))
+        if args.compare:
+            with np.load(path) as saved:
+                print(name)
+                print("\n".join(compare(dict(saved), arrays(rec),
+                                         [key for key, _ in _logged(rec)])))
     return 0
 
 
