@@ -3,7 +3,8 @@
 Everything here works on one scalar channel, and per angular wavenumber: the
 controller measures the plant's mode table (:attr:`~cylform.plant.Channel.table`),
 subtracts the steady profile's table and scales each row by the advection
-lift, and it reads the delay line's band coefficient rows as they are.  The
+lift, and it reads the delay line's band coefficient rows as they are,
+through a read table built once per delay estimate.  The
 command applied at the moving rim is produced by a predictor: the current
 scaled deviation is propagated through the kernel tables, past commands are
 folded in through running exponential convolutions, and the value of the
@@ -31,12 +32,13 @@ synthesis of the physical command, which the run logs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .geometry import CylinderGrid
 from .kernels import KernelSet
-from .plant import DelayLine
+from .plant import DelayLine, ReadTable, read_table
 
 __all__ = [
     "reconstruct_transport",
@@ -53,8 +55,14 @@ __all__ = [
 # transport reconstruction and forward transforms
 
 
+def window_table(line: DelayLine, delay_estimate: float, grid: CylinderGrid) -> ReadTable:
+    """Read table of the in-flight window: node ``r`` is ``delay_estimate*(1 - s_r)`` back."""
+    return read_table(delay_estimate * (grid.s - 1.0) / line.dt)
+
+
 def reconstruct_transport(line: DelayLine, t: float, delay_estimate: float,
-                          grid: CylinderGrid, gain: complex = 1.0) -> np.ndarray:
+                          grid: CylinderGrid, gain: complex = 1.0,
+                          table: ReadTable | None = None) -> np.ndarray:
     """Command-in-flight mode table implied by the recorded history.
 
     Node ``r`` holds the (scaled) command that was issued
@@ -62,10 +70,11 @@ def reconstruct_transport(line: DelayLine, t: float, delay_estimate: float,
     (held forward when queried at the current instant, i.e. the previous
     command until a fresh one is stored).  ``line`` holds the commands'
     band coefficients, so the table is its rows scaled by the advection
-    gain ``exp(advection / 2)``.
+    gain ``exp(advection / 2)``.  ``table`` is the window's
+    :func:`window_table`, built here when not given.
     """
-    rows = line.lookup_many(t + delay_estimate * (grid.s - 1.0))
-    return rows.T * gain
+    table = window_table(line, delay_estimate, grid) if table is None else table
+    return line.read(table, t).T * gain
 
 
 def to_target_state(measured: np.ndarray, ks: KernelSet) -> np.ndarray:
@@ -144,7 +153,8 @@ class ChannelController:
     """Produces rim commands for one channel from state and history.
 
     ``kernel_set`` may be swapped out between updates when the delay
-    estimate drifts far enough that the cached tables are rebuilt.
+    estimate drifts far enough that the cached tables are rebuilt; the
+    window's read tables are kept alike, the one in use and the last one.
     """
 
     def __init__(self, kernel_set: KernelSet, steady_table: np.ndarray,
@@ -166,13 +176,15 @@ class ChannelController:
         #: ``exp(advection / 2)``, the lift at the rim, and its reciprocal
         self.gain = np.exp(0.5 * self.advection)
         self.inv_gain = np.exp(-0.5 * self.advection)
+        self._window = lru_cache(maxsize=2)(partial(window_table, grid=grid))
 
     def update(self, table: np.ndarray, line: DelayLine, t: float) -> ChannelUpdate:
         """One control step from the plant's mode table ``table`` and the
         band rows of ``line``."""
         grid, ks = self.grid, self.ks
         measured = (table - self.steady_table) * self.lift[None, :]
-        transport = reconstruct_transport(line, t, ks.delay, grid, self.gain)
+        transport = reconstruct_transport(line, t, ks.delay, grid, self.gain,
+                                          self._window(line, ks.delay))
         transport[:, -1] = 0.0
         history, state_drift = step_images(transport, measured, ks)
         cmd = control_modes(history, ks)

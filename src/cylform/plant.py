@@ -6,11 +6,12 @@ stencil on the cylinder surface; only the rim rows differ.  The anchor rim
 the formation's leader profile plus the actuation signal delayed by the true
 (unknown to the controller) dead time.  Commands travel through a
 :class:`DelayLine`, a uniformly sampled ring buffer with linear interpolation
-that reads zero before its first record.  Its rows are the command's
-Fourier coefficients on the grid's wavenumber band, in ``grid.modes``
-order: interpolation, hold and the zero pre-history act on each
-coefficient alone, so a line of band rows reads the coefficients of what
-a line of physical command profiles would read.
+that reads zero before its first record, through a :class:`ReadTable` of
+record offsets and weights that a reader builds once.  Its rows are the
+command's Fourier coefficients on the grid's wavenumber band, in
+``grid.modes`` order: interpolation, hold and the zero pre-history act on
+each coefficient alone, so a line of band rows reads the coefficients of
+what a line of physical command profiles would read.
 
 The stencil is linear, has constant coefficients and is circulant in theta,
 so :class:`Channel` integrates it in closed form in the eigencoordinates of
@@ -22,12 +23,12 @@ the record instants plus the delay (the jump from the zero pre-history at
 integrated exactly with :func:`~cylform.quadrature.exp_lin_weights`.  One
 :meth:`Channel.step` advances a whole control block.  The line records once
 per block, so a break falls at the same offset ``D mod block`` of every
-block and the block's weights are built once.  Each step reads its rims
-with one :meth:`DelayLine.lookup_many`: two instants per linear piece, at a
-third and two thirds of its length, extrapolated linearly to its ends.  The
-weights act on the coefficient rows as read, and a step writes the mode
-table :attr:`Channel.table`, which the controller measures, with no
-transform at all.
+block and the block's weights and read table are built once.  Each step
+reads its rims with one :meth:`DelayLine.read`: two instants per linear
+piece, at a third and two thirds of its length, extrapolated linearly to
+its ends.  The weights act on the coefficient rows as read, and a step
+writes the mode table :attr:`Channel.table`, which the controller
+measures, with no transform at all.
 """
 
 from __future__ import annotations
@@ -52,9 +53,28 @@ GUARD_LIMIT = 1e30
 #: Runge-Kutta stability region
 _RK4_REAL_AXIS = 2.785
 
-#: a command break closer than this fraction of a block to the block's
-#: edge is taken to lie on it (the lookup's own record-snapping tolerance)
+#: a command break this close to a block's edge, as a fraction of the block,
+#: lies on it; so does a read this close before the first record
 _BREAK_TOL = 1e-9
+
+
+class ReadTable(NamedTuple):
+    """Entry ``j`` of a :meth:`DelayLine.read` from record ``base``: ``weights[0, j]``
+    times record ``base + index[0, j]`` plus ``weights[1, j]`` times the next."""
+
+    index: np.ndarray       #: (2, n) record offsets
+    weights: np.ndarray     #: (2, n, 1): ``1 - frac`` and ``frac``
+    low: int                #: the smallest offset read
+    high: int               #: the largest offset read
+
+
+def read_table(positions: np.ndarray) -> ReadTable:
+    """The read at ``positions`` record spacings past a base record."""
+    lower = np.floor(positions)
+    frac = positions - lower
+    index = lower.astype(int) + np.arange(2)[:, None]
+    return ReadTable(index, np.stack([1.0 - frac, frac])[..., None],
+                     int(index[0].min()), int(index[1].max()))
 
 
 class DelayLine:
@@ -74,7 +94,8 @@ class DelayLine:
         self.width = int(width)
         self.dt = float(dt_record)
         self.capacity = int(math.ceil(horizon / dt_record)) + 4
-        self._buf = np.zeros((self.capacity, self.width), dtype=complex)
+        # the ring's slots, then a zero row for reads before the first record
+        self._buf = np.zeros((self.capacity + 1, self.width), dtype=complex)
         self._count = 0
         self._t0 = 0.0
 
@@ -94,36 +115,40 @@ class DelayLine:
         self._buf[self._count % self.capacity] = row
         self._count += 1
 
-    def lookup_many(self, times: np.ndarray) -> np.ndarray:
-        """Rows at the instants ``times``, shape ``times.shape + (width,)``.
-
-        The one read path of the line: the controller gathers a delay window
-        of records through it, and the plant the delayed instants of a
-        control block.  Every instant is clamped onto the recorded span
-        and interpolated linearly between its two neighbours (a hold beyond
-        the newest record is that record interpolated with itself); rows of
-        instants before the first record are zero.  An instant whose record
-        has already left the ring raises :class:`HistoryUnderrunError`.
+    def read(self, table: ReadTable, t: float) -> np.ndarray:
+        """The ``(n, width)`` rows of ``table`` from the record instant ``t``:
+        one gather, one weighted sum.  A read past the newest record holds
+        it; one before the first is zero (the zero row past the ring's
+        slots, all of them while the line is empty), or that record within
+        ``_BREAK_TOL`` of it.  A table reaching
+        below a wrapped ring's oldest record raises :class:`HistoryUnderrunError`.
         """
+        at = (t - self._t0) / self.dt
+        base = round(at)
+        if abs(at - base) > _BREAK_TOL:
+            raise ValueError(f"read instant t={t} is not a record instant")
+        if 0 < self._count - self.capacity > base + table.low:
+            raise HistoryUnderrunError("requested sample already evicted (horizon too short)")
+        index = table.index + base
+        if base + table.high >= self._count:
+            index = np.minimum(index, self._count - 1)
+        w0, w1 = table.weights
+        slots = index % self.capacity
+        if base + table.low < 0:
+            w1 = np.where(index[0, :, None] == -1, w1 >= 1.0 - _BREAK_TOL, w1)
+            slots = np.where(index < 0, self.capacity, index)
+        rows = self._buf[slots]
+        return w0 * rows[0] + w1 * rows[1]
+
+    def lookup_many(self, times: np.ndarray) -> np.ndarray:
+        """Rows at the instants ``times``, shape ``times.shape + (width,)``:
+        :meth:`read` through a table built on the spot, zero before the first record."""
         times = np.asarray(times, dtype=float)
-        if self._count == 0:
-            return np.zeros(times.shape + (self.width,), dtype=complex)
-        x = (times - self._t0) / self.dt
-        pre = x < -1e-9
-        last = self._count - 1
-        xc = np.minimum(np.maximum(x, 0.0), last)
-        i0 = xc.astype(int)
-        evicted = self._count - self.capacity
-        if evicted > 0 and ((i0 < evicted) & ~pre).any():
-            raise HistoryUnderrunError(
-                "requested sample already evicted (horizon too short)"
-            )
-        frac = (xc - i0)[..., None]
-        r0 = self._buf[i0 % self.capacity]
-        r1 = self._buf[np.minimum(i0 + 1, last) % self.capacity]
-        out = (1.0 - frac) * r0 + frac * r1
-        out[pre] = 0.0
-        return out
+        x = (times.ravel() - self._t0) / self.dt
+        pre, last = x < -_BREAK_TOL, self._count - 1
+        table = read_table(np.where(pre, last, np.minimum(np.maximum(x, 0.0), last)))
+        table.weights[:, pre] = 0.0
+        return self.read(table, self._t0).reshape(times.shape + (self.width,))
 
 
 class Stencil:
@@ -177,12 +202,13 @@ class Stencil:
 class _Plan(NamedTuple):
     """Closed-form map of one stretch of a block, in eigencoordinates:
     ``decay * state + held`` plus, per wavenumber, ``weights`` applied to
-    its coefficients in the rim reads taken ``reads`` past the block start."""
+    its coefficients in the rim reads of ``table``, taken from the block's
+    record instant."""
 
     decay: np.ndarray       #: (M-2, modes)
     held: np.ndarray        #: (M-2, modes), the response to the held rims
     weights: np.ndarray     #: (modes, M-2, reads), mode-major for one batched matmul
-    reads: np.ndarray       #: (reads,)
+    table: ReadTable        #: the reads, at their instants less the delay
 
 
 class Channel:
@@ -242,7 +268,7 @@ class Channel:
             weights += [(2.0 * lo - hi) * st.rim_gain, (2.0 * hi - lo) * st.rim_gain]
             reads += [a + span / 3.0, a + 2.0 * span / 3.0]
         weights = np.ascontiguousarray(np.stack(weights, axis=-1).transpose(1, 0, 2))
-        return _Plan(decay, held, weights, np.array(reads))
+        return _Plan(decay, held, weights, read_table((np.array(reads) - self.delay) / self.block))
 
     def advance(self, t: float, start: float, stop: float, line: DelayLine) -> None:
         """Move the field from ``t + start`` to ``t + stop`` inside the block
@@ -251,7 +277,7 @@ class Channel:
             raise ValueError(f"delay line spacing {line.dt} is not the block {self.block}")
         whole = start == 0.0 and stop == self.block
         plan = self._block_plan if whole else self._plan(start, stop)
-        rows = line.lookup_many(t + plan.reads - self.delay)
+        rows = line.read(plan.table, t)
         forced = plan.weights @ rows.T[:, :, None]
         self._state = plan.decay * self._state + plan.held + forced[:, :, 0].T
         table = np.empty_like(self.table)

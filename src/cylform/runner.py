@@ -191,9 +191,7 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
             upd = ctrl.update(chan.table, line, t)
             line.record(t, upd.command_modes)
             drift = mismatch_drift(upd.state_drift, upd.target_history, ctrl.ks)
-            # |deviation|^2 per (wavenumber, ring): by Parseval each ring's
-            # rectangle-rule integral of |f|^2 around theta is 2pi times its
-            # column sum, and Simpson integrates that along s
+            # Parseval: 2pi times a column sum is a ring's integral of |f|^2
             sq = abs(chan.table - ctrl.steady_table) ** 2
             upds.append(upd)
             signals.append(update_signal(upd.target_history, drift, grid))

@@ -5,7 +5,7 @@ Every map here is rebuilt from the running exponential convolution
 from the convolution of the identity, the command law and the target
 history from the convolution of the whole mode table, the rim node's weight
 in the command law from a fresh pair-weight build, the transport from one
-scalar delay-line read per node, and the mismatch drift from a per-mode copy
+scalar delay-line read per node (no read table), and the mismatch drift from a per-mode copy
 of the exponential tables.  The production path precomputes the same maps
 per kernel set in closed form and folds them into one product with
 ``KernelSet.step_map``; these functions are what it is checked against.
@@ -31,7 +31,9 @@ def history_map(ks, n):
         "i,jir->rj", ks.basis.fwd_edge, conv)
 
 
-def reconstruct_transport(line, t, delay_estimate, grid, gain=1.0):
+def reconstruct_transport(line, t, delay_estimate, grid, gain=1.0, table=None):
+    """The in-flight table read one node at a time; ``table``, the
+    production read table, is not used."""
     times = t + delay_estimate * (grid.s - 1.0)
     rows = np.stack([lookup(line, tt) for tt in times])
     return rows.T * gain

@@ -534,14 +534,16 @@ class TestPrecomputedStep:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name,
                                         counted(name, getattr(module, name)))
-        monkeypatch.setattr(DelayLine, "lookup_many",
-                            counted("lookup_many", DelayLine.lookup_many))
+        monkeypatch.setattr(DelayLine, "read", counted("read", DelayLine.read))
+        monkeypatch.setattr(controller, "read_table",
+                            counted("read_table", controller.read_table))
         for k in range(8):
             vals = steady + 0.1 * rng.normal(size=(grid.M, grid.N))
             upd = run_update(ctrl, vals, line, k * 0.02)
             assert np.all(np.isfinite(upd.command))
-        # one read of the whole in-flight window per update, nothing else
-        assert calls == Counter(lookup_many=8)
+        # one read of the whole in-flight window per update, through one
+        # table built at the first; nothing else
+        assert calls == Counter(read=8, read_table=1)
         # the newest record is the last update's command
         assert np.array_equal(line.lookup_many(np.array([7 * 0.02]))[0],
                               upd.command_modes)

@@ -43,6 +43,8 @@ CALLED_FROM_OUTSIDE = {
                             "loop works on mode tables from the start",
     "CylinderGrid.analyze_rows": "public: tests, oracles and the bench tracer; "
                                  "the loop works on mode tables from the start",
+    "DelayLine.lookup_many": "public: tests and oracles read arbitrary instants; "
+                             "the loop reads through tables built once",
 }
 
 #: dataclass fields that no package line reads: the package fills them for

@@ -4,7 +4,7 @@ import pytest
 from cylform.errors import HistoryUnderrunError, InstabilityError
 from cylform.geometry import CylinderGrid
 from cylform.kernels import PlantCoeffs
-from cylform.plant import Channel, DelayLine, Stencil
+from cylform.plant import Channel, DelayLine, Stencil, read_table
 from cylform.steady import steady_table
 from oracles.delay_lookup import lookup
 from oracles.field_norms import l2_norm
@@ -95,6 +95,49 @@ class TestLookupMany:
         times = np.array([-3.0, 13.0, 18.5, 19.0, 25.0])
         want = np.stack([lookup(line, t) for t in times])
         assert np.array_equal(line.lookup_many(times), want)
+
+
+class TestReadTable:
+    """A table of offsets from a record instant, read from one instant after
+    another, against the scalar reference read at the same instants."""
+
+    @pytest.mark.parametrize("records", [3, 30, 80],
+                             ids=["short", "spanned", "wrapped"])
+    def test_rows_match_the_reference(self, records):
+        rng = np.random.default_rng(records)
+        dt, t0 = 0.1, 0.3
+        line = DelayLine(4, dt, horizon=5.0)          # capacity 54
+        for k in range(records):
+            line.record(t0 + dt * k, rng.normal(size=4) + 1j * rng.normal(size=4))
+        lattice = np.arange(-45.0, 4.0)
+        offsets = np.concatenate([
+            rng.uniform(-45.0, 3.0, 200),   # between records, held, before the first
+            lattice,                        # on records
+            lattice - 1e-11,                # the first record, when read from -k
+            lattice - 1e-7,                 # before it
+        ])
+        table = read_table(offsets)
+        scale = np.max(np.abs(line._buf))
+        for base in range(records + 2):
+            t = t0 + dt * base
+            if line.capacity < records and base + table.low < records - line.capacity:
+                with pytest.raises(HistoryUnderrunError, match="evicted"):
+                    line.read(table, t)
+                with pytest.raises(HistoryUnderrunError):
+                    [lookup(line, t + dt * x) for x in offsets]
+                continue
+            want = np.stack([lookup(line, t + dt * x) for x in offsets])
+            got = line.read(table, t)
+            # the reference's instants carry the roundoff of t + dt * x
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale, base
+            assert np.array_equal(got == 0.0, want == 0.0), base
+
+    def test_instant_off_the_records_rejected(self):
+        line = DelayLine(2, 0.1, 1.0)
+        for k in range(3):
+            line.record(0.1 * k, np.ones(2))
+        with pytest.raises(ValueError, match="not a record instant"):
+            line.read(read_table(np.array([-1.5])), 0.25)
 
 
 class TestStencil:

@@ -177,12 +177,16 @@ class TestDeterminism:
 
 class TestPlantReads:
     """Per control step each channel makes one block step, which reads the
-    delay line once; the block weights are built before the loop."""
+    delay line once; the block weights and the block's read table are built
+    before the loop, and each controller builds its window's read table at
+    its first update."""
 
     @staticmethod
     def _probe(monkeypatch):
-        """Count delay-line reads and weight builds, keyed by name, caller,
-        whether the first control step has begun, and argument shape."""
+        """Count controller updates by the delay of their kernel set, and
+        delay-line reads, read-table builds and weight builds, keyed by
+        name, caller, whether the first control step has begun, and the
+        number of instants (the shape of the spans, for weights)."""
         where, updates, calls = ["runner"], Counter(), Counter()
 
         def inside(name, fn):
@@ -194,21 +198,24 @@ class TestPlantReads:
                     where.pop()
             return wrapper
 
-        def counted(name, fn):
+        def counted(name, fn, size):
             def wrapper(*args, **kwargs):
-                calls[name, where[-1], updates.total() > 0, np.shape(args[-1])] += 1
+                calls[name, where[-1], updates.total() > 0, size(*args)] += 1
                 return fn(*args, **kwargs)
             return wrapper
 
         def update(self, *args, **kwargs):
-            updates["controller"] += 1
+            updates[self.ks.delay] += 1
             return controller_update(self, *args, **kwargs)
 
         controller_update = inside("controller", ChannelController.update)
-        monkeypatch.setattr(DelayLine, "lookup_many",
-                            counted("read", DelayLine.lookup_many))
-        monkeypatch.setattr(plant, "exp_lin_weights",
-                            counted("weights", plant.exp_lin_weights))
+        monkeypatch.setattr(DelayLine, "read", counted(
+            "read", DelayLine.read, lambda line, table, *_: table.index.shape[1]))
+        for module in (plant, controller):
+            monkeypatch.setattr(module, "read_table", counted(
+                "table", module.read_table, np.size))
+        monkeypatch.setattr(plant, "exp_lin_weights", counted(
+            "weights", plant.exp_lin_weights, lambda rates, spans: spans.shape))
         monkeypatch.setattr(ChannelController, "update", update)
         monkeypatch.setattr(Channel, "step", inside("plant", Channel.step))
         monkeypatch.setattr(Channel, "peek", inside("peek", Channel.peek))
@@ -223,15 +230,18 @@ class TestPlantReads:
         rec = run(cfg)
         rows = rec.times.size
         assert not rec.terminated and rows > 2
-        assert updates["controller"] == 2 * rows
-        assert calls.pop(("read", "controller", True, (cfg.grid_m,))) == 2 * rows
+        assert updates.total() == 2 * rows
+        assert calls.pop(("read", "controller", True, cfg.grid_m)) == 2 * rows
+        # one window table per controller and kernel-set delay
+        assert calls.pop(("table", "controller", True, cfg.grid_m)) == 2 * len(updates)
         (key, n), = [(k, n) for k, n in calls.items() if k[1] == "plant"]
-        assert key[0] == "read" and key[3] in {(2,), (4,)}   # two per linear piece
+        assert key[0] == "read" and key[3] in {2, 4}   # two per linear piece
         assert n == 2 * (rows - 1)
         del calls[key]
-        # all that is left: the block weights of the two channels, built
-        # before the first control step
-        assert {(name, loop) for name, _, loop, _ in calls} == {("weights", False)}
+        # all that is left: the block weights and the block read table of
+        # each channel, built before the first control step
+        assert calls == Counter({("table", "runner", False, key[3]): 2,
+                                 ("weights", "runner", False, (key[3] // 2, 1, 1)): 2})
         assert not hasattr(DelayLine, "lookup")
 
     def test_snapshot_inside_a_block_builds_its_own_weights(self, transient_cfg,
@@ -243,8 +253,9 @@ class TestPlantReads:
         # 0.05 is a block start, 0.064 the second step inside a block
         assert [s.actual_t for s in rec.snapshots] == [25 * 2e-3, 32 * 2e-3]
         peek_reads = sum(n for k, n in calls.items() if k[:2] == ("read", "peek"))
+        peek_tables = sum(n for k, n in calls.items() if k[:2] == ("table", "peek"))
         loop_weights = sum(n for k, n in calls.items() if k[0] == "weights" and k[2])
-        assert peek_reads == loop_weights == 2    # one per channel
+        assert peek_reads == peek_tables == loop_weights == 2    # one per channel
 
 
 class TestTransforms:
@@ -290,15 +301,24 @@ class TestReferenceStep:
         cfg = moderate_21x16(fixed, duration)
         rec = run(cfg)
         calls = seed_pipeline.install(monkeypatch)
+        read = DelayLine.read
+
+        def counted(self, table, t=None):
+            calls["DelayLine.read"] += 1
+            return read(self, table, t)
+
+        monkeypatch.setattr(DelayLine, "read", counted)
         want = run(cfg)
         assert not rec.terminated and not want.terminated
         assert fixed or np.count_nonzero(np.diff(rec.estimates)) >= 3
         # every map of the replay's step came from the reference: per
-        # channel and control step, one history and one drift split in two
+        # channel and control step, one history and one drift split in two;
+        # only the plant's block steps read the line through a table
         steps = 2 * want.times.size
         assert calls == Counter(reconstruct_transport=steps, step_images=steps,
                                 rim_solve=steps, finish_drift=steps,
-                                to_target_history=steps, mismatch_drift=2 * steps)
+                                to_target_history=steps, mismatch_drift=2 * steps,
+                                **{"DelayLine.read": steps - 2})
         for name in ("times", "estimates", "signals", "err_planar",
                      "err_axial", "ring_errors", "control_sup"):
             a, b = getattr(rec, name), getattr(want, name)
@@ -362,6 +382,24 @@ class TestKernelReuse:
         planar = [id(m) for m in read[::2]]
         assert np.count_nonzero(np.diff(planar)) >= 3
         assert len({id(m) for m in read}) == sum(builds.values()) <= 4
+
+    def test_a_swap_builds_no_window_table(self, monkeypatch):
+        builds, used = self._probe(monkeypatch)
+        windows = Counter()
+
+        def window_table(line, delay_estimate, grid):
+            windows[delay_estimate] += 1
+            return table(line, delay_estimate, grid)
+
+        table = controller.window_table
+        monkeypatch.setattr(controller, "window_table", window_table)
+        rec = run(moderate_21x16(fixed=False, duration=0.8))
+        swaps = np.count_nonzero(np.diff([d for _, d in used[::2]]))
+        assert swaps >= 3 and sum(builds.values()) <= 4
+        # one table per channel and kernel-set delay, built at its first
+        # update; swapping back to a spare set reuses it
+        assert windows.total() == sum(builds.values())
+        assert set(windows.values()) == {2}
 
 
 class TestOneProduct:
