@@ -2,7 +2,7 @@
 
 Exit status: 0 for a completed run, 2 when the instability guard stopped it
 early (partial results are still written), 1 for any configuration or usage
-problem.
+problem, a scenario whose kernels float64 cannot represent included.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import PRESETS, load_config, preset
-from .errors import ConfigError
+from .errors import ConfigError, KernelTruncationError, ResonantModeError
 from .runner import run, write_all_snapshots, write_series
 
 
@@ -51,11 +51,11 @@ def main(argv=None) -> int:
         if args.fixed_delay_estimate is not None:
             cfg = replace(cfg, fixed_estimate=True,
                           initial_estimate=args.fixed_delay_estimate)
-    except ConfigError as exc:
+        record = run(cfg)
+    except (ConfigError, KernelTruncationError, ResonantModeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    record = run(cfg)
     outdir = Path(args.out or cfg.output_dir or "out")
     write_series(record, outdir)
     write_all_snapshots(record, outdir)

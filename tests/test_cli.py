@@ -104,6 +104,18 @@ class TestRunCommand:
         data = np.loadtxt(out / "series.csv", delimiter=",", skiprows=1)
         assert data.size > 0
 
+    def test_kernel_float64_cannot_sum_exits_1(self, tmp_path, capsys):
+        text = TINY.replace("desired.planar_reaction = 5",
+                            "desired.planar_reaction = 1000\n"
+                            "desired.planar_advection = 0.5")
+        p = tmp_path / "stiff.cfg"
+        p.write_text(text, encoding="utf-8")
+        assert main(["run", str(p), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: shifted reaction 999.9375")
+        assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
 
 class TestUsageErrors:
     def test_missing_config_and_preset(self, capsys):
