@@ -119,15 +119,15 @@ class DelayLine:
         """The ``(n, width)`` rows of ``table`` from the record instant ``t``:
         one gather, one weighted sum.  A read past the newest record holds
         it; one before the first is zero (the zero row past the ring's
-        slots, all of them while the line is empty), or that record within
-        ``_BREAK_TOL`` of it.  A table reaching
-        below a wrapped ring's oldest record raises :class:`HistoryUnderrunError`.
+        slots, or any slot of an empty line), or that record within
+        ``_BREAK_TOL`` of it.  A table reaching below a wrapped ring's oldest
+        record raises :class:`HistoryUnderrunError`.
         """
         at = (t - self._t0) / self.dt
         base = round(at)
         if abs(at - base) > _BREAK_TOL:
             raise ValueError(f"read instant t={t} is not a record instant")
-        if 0 < self._count - self.capacity > base + table.low:
+        if base + table.low < self._count - self.capacity > 0:
             raise HistoryUnderrunError("requested sample already evicted (horizon too short)")
         index = table.index + base
         if base + table.high >= self._count:

@@ -113,8 +113,8 @@ class TestReadTable:
         offsets = np.concatenate([
             rng.uniform(-45.0, 3.0, 200),   # between records, held, before the first
             lattice,                        # on records
-            lattice - 1e-11,                # the first record, when read from -k
-            lattice - 1e-7,                 # before it
+            lattice - 1e-11,                # close enough before a record to read it
+            lattice - 1e-7,                 # not close enough: zero before the first
         ])
         table = read_table(offsets)
         scale = np.max(np.abs(line._buf))

@@ -127,12 +127,12 @@ def main(argv=None) -> int:
     print(json.dumps({name: record_digest(rec) for name, rec in recs.items()},
                      indent=2))
     for name, rec in recs.items():
-        path = Path(args.save or args.compare or ".") / f"{name.replace('/', '_')}.npz"
+        stem = f"{name.replace('/', '_')}.npz"
         if args.save:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            np.savez(path, **arrays(rec))
+            Path(args.save).mkdir(parents=True, exist_ok=True)
+            np.savez(Path(args.save) / stem, **arrays(rec))
         if args.compare:
-            with np.load(path) as saved:
+            with np.load(Path(args.compare) / stem) as saved:
                 print(name)
                 print("\n".join(compare(dict(saved), arrays(rec),
                                          [key for key, _ in _logged(rec)])))
