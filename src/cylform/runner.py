@@ -159,7 +159,8 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
     per = cfg.control_period
     dt_ctrl = per * dt
 
-    horizon = max(cfg.true_delay, cfg.delay_hi) + 4.0 * dt_ctrl
+    # no read reaches back further than the run has recorded
+    horizon = min(max(cfg.true_delay, cfg.delay_hi) + 4.0 * dt_ctrl, cfg.duration)
     est = EstimatorState(cfg.initial_estimate, cfg.delay_lo, cfg.delay_hi,
                          cfg.gain, dt_ctrl)
     # (plant, delay line, controller) of each channel, planar then axial

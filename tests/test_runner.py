@@ -258,6 +258,25 @@ class TestPlantReads:
         assert peek_reads == peek_tables == loop_weights == 2    # one per channel
 
 
+class TestDelayLineSize:
+    def test_a_line_holds_no_more_records_than_the_run_makes(self, monkeypatch):
+        # a run far shorter than the delay bound: the rings are sized by
+        # the run, not by delay.hi = 1
+        lines = []
+
+        def make(*args):
+            lines.append(DelayLine(*args))
+            return lines[-1]
+
+        monkeypatch.setattr(runner, "DelayLine", make)
+        cfg = dataclasses.replace(parse_config(REFINE.format(M=21, N=8, dt=1e-3), "r"),
+                                  duration=0.05)
+        rec = run(cfg)
+        assert len(lines) == 2
+        for line in lines:
+            assert line.capacity <= rec.times.size + 5
+
+
 class TestTransforms:
     """The loop works in mode space: per control step each channel
     synthesizes its command, for ``control_sup``; it transforms nothing
