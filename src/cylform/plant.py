@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import HistoryUnderrunError, InstabilityError
+from .errors import HistoryUnderrunError, InstabilityError, ResonantModeError
 from .geometry import CylinderGrid
 from .kernels import PlantCoeffs
 from .quadrature import exp_lin_weights
@@ -160,7 +160,10 @@ class Stencil:
     sqrt(q/p)`` makes it symmetric, and the DST-I diagonalises it with the
     eigenvalues :attr:`rates` per (DST index, wavenumber).  :attr:`to_eigen`
     maps the interior of a mode table's row to eigencoordinates and
-    :attr:`to_field` back.  The lift spans a factor of about
+    :attr:`to_field` back.  Held rims drive the eigencoordinates by
+    :meth:`held`, so the field the stencil keeps still is ``-held / rates``
+    per eigencoordinate: :meth:`equilibrium`, the formation goal of a run,
+    which the agents reach exactly.  The lift spans a factor of about
     ``e^{|advection|/2}`` along the axis, and the transform's roundoff grows
     by up to that factor: harmless unless the advection is in the tens.
     """
@@ -197,6 +200,23 @@ class Stencil:
         """``(M-2, modes)`` drive of the eigencoordinates by rims held at
         the band coefficient rows ``anchor`` and ``leader``."""
         return np.outer(self._anchor_gain, anchor) + self.rim_gain * leader
+
+    def equilibrium(self, anchor: np.ndarray, leader: np.ndarray) -> np.ndarray:
+        """``(modes, M)`` mode table of the field this stencil holds still
+        under rims held at the band coefficient rows ``anchor`` and
+        ``leader``, which are its rim columns.  A wavenumber without rim
+        data is zero; one with rim data and no finite equilibrium (a zero
+        rate) raises :class:`ResonantModeError`."""
+        driven = (anchor != 0.0) | (leader != 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            eig = -self.held(anchor, leader)[:, driven] / self.rates[:, driven]
+        finite = np.isfinite(eig).all(axis=0)
+        if not finite.all():
+            raise ResonantModeError(int(self.grid.modes[driven][~finite][0]))
+        table = np.zeros((self.grid.modes.size, self.grid.M), dtype=complex)
+        table[:, 0], table[:, -1] = anchor, leader
+        table[driven, 1:-1] = (self.to_field @ eig).T
+        return table
 
 
 class _Plan(NamedTuple):

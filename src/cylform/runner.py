@@ -150,10 +150,10 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
     """
     grid = CylinderGrid(cfg.grid_m, cfg.grid_n,
                         band=max(cfg.initial.band, cfg.desired.band))
-    inits = formation_fields(cfg.initial, grid)
-    goals = formation_fields(cfg.desired, grid)
     coeffs = (cfg.desired.planar_coeffs, cfg.desired.axial_coeffs)
     stencils = [Stencil(grid, c) for c in coeffs]
+    inits = formation_fields(cfg.initial, grid)
+    goals = formation_fields(cfg.desired, grid, stencils)
 
     n_steps, dt = _resolve_steps(cfg, stencils)
     per = cfg.control_period

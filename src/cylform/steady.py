@@ -2,11 +2,11 @@
 
 A formation is specified per angular wavenumber by its two rim profiles
 (anchor rim at s = 0, leader rim at s = 1) and by the plant coefficients of
-each channel.  Each wavenumber solves a constant-coefficient two-point
-boundary value problem in s whose general solution is a combination of two
-exponentials, so the equilibrium is assembled mode by mode in closed form,
-one row of a mode table per wavenumber of the grid's band.  The run works
-on these tables throughout; nothing here builds a physical field.
+each channel.  Its equilibrium is the one the agents themselves settle to:
+the fixed point of the channel's :class:`~cylform.plant.Stencil` with both
+rims held, from :meth:`~cylform.plant.Stencil.equilibrium`, one row of a
+mode table per wavenumber of the grid's band.  The run works on these
+tables throughout; nothing here builds a physical field.
 """
 
 from __future__ import annotations
@@ -15,14 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ResonantModeError
+from .errors import ConfigError
 from .geometry import CylinderGrid
 from .kernels import PlantCoeffs
-
-#: relative root separation below which the double-root branch is used
-_DOUBLE_ROOT_TOL = 1e-6
-#: relative determinant size below which the mode is reported as resonant
-_RESONANCE_TOL = 1e-12
+from .plant import Stencil
 
 
 @dataclass(frozen=True)
@@ -66,35 +62,6 @@ class FormationSpec:
                     )
 
 
-def steady_mode(n: int, coeffs: PlantCoeffs, anchor: complex, leader: complex,
-                s: np.ndarray) -> np.ndarray:
-    """Closed-form equilibrium profile of one wavenumber.
-
-    Solves ``y'' + advection*y' + (reaction - n^2)*y = 0`` with ``y(0)`` and
-    ``y(1)`` imposed.  Raises :class:`ResonantModeError` when the two-point
-    problem is singular (oscillatory roots completing a half period across
-    the span), which is a property of the formation, not of the solver.
-    """
-    lam = complex(coeffs.reaction) - n * n
-    beta = complex(coeffs.advection)
-    disc = np.sqrt(beta * beta / 4.0 - lam)
-    r1 = -beta / 2.0 + disc
-    r2 = -beta / 2.0 - disc
-
-    if abs(r1 - r2) <= _DOUBLE_ROOT_TOL * max(1.0, abs(r1), abs(r2)):
-        r = (r1 + r2) / 2.0
-        slope = leader * np.exp(-r) - anchor
-        return (anchor + slope * s) * np.exp(r * s)
-
-    e1, e2 = np.exp(r1), np.exp(r2)
-    det = e2 - e1
-    if abs(det) <= _RESONANCE_TOL * max(1.0, abs(e1), abs(e2)):
-        raise ResonantModeError(n)
-    b = (leader - anchor * e1) / det
-    a = anchor - b
-    return a * np.exp(r1 * s) + b * np.exp(r2 * s)
-
-
 def _check_band(coeff_map: dict, grid: CylinderGrid) -> None:
     half = grid.N // 2
     for n in coeff_map:
@@ -105,37 +72,30 @@ def _check_band(coeff_map: dict, grid: CylinderGrid) -> None:
             )
 
 
-def steady_table(coeffs: PlantCoeffs, anchor: dict, leader: dict,
-                 grid: CylinderGrid) -> np.ndarray:
-    """Mode table ``(len(grid.modes), M)`` of one channel's equilibrium.
-
-    Row ``n`` is :func:`steady_mode` of the rim coefficients at ``n``, and
-    its rim columns are those coefficients exactly (they are imposed, and
-    the profile meets them to roundoff anyway).  The grid's band must hold
-    every wavenumber of the rim data.
+def steady_table(stencil: Stencil, anchor: dict, leader: dict) -> np.ndarray:
+    """Mode table ``(len(grid.modes), M)`` of one channel's equilibrium on
+    ``stencil.grid``: :meth:`Stencil.equilibrium` of the rim coefficient
+    maps, whose values are its rim columns exactly.  The grid's band must
+    hold every wavenumber of the rim data.
     """
+    grid = stencil.grid
     _check_band(anchor, grid)
     _check_band(leader, grid)
     wide = sorted(n for n in {*anchor, *leader} if abs(n) > grid.band)
     if wide:
         raise ValueError(f"rim data at wavenumbers {wide} lie outside the "
                          f"grid's band |n| <= {grid.band}")
-    table = np.zeros((grid.modes.size, grid.M), dtype=complex)
-    for j, n in enumerate(grid.modes):
-        a = anchor.get(int(n), 0.0)
-        b = leader.get(int(n), 0.0)
-        if a == 0.0 and b == 0.0:
-            continue
-        table[j] = steady_mode(int(n), coeffs, a, b, grid.s)
-        table[j, 0], table[j, -1] = a, b
-    return table
+    return stencil.equilibrium(
+        *(np.array([m.get(int(n), 0.0) for n in grid.modes], dtype=complex)
+          for m in (anchor, leader)))
 
 
-def formation_fields(spec: FormationSpec,
-                     grid: CylinderGrid) -> tuple[np.ndarray, np.ndarray]:
+def formation_fields(spec: FormationSpec, grid: CylinderGrid,
+                     stencils=None) -> tuple[np.ndarray, np.ndarray]:
     """Both channel equilibria of a formation, as (planar, axial) mode
-    tables."""
-    return (steady_table(spec.planar_coeffs, spec.planar_anchor,
-                         spec.planar_leader, grid),
-            steady_table(spec.axial_coeffs, spec.axial_anchor,
-                         spec.axial_leader, grid))
+    tables.  ``stencils``, the (planar, axial) stencils of the spec's
+    coefficients on ``grid``, are built here when not given."""
+    if stencils is None:
+        stencils = [Stencil(grid, c) for c in (spec.planar_coeffs, spec.axial_coeffs)]
+    return (steady_table(stencils[0], spec.planar_anchor, spec.planar_leader),
+            steady_table(stencils[1], spec.axial_anchor, spec.axial_leader))

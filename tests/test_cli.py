@@ -117,6 +117,24 @@ class TestRunCommand:
         assert not (tmp_path / "x").exists()
 
 
+    def test_resonant_goal_exits_1(self, tmp_path, capsys):
+        # with 21 axial nodes this reaction zeroes one of the planar
+        # stencil's rates at n = 0, where the desired rim data sit: the
+        # goal has no equilibrium
+        text = (TINY.replace("grid.M = 15", "grid.M = 21")
+                .replace("desired.planar_reaction = 5",
+                         "desired.planar_reaction = 9.849327523889817")
+                .replace("desired.planar_anchor = (1,0.5,0)",
+                         "desired.planar_anchor = (0,0.5,0)"))
+        p = tmp_path / "resonant.cfg"
+        p.write_text(text, encoding="utf-8")
+        assert main(["run", str(p), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: steady profile is resonant at angular mode n=0")
+        assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
+
 class TestUsageErrors:
     def test_missing_config_and_preset(self, capsys):
         assert main(["run"]) == 1

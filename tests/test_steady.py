@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_bvp
 
+from cylform.config import preset
 from cylform.errors import ConfigError, ResonantModeError
 from cylform.geometry import CylinderGrid
 from cylform.kernels import PlantCoeffs
-from cylform.steady import (
-    FormationSpec,
-    formation_fields,
-    steady_mode,
-    steady_table,
-)
-from oracles.field_norms import d2_theta
+from cylform.plant import Stencil
+from cylform.steady import FormationSpec, formation_fields, steady_table
+from oracles import continuum_steady
+from oracles.continuum_steady import steady_mode
+from oracles.field_norms import d2_theta, l2_norm
 from oracles.mode_symmetry import conjugate_symmetry_defect
 
 
@@ -103,36 +102,42 @@ class TestSteadyField:
     def test_rim_rows_are_imposed_data(self):
         anchor = {1: -1.0 + 0.0j, -2: 1.0}
         leader = {1: 1.0, -2: -0.5j}
-        tab = steady_table(PlantCoeffs(10.0, 0.0), anchor, leader, self.grid)
+        tab = steady_table(Stencil(self.grid, PlantCoeffs(10.0, 0.0)), anchor, leader)
         assert np.array_equal(tab[:, 0], map_row(anchor, self.grid))
         assert np.array_equal(tab[:, -1], map_row(leader, self.grid))
 
     def test_single_mode_field_matches_profile(self):
-        fld = self.grid.synthesize(steady_table(PlantCoeffs(6.0, 1.0), {2: 0.5},
-                                                {2: 1.5}, self.grid))
-        prof = steady_mode(2, PlantCoeffs(6.0, 1.0), 0.5, 1.5, self.grid.s)
-        ref = np.outer(prof, np.exp(2j * self.grid.theta)).T
-        # interior from mode synthesis, rims imposed; all should agree
-        assert np.max(np.abs(fld - ref.T)) <= 1e-12
+        # the stencil's equilibrium tends to the continuum closed form at
+        # second order in the grid spacing
+        coeffs = PlantCoeffs(6.0, 1.0)
+
+        def gap(g):
+            fld = g.synthesize(steady_table(Stencil(g, coeffs), {2: 0.5}, {2: 1.5}))
+            prof = steady_mode(2, coeffs, 0.5, 1.5, g.s)
+            return np.max(np.abs(fld - np.outer(prof, np.exp(2j * g.theta))))
+
+        coarse, fine = gap(self.grid), gap(CylinderGrid(81, 48))
+        assert coarse <= 5e-2
+        assert fine <= 0.3 * coarse
 
     def test_interior_satisfies_steady_equation(self):
         coeffs = PlantCoeffs(8.0, 0.7)
 
         def resid(g):
-            v = g.synthesize(steady_table(coeffs, {0: 1.0, 1: 0.5j}, {0: -0.3, 1: 1.0}, g))
+            v = g.synthesize(steady_table(Stencil(g, coeffs), {0: 1.0, 1: 0.5j},
+                                          {0: -0.3, 1: 1.0}))
             r = (g.d2_s(v) + d2_theta(g, v) + coeffs.advection * g.d_s(v)
                  + coeffs.reaction * v)
             return np.max(np.abs(r[2:-2]))
 
-        r_coarse = resid(self.grid)
-        r_fine = resid(CylinderGrid(81, 48))
-        # stencil error on the smooth closed form shrinks at second order
-        assert r_coarse <= 5e-2
-        assert r_fine <= 0.3 * r_coarse
+        # the equilibrium of the stencil solves it to roundoff, which the
+        # second differences amplify by 1/h^2
+        for g in (self.grid, CylinderGrid(81, 48)):
+            assert resid(g) <= 1e-13 / g.h_s**2
 
     def test_out_of_band_coefficient_rejected(self):
         with pytest.raises(ConfigError):
-            steady_table(PlantCoeffs(1.0, 0.0), {self.grid.N // 2: 1.0}, {}, self.grid)
+            steady_table(Stencil(self.grid, PlantCoeffs(1.0, 0.0)), {self.grid.N // 2: 1.0}, {})
 
     def test_axial_channel_comes_out_real(self):
         spec = FormationSpec(
@@ -149,6 +154,22 @@ class TestSteadyField:
         # so the table is the table of a real field
         assert conjugate_symmetry_defect(axial) == 0.0
         assert np.max(np.abs(self.grid.synthesize(axial).imag)) == 0.0
+
+
+class TestContinuumGap:
+    """The goal is the stencil's equilibrium, not the continuum one; their
+    gap on the ``moderate`` desired formation is pinned."""
+
+    @pytest.mark.parametrize("m, n, planar, axial",
+                             [(21, 16, 0.7369, 0.06114), (51, 50, 0.1068, 0.009701)],
+                             ids=["21x16", "51x50"])
+    def test_moderate_goal_gap(self, m, n, planar, axial):
+        spec = preset("moderate").desired
+        grid = CylinderGrid(m, n, band=spec.band)
+        ours = formation_fields(spec, grid)
+        continuum = continuum_steady.formation_fields(spec, grid)
+        gaps = [l2_norm(grid, a - b) for a, b in zip(ours, continuum)]
+        assert gaps == pytest.approx([planar, axial], rel=0.01)
 
 
 class TestFormationTables:
