@@ -10,7 +10,7 @@ class ConfigError(CylformError):
 
 
 class ResonantModeError(CylformError):
-    """A steady-profile boundary-value solve hit a (near-)resonant mode.
+    """A wavenumber with rim data has a zero stencil rate: no equilibrium.
 
     Carries the offending wavenumber so callers can report which target
     harmonic cannot be held by rim actuation alone.

@@ -7,32 +7,34 @@ over channels (the update signal, the ring errors) keep it too.  The plant
 integrates the desired formation's coefficients from the start (the
 dynamics switch the instant the new formation is commanded), with anchor
 and leader rims held at the desired profiles; rim actuation reaches the
-leader row only after the true dead time.  The run is a sequence of control
-blocks of ``control_period`` steps.  At each block start the controllers
-measure the fields and issue new rim commands, and the delay estimate takes
-one projected gradient step driven by both channels; then each channel
-advances over the whole block in one exact step, and the guard is checked
-at the block end.  A controller's step is one product with its kernel set's
-``step_map``, which yields the target history and the state part of the
-mismatch drift; the estimator completes each channel's drift from the
-history's root value and forms the update signal from the two.  The loop
-works in mode space and keeps only the wavenumbers ``|n| <= band``, where
-``band`` is the largest ``|n|`` listed in the rim data of either formation:
-no other wavenumber is ever excited, so the rest would carry roundoff only.
-The formations, the plant state and the errors are mode tables: the
-controllers measure the channels' tables against the goal's, the delay
-lines record the commands' band coefficients, and the plant's
-eigencoordinates, the kernel tables, the control law and the drift hold the
-band's rows.  The formation errors and ring errors come from the deviation
-table by Parseval.  A physical field is synthesized only where it leaves
-the loop: the snapshots, and each control step the physical commands, for
-``control_sup``.  Kernel tables are rebuilt only when the estimate has
-drifted a fixed fraction of the admissible interval away from the tables in
-use.  The tables a rebuild replaces are kept as a spare, and an estimate
-that returns within that fraction of them (a projected estimate flipping
-between its bounds) swaps them back, step maps included, instead of
-rebuilding.  Either way the loop repoints each controller's ``ks``, the
-only reference it keeps to a channel's tables.
+leader row only after the true dead time.  Both formations are their own
+stencils' equilibria (:func:`~cylform.steady.formation_fields`), so the
+plant can reach the goal; the desired stencils serve the goal and the
+plant.  The run is a sequence of control blocks of ``control_period``
+steps.  At each block start the controllers measure the fields and issue
+new rim commands, and the delay estimate takes one projected gradient step
+driven by both channels; then each channel advances over the whole block in
+one exact step, and the guard is checked at the block end.  A controller's
+step is one product with its kernel set's ``step_map``, which yields the
+target history and the state part of the mismatch drift; the estimator
+completes each channel's drift from the history's root value and forms the
+update signal from the two.  The loop works in mode space and keeps only
+the wavenumbers ``|n| <= band``, where ``band`` is the largest ``|n|``
+listed in the rim data of either formation: no other wavenumber is ever
+excited, so the rest would carry roundoff only.  The formations, the plant
+state and the errors are mode tables: the controllers measure the channels'
+tables against the goal's, the delay lines record the commands' band
+coefficients, and the plant's eigencoordinates, the kernel tables, the
+control law and the drift hold the band's rows.  The formation errors and
+ring errors come from the deviation table by Parseval.  A physical field is
+synthesized only where it leaves the loop: the snapshots, and each control
+step the physical commands, for ``control_sup``.  Kernel tables are rebuilt
+only when the estimate has drifted a fixed fraction of the admissible
+interval away from the tables in use.  The tables a rebuild replaces are
+kept as a spare, and an estimate that returns within that fraction of them
+(a projected estimate flipping between its bounds) swaps them back, step
+maps included, instead of rebuilding.  Either way the loop repoints each
+controller's ``ks``, the only reference it keeps to a channel's tables.
 
 Results are collected in a :class:`RunRecord` (one logged row per control
 step) and serialized as CSV: a single time series plus, per requested
