@@ -163,7 +163,7 @@ class Stencil:
     :attr:`to_field` back.  Held rims drive the eigencoordinates by
     :meth:`held`, so the field the stencil keeps still is ``-held / rates``
     per eigencoordinate: :meth:`equilibrium`, the formation goal of a run,
-    which the agents reach exactly.  The lift spans a factor of about
+    which the plant itself can reach.  The lift spans a factor of about
     ``e^{|advection|/2}`` along the axis, and the transform's roundoff grows
     by up to that factor: harmless unless the advection is in the tens.
     """

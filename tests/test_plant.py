@@ -243,7 +243,7 @@ class TestStencil:
         assert np.abs(st.rates[:, zero]).min() == 0.0
         rim = np.where(zero, 1.0, 0.0)
         with pytest.raises(ResonantModeError) as info:
-            st.equilibrium(rim, 0.0 * rim)
+            st.equilibrium(rim, np.zeros_like(rim))
         assert info.value.mode == 0
         # the same zero rate on a wavenumber without rim data stays zero
         rim = np.where(g.modes == 1, 1.0, 0.0)
