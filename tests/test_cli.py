@@ -116,7 +116,6 @@ class TestRunCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
-
     def test_resonant_goal_exits_1(self, tmp_path, capsys):
         # with 21 axial nodes this reaction zeroes one of the planar
         # stencil's rates at n = 0, where the desired rim data sit: the

@@ -137,7 +137,8 @@ class TestSteadyField:
 
     def test_out_of_band_coefficient_rejected(self):
         with pytest.raises(ConfigError):
-            steady_table(Stencil(self.grid, PlantCoeffs(1.0, 0.0)), {self.grid.N // 2: 1.0}, {})
+            steady_table(Stencil(self.grid, PlantCoeffs(1.0, 0.0)),
+                         {self.grid.N // 2: 1.0}, {})
 
     def test_axial_channel_comes_out_real(self):
         spec = FormationSpec(
