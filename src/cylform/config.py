@@ -4,9 +4,12 @@ Configs are flat text files of ``section.key = value`` lines with ``#``
 comments.  Five sections exist: ``grid`` (surface resolution), ``initial``
 and ``desired`` (the two formations: channel coefficients plus sparse rim
 Fourier data), ``delay`` (true dead time, bounds, adaptation law), and
-``run`` (time stepping and output).  Rim profiles are lists of
+``run`` (control block, horizon and output).  Rim profiles are lists of
 ``(wavenumber,re,im)`` triples; complex scalars may be written ``(re,im)``;
-the keyword ``none`` denotes an empty rim list.
+the keyword ``none`` denotes an empty rim list.  ``run.block`` caps the
+control block, the run's one time step, in seconds; the run takes the fewest
+equal blocks spanning ``run.duration`` under it.  ``auto``, the default,
+caps it at ten RK4 steps (:attr:`~cylform.plant.Stencil.rk4_step`).
 
 The presets bundled here are parsed through the same code path as user
 files, so each preset doubles as a schema example.
@@ -51,8 +54,7 @@ class ScenarioConfig:
     gain: float
     initial_estimate: float
     fixed_estimate: bool
-    dt: float | None                 #: None = derive from the stability bound
-    control_period: int
+    block: float | None              #: cap on the control block; None = auto
     duration: float
     snapshot_times: tuple
     ring_rows: tuple                 #: 1-based axial agent indices
@@ -80,11 +82,9 @@ class ScenarioConfig:
         if not (math.isfinite(self.duration) and self.duration > 0.0):
             raise ConfigError(
                 f"run.duration must be finite and positive, got {self.duration}")
-        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0.0):
+        if self.block is not None and not (math.isfinite(self.block) and self.block > 0.0):
             raise ConfigError(
-                f"run.dt must be finite and positive or 'auto', got {self.dt}")
-        if self.control_period < 1:
-            raise ConfigError("run.control_period must be a positive step count")
+                f"run.block must be finite and positive or 'auto', got {self.block}")
         labels = {}
         for t in self.snapshot_times:
             if not 0.0 <= t <= self.duration:
@@ -98,11 +98,13 @@ class ScenarioConfig:
                     f"label 't{label}'"
                 )
             labels[label] = t
-        for i in self.ring_rows:
+        for k, i in enumerate(self.ring_rows):
             if not 1 <= i <= self.grid_m:
                 raise ConfigError(
                     f"ring index {i} outside the axial range 1..{self.grid_m}"
                 )
+            if i in self.ring_rows[:k]:
+                raise ConfigError(f"ring index {i} is listed twice")
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +166,7 @@ def _number(raw: str, what: str = "a number") -> float:
     return _numbers([raw], raw, what)[0]
 
 
-def _step(raw: str) -> float | None:
+def _block(raw: str) -> float | None:
     return None if raw == "auto" else _number(raw, "'auto' or a number")
 
 
@@ -243,8 +245,7 @@ _SCHEMA = {
         "mode": (_fixed_estimate, False),
     },
     "run": {
-        "dt": (_step, None),
-        "control_period": (_integer, 10),
+        "block": (_block, None),
         "duration": (_number, _REQUIRED),
         "snapshots": (_times, DEFAULT_SNAPSHOTS),
         "rings": (_integers, (5, 15, 30, 51)),
@@ -294,8 +295,7 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
         gain=delay["gain"],
         initial_estimate=delay["initial_estimate"],
         fixed_estimate=delay["mode"],
-        dt=run["dt"],
-        control_period=run["control_period"],
+        block=run["block"],
         duration=run["duration"],
         snapshot_times=run["snapshots"],
         ring_rows=run["rings"],

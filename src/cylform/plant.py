@@ -190,8 +190,8 @@ class Stencil:
         self.rim_gain = p * self.to_eigen[:, -1:]
         self._anchor_gain = q * self.to_eigen[:, 0]
         #: the classical RK4 limit of the explicit stencil (row-sum bound of
-        #: its spectral radius, safety 0.9): a run's default step, which sets
-        #: its control cadence; the exact :class:`Channel` needs no such limit
+        #: its spectral radius, safety 0.9): ten of them cap the automatic
+        #: control block; the exact :class:`Channel` needs no such limit
         self.rk4_step = 0.9 * _RK4_REAL_AXIS / (
             4.0 / grid.h_s**2 + 4.0 / grid.h_theta**2
             + abs(coeffs.reaction) + abs(coeffs.advection) / grid.h_s)

@@ -10,11 +10,12 @@ and leader rims held at the desired profiles; rim actuation reaches the
 leader row only after the true dead time.  Both formations are their own
 stencils' equilibria (:func:`~cylform.steady.formation_fields`), so the
 plant can reach the goal; the desired stencils serve the goal and the
-plant.  The run is a sequence of control blocks of ``control_period``
-steps.  At each block start the controllers measure the fields and issue
-new rim commands, and the delay estimate takes one projected gradient step
-driven by both channels; then each channel advances over the whole block in
-one exact step, and the guard is checked at the block end.  A controller's
+plant.  The run's one time step is the control block: the fewest equal
+blocks spanning the horizon, none longer than ``run.block``.  At each block
+start the controllers measure the fields and issue new rim commands, and the
+delay estimate takes one projected gradient step driven by both channels;
+then each channel advances over the whole block in one exact step, and the
+guard is checked at the block end.  A controller's
 step is one product with its kernel set's ``step_map``, which yields the
 target history and the state part of the mismatch drift; the estimator
 completes each channel's drift from the history's root value and forms the
@@ -39,10 +40,10 @@ controller's ``ks``, the only reference it keeps to a channel's tables.
 Results are collected in a :class:`RunRecord` (one logged row per control
 step) and serialized as CSV: a single time series plus, per requested
 snapshot instant, one grid-shaped file per field and an agent-position
-table.  A snapshot is taken at the first step instant reaching its request;
-one that falls inside a block is a copy of the channels propagated to that
-instant.  All floats are written with 17 significant digits, so a read-back
-reproduces the run bit for bit.
+table.  A snapshot is the state at its requested instant; one inside a
+block is a copy of the channels propagated to that instant.  All floats are
+written with 17 significant digits, so a read-back reproduces the run bit
+for bit.
 """
 
 from __future__ import annotations
@@ -63,8 +64,11 @@ from .kernels import KernelBasis, KernelSet
 from .plant import Channel, DelayLine, Stencil
 from .steady import formation_fields
 
-#: relative slack when matching snapshot instants to the step grid
+#: relative slack when matching snapshot instants to the block starts
 _SNAP_TOL = 1e-9
+
+#: the automatic block cap, in classical RK4 steps of the stiffer stencil
+_AUTO_BLOCK_STEPS = 10
 
 #: fraction of the admissible delay interval the estimate may drift from the
 #: cached kernel tables before they are rebuilt, or swapped for the tables
@@ -74,10 +78,9 @@ _RETABLE_FRACTION = 1e-4
 
 @dataclass(frozen=True)
 class Snapshot:
-    """Field state captured at the first step instant reaching a request."""
+    """Field state at a requested instant."""
 
     requested_t: float
-    actual_t: float
     planar: np.ndarray      #: (M, N) complex in-plane positions
     axial: np.ndarray       #: (M, N) real heights
 
@@ -130,15 +133,14 @@ def _reached(queue, t: float) -> bool:
     return bool(queue) and queue[0] <= t + _SNAP_TOL * max(1.0, t)
 
 
-def _resolve_steps(cfg: ScenarioConfig, stencils: list) -> tuple[int, float]:
-    """Step count and size: a whole number of control blocks spanning the
-    horizon exactly, with the step never above the requested/stable bound."""
-    cap = cfg.dt
+def _resolve_blocks(cfg: ScenarioConfig, stencils: list) -> tuple[int, float]:
+    """Block count and length: the fewest whole blocks spanning the horizon
+    exactly, none longer than ``cfg.block`` or the automatic cap."""
+    cap = cfg.block
     if cap is None:
-        cap = min(st.rk4_step for st in stencils)
-    blocks = max(1, math.ceil(cfg.duration / (cfg.control_period * cap)))
-    n_steps = cfg.control_period * blocks
-    return n_steps, cfg.duration / n_steps
+        cap = _AUTO_BLOCK_STEPS * min(st.rk4_step for st in stencils)
+    blocks = max(1, math.ceil(cfg.duration / cap))
+    return blocks, cfg.duration / blocks
 
 
 def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
@@ -157,9 +159,7 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
     inits = formation_fields(cfg.initial, grid)
     goals = formation_fields(cfg.desired, grid, stencils)
 
-    n_steps, dt = _resolve_steps(cfg, stencils)
-    per = cfg.control_period
-    dt_ctrl = per * dt
+    blocks, dt_ctrl = _resolve_blocks(cfg, stencils)
 
     # no read reaches back further than the run has recorded
     horizon = min(max(cfg.true_delay, cfg.delay_hi) + 4.0 * dt_ctrl, cfg.duration)
@@ -184,10 +184,10 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
     prev = None                 # ((planar, axial) updates, estimate used)
     terminated, reason = False, None
 
-    for k in range(0, n_steps + 1, per):
-        t = k * dt
+    for b in range(blocks + 1):
+        t = b * dt_ctrl
         while _reached(snap_queue, t):
-            snaps.append(Snapshot(snap_queue.pop(0), t,
+            snaps.append(Snapshot(snap_queue.pop(0),
                                   *(chan.values for chan, _, _ in channels)))
         upds, signals, errs, ring_sq = [], [], [], []
         for chan, line, ctrl in channels:
@@ -227,15 +227,14 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
                     sets = [KernelSet(ks.basis, est.estimate) for ks in spare]
                 for ctrl, ks in zip(ctrls, sets):
                     ctrl.ks = ks
-        if k == n_steps:
+        if b == blocks:
             break
-        # snapshots on the block's inner step instants
-        for j in range(1, per):
-            tj = (k + j) * dt
-            while _reached(snap_queue, tj):
-                snaps.append(Snapshot(snap_queue.pop(0), tj,
-                                      *(chan.peek(t, j * dt, line)
-                                        for chan, line, _ in channels)))
+        # requests inside the block, each at its own instant
+        end = t + dt_ctrl
+        while snap_queue and snap_queue[0] < end - _SNAP_TOL * max(1.0, end):
+            r = snap_queue.pop(0)
+            snaps.append(Snapshot(r, *(chan.peek(t, r - t, line)
+                                       for chan, line, _ in channels)))
         try:
             for chan, line, _ in channels:
                 chan.step(t, line)

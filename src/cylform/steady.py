@@ -62,14 +62,17 @@ class FormationSpec:
                     )
 
 
-def _check_band(coeff_map: dict, grid: CylinderGrid) -> None:
+def _row(coeff_map: dict, grid: CylinderGrid) -> np.ndarray:
+    """A rim map as a band coefficient row.  On an ``N``-node ring ``+N/2``
+    and ``-N/2`` are one mode, so both add into the row of ``-N/2``."""
     half = grid.N // 2
     for n in coeff_map:
-        if not (-half <= n <= half - 1):
-            raise ConfigError(
-                f"rim coefficient at wavenumber {n} is outside the grid band "
-                f"[{-half}, {half - 1}]"
-            )
+        if not -half <= n <= half:
+            raise ConfigError(f"rim coefficient at wavenumber {n} is outside "
+                              f"the grid band [{-half}, {half}]")
+    row = np.array([coeff_map.get(int(n), 0.0) for n in grid.modes], dtype=complex)
+    row[grid.modes == -half] += coeff_map.get(half, 0.0)
+    return row
 
 
 def steady_table(stencil: Stencil, anchor: dict, leader: dict) -> np.ndarray:
@@ -79,15 +82,12 @@ def steady_table(stencil: Stencil, anchor: dict, leader: dict) -> np.ndarray:
     hold every wavenumber of the rim data.
     """
     grid = stencil.grid
-    _check_band(anchor, grid)
-    _check_band(leader, grid)
+    rows = [_row(m, grid) for m in (anchor, leader)]
     wide = sorted(n for n in {*anchor, *leader} if abs(n) > grid.band)
     if wide:
         raise ValueError(f"rim data at wavenumbers {wide} lie outside the "
                          f"grid's band |n| <= {grid.band}")
-    return stencil.equilibrium(
-        *(np.array([m.get(int(n), 0.0) for n in grid.modes], dtype=complex)
-          for m in (anchor, leader)))
+    return stencil.equilibrium(*rows)
 
 
 def formation_fields(spec: FormationSpec, grid: CylinderGrid,

@@ -165,11 +165,33 @@ class TestUsageErrors:
         assert main(["run", str(p)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [("dt", "1e-3"), ("control_period", "5")])
+    def test_removed_clock_keys_are_unknown(self, tmp_path, capsys, key, value):
+        # the control block is the run's only clock: the old step keys are
+        # rejected, not read as a block
+        p = tmp_path / "old.cfg"
+        p.write_text(TINY + f"run.{key} = {value}\n", encoding="utf-8")
+        assert main(["run", str(p), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert f"unknown key {key!r} in section 'run'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
+    def test_repeated_ring_index(self, tmp_path, capsys):
+        p = tmp_path / "rings.cfg"
+        p.write_text(TINY.replace("run.rings = 1 8 15", "run.rings = 5 5 3"),
+                     encoding="utf-8")
+        assert main(["run", str(p), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert "ring index 5 is listed twice" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
 
     @pytest.mark.parametrize("key,value", [
         ("run.duration", "inf"),
         ("run.duration", "nan"),
-        ("run.dt", "nan"),
+        ("run.block", "nan"),
         ("initial.planar_reaction", "inf"),
         ("desired.axial_reaction", "nan"),
     ])

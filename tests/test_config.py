@@ -64,13 +64,12 @@ class TestParsing:
 
     def test_comments_and_blank_lines_ignored(self):
         cfg = parse_config("# leading comment\n\n" + MINIMAL +
-                           "\nrun.control_period = 4  # trailing\n", "m")
-        assert cfg.control_period == 4
+                           "\nrun.block = 0.004  # trailing\n", "m")
+        assert cfg.block == 0.004
 
     def test_defaults_echoed(self):
         cfg = parse_config(MINIMAL, "m")
-        assert cfg.control_period == 10
-        assert cfg.dt is None
+        assert cfg.block is None
         assert cfg.fixed_estimate is False
         assert cfg.output_dir is None
 
@@ -136,8 +135,8 @@ class TestParsing:
             parse_config(text, "m")
 
     def test_dt_auto_and_numeric(self):
-        assert parse_config(MINIMAL + "\nrun.dt = auto\n", "m").dt is None
-        assert parse_config(MINIMAL + "\nrun.dt = 1e-3\n", "m").dt == 1e-3
+        assert parse_config(MINIMAL + "\nrun.block = auto\n", "m").block is None
+        assert parse_config(MINIMAL + "\nrun.block = 1e-3\n", "m").block == 1e-3
 
     def test_snapshots_parsed_sorted(self):
         text = edit(MINIMAL, "run.snapshots = none", "run.snapshots = 0.3 0 0.1")
@@ -175,8 +174,8 @@ class TestValidation:
             parse_config(text, "m")
 
     def test_dt_positive(self):
-        with pytest.raises(ConfigError, match="dt"):
-            parse_config(MINIMAL + "\nrun.dt = -1e-3\n", "m")
+        with pytest.raises(ConfigError, match="run.block"):
+            parse_config(MINIMAL + "\nrun.block = -1e-3\n", "m")
 
     def test_snapshot_beyond_horizon(self):
         text = edit(MINIMAL, "run.snapshots = none", "run.snapshots = 0 0.5")
@@ -199,6 +198,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="ring"):
             parse_config(text, "m")
 
+    def test_repeated_ring_index(self):
+        # each ring writes one column of the series, named by its index
+        text = edit(MINIMAL, "run.rings = 1 8 15", "run.rings = 5 5 3")
+        with pytest.raises(ConfigError, match="^ring index 5 is listed twice$"):
+            parse_config(text, "m")
+
     def test_even_axial_count_rejected(self):
         text = edit(MINIMAL, "grid.M = 15", "grid.M = 16")
         with pytest.raises(ConfigError, match="grid"):
@@ -211,7 +216,7 @@ class TestValidation:
             parse_config(MINIMAL + f"\nrun.{key} = 51\n", "m")
 
     # one key per converter that reads floats: _number, _scalar (plain and
-    # pair), _real, _step, _times and _rim
+    # pair), _real, _block, _times and _rim
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("key,template", [
         ("delay.true", "{}"),
@@ -219,7 +224,7 @@ class TestValidation:
         ("initial.planar_reaction", "{}"),
         ("desired.planar_reaction", "(5,{})"),
         ("desired.axial_reaction", "{}"),
-        ("run.dt", "{}"),
+        ("run.block", "{}"),
         ("run.snapshots", "0 {}"),
         ("initial.planar_anchor", "(1,{},0)"),
     ])
@@ -234,7 +239,7 @@ class TestValidation:
         ("grid.M", "1.5", "an integer"),
         ("delay.true", "soon", "a number"),
         ("delay.mode", "auto", "one of ['adaptive', 'fixed']"),
-        ("run.dt", "soon", "'auto' or a number"),
+        ("run.block", "soon", "'auto' or a number"),
         ("run.rings", "1 x", "whitespace-separated integers"),
         ("run.snapshots", "0 x", "whitespace-separated numbers or 'none'"),
         ("initial.planar_reaction", "(4,x)", "a number or an (re,im) pair"),
@@ -265,7 +270,7 @@ class TestValidation:
                            match=r"^m: missing required key 'run\.duration'$"):
             parse_config(text, "m")
 
-    @pytest.mark.parametrize("field", ["duration", "dt"])
+    @pytest.mark.parametrize("field", ["duration", "block"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_direct_construction_rejects_non_finite(self, field, bad):
         cfg = parse_config(MINIMAL, "m")
@@ -295,7 +300,7 @@ class TestPresets:
         assert cfg.duration == 40.0
         assert cfg.snapshot_times == (0.0, 0.09, 0.2, 2.0, 4.0, 40.0)
         assert cfg.ring_rows == (5, 15, 30, 51)
-        assert cfg.dt is None
+        assert cfg.block is None
 
     def test_paper_formations(self):
         cfg = preset("paper")

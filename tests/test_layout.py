@@ -54,7 +54,6 @@ READ_FROM_OUTSIDE = {
        for name in ("interior", "boundary_flow", "rim_defect", "anchor_defect",
                     "seam_defect")},
     "RunRecord.residuals": "the bench's record_digest and check_operation",
-    "Snapshot.actual_t": "public: tests read the instant a snapshot was taken",
 }
 
 

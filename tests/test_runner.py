@@ -103,8 +103,7 @@ delay.gain = 0.05
 delay.initial_estimate = 0.3
 delay.mode = fixed
 run.duration = 1.25
-run.dt = {dt}
-run.control_period = 5
+run.block = {block}
 run.snapshots = none
 run.rings = 1 11 21
 """
@@ -131,23 +130,22 @@ def transient_record(transient_cfg):
 
 class TestStepResolution:
     def test_explicit_dt_is_a_cap(self, transient_cfg):
-        cfg = dataclasses.replace(transient_cfg, dt=1e-3, control_period=5,
-                                  snapshot_times=())
+        cfg = dataclasses.replace(transient_cfg, block=5e-3, snapshot_times=())
         rec = run(cfg)
         assert rec.times[1] - rec.times[0] == pytest.approx(5e-3, rel=1e-12)
         assert rec.times[-1] == pytest.approx(0.4, abs=1e-12)
 
     def test_auto_dt_respects_stability_bound(self, transient_cfg, transient_record):
-        # the step is capped by the stiffer channel's RK4 bound, and the
-        # run takes the fewest whole blocks that keep it under the cap
+        # the automatic block is capped at ten RK4 steps of the stiffer
+        # channel, and the run takes the fewest whole blocks under the cap
         cfg = transient_cfg
         grid = CylinderGrid(cfg.grid_m, cfg.grid_n)
-        cap = min(Stencil(grid, c).rk4_step
-                  for c in (cfg.desired.planar_coeffs, cfg.desired.axial_coeffs))
-        dt_ctrl = transient_record.times[1] - transient_record.times[0]
-        assert dt_ctrl / cfg.control_period <= cap * (1 + 1e-12)
-        blocks = round(cfg.duration / dt_ctrl)
-        assert blocks == math.ceil(cfg.duration / (cfg.control_period * cap))
+        cap = 10 * min(Stencil(grid, c).rk4_step
+                       for c in (cfg.desired.planar_coeffs, cfg.desired.axial_coeffs))
+        block = transient_record.times[1] - transient_record.times[0]
+        assert block <= cap * (1 + 1e-12)
+        blocks = round(cfg.duration / block)
+        assert blocks == math.ceil(cfg.duration / cap)
 
 
 class TestEquilibrium:
@@ -224,8 +222,8 @@ class TestPlantReads:
     @pytest.mark.parametrize("period", [3, 7])
     def test_one_block_read_per_channel_per_control_step(self, transient_cfg,
                                                          monkeypatch, period):
-        cfg = dataclasses.replace(transient_cfg, control_period=period,
-                                  dt=2e-3, duration=0.2, snapshot_times=())
+        cfg = dataclasses.replace(transient_cfg, block=period * 2e-3,
+                                  duration=0.2, snapshot_times=())
         updates, calls = self._probe(monkeypatch)
         rec = run(cfg)
         rows = rec.times.size
@@ -246,12 +244,12 @@ class TestPlantReads:
 
     def test_snapshot_inside_a_block_builds_its_own_weights(self, transient_cfg,
                                                             monkeypatch):
-        cfg = dataclasses.replace(transient_cfg, control_period=5, dt=2e-3,
-                                  duration=0.1, snapshot_times=(0.05, 0.064))
+        cfg = dataclasses.replace(transient_cfg, block=1e-2, duration=0.1,
+                                  snapshot_times=(0.05, 0.064))
         _, calls = self._probe(monkeypatch)
         rec = run(cfg)
-        # 0.05 is a block start, 0.064 the second step inside a block
-        assert [s.actual_t for s in rec.snapshots] == [25 * 2e-3, 32 * 2e-3]
+        # 0.05 is a block start, 0.064 inside a block
+        assert [s.requested_t for s in rec.snapshots] == [0.05, 0.064]
         peek_reads = sum(n for k, n in calls.items() if k[:2] == ("read", "peek"))
         peek_tables = sum(n for k, n in calls.items() if k[:2] == ("table", "peek"))
         loop_weights = sum(n for k, n in calls.items() if k[0] == "weights" and k[2])
@@ -269,7 +267,7 @@ class TestDelayLineSize:
             return lines[-1]
 
         monkeypatch.setattr(runner, "DelayLine", make)
-        cfg = dataclasses.replace(parse_config(REFINE.format(M=21, N=8, dt=1e-3), "r"),
+        cfg = dataclasses.replace(parse_config(REFINE.format(M=21, N=8, block=5e-3), "r"),
                                   duration=0.05)
         rec = run(cfg)
         assert len(lines) == 2
@@ -538,25 +536,19 @@ class TestSnapshots:
     def test_capture_times(self, transient_cfg, transient_record):
         snaps = transient_record.snapshots
         assert [s.requested_t for s in snaps] == [0.0, 0.123, 0.4]
-        assert snaps[0].actual_t == 0.0
-        assert snaps[2].actual_t == pytest.approx(0.4, abs=1e-12)
-        dt = transient_record.times[1] - transient_record.times[0]
-        mid = snaps[1]
-        assert mid.requested_t - 1e-9 <= mid.actual_t < mid.requested_t + dt
 
-    def test_inner_snapshot_is_the_state_at_its_step(self):
+    def test_inner_snapshot_is_the_state_at_its_instant(self):
         # no command reaches the rim before t = 1, so the plant runs open
-        # loop and its state at a step instant does not depend on the
-        # control period: a snapshot two steps into a block equals one
-        # taken at a block start when every step starts a block
+        # loop and its state at an instant does not depend on the blocks: a
+        # snapshot 0.003 into a block of 0.01 equals the one a run ending
+        # there takes at its last block start
         text = (TRANSIENT.replace("delay.true = 0.3", "delay.true = 1")
-                .replace("run.duration = 0.4", "run.duration = 0.1\nrun.dt = 0.002")
-                .replace("run.snapshots = 0 0.123 0.4", "run.snapshots = 0.064"))
+                .replace("run.duration = 0.4", "run.duration = 0.1\nrun.block = 0.01")
+                .replace("run.snapshots = 0 0.123 0.4", "run.snapshots = 0.063"))
         base = parse_config(text, "open-loop")
-        inner, = run(dataclasses.replace(base, control_period=5)).snapshots
-        start, = run(dataclasses.replace(base, control_period=1)).snapshots
-        assert inner.actual_t == start.actual_t == 32 * 0.002
-        for a, b in ((inner.planar, start.planar), (inner.axial, start.axial)):
+        inner, = run(base).snapshots
+        end, = run(dataclasses.replace(base, duration=0.063)).snapshots
+        for a, b in ((inner.planar, end.planar), (inner.axial, end.axial)):
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
     def test_field_copies_and_kinds(self, transient_record):
@@ -564,6 +556,25 @@ class TestSnapshots:
         assert np.iscomplexobj(snap.planar)
         assert not np.iscomplexobj(snap.axial)
         assert snap.planar.shape == snap.axial.shape == (15, 8)
+
+
+class TestNyquistRim:
+    def test_axial_rim_term_at_the_nyquist_wavenumber(self):
+        # on an 8-node ring +4 and -4 are one mode: the two halves of
+        # 0.5 cos 4 theta add into its row, and the run keeps it
+        text = (TRANSIENT.replace("grid.M = 15", "grid.M = 11")
+                .replace("desired.axial_leader = (0,0.8,0)",
+                         "desired.axial_leader = (0,1.3,0) (4,0.25,0) (-4,0.25,0)")
+                .replace("run.rings = 1 8 15", "run.rings = 1 6 11"))
+        cfg = parse_config(text, "nyquist")
+        rec = run(cfg)
+        assert not rec.terminated
+        assert rec.modes.tolist() == [-4, -3, -2, -1, 0, 1, 2, 3]
+        grid = CylinderGrid(11, 8, band=4)
+        _, axial = formation_fields(cfg.desired, grid)
+        ring = grid.synthesize(axial, "real")[-1]
+        assert np.max(np.abs(ring - (1.3 + 0.5 * np.cos(4 * grid.theta)))) <= 1e-14
+        assert np.all(np.isfinite(rec.err_axial))
 
 
 class TestGuard:
@@ -606,7 +617,7 @@ class TestConvergence:
     def test_formation_error_decays_to_the_stencil_goal(self):
         # stable loop at the known delay: the agents reach the goal they
         # are regulated to, and the planar error decays at the loop's rate
-        rec = run(parse_config(REFINE.format(M=21, N=8, dt=1e-3), "r"))
+        rec = run(parse_config(REFINE.format(M=21, N=8, block=5e-3), "r"))
         eu, ez, t = rec.err_planar, rec.err_axial, rec.times
         assert math.hypot(eu[-1], ez[-1]) <= 1e-4 * math.hypot(eu[0], ez[0])
         i, j = np.searchsorted(t, [0.6 - 1e-9, 1.2 - 1e-9])
@@ -674,9 +685,9 @@ class TestTargetResiduals:
         # the stencil's own goal that error has decayed to roundoff, so the
         # runs regulate to the continuum goal, which the plant cannot reach.
         monkeypatch.setattr(runner, "formation_fields", continuum_steady.formation_fields)
-        coarse = run(parse_config(REFINE.format(M=21, N=8, dt=1e-3), "c"),
+        coarse = run(parse_config(REFINE.format(M=21, N=8, block=5e-3), "c"),
                      capture_residuals=[1.2])
-        fine = run(parse_config(REFINE.format(M=41, N=16, dt=2.5e-4), "f"),
+        fine = run(parse_config(REFINE.format(M=41, N=16, block=1.25e-3), "f"),
                    capture_residuals=[1.2])
         (_, cp, cz), = coarse.residuals
         (_, fp, fz), = fine.residuals
@@ -763,6 +774,6 @@ class TestSnapshotWriter:
 
 class TestSnapshotDataclass:
     def test_fields(self):
-        s = Snapshot(1.0, 1.0009, np.zeros((3, 4), complex), np.zeros((3, 4)))
+        s = Snapshot(1.0, np.zeros((3, 4), complex), np.zeros((3, 4)))
+        assert [f.name for f in dataclasses.fields(s)] == ["requested_t", "planar", "axial"]
         assert s.requested_t == 1.0
-        assert s.actual_t == 1.0009
