@@ -216,7 +216,8 @@ def _rim(raw: str) -> dict:
     return out
 
 
-#: snapshot instants, ascending, used when a config does not name its own
+#: snapshot instants, ascending, used up to ``run.duration`` when a config
+#: does not name its own
 DEFAULT_SNAPSHOTS = (0.0, 0.09, 0.2, 2.0, 4.0, 40.0)
 
 _FORMATION = {
@@ -284,6 +285,8 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
                 # a copy, so that no two configs share a mutable default
                 got[name] = copy.copy(default)
     delay, run = values["delay"], values["run"]
+    if "run.snapshots" not in entries:
+        run["snapshots"] = tuple(t for t in DEFAULT_SNAPSHOTS if t <= run["duration"])
     return ScenarioConfig(
         grid_m=values["grid"]["M"],
         grid_n=values["grid"]["N"],

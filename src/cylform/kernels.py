@@ -14,7 +14,7 @@ The per-wavenumber predictor kernels couple the reconstructed actuation
 history to the state over the delay horizon; they are sine series in the
 integration variable with exponential growth factors in the other, and their
 sine coefficients are fixed one-dimensional integrals of the edge profile of
-the Volterra kernels.
+the forward Volterra kernel.
 
 :class:`KernelBasis` holds everything that depends only on the plant
 coefficients and the grid (sine coefficients, quadrature contraction tables,
@@ -144,8 +144,8 @@ def _flush_subnormal(table: np.ndarray) -> np.ndarray:
 class KernelBasis:
     """Delay-independent kernel data for one channel on one grid.
 
-    Construction fills, in order: the edge profiles of the Volterra kernels
-    on a refinement of the axial grid; their sine coefficients (exact
+    Construction fills, in order: the edge profile of the forward Volterra
+    kernel on a refinement of the axial grid; its sine coefficients (exact
     sine-weighted quadrature of the piecewise-quadratic edge interpolant);
     the triangular composition table coupling the inverse Volterra kernel
     into the sine basis; the Volterra quadrature matrices on the
@@ -170,15 +170,12 @@ class KernelBasis:
         freqs = np.pi * np.arange(1, i_max + 1)
 
         k_edge = _kernel_values(1.0, xi, coeffs, 1.0)
-        l_edge = _kernel_values(1.0, xi, coeffs, -1.0)
         w_sine_ref = sine_weights(freqs, m_ref, h_ref)
-        #: sine coefficients of the forward/inverse kernel edge profiles
+        #: sine coefficients of the forward kernel's edge profile
         self.fwd_sine = w_sine_ref @ k_edge
-        self.inv_sine = w_sine_ref @ l_edge
         signs = np.where(np.arange(1, i_max + 1) % 2 == 0, 1.0, -1.0)
         #: sine-series coefficients of the edge tau-derivative at tau = 1
         self.fwd_edge = freqs * signs * self.fwd_sine
-        self.inv_edge = freqs * signs * self.inv_sine
 
         #: per-harmonic contraction weights on the production grid
         self.mode_sine = sine_weights(freqs, M, h)
@@ -213,8 +210,31 @@ class KernelBasis:
         n2 = np.arange(grid.band + 1)[:, None] ** 2
         #: ``lam - n**2 - (i*pi)**2``, predictor growth per unit delay
         self.base_rates = coeffs.shifted_reaction - n2 - freqs[None, :] ** 2
-        #: ``n**2 + (i*pi)**2``, inverse-kernel decay per unit delay
-        self.base_inv_rates = (n2 + freqs[None, :] ** 2).astype(complex)
+
+    def check_truncation(self, delay: float, name: str = "delay estimate") -> None:
+        """Raise :class:`KernelTruncationError` when the series does not
+        resolve the delay estimate ``delay`` (called ``name`` in the message):
+        one node off the launch edge at wavenumber 0, where it converges
+        slowest, its last harmonic carries over 1e-10 of it.  That share
+        falls as the delay rises, since the rates fall with the harmonic, so
+        the message names the smallest delay that passes (by bisection)."""
+        def share(d):
+            mags = np.abs(self.fwd_sine * np.exp(d * self.base_rates[0] * self.grid.h_s))
+            return mags[-1] / max(mags.sum(), 1e-300)
+        if share(delay) <= 1e-10:
+            return
+        lo, hi = delay, 2.0 * delay
+        while share(hi) > 1e-10:
+            lo, hi = hi, 2.0 * hi
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if share(mid) > 1e-10 else (lo, mid)
+        # 1.005 * hi keeps the three digits shown at or above hi
+        raise KernelTruncationError(
+            f"{name} = {delay:g} is below {1.005 * hi:.3g}, the smallest delay "
+            f"estimate the kernel series of {self.i_max} harmonics resolves: its "
+            f"last harmonic still carries {share(delay):.3e} of the series one "
+            f"node off the edge")
 
     @staticmethod
     def _row_weight_matrix(m: int, h: float) -> np.ndarray:
@@ -241,8 +261,7 @@ class KernelSet:
 
     Wavenumber enters only through ``n**2``, so tables are indexed by ``|n|``.
     ``rates[a, i]`` is the growth exponent of harmonic ``i`` for ``|n| = a``
-    in the predictor kernel; ``inv_rates`` the (always decaying) analogue in
-    the inverse kernel.
+    in the predictor kernel.
 
     For a fixed estimate everything a control step computes from its two
     inputs -- the command-in-flight table (``transport``) and the scaled
@@ -254,9 +273,8 @@ class KernelSet:
     * ``history_map[a]``, the top-left block (transposed, as the product
       runs on rows), maps a transport profile to its history convolution
       image: identity plus ``2*delay*sum_i fwd_edge_i W_i``, with ``W_i``
-      the running-convolution matrix of
-      :func:`~cylform.quadrature.exp_conv_paired` for rate ``rates[a, i]``,
-      assembled in closed form;
+      the running convolution of a profile's piecewise-quadratic interpolant
+      with ``exp(rates[a, i] * s)``, assembled in closed form;
     * the deviation enters the history through the predicted command flow,
       ``-state_weights @ exp_s[a]``;
     * the state drift is the part of the estimator's mismatch drift that
@@ -281,12 +299,11 @@ class KernelSet:
         self.grid = grid
         self.delay = float(delay_estimate)
 
+        basis.check_truncation(self.delay)
         self.rates = self.delay * basis.base_rates
-        self.inv_rates = -self.delay * basis.base_inv_rates
         #: exp(rates * s) on the axial grid, shape (|n| count, i_max, M)
         self.exp_s = _flush_subnormal(
             np.exp(self.rates[:, :, None] * grid.s[None, None, :]))
-        self._check_truncation()
 
         edge_flow = 2.0 * self._real_if_rates(basis.fwd_edge) @ self.exp_s
         self.step_map = _flush_subnormal(
@@ -344,7 +361,7 @@ class KernelSet:
         m, pairs = grid.M, (grid.M - 1) // 2
         edge = 2.0 * self.delay * self.basis.fwd_edge
         w0, w1, w2 = exp_pair_weights(self.rates, grid.h_s)
-        # reversed kernel, as in exp_conv_paired: c_l weighs node l of a pair
+        # the convolution's kernel runs back from a pair's end: c_l weighs node l
         c = np.stack([w2, w1, w0], axis=1) * edge                       # (A, 3, i)
         half = np.stack(exp_half_weights(self.rates, grid.h_s), axis=1) @ edge
         # one zero column past the last lag stands for the empty upper part
@@ -365,22 +382,6 @@ class KernelSet:
         return self._real_if_rates(out)
 
     # -- bookkeeping -----------------------------------------------------
-
-    def _check_truncation(self) -> None:
-        """Tail test where the series converges slowest (one step off the
-        launch edge, widest wavenumber 0)."""
-        h = self.grid.h_s
-        mags = 2.0 * np.abs(self.basis.fwd_sine) * np.abs(np.exp(self.rates[0] * h))
-        total = mags.sum()
-        if total == 0.0:
-            return
-        rel = mags[-1] / total
-        if rel > 1e-10:
-            raise KernelTruncationError(
-                f"last retained harmonic still contributes {rel:.3e} of the "
-                f"series one node off the edge; raise the truncation order "
-                f"(currently {self.basis.i_max})"
-            )
 
     def matches(self, delay_estimate: float, tol: float) -> bool:
         return abs(self.delay - delay_estimate) <= tol

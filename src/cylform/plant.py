@@ -140,16 +140,6 @@ class DelayLine:
         rows = self._buf[slots]
         return w0 * rows[0] + w1 * rows[1]
 
-    def lookup_many(self, times: np.ndarray) -> np.ndarray:
-        """Rows at the instants ``times``, shape ``times.shape + (width,)``:
-        :meth:`read` through a table built on the spot, zero before the first record."""
-        times = np.asarray(times, dtype=float)
-        x = (times.ravel() - self._t0) / self.dt
-        pre, last = x < -_BREAK_TOL, self._count - 1
-        table = read_table(np.where(pre, last, np.minimum(np.maximum(x, 0.0), last)))
-        table.weights[:, pre] = 0.0
-        return self.read(table, self._t0).reshape(times.shape + (self.width,))
-
 
 class Stencil:
     """The semi-discrete operator of one channel, diagonalised in closed form.

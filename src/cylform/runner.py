@@ -35,7 +35,10 @@ interval away from the tables in use.  The tables a rebuild replaces are
 kept as a spare, and an estimate that returns within that fraction of them
 (a projected estimate flipping between its bounds) swaps them back, step
 maps included, instead of rebuilding.  Either way the loop repoints each
-controller's ``ks``, the only reference it keeps to a channel's tables.
+controller's ``ks``, the only reference it keeps to a channel's tables.  An
+adaptive run checks at set-up that the tables' series resolves ``delay.lo``,
+where it converges slowest.  A :func:`target_residual` capture is taken at
+the tables in use, so one across an estimate move includes that move.
 
 Results are collected in a :class:`RunRecord` (one logged row per control
 step) and serialized as CSV: a single time series plus, per requested
@@ -57,8 +60,8 @@ import numpy as np
 from .config import ScenarioConfig, snapshot_label
 from .controller import ChannelController, ChannelUpdate, to_target_state
 from .errors import InstabilityError
-from .estimator import (EstimatorState, adaptation_drift, mismatch_drift,
-                        step_estimate, update_signal)
+from .estimator import (EstimatorState, mismatch_drift, step_estimate,
+                        update_signal)
 from .geometry import TWO_PI, CylinderGrid
 from .kernels import KernelBasis, KernelSet
 from .plant import Channel, DelayLine, Stencil
@@ -92,11 +95,11 @@ class TargetResiduals:
     ``interior`` is the surface norm of the transformed-state equation on
     interior nodes, with the rim coupling removed by subtracting the linear
     interpolant of the moving-rim value.  ``boundary_flow`` is the norm of
-    the history transport equation under the current estimate (its drift
-    correction included), which picks up the unknown delay mismatch and so
-    vanishes only when the estimate is exact.  The remaining entries are
-    pointwise rim checks: the history image at the moving rim, and the tied
-    ends of the interpolant-corrected state.
+    the history transport defect at the tables in use, ``delay * (h1 - h0)/dt
+    - d_s h_mid`` on interior nodes: it vanishes only at an exact estimate,
+    and a capture across an estimate move carries the change of tables.  The
+    remaining entries are pointwise rim checks: the history image at the
+    moving rim, and the tied ends of the interpolant-corrected state.
     """
 
     interior: float
@@ -149,8 +152,7 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
     ``capture_residuals`` is a collection of instants.  Each triggers one
     :func:`target_residual` capture for both channels at the first control
     step at or after it, but not before the second step (a capture spans two
-    consecutive updates).  The evaluation is far more expensive than a
-    control step itself.
+    consecutive updates).
     """
     grid = CylinderGrid(cfg.grid_m, cfg.grid_n,
                         band=max(cfg.initial.band, cfg.desired.band))
@@ -165,14 +167,19 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
     horizon = min(max(cfg.true_delay, cfg.delay_hi) + 4.0 * dt_ctrl, cfg.duration)
     est = EstimatorState(cfg.initial_estimate, cfg.delay_lo, cfg.delay_hi,
                          cfg.gain, dt_ctrl)
+    bases = [KernelBasis(c, grid) for c in coeffs]
+    if not cfg.fixed_estimate:
+        # fail here, not at the first rebuild at delay.lo, where the kernel
+        # series converges slowest
+        for basis in bases:
+            basis.check_truncation(cfg.delay_lo, "delay.lo")
     # (plant, delay line, controller) of each channel, planar then axial
     channels = [
         (Channel(st, goal[:, 0], goal[:, -1], init, dt_ctrl, cfg.true_delay, kind),
          DelayLine(grid.modes.size, dt_ctrl, horizon),
-         ChannelController(KernelSet(KernelBasis(c, grid), est.estimate),
-                           goal, kind))
-        for st, c, init, goal, kind in zip(stencils, coeffs, inits, goals,
-                                           ("complex", "real"))]
+         ChannelController(KernelSet(basis, est.estimate), goal, kind))
+        for st, basis, init, goal, kind in zip(stencils, bases, inits, goals,
+                                               ("complex", "real"))]
     ctrls = [ctrl for _, _, ctrl in channels]
     spare = None                # the (planar, axial) sets last replaced
     retable_tol = _RETABLE_FRACTION * (cfg.delay_hi - cfg.delay_lo)
@@ -181,7 +188,7 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
     snap_queue = list(cfg.snapshot_times)
     res_queue = sorted(capture_residuals)
     rows, snaps, residuals = [], [], []
-    prev = None                 # ((planar, axial) updates, estimate used)
+    prev = None                 # the (planar, axial) updates of the last step
     terminated, reason = False, None
 
     for b in range(blocks + 1):
@@ -210,11 +217,10 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
         if prev is not None and _reached(res_queue, t):
             while _reached(res_queue, t):
                 res_queue.pop(0)
-            rate = (est.estimate - prev[1]) / dt_ctrl
             residuals.append((t, *(
-                target_residual(before, upd, dt_ctrl, ctrl.ks, rate)
-                for before, upd, ctrl in zip(prev[0], upds, ctrls))))
-        prev = (upds, est.estimate)
+                target_residual(before, upd, dt_ctrl, ctrl.ks)
+                for before, upd, ctrl in zip(prev, upds, ctrls))))
+        prev = upds
 
         if not cfg.fixed_estimate:
             est = step_estimate(est, signal)
@@ -258,7 +264,7 @@ def _surface_norm(stack: np.ndarray, h_s: float) -> float:
 
 
 def target_residual(prev: ChannelUpdate, curr: ChannelUpdate, dt: float,
-                    ks: KernelSet, estimate_rate: float = 0.0) -> TargetResiduals:
+                    ks: KernelSet) -> TargetResiduals:
     """Defects of the decoupled equations between two consecutive updates.
 
     Works per angular wavenumber on the mode tables of the two updates; the
@@ -268,8 +274,10 @@ def target_residual(prev: ChannelUpdate, curr: ChannelUpdate, dt: float,
     removed from the state by subtracting ``s`` times the history value at
     the near rim; what remains must satisfy a pure heat equation with pinned
     ends, driven by the rim motion.  The history must satisfy a transport
-    equation whose speed is the reciprocal of the delay estimate, corrected
-    by the adaptation drift when the estimate is moving.  Time derivatives
+    equation whose speed is the reciprocal of the delay estimate of ``ks``,
+    the tables in use: the defect models no motion of the estimate, so a
+    capture across an estimate move includes the change of the history
+    image between the two updates' tables.  Time derivatives
     are centered on the interval, so the discretization itself contributes
     at second order in ``dt`` on top of the grid's second-order spatial
     error.
@@ -294,10 +302,7 @@ def target_residual(prev: ChannelUpdate, curr: ChannelUpdate, dt: float,
                  + s[None, :] * ((near1 - near0) / dt)[:, None])
 
     h_mid = 0.5 * (h0 + h1)
-    drift = adaptation_drift(0.5 * (w0 + w1), h_mid, ks)
-    flow_res = (ks.delay * (h1 - h0) / dt
-                - grid.d_s(h_mid.T).T
-                + ks.delay * estimate_rate * drift)
+    flow_res = ks.delay * (h1 - h0) / dt - grid.d_s(h_mid.T).T
 
     return TargetResiduals(
         interior=_surface_norm(state_res[:, 1:-1], grid.h_s),

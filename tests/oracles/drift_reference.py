@@ -1,16 +1,14 @@
-"""Independent reference evaluation of the estimator drift terms.
+"""Independent reference evaluation of the estimator's mismatch drift.
 
 Everything here is built from scratch on top of scipy: the Volterra kernel
 edges come from scipy.special Bessel functions (not the package's own power
-series), harmonic coefficients come from QUADPACK's oscillatory sine
-weighting, and the time-like integrals use a closed-form recursion for
-exponential moments instead of the production quadrature tables.  The only
+series), and harmonic coefficients come from QUADPACK's oscillatory sine
+weighting instead of the production quadrature tables.  The only
 structural assumption shared with the production code is the truncation
 order of the harmonic series, which both sides must match term by term.
 
-The manufactured inputs are fixed: the interior profile is sin(pi*s) (so its
-sine expansion collapses to the first harmonic) and the boundary history is
-s - s**2 (a polynomial the closed moments integrate exactly).
+The manufactured interior profile is fixed at sin(pi*s), so its sine
+expansion collapses to the first harmonic.
 """
 
 import numpy as np
@@ -94,29 +92,6 @@ def edge_integral(lam):
     return quad(lambda t: f(t) * np.sin(np.pi * t), 0.0, 1.0, limit=400)[0]
 
 
-def exp_moments(z, s, jmax):
-    """m_j(z) = int_0^s sigma**j exp(z*sigma) dsigma for j = 0..jmax.
-
-    Stable downward-free recursion m_j = (s**j e^{zs} - j m_{j-1}) / z;
-    assumes z is bounded away from zero (true for every decay rate used
-    in these tests).  Returns a list of arrays shaped like z.
-    """
-    z = np.asarray(z, dtype=float)
-    ez = np.exp(z * s)
-    out = [(ez - 1.0) / z]
-    for j in range(1, jmax + 1):
-        out.append((s**j * ez - j * out[-1]) / z)
-    return out
-
-
-def drift_rates(lam, dhat, n, i_max):
-    """Decay-rate ladders of the forward and inverse harmonic series."""
-    i = np.arange(1, i_max + 1)
-    a = dhat * (lam - n * n - (i * np.pi) ** 2)
-    c = -dhat * (n * n + (i * np.pi) ** 2)
-    return a, c
-
-
 def mismatch_reference(lam, dhat, n, s, k_sine, t_sine, edge_int, h0):
     """Boundary-mismatch drift profile for interior profile sin(pi*s).
 
@@ -124,50 +99,11 @@ def mismatch_reference(lam, dhat, n, s, k_sine, t_sine, edge_int, h0):
     boundary-history sample entering the edge correction.
     """
     i_max = len(k_sine)
-    a, _ = drift_rates(lam, dhat, n, i_max)
     i = np.arange(1, i_max + 1)
+    a = dhat * (lam - n * n - (i * np.pi) ** 2)        # predictor rate ladder
     b = i * np.pi * (-1.0) ** i * k_sine
     s_sine = np.zeros(i_max)
     s_sine[0] = 0.5
     rho = (2.0 * a * k_sine / dhat) * (s_sine + t_sine) \
         - 2.0 * b * (edge_int + h0)
     return rho @ np.exp(np.outer(a, np.atleast_1d(s)))
-
-
-def adaptation_terms(lam, dhat, n, s, k_sine, l_sine, t_sine):
-    """The four pieces of the adaptation drift at one axial position s.
-
-    Interior profile sin(pi*s), boundary history h(tau) = tau - tau**2.
-    Returns (A, B, C, D); their sum is the reference drift value.
-    """
-    i_max = len(k_sine)
-    a, c = drift_rates(lam, dhat, n, i_max)
-    i = np.arange(1, i_max + 1)
-    b = i * np.pi * (-1.0) ** i * k_sine
-    d = i * np.pi * (-1.0) ** i * l_sine
-    s_sine = np.zeros(i_max)
-    s_sine[0] = 0.5
-
-    term_a = (2.0 / dhat) * np.sum(
-        a * s * np.exp(a * s) * k_sine * (s_sine + t_sine))
-
-    # only the first harmonic of sin(pi*s) survives the inner projection
-    d1 = c[0] - a
-    g0 = (np.exp(c[0] * s) - np.exp(a * s)) / d1
-    g1 = (np.exp(c[0] * s) - (1.0 + d1 * s) * np.exp(a * s)) / d1**2
-    term_b = -4.0 * np.sum(b * (0.5 * l_sine[0]) * (g0 + a * g1))
-
-    # h(s - sigma) = (s - s^2) + (2s - 1) sigma - sigma^2
-    coef = (s - s * s, 2.0 * s - 1.0, -1.0)
-    ma = exp_moments(a, s, 3)
-    term_c = -2.0 * np.sum(
-        b * sum(coef[j] * (ma[j] + a * ma[j + 1]) for j in range(3)))
-
-    mc = exp_moments(c, s, 2)
-    delta = c[None, :] - a[:, None]
-    pref = 1.0 / delta + a[:, None] / delta**2
-    j_tab = sum(coef[j] * (pref * (mc[j][None, :] - ma[j][:, None])
-                           - (a[:, None] / delta) * ma[j + 1][:, None])
-                for j in range(3))
-    term_d = 4.0 * dhat * np.einsum("i,j,ij->", b, d, j_tab)
-    return term_a, term_b, term_c, term_d

@@ -15,6 +15,7 @@ import weakref
 import numpy as np
 
 from cylform.quadrature import _exp_moments, exp_lin_weights
+from oracles.delay_lookup import lookup_many
 
 #: lattice weights per kernel set, ``(record spacing, weights)``; an entry
 #: depends only on its set and spacing, so callers cannot disturb each other
@@ -109,7 +110,7 @@ def control_modes_recorded(measured, line, t, ks):
     grid = ks.grid
     rows = np.abs(grid.modes)
     w = command_lattice(ks, line.dt)[rows]                      # (modes, nodes)
-    win = line.lookup_many(t - line.dt * np.arange(1, w.shape[1]))
+    win = lookup_many(line, t - line.dt * np.arange(1, w.shape[1]))
     gain = np.exp(0.5 * ks.basis.coeffs.advection)
     lattice = win * gain                                        # (nodes-1, modes)
     sw = measured @ ks.basis.mode_sine.T

@@ -1,7 +1,7 @@
 """Reference control step built the way the package first computed it.
 
 Every map here is rebuilt from the running exponential convolution
-:func:`cylform.quadrature.exp_conv_paired` on each call -- the history map
+:func:`oracles.running_conv.exp_conv_paired` on each call -- the history map
 from the convolution of the identity, the command law and the target
 history from the convolution of the whole mode table, the rim node's weight
 in the command law from a fresh pair-weight build, the transport from one
@@ -19,8 +19,9 @@ from collections import Counter
 import numpy as np
 
 from cylform import controller, runner
-from cylform.quadrature import exp_conv_paired, exp_pair_weights
+from cylform.quadrature import exp_pair_weights
 from oracles.delay_lookup import lookup
+from oracles.running_conv import exp_conv_paired
 
 
 def history_map(ks, n):

@@ -10,8 +10,9 @@ can check the forward maps against something they do not share.
 
 import numpy as np
 
-from cylform.quadrature import exp_conv_paired, interp_quadratic
+from cylform.quadrature import interp_quadratic, sine_weights
 from oracles.dense_law import sine_basis
+from oracles.running_conv import exp_conv_paired
 from oracles.seed_pipeline import state_prediction
 from oracles.volterra_kernels import inverse_kernel, row_weight_matrix_loop
 
@@ -74,9 +75,21 @@ def from_target_history(history, target, ks):
     return out
 
 
-def inv_exp_s(ks):
-    """``exp(inv_rates * s)`` on the axial grid, shape (|n| count, i_max, M)."""
-    return np.exp(ks.inv_rates[:, :, None] * ks.grid.s[None, None, :])
+def inverse_series(ks):
+    """Sine coefficients of the inverse kernel's edge profile, those of its
+    edge tau-derivative at tau = 1, and the inverse series' (decaying) rates
+    per ``|n|`` and harmonic, as ``ks.basis`` builds the forward ones: the
+    edge sampled on the basis's refined grid, and exact sine weights of its
+    piecewise-quadratic interpolant."""
+    basis, grid = ks.basis, ks.grid
+    m_ref = basis.refine * (grid.M - 1) + 1
+    freqs = np.pi * np.arange(1, basis.i_max + 1)
+    edge = inverse_kernel(1.0, np.linspace(0.0, 1.0, m_ref), basis.coeffs)
+    sine = sine_weights(freqs, m_ref, grid.h_s / basis.refine) @ edge
+    signs = np.where(np.arange(1, basis.i_max + 1) % 2 == 0, 1.0, -1.0)
+    n2 = np.arange(grid.band + 1)[:, None] ** 2
+    rates = -ks.delay * (n2 + freqs[None, :] ** 2).astype(complex)
+    return sine, freqs * signs * sine, rates
 
 
 def from_target_history_series(history, target, ks):
@@ -89,12 +102,12 @@ def from_target_history_series(history, target, ks):
     """
     grid = ks.grid
     rows = np.abs(grid.modes)
+    inv_sine, inv_edge, inv_rates = inverse_series(ks)
     sw = target @ ks.basis.mode_sine.T                           # (N, i_max)
-    eta_part = 2.0 * np.einsum("ni,nim->nm",
-                               sw * ks.basis.inv_sine[None, :],
-                               inv_exp_s(ks)[rows])
-    conv = exp_conv_paired(ks.inv_rates[rows], history, grid.h_s)
-    q_part = -2.0 * ks.delay * np.einsum("i,nim->nm", ks.basis.inv_edge, conv)
+    inv_exp_s = np.exp(inv_rates[rows][:, :, None] * grid.s)
+    eta_part = 2.0 * np.einsum("ni,nim->nm", sw * inv_sine[None, :], inv_exp_s)
+    conv = exp_conv_paired(inv_rates[rows], history, grid.h_s)
+    q_part = -2.0 * ks.delay * np.einsum("i,nim->nm", inv_edge, conv)
     return history + eta_part + q_part
 
 

@@ -8,6 +8,8 @@ import pytest
 
 import cylform
 from cylform.cli import main
+from cylform.config import PRESETS
+from cylform.controller import ChannelController
 
 TINY = """
 grid.M = 15
@@ -33,6 +35,14 @@ run.duration = 0.05
 run.snapshots = 0 0.05
 run.rings = 1 8 15
 """
+
+#: the ``moderate`` preset on a 21x16 grid over 0.4 s: adapting from
+#: delay.hi, the estimate reaches delay.lo within 0.35 s
+MODERATE_21X16 = (PRESETS["moderate"]
+                  .replace("grid.M = 51", "grid.M = 21")
+                  .replace("grid.N = 50", "grid.N = 16")
+                  .replace("run.duration = 20", "run.duration = 0.4")
+                  + "run.rings = 5 11 21\n")
 
 
 @pytest.fixture
@@ -115,6 +125,38 @@ class TestRunCommand:
         assert err.startswith("error: shifted reaction 999.9375")
         assert "Traceback" not in err
         assert not (tmp_path / "x").exists()
+
+    def test_unresolved_delay_lo_exits_1_before_the_first_step(self, tmp_path,
+                                                               capsys, monkeypatch):
+        # the kernel series converges slowest at delay.lo, which the
+        # adapting estimate may reach: set-up rejects the bound
+        updates = []
+        update = ChannelController.update
+        monkeypatch.setattr(ChannelController, "update",
+                            lambda self, *args: updates.append(1) or update(self, *args))
+        p = tmp_path / "low.cfg"
+        p.write_text(MODERATE_21X16.replace("delay.lo = 0.2", "delay.lo = 0.005"),
+                     encoding="utf-8")
+        assert main(["run", str(p), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: delay.lo = 0.005 is below ")
+        assert updates == []
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("lo, mode", [("0.01", "adaptive"), ("0.005", "fixed")])
+    def test_resolved_or_unreached_delay_lo_runs(self, tmp_path, capsys, lo, mode):
+        # an adapting estimate reaches delay.lo = 0.01 and rebuilds its
+        # tables there; an estimate fixed at 1 never reaches 0.005
+        text = MODERATE_21X16.replace("delay.lo = 0.2", f"delay.lo = {lo}")
+        if mode == "fixed":
+            text = text.replace("delay.initial_estimate = 2",
+                                "delay.initial_estimate = 1") + "delay.mode = fixed\n"
+        p = tmp_path / "low.cfg"
+        p.write_text(text, encoding="utf-8")
+        assert main(["run", str(p), "--out", str(tmp_path / "x")]) == 0
+        capsys.readouterr()
+        dhat = np.loadtxt(tmp_path / "x" / "series.csv", delimiter=",", skiprows=1)[:, 1]
+        assert dhat.min() == (float(lo) if mode == "adaptive" else 1.0)
 
     def test_resonant_goal_exits_1(self, tmp_path, capsys):
         # with 21 axial nodes this reaction zeroes one of the planar

@@ -79,6 +79,10 @@ class TestParsing:
         cfg = parse_config(text, "m")
         assert cfg.snapshot_times == tuple(sorted(DEFAULT_SNAPSHOTS))
 
+    def test_default_snapshots_keep_the_instants_within_the_horizon(self):
+        cfg = parse_config(edit(MINIMAL, "run.snapshots = none", ""), "m")
+        assert cfg.snapshot_times == (0.0, 0.09, 0.2)
+
     def test_duplicate_key_rejected_with_line(self):
         with pytest.raises(ConfigError, match=r"m:\d+: duplicate key"):
             parse_config(MINIMAL + "\ngrid.M = 21\n", "m")

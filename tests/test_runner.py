@@ -658,9 +658,9 @@ class TestTargetResiduals:
             made[id(upd)] = (self, self.ks)
             return upd
 
-        def residual(prev, curr, dt, ks, rate=0.0):
+        def residual(prev, curr, dt, ks):
             calls.append((made[id(prev)], made[id(curr)], ks))
-            return target_residual(prev, curr, dt, ks, rate)
+            return target_residual(prev, curr, dt, ks)
 
         controller_update, target_residual = ChannelController.update, runner.target_residual
         monkeypatch.setattr(ChannelController, "update", update)
@@ -677,6 +677,35 @@ class TestTargetResiduals:
             assert ks.basis.coeffs == want and ks0.basis is ks.basis
             swaps += ks0 is not ks
         assert swaps >= 2
+
+    def test_capture_across_an_estimate_move_is_taken_at_the_tables_in_use(
+            self, monkeypatch):
+        # the flow defect models no motion of the estimate: across a move it
+        # is the transport defect of the two updates under the current tables
+        cfg = moderate_21x16(fixed=False, duration=0.8)
+        plain = run(cfg)
+        k = int(np.flatnonzero(np.diff(plain.estimates))[0]) + 1
+        updates = []
+
+        def update(self, *args, **kwargs):
+            upd = controller_update(self, *args, **kwargs)
+            updates.append((upd, self.ks))
+            return upd
+
+        controller_update = ChannelController.update
+        monkeypatch.setattr(ChannelController, "update", update)
+        rec = run(cfg, capture_residuals=[plain.times[k]])
+        (t, *captured), = rec.residuals
+        assert t == plain.times[k]
+        dt = plain.times[1]
+        for c, got in enumerate(captured):
+            (before, ks0), (after, ks) = updates[2 * (k - 1) + c], updates[2 * k + c]
+            assert ks0.delay != ks.delay
+            h0, h1 = before.target_history, after.target_history
+            grid = ks.grid
+            flow = ks.delay * (h1 - h0) / dt - grid.d_s((0.5 * (h0 + h1)).T).T
+            want = math.sqrt(2.0 * math.pi * grid.h_s * np.sum(abs(flow[:, 1:-1]) ** 2))
+            assert got.boundary_flow == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_refinement_beyond_first_order(self, monkeypatch):
         # Slope kinks of the command flow echo at multiples of the dead
