@@ -10,9 +10,11 @@ points outward, and one forward-Euler step moves it otherwise.
 The drift is linear in the target state and in the history's root value.
 Its state part comes out of the controller's one product per step, through
 the kernel set's ``step_map`` (see :class:`~cylform.kernels.KernelSet`);
-:func:`mismatch_drift` adds the root-value part, a rank-one table.  The
-law reads no term for the estimate's own motion: the target history is
-always the image under the tables in use.
+:func:`mismatch_drift` adds the root-value part, a rank-one table.  Both
+functions take one channel's mode tables or the channels' stacked on a
+leading axis, and the signal sums over the channels.  The law reads no term
+for the estimate's own motion: the target history is always the image
+under the tables in use.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import CylinderGrid
-from .kernels import KernelSet
 
 __all__ = [
     "EstimatorState",
@@ -66,7 +67,7 @@ class EstimatorState:
 
 
 def mismatch_drift(state_drift: np.ndarray, history: np.ndarray,
-                   ks: KernelSet) -> np.ndarray:
+                   edge_flow: np.ndarray) -> np.ndarray:
     """Sensitivity of the target history to the delay-estimate error.
 
     Per wavenumber the profile is a finite exponential series along the
@@ -74,12 +75,14 @@ def mismatch_drift(state_drift: np.ndarray, history: np.ndarray,
     the target state, the sine transform of its running inverse-Volterra
     integral, the full-span edge integral, and the root value of the target
     history.  ``state_drift`` is the sum of the state terms, which the
-    control step's product already holds
-    (:attr:`~cylform.controller.ChannelUpdate.state_drift`); the root value
-    enters along ``ks.edge_flow``.  Vanishes identically at the transformed
-    equilibrium, making it a fixed point of the adaptation.
+    control step's product already holds (the second half of
+    :func:`~cylform.controller.step_images`); the root value
+    enters along ``edge_flow``, the kernel set's
+    :attr:`~cylform.kernels.KernelSet.edge_flow`, or the channels' stacked
+    like the tables.  Vanishes identically at the transformed equilibrium,
+    making it a fixed point of the adaptation.
     """
-    return state_drift - history[:, :1] * ks.edge_flow
+    return state_drift - history[..., :1] * edge_flow
 
 
 # ---------------------------------------------------------------------------
@@ -88,17 +91,18 @@ def mismatch_drift(state_drift: np.ndarray, history: np.ndarray,
 
 def update_signal(history: np.ndarray, drift: np.ndarray,
                   grid: CylinderGrid) -> float:
-    """One channel's share of the signal driving the delay adaptation.
+    """The signal driving the delay adaptation.
 
-    An inner product of the target history against its mismatch drift with
-    the increasing axial weight ``1 + s`` (Simpson in the axial direction,
-    exact angular pairing across modes).  The real-part pairing keeps the
-    result real for complex-valued channels and reduces to the plain product
-    on real ones; both channels add their share, since they observe one and
-    the same physical delay.
+    Per channel, an inner product of the target history against its
+    mismatch drift with the increasing axial weight ``1 + s`` (Simpson in
+    the axial direction, exact angular pairing across modes).  The
+    real-part pairing keeps the result real for complex-valued channels and
+    reduces to the plain product on real ones.  Stacked channels add their
+    shares, in order, since they observe one and the same physical delay.
     """
-    paired = (history * drift.conj()).real.sum(axis=0)
-    return float(-4.0 * np.pi * (paired * (1.0 + grid.s) * grid.simpson_s).sum())
+    paired = np.add.reduce((history * drift.conj()).real, axis=-2)
+    shares = -4.0 * np.pi * np.add.reduce(paired * (1.0 + grid.s) * grid.simpson_s, axis=-1)
+    return float(shares.sum())
 
 
 def project(estimate: float, signal: float, lo: float, hi: float) -> float:

@@ -70,6 +70,10 @@ class CylinderGrid:
         a = np.arange(band + 1)
         self.mode_pairs = np.stack([-a, np.where(a <= self.modes[-1], a, -a)],
                                    axis=1) + band
+        #: row of ``-n`` for each row ``n``; the unpaired 0 and ``N/2`` are
+        #: their own
+        self.mates = np.where(-self.modes <= self.modes[-1], -self.modes,
+                              self.modes) + band
 
     def __eq__(self, other):
         return isinstance(other, CylinderGrid) and \
@@ -122,9 +126,10 @@ class CylinderGrid:
         return self._to_modes(values)
 
     def synthesize_profile(self, coeffs: np.ndarray, kind: str = "complex") -> np.ndarray:
-        """Ring profile from mode coefficients; inverse of analyze_rows."""
+        """Ring profile from mode coefficients, or a stack of them along the
+        leading axes; inverse of analyze_rows."""
         coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.shape != self.modes.shape:
+        if coeffs.shape[-1:] != self.modes.shape:
             raise ValueError(f"coefficient count {coeffs.shape} does not match "
                              f"the {self.modes.size} retained modes")
         return self._to_ring(coeffs, kind)

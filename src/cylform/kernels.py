@@ -386,8 +386,10 @@ class KernelSet:
     def matches(self, delay_estimate: float, tol: float) -> bool:
         return abs(self.delay - delay_estimate) <= tol
 
-    def apply(self, coeffs: np.ndarray, mats: np.ndarray) -> np.ndarray:
-        """Row ``k`` of a mode table times ``mats[|n_k|]``, for all rows.
+    def apply(self, coeffs: np.ndarray, mats: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+        """Row ``k`` of a mode table times ``mats[|n_k|]``, for all rows,
+        written to ``out`` when given.
 
         Rows ``+n`` and ``-n`` share one matrix, so they are paired (by
         ``grid.mode_pairs``) into one batched product instead of gathering
@@ -397,7 +399,8 @@ class KernelSet:
         """
         pairs = self.grid.mode_pairs
         rows = coeffs[pairs]                                            # (A, 2, K)
-        out = np.empty(coeffs.shape[:-1] + mats.shape[-1:], dtype=complex)
+        if out is None:
+            out = np.empty(coeffs.shape[:-1] + mats.shape[-1:], dtype=complex)
         if np.isrealobj(mats):
             parts = np.concatenate([rows.real, rows.imag], axis=1) @ mats
             out[pairs] = parts[:, :2] + 1j * parts[:, 2:]

@@ -7,17 +7,22 @@ the formation's leader profile plus the actuation signal delayed by the true
 (unknown to the controller) dead time.  Commands travel through a
 :class:`DelayLine`, a uniformly sampled ring buffer with linear interpolation
 that reads zero before its first record, through a :class:`ReadTable` of
-record offsets and weights that a reader builds once.  Its rows are the
-command's Fourier coefficients on the grid's wavenumber band, in
-``grid.modes`` order: interpolation, hold and the zero pre-history act on
-each coefficient alone, so a line of band rows reads the coefficients of
-what a line of physical command profiles would read.
+record offsets and weights that a reader builds once.  Each of its rows
+holds the commands' Fourier coefficients on the grid's wavenumber band, in
+``grid.modes`` order, of every channel side by side: ``C * K`` entries for
+``C`` channels and ``K`` wavenumbers, channel ``c`` in ``c*K .. (c+1)*K - 1``.
+Interpolation, hold and the zero pre-history act on each coefficient alone,
+so a line of band rows reads the coefficients of what a line of physical
+command profiles would read, and one read serves every channel.
 
 The stencil is linear, has constant coefficients and is circulant in theta,
 so :class:`Channel` integrates it in closed form in the eigencoordinates of
 its :class:`Stencil`, and keeps only the wavenumbers of the grid's band:
 the rims, the commands and the initial state carry no others, so the rest
-stay zero.  The delayed command is piecewise linear in time, with breaks at
+stay zero.  A :class:`Channel` holds the channels of one swarm stacked on a
+leading axis, each with its own stencil, and advances them all in one
+step: its eigencoordinates are ``(C, M-2, K)``, its mode tables
+``(C, K, M)``.  The delayed command is piecewise linear in time, with breaks at
 the record instants plus the delay (the jump from the zero pre-history at
 ``t = D`` among them), and between breaks every eigencoordinate is
 integrated exactly with :func:`~cylform.quadrature.exp_lin_weights`.  One
@@ -27,8 +32,8 @@ block and the block's weights and read table are built once.  Each step
 reads its rims with one :meth:`DelayLine.read`: two instants per linear
 piece, at a third and two thirds of its length, extrapolated linearly to
 its ends.  The weights act on the coefficient rows as read, and a step
-writes the mode table :attr:`Channel.table`, which the controller
-measures, with no transform at all.
+writes the mode tables :attr:`Channel.table`, which the controllers
+measure, with no transform at all.
 """
 
 from __future__ import annotations
@@ -52,6 +57,10 @@ GUARD_LIMIT = 1e30
 #: extent of the negative real axis covered by the classical fourth-order
 #: Runge-Kutta stability region
 _RK4_REAL_AXIS = 2.785
+
+#: largest ratio of an equilibrium's coefficients to its rim data's; the
+#: bundled presets reach 12.2, a rate 1e-6 off resonance 6e6 (21x16)
+_GOAL_RATIO = 1e6
 
 #: a command break this close to a block's edge, as a fraction of the block,
 #: lies on it; so does a read this close before the first record
@@ -80,8 +89,9 @@ def read_table(positions: np.ndarray) -> ReadTable:
 class DelayLine:
     """Uniformly sampled actuation history with linear interpolation.
 
-    Samples are rows of ``width`` entries (the band coefficients of a rim
-    command, in a run) recorded at strictly regular instants.
+    Samples are rows of ``width`` entries (in a run, the band coefficients
+    of every channel's rim command, side by side) recorded at strictly
+    regular instants.
     Queries before the first record return zeros (actuation had not
     started); queries beyond the newest record hold its value, which serves
     a block whose delayed instants run past the newest record (a delay
@@ -132,13 +142,14 @@ class DelayLine:
         index = table.index + base
         if base + table.high >= self._count:
             index = np.minimum(index, self._count - 1)
-        w0, w1 = table.weights
+        weights = table.weights
         slots = index % self.capacity
         if base + table.low < 0:
-            w1 = np.where(index[0, :, None] == -1, w1 >= 1.0 - _BREAK_TOL, w1)
+            w0, w1 = weights
+            weights = np.stack([w0, np.where(index[0, :, None] == -1,
+                                             w1 >= 1.0 - _BREAK_TOL, w1)])
             slots = np.where(index < 0, self.capacity, index)
-        rows = self._buf[slots]
-        return w0 * rows[0] + w1 * rows[1]
+        return np.add.reduce(weights * self._buf[slots])
 
 
 class Stencil:
@@ -196,7 +207,9 @@ class Stencil:
         under rims held at the band coefficient rows ``anchor`` and
         ``leader``, which are its rim columns.  A wavenumber without rim
         data is zero; one with rim data and no finite equilibrium (a zero
-        rate) raises :class:`ResonantModeError`."""
+        rate) raises :class:`ResonantModeError`, and so does one whose
+        largest coefficient exceeds ``_GOAL_RATIO`` times the largest rim
+        coefficient (a rate next to zero)."""
         driven = (anchor != 0.0) | (leader != 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             eig = -self.held(anchor, leader)[:, driven] / self.rates[:, driven]
@@ -206,55 +219,78 @@ class Stencil:
         table = np.zeros((self.grid.modes.size, self.grid.M), dtype=complex)
         table[:, 0], table[:, -1] = anchor, leader
         table[driven, 1:-1] = (self.to_field @ eig).T
+        peaks = abs(table).max(axis=1)
+        k = int(peaks.argmax())
+        rim = max(abs(anchor).max(), abs(leader).max())
+        if peaks[k] > _GOAL_RATIO * rim:
+            n = int(self.grid.modes[k])
+            raise ResonantModeError(
+                n, f"steady profile is near-resonant at angular mode n={n}: "
+                   f"its largest coefficient is {peaks[k] / rim:.3g} times the "
+                   f"largest rim coefficient (limit {_GOAL_RATIO:.0e})")
         return table
 
 
 class _Plan(NamedTuple):
     """Closed-form map of one stretch of a block, in eigencoordinates:
-    ``decay * state + held`` plus, per wavenumber, ``weights`` applied to
-    its coefficients in the rim reads of ``table``, taken from the block's
-    record instant."""
+    ``decay * state + held`` plus, per channel and wavenumber, ``weights``
+    applied to its coefficients in the rim reads of ``table``, taken from the
+    block's record instant."""
 
-    decay: np.ndarray       #: (M-2, modes)
-    held: np.ndarray        #: (M-2, modes), the response to the held rims
-    weights: np.ndarray     #: (modes, M-2, reads), mode-major for one batched matmul
+    decay: np.ndarray       #: (C, M-2, modes)
+    held: np.ndarray        #: (C, M-2, modes), the response to the held rims
+    weights: np.ndarray     #: (C, modes, M-2, reads), mode-major for one batched matmul
     table: ReadTable        #: the reads, at their instants less the delay
 
 
 class Channel:
-    """One scalar field advanced block by block, in closed form, under held
-    rims and delayed commands.
+    """The channels of one swarm, stacked on a leading axis and advanced
+    together block by block, in closed form, under held rims and delayed
+    commands.
 
-    The interior is kept in the eigencoordinates of ``stencil`` (see
-    :class:`Stencil`).  ``anchor`` and ``leader_base`` are the rims' band
-    coefficient rows and ``initial`` the starting mode table.  ``table`` is
-    the field's mode table at the latest block end (``initial`` before the
-    first step); ``values`` synthesizes it, real for a ``"real"`` channel.
-    ``line`` must record band coefficient rows once per ``block``.
+    Channel ``c`` evolves by ``stencils[c]``; all share the grid, the block
+    and the true delay, and the line's row holds their band coefficient
+    rows side by side, channel ``c`` in entries ``c*K .. (c+1)*K - 1`` for
+    ``K = len(grid.modes)``.  The interior is kept in each stencil's
+    eigencoordinates (see :class:`Stencil`), stacked ``(C, M-2, K)``.
+    ``anchor`` and ``leader_base`` are the rims' ``(C, K)`` band coefficient
+    rows and ``initial`` the starting ``(C, K, M)`` mode tables.  ``table``
+    is the stack of mode tables at the latest block end (``initial`` before
+    the first step); ``values`` synthesizes each, real for a ``"real"``
+    entry of ``kinds`` (all ``"complex"`` by default).  ``line`` must record
+    one row of ``C*K`` coefficients once per ``block``.
     """
 
-    def __init__(self, stencil: Stencil, anchor: np.ndarray,
-                 leader_base: np.ndarray, initial: np.ndarray, block: float,
-                 delay: float, kind: str = "complex"):
-        if kind not in ("complex", "real"):
-            raise ValueError(f"unknown channel kind {kind!r}")
+    def __init__(self, stencils, anchor: np.ndarray, leader_base: np.ndarray,
+                 initial: np.ndarray, block: float, delay: float, kinds=None):
+        self.stencils = tuple(stencils)
+        self.kinds = ("complex",) * len(self.stencils) if kinds is None else tuple(kinds)
+        if not set(self.kinds) <= {"complex", "real"}:
+            raise ValueError(f"unknown channel kinds {self.kinds!r}")
+        if len(self.kinds) != len(self.stencils):
+            raise ValueError("one kind per stencil")
         if not (block > 0.0 and delay >= 0.0):
             raise ValueError("block must be positive and delay non-negative")
-        grid = stencil.grid
-        self.stencil = stencil
-        self.kind = kind
+        grid = self.stencils[0].grid
+        self.grid = grid
         self.block = float(block)
         self.delay = float(delay)
         self.anchor = np.asarray(anchor, dtype=complex)
         self.leader_base = np.asarray(leader_base, dtype=complex)
-        if not self.anchor.shape == self.leader_base.shape == grid.modes.shape:
-            raise ValueError("rim rows do not match the grid's modes")
-        #: (len(modes), M) mode table of the field
+        rims = (len(self.stencils), grid.modes.size)
+        if not self.anchor.shape == self.leader_base.shape == rims:
+            raise ValueError("rim rows do not match the channels and the grid's modes")
+        #: (C, len(modes), M) mode tables of the fields
         self.table = np.array(initial, dtype=complex)
-        if self.table.shape != (grid.modes.size, grid.M):
+        if self.table.shape != rims + (grid.M,):
             raise ValueError("initial table shape does not match the grid")
-        self._held = stencil.held(self.anchor, self.leader_base)
-        self._state = stencil.to_eigen @ self.table[:, 1:-1].T
+        self._rates = np.stack([st.rates for st in self.stencils])
+        self._rim_gain = np.stack([st.rim_gain for st in self.stencils])
+        self._to_field = np.stack([st.to_field for st in self.stencils])
+        self._held = np.stack([st.held(a, b) for st, a, b in
+                               zip(self.stencils, self.anchor, self.leader_base)])
+        self._state = np.stack([st.to_eigen for st in self.stencils]) \
+            @ self.table[:, :, 1:-1].transpose(0, 2, 1)
 
         off = math.fmod(self.delay, self.block)
         self._break = 0.0 if min(off, self.block - off) <= _BREAK_TOL * self.block else off
@@ -263,58 +299,60 @@ class Channel:
     def _plan(self, start: float, stop: float) -> _Plan:
         """Compose the exact maps of the linear pieces of ``[start, stop]``."""
         cuts = [start, self._break, stop] if start < self._break < stop else [start, stop]
-        st = self.stencil
+        rates, gain = self._rates, self._rim_gain
         spans = np.diff(cuts)
-        decays = np.exp(st.rates * spans[:, None, None])
-        los, his = exp_lin_weights(st.rates, spans[:, None, None])
-        decay = np.ones(st.rates.shape, dtype=complex)
-        held = np.zeros(st.rates.shape, dtype=complex)
+        decays = np.exp(rates * spans[:, None, None, None])
+        los, his = exp_lin_weights(rates, spans[:, None, None, None])
+        decay = np.ones(rates.shape, dtype=complex)
+        held = np.zeros(rates.shape, dtype=complex)
         weights, reads = [], []
         for a, span, e, lo, hi in zip(cuts, spans, decays, los, his):
             decay = e * decay
             held = e * held + (lo + hi) * self._held
             weights = [e * w for w in weights]
             # rim ends from the reads at a third and two thirds of the piece
-            weights += [(2.0 * lo - hi) * st.rim_gain, (2.0 * hi - lo) * st.rim_gain]
+            weights += [(2.0 * lo - hi) * gain, (2.0 * hi - lo) * gain]
             reads += [a + span / 3.0, a + 2.0 * span / 3.0]
-        weights = np.ascontiguousarray(np.stack(weights, axis=-1).transpose(1, 0, 2))
+        weights = np.ascontiguousarray(np.stack(weights, axis=-1).transpose(0, 2, 1, 3))
         return _Plan(decay, held, weights, read_table((np.array(reads) - self.delay) / self.block))
 
     def advance(self, t: float, start: float, stop: float, line: DelayLine) -> None:
-        """Move the field from ``t + start`` to ``t + stop`` inside the block
+        """Move the fields from ``t + start`` to ``t + stop`` inside the block
         that starts at ``t`` (``0 <= start < stop <= block``)."""
         if line.dt != self.block:
             raise ValueError(f"delay line spacing {line.dt} is not the block {self.block}")
         whole = start == 0.0 and stop == self.block
         plan = self._block_plan if whole else self._plan(start, stop)
-        rows = line.read(plan.table, t)
-        forced = plan.weights @ rows.T[:, :, None]
-        self._state = plan.decay * self._state + plan.held + forced[:, :, 0].T
+        # (reads, C, K): the line's rows split per channel
+        rows = line.read(plan.table, t).reshape(-1, *self.anchor.shape)
+        forced = plan.weights @ rows.transpose(1, 2, 0)[..., None]
+        self._state = plan.decay * self._state + plan.held + forced[..., 0].transpose(0, 2, 1)
         table = np.empty_like(self.table)
-        table[:, 0] = self.anchor
-        table[:, 1:-1] = (self.stencil.to_field @ self._state).T
-        table[:, -1] = self.leader_base + (2.0 * rows[-1] - rows[-2])
+        table[:, :, 0] = self.anchor
+        table[:, :, 1:-1] = (self._to_field @ self._state).transpose(0, 2, 1)
+        table[:, :, -1] = self.leader_base + (2.0 * rows[-1] - rows[-2])
         self.table = table
 
     @property
-    def values(self) -> np.ndarray:
-        """The physical ``(M, N)`` field of :attr:`table`, synthesized on
-        each read."""
-        return self.stencil.grid.synthesize(self.table, self.kind)
+    def values(self) -> list:
+        """The physical ``(M, N)`` field of each channel's :attr:`table`,
+        synthesized on each read."""
+        return [self.grid.synthesize(tab, kind) for tab, kind in zip(self.table, self.kinds)]
 
-    def peek(self, t: float, tau: float, line: DelayLine) -> np.ndarray:
-        """The field at ``t + tau`` inside the block from ``t``; the channel
-        itself does not move."""
+    def peek(self, t: float, tau: float, line: DelayLine) -> list:
+        """The fields at ``t + tau`` inside the block from ``t``; the
+        channels themselves do not move."""
         probe = copy.copy(self)
         probe.advance(t, 0.0, tau, line)
         return probe.values
 
     def step(self, t: float, line: DelayLine) -> None:
-        """Advance one block, ``[t, t + block]``, then check the guard."""
+        """Advance one block, ``[t, t + block]``, then check the guard on
+        each channel in turn."""
         self.advance(t, 0.0, self.block, line)
-        peak = abs(self.table).sum(axis=0).max()
-        if not math.isfinite(peak) or peak > GUARD_LIMIT:
-            raise InstabilityError(
-                f"field magnitude {peak:.3e} exceeded the guard at "
-                f"t={t + self.block:.6f}"
-            )
+        for peak in np.add.reduce(abs(self.table), axis=1).max(axis=1):
+            if not peak <= GUARD_LIMIT:
+                raise InstabilityError(
+                    f"field magnitude {peak:.3e} exceeded the guard at "
+                    f"t={t + self.block:.6f}"
+                )

@@ -1,50 +1,58 @@
 """Closed-loop experiment driver and CSV serialization.
 
 One run advances both channels from the initial formation toward the
-desired one.  Each channel, planar then axial, has its own plant, delay
-line and controller, and one loop body steps both in that order; the sums
-over channels (the update signal, the ring errors) keep it too.  The plant
-integrates the desired formation's coefficients from the start (the
-dynamics switch the instant the new formation is commanded), with anchor
-and leader rims held at the desired profiles; rim actuation reaches the
-leader row only after the true dead time.  Both formations are their own
-stencils' equilibria (:func:`~cylform.steady.formation_fields`), so the
-plant can reach the goal; the desired stencils serve the goal and the
-plant.  The run's one time step is the control block: the fewest equal
-blocks spanning the horizon, none longer than ``run.block``.  At each block
-start the controllers measure the fields and issue new rim commands, and the
-delay estimate takes one projected gradient step driven by both channels;
-then each channel advances over the whole block in one exact step, and the
-guard is checked at the block end.  A controller's
-step is one product with its kernel set's ``step_map``, which yields the
-target history and the state part of the mismatch drift; the estimator
-completes each channel's drift from the history's root value and forms the
-update signal from the two.  The loop works in mode space and keeps only
-the wavenumbers ``|n| <= band``, where ``band`` is the largest ``|n|``
-listed in the rim data of either formation: no other wavenumber is ever
-excited, so the rest would carry roundoff only.  The formations, the plant
-state and the errors are mode tables: the controllers measure the channels'
-tables against the goal's, the delay lines record the commands' band
+desired one.  The swarm's state is one stack of both channels, planar then
+axial, on a leading axis: one :class:`~cylform.plant.Channel` advances the
+stack in one step, one delay line records both channels' commands side by
+side in each row, and the loop's reductions (the formation and ring
+errors, the mismatch drift, the update signal, the physical commands for
+``control_sup``, the rim residual) run once over the stack, summing or
+maximizing over the channels in that order.  Each channel keeps its own
+controller, since the law differs per channel (the axial command is
+symmetrized, the advection gains differ); each reads and writes its views
+of the stacked tables.  The plant integrates the desired formation's
+coefficients from the start (the dynamics switch the instant the new
+formation is commanded), with anchor and leader rims held at the desired
+profiles; rim actuation reaches the leader row only after the true dead
+time.  Both formations are their own stencils' equilibria
+(:func:`~cylform.steady.formation_fields`), so the plant can reach the
+goal; the desired stencils serve the goal and the plant.  The run's one
+time step is the control block: the fewest equal blocks spanning the
+horizon, none longer than ``run.block``.  At each block start the
+controllers measure the fields and issue new rim commands, and the delay
+estimate takes one projected gradient step driven by both channels; then
+the stack advances over the whole block in one exact step, and the guard
+is checked at the block end, planar channel first.  A controller's step is
+one product with its kernel set's ``step_map``, which yields the target
+history and the state part of the mismatch drift; the estimator completes
+each channel's drift from the history's root value and forms the update
+signal from the two.  The loop works in mode space and keeps only the
+wavenumbers ``|n| <= band``, where ``band`` is the largest ``|n|`` listed
+in the rim data of either formation: no other wavenumber is ever excited,
+so the rest would carry roundoff only.  The formations, the plant state
+and the errors are mode tables: the controllers measure the channels'
+tables against the goal's, the delay line records the commands' band
 coefficients, and the plant's eigencoordinates, the kernel tables, the
 control law and the drift hold the band's rows.  The formation errors and
 ring errors come from the deviation table by Parseval.  A physical field is
 synthesized only where it leaves the loop: the snapshots, and each control
-step the physical commands, for ``control_sup``.  Kernel tables are rebuilt
-only when the estimate has drifted a fixed fraction of the admissible
-interval away from the tables in use.  The tables a rebuild replaces are
-kept as a spare, and an estimate that returns within that fraction of them
-(a projected estimate flipping between its bounds) swaps them back, step
-maps included, instead of rebuilding.  Either way the loop repoints each
-controller's ``ks``, the only reference it keeps to a channel's tables.  An
-adaptive run checks at set-up that the tables' series resolves ``delay.lo``,
-where it converges slowest.  A :func:`target_residual` capture is taken at
-the tables in use, so one across an estimate move includes that move.
+step the physical commands of both channels in one inverse FFT, for
+``control_sup``.  Kernel tables are rebuilt only when the estimate has
+drifted a fixed fraction of the admissible interval away from the tables
+in use.  The tables a rebuild replaces are kept as a spare, and an
+estimate that returns within that fraction of them (a projected estimate
+flipping between its bounds) swaps them back, step maps included, instead
+of rebuilding.  Either way the loop repoints each controller's ``ks``, the
+only reference it keeps to a channel's tables.  An adaptive run checks at
+set-up that the tables' series resolves ``delay.lo``, where it converges
+slowest.  A :func:`target_residual` capture is taken at the tables in use,
+so one across an estimate move includes that move.
 
 Results are collected in a :class:`RunRecord` (one logged row per control
 step) and serialized as CSV: a single time series plus, per requested
 snapshot instant, one grid-shaped file per field and an agent-position
 table.  A snapshot is the state at its requested instant; one inside a
-block is a copy of the channels propagated to that instant.  All floats are
+block is a copy of the stack propagated to that instant.  All floats are
 written with 17 significant digits, so a read-back reproduces the run bit
 for bit.
 """
@@ -53,12 +61,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
 
 from .config import ScenarioConfig, snapshot_label
-from .controller import ChannelController, ChannelUpdate, to_target_state
+from .controller import (ChannelController, ChannelUpdate, reconstruct_transport,
+                         rim_residual, to_target_state, window_table)
 from .errors import InstabilityError
 from .estimator import (EstimatorState, mismatch_drift, step_estimate,
                         update_signal)
@@ -66,6 +76,9 @@ from .geometry import TWO_PI, CylinderGrid
 from .kernels import KernelBasis, KernelSet
 from .plant import Channel, DelayLine, Stencil
 from .steady import formation_fields
+
+#: the kinds of the stacked channels: the planar field, then the axial
+_KINDS = ("complex", "real")
 
 #: relative slack when matching snapshot instants to the block starts
 _SNAP_TOL = 1e-9
@@ -160,6 +173,8 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
     stencils = [Stencil(grid, c) for c in coeffs]
     inits = formation_fields(cfg.initial, grid)
     goals = formation_fields(cfg.desired, grid, stencils)
+    goal = np.stack(goals)
+    modes, m = grid.modes.size, grid.M
 
     blocks, dt_ctrl = _resolve_blocks(cfg, stencils)
 
@@ -173,18 +188,22 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
         # series converges slowest
         for basis in bases:
             basis.check_truncation(cfg.delay_lo, "delay.lo")
-    # (plant, delay line, controller) of each channel, planar then axial
-    channels = [
-        (Channel(st, goal[:, 0], goal[:, -1], init, dt_ctrl, cfg.true_delay, kind),
-         DelayLine(grid.modes.size, dt_ctrl, horizon),
-         ChannelController(KernelSet(basis, est.estimate), goal, kind))
-        for st, basis, init, goal, kind in zip(stencils, bases, inits, goals,
-                                               ("complex", "real"))]
-    ctrls = [ctrl for _, _, ctrl in channels]
+    plant = Channel(stencils, goal[:, :, 0], goal[:, :, -1], np.stack(inits),
+                    dt_ctrl, cfg.true_delay, _KINDS)
+    line = DelayLine(len(_KINDS) * modes, dt_ctrl, horizon)
+    ctrls = [ChannelController(KernelSet(basis, est.estimate), kind)
+             for basis, kind in zip(bases, _KINDS)]
+    # each channel's deviation scaled by its advection lift, and each entry
+    # of the line's row by its channel's gain, the lift at the rim
+    lifts = np.stack([ctrl.lift for ctrl in ctrls])[:, None, :]
+    gains = np.repeat([ctrl.gain for ctrl in ctrls], modes)[:, None]
+    windows = lru_cache(maxsize=2)(partial(window_table, line, grid=grid))
+    flows = np.stack([ctrl.ks.edge_flow for ctrl in ctrls])
+    real = np.array(_KINDS) == "real"
     spare = None                # the (planar, axial) sets last replaced
     retable_tol = _RETABLE_FRACTION * (cfg.delay_hi - cfg.delay_lo)
 
-    ring_idx = [i - 1 for i in cfg.ring_rows]
+    ring_idx = np.array(cfg.ring_rows, dtype=int) - 1
     snap_queue = list(cfg.snapshot_times)
     res_queue = sorted(capture_residuals)
     rows, snaps, residuals = [], [], []
@@ -194,25 +213,32 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
     for b in range(blocks + 1):
         t = b * dt_ctrl
         while _reached(snap_queue, t):
-            snaps.append(Snapshot(snap_queue.pop(0),
-                                  *(chan.values for chan, _, _ in channels)))
-        upds, signals, errs, ring_sq = [], [], [], []
-        for chan, line, ctrl in channels:
-            upd = ctrl.update(chan.table, line, t)
-            line.record(t, upd.command_modes)
-            drift = mismatch_drift(upd.state_drift, upd.target_history, ctrl.ks)
-            # Parseval: 2pi times a column sum is a ring's integral of |f|^2
-            sq = abs(chan.table - ctrl.steady_table) ** 2
-            upds.append(upd)
-            signals.append(update_signal(upd.target_history, drift, grid))
-            errs.append(math.sqrt(abs(grid.simpson_s @ (TWO_PI * sq.sum(axis=0)))))
-            ring_sq.append(sq[:, ring_idx])
-        signal = signals[0] + signals[1]
-        ring = np.sqrt(TWO_PI * (ring_sq[0] + ring_sq[1]).sum(axis=0))
+            snaps.append(Snapshot(snap_queue.pop(0), *plant.values))
+        dev = plant.table - goal
+        measured = dev * lifts
+        delay = ctrls[0].ks.delay
+        transport = reconstruct_transport(line, t, delay, grid, gains,
+                                          windows(delay)).reshape(dev.shape)
+        # the step products of both channels: target history, then state drift
+        images = np.empty((len(ctrls), modes, 2 * m), dtype=complex)
+        upds = [ctrl.update(*views) for ctrl, *views in
+                zip(ctrls, measured, transport, images)]
+        commands = np.array([upd.command_modes for upd in upds])
+        line.record(t, commands.reshape(-1))
+        history = images[:, :, :m]
+        signal = update_signal(history, mismatch_drift(images[:, :, m:], history, flows),
+                               grid)
+        # Parseval: 2pi times a column sum is a ring's integral of |f|^2
+        sq = abs(dev) ** 2
+        errs = [math.sqrt(abs(grid.simpson_s @ col))
+                for col in TWO_PI * np.add.reduce(sq, axis=1)]
+        ring = np.sqrt(TWO_PI * np.add.reduce(np.add.reduce(sq[:, :, ring_idx]), axis=0))
+        # the physical commands, the real channel's as the real part
+        profiles = grid.synthesize_profile(commands)
+        profiles.imag[real] = 0.0
         # the record's series, in the order of its fields
-        rows.append((t, est.estimate, signal, *errs, ring,
-                     max(abs(upd.command).max() for upd in upds),
-                     max(upd.h_residual for upd in upds)))
+        rows.append((t, est.estimate, signal, *errs, ring, abs(profiles).max(),
+                     rim_residual(measured, transport, history).max()))
 
         if prev is not None and _reached(res_queue, t):
             while _reached(res_queue, t):
@@ -233,17 +259,16 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
                     sets = [KernelSet(ks.basis, est.estimate) for ks in spare]
                 for ctrl, ks in zip(ctrls, sets):
                     ctrl.ks = ks
+                flows = np.stack([ks.edge_flow for ks in sets])
         if b == blocks:
             break
         # requests inside the block, each at its own instant
         end = t + dt_ctrl
         while snap_queue and snap_queue[0] < end - _SNAP_TOL * max(1.0, end):
             r = snap_queue.pop(0)
-            snaps.append(Snapshot(r, *(chan.peek(t, r - t, line)
-                                       for chan, line, _ in channels)))
+            snaps.append(Snapshot(r, *plant.peek(t, r - t, line)))
         try:
-            for chan, line, _ in channels:
-                chan.step(t, line)
+            plant.step(t, line)
         except InstabilityError as exc:
             terminated, reason = True, str(exc)
             break

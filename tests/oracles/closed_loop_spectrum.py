@@ -6,8 +6,9 @@ delay line.  With the delay estimate fixed, the rims and the goal at zero
 and every read past the zero pre-history, one block is a fixed linear map
 of that state, and for the complex planar channel it leaves each row of the
 mode table to itself.  This builds that map per row from the package's own
-step -- :meth:`ChannelController.update`, :meth:`DelayLine.record` and
-:meth:`Channel.step` -- one column per unit vector, and reads its spectral
+step -- :meth:`ChannelController.update` (through
+:func:`oracles.channel_step.control_step`), :meth:`DelayLine.record` and
+:meth:`Channel.step`, on a stack of one -- one column per unit vector, and reads its spectral
 radius ``rho``.  The closed loop decays at ``-ln(rho) / block`` per second,
 or grows at its negative, which is what a run shows once the pre-history is
 behind it (finite-spectrum assignment: Manitius & Olbrot, IEEE TAC 24,
@@ -23,6 +24,7 @@ from cylform.controller import ChannelController
 from cylform.geometry import CylinderGrid
 from cylform.kernels import KernelBasis, KernelSet
 from cylform.plant import Channel, DelayLine, Stencil
+from oracles.channel_step import control_step
 
 
 def planar_spectrum(cfg, block, wavenumbers):
@@ -39,8 +41,7 @@ def planar_spectrum(cfg, block, wavenumbers):
     stencil = Stencil(grid, coeffs)
     zero_table = np.zeros((grid.modes.size, grid.M), dtype=complex)
     zero_rim = np.zeros(grid.modes.size, dtype=complex)
-    ctrl = ChannelController(KernelSet(KernelBasis(coeffs, grid), cfg.initial_estimate),
-                             zero_table)
+    ctrl = ChannelController(KernelSet(KernelBasis(coeffs, grid), cfg.initial_estimate))
     m = grid.M - 2
     records = math.ceil(max(cfg.true_delay, cfg.initial_estimate) / block) + 3
     t = records * block                    # the block starts after the records
@@ -52,17 +53,18 @@ def planar_spectrum(cfg, block, wavenumbers):
         for unit in np.eye(m + records, dtype=complex):
             table = zero_table.copy()
             table[row, 1:-1] = stencil.to_field @ unit[:m]
-            chan = Channel(stencil, zero_rim, zero_rim, table, block, cfg.true_delay)
+            chan = Channel([stencil], zero_rim[None], zero_rim[None], table[None],
+                           block, cfg.true_delay)
             line = DelayLine(grid.modes.size, block, (records + 1) * block)
             for k, value in enumerate(unit[:m - 1:-1]):      # oldest first
                 rim = zero_rim.copy()
                 rim[row] = value
                 line.record(k * block, rim)
-            upd = ctrl.update(chan.table, line, t)
+            upd = control_step(ctrl, chan.table[0], zero_table, line, t)
             line.record(t, upd.command_modes)
             chan.step(t, line)
             columns.append(np.concatenate([
-                stencil.to_eigen @ chan.table[row, 1:-1],
+                stencil.to_eigen @ chan.table[0, row, 1:-1],
                 upd.command_modes[row:row + 1],
                 unit[m:-1]]))
         rho = np.max(np.abs(np.linalg.eigvals(np.stack(columns, axis=1))))

@@ -33,8 +33,9 @@ def history_map(ks, n):
 
 
 def reconstruct_transport(line, t, delay_estimate, grid, gain=1.0, table=None):
-    """The in-flight table read one node at a time; ``table``, the
-    production read table, is not used."""
+    """The in-flight table read one node at a time, all of the line's row
+    at once (every channel of a run's line); ``table``, the production read
+    table, is not used."""
     times = t + delay_estimate * (grid.s - 1.0)
     rows = np.stack([lookup(line, tt) for tt in times])
     return rows.T * gain
@@ -95,29 +96,40 @@ def mismatch_drift(target, history, ks):
     return np.einsum("ni,nim->nm", rho, ks.exp_s[rows])
 
 
-def step_images(transport, measured, ks):
+def step_images(transport, measured, ks, out=None):
     """Target history and the drift's state part, as
     :func:`cylform.controller.step_images` returns them: the history of
     :func:`to_target_history`, and the :func:`mismatch_drift` of the target
-    state with a zero history."""
+    state with a zero history, written to the halves of ``out`` when given."""
     history = to_target_history(transport, measured, ks)
     target = controller.to_target_state(measured, ks)
-    return history, mismatch_drift(target, np.zeros_like(history), ks)
+    drift = mismatch_drift(target, np.zeros_like(history), ks)
+    if out is None:
+        return history, drift
+    m = ks.grid.M
+    out[:, :m], out[:, m:] = history, drift
+    return out[:, :m], out[:, m:]
 
 
-def finish_drift(state_drift, history, ks):
+def finish_drift(state_drift, history, sets):
     """The history's share of the drift, :func:`mismatch_drift` of a zero
-    target state, added to the state part."""
-    return state_drift + mismatch_drift(np.zeros_like(history), history, ks)
+    target state, added to the state part; the tables stack the channels,
+    and ``sets`` holds each channel's kernel set."""
+    return state_drift + np.stack([mismatch_drift(np.zeros_like(h), h, ks)
+                                   for h, ks in zip(history, sets)])
 
 
 def install(monkeypatch):
-    """Route the controller and the runner through the reference step.
+    """Route the controllers and the runner through the reference step.
 
-    Returns a :class:`~collections.Counter` of the calls made to the
-    reference functions by name, so a replay can show that it ran them.
+    The run's window read receives the channels' gains and its drift call
+    their stacked edge flows; the reference forms each channel's gain from
+    its controller's advection, and reads each channel's kernel set, the one
+    its update of the same step used.  Returns a
+    :class:`~collections.Counter` of the calls made to the reference
+    functions by name, so a replay can show that it ran them.
     """
-    calls = Counter()
+    calls, ctrls, sets = Counter(), [], []
 
     def counted(fn):
         def wrapper(*args, **kwargs):
@@ -125,12 +137,33 @@ def install(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    def construct(self, *args, **kwargs):
+        controller_init(self, *args, **kwargs)
+        ctrls.append(self)
+
+    def update(self, *args):
+        sets.append(self.ks)
+        return controller_update(self, *args)
+
+    def transport(line, t, delay_estimate, grid, gain=1.0, table=None):
+        gains = np.repeat([np.exp(0.5 * c.advection) for c in ctrls], grid.modes.size)
+        return read(line, t, delay_estimate, grid, gains[:, None])
+
+    def drift(state_drift, history, edge_flow):
+        step_sets = sets[-len(history):]
+        sets.clear()
+        return finish(state_drift, history, step_sets)
+
+    read, finish = counted(reconstruct_transport), counted(finish_drift)
     here = sys.modules[__name__]
     for name in ("to_target_history", "mismatch_drift"):
         monkeypatch.setattr(here, name, counted(getattr(here, name)))
-    monkeypatch.setattr(controller, "reconstruct_transport",
-                        counted(reconstruct_transport))
+    controller_init = controller.ChannelController.__init__
+    controller_update = controller.ChannelController.update
+    monkeypatch.setattr(controller.ChannelController, "__init__", construct)
+    monkeypatch.setattr(controller.ChannelController, "update", update)
+    monkeypatch.setattr(runner, "reconstruct_transport", transport)
     monkeypatch.setattr(controller, "step_images", counted(step_images))
     monkeypatch.setattr(controller, "control_modes", counted(rim_solve))
-    monkeypatch.setattr(runner, "mismatch_drift", counted(finish_drift))
+    monkeypatch.setattr(runner, "mismatch_drift", drift)
     return calls

@@ -1,0 +1,78 @@
+"""The summary of ``tools/bench_pairs.py`` on synthetic run results."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+METRICS = [{"name": "wall_per_sim_s", "better": "lower"},
+           {"name": "ctrl_steps_per_s", "better": "higher"}]
+
+
+def result(wall, steps=None, correct=True, failed=0):
+    """A ``benchmarks/run.py`` result object with the two metrics."""
+    steps = 1.0 / wall if steps is None else steps
+    return {"correct": correct, "attempted": 5, "failed": failed,
+            "metrics": {"wall_per_sim_s": {"value": wall, "unit": "s/s"},
+                        "ctrl_steps_per_s": {"value": steps, "unit": "1/s"}}}
+
+
+def rows(pairs):
+    return {row["name"]: row for row in bench_pairs.summarize(pairs, METRICS)}
+
+
+PARENT = [0.0260, 0.0255, 0.0270, 0.0262, 0.0258, 0.0265, 0.0259, 0.0261, 0.0268, 0.0257]
+
+
+def test_a_clear_gain_in_every_pair_holds_the_rule():
+    out = rows([(result(p), result(0.75 * p)) for p in PARENT])
+    for name in ("wall_per_sim_s", "ctrl_steps_per_s"):
+        assert out[name]["wins"] == 10 and out[name]["pairs"] == 10
+        assert out[name]["rule"]
+    q1, median, q3 = out["wall_per_sim_s"]["parent"]
+    assert q1 < median < q3 and median == pytest.approx(0.02605)
+    assert out["wall_per_sim_s"]["change"][1] == pytest.approx(0.75 * 0.02605)
+
+
+def test_a_gain_inside_the_parents_spread_does_not_hold():
+    # the change wins every pair, by less than the parent's quartile gap
+    out = rows([(result(p), result(p - 1e-5)) for p in PARENT])
+    assert out["wall_per_sim_s"]["wins"] == 10
+    assert not out["wall_per_sim_s"]["rule"]
+
+
+def test_failed_and_incorrect_runs_lose_their_pairs():
+    pairs = [(result(p), result(0.75 * p)) for p in PARENT]
+    pairs[3] = (result(PARENT[3]), result(0.5 * PARENT[3], failed=1))
+    out = rows(pairs)
+    assert out["wall_per_sim_s"]["wins"] == 9 and out["wall_per_sim_s"]["rule"]
+    pairs[4] = (result(PARENT[4], correct=False), result(0.75 * PARENT[4]))
+    out = rows(pairs)
+    assert out["wall_per_sim_s"]["wins"] == 8 and not out["wall_per_sim_s"]["rule"]
+    pairs[5] = (result(PARENT[5]), None)                 # no result printed
+    assert rows(pairs)["ctrl_steps_per_s"]["wins"] == 7
+
+
+def test_ties_count_for_neither_side():
+    pairs = [(result(p), result(0.75 * p)) for p in PARENT]
+    pairs[0] = (result(PARENT[0]), result(PARENT[0]))
+    out = rows(pairs)
+    assert out["wall_per_sim_s"]["wins"] == 9 and out["wall_per_sim_s"]["rule"]
+
+
+def test_the_direction_follows_the_metric():
+    # the change is faster by wall time but reports fewer steps per second
+    out = rows([(result(p, steps=100.0), result(0.75 * p, steps=90.0)) for p in PARENT])
+    assert out["wall_per_sim_s"]["rule"]
+    assert out["ctrl_steps_per_s"]["wins"] == 0 and not out["ctrl_steps_per_s"]["rule"]
+
+
+def test_no_counted_run_on_one_side():
+    out = rows([(result(p), None) for p in PARENT])
+    assert out["wall_per_sim_s"]["change"] is None
+    assert out["wall_per_sim_s"]["wins"] == 0 and not out["wall_per_sim_s"]["rule"]

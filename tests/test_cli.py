@@ -176,6 +176,25 @@ class TestRunCommand:
         assert not (tmp_path / "x").exists()
 
 
+    @pytest.mark.parametrize("offset", [1e-12, 1e-9, 1e-6])
+    def test_near_resonant_goal_exits_1(self, tmp_path, capsys, offset):
+        # the same rate, moved off zero by ``offset``: the goal has an
+        # equilibrium, millions of times larger than its rim data
+        text = (TINY.replace("grid.M = 15", "grid.M = 21")
+                .replace("desired.planar_reaction = 5",
+                         f"desired.planar_reaction = {9.849327523889817 + offset!r}")
+                .replace("desired.planar_anchor = (1,0.5,0)",
+                         "desired.planar_anchor = (0,0.5,0)"))
+        p = tmp_path / "near.cfg"
+        p.write_text(text, encoding="utf-8")
+        assert main(["run", str(p), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: steady profile is near-resonant at angular mode n=0")
+        assert "times the largest rim coefficient" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
+
 class TestUsageErrors:
     def test_missing_config_and_preset(self, capsys):
         assert main(["run"]) == 1

@@ -17,6 +17,7 @@ from cylform.controller import (
     ChannelController,
     control_modes,
     reconstruct_transport,
+    rim_residual,
     step_images,
     symmetrize_command,
     to_target_state,
@@ -25,6 +26,7 @@ from cylform.geometry import CylinderGrid
 from cylform.kernels import KernelBasis, KernelSet, PlantCoeffs
 from cylform.plant import DelayLine
 from oracles import seed_pipeline
+from oracles.channel_step import control_step
 from oracles.delay_lookup import lookup, lookup_many
 from oracles.dense_law import (
     periodic_simpson_weights,
@@ -389,12 +391,23 @@ class TestPeriodicSimpson:
             periodic_simpson_weights(7, 0.1)
 
 
-def run_update(controller, values, line, t):
-    """One control step on the mode table of ``values``; the line records
-    the command's band coefficients, as a run does."""
-    upd = controller.update(controller.grid.analyze(values), line, t)
+def run_update(controller, steady, values, line, t):
+    """One control step on the mode table of ``values`` against the steady
+    table ``steady``; the line records the command's band coefficients, as
+    a run does."""
+    upd = control_step(controller, controller.grid.analyze(values), steady, line, t)
     line.record(t, upd.command_modes)
     return upd
+
+
+def physical_command(controller, upd):
+    """The physical rim command profile (deviation part) of ``upd``."""
+    return controller.grid.synthesize_profile(upd.command_modes, controller.kind)
+
+
+def residual(upd):
+    """The rim defect the run logs for ``upd``."""
+    return rim_residual(upd.measured, upd.transport, upd.target_history)
 
 
 def in_flight(controller, line, t, upd):
@@ -415,15 +428,15 @@ class TestChannelController:
         steady = rng.normal(size=(grid.M, grid.N))
         if kind == "complex":
             steady = steady + 1j * rng.normal(size=(grid.M, grid.N))
-        ctrl = ChannelController(ks, grid.analyze(steady), kind=kind)
+        ctrl = ChannelController(ks, kind=kind)
         line = DelayLine(grid.modes.size, 0.02, horizon=4.0)
         return ctrl, line, steady
 
     def test_steady_state_and_empty_history_give_zero_command(self, grid):
         ctrl, line, steady = self._setup(grid)
-        upd = ctrl.update(grid.analyze(steady), line, 0.0)
-        assert np.max(np.abs(upd.command)) <= 1e-12
-        assert upd.h_residual <= 1e-12
+        upd = control_step(ctrl, grid.analyze(steady), grid.analyze(steady), line, 0.0)
+        assert np.max(np.abs(physical_command(ctrl, upd))) <= 1e-12
+        assert residual(upd) <= 1e-12
 
     def test_history_rim_residual_stays_small_across_steps(self, grid):
         ctrl, line, steady = self._setup(grid)
@@ -433,8 +446,8 @@ class TestChannelController:
                                   np.cos((k % 3 + 1) * grid.theta))
             vals = steady + bump + 0.05 * rng.normal(size=(grid.M, grid.N))
             vals[0] = steady[0]  # anchored rim carries no deviation
-            upd = run_update(ctrl, vals, line, k * 0.02)
-            assert upd.h_residual <= 1e-10
+            upd = run_update(ctrl, grid.analyze(steady), vals, line, k * 0.02)
+            assert residual(upd) <= 1e-10
 
     @pytest.mark.parametrize("kind", ["complex", "real"])
     def test_residual_is_the_band_norm_ratio(self, grid, kind):
@@ -448,21 +461,23 @@ class TestChannelController:
         for k in range(8):
             vals = steady + 0.1 * rng.normal(size=(grid.M, grid.N))
             vals[0] = steady[0]
-            upd = ctrl.update(grid.analyze(vals), line, k * 0.02)
+            upd = control_step(ctrl, grid.analyze(vals), grid.analyze(steady), line,
+                               k * 0.02)
             transport = in_flight(ctrl, line, k * 0.02, upd)
             line.record(k * 0.02, upd.command_modes)
             measured = grid.analyze(remove_advection(vals, steady, ctrl.advection, grid))
             scale = (np.max(np.sum(np.abs(measured), axis=0))
                      + np.max(np.sum(np.abs(transport), axis=0)) + 1e-30)
             want = np.sum(np.abs(upd.target_history[:, -1])) / scale
-            assert upd.h_residual == pytest.approx(want, rel=1e-12, abs=1e-300)
+            assert residual(upd) == pytest.approx(want, rel=1e-12, abs=1e-300)
 
     def test_real_channel_emits_real_commands(self, grid):
         ctrl, line, steady = self._setup(grid, lam=6.0, beta=0.5, kind="real")
         vals = steady + 0.2 * np.outer(np.sin(np.pi * grid.s),
                                        np.sin(2 * grid.theta))
-        upd = ctrl.update(grid.analyze(vals), line, 0.0)
-        assert upd.command.dtype == np.float64
+        upd = control_step(ctrl, grid.analyze(vals), grid.analyze(steady), line, 0.0)
+        profile = grid.synthesize_profile(upd.command_modes)
+        assert np.max(np.abs(profile.imag)) <= 1e-13 * np.max(np.abs(profile))
         transport = in_flight(ctrl, line, 0.0, upd)
         defect = conjugate_symmetry_defect(transport)
         assert defect <= 1e-12 * (1 + np.max(np.abs(transport)))
@@ -472,10 +487,10 @@ class TestChannelController:
         # rebuilt at the same instant
         ctrl, line, steady = self._setup(grid)
         vals = steady + np.outer(grid.s**2, np.exp(1j * grid.theta)).real
-        upd = run_update(ctrl, vals, line, 0.0)
+        upd = run_update(ctrl, grid.analyze(steady), vals, line, 0.0)
         gain = np.exp(0.5 * ctrl.advection)
         transport = reconstruct_transport(line, 0.0, ctrl.ks.delay, grid, gain)
-        want = grid.analyze_rows(upd.command) * gain
+        want = grid.analyze_rows(physical_command(ctrl, upd)) * gain
         assert np.max(np.abs(transport[:, -1] - want)) <= 1e-12
         assert np.max(np.abs(upd.command_modes * gain - transport[:, -1])) \
             <= 1e-15 * np.max(np.abs(want))
@@ -494,7 +509,7 @@ class TestChannelController:
             t = k * 0.02
             vals = steady + 0.1 * rng.normal(size=(grid.M, grid.N))
             vals[0] = steady[0]
-            upd = run_update(ctrl, vals, line, t)
+            upd = run_update(ctrl, grid.analyze(steady), vals, line, t)
             measured = grid.analyze(remove_advection(vals, steady, adv, grid))
             reads = lookup_many(physical, t + ks.delay * (grid.s - 1.0))
             transport = grid.analyze(reads) * np.exp(0.5 * adv)
@@ -504,8 +519,9 @@ class TestChannelController:
                 cmd = symmetrize_command(grid, cmd)
             want = grid.synthesize_profile(cmd * np.exp(-0.5 * adv), kind)
             physical.record(t, want)
-            assert np.max(np.abs(upd.command - want)) <= 1e-13 * np.max(np.abs(want)), k
-            commands.append(upd.command)
+            got = physical_command(ctrl, upd)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), k
+            commands.append(got)
         # the line of band rows synthesizes to the physical commands
         rows = lookup_many(line, 0.02 * np.arange(12))
         for row, command in zip(rows, commands):
@@ -519,15 +535,22 @@ class TestPrecomputedStep:
         ks = KernelSet(KernelBasis(PlantCoeffs(8.0, 1.0), grid, i_max=64), 1.0)
         rng = np.random.default_rng(20)
         steady = rng.normal(size=(grid.M, grid.N))
-        ctrl = ChannelController(ks, grid.analyze(steady), kind="real")
+        ctrl = ChannelController(ks, kind="real")
         line = DelayLine(grid.modes.size, 0.02, horizon=4.0)
-        calls = Counter()
+        calls, inside = Counter(), []
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                calls[name, bool(inside)] += 1
                 return fn(*args, **kwargs)
             return wrapper
+
+        def update(self, *args):
+            inside.append(True)
+            try:
+                return controller_update(self, *args)
+            finally:
+                inside.pop()
 
         for module in (quadrature, kernels, controller, estimator):
             for name in ("exp_pair_weights", "exp_half_weights"):
@@ -537,13 +560,15 @@ class TestPrecomputedStep:
         monkeypatch.setattr(DelayLine, "read", counted("read", DelayLine.read))
         monkeypatch.setattr(controller, "read_table",
                             counted("read_table", controller.read_table))
+        controller_update = ChannelController.update
+        monkeypatch.setattr(ChannelController, "update", update)
         for k in range(8):
             vals = steady + 0.1 * rng.normal(size=(grid.M, grid.N))
-            upd = run_update(ctrl, vals, line, k * 0.02)
-            assert np.all(np.isfinite(upd.command))
-        # one read of the whole in-flight window per update, through one
-        # table built at the first; nothing else
-        assert calls == Counter(read=8, read_table=1)
+            upd = run_update(ctrl, grid.analyze(steady), vals, line, k * 0.02)
+            assert np.all(np.isfinite(upd.command_modes))
+        # the caller reads the whole in-flight window once per update; the
+        # update itself builds and reads nothing
+        assert calls == Counter({("read", False): 8, ("read_table", False): 8})
         # the newest record is the last update's command
         assert np.array_equal(lookup_many(line, np.array([7 * 0.02]))[0],
                               upd.command_modes)
@@ -581,20 +606,21 @@ class TestStepProduct:
             return g.analyze(scale * vals)
 
         steady = table()
-        ctrl = ChannelController(ks, steady, kind=kind)
+        ctrl = ChannelController(ks, kind=kind)
         line = DelayLine(g.modes.size, 0.05, horizon=4.0)
         for k in range(30):
             line.record(k * 0.05, table()[:, -1])
         for t in (1.5, 1.55, 1.6):
             current = steady + table(0.1)
-            upd = ctrl.update(current, line, t)
+            upd = control_step(ctrl, current, steady, line, t)
             transport = in_flight(ctrl, line, t, upd)
             line.record(t, upd.command_modes)
             measured = (current - steady) * ctrl.lift
             want_hist = seed_pipeline.to_target_history(transport, measured, ks)
             want_drift = seed_pipeline.mismatch_drift(to_target_state(measured, ks),
                                                       want_hist, ks)
-            drift = estimator.mismatch_drift(upd.state_drift, upd.target_history, ks)
+            drift = estimator.mismatch_drift(upd.state_drift, upd.target_history,
+                                             ks.edge_flow)
             for got, want in ((upd.target_history, want_hist), (drift, want_drift)):
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -628,15 +654,15 @@ class TestSimpsonControl:
         ks = KernelSet(ctrl_basis, 1.0)
         rng = np.random.default_rng(17)
         steady = rng.normal(size=(grid.M, grid.N))
-        ctrl = ChannelController(ks, grid.analyze(steady))
+        ctrl = ChannelController(ks)
         line = DelayLine(grid.modes.size, 0.02, horizon=4.0)
         vals = steady + 0.3 * np.outer(np.sin(np.pi * grid.s),
                                        np.cos(grid.theta) + 0.4)
         for k in range(60):
-            upd = run_update(ctrl, vals, line, k * 0.02)
+            upd = run_update(ctrl, grid.analyze(steady), vals, line, k * 0.02)
         t = 60 * 0.02
-        upd = ctrl.update(grid.analyze(vals), line, t)
-        spectral_rim = steady[-1] + upd.command
+        upd = control_step(ctrl, grid.analyze(vals), grid.analyze(steady), line, t)
+        spectral_rim = steady[-1] + physical_command(ctrl, upd)
         dense_rim = simpson_control(vals, steady, line, t, ks)
         scale = np.max(np.abs(spectral_rim - steady[-1])) + 1e-30
         assert np.max(np.abs(dense_rim - spectral_rim)) <= 1e-4 * scale

@@ -14,6 +14,7 @@ from cylform.kernels import KernelBasis, KernelSet, PlantCoeffs
 from cylform.plant import DelayLine
 from cylform.quadrature import simpson_weights
 from oracles import drift_reference as ref
+from oracles.channel_step import control_step
 from oracles.mode_symmetry import conjugate_symmetry_defect
 from oracles.transforms import from_target_state
 
@@ -186,19 +187,30 @@ class TestUpdateSignal:
         got = update_signal(hist, drift, grid)
         assert abs(got - full.real) <= 1e-12 * max(1.0, abs(full.real))
 
+    def test_stacked_channels_add_their_shares_in_order(self, grid):
+        # the run's one call on the (planar, axial) stack is the sum of the
+        # two per-channel calls, bit for bit
+        rng = np.random.default_rng(14)
+        hist, drift = (np.stack([grid.analyze(rng.standard_normal((grid.M, grid.N))
+                                              + 1j * rng.standard_normal((grid.M, grid.N))),
+                                 grid.analyze(rng.standard_normal((grid.M, grid.N)))])
+                       for _ in range(2))
+        each = [update_signal(h, d, grid) for h, d in zip(hist, drift)]
+        assert update_signal(hist, drift, grid) == each[0] + each[1]
+
 
 def loop_drift(target, history, ks):
     """The mismatch drift as a control step forms it: the state part from
     the step product on the deviation whose target state is ``target``
     (recovered by an exact solve), the root-value part from ``history``."""
     _, state = step_images(np.zeros_like(target), from_target_state(target, ks), ks)
-    return mismatch_drift(state, history, ks)
+    return mismatch_drift(state, history, ks.edge_flow)
 
 
 def step_drift(transport, measured, ks):
     """Drift of one control step's own history, from the step's inputs."""
     history, state = step_images(transport, measured, ks)
-    return mismatch_drift(state, history, ks)
+    return mismatch_drift(state, history, ks.edge_flow)
 
 
 class TestMismatchDrift:
@@ -209,10 +221,23 @@ class TestMismatchDrift:
     def test_equilibrium_is_a_fixed_point(self, fine_set):
         grid = fine_set.grid
         steady = grid.analyze(np.random.default_rng(4).standard_normal((grid.M, grid.N)))
-        ctrl = ChannelController(fine_set, steady, "real")
-        upd = ctrl.update(steady, DelayLine(grid.modes.size, 0.01, 2.0), 0.0)
-        out = mismatch_drift(upd.state_drift, upd.target_history, fine_set)
+        ctrl = ChannelController(fine_set, "real")
+        upd = control_step(ctrl, steady, steady, DelayLine(grid.modes.size, 0.01, 2.0), 0.0)
+        out = mismatch_drift(upd.state_drift, upd.target_history, fine_set.edge_flow)
         assert np.max(np.abs(out)) == 0.0
+
+    def test_stacked_channels_match_each_channel(self, fine_set):
+        # the run's one call on the stack, each channel with its own set's
+        # edge flow, equals the per-channel calls bit for bit
+        grid = fine_set.grid
+        sets = (fine_set, KernelSet(KernelBasis(PlantCoeffs(3.0, 0.5), grid), 0.7))
+        rng = np.random.default_rng(8)
+        tables = [[grid.analyze(rng.standard_normal((grid.M, grid.N))) for _ in sets]
+                  for _ in range(2)]
+        state, history = (np.stack(t) for t in tables)
+        got = mismatch_drift(state, history, np.stack([ks.edge_flow for ks in sets]))
+        for c, ks in enumerate(sets):
+            assert np.array_equal(got[c], mismatch_drift(state[c], history[c], ks.edge_flow))
 
     def test_zero_reaction_coefficient_kills_drift(self):
         grid = CylinderGrid(51, 8)

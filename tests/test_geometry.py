@@ -232,6 +232,8 @@ class TestShiftGather:
         a = np.arange(half + 1)
         assert np.array_equal(grid.mode_pairs,
                               np.stack([half - a, (half + a) % N], axis=1))
+        # each row's mate holds -n; the unpaired 0 and -N/2 are their own
+        assert np.array_equal(grid.mates, (N - np.arange(N)) % N)
         rng = np.random.default_rng(N)
         cmd = rng.normal(size=N) + 1j * rng.normal(size=N)
         want = cmd.copy()
@@ -247,6 +249,7 @@ class TestShiftGather:
         grid = CylinderGrid(M=5, N=16, band=band)
         rng = np.random.default_rng(band)
         cmd = rng.normal(size=grid.modes.size) + 1j * rng.normal(size=grid.modes.size)
+        assert np.array_equal(grid.modes[grid.mates], -grid.modes)
         out = symmetrize_command(grid, cmd)
         assert np.array_equal(out[::-1], np.conj(out))
         # the projection keeps the mean of each pair

@@ -15,9 +15,11 @@ COEFFS = (PlantCoeffs(12.0, 0.5), PlantCoeffs(12.0 + 3.0j, 0.5 + 0.2j))
 
 
 def field_channel(grid, coeffs, anchor, base, initial, block, delay, kind="complex"):
-    """A :class:`Channel` from physical rim profiles and an initial field."""
-    return Channel(Stencil(grid, coeffs), *grid.analyze_rows(np.stack([anchor, base])),
-                   grid.analyze(initial), block, delay, kind)
+    """A :class:`Channel` stack of one, from physical rim profiles and an
+    initial field."""
+    rims = grid.analyze_rows(np.stack([anchor, base]))[:, None]
+    return Channel([Stencil(grid, coeffs)], *rims, grid.analyze(initial)[None],
+                   block, delay, [kind])
 
 
 class TestDelayLine:
@@ -184,8 +186,8 @@ class TestStencil:
         g = self.grid
         line = DelayLine(g.N, 0.25, 4.0)
         anchor, base = g.analyze_rows(np.stack([np.cos(g.theta), np.sin(g.theta)]))
-        ch = Channel(Stencil(g, PlantCoeffs(1.0, 0.0)), anchor, base,
-                     np.zeros((g.modes.size, g.M)), 0.25, 0.5)
+        ch = Channel([Stencil(g, PlantCoeffs(1.0, 0.0))], anchor[None], base[None],
+                     np.zeros((1, g.modes.size, g.M)), 0.25, 0.5)
         # delay 0.5: the block ending at 0.25 has no command yet, the one
         # ending at 0.75 carries the first, the constant 5 (mode 0 only);
         # the leader rim is the base plus the row extrapolated to the block
@@ -194,8 +196,8 @@ class TestStencil:
         for t, leader in ((0.0, base), (0.25, base), (0.5, base + five)):
             line.record(t, five)
             ch.step(t, line)
-            assert np.array_equal(ch.table[:, 0], anchor)
-            assert np.array_equal(ch.table[:, -1], leader)
+            assert np.array_equal(ch.table[0, :, 0], anchor)
+            assert np.array_equal(ch.table[0, :, -1], leader)
 
     def test_rates_are_stencil_eigenvalues(self):
         # the closed-form rates belong to the stencil itself: the stencil
@@ -251,6 +253,26 @@ class TestStencil:
         assert np.all(tab[zero] == 0.0)
         assert np.all(np.isfinite(tab))
 
+    @pytest.mark.parametrize("offset", [1e-12, 1e-9, 1e-6])
+    def test_equilibrium_raises_next_to_a_zero_rate(self, offset):
+        # the rate of n = 0 is about the offset: the goal is 6e12 (1e-12)
+        # to 6e6 (1e-6) times its rim data, which float64 cannot steer
+        g = CylinderGrid(21, 16)
+        st = Stencil(g, PlantCoeffs(9.849327523889817 + offset, 0.0))
+        rim = np.where(g.modes == 0, 1.0, 0.0)
+        with pytest.raises(ResonantModeError,
+                           match=r"near-resonant at angular mode n=0: its largest "
+                                 r"coefficient is \S+ times the largest rim") as info:
+            st.equilibrium(rim, np.zeros_like(rim))
+        assert info.value.mode == 0
+
+    def test_equilibrium_far_from_a_zero_rate_is_accepted(self):
+        g = CylinderGrid(21, 16)
+        st = Stencil(g, PlantCoeffs(9.849327523889817 + 1e-3, 0.0))
+        rim = np.where(g.modes == 0, 1.0, 0.0)
+        tab = st.equilibrium(rim, np.zeros_like(rim))
+        assert 1e3 < np.abs(tab).max() < 1e6
+
 
 def eigenmode(st, k, b):
     """Field of eigencoordinate ``(k, b)`` of the stencil ``st`` with zero
@@ -292,7 +314,7 @@ class TestTimeMarching:
             ch = make_channel(g, coeffs, field, block)
             ch.step(0.0, DelayLine(g.N, block, 1.0))
             want = np.exp(st.rates[k, b] * block) * field
-            assert np.max(np.abs(ch.values - want)) <= 1e-12 * np.max(np.abs(field))
+            assert np.max(np.abs(ch.values[0] - want)) <= 1e-12 * np.max(np.abs(field))
 
     def test_homogeneous_mode_decays_at_discrete_rate(self):
         g = self.grid
@@ -303,7 +325,7 @@ class TestTimeMarching:
         for b in range(int(round(T / block))):
             ch.step(b * block, line)
         expect = np.exp(rate * T) * field
-        err = np.max(np.abs(ch.values - expect)) / np.max(np.abs(expect))
+        err = np.max(np.abs(ch.values[0] - expect)) / np.max(np.abs(expect))
         assert err <= 1e-12
 
     def test_steady_field_is_a_fixed_point(self):
@@ -317,11 +339,11 @@ class TestTimeMarching:
             st = Stencil(g, coeffs)
             tab = steady_table(st, anchor, leader)
             block = 0.05
-            ch = Channel(st, tab[:, 0], tab[:, -1], tab, block, 0.3)
+            ch = Channel([st], tab[None, :, 0], tab[None, :, -1], tab[None], block, 0.3)
             line = DelayLine(g.N, block, 1.0)
             for b in range(20):
                 ch.step(b * block, line)
-            return l2_norm(g, ch.table - tab) / l2_norm(g, tab)
+            return l2_norm(g, ch.table[0] - tab) / l2_norm(g, tab)
 
         assert drift(CylinderGrid(21, 16)) <= 1e-13
         assert drift(CylinderGrid(41, 32)) <= 1e-13
@@ -339,9 +361,10 @@ class TestTimeMarching:
             line.record(b * block, g.analyze_rows(rng.normal(size=g.N)))
             real.step(b * block, line)
             full.step(b * block, line)
-        assert real.values.dtype == np.float64
-        assert np.max(np.abs(full.values.imag)) <= 1e-12
-        assert np.max(np.abs(real.values - full.values.real)) <= 1e-12
+        (real_values,), (full_values,) = real.values, full.values
+        assert real_values.dtype == np.float64
+        assert np.max(np.abs(full_values.imag)) <= 1e-12
+        assert np.max(np.abs(real_values - full_values.real)) <= 1e-12
 
     def test_line_must_record_once_per_block(self):
         g = self.grid
@@ -360,6 +383,75 @@ class TestTimeMarching:
                 ch.step(b * block, line)
         # 1e6 * e^{rate * t} passes 1e30 in the block that trips
         assert np.log(1e24) / rate <= (b + 1) * block < np.log(1e24) / rate + block
+
+
+class TestStack:
+    """Channels stacked on the leading axis, under one line whose row holds
+    their band rows side by side, move as each would alone, bit for bit."""
+
+    grid = CylinderGrid(21, 16, band=3)
+
+    def _pair(self, initial, coeffs=(COEFFS[1], COEFFS[0]), block=0.05, delay=0.12):
+        """The stack of two channels and each channel alone."""
+        g = self.grid
+        rng = np.random.default_rng(9)
+        stencils = [Stencil(g, c) for c in coeffs]
+        rims = rng.normal(size=(2, 2, g.modes.size)) + 1j * rng.normal(size=(2, 2, g.modes.size))
+        kinds = ("complex", "real")
+        stack = Channel(stencils, *rims, initial, block, delay, kinds)
+        alone = [Channel([st], a[None], b[None], i[None], block, delay, [k])
+                 for st, a, b, i, k in zip(stencils, *rims, initial, kinds)]
+        return stack, alone
+
+    def test_stack_equals_each_channel_alone(self):
+        g, k = self.grid, self.grid.modes.size
+        rng = np.random.default_rng(10)
+        initial = rng.normal(size=(2, k, g.M)) + 1j * rng.normal(size=(2, k, g.M))
+        stack, alone = self._pair(initial)
+        line = DelayLine(2 * k, stack.block, 1.0)
+        lines = [DelayLine(k, stack.block, 1.0) for _ in alone]
+        for b in range(8):
+            t = b * stack.block
+            rows = rng.normal(size=(2, k)) + 1j * rng.normal(size=(2, k))
+            line.record(t, rows.reshape(-1))
+            for ch, single, row in zip(alone, lines, rows):
+                single.record(t, row)
+                ch.step(t, single)
+            stack.step(t, line)
+            for c, ch in enumerate(alone):
+                assert np.array_equal(stack.table[c], ch.table[0]), (b, c)
+        peeked = stack.peek(t, 0.3 * stack.block, line)
+        for c, (ch, single) in enumerate(zip(alone, lines)):
+            assert np.array_equal(stack.values[c], ch.values[0])
+            assert np.array_equal(peeked[c], ch.peek(t, 0.3 * stack.block, single)[0])
+        assert stack.values[1].dtype == np.float64
+
+    def test_guard_reports_the_first_channel_over_it(self):
+        # reaction 60 grows.  Both channels pass the guard in the same
+        # block, the first by less, and the message is the first's, as
+        # when the first channel was stepped on its own; when only the
+        # second passes, the message is the second's
+        g, k = self.grid, self.grid.modes.size
+        unstable, stable = PlantCoeffs(60.0, 0.0), PlantCoeffs(1.0, 0.0)
+        mode = np.zeros((k, g.M), dtype=complex)
+        mode[k // 2, 1:-1] = np.sin(np.pi * g.s[1:-1])
+
+        def message(chan, line_width):
+            line = DelayLine(line_width, chan.block, 1.0)
+            with pytest.raises(InstabilityError) as info:
+                for b in range(200):
+                    chan.step(b * chan.block, line)
+            return str(info.value)
+
+        for coeffs, scales, first in (((unstable, unstable), (1e6, 1.01e6), 0),
+                                      ((stable, unstable), (1.0, 1e6), 1)):
+            initial = np.stack([scale * mode for scale in scales])
+            stack, alone = self._pair(initial, coeffs, delay=5.0)
+            want = message(alone[first], k)
+            assert message(stack, 2 * k) == want
+            if first == 0:
+                other = message(alone[1], k)
+                assert other != want and other.split(" at ")[1] == want.split(" at ")[1]
 
 
 class TestBlockReads:
@@ -397,9 +489,9 @@ class TestBlockReads:
             whole.step(t, line)
             halves.advance(t, 0.0, 0.5 * block, line)
             halves.advance(t, 0.5 * block, block, line)
-            scale = np.max(np.abs(whole.values))
-            assert np.max(np.abs(whole.values - halves.values)) <= 1e-12 * scale, b
-        assert np.all(np.isfinite(whole.values))
+            (a,), (c,) = whole.values, halves.values
+            assert np.max(np.abs(a - c)) <= 1e-12 * np.max(np.abs(a)), b
+        assert np.all(np.isfinite(whole.values[0]))
         if delay_steps < per:
             assert "hold" in seen
         else:
@@ -419,11 +511,11 @@ class TestBlockReads:
             ch.step(b * block, line)
         t = 5 * block
         line.record(t, rng.normal(size=g.N))
-        before = ch.values.copy()
+        before = ch.values[0].copy()
         peeked = ch.peek(t, 0.75 * block, line)
-        assert np.array_equal(ch.values, before)
+        assert np.array_equal(ch.values[0], before)
         ch.advance(t, 0.0, 0.75 * block, line)
-        assert np.array_equal(peeked, ch.values)
+        assert np.array_equal(peeked[0], ch.values[0])
 
 
 class TestBand:
@@ -446,11 +538,11 @@ class TestBand:
         for b in range(8):
             cmd = limited()
             for ch, line in zip(chans, lines):
-                line.record(b * block, ch.stencil.grid.analyze_rows(cmd))
+                line.record(b * block, ch.grid.analyze_rows(cmd))
                 ch.step(b * block, line)
-        a, b = (ch.values for ch in chans)
+        (a,), (b,) = (ch.values for ch in chans)
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
-        assert chans[1].stencil.rates.shape == (19, 5)
+        assert chans[1].stencils[0].rates.shape == (19, 5)
 
 
 class TestTable:
@@ -477,21 +569,21 @@ class TestTable:
             want = g.analyze(values)
             return np.max(np.abs(table - want)) <= 1e-13 * np.max(np.abs(want))
 
-        assert close(ch.table, ch.values)
+        assert close(ch.table[0], ch.values[0])
         for b in range(6):
             cmd = rng.normal(size=g.N)
             if kind == "complex":
                 cmd = cmd + 1j * rng.normal(size=g.N)
             line.record(b * block, g.analyze_rows(cmd))
             ch.step(b * block, line)
-            assert close(ch.table, ch.values), b
+            assert close(ch.table[0], ch.values[0]), b
         t = 6 * block
         line.record(t, g.analyze_rows(rng.normal(size=g.N)))
         before = ch.table.copy()
         ch.peek(t, 0.4 * block, line)
         assert np.array_equal(ch.table, before)
         ch.advance(t, 0.0, 0.4 * block, line)
-        assert close(ch.table, ch.values)
+        assert close(ch.table[0], ch.values[0])
 
 
 class TestAgainstRK4:
@@ -528,7 +620,7 @@ class TestAgainstRK4:
                 line.record(b * block, rows[b])
                 for i in range(per * r):
                     march.step(b * block + i * h, h, line)
-            errs.append(np.max(np.abs(march.values - exact.values)))
+            errs.append(np.max(np.abs(march.values - exact.values[0])))
         return errs
 
     @pytest.mark.parametrize("coeffs", [PlantCoeffs(12.0, 0.5),

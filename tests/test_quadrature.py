@@ -20,7 +20,6 @@ from cylform.quadrature import (
     simpson_weights,
     sine_weights,
 )
-from oracles.drift_rowwise import phi_funcs
 from oracles.running_conv import exp_conv_paired
 from oracles.volterra_kernels import simpson_trap_row_weights
 
@@ -206,26 +205,6 @@ class TestExpConvPaired:
     def test_rejects_even_node_count(self):
         with pytest.raises(ValueError):
             exp_conv_paired(np.ones((2, 2), dtype=complex), np.zeros((2, 8)), 0.1)
-
-
-class TestPhiFuncs:
-    def test_matches_direct_formula_away_from_zero(self):
-        x = np.array([2.0, -3.0 + 1j, 0.8j, -40.0, 5.5 - 2j])
-        p1, p2 = phi_funcs(x)
-        assert np.allclose(p1, (np.exp(x) - 1.0) / x, rtol=1e-13)
-        assert np.allclose(p2, (np.exp(x) - 1.0 - x) / x**2, rtol=1e-13)
-
-    def test_continuous_through_zero(self):
-        # series branch must agree with the ratio branch at the switch radius
-        for x in (0.5 + 1e-12, 0.5 - 1e-12, (0.5 + 1e-12) * 1j, (0.5 - 1e-12) * 1j):
-            p1, p2 = phi_funcs(np.array([x]))
-            assert abs(p1[0] - (np.exp(x) - 1.0) / x) < 1e-13
-            assert abs(p2[0] - (np.exp(x) - 1.0 - x) / x**2) < 1e-13
-
-    def test_exact_limits_at_zero(self):
-        p1, p2 = phi_funcs(np.array([0.0]))
-        assert p1[0] == 1.0
-        assert p2[0] == 0.5
 
 
 class TestInterpQuadratic:

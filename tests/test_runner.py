@@ -8,7 +8,7 @@ import pytest
 from cylform.config import parse_config, preset
 from cylform.controller import ChannelController
 from cylform.geometry import CylinderGrid
-from cylform.kernels import KernelSet
+from cylform.kernels import KernelBasis, KernelSet, PlantCoeffs
 from cylform import controller, plant, runner
 from cylform.plant import Channel, DelayLine, Stencil
 from cylform.runner import (
@@ -174,18 +174,20 @@ class TestDeterminism:
 
 
 class TestPlantReads:
-    """Per control step each channel makes one block step, which reads the
-    delay line once; the block weights and the block's read table are built
-    before the loop, and each controller builds its window's read table at
-    its first update."""
+    """Per control step the stacked channels make one block step, which
+    reads the one delay line once, and the run reads the controllers'
+    in-flight window once; the block weights and the block's read table
+    are built before the loop, and the window's read table at the first
+    step under each kernel-set delay."""
 
     @staticmethod
     def _probe(monkeypatch):
         """Count controller updates by the delay of their kernel set, and
         delay-line reads, read-table builds and weight builds, keyed by
-        name, caller, whether the first control step has begun, and the
-        number of instants (the shape of the spans, for weights)."""
-        where, updates, calls = ["runner"], Counter(), Counter()
+        name, caller, whether the first control step has begun (at its
+        window's read table), and the number of instants (the shape of the
+        spans, for weights)."""
+        where, updates, calls, started = ["runner"], Counter(), Counter(), []
 
         def inside(name, fn):
             def wrapper(*args, **kwargs):
@@ -198,7 +200,7 @@ class TestPlantReads:
 
         def counted(name, fn, size):
             def wrapper(*args, **kwargs):
-                calls[name, where[-1], updates.total() > 0, size(*args)] += 1
+                calls[name, where[-1], bool(started), size(*args)] += 1
                 return fn(*args, **kwargs)
             return wrapper
 
@@ -206,7 +208,13 @@ class TestPlantReads:
             updates[self.ks.delay] += 1
             return controller_update(self, *args, **kwargs)
 
+        def window(*args, **kwargs):
+            started.append(True)
+            return window_table(*args, **kwargs)
+
         controller_update = inside("controller", ChannelController.update)
+        window_table = runner.window_table
+        monkeypatch.setattr(runner, "window_table", window)
         monkeypatch.setattr(DelayLine, "read", counted(
             "read", DelayLine.read, lambda line, table, *_: table.index.shape[1]))
         for module in (plant, controller):
@@ -229,17 +237,19 @@ class TestPlantReads:
         rows = rec.times.size
         assert not rec.terminated and rows > 2
         assert updates.total() == 2 * rows
-        assert calls.pop(("read", "controller", True, cfg.grid_m)) == 2 * rows
-        # one window table per controller and kernel-set delay
-        assert calls.pop(("table", "controller", True, cfg.grid_m)) == 2 * len(updates)
+        # the controllers' windows, both channels in one read; the updates
+        # read nothing themselves
+        assert calls.pop(("read", "runner", True, cfg.grid_m)) == rows
+        # one window table per kernel-set delay
+        assert calls.pop(("table", "runner", True, cfg.grid_m)) == len(updates)
         (key, n), = [(k, n) for k, n in calls.items() if k[1] == "plant"]
         assert key[0] == "read" and key[3] in {2, 4}   # two per linear piece
-        assert n == 2 * (rows - 1)
+        assert n == rows - 1
         del calls[key]
         # all that is left: the block weights and the block read table of
-        # each channel, built before the first control step
-        assert calls == Counter({("table", "runner", False, key[3]): 2,
-                                 ("weights", "runner", False, (key[3] // 2, 1, 1)): 2})
+        # the stack, built before the first control step
+        assert calls == Counter({("table", "runner", False, key[3]): 1,
+                                 ("weights", "runner", False, (key[3] // 2, 1, 1, 1)): 1})
         assert not hasattr(DelayLine, "lookup")
 
     def test_snapshot_inside_a_block_builds_its_own_weights(self, transient_cfg,
@@ -253,7 +263,7 @@ class TestPlantReads:
         peek_reads = sum(n for k, n in calls.items() if k[:2] == ("read", "peek"))
         peek_tables = sum(n for k, n in calls.items() if k[:2] == ("table", "peek"))
         loop_weights = sum(n for k, n in calls.items() if k[0] == "weights" and k[2])
-        assert peek_reads == peek_tables == loop_weights == 2    # one per channel
+        assert peek_reads == peek_tables == loop_weights == 1    # one for the stack
 
 
 class TestDelayLineSize:
@@ -270,15 +280,16 @@ class TestDelayLineSize:
         cfg = dataclasses.replace(parse_config(REFINE.format(M=21, N=8, block=5e-3), "r"),
                                   duration=0.05)
         rec = run(cfg)
-        assert len(lines) == 2
-        for line in lines:
-            assert line.capacity <= rec.times.size + 5
+        # one line for both channels, each row their band rows side by side
+        (line,) = lines
+        assert line.width == 2 * rec.modes.size
+        assert line.capacity <= rec.times.size + 5
 
 
 class TestTransforms:
-    """The loop works in mode space: per control step each channel
-    synthesizes its command, for ``control_sup``; it transforms nothing
-    else (snapshots, off here, synthesize the fields)."""
+    """The loop works in mode space: per control step it synthesizes both
+    channels' commands in one inverse FFT, for ``control_sup``; it
+    transforms nothing else (snapshots, off here, synthesize the fields)."""
 
     @pytest.mark.parametrize("fixed", [False, True], ids=["adapting", "known-delay"])
     def test_at_most_one_fft_per_channel_per_control_step(self, monkeypatch, fixed):
@@ -303,19 +314,31 @@ class TestTransforms:
         rec = run(cfg)
         assert not rec.terminated
         assert fixed or np.count_nonzero(np.diff(rec.estimates)) >= 3
-        in_loop = sum(n for (_, loop), n in calls.items() if loop)
-        assert 0 < in_loop <= 2 * rec.times.size
+        in_loop = {name: n for (name, loop), n in calls.items() if loop}
+        assert in_loop == {"ifft": rec.times.size}
 
 
 class TestReferenceStep:
     """The precomputed control step replays the convolution-built one."""
 
-    @pytest.mark.parametrize("fixed, duration", [(False, 0.8), (True, 1.5)],
-                             ids=["adapting", "known-delay"])
-    def test_record_matches_reference_pipeline(self, monkeypatch, fixed, duration):
+    @pytest.mark.parametrize("fixed, duration, planar", [
+        (False, 0.8, None), (True, 1.5, None),
+        (True, 1.5, PlantCoeffs(12.0 + 3.0j, 0.5 + 0.2j))],
+        ids=["adapting", "known-delay", "mixed-dtypes"])
+    def test_record_matches_reference_pipeline(self, monkeypatch, fixed, duration,
+                                               planar):
         # adapting from hi rebuilds the kernel sets; the fixed estimate at
-        # the true delay lets commands reach the plant after t = 1
+        # the true delay lets commands reach the plant after t = 1; complex
+        # planar coefficients make the planar step map complex beside the
+        # real axial one, through the one stacked loop
         cfg = moderate_21x16(fixed, duration)
+        if planar is not None:
+            cfg = dataclasses.replace(cfg, desired=dataclasses.replace(
+                cfg.desired, planar_coeffs=planar))
+            real = [np.isrealobj(KernelSet(KernelBasis(c, CylinderGrid(21, 16, band=2)),
+                                           1.0).step_map)
+                    for c in (cfg.desired.planar_coeffs, cfg.desired.axial_coeffs)]
+            assert real == [False, True]
         rec = run(cfg)
         calls = seed_pipeline.install(monkeypatch)
         read = DelayLine.read
@@ -329,13 +352,14 @@ class TestReferenceStep:
         assert not rec.terminated and not want.terminated
         assert fixed or np.count_nonzero(np.diff(rec.estimates)) >= 3
         # every map of the replay's step came from the reference: per
-        # channel and control step, one history and one drift split in two;
+        # control step one window read and one drift completion for both
+        # channels, and per channel one history and one drift split in two;
         # only the plant's block steps read the line through a table
-        steps = 2 * want.times.size
-        assert calls == Counter(reconstruct_transport=steps, step_images=steps,
-                                rim_solve=steps, finish_drift=steps,
-                                to_target_history=steps, mismatch_drift=2 * steps,
-                                **{"DelayLine.read": steps - 2})
+        steps = want.times.size
+        assert calls == Counter(reconstruct_transport=steps, step_images=2 * steps,
+                                rim_solve=2 * steps, finish_drift=steps,
+                                to_target_history=2 * steps, mismatch_drift=4 * steps,
+                                **{"DelayLine.read": steps - 1})
         for name in ("times", "estimates", "signals", "err_planar",
                      "err_axial", "ring_errors", "control_sup"):
             a, b = getattr(rec, name), getattr(want, name)
@@ -356,9 +380,9 @@ class TestKernelReuse:
             builds[basis] += 1
             return kernel_set(basis, delay_estimate)
 
-        def update(self, values, line, t):
-            used.append((t, self.ks.delay))
-            return controller_update(self, values, line, t)
+        def update(self, *args):
+            used.append(self.ks.delay)
+            return controller_update(self, *args)
 
         kernel_set, controller_update = runner.KernelSet, ChannelController.update
         monkeypatch.setattr(runner, "KernelSet", build)
@@ -372,8 +396,8 @@ class TestKernelReuse:
         assert not rec.terminated
         assert np.count_nonzero(np.diff(rec.estimates)) >= 3
         tol = runner._RETABLE_FRACTION * (cfg.delay_hi - cfg.delay_lo)
-        t, delay = np.array(used).T
-        assert np.array_equal(t, np.repeat(rec.times, 2))
+        delay = np.array(used)
+        assert delay.size == 2 * rec.times.size
         assert np.all(np.abs(delay - np.repeat(rec.estimates, 2)) <= tol)
         assert len(builds) == 2 and max(builds.values()) <= 2
 
@@ -381,16 +405,16 @@ class TestKernelReuse:
         builds, used = self._probe(monkeypatch)
         rec = run(moderate_21x16(fixed=True, duration=0.8))
         assert sorted(builds.values()) == [1, 1]
-        assert {d for _, d in used} == {1.0} and len(used) == 2 * rec.times.size
+        assert set(used) == {1.0} and len(used) == 2 * rec.times.size
 
 
     def test_a_swap_reuses_the_step_maps(self, monkeypatch):
         builds, _ = self._probe(monkeypatch)
         read = []
 
-        def step_images(transport, measured, ks):
+        def step_images(transport, measured, ks, *out):
             read.append(ks.step_map)
-            return images(transport, measured, ks)
+            return images(transport, measured, ks, *out)
 
         images = controller.step_images
         monkeypatch.setattr(controller, "step_images", step_images)
@@ -408,15 +432,15 @@ class TestKernelReuse:
             windows[delay_estimate] += 1
             return table(line, delay_estimate, grid)
 
-        table = controller.window_table
-        monkeypatch.setattr(controller, "window_table", window_table)
+        table = runner.window_table
+        monkeypatch.setattr(runner, "window_table", window_table)
         rec = run(moderate_21x16(fixed=False, duration=0.8))
-        swaps = np.count_nonzero(np.diff([d for _, d in used[::2]]))
+        swaps = np.count_nonzero(np.diff(used[::2]))
         assert swaps >= 3 and sum(builds.values()) <= 4
-        # one table per channel and kernel-set delay, built at its first
-        # update; swapping back to a spare set reuses it
-        assert windows.total() == sum(builds.values())
-        assert set(windows.values()) == {2}
+        # one table for both channels per kernel-set delay, built at its
+        # first step; swapping back to a spare set reuses it
+        assert windows.total() == sum(builds.values()) // 2
+        assert set(windows.values()) == {1}
 
 
 class TestOneProduct:
@@ -431,9 +455,9 @@ class TestOneProduct:
             started.append(True)
             return controller_update(self, *args, **kwargs)
 
-        def apply(self, coeffs, mats):
+        def apply(self, coeffs, mats, *out):
             calls[bool(started), mats is self.step_map] += 1
-            return kernel_apply(self, coeffs, mats)
+            return kernel_apply(self, coeffs, mats, *out)
 
         controller_update, kernel_apply = ChannelController.update, KernelSet.apply
         monkeypatch.setattr(ChannelController, "update", update)

@@ -1,12 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_bvp
 
-from cylform.config import preset
+from cylform.config import PRESETS, preset
 from cylform.errors import ConfigError, ResonantModeError
 from cylform.geometry import CylinderGrid
 from cylform.kernels import PlantCoeffs
 from cylform.plant import Stencil
+from cylform.runner import run
 from cylform.steady import FormationSpec, formation_fields, steady_table
 from oracles import continuum_steady
 from oracles.continuum_steady import steady_mode
@@ -256,3 +259,18 @@ class TestFormationSpecValidation:
                 planar_coeffs=PlantCoeffs(1.0, 0.0),
                 axial_coeffs=PlantCoeffs(1.0 + 2.0j, 0.0),
             )
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_every_preset_goal_is_far_from_resonance_and_runs(name):
+    # the near-resonance guard rejects a goal beyond 1e6 times its rim data;
+    # the bundled goals reach 12.2 (``moderate`` desired, 51x50)
+    cfg = preset(name)
+    grid = CylinderGrid(cfg.grid_m, cfg.grid_n,
+                        band=max(cfg.initial.band, cfg.desired.band))
+    for spec in (cfg.initial, cfg.desired):
+        for table in formation_fields(spec, grid):
+            rims = np.abs(table[:, [0, -1]]).max()
+            assert np.abs(table).max() <= 13.0 * rims
+    rec = run(dataclasses.replace(cfg, duration=0.01, snapshot_times=()))
+    assert rec.times[-1] == pytest.approx(0.01)
