@@ -265,10 +265,8 @@ class Channel:
                  initial: np.ndarray, block: float, delay: float, kinds=None):
         self.stencils = tuple(stencils)
         self.kinds = ("complex",) * len(self.stencils) if kinds is None else tuple(kinds)
-        if not set(self.kinds) <= {"complex", "real"}:
-            raise ValueError(f"unknown channel kinds {self.kinds!r}")
-        if len(self.kinds) != len(self.stencils):
-            raise ValueError("one kind per stencil")
+        if len(self.kinds) != len(self.stencils) or not set(self.kinds) <= {"complex", "real"}:
+            raise ValueError(f"need one kind, 'complex' or 'real', per stencil: {self.kinds!r}")
         if not (block > 0.0 and delay >= 0.0):
             raise ValueError("block must be positive and delay non-negative")
         grid = self.stencils[0].grid
