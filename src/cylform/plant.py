@@ -269,8 +269,7 @@ class Channel:
             raise ValueError(f"need one kind, 'complex' or 'real', per stencil: {self.kinds!r}")
         if not (block > 0.0 and delay >= 0.0):
             raise ValueError("block must be positive and delay non-negative")
-        grid = self.stencils[0].grid
-        self.grid = grid
+        grid = self.grid = self.stencils[0].grid
         self.block = float(block)
         self.delay = float(delay)
         self.anchor = np.asarray(anchor, dtype=complex)
