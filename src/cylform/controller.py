@@ -30,7 +30,8 @@ drift is completed by the estimator from the history's root value
 the residual diagnostics read, is one matrix product of the deviation
 (:func:`to_target_state`); an update carries the deviation, and the
 diagnostics map it when they capture.  A step makes no transform: the run
-synthesizes all channels' commands at once, for its log.
+synthesizes all channels' commands of a chunk of steps at once, for its
+log.
 """
 
 from __future__ import annotations

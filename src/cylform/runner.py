@@ -4,13 +4,13 @@ One run advances both channels from the initial formation toward the
 desired one.  The swarm's state is one stack of both channels, planar then
 axial, on a leading axis: one :class:`~cylform.plant.Channel` advances the
 stack in one step, one delay line records both channels' commands side by
-side in each row, and the loop's reductions (the formation and ring
-errors, the mismatch drift, the update signal, the physical commands for
-``control_sup``, the rim residual) run once over the stack, summing or
-maximizing over the channels in that order.  Each channel keeps its own
-controller, since the law differs per channel (the axial command is
-symmetrized, the advection gains differ); each reads and writes its views
-of the stacked tables.  The plant integrates the desired formation's
+side in each row, and the loop's reductions (the mismatch drift and the
+update signal each step; the formation and ring errors, the physical
+commands for ``control_sup`` and the rim residual once per chunk of steps)
+run once over the stack, summing or maximizing over the channels in that
+order.  Each channel keeps its own controller, since the law differs per
+channel (the axial command is symmetrized, the advection gains differ);
+each reads and writes its views of the stacked tables.  The plant integrates the desired formation's
 coefficients from the start (the dynamics switch the instant the new
 formation is commanded), with anchor and leader rims held at the desired
 profiles; rim actuation reaches the leader row only after the true dead
@@ -34,9 +34,14 @@ and the errors are mode tables: the controllers measure the channels'
 tables against the goal's, the delay line records the commands' band
 coefficients, and the plant's eigencoordinates, the kernel tables, the
 control law and the drift hold the band's rows.  The formation errors and
-ring errors come from the deviation table by Parseval.  A physical field is
-synthesized only where it leaves the loop: the snapshots, and each control
-step the physical commands of both channels in one inverse FFT, for
+ring errors come from the deviation table by Parseval.  No later step reads
+the logged observations (the formation and ring errors, ``control_sup``,
+the rim residual), so they leave the control step: each step writes their
+inputs into a row of fixed buffers, and every ``_OBS_ROWS`` steps, and once
+after the loop, one reduction over the rows gives each step's values, bit
+for bit what the step alone would give.  A physical field is synthesized
+only where it leaves the loop: the snapshots, and per chunk the physical
+commands of both channels at all its steps in one inverse FFT, for
 ``control_sup``.  Kernel tables are rebuilt only when the estimate has
 drifted a fixed fraction of the admissible interval away from the tables
 in use.  The tables a rebuild replaces are kept as a spare, and an
@@ -90,6 +95,10 @@ _AUTO_BLOCK_STEPS = 10
 #: cached kernel tables before they are rebuilt, or swapped for the tables
 #: they replaced if the estimate has returned to those
 _RETABLE_FRACTION = 1e-4
+
+#: control steps whose logged reductions run together, once per chunk; it
+#: bounds the buffers of their inputs whatever the horizon
+_OBS_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -165,7 +174,12 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
     ``capture_residuals`` is a collection of instants.  Each triggers one
     :func:`target_residual` capture for both channels at the first control
     step at or after it, but not before the second step (a capture spans two
-    consecutive updates).
+    consecutive updates).  The logged observations of each chunk of
+    ``_OBS_ROWS`` control steps are reduced together (:func:`_observe`), at
+    its last step or, for the last chunk, after the loop ends.  A step's
+    deviation tables live in the chunk's buffers, so the ``measured`` table
+    of a :class:`~cylform.controller.ChannelUpdate` holds for ``_OBS_ROWS``
+    steps.
     """
     grid = CylinderGrid(cfg.grid_m, cfg.grid_n,
                         band=max(cfg.initial.band, cfg.desired.band))
@@ -206,7 +220,14 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
     ring_idx = np.array(cfg.ring_rows, dtype=int) - 1
     snap_queue = list(cfg.snapshot_times)
     res_queue = sorted(capture_residuals)
-    rows, snaps, residuals = [], [], []
+    # the inputs of the logged reductions, one row per step of the chunk:
+    # the deviation, the scaled deviation, the in-flight table after the
+    # update, the history's rim column and the commands
+    devs, scaled, flights = np.empty((3, _OBS_ROWS) + goal.shape, dtype=complex)
+    rims = np.empty((_OBS_ROWS, len(_KINDS), modes, 1), dtype=complex)
+    sent = np.empty((_OBS_ROWS, len(_KINDS), modes), dtype=complex)
+    chunk = devs, scaled, flights, rims, sent
+    rows, observed, snaps, residuals = [], [], [], []
     prev = None                 # the (planar, axial) updates of the last step
     terminated, reason = False, None
 
@@ -214,8 +235,9 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
         t = b * dt_ctrl
         while _reached(snap_queue, t):
             snaps.append(Snapshot(snap_queue.pop(0), *plant.values))
-        dev = plant.table - goal
-        measured = dev * lifts
+        k = b % _OBS_ROWS
+        dev = np.subtract(plant.table, goal, out=devs[k])
+        measured = np.multiply(dev, lifts, out=scaled[k])
         delay = ctrls[0].ks.delay
         transport = reconstruct_transport(line, t, delay, grid, gains,
                                           windows(delay)).reshape(dev.shape)
@@ -223,22 +245,17 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
         images = np.empty((len(ctrls), modes, 2 * m), dtype=complex)
         upds = [ctrl.update(*views) for ctrl, *views in
                 zip(ctrls, measured, transport, images)]
-        commands = np.array([upd.command_modes for upd in upds])
+        sent[k] = [upd.command_modes for upd in upds]
+        commands = sent[k]
         line.record(t, commands.reshape(-1))
+        flights[k] = transport
+        rims[k] = images[:, :, m - 1:m]
         history = images[:, :, :m]
         signal = update_signal(history, mismatch_drift(images[:, :, m:], history, flows),
                                grid)
-        # Parseval: 2pi times a column sum is a ring's integral of |f|^2
-        sq = abs(dev) ** 2
-        errs = [math.sqrt(abs(grid.simpson_s @ col))
-                for col in TWO_PI * np.add.reduce(sq, axis=1)]
-        ring = np.sqrt(TWO_PI * np.add.reduce(np.add.reduce(sq[:, :, ring_idx]), axis=0))
-        # the physical commands, the real channel's as the real part
-        profiles = grid.synthesize_profile(commands)
-        profiles.imag[real] = 0.0
-        # the record's series, in the order of its fields
-        rows.append((t, est.estimate, signal, *errs, ring, abs(profiles).max(),
-                     rim_residual(measured, transport, history).max()))
+        rows.append((t, est.estimate, signal))
+        if k == _OBS_ROWS - 1:
+            observed.append(_observe(grid, ring_idx, real, *chunk))
 
         if prev is not None and _reached(res_queue, t):
             while _reached(res_queue, t):
@@ -272,11 +289,42 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
         except InstabilityError as exc:
             terminated, reason = True, str(exc)
             break
+    if k < _OBS_ROWS - 1:
+        observed.append(_observe(grid, ring_idx, real, *(a[:k + 1] for a in chunk)))
 
-    return RunRecord(cfg, tuple(cfg.ring_rows), grid.modes,
-                     *(np.array(col, dtype=float) for col in zip(*rows)),
+    errs, ring, sup, rim = (np.concatenate(col) for col in zip(*observed))
+    times, estimates, signals = (np.array(col, dtype=float) for col in zip(*rows))
+    return RunRecord(cfg, tuple(cfg.ring_rows), grid.modes, times, estimates,
+                     signals, *errs.T.copy(), ring, sup, rim,
                      snapshots=snaps, terminated=terminated, reason=reason,
                      residuals=residuals)
+
+
+def _observe(grid: CylinderGrid, ring_idx: np.ndarray, real: np.ndarray,
+             dev: np.ndarray, measured: np.ndarray, transport: np.ndarray,
+             rims: np.ndarray, commands: np.ndarray) -> tuple:
+    """The logged reductions of a chunk of control steps, one row per step:
+    the (planar, axial) formation errors, the ring errors, ``control_sup``
+    and the rim residual.
+
+    The tables are the steps' stacks of both channels on a second axis:
+    the deviation, the scaled deviation, the in-flight table after the
+    update, the history's rim column ``(rows, channels, modes, 1)`` and the
+    commands.  Each reduction adds in the order of a single step's, so a
+    row is bit for bit what that step alone would give.
+    """
+    # Parseval: 2pi times a column sum is a ring's integral of |f|^2
+    sq = abs(dev) ** 2
+    # one Simpson dot per step and channel: a batched product adds in
+    # another order
+    cols = (TWO_PI * np.add.reduce(sq, axis=2)).reshape(-1, grid.M)
+    errs = np.sqrt(abs(np.fromiter(map(grid.simpson_s.dot, cols), float, len(cols))))
+    ring = np.sqrt(TWO_PI * np.add.reduce(np.add.reduce(sq[..., ring_idx], axis=1), axis=1))
+    # the physical commands, the real channel's as the real part
+    profiles = grid.synthesize_profile(commands)
+    profiles.imag[:, real] = 0.0
+    return (errs.reshape(-1, len(_KINDS)), ring, abs(profiles).max(axis=(1, 2)),
+            rim_residual(measured, transport, rims).max(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +390,22 @@ def target_residual(prev: ChannelUpdate, curr: ChannelUpdate, dt: float,
 # serialization
 
 
+def _write_table(path: Path, data: np.ndarray, fmts: list,
+                 header: str | None = None) -> Path:
+    """Write a 2-D table as comma-separated rows, one format per column,
+    below ``header`` when given; returns the path.
+
+    The bytes are those of ``np.savetxt(path, data, fmts, delimiter=",",
+    header=header or "", comments="")``, formatted in one ``%`` operation
+    over the whole table instead of one per row.
+    """
+    row = ",".join(fmts) + "\n"
+    text = (row * len(data)) % tuple(np.ravel(data).tolist())
+    path.write_text(text if header is None else header + "\n" + text,
+                    encoding="utf-8")
+    return path
+
+
 def write_series(record: RunRecord, directory) -> Path:
     """Write the per-control-step series as ``series.csv``; returns the path.
 
@@ -358,10 +422,8 @@ def write_series(record: RunRecord, directory) -> Path:
     cols += [record.ring_errors[:, j] for j in range(len(record.ring_rows))]
     cols += [record.control_sup, record.rim_residual]
     data = np.column_stack(cols) if record.times.size else np.zeros((0, len(names)))
-    path = directory / "series.csv"
-    np.savetxt(path, data, fmt="%.17g", delimiter=",",
-               header=",".join(names), comments="", encoding="utf-8")
-    return path
+    return _write_table(directory / "series.csv", data, ["%.17g"] * len(names),
+                        ",".join(names))
 
 
 def write_snapshot(fields: dict, t: float, directory) -> list:
@@ -380,9 +442,8 @@ def write_snapshot(fields: dict, t: float, directory) -> list:
         if np.iscomplexobj(values):
             raise ValueError(f"field {name!r} is complex; write the parts "
                              f"separately")
-        path = directory / f"snapshot_t{label}_{name}.csv"
-        np.savetxt(path, values, fmt="%.17g", delimiter=",", encoding="utf-8")
-        paths.append(path)
+        paths.append(_write_table(directory / f"snapshot_t{label}_{name}.csv",
+                                  values, ["%.17g"] * values.shape[1]))
     return paths
 
 
@@ -398,11 +459,9 @@ def write_positions(planar: np.ndarray, axial: np.ndarray, t: float,
     si, tj = np.meshgrid(np.arange(1, m + 1), np.arange(1, n + 1), indexing="ij")
     data = np.column_stack([si.ravel(), tj.ravel(), planar.real.ravel(),
                             planar.imag.ravel(), axial.real.ravel()])
-    path = Path(directory) / f"snapshot_t{snapshot_label(t)}_positions.csv"
-    np.savetxt(path, data, fmt=["%d", "%d", "%.17g", "%.17g", "%.17g"],
-               delimiter=",", header="s_index,theta_index,x,y,z", comments="",
-               encoding="utf-8")
-    return path
+    return _write_table(directory / f"snapshot_t{snapshot_label(t)}_positions.csv",
+                        data, ["%d", "%d", "%.17g", "%.17g", "%.17g"],
+                        "s_index,theta_index,x,y,z")
 
 
 def write_all_snapshots(record: RunRecord, directory) -> list:

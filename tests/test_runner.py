@@ -22,6 +22,7 @@ from cylform.runner import (
 from cylform.steady import formation_fields
 from oracles import continuum_steady, seed_pipeline
 from oracles.field_norms import field_l2
+from oracles.step_observation import step_observation
 
 EQUILIBRIUM = """
 grid.M = 21
@@ -287,9 +288,10 @@ class TestDelayLineSize:
 
 
 class TestTransforms:
-    """The loop works in mode space: per control step it synthesizes both
-    channels' commands in one inverse FFT, for ``control_sup``; it
-    transforms nothing else (snapshots, off here, synthesize the fields)."""
+    """The loop works in mode space: per chunk of ``_OBS_ROWS`` control
+    steps it synthesizes both channels' commands at every step of the chunk
+    in one inverse FFT, for ``control_sup``; it transforms nothing else
+    (snapshots, off here, synthesize the fields)."""
 
     @pytest.mark.parametrize("fixed", [False, True], ids=["adapting", "known-delay"])
     def test_at_most_one_fft_per_channel_per_control_step(self, monkeypatch, fixed):
@@ -315,7 +317,65 @@ class TestTransforms:
         assert not rec.terminated
         assert fixed or np.count_nonzero(np.diff(rec.estimates)) >= 3
         in_loop = {name: n for (name, loop), n in calls.items() if loop}
-        assert in_loop == {"ifft": rec.times.size}
+        assert rec.times.size > 3 * runner._OBS_ROWS
+        assert in_loop == {"ifft": math.ceil(rec.times.size / runner._OBS_ROWS)}
+
+
+class TestChunkedObservation:
+    """The logged observations, reduced once per chunk of steps, are bit
+    for bit those of each step reduced on its own."""
+
+    @staticmethod
+    def _run_checked(monkeypatch, cfg):
+        """The run's record, once its observed series are checked against
+        each step's, from the tables the step's updates read and wrote."""
+        plants, goals, steps = [], [], []
+
+        class Probe(runner.Channel):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                plants.append(self)
+
+        def formations(*args):
+            fields = formation_fields(*args)
+            goals.append(np.stack(fields))
+            return fields
+
+        def update(self, measured, transport, images):
+            table = plants[-1].table - goals[-1] if self.kind == "complex" else None
+            upd = controller_update(self, measured, transport, images)
+            steps.append((table, measured.copy(), transport.copy(),
+                          upd.target_history.copy(), upd.command_modes.copy()))
+            return upd
+
+        controller_update = ChannelController.update
+        monkeypatch.setattr(runner, "Channel", Probe)
+        monkeypatch.setattr(runner, "formation_fields", formations)
+        monkeypatch.setattr(ChannelController, "update", update)
+        rec = run(cfg)
+        grid = CylinderGrid(cfg.grid_m, cfg.grid_n, band=-rec.modes[0])
+        assert len(steps) == 2 * rec.times.size
+        want = [step_observation(grid, cfg.ring_rows, p[0],
+                                 *(np.stack([a, b]) for a, b in zip(p[1:], z[1:])))
+                for p, z in zip(steps[::2], steps[1::2])]
+        for name, col in zip(("err_planar", "err_axial", "ring_errors", "control_sup",
+                              "rim_residual"), zip(*want)):
+            assert np.array_equal(getattr(rec, name), np.array(col)), name
+        return rec
+
+    @pytest.mark.parametrize("rows", [7, 32, 100])
+    def test_chunks_equal_the_per_step_reductions(self, monkeypatch, rows):
+        # fewer rows than one chunk, exactly one, several plus a remainder
+        assert runner._OBS_ROWS == 32
+        block = 2.0 ** -6
+        cfg = dataclasses.replace(moderate_21x16(fixed=False, duration=(rows - 1) * block),
+                                  block=block, snapshot_times=())
+        rec = self._run_checked(monkeypatch, cfg)
+        assert rec.times.size == rows and not rec.terminated
+
+    def test_a_guard_stop_mid_chunk(self, monkeypatch):
+        rec = self._run_checked(monkeypatch, preset("mismatch"))
+        assert rec.terminated and rec.times.size % runner._OBS_ROWS
 
 
 class TestReferenceStep:
@@ -823,6 +883,55 @@ class TestSnapshotWriter:
         assert np.array_equal(back[:, 2].reshape(m, n), snap.planar.real)
         assert np.array_equal(back[:, 3].reshape(m, n), snap.planar.imag)
         assert np.array_equal(back[:, 4].reshape(m, n), snap.axial)
+
+
+class TestWritersMatchSavetxt:
+    """The writers format each table in one operation; the bytes are those
+    ``np.savetxt`` writes."""
+
+    HEADER = ("t,Dhat,tau,err_u_L2,err_z_L2,err_ring_1,err_ring_8,err_ring_15,"
+              "control_sup,h_bnd_residual")
+
+    @staticmethod
+    def _savetxt(path, data, fmt, header=""):
+        np.savetxt(path, data, fmt=fmt, delimiter=",", header=header, comments="",
+                   encoding="utf-8")
+        return path.read_bytes()
+
+    def test_series(self, transient_record, tmp_path):
+        rec = transient_record
+        data = np.column_stack([rec.times, rec.estimates, rec.signals, rec.err_planar,
+                                rec.err_axial, rec.ring_errors, rec.control_sup,
+                                rec.rim_residual])
+        want = self._savetxt(tmp_path / "ref.csv", data, "%.17g", self.HEADER)
+        assert write_series(rec, tmp_path).read_bytes() == want
+
+    def test_empty_series_is_its_header(self, transient_cfg, tmp_path):
+        empty = RunRecord(transient_cfg, (1, 8, 15), np.arange(-1, 2),
+                          *[np.zeros(0)] * 5, np.zeros((0, 3)), np.zeros(0), np.zeros(0))
+        want = self._savetxt(tmp_path / "ref.csv", np.zeros((0, 10)), "%.17g", self.HEADER)
+        assert write_series(empty, tmp_path).read_bytes() == want
+        assert want == (self.HEADER + "\n").encode()
+
+    def test_field_files(self, transient_record, tmp_path):
+        snap = transient_record.snapshots[1]
+        odd = np.array([[0.0, -0.0, 1e-300, np.inf], [np.nan, -1.5, 2.0**60, 1 / 3]])
+        fields = {"u_re": snap.planar.real, "z": snap.axial, "odd": odd}
+        paths = write_snapshot(fields, snap.requested_t, tmp_path)
+        for path, values in zip(paths, fields.values()):
+            assert path.read_bytes() == self._savetxt(tmp_path / "ref.csv", values, "%.17g")
+
+    def test_positions(self, transient_record, tmp_path):
+        snap = transient_record.snapshots[1]
+        m, n = snap.planar.shape
+        si, tj = np.meshgrid(np.arange(1, m + 1), np.arange(1, n + 1), indexing="ij")
+        data = np.column_stack([si.ravel(), tj.ravel(), snap.planar.real.ravel(),
+                                snap.planar.imag.ravel(), snap.axial.ravel()])
+        want = self._savetxt(tmp_path / "ref.csv", data,
+                             ["%d", "%d", "%.17g", "%.17g", "%.17g"],
+                             "s_index,theta_index,x,y,z")
+        path = write_positions(snap.planar, snap.axial, snap.requested_t, tmp_path)
+        assert path.read_bytes() == want
 
 
 class TestSnapshotDataclass:

@@ -31,7 +31,10 @@ captures to ``DIR/<case>.npz``; ``--compare`` reads them back and prints,
 per case, whether the row counts and the delay-estimate series are
 identical, then per array the largest deviation over the saved array's
 largest magnitude (over the rows both records hold), and the current
-array's largest magnitude.  Both print the digests first.
+array's largest magnitude.  Both print the digests first.  ``--compare``
+exits 1 when a check fails: the row counts or the delay-estimate series
+differ, an array is in one record only or changes shape, or an array's
+relative deviation exceeds ``--tolerance`` (default 0, bit-identical).
 """
 
 from __future__ import annotations
@@ -81,32 +84,43 @@ def arrays(record) -> dict:
     return out
 
 
-def compare(saved: dict, now: dict, series: list) -> list:
-    """Report lines for one case, the saved arrays against the current;
-    the ``series`` are compared over the rows both records hold."""
+def compare(saved: dict, now: dict, series: list,
+            tolerance: float = 0.0) -> tuple[list, bool]:
+    """Report lines for one case, the saved arrays against the current,
+    and whether every check passes; the ``series`` are compared over the
+    rows both records hold, and a line that fails a check ends in FAIL."""
     import numpy as np
 
     def same(flag):
         return "identical" if flag else "DIFFERENT"
 
     rows = len(saved["times"]), len(now["times"])
+    dhat = np.array_equal(saved["estimates"], now["estimates"])
+    ok = rows[0] == rows[1] and dhat
     lines = [f"  rows {rows[0]} -> {rows[1]} ({same(rows[0] == rows[1])}); "
-             f"Dhat {same(np.array_equal(saved['estimates'], now['estimates']))}"]
+             f"Dhat {same(dhat)}{'' if ok else '  FAIL'}"]
     for name in dict.fromkeys([*saved, *now]):
         if name not in saved or name not in now:
-            lines.append(f"  {name:<20} in one record only")
+            lines.append(f"  {name:<20} in one record only  FAIL")
+            ok = False
             continue
         a, b = saved[name], now[name]
         if name in series:
             a, b = a[:min(rows)], b[:min(rows)]
         if a.shape != b.shape:
-            lines.append(f"  {name:<20} shape {a.shape} -> {b.shape}")
+            lines.append(f"  {name:<20} shape {a.shape} -> {b.shape}  FAIL")
+            ok = False
             continue
         scale = np.abs(a).max(initial=0.0)
         dev = np.abs(b - a).max(initial=0.0)
-        lines.append(f"  {name:<20} {dev / scale if scale else dev:.3e}"
-                     f"  (largest {np.abs(b).max(initial=0.0):.3e})")
-    return lines
+        rel = dev / scale if scale else dev
+        # a NaN in either record deviates by NaN, which fails
+        passed = bool(rel <= tolerance)
+        ok &= passed
+        lines.append(f"  {name:<20} {rel:.3e}"
+                     f"  (largest {np.abs(b).max(initial=0.0):.3e})"
+                     f"{'' if passed else '  FAIL'}")
+    return lines, ok
 
 
 def main(argv=None) -> int:
@@ -114,7 +128,11 @@ def main(argv=None) -> int:
     parser.add_argument("--save", metavar="DIR",
                         help="also write each case's arrays to DIR")
     parser.add_argument("--compare", metavar="DIR",
-                        help="also compare each case with the arrays saved in DIR")
+                        help="also compare each case with the arrays saved in DIR; "
+                             "exit 1 when a check fails")
+    parser.add_argument("--tolerance", type=float, default=0.0,
+                        help="largest relative deviation --compare accepts "
+                             "(default 0: bit-identical)")
     args = parser.parse_args(argv)
     # before numpy is first imported, which is when the BLAS pool starts
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -126,6 +144,7 @@ def main(argv=None) -> int:
     recs = records()
     print(json.dumps({name: record_digest(rec) for name, rec in recs.items()},
                      indent=2))
+    failed = []
     for name, rec in recs.items():
         stem = f"{name.replace('/', '_')}.npz"
         if args.save:
@@ -133,10 +152,16 @@ def main(argv=None) -> int:
             np.savez(Path(args.save) / stem, **arrays(rec))
         if args.compare:
             with np.load(Path(args.compare) / stem) as saved:
-                print(name)
-                print("\n".join(compare(dict(saved), arrays(rec),
-                                         [key for key, _ in _logged(rec)])))
-    return 0
+                lines, ok = compare(dict(saved), arrays(rec),
+                                    [key for key, _ in _logged(rec)], args.tolerance)
+            print(name)
+            print("\n".join(lines))
+            if not ok:
+                failed.append(name)
+    if args.compare:
+        print(f"compare: {len(failed)} of {len(recs)} cases fail"
+              + (f" ({', '.join(failed)})" if failed else ""))
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
