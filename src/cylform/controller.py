@@ -1,37 +1,42 @@
 """Rim-command synthesis from field measurements and recorded actuation.
 
-A controller works on one scalar channel, and per angular wavenumber.  It
-reads two tables, each a view of the run's stack of all channels: the
-scaled deviation (the channel's mode table less the goal's, each row scaled
-by the advection lift :attr:`ChannelController.lift`) and the commands in
-flight.  The run reads the latter for all channels at once:
-:func:`reconstruct_transport` makes one read of the shared delay line, whose
-row holds every channel's band coefficients, through a read table built
-once per delay estimate, and scales each row by its channel's advection
-gain.  The command applied at the moving rim is produced by a predictor:
-the current scaled deviation is propagated through the kernel tables, past
-commands are folded in through running exponential convolutions, and the
-value of the command *being computed* is recovered from a small implicit
-solve (the newest history node carries a nonzero quadrature weight, so the
-rim value appears on both sides).
+One :class:`ChannelController` runs the control law of a stack of scalar
+channels (a run's planar and axial channel), per angular wavenumber, in
+one update per control step.  It reads two stacks of tables, one table per
+channel: the scaled deviations (each channel's mode table less the goal's,
+each row scaled by the channel's advection lift
+:attr:`ChannelController.lift`) and the commands in flight.  The run reads
+the latter for all channels at once: :func:`reconstruct_transport` makes
+one read of the shared delay line, whose row holds every channel's band
+coefficients, through a read table built once per delay estimate, and
+scales each row by its channel's advection gain.  The command applied at
+the moving rim is produced by a predictor: the current scaled deviation is
+propagated through the kernel tables, past commands are folded in through
+running exponential convolutions, and the value of the command *being
+computed* is recovered from a small implicit solve (the newest history
+node carries a nonzero quadrature weight, so the rim value appears on both
+sides).
 
 For a fixed delay estimate all of this is linear per ``|n|`` in the two
 tables a step reads, the command-in-flight table (``transport``) and the
-scaled deviation, and the :class:`~cylform.kernels.KernelSet` folds it into
-one ``step_map``.  A control step is one product (:func:`step_images`) of
-the row ``[transport | deviation]``, with the transport's rim node zeroed,
-giving the target history and the state part of the estimator's mismatch
-drift, written into the run's stack.  The control law sets the rim row of
-the target history to zero: the command is that row over the rim node's own
-weight, and the command's column of the history map then completes the
-image; :func:`rim_residual` measures how far the rim row is from zero.  The
-drift is completed by the estimator from the history's root value
-(:func:`~cylform.estimator.mismatch_drift`).  The target state, which only
-the residual diagnostics read, is one matrix product of the deviation
-(:func:`to_target_state`); an update carries the deviation, and the
-diagnostics map it when they capture.  A step makes no transform: the run
-synthesizes all channels' commands of a chunk of steps at once, for its
-log.
+scaled deviation, and each channel's
+:class:`~cylform.kernels.KernelSet` folds it into one ``step_map``.  A
+control step gathers the rows ``[transport | deviation]`` of the whole
+stack, with the transport's rim nodes zeroed, and takes one product per
+channel (:func:`step_images`), giving the target histories and the state
+part of the estimator's mismatch drift, written into the run's stack.  The
+control law sets the rim row of each target history to zero: the command
+is that row over the rim node's own weight, and the command's column of
+the history map then completes the image; :func:`rim_residual` measures
+how far the rim row is from zero.  The laws of the channels differ only in
+their tables, which a :class:`~cylform.kernels.KernelStack` holds stacked,
+in their advection scalings, and in the real channels' commands, which are
+symmetrized.  The drift is completed by the estimator from the history's
+root value (:func:`~cylform.estimator.mismatch_drift`).  The target state,
+which only the residual diagnostics read, is one matrix product of the
+deviation (:func:`to_target_state`); the diagnostics map it when they
+capture.  A step makes no transform: the run synthesizes all channels'
+commands of a chunk of steps at once, for its log.
 """
 
 from __future__ import annotations
@@ -41,12 +46,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CylinderGrid
-from .kernels import KernelSet
+from .kernels import KernelSet, KernelStack
 from .plant import DelayLine, ReadTable, read_table
 
 __all__ = [
     "reconstruct_transport",
     "to_target_state",
+    "step_work",
     "step_images",
     "control_modes",
     "symmetrize_command",
@@ -67,7 +73,8 @@ def window_table(line: DelayLine, delay_estimate: float, grid: CylinderGrid) -> 
 
 def reconstruct_transport(line: DelayLine, t: float, delay_estimate: float,
                           grid: CylinderGrid, gain=1.0,
-                          table: ReadTable | None = None) -> np.ndarray:
+                          table: ReadTable | None = None,
+                          out: np.ndarray | None = None) -> np.ndarray:
     """Command-in-flight table implied by the recorded history, one row
     per entry of the line's row.
 
@@ -79,10 +86,10 @@ def reconstruct_transport(line: DelayLine, t: float, delay_estimate: float,
     table is its rows scaled by the advection gain ``exp(advection / 2)``:
     a scalar, or a ``(width, 1)`` column of each row's channel gain.
     ``table`` is the window's :func:`window_table`, built here when not
-    given.
+    given; the table is written to ``out`` when given.
     """
     table = window_table(line, delay_estimate, grid) if table is None else table
-    return line.read(table, t).T * gain
+    return np.multiply(line.read(table, t).T, gain, out=out)
 
 
 def to_target_state(measured: np.ndarray, ks: KernelSet) -> np.ndarray:
@@ -91,39 +98,71 @@ def to_target_state(measured: np.ndarray, ks: KernelSet) -> np.ndarray:
     return measured - measured @ v.T
 
 
-def step_images(transport: np.ndarray, measured: np.ndarray, ks: KernelSet,
-                out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Target history and state drift of one step, from one product.
+def step_work(grid: CylinderGrid, channels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Work space of :func:`step_images` for a stack of ``channels``.
 
-    The row ``[transport | measured]`` times ``ks.step_map``: the history
-    image of the command-in-flight table minus the predicted command flow,
-    and the part of the mismatch drift the deviation drives.  Both are
-    views of the product's halves, which go to ``out`` when given.  The
-    history vanishes at the rim exactly when the newest command satisfies
-    the control law, which makes its rim row a free consistency diagnostic.
+    First where the row pairs of each ``|n|`` (``grid.mode_pairs``) lie in
+    one channel's ``[transport | measured]`` table seen as a flat array of
+    floats, ``(len(mode_pairs), 4, 2M)``: the pair's real parts, then its
+    imaginary parts.  Then a buffer of the split row pairs and of the
+    products, ``(2, channels, len(mode_pairs), 4, 2M)``.
     """
-    images = ks.apply(np.concatenate([transport, measured], axis=1), ks.step_map, out)
-    m = ks.grid.M
-    return images[:, :m], images[:, m:]
+    width = 2 * grid.M
+    parts = np.arange(2)[:, None, None]                     # real, imaginary
+    at = (2 * width * grid.mode_pairs[:, None, :, None] + parts
+          + 2 * np.arange(width)).reshape(len(grid.mode_pairs), 4, width)
+    return at, np.empty((2, channels) + at.shape)
+
+
+def step_images(transport: np.ndarray, measured: np.ndarray, sets,
+                out: np.ndarray | None = None,
+                work: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Target histories and state drifts of a stack of channels, from one
+    product per channel.
+
+    The rows ``+n`` and ``-n`` share one map, so the row pairs
+    ``[transport | measured]`` of each ``|n|`` are gathered and split into
+    real and imaginary parts once for the stack (``work``, the stack's
+    :func:`step_work`); each channel's set in ``sets`` takes its product
+    (:meth:`~cylform.kernels.KernelSet.apply`), which is scattered into
+    ``out``, ``(C, len(modes), 2M)``: the history image of the
+    command-in-flight table minus the predicted command flow, then the part
+    of the mismatch drift the deviation drives.  Both are made when not
+    given; the halves of ``out`` are returned.  The history vanishes at the
+    rim exactly when the newest command satisfies the control law, which
+    makes its rim row a free consistency diagnostic.
+    """
+    grid = sets[0].grid
+    table = np.concatenate([transport, measured], axis=-1, dtype=complex)
+    at, (split, products) = work or step_work(grid, len(table))
+    table.view(float).reshape(len(table), -1).take(at, axis=1, out=split, mode="clip")
+    for ks, *tables in zip(sets, table, split, products):
+        ks.apply(*tables)
+    if out is None:
+        out = np.empty(table.shape, dtype=complex)
+    pairs, m = grid.mode_pairs, grid.M
+    out.real[:, pairs] = products[:, :, :2]
+    out.imag[:, pairs] = products[:, :, 2:]
+    return out[..., :m], out[..., m:]
 
 
 # ---------------------------------------------------------------------------
 # command synthesis
 
 
-def control_modes(history: np.ndarray, ks: KernelSet) -> np.ndarray:
+def control_modes(history: np.ndarray, rim_weight: np.ndarray) -> np.ndarray:
     """New command for every mode, with the rim node solved implicitly.
 
-    ``history`` is the target image of a transport whose rim node is zero.
-    The law sets the rim row of the target history to zero, and the rim
-    node -- the command being computed -- enters that row with the weight
-    ``ks.rim_weight``, that is ``history_map[|n|, -1, -1] = 1 +
-    2*delay*sum_i(edge_i * w0_i)``, order one but far from 1 whenever the
-    kernel gain is large.  So the command is the rim row of ``history``
-    over that weight, negated; taking the previous command as the rim node
-    instead leaves a visible rim defect.
+    ``history`` is the target image of a transport whose rim node is zero
+    (one channel's, or stacked).  The law sets its rim row to zero, and the
+    rim node -- the command being computed -- enters that row with the
+    weight ``rim_weight`` (:attr:`~cylform.kernels.KernelSet.rim_weight`),
+    ``history_map[|n|, -1, -1] = 1 + 2*delay*sum_i(edge_i * w0_i)``, order
+    one but far from 1 whenever the kernel gain is large.  So the command
+    is the rim row of ``history`` over that weight, negated; taking the
+    previous command as the rim node instead leaves a visible rim defect.
     """
-    return -history[:, -1] / ks.rim_weight
+    return -history[..., -1] / rim_weight
 
 
 def symmetrize_command(grid: CylinderGrid, cmd: np.ndarray) -> np.ndarray:
@@ -153,59 +192,64 @@ def rim_residual(measured: np.ndarray, transport: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# per-channel driver
+# the stack's driver
 
 
 @dataclass
 class ChannelUpdate:
-    """What one control step gives a single channel's caller besides the
-    tables it wrote (see :meth:`ChannelController.update`); the tables are
-    views of the run's stacks."""
+    """One channel's tables of a control step, views of the run's stacks,
+    as a residual capture reads them."""
 
-    command_modes: np.ndarray    #: band coefficients of the rim command (deviation part)
     measured: np.ndarray         #: scaled deviation table the step read
     target_history: np.ndarray   #: history image table (rim row ~ 0 by construction)
 
 
 class ChannelController:
-    """Produces rim commands for one channel from state and history.
+    """Produces the rim commands of a stack of channels, all in one update.
 
-    ``kernel_set`` may be swapped out between updates when the delay
-    estimate drifts far enough that the cached tables are rebuilt.
+    It holds the channels' kinds, their advection scalings and their kernel
+    sets, :attr:`kernels`, which the run swaps for another stack when the
+    delay estimate has drifted.  A single channel is a stack of one.
     """
 
-    def __init__(self, kernel_set: KernelSet, kind: str = "complex"):
-        if kind not in ("complex", "real"):
-            raise ValueError(f"unknown channel kind {kind!r}")
-        self.ks = kernel_set
-        grid = self.grid = kernel_set.grid
-        self.kind = kind
-        self.advection = kernel_set.basis.coeffs.advection
-        #: ``exp(advection * s / 2)``: scaling the deviation by it turns the
-        #: advection term into a pure shift of the reaction rate, which is
-        #: the form every kernel table assumes
-        self.lift = np.exp(0.5 * self.advection * grid.s)
-        #: ``exp(advection / 2)``, the lift at the rim, and its reciprocal
-        self.gain = np.exp(0.5 * self.advection)
-        self.inv_gain = np.exp(-0.5 * self.advection)
+    def __init__(self, kernel_sets, kinds):
+        self.kinds = tuple(kinds)
+        for kind in self.kinds:
+            if kind not in ("complex", "real"):
+                raise ValueError(f"unknown channel kind {kind!r}")
+        self.kernels = KernelStack(kernel_sets)
+        grid = self.grid = self.kernels.sets[0].grid
+        #: the rows of the stack whose channels' commands are real
+        self.real = [c for c, kind in enumerate(self.kinds) if kind == "real"]
+        advection = [ks.basis.coeffs.advection for ks in self.kernels.sets]
+        #: ``exp(advection * s / 2)`` per channel, ``(C, 1, M)``: scaling the
+        #: deviation by it turns the advection term into a pure shift of the
+        #: reaction rate, which is the form every kernel table assumes
+        self.lift = np.stack([np.exp(0.5 * a * grid.s) for a in advection])[:, None]
+        #: ``exp(advection / 2)`` per channel, the lift at the rim, and its
+        #: reciprocal as a column
+        self.gain = np.array([np.exp(0.5 * a) for a in advection])
+        self.inv_gain = np.array([np.exp(-0.5 * a) for a in advection])[:, None]
+        self._work = step_work(grid, len(self.kinds))
 
     def update(self, measured: np.ndarray, transport: np.ndarray,
-               images: np.ndarray) -> ChannelUpdate:
-        """One control step from the channel's scaled deviation ``measured``
-        and its command-in-flight table ``transport``, the channel's rows of
-        :func:`reconstruct_transport` at the estimate of :attr:`ks`.
+               images: np.ndarray) -> np.ndarray:
+        """One control step of every channel; returns the ``(C, len(modes))``
+        band coefficients of the rim commands (deviation part).
 
-        ``transport`` is the step's own: its rim node ends as the new
-        command.  The step's product, the target history then the state
-        drift (the mismatch drift less its history-root term), is written
-        to ``images``, ``(len(modes), 2M)``.
+        ``measured`` and ``transport`` are the stacked scaled deviations and
+        command-in-flight tables, ``(C, len(modes), M)``, the latter at the
+        estimate of :attr:`kernels`; its rim nodes end as the new commands.
+        The step's products, the target histories then the state drifts
+        (the mismatch drift less its history-root term), are written to
+        ``images``, ``(C, len(modes), 2M)``.
         """
-        ks = self.ks
-        transport[:, -1] = 0.0
-        history, _ = step_images(transport, measured, ks, images)
-        cmd = control_modes(history, ks)
-        if self.kind == "real":
-            cmd = symmetrize_command(self.grid, cmd)
-        transport[:, -1] = cmd
-        history += cmd[:, None] * ks.command_column
-        return ChannelUpdate(cmd * self.inv_gain, measured, history)
+        kernels = self.kernels
+        transport[..., -1] = 0.0
+        history, _ = step_images(transport, measured, kernels.sets, images, self._work)
+        cmd = control_modes(history, kernels.rim_weight)
+        for c in self.real:
+            cmd[c] = symmetrize_command(self.grid, cmd[c])
+        transport[..., -1] = cmd
+        history += cmd[..., None] * kernels.command_column
+        return cmd * self.inv_gain

@@ -381,31 +381,40 @@ class KernelSet:
         out[:, np.arange(m), np.arange(m)] += 1.0
         return self._real_if_rates(out)
 
-    # -- bookkeeping -----------------------------------------------------
+    def apply(self, table: np.ndarray, split: np.ndarray, out: np.ndarray) -> None:
+        """One channel's ``step_map`` product, written to ``out``,
+        ``(A, 4, 2M)``: the products of the row pairs' real parts, then of
+        their imaginary parts.
+
+        ``table`` is the channel's ``[transport | measured]`` table and
+        ``split`` the real parts then the imaginary parts of its row pairs
+        of each ``|n|`` (``grid.mode_pairs``), which share one map.  A real
+        map (real rates) acts on ``split`` in one real product, about twice
+        as fast as the complex product a complex map takes of the row pairs.
+        """
+        if np.isrealobj(self.step_map):
+            np.matmul(split, self.step_map, out=out)
+        else:
+            product = table[self.grid.mode_pairs] @ self.step_map
+            out[:, :2], out[:, 2:] = product.real, product.imag
+
+
+class KernelStack:
+    """The kernel sets of a stack of channels at one delay estimate, one set
+    per channel, with the per-row tables of the control step
+    (``rim_weight``, ``command_column`` and ``edge_flow``) stacked on a
+    leading channel axis.
+
+    The tables are stacked once, when the stack is built, so a run that
+    swaps its stack for a spare moves them along with the sets.
+    """
+
+    def __init__(self, sets):
+        self.sets = tuple(sets)
+        self.delay = self.sets[0].delay
+        self.rim_weight = np.stack([ks.rim_weight for ks in self.sets])
+        self.command_column = np.stack([ks.command_column for ks in self.sets])
+        self.edge_flow = np.stack([ks.edge_flow for ks in self.sets])
 
     def matches(self, delay_estimate: float, tol: float) -> bool:
         return abs(self.delay - delay_estimate) <= tol
-
-    def apply(self, coeffs: np.ndarray, mats: np.ndarray,
-              out: np.ndarray | None = None) -> np.ndarray:
-        """Row ``k`` of a mode table times ``mats[|n_k|]``, for all rows,
-        written to ``out`` when given.
-
-        Rows ``+n`` and ``-n`` share one matrix, so they are paired (by
-        ``grid.mode_pairs``) into one batched product instead of gathering
-        a per-mode copy of ``mats``.
-        Real ``mats`` (real rates) act on the real and imaginary parts in
-        one real product, about twice as fast as the complex product, whose
-        halves are written to the real and imaginary parts of ``out``.
-        """
-        pairs = self.grid.mode_pairs
-        rows = coeffs[pairs]                                            # (A, 2, K)
-        if out is None:
-            out = np.empty(coeffs.shape[:-1] + mats.shape[-1:], dtype=complex)
-        if np.isrealobj(mats):
-            parts = np.concatenate([rows.real, rows.imag], axis=1) @ mats
-            out.real[pairs] = parts[:, :2]
-            out.imag[pairs] = parts[:, 2:]
-        else:
-            out[pairs] = rows @ mats
-        return out

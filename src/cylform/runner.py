@@ -8,31 +8,33 @@ side in each row, and the loop's reductions (the mismatch drift and the
 update signal each step; the formation and ring errors, the physical
 commands for ``control_sup`` and the rim residual once per chunk of steps)
 run once over the stack, summing or maximizing over the channels in that
-order.  Each channel keeps its own controller, since the law differs per
-channel (the axial command is symmetrized, the advection gains differ);
-each reads and writes its views of the stacked tables.  The plant integrates the desired formation's
-coefficients from the start (the dynamics switch the instant the new
-formation is commanded), with anchor and leader rims held at the desired
-profiles; rim actuation reaches the leader row only after the true dead
-time.  Both formations are their own stencils' equilibria
-(:func:`~cylform.steady.formation_fields`), so the plant can reach the
-goal; the desired stencils serve the goal and the plant.  The run's one
-time step is the control block: the fewest equal blocks spanning the
-horizon, none longer than ``run.block``.  At each block start the
-controllers measure the fields and issue new rim commands, and the delay
+order.  So does the control law: one
+:class:`~cylform.controller.ChannelController` updates both channels in one
+call per control step, on the stacked tables; the channels' laws differ
+only in their kernel tables and advection scalings, which it holds per
+channel, and in the axial command's symmetrization.  The plant integrates
+the desired formation's coefficients from the start (the dynamics switch
+the instant the new formation is commanded), with anchor and leader rims
+held at the desired profiles; rim actuation reaches the leader row only
+after the true dead time.  Both formations are their own stencils'
+equilibria (:func:`~cylform.steady.formation_fields`), so the plant can
+reach the goal; the desired stencils serve the goal and the plant.  The
+run's one time step is the control block: the fewest equal blocks spanning
+the horizon, none longer than ``run.block``.  At each block start the
+controller measures the fields and issues new rim commands, and the delay
 estimate takes one projected gradient step driven by both channels; then
-the stack advances over the whole block in one exact step, and the guard
-is checked at the block end, planar channel first.  A controller's step is
-one product with its kernel set's ``step_map``, which yields the target
-history and the state part of the mismatch drift; the estimator completes
-each channel's drift from the history's root value and forms the update
-signal from the two.  The loop works in mode space and keeps only the
-wavenumbers ``|n| <= band``, where ``band`` is the largest ``|n|`` listed
-in the rim data of either formation: no other wavenumber is ever excited,
-so the rest would carry roundoff only.  The formations, the plant state
-and the errors are mode tables: the controllers measure the channels'
-tables against the goal's, the delay line records the commands' band
-coefficients, and the plant's eigencoordinates, the kernel tables, the
+the stack advances over the whole block in one exact step, and the guard is
+checked at the block end, planar channel first.  The controller's step is
+one product per channel with that channel's kernel set's ``step_map``,
+which yields the target history and the state part of the mismatch drift;
+the estimator completes each channel's drift from the history's root value
+and forms the update signal from the two.  The loop works in mode space and
+keeps only the wavenumbers ``|n| <= band``, where ``band`` is the largest
+``|n|`` listed in the rim data of either formation: no other wavenumber is
+ever excited, so the rest would carry roundoff only.  The formations, the
+plant state and the errors are mode tables: the controller measures the
+channels' tables against the goal's, the delay line records the commands'
+band coefficients, and the plant's eigencoordinates, the kernel tables, the
 control law and the drift hold the band's rows.  The formation errors and
 ring errors come from the deviation table by Parseval.  No later step reads
 the logged observations (the formation and ring errors, ``control_sup``,
@@ -43,15 +45,19 @@ for bit what the step alone would give.  A physical field is synthesized
 only where it leaves the loop: the snapshots, and per chunk the physical
 commands of both channels at all its steps in one inverse FFT, for
 ``control_sup``.  Kernel tables are rebuilt only when the estimate has
-drifted a fixed fraction of the admissible interval away from the tables
-in use.  The tables a rebuild replaces are kept as a spare, and an
-estimate that returns within that fraction of them (a projected estimate
-flipping between its bounds) swaps them back, step maps included, instead
-of rebuilding.  Either way the loop repoints each controller's ``ks``, the
-only reference it keeps to a channel's tables.  An adaptive run checks at
-set-up that the tables' series resolves ``delay.lo``, where it converges
-slowest.  A :func:`target_residual` capture is taken at the tables in use,
-so one across an estimate move includes that move.
+drifted a fixed fraction of the admissible interval away from the tables in
+use.  Both channels' tables are one :class:`~cylform.kernels.KernelStack`,
+whose per-row tables are stacked when it is built.  The stack a rebuild
+replaces is kept as a spare, and an estimate that returns within that
+fraction of it (a projected estimate flipping between its bounds) swaps it
+back, step maps and stacked tables included, instead of rebuilding.  Either
+way the loop repoints the controller's ``kernels``, the only reference it
+keeps to the tables.  An adaptive run checks at set-up that the tables'
+series resolves ``delay.lo``, where it converges slowest.  A
+:func:`target_residual` capture is taken at the tables in use, so one
+across an estimate move includes that move; it reads each channel's views
+of this step's stacks and of the last step's, which the loop keeps in two
+alternating buffers.
 
 Results are collected in a :class:`RunRecord` (one logged row per control
 step) and serialized as CSV: a single time series plus, per requested
@@ -74,11 +80,11 @@ import numpy as np
 from .config import ScenarioConfig, snapshot_label
 from .controller import (ChannelController, ChannelUpdate, reconstruct_transport,
                          rim_residual, to_target_state, window_table)
-from .errors import InstabilityError
+from .errors import ConfigError, InstabilityError
 from .estimator import (EstimatorState, mismatch_drift, step_estimate,
                         update_signal)
 from .geometry import TWO_PI, CylinderGrid
-from .kernels import KernelBasis, KernelSet
+from .kernels import KernelBasis, KernelSet, KernelStack
 from .plant import Channel, DelayLine, Stencil
 from .steady import formation_fields
 
@@ -95,6 +101,9 @@ _AUTO_BLOCK_STEPS = 10
 #: cached kernel tables before they are rebuilt, or swapped for the tables
 #: they replaced if the estimate has returned to those
 _RETABLE_FRACTION = 1e-4
+
+#: the most rows an array can hold
+_MAX_ROWS = np.iinfo(np.intp).max
 
 #: control steps whose logged reductions run together, once per chunk; it
 #: bounds the buffers of their inputs whatever the horizon
@@ -160,10 +169,20 @@ def _reached(queue, t: float) -> bool:
 
 def _resolve_blocks(cfg: ScenarioConfig, stencils: list) -> tuple[int, float]:
     """Block count and length: the fewest whole blocks spanning the horizon
-    exactly, none longer than ``cfg.block`` or the automatic cap."""
+    exactly, none longer than ``cfg.block`` or the automatic cap.
+
+    The run records one delay-line row per block and reads back up to the
+    larger delay: a cap that makes more blocks of the horizon or of that
+    delay than an array dimension can hold is a :class:`ConfigError`.
+    """
     cap = cfg.block
     if cap is None:
         cap = _AUTO_BLOCK_STEPS * min(st.rk4_step for st in stencils)
+    count = max(cfg.duration, cfg.true_delay, cfg.delay_hi) / cap
+    if not count < _MAX_ROWS:
+        raise ConfigError(
+            f"run.block = {cap:g} makes {count:.6g} blocks of the horizon or the delay, "
+            f"more than the {_MAX_ROWS} rows an array can hold")
     blocks = max(1, math.ceil(cfg.duration / cap))
     return blocks, cfg.duration / blocks
 
@@ -176,10 +195,10 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
     step at or after it, but not before the second step (a capture spans two
     consecutive updates).  The logged observations of each chunk of
     ``_OBS_ROWS`` control steps are reduced together (:func:`_observe`), at
-    its last step or, for the last chunk, after the loop ends.  A step's
-    deviation tables live in the chunk's buffers, so the ``measured`` table
-    of a :class:`~cylform.controller.ChannelUpdate` holds for ``_OBS_ROWS``
-    steps.
+    its last step or, for the last chunk, after the loop ends.  A capture
+    hands each channel's :class:`~cylform.controller.ChannelUpdate` views
+    of the two steps' tables to :func:`target_residual`; they hold until
+    the loop next writes those buffers.
     """
     grid = CylinderGrid(cfg.grid_m, cfg.grid_n,
                         band=max(cfg.initial.band, cfg.desired.band))
@@ -205,16 +224,12 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
     plant = Channel(stencils, goal[:, :, 0], goal[:, :, -1], np.stack(inits),
                     dt_ctrl, cfg.true_delay, _KINDS)
     line = DelayLine(len(_KINDS) * modes, dt_ctrl, horizon)
-    ctrls = [ChannelController(KernelSet(basis, est.estimate), kind)
-             for basis, kind in zip(bases, _KINDS)]
-    # each channel's deviation scaled by its advection lift, and each entry
-    # of the line's row by its channel's gain, the lift at the rim
-    lifts = np.stack([ctrl.lift for ctrl in ctrls])[:, None, :]
-    gains = np.repeat([ctrl.gain for ctrl in ctrls], modes)[:, None]
+    ctrl = ChannelController([KernelSet(basis, est.estimate) for basis in bases], _KINDS)
+    # each entry of the line's row scaled by its channel's gain, the lift at
+    # the rim
+    gains = np.repeat(ctrl.gain, modes)[:, None]
     windows = lru_cache(maxsize=2)(partial(window_table, line, grid=grid))
-    flows = np.stack([ctrl.ks.edge_flow for ctrl in ctrls])
-    real = np.array(_KINDS) == "real"
-    spare = None                # the (planar, axial) sets last replaced
+    spare = None                # the kernel stack last replaced
     retable_tol = _RETABLE_FRACTION * (cfg.delay_hi - cfg.delay_lo)
 
     ring_idx = np.array(cfg.ring_rows, dtype=int) - 1
@@ -227,8 +242,10 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
     rims = np.empty((_OBS_ROWS, len(_KINDS), modes, 1), dtype=complex)
     sent = np.empty((_OBS_ROWS, len(_KINDS), modes), dtype=complex)
     chunk = devs, scaled, flights, rims, sent
+    # the step products of both channels, target history then state drift,
+    # of this step and the last (a residual capture reads both)
+    products = np.empty((2, len(_KINDS), modes, 2 * m), dtype=complex)
     rows, observed, snaps, residuals = [], [], [], []
-    prev = None                 # the (planar, axial) updates of the last step
     terminated, reason = False, None
 
     for b in range(blocks + 1):
@@ -237,46 +254,41 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
             snaps.append(Snapshot(snap_queue.pop(0), *plant.values))
         k = b % _OBS_ROWS
         dev = np.subtract(plant.table, goal, out=devs[k])
-        measured = np.multiply(dev, lifts, out=scaled[k])
-        delay = ctrls[0].ks.delay
-        transport = reconstruct_transport(line, t, delay, grid, gains,
-                                          windows(delay)).reshape(dev.shape)
-        # the step products of both channels: target history, then state drift
-        images = np.empty((len(ctrls), modes, 2 * m), dtype=complex)
-        upds = [ctrl.update(*views) for ctrl, *views in
-                zip(ctrls, measured, transport, images)]
-        sent[k] = [upd.command_modes for upd in upds]
-        commands = sent[k]
-        line.record(t, commands.reshape(-1))
-        flights[k] = transport
+        measured = np.multiply(dev, ctrl.lift, out=scaled[k])
+        kernels = ctrl.kernels
+        # the update leaves the new commands at the rim nodes, in place
+        transport = flights[k]
+        reconstruct_transport(line, t, kernels.delay, grid, gains, windows(kernels.delay),
+                              transport.reshape(-1, m))
+        images = products[b % 2]
+        sent[k] = ctrl.update(measured, transport, images)
+        line.record(t, sent[k].reshape(-1))
         rims[k] = images[:, :, m - 1:m]
         history = images[:, :, :m]
-        signal = update_signal(history, mismatch_drift(images[:, :, m:], history, flows),
-                               grid)
+        signal = update_signal(
+            history, mismatch_drift(images[:, :, m:], history, kernels.edge_flow), grid)
         rows.append((t, est.estimate, signal))
         if k == _OBS_ROWS - 1:
-            observed.append(_observe(grid, ring_idx, real, *chunk))
+            observed.append(_observe(grid, ring_idx, ctrl.real, *chunk))
 
-        if prev is not None and _reached(res_queue, t):
+        if b > 0 and _reached(res_queue, t):
             while _reached(res_queue, t):
                 res_queue.pop(0)
+            # each channel's views of the last step's tables and of this one's
+            last = zip(scaled[(b - 1) % _OBS_ROWS], products[(b - 1) % 2, :, :, :m])
             residuals.append((t, *(
-                target_residual(before, upd, dt_ctrl, ctrl.ks)
-                for before, upd, ctrl in zip(prev, upds, ctrls))))
-        prev = upds
+                target_residual(ChannelUpdate(*before), ChannelUpdate(*after), dt_ctrl, ks)
+                for before, *after, ks in zip(last, measured, history, kernels.sets))))
 
         if not cfg.fixed_estimate:
             est = step_estimate(est, signal)
-            if not ctrls[0].ks.matches(est.estimate, retable_tol):
-                sets = [ctrl.ks for ctrl in ctrls]
-                if spare is not None and spare[0].matches(est.estimate, retable_tol):
-                    sets, spare = spare, sets
+            if not kernels.matches(est.estimate, retable_tol):
+                if spare is not None and spare.matches(est.estimate, retable_tol):
+                    ctrl.kernels, spare = spare, kernels
                 else:
-                    spare = sets
-                    sets = [KernelSet(ks.basis, est.estimate) for ks in spare]
-                for ctrl, ks in zip(ctrls, sets):
-                    ctrl.ks = ks
-                flows = np.stack([ks.edge_flow for ks in sets])
+                    spare = kernels
+                    ctrl.kernels = KernelStack(
+                        [KernelSet(ks.basis, est.estimate) for ks in kernels.sets])
         if b == blocks:
             break
         # requests inside the block, each at its own instant
@@ -290,7 +302,7 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
             terminated, reason = True, str(exc)
             break
     if k < _OBS_ROWS - 1:
-        observed.append(_observe(grid, ring_idx, real, *(a[:k + 1] for a in chunk)))
+        observed.append(_observe(grid, ring_idx, ctrl.real, *(a[:k + 1] for a in chunk)))
 
     errs, ring, sup, rim = (np.concatenate(col) for col in zip(*observed))
     times, estimates, signals = (np.array(col, dtype=float) for col in zip(*rows))
@@ -300,7 +312,7 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
                      residuals=residuals)
 
 
-def _observe(grid: CylinderGrid, ring_idx: np.ndarray, real: np.ndarray,
+def _observe(grid: CylinderGrid, ring_idx: np.ndarray, real: list,
              dev: np.ndarray, measured: np.ndarray, transport: np.ndarray,
              rims: np.ndarray, commands: np.ndarray) -> tuple:
     """The logged reductions of a chunk of control steps, one row per step:

@@ -8,7 +8,7 @@ of that state, and for the complex planar channel it leaves each row of the
 mode table to itself.  This builds that map per row from the package's own
 step -- :meth:`ChannelController.update` (through
 :func:`oracles.channel_step.control_step`), :meth:`DelayLine.record` and
-:meth:`Channel.step`, on a stack of one -- one column per unit vector, and reads its spectral
+:meth:`Channel.step`, each on a stack of one -- one column per unit vector, and reads its spectral
 radius ``rho``.  The closed loop decays at ``-ln(rho) / block`` per second,
 or grows at its negative, which is what a run shows once the pre-history is
 behind it (finite-spectrum assignment: Manitius & Olbrot, IEEE TAC 24,
@@ -20,11 +20,10 @@ import math
 
 import numpy as np
 
-from cylform.controller import ChannelController
 from cylform.geometry import CylinderGrid
 from cylform.kernels import KernelBasis, KernelSet
 from cylform.plant import Channel, DelayLine, Stencil
-from oracles.channel_step import control_step
+from oracles.channel_step import channel, control_step
 
 
 def planar_spectrum(cfg, block, wavenumbers):
@@ -41,7 +40,7 @@ def planar_spectrum(cfg, block, wavenumbers):
     stencil = Stencil(grid, coeffs)
     zero_table = np.zeros((grid.modes.size, grid.M), dtype=complex)
     zero_rim = np.zeros(grid.modes.size, dtype=complex)
-    ctrl = ChannelController(KernelSet(KernelBasis(coeffs, grid), cfg.initial_estimate))
+    ctrl = channel(KernelSet(KernelBasis(coeffs, grid), cfg.initial_estimate))
     m = grid.M - 2
     records = math.ceil(max(cfg.true_delay, cfg.initial_estimate) / block) + 3
     t = records * block                    # the block starts after the records

@@ -32,13 +32,13 @@ def history_map(ks, n):
         "i,jir->rj", ks.basis.fwd_edge, conv)
 
 
-def reconstruct_transport(line, t, delay_estimate, grid, gain=1.0, table=None):
+def reconstruct_transport(line, t, delay_estimate, grid, gain=1.0, table=None, out=None):
     """The in-flight table read one node at a time, all of the line's row
-    at once (every channel of a run's line); ``table``, the production read
-    table, is not used."""
+    at once (every channel of a run's line), and written to ``out`` when
+    given; ``table``, the production read table, is not used."""
     times = t + delay_estimate * (grid.s - 1.0)
     rows = np.stack([lookup(line, tt) for tt in times])
-    return rows.T * gain
+    return np.multiply(rows.T, gain, out=out)
 
 
 def state_prediction(measured, ks):
@@ -120,16 +120,18 @@ def finish_drift(state_drift, history, sets):
 
 
 def install(monkeypatch):
-    """Route the controllers and the runner through the reference step.
+    """Route the controller and the runner through the reference step.
 
     The run's window read receives the channels' gains and its drift call
     their stacked edge flows; the reference forms each channel's gain from
-    its controller's advection, and reads each channel's kernel set, the one
-    its update of the same step used.  Returns a
-    :class:`~collections.Counter` of the calls made to the reference
-    functions by name, so a replay can show that it ran them.
+    its kernel set's advection.  The controller's one update per step
+    hands the reference each channel's tables: the stacked product runs
+    :func:`step_images` per channel, the rim solve :func:`rim_solve` per
+    channel on the kernel sets of the step's update, and so does the
+    drift.  Returns a :class:`~collections.Counter` of the calls made to
+    the reference functions by name, so a replay can show that it ran them.
     """
-    calls, ctrls, sets = Counter(), [], []
+    calls, sets = Counter(), []
 
     def counted(fn):
         def wrapper(*args, **kwargs):
@@ -137,33 +139,45 @@ def install(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    def construct(self, *args, **kwargs):
-        controller_init(self, *args, **kwargs)
-        ctrls.append(self)
-
     def update(self, *args):
-        sets.append(self.ks)
+        sets[:] = self.kernels.sets
         return controller_update(self, *args)
 
-    def transport(line, t, delay_estimate, grid, gain=1.0, table=None):
-        gains = np.repeat([np.exp(0.5 * c.advection) for c in ctrls], grid.modes.size)
-        return read(line, t, delay_estimate, grid, gains[:, None])
+    def transport(line, t, delay_estimate, grid, gain=1.0, table=None, out=None):
+        gains = np.repeat([np.exp(0.5 * ks.basis.coeffs.advection) for ks in sets],
+                          grid.modes.size)
+        return read(line, t, delay_estimate, grid, gains[:, None], out=out)
+
+    def images(transport, measured, step_sets, out, work=None):
+        for ks, *tables, images_c in zip(step_sets, transport, measured, out):
+            reference_images(*tables, ks, images_c)
+        m = step_sets[0].grid.M
+        return out[..., :m], out[..., m:]
+
+    def modes(history, rim_weight):
+        return np.stack([solve(h, ks) for h, ks in zip(history, sets)])
 
     def drift(state_drift, history, edge_flow):
-        step_sets = sets[-len(history):]
-        sets.clear()
-        return finish(state_drift, history, step_sets)
+        return finish(state_drift, history, sets)
 
     read, finish = counted(reconstruct_transport), counted(finish_drift)
+    reference_images, solve = counted(step_images), counted(rim_solve)
     here = sys.modules[__name__]
     for name in ("to_target_history", "mismatch_drift"):
         monkeypatch.setattr(here, name, counted(getattr(here, name)))
-    controller_init = controller.ChannelController.__init__
+    # the gains depend only on the channels' bases: the window read before
+    # the first update takes them from the sets the controller is built with
     controller_update = controller.ChannelController.update
+    controller_init = controller.ChannelController.__init__
+
+    def construct(self, *args, **kwargs):
+        controller_init(self, *args, **kwargs)
+        sets[:] = self.kernels.sets
+
     monkeypatch.setattr(controller.ChannelController, "__init__", construct)
     monkeypatch.setattr(controller.ChannelController, "update", update)
     monkeypatch.setattr(runner, "reconstruct_transport", transport)
-    monkeypatch.setattr(controller, "step_images", counted(step_images))
-    monkeypatch.setattr(controller, "control_modes", counted(rim_solve))
+    monkeypatch.setattr(controller, "step_images", images)
+    monkeypatch.setattr(controller, "control_modes", modes)
     monkeypatch.setattr(runner, "mismatch_drift", drift)
     return calls

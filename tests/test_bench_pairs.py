@@ -76,3 +76,56 @@ def test_no_counted_run_on_one_side():
     out = rows([(result(p), None) for p in PARENT])
     assert out["wall_per_sim_s"]["change"] is None
     assert out["wall_per_sim_s"]["wins"] == 0 and not out["wall_per_sim_s"]["rule"]
+
+
+def test_worse_needs_more_than_the_parents_quartile_gap():
+    # a quarter slower: worse on both metrics, and no gain
+    out = rows([(result(p), result(1.25 * p)) for p in PARENT])
+    for name in ("wall_per_sim_s", "ctrl_steps_per_s"):
+        assert out[name]["worse"] and not out[name]["rule"]
+        assert out[name]["wins"] == 0
+    # slower in every pair, by less than the parent's quartile gap
+    out = rows([(result(p), result(p + 1e-5)) for p in PARENT])
+    assert out["wall_per_sim_s"]["wins"] == 0
+    assert not out["wall_per_sim_s"]["worse"]
+    # a clear gain is not worse
+    out = rows([(result(p), result(0.75 * p)) for p in PARENT])
+    assert not out["wall_per_sim_s"]["worse"] and not out["ctrl_steps_per_s"]["worse"]
+
+
+def test_no_counted_run_is_not_worse():
+    assert not rows([(result(p), None) for p in PARENT])["wall_per_sim_s"]["worse"]
+
+
+def test_several_workloads_in_one_call(tmp_path, monkeypatch, capsys):
+    # each workload runs its own alternating pairs, and gets its own summary
+    (tmp_path / "benchmarks").mkdir()
+    (tmp_path / "benchmarks" / "run.py").write_text("", encoding="utf-8")
+    calls = []
+
+    def run_side(checkout, workload, seed, seconds):
+        side = "parent" if checkout == tmp_path.resolve() else "change"
+        calls.append((workload, side))
+        wall = 0.02 if side == "parent" else 0.03
+        return {"correct": True, "failed": 0,
+                "metrics": {"wall_per_sim_s": {"value": wall}}}
+
+    monkeypatch.setattr(bench_pairs, "run_side", run_side)
+    assert bench_pairs.main([str(tmp_path), "--workload", "known-delay-21x16",
+                             "--workload", "adaptive-51x50", "--seed", "3",
+                             "--pairs", "2", "--seconds", "1"]) == 0
+    assert calls == [(w, side) for w in ("known-delay-21x16", "adaptive-51x50")
+                     for side in ("parent", "change", "change", "parent")]
+    out = capsys.readouterr().out
+    for workload in ("known-delay-21x16", "adaptive-51x50"):
+        assert f"\n{workload}, seed 3, 2 pairs of 1 s runs" in out
+    walls = [line for line in out.splitlines() if line.startswith("  wall_per_sim_s")]
+    assert len(walls) == 2 and all(line.endswith("worse yes") for line in walls)
+
+
+def test_an_unknown_workload_is_a_usage_error(tmp_path, capsys):
+    (tmp_path / "benchmarks").mkdir()
+    (tmp_path / "benchmarks" / "run.py").write_text("", encoding="utf-8")
+    with pytest.raises(SystemExit):
+        bench_pairs.main([str(tmp_path), "--workload", "no-such", "--seed", "1"])
+    assert "unknown workload 'no-such'" in capsys.readouterr().err

@@ -1,12 +1,14 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cylform
+from cylform import runner
 from cylform.cli import main
 from cylform.config import PRESETS
 from cylform.controller import ChannelController
@@ -266,6 +268,24 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert f"{key} expects a finite number" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
+    def test_a_block_no_array_can_count_is_a_config_error(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # 2e301 blocks over the 20 s horizon: rejected with its count before
+        # any kernel table, plant or delay line is built, without a warning
+        built = []
+        for name in ("KernelBasis", "Channel", "DelayLine"):
+            monkeypatch.setattr(runner, name, lambda *_, name=name: built.append(name))
+        p = tmp_path / "fine.cfg"
+        p.write_text(PRESETS["moderate"] + "run.block = 1e-300\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(p), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: run.block = 1e-300 makes 2e+301 blocks")
+        assert "Traceback" not in err
+        assert built == []
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("lo", ["0", "-1"])

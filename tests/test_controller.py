@@ -26,7 +26,7 @@ from cylform.geometry import CylinderGrid
 from cylform.kernels import KernelBasis, KernelSet, PlantCoeffs
 from cylform.plant import DelayLine
 from oracles import seed_pipeline
-from oracles.channel_step import control_step
+from oracles.channel_step import channel, control_step
 from oracles.delay_lookup import lookup, lookup_many
 from oracles.dense_law import (
     periodic_simpson_weights,
@@ -72,8 +72,9 @@ def smooth_stack(rng, grid, n_band=8, k_s=4, pinned_root=True):
 
 
 def to_target_history(transport, measured, ks):
-    """The target history half of the control step's product."""
-    return step_images(transport, measured, ks)[0]
+    """The target history half of the control step's product, on a stack
+    of one."""
+    return step_images(transport[None], measured[None], [ks])[0][0]
 
 
 class TestAdvectionLift:
@@ -242,7 +243,7 @@ def rim_solve(measured, transport, ks):
     """The command law for a transport whose rim node is ignored."""
     zeroed = transport.copy()
     zeroed[:, -1] = 0.0
-    return control_modes(to_target_history(zeroed, measured, ks), ks)
+    return control_modes(to_target_history(zeroed, measured, ks), ks.rim_weight)
 
 
 class TestControlLaw:
@@ -402,7 +403,7 @@ def run_update(controller, steady, values, line, t):
 
 def physical_command(controller, upd):
     """The physical rim command profile (deviation part) of ``upd``."""
-    return controller.grid.synthesize_profile(upd.command_modes, controller.kind)
+    return controller.grid.synthesize_profile(upd.command_modes, controller.kinds[0])
 
 
 def residual(upd):
@@ -414,9 +415,10 @@ def in_flight(controller, line, t, upd):
     """The command-in-flight table of ``upd``, from the line as the update
     read it (before its command is recorded): the lifted reads under the
     estimate, with the new command at the rim node."""
-    transport = reconstruct_transport(line, t, controller.ks.delay, controller.grid,
-                                      controller.gain)
-    transport[:, -1] = upd.command_modes * controller.gain
+    gain = controller.gain[0]
+    transport = reconstruct_transport(line, t, controller.kernels.delay, controller.grid,
+                                      gain)
+    transport[:, -1] = upd.command_modes * gain
     return transport
 
 
@@ -428,7 +430,7 @@ class TestChannelController:
         steady = rng.normal(size=(grid.M, grid.N))
         if kind == "complex":
             steady = steady + 1j * rng.normal(size=(grid.M, grid.N))
-        ctrl = ChannelController(ks, kind=kind)
+        ctrl = channel(ks, kind)
         line = DelayLine(grid.modes.size, 0.02, horizon=4.0)
         return ctrl, line, steady
 
@@ -465,7 +467,8 @@ class TestChannelController:
                                k * 0.02)
             transport = in_flight(ctrl, line, k * 0.02, upd)
             line.record(k * 0.02, upd.command_modes)
-            measured = grid.analyze(remove_advection(vals, steady, ctrl.advection, grid))
+            advection = ctrl.kernels.sets[0].basis.coeffs.advection
+            measured = grid.analyze(remove_advection(vals, steady, advection, grid))
             scale = (np.max(np.sum(np.abs(measured), axis=0))
                      + np.max(np.sum(np.abs(transport), axis=0)) + 1e-30)
             want = np.sum(np.abs(upd.target_history[:, -1])) / scale
@@ -488,8 +491,8 @@ class TestChannelController:
         ctrl, line, steady = self._setup(grid)
         vals = steady + np.outer(grid.s**2, np.exp(1j * grid.theta)).real
         upd = run_update(ctrl, grid.analyze(steady), vals, line, 0.0)
-        gain = np.exp(0.5 * ctrl.advection)
-        transport = reconstruct_transport(line, 0.0, ctrl.ks.delay, grid, gain)
+        gain = np.exp(0.5 * ctrl.kernels.sets[0].basis.coeffs.advection)
+        transport = reconstruct_transport(line, 0.0, ctrl.kernels.delay, grid, gain)
         want = grid.analyze_rows(physical_command(ctrl, upd)) * gain
         assert np.max(np.abs(transport[:, -1] - want)) <= 1e-12
         assert np.max(np.abs(upd.command_modes * gain - transport[:, -1])) \
@@ -501,7 +504,8 @@ class TestChannelController:
         # route it replaced measured the scaled field and read a line of
         # physical command profiles, transforming both every step
         ctrl, line, steady = self._setup(grid, lam=6.0, beta=0.5, kind=kind)
-        ks, adv = ctrl.ks, ctrl.advection
+        ks = ctrl.kernels.sets[0]
+        adv = ks.basis.coeffs.advection
         physical = DelayLine(grid.N, 0.02, horizon=4.0)
         rng = np.random.default_rng(22)
         commands = []
@@ -514,7 +518,7 @@ class TestChannelController:
             reads = lookup_many(physical, t + ks.delay * (grid.s - 1.0))
             transport = grid.analyze(reads) * np.exp(0.5 * adv)
             transport[:, -1] = 0.0
-            cmd = control_modes(to_target_history(transport, measured, ks), ks)
+            cmd = control_modes(to_target_history(transport, measured, ks), ks.rim_weight)
             if kind == "real":
                 cmd = symmetrize_command(grid, cmd)
             want = grid.synthesize_profile(cmd * np.exp(-0.5 * adv), kind)
@@ -535,7 +539,7 @@ class TestPrecomputedStep:
         ks = KernelSet(KernelBasis(PlantCoeffs(8.0, 1.0), grid, i_max=64), 1.0)
         rng = np.random.default_rng(20)
         steady = rng.normal(size=(grid.M, grid.N))
-        ctrl = ChannelController(ks, kind="real")
+        ctrl = channel(ks, "real")
         line = DelayLine(grid.modes.size, 0.02, horizon=4.0)
         calls, inside = Counter(), []
 
@@ -606,7 +610,7 @@ class TestStepProduct:
             return g.analyze(scale * vals)
 
         steady = table()
-        ctrl = ChannelController(ks, kind=kind)
+        ctrl = channel(ks, kind)
         line = DelayLine(g.modes.size, 0.05, horizon=4.0)
         for k in range(30):
             line.record(k * 0.05, table()[:, -1])
@@ -615,7 +619,7 @@ class TestStepProduct:
             upd = control_step(ctrl, current, steady, line, t)
             transport = in_flight(ctrl, line, t, upd)
             line.record(t, upd.command_modes)
-            measured = (current - steady) * ctrl.lift
+            measured = (current - steady) * ctrl.lift[0]
             want_hist = seed_pipeline.to_target_history(transport, measured, ks)
             want_drift = seed_pipeline.mismatch_drift(to_target_state(measured, ks),
                                                       want_hist, ks)
@@ -654,7 +658,7 @@ class TestSimpsonControl:
         ks = KernelSet(ctrl_basis, 1.0)
         rng = np.random.default_rng(17)
         steady = rng.normal(size=(grid.M, grid.N))
-        ctrl = ChannelController(ks)
+        ctrl = channel(ks)
         line = DelayLine(grid.modes.size, 0.02, horizon=4.0)
         vals = steady + 0.3 * np.outer(np.sin(np.pi * grid.s),
                                        np.cos(grid.theta) + 0.4)

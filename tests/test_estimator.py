@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cylform.controller import ChannelController, step_images
+from cylform.controller import step_images
 from cylform.estimator import (EstimatorState, mismatch_drift, project,
                                step_estimate, update_signal)
 from cylform.geometry import CylinderGrid
@@ -14,7 +14,7 @@ from cylform.kernels import KernelBasis, KernelSet, PlantCoeffs
 from cylform.plant import DelayLine
 from cylform.quadrature import simpson_weights
 from oracles import drift_reference as ref
-from oracles.channel_step import control_step
+from oracles.channel_step import channel, control_step
 from oracles.mode_symmetry import conjugate_symmetry_defect
 from oracles.transforms import from_target_state
 
@@ -203,14 +203,15 @@ def loop_drift(target, history, ks):
     """The mismatch drift as a control step forms it: the state part from
     the step product on the deviation whose target state is ``target``
     (recovered by an exact solve), the root-value part from ``history``."""
-    _, state = step_images(np.zeros_like(target), from_target_state(target, ks), ks)
-    return mismatch_drift(state, history, ks.edge_flow)
+    _, state = step_images(np.zeros_like(target)[None],
+                           from_target_state(target, ks)[None], [ks])
+    return mismatch_drift(state[0], history, ks.edge_flow)
 
 
 def step_drift(transport, measured, ks):
     """Drift of one control step's own history, from the step's inputs."""
-    history, state = step_images(transport, measured, ks)
-    return mismatch_drift(state, history, ks.edge_flow)
+    history, state = step_images(transport[None], measured[None], [ks])
+    return mismatch_drift(state[0], history[0], ks.edge_flow)
 
 
 class TestMismatchDrift:
@@ -221,7 +222,7 @@ class TestMismatchDrift:
     def test_equilibrium_is_a_fixed_point(self, fine_set):
         grid = fine_set.grid
         steady = grid.analyze(np.random.default_rng(4).standard_normal((grid.M, grid.N)))
-        ctrl = ChannelController(fine_set, "real")
+        ctrl = channel(fine_set, "real")
         upd = control_step(ctrl, steady, steady, DelayLine(grid.modes.size, 0.01, 2.0), 0.0)
         out = mismatch_drift(upd.state_drift, upd.target_history, fine_set.edge_flow)
         assert np.max(np.abs(out)) == 0.0

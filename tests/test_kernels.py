@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate, special
 
 from cylform import kernels
+from cylform.controller import step_images
 from cylform.errors import KernelTruncationError
 from cylform.geometry import CylinderGrid
 from cylform.kernels import (
@@ -396,9 +397,11 @@ class TestBandTables:
         ks = KernelSet(KernelBasis(coeffs, CylinderGrid(21, 16, band=2)), 1.3)
         rows = np.abs(full.grid.modes) <= 2
         rng = np.random.default_rng(3)
-        table = rng.normal(size=(16, 21)) + 1j * rng.normal(size=(16, 21))
-        want = full.apply(table, full.history_map)[rows]
-        got = ks.apply(table[rows], ks.history_map)
+        transport, measured = rng.normal(size=(2, 16, 21)) + 1j * rng.normal(size=(2, 16, 21))
+        want = np.concatenate(step_images(transport[None], measured[None], [full]),
+                              axis=-1)[0, rows]
+        got = np.concatenate(step_images(transport[None, rows], measured[None, rows], [ks]),
+                             axis=-1)[0]
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 

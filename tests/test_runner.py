@@ -20,7 +20,7 @@ from cylform.runner import (
     write_snapshot,
 )
 from cylform.steady import formation_fields
-from oracles import continuum_steady, seed_pipeline
+from oracles import channel_law, continuum_steady, seed_pipeline
 from oracles.field_norms import field_l2
 from oracles.step_observation import step_observation
 
@@ -176,14 +176,14 @@ class TestDeterminism:
 
 class TestPlantReads:
     """Per control step the stacked channels make one block step, which
-    reads the one delay line once, and the run reads the controllers'
+    reads the one delay line once, and the run reads the controller's
     in-flight window once; the block weights and the block's read table
     are built before the loop, and the window's read table at the first
     step under each kernel-set delay."""
 
     @staticmethod
     def _probe(monkeypatch):
-        """Count controller updates by the delay of their kernel set, and
+        """Count controller updates by the delay of their kernel stack, and
         delay-line reads, read-table builds and weight builds, keyed by
         name, caller, whether the first control step has begun (at its
         window's read table), and the number of instants (the shape of the
@@ -206,7 +206,7 @@ class TestPlantReads:
             return wrapper
 
         def update(self, *args, **kwargs):
-            updates[self.ks.delay] += 1
+            updates[self.kernels.delay] += 1
             return controller_update(self, *args, **kwargs)
 
         def window(*args, **kwargs):
@@ -237,9 +237,10 @@ class TestPlantReads:
         rec = run(cfg)
         rows = rec.times.size
         assert not rec.terminated and rows > 2
-        assert updates.total() == 2 * rows
-        # the controllers' windows, both channels in one read; the updates
-        # read nothing themselves
+        # one update per control step advances both channels
+        assert updates.total() == rows
+        # the controller's window, both channels in one read; the update
+        # reads nothing itself
         assert calls.pop(("read", "runner", True, cfg.grid_m)) == rows
         # one window table per kernel-set delay
         assert calls.pop(("table", "runner", True, cfg.grid_m)) == len(updates)
@@ -342,11 +343,12 @@ class TestChunkedObservation:
             return fields
 
         def update(self, measured, transport, images):
-            table = plants[-1].table - goals[-1] if self.kind == "complex" else None
-            upd = controller_update(self, measured, transport, images)
+            assert self.kinds == ("complex", "real")
+            table = plants[-1].table - goals[-1]
+            commands = controller_update(self, measured, transport, images)
             steps.append((table, measured.copy(), transport.copy(),
-                          upd.target_history.copy(), upd.command_modes.copy()))
-            return upd
+                          images[:, :, :self.grid.M].copy(), commands.copy()))
+            return commands
 
         controller_update = ChannelController.update
         monkeypatch.setattr(runner, "Channel", Probe)
@@ -354,10 +356,9 @@ class TestChunkedObservation:
         monkeypatch.setattr(ChannelController, "update", update)
         rec = run(cfg)
         grid = CylinderGrid(cfg.grid_m, cfg.grid_n, band=-rec.modes[0])
-        assert len(steps) == 2 * rec.times.size
-        want = [step_observation(grid, cfg.ring_rows, p[0],
-                                 *(np.stack([a, b]) for a, b in zip(p[1:], z[1:])))
-                for p, z in zip(steps[::2], steps[1::2])]
+        # one update per step, on the stacks of both channels
+        assert len(steps) == rec.times.size
+        want = [step_observation(grid, cfg.ring_rows, *step) for step in steps]
         for name, col in zip(("err_planar", "err_axial", "ring_errors", "control_sup",
                               "rim_residual"), zip(*want)):
             assert np.array_equal(getattr(rec, name), np.array(col)), name
@@ -413,8 +414,9 @@ class TestReferenceStep:
         assert fixed or np.count_nonzero(np.diff(rec.estimates)) >= 3
         # every map of the replay's step came from the reference: per
         # control step one window read and one drift completion for both
-        # channels, and per channel one history and one drift split in two;
-        # only the plant's block steps read the line through a table
+        # channels, and per channel one product, one rim solve, one history
+        # and one drift split in two; only the plant's block steps read the
+        # line through a table
         steps = want.times.size
         assert calls == Counter(reconstruct_transport=steps, step_images=2 * steps,
                                 rim_solve=2 * steps, finish_drift=steps,
@@ -427,8 +429,8 @@ class TestReferenceStep:
 
 
 class TestKernelReuse:
-    """A rebuild keeps the kernel sets it replaces as a spare, and an
-    estimate that returns to them swaps them back instead of rebuilding."""
+    """A rebuild keeps the kernel stack it replaces as a spare, and an
+    estimate that returns to it swaps it back instead of rebuilding."""
 
     @staticmethod
     def _probe(monkeypatch):
@@ -441,7 +443,8 @@ class TestKernelReuse:
             return kernel_set(basis, delay_estimate)
 
         def update(self, *args):
-            used.append(self.ks.delay)
+            assert {ks.delay for ks in self.kernels.sets} == {self.kernels.delay}
+            used.append(self.kernels.delay)
             return controller_update(self, *args)
 
         kernel_set, controller_update = runner.KernelSet, ChannelController.update
@@ -457,24 +460,24 @@ class TestKernelReuse:
         assert np.count_nonzero(np.diff(rec.estimates)) >= 3
         tol = runner._RETABLE_FRACTION * (cfg.delay_hi - cfg.delay_lo)
         delay = np.array(used)
-        assert delay.size == 2 * rec.times.size
-        assert np.all(np.abs(delay - np.repeat(rec.estimates, 2)) <= tol)
+        assert delay.size == rec.times.size
+        assert np.all(np.abs(delay - rec.estimates) <= tol)
         assert len(builds) == 2 and max(builds.values()) <= 2
 
     def test_fixed_estimate_builds_one_set_per_channel(self, monkeypatch):
         builds, used = self._probe(monkeypatch)
         rec = run(moderate_21x16(fixed=True, duration=0.8))
         assert sorted(builds.values()) == [1, 1]
-        assert set(used) == {1.0} and len(used) == 2 * rec.times.size
+        assert set(used) == {1.0} and len(used) == rec.times.size
 
 
     def test_a_swap_reuses_the_step_maps(self, monkeypatch):
         builds, _ = self._probe(monkeypatch)
         read = []
 
-        def step_images(transport, measured, ks, *out):
-            read.append(ks.step_map)
-            return images(transport, measured, ks, *out)
+        def step_images(transport, measured, sets, *out):
+            read.extend(ks.step_map for ks in sets)
+            return images(transport, measured, sets, *out)
 
         images = controller.step_images
         monkeypatch.setattr(controller, "step_images", step_images)
@@ -483,6 +486,32 @@ class TestKernelReuse:
         planar = [id(m) for m in read[::2]]
         assert np.count_nonzero(np.diff(planar)) >= 3
         assert len({id(m) for m in read}) == sum(builds.values()) <= 4
+
+    def test_a_swap_moves_the_stacked_tables_along(self, monkeypatch):
+        # the per-row tables are stacked once per pair of sets, and a swap
+        # moves them with the sets: the updates read as many stacks, and
+        # as many stacked rim weights, as the run builds pairs
+        builds, used = self._probe(monkeypatch)
+        stacks, read = [], []
+
+        def stack(sets):
+            stacks.append(kernel_stack(sets))
+            return stacks[-1]
+
+        def update(self, *args):
+            read.append((self.kernels, self.kernels.rim_weight))
+            return controller_update(self, *args)
+
+        kernel_stack, controller_update = runner.KernelStack, ChannelController.update
+        for module in (runner, controller):
+            monkeypatch.setattr(module, "KernelStack", stack)
+        monkeypatch.setattr(ChannelController, "update", update)
+        rec = run(moderate_21x16(fixed=False, duration=0.8))
+        assert np.count_nonzero(np.diff(used)) >= 3
+        assert 2 * len(stacks) == sum(builds.values()) <= 4
+        assert len(read) == rec.times.size
+        assert {id(k) for k, _ in read} == {id(k) for k in stacks}
+        assert len({id(w) for _, w in read}) == len(stacks)
 
     def test_a_swap_builds_no_window_table(self, monkeypatch):
         builds, used = self._probe(monkeypatch)
@@ -495,7 +524,7 @@ class TestKernelReuse:
         table = runner.window_table
         monkeypatch.setattr(runner, "window_table", window_table)
         rec = run(moderate_21x16(fixed=False, duration=0.8))
-        swaps = np.count_nonzero(np.diff(used[::2]))
+        swaps = np.count_nonzero(np.diff(used))
         assert swaps >= 3 and sum(builds.values()) <= 4
         # one table for both channels per kernel-set delay, built at its
         # first step; swapping back to a spare set reuses it
@@ -505,19 +534,26 @@ class TestKernelReuse:
 
 class TestOneProduct:
     """Per control step each channel makes one table product, with its
-    kernel set's step map; nothing else in the loop calls ``apply``."""
+    kernel set's step map, inside the one update, into the controller's
+    one parts buffer; nothing else in the loop calls ``apply``."""
 
     @pytest.mark.parametrize("fixed", [False, True], ids=["adapting", "known-delay"])
     def test_one_apply_per_channel_per_control_step(self, monkeypatch, fixed):
-        calls, started = Counter(), []
+        calls, inside, buffers = Counter(), [], set()
 
         def update(self, *args, **kwargs):
-            started.append(True)
-            return controller_update(self, *args, **kwargs)
+            inside.append(self)
+            try:
+                return controller_update(self, *args, **kwargs)
+            finally:
+                inside.pop()
 
-        def apply(self, coeffs, mats, *out):
-            calls[bool(started), mats is self.step_map] += 1
-            return kernel_apply(self, coeffs, mats, *out)
+        def apply(self, table, split, out):
+            # the channel's own set, at its place in the stack
+            c = inside[-1].kernels.sets.index(self) if inside else None
+            calls[c] += 1
+            buffers.add(id(out.base))
+            return kernel_apply(self, table, split, out)
 
         controller_update, kernel_apply = ChannelController.update, KernelSet.apply
         monkeypatch.setattr(ChannelController, "update", update)
@@ -525,7 +561,98 @@ class TestOneProduct:
         rec = run(moderate_21x16(fixed, duration=0.8))
         assert not rec.terminated
         assert fixed or np.count_nonzero(np.diff(rec.estimates)) >= 3
-        assert calls == Counter({(True, True): 2 * rec.times.size})
+        assert calls == Counter({0: rec.times.size, 1: rec.times.size})
+        assert len(buffers) == 1
+
+
+class TestStackedStep:
+    """One controller update per control step advances both channels' law,
+    and it is the law of each channel on its own, bit for bit."""
+
+    @pytest.mark.parametrize("fixed", [False, True], ids=["adapting", "known-delay"])
+    def test_one_update_per_control_step_after_every_set_up_build(self, monkeypatch,
+                                                                  fixed):
+        # the bench ends set-up at the first update: every kernel basis and
+        # set of set-up must be built before it
+        events = []
+
+        def logged(name, fn):
+            def wrapper(*args, **kwargs):
+                events.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for cls, name in ((ChannelController, "update"), (KernelBasis, "__init__"),
+                          (KernelSet, "__init__")):
+            monkeypatch.setattr(cls, name, logged(f"{cls.__name__}.{name}",
+                                                  getattr(cls, name)))
+        rec = run(moderate_21x16(fixed, duration=0.8))
+        assert not rec.terminated
+        first = events.index("ChannelController.update")
+        assert Counter(events[:first]) == Counter({"KernelBasis.__init__": 2,
+                                                   "KernelSet.__init__": 2})
+        later = Counter(events[first:])
+        assert later["ChannelController.update"] == rec.times.size
+        assert "KernelBasis.__init__" not in later
+        # an adapting estimate rebuilds both sets of a stack inside the loop
+        assert later["KernelSet.__init__"] == (0 if fixed else 2)
+
+    @pytest.mark.parametrize("kinds", [("complex", "real"), ("real", "complex"),
+                                       ("real", "real", "complex")])
+    def test_update_on_any_tables_is_the_per_channel_law(self, kinds):
+        # tables with no conjugate symmetry, so that symmetrizing a real
+        # channel's command moves it; the complex channel's coefficients
+        # give it a complex map
+        grid = CylinderGrid(15, 8, band=2)
+        coeffs = {"real": [PlantCoeffs(12.0, 0.5), PlantCoeffs(8.0, -0.3)],
+                  "complex": [PlantCoeffs(10.0 + 2.0j, 0.5 + 0.5j)]}
+        sets = [KernelSet(KernelBasis(coeffs[kind].pop(), grid), 0.7) for kind in kinds]
+        rng = np.random.default_rng(5)
+        shape = (len(kinds), grid.modes.size, grid.M)
+        ctrl = ChannelController(sets, kinds)
+        real = [c for c, kind in enumerate(kinds) if kind == "real"]
+        for _ in range(2):      # the second update reuses the controller's buffers
+            measured, transport = (rng.normal(size=(2,) + shape)
+                                   + 1j * rng.normal(size=(2,) + shape))
+            images, want_images = np.empty((2,) + shape[:2] + (2 * grid.M,), dtype=complex)
+            want_transport = transport.copy()
+            want = channel_law.stacked_update(sets, kinds, measured, want_transport,
+                                              want_images)
+            got = ctrl.update(measured, transport, images)
+            assert np.array_equal(got, want)
+            assert np.array_equal(transport, want_transport)
+            assert np.array_equal(images, want_images)
+            assert np.array_equal(got[real], got[real][:, ::-1].conj())
+
+    @pytest.mark.parametrize("planar", [None, PlantCoeffs(12.0 + 3.0j, 0.5 + 0.2j)],
+                             ids=["real-maps", "mixed-dtypes"])
+    def test_update_is_the_per_channel_law_bit_for_bit(self, monkeypatch, planar):
+        # adapting from hi, the estimate flips between its bounds, so steps
+        # run on a rebuilt stack and on the spare swapped back
+        cfg = moderate_21x16(fixed=False, duration=0.8)
+        if planar is not None:
+            cfg = dataclasses.replace(cfg, desired=dataclasses.replace(
+                cfg.desired, planar_coeffs=planar))
+        used = []
+
+        def update(self, measured, transport, images):
+            want_transport, want_images = transport.copy(), np.empty_like(images)
+            want = channel_law.stacked_update(self.kernels.sets, self.kinds, measured,
+                                              want_transport, want_images)
+            got = controller_update(self, measured, transport, images)
+            assert np.array_equal(got, want)
+            assert np.array_equal(transport, want_transport)
+            assert np.array_equal(images, want_images)
+            used.append(self.kernels)
+            return got
+
+        controller_update = ChannelController.update
+        monkeypatch.setattr(ChannelController, "update", update)
+        rec = run(cfg)
+        assert len(used) == rec.times.size
+        returns = [k for j, k in enumerate(used[1:], 1)
+                   if k is not used[j - 1] and any(k is u for u in used[:j - 1])]
+        assert len(returns) >= 2
 
 
 @pytest.fixture(scope="module")
@@ -735,31 +862,39 @@ class TestTargetResiduals:
         # loop swaps its kernel sets; a capture at every step must hand each
         # channel's previous and current update to that channel's tables
         cfg = moderate_21x16(fixed=False, duration=0.8)
-        made, calls = {}, []
+        times = run(cfg).times
+        updates, calls = [], []
 
-        def update(self, *args, **kwargs):
-            upd = controller_update(self, *args, **kwargs)
-            made[id(upd)] = (self, self.ks)
-            return upd
+        def update(self, measured, transport, images):
+            commands = controller_update(self, measured, transport, images)
+            updates.append((measured, images[:, :, :self.grid.M], self.kernels.sets))
+            return commands
 
         def residual(prev, curr, dt, ks):
-            calls.append((made[id(prev)], made[id(curr)], ks))
+            calls.append((prev, curr, ks))
             return target_residual(prev, curr, dt, ks)
 
         controller_update, target_residual = ChannelController.update, runner.target_residual
         monkeypatch.setattr(ChannelController, "update", update)
         monkeypatch.setattr(runner, "target_residual", residual)
-        rec = run(cfg, capture_residuals=run(cfg).times[1:])
+        rec = run(cfg, capture_residuals=times[1:])
         assert np.count_nonzero(np.diff(rec.estimates)) >= 3
         assert len(rec.residuals) == rec.times.size - 1
+        assert len(updates) == rec.times.size
         assert len(calls) == 2 * len(rec.residuals)
         swaps = 0
-        for k, ((c0, ks0), (c1, ks1), ks) in enumerate(calls):
-            assert c0 is c1 and ks is ks1
-            assert c1.kind == ("complex", "real")[k % 2]
-            want = (cfg.desired.planar_coeffs, cfg.desired.axial_coeffs)[k % 2]
-            assert ks.basis.coeffs == want and ks0.basis is ks.basis
-            swaps += ks0 is not ks
+        for k, (prev, curr, ks) in enumerate(calls):
+            # capture j spans updates j and j + 1; channel c is row c of
+            # their stacks, taken at the sets of the later update
+            j, c = divmod(k, 2)
+            (m0, h0, sets0), (m1, h1, sets1) = updates[j], updates[j + 1]
+            for got, want in ((prev.measured, m0), (prev.target_history, h0),
+                              (curr.measured, m1), (curr.target_history, h1)):
+                assert got.shape == want.shape[1:] and np.shares_memory(got, want[c])
+            assert ks is sets1[c]
+            want = (cfg.desired.planar_coeffs, cfg.desired.axial_coeffs)[c]
+            assert ks.basis.coeffs == want and sets0[c].basis is ks.basis
+            swaps += sets0[c] is not ks
         assert swaps >= 2
 
     def test_capture_across_an_estimate_move_is_taken_at_the_tables_in_use(
@@ -771,21 +906,23 @@ class TestTargetResiduals:
         k = int(np.flatnonzero(np.diff(plain.estimates))[0]) + 1
         updates = []
 
-        def update(self, *args, **kwargs):
-            upd = controller_update(self, *args, **kwargs)
-            updates.append((upd, self.ks))
-            return upd
+        def update(self, measured, transport, images):
+            commands = controller_update(self, measured, transport, images)
+            updates.append((images[:, :, :self.grid.M].copy(), self.kernels.sets))
+            return commands
 
         controller_update = ChannelController.update
         monkeypatch.setattr(ChannelController, "update", update)
         rec = run(cfg, capture_residuals=[plain.times[k]])
         (t, *captured), = rec.residuals
         assert t == plain.times[k]
+        assert len(updates) == rec.times.size
         dt = plain.times[1]
         for c, got in enumerate(captured):
-            (before, ks0), (after, ks) = updates[2 * (k - 1) + c], updates[2 * k + c]
-            assert ks0.delay != ks.delay
-            h0, h1 = before.target_history, after.target_history
+            (before, sets0), (after, sets) = updates[k - 1], updates[k]
+            ks = sets[c]
+            assert sets0[c].delay != ks.delay
+            h0, h1 = before[c], after[c]
             grid = ks.grid
             flow = ks.delay * (h1 - h0) / dt - grid.d_s((0.5 * (h0 + h1)).T).T
             want = math.sqrt(2.0 * math.pi * grid.h_s * np.sum(abs(flow[:, 1:-1]) ** 2))

@@ -2,22 +2,25 @@
 
 Usage, from the root of the repository::
 
-    python3 tools/bench_pairs.py PARENT_CHECKOUT --workload W --seed S --pairs 10
+    python3 tools/bench_pairs.py PARENT_CHECKOUT --workload W [--workload W2 ...] \
+        --seed S --pairs 10
 
-Each pair runs ``benchmarks/run.py --trace 0`` once in ``PARENT_CHECKOUT``
-and once in this checkout, one process at a time; which side goes first
-alternates from pair to pair, the parent first in the first.  ``--seconds``
-sets the length of each run and defaults to the ``run_seconds`` of
-``BENCHMARK.json``.  Each run reads its package and writes its results in
-its own checkout.
+For each workload in turn, each pair runs ``benchmarks/run.py --trace 0``
+once in ``PARENT_CHECKOUT`` and once in this checkout, one process at a
+time; which side goes first alternates from pair to pair, the parent first
+in the first.  ``--seconds`` sets the length of each run and defaults to
+the ``run_seconds`` of ``BENCHMARK.json``.  Each run reads its package and
+writes its results in its own checkout.
 
-Per end-to-end metric of ``BENCHMARK.json`` the script prints each side's
-median and quartiles, how many of the pairs run the change won, and whether
-the rule for claiming a gain holds: the change wins at least nine tenths of
-the pairs run, ties counting for neither, and its median is better than the
-parent's by more than the distance between the parent's quartiles.  A run
-that reports ``correct`` false or a failed operation, or prints no result,
-loses its pair, and so does a metric it leaves out.
+Per workload and end-to-end metric of ``BENCHMARK.json`` the script prints
+each side's median and quartiles, how many of the pairs run the change
+won, whether the rule for claiming a gain holds, and whether the change is
+worse.  The gain rule: the change wins at least nine tenths of the pairs
+run, ties counting for neither, and its median is better than the
+parent's by more than the distance between the parent's quartiles.  The
+change is worse when its median is worse than the parent's by more than
+that distance.  A run that reports ``correct`` false or a failed operation,
+or prints no result, loses its pair, and so does a metric it leaves out.
 """
 
 from __future__ import annotations
@@ -73,7 +76,9 @@ def summarize(pairs: list, metrics: list) -> list:
 
     A row holds the metric's ``name`` and ``better`` direction, each side's
     ``(q1, median, q3)`` over its counted runs (None with none), the change's
-    ``wins`` out of ``pairs`` run, and whether the gain ``rule`` holds.
+    ``wins`` out of ``pairs`` run, whether the gain ``rule`` holds, and
+    whether the change is ``worse``: its median worse than the parent's by
+    more than the parent's quartile gap.
     """
     rows = []
     for spec in metrics:
@@ -83,13 +88,15 @@ def summarize(pairs: list, metrics: list) -> list:
                    for p, c in values)
         sides = [[v[i] for v in values if v[i] is not None] for i in (0, 1)]
         parent, change = (_quartiles(side) if side else None for side in sides)
-        rule = False
+        rule = worse = False
         if parent and change:
             gain = parent[1] - change[1] if lower else change[1] - parent[1]
-            rule = wins >= WIN_SHARE * len(pairs) and gain > parent[2] - parent[0]
+            gap = parent[2] - parent[0]
+            rule = wins >= WIN_SHARE * len(pairs) and gain > gap
+            worse = -gain > gap
         rows.append({"name": name, "better": spec["better"], "parent": parent,
                      "change": change, "wins": wins, "pairs": len(pairs),
-                     "rule": rule})
+                     "rule": rule, "worse": worse})
     return rows
 
 
@@ -101,7 +108,8 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append", required=True,
+                        help="a workload of BENCHMARK.json; repeat for several")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=float(spec["run_seconds"]))
@@ -111,26 +119,36 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
+    known = {w["name"] for w in spec["workloads"]}
+    unknown = [w for w in args.workload if w not in known]
+    if unknown:
+        parser.error(f"unknown workload {unknown[0]!r}; BENCHMARK.json has "
+                     f"{', '.join(sorted(known))}")
+
     names = [m["name"] for m in spec["end_to_end"]]
     sides = {"parent": args.parent.resolve(), "change": ROOT}
-    pairs = []
-    for k in range(args.pairs):
-        order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
-        got = {side: run_side(sides[side], args.workload, args.seed, args.seconds)
-               for side in order}
-        pairs.append((got["parent"], got["change"]))
-        for side in ("parent", "change"):
-            vals = [_value(got[side], name) for name in names]
-            shown = "lost (incorrect, failed or no result)" if None in vals else \
-                "  ".join(f"{n} {v:.6g}" for n, v in zip(names, vals))
-            print(f"pair {k + 1} ({order[0]} first) {side}: {shown}", flush=True)
+    for workload in args.workload:
+        pairs = []
+        for k in range(args.pairs):
+            order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
+            got = {side: run_side(sides[side], workload, args.seed, args.seconds)
+                   for side in order}
+            pairs.append((got["parent"], got["change"]))
+            for side in ("parent", "change"):
+                vals = [_value(got[side], name) for name in names]
+                shown = "lost (incorrect, failed or no result)" if None in vals else \
+                    "  ".join(f"{n} {v:.6g}" for n, v in zip(names, vals))
+                print(f"{workload} pair {k + 1} ({order[0]} first) {side}: {shown}",
+                      flush=True)
 
-    print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs of "
-          f"{args.seconds:g} s runs; median [q1, q3]")
-    for row in summarize(pairs, spec["end_to_end"]):
-        print(f"  {row['name']:18s} {row['better']:6s} parent {_spread(row['parent'])}"
-              f"  change {_spread(row['change'])}  wins {row['wins']}/{row['pairs']}"
-              f"  gain rule {'holds' if row['rule'] else 'does not hold'}")
+        print(f"\n{workload}, seed {args.seed}, {args.pairs} pairs of "
+              f"{args.seconds:g} s runs; median [q1, q3]")
+        for row in summarize(pairs, spec["end_to_end"]):
+            print(f"  {row['name']:18s} {row['better']:6s} parent {_spread(row['parent'])}"
+                  f"  change {_spread(row['change'])}  wins {row['wins']}/{row['pairs']}"
+                  f"  gain rule {'holds' if row['rule'] else 'does not hold'}"
+                  f"  worse {'yes' if row['worse'] else 'no'}", flush=True)
+        print(flush=True)
     return 0
 
 
