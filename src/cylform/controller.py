@@ -192,7 +192,7 @@ def rim_residual(measured: np.ndarray, transport: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# the stack's driver
+# the controller of the channel stack
 
 
 @dataclass
