@@ -2,7 +2,7 @@
 
 One :class:`ChannelController` runs the control law of a stack of scalar
 channels (a run's planar and axial channel), per angular wavenumber, in
-one update per control step.  It reads two stacks of tables, one table per
+one step per control step.  It reads two stacks of tables, one table per
 channel: the scaled deviations (each channel's mode table less the goal's,
 each row scaled by the channel's advection lift
 :attr:`ChannelController.lift`) and the commands in flight.  The run reads
@@ -23,8 +23,9 @@ scaled deviation, and each channel's
 :class:`~cylform.kernels.KernelSet` folds it into one ``step_map``.  A
 control step gathers the rows ``[transport | deviation]`` of the whole
 stack, with the transport's rim nodes zeroed, and takes one product per
-channel (:func:`step_images`), giving the target histories and the state
-part of the estimator's mismatch drift, written into the run's stack.  The
+channel, the channel's :meth:`~ChannelController.update`
+(:func:`step_images`), giving the target histories and the state part of
+the estimator's mismatch drift, written into the run's stack.  The
 control law sets the rim row of each target history to zero: the command
 is that row over the rim node's own weight, and the command's column of
 the history map then completes the image; :func:`rim_residual` measures
@@ -115,29 +116,31 @@ def step_work(grid: CylinderGrid, channels: int) -> tuple[np.ndarray, np.ndarray
 
 
 def step_images(transport: np.ndarray, measured: np.ndarray, sets,
-                out: np.ndarray | None = None,
-                work: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
+                out: np.ndarray | None = None, work: tuple | None = None,
+                product=None) -> tuple[np.ndarray, np.ndarray]:
     """Target histories and state drifts of a stack of channels, from one
     product per channel.
 
     The rows ``+n`` and ``-n`` share one map, so the row pairs
     ``[transport | measured]`` of each ``|n|`` are gathered and split into
     real and imaginary parts once for the stack (``work``, the stack's
-    :func:`step_work`); each channel's set in ``sets`` takes its product
-    (:meth:`~cylform.kernels.KernelSet.apply`), which is scattered into
-    ``out``, ``(C, len(modes), 2M)``: the history image of the
-    command-in-flight table minus the predicted command flow, then the part
-    of the mismatch drift the deviation drives.  Both are made when not
-    given; the halves of ``out`` are returned.  The history vanishes at the
-    rim exactly when the newest command satisfies the control law, which
-    makes its rim row a free consistency diagnostic.
+    :func:`step_work`); each channel ``c`` takes its product,
+    ``product(c, table, split, parts)``, by default the
+    :meth:`~cylform.kernels.KernelSet.apply` of its set in ``sets``, and
+    the products are scattered into ``out``, ``(C, len(modes), 2M)``: the
+    history image of the command-in-flight table minus the predicted
+    command flow, then the part of the mismatch drift the deviation drives.
+    Both are made when not given; the halves of ``out`` are returned.  The
+    history vanishes at the rim exactly when the newest command satisfies
+    the control law, which makes its rim row a free consistency diagnostic.
     """
     grid = sets[0].grid
     table = np.concatenate([transport, measured], axis=-1, dtype=complex)
     at, (split, products) = work or step_work(grid, len(table))
     table.view(float).reshape(len(table), -1).take(at, axis=1, out=split, mode="clip")
-    for ks, *tables in zip(sets, table, split, products):
-        ks.apply(*tables)
+    product = product or (lambda c, *tables: sets[c].apply(*tables))
+    for c, tables in enumerate(zip(table, split, products)):
+        product(c, *tables)
     if out is None:
         out = np.empty(table.shape, dtype=complex)
     pairs, m = grid.mode_pairs, grid.M
@@ -181,7 +184,7 @@ def rim_residual(measured: np.ndarray, transport: np.ndarray,
     """Rim defect of each channel's history image, relative.
 
     The tables are one channel's or the channels' stacked on a leading
-    axis, as an update leaves them: the transport's rim node is the new
+    axis, as a step leaves them: the transport's rim node is the new
     command.  The defect is measured against the largest scaled deviation
     plus the largest command in flight; each ring is measured by the sum of
     its coefficients' magnitudes, which bounds its sup over theta.
@@ -205,7 +208,7 @@ class ChannelUpdate:
 
 
 class ChannelController:
-    """Produces the rim commands of a stack of channels, all in one update.
+    """Produces the rim commands of a stack of channels, all in one step.
 
     It holds the channels' kinds, their advection scalings and their kernel
     sets, :attr:`kernels`, which the run swaps for another stack when the
@@ -232,8 +235,8 @@ class ChannelController:
         self.inv_gain = np.array([np.exp(-0.5 * a) for a in advection])[:, None]
         self._work = step_work(grid, len(self.kinds))
 
-    def update(self, measured: np.ndarray, transport: np.ndarray,
-               images: np.ndarray) -> np.ndarray:
+    def step(self, measured: np.ndarray, transport: np.ndarray,
+             images: np.ndarray) -> np.ndarray:
         """One control step of every channel; returns the ``(C, len(modes))``
         band coefficients of the rim commands (deviation part).
 
@@ -242,14 +245,24 @@ class ChannelController:
         estimate of :attr:`kernels`; its rim nodes end as the new commands.
         The step's products, the target histories then the state drifts
         (the mismatch drift less its history-root term), are written to
-        ``images``, ``(C, len(modes), 2M)``.
+        ``images``, ``(C, len(modes), 2M)``.  Each channel's product is its
+        :meth:`update`; the rest runs once over the stack.
         """
         kernels = self.kernels
         transport[..., -1] = 0.0
-        history, _ = step_images(transport, measured, kernels.sets, images, self._work)
+        history, _ = step_images(transport, measured, kernels.sets, images, self._work,
+                                 self.update)
         cmd = control_modes(history, kernels.rim_weight)
         for c in self.real:
             cmd[c] = symmetrize_command(self.grid, cmd[c])
         transport[..., -1] = cmd
         history += cmd[..., None] * kernels.command_column
         return cmd * self.inv_gain
+
+    def update(self, c: int, table: np.ndarray, split: np.ndarray,
+               out: np.ndarray) -> None:
+        """Channel ``c``'s part of a :meth:`step`, the one part its own
+        tables make per channel: the product of its ``[transport | measured]``
+        row pairs with the ``step_map`` of its set in :attr:`kernels`
+        (:meth:`~cylform.kernels.KernelSet.apply`), written to ``out``."""
+        self.kernels.sets[c].apply(table, split, out)

@@ -9,8 +9,9 @@ update signal each step; the formation and ring errors, the physical
 commands for ``control_sup`` and the rim residual once per chunk of steps)
 run once over the stack, summing or maximizing over the channels in that
 order.  So does the control law: one
-:class:`~cylform.controller.ChannelController` updates both channels in one
-call per control step, on the stacked tables; the channels' laws differ
+:class:`~cylform.controller.ChannelController` steps both channels in one
+call per control step, on the stacked tables, taking each channel's
+product in that channel's update; the channels' laws differ
 only in their kernel tables and advection scalings, which it holds per
 channel, and in the axial command's symmetrization.  The plant integrates
 the desired formation's coefficients from the start (the dynamics switch
@@ -237,7 +238,7 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
     res_queue = sorted(capture_residuals)
     # the inputs of the logged reductions, one row per step of the chunk:
     # the deviation, the scaled deviation, the in-flight table after the
-    # update, the history's rim column and the commands
+    # controller's step, the history's rim column and the commands
     devs, scaled, flights = np.empty((3, _OBS_ROWS) + goal.shape, dtype=complex)
     rims = np.empty((_OBS_ROWS, len(_KINDS), modes, 1), dtype=complex)
     sent = np.empty((_OBS_ROWS, len(_KINDS), modes), dtype=complex)
@@ -256,12 +257,12 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
         dev = np.subtract(plant.table, goal, out=devs[k])
         measured = np.multiply(dev, ctrl.lift, out=scaled[k])
         kernels = ctrl.kernels
-        # the update leaves the new commands at the rim nodes, in place
+        # the step leaves the new commands at the rim nodes, in place
         transport = flights[k]
         reconstruct_transport(line, t, kernels.delay, grid, gains, windows(kernels.delay),
                               transport.reshape(-1, m))
         images = products[b % 2]
-        sent[k] = ctrl.update(measured, transport, images)
+        sent[k] = ctrl.step(measured, transport, images)
         line.record(t, sent[k].reshape(-1))
         rims[k] = images[:, :, m - 1:m]
         history = images[:, :, :m]
@@ -321,7 +322,7 @@ def _observe(grid: CylinderGrid, ring_idx: np.ndarray, real: list,
 
     The tables are the steps' stacks of both channels on a second axis:
     the deviation, the scaled deviation, the in-flight table after the
-    update, the history's rim column ``(rows, channels, modes, 1)`` and the
+    controller's step, the history's rim column ``(rows, channels, modes, 1)`` and the
     commands.  Each reduction adds in the order of a single step's, so a
     row is bit for bit what that step alone would give.
     """

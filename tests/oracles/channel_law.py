@@ -1,12 +1,12 @@
 """The control law one channel at a time, as the package ran it before one
-update advanced the whole channel stack.
+step advanced the whole channel stack.
 
 A run made one :meth:`ChannelController.update` call per channel and
 control step, each with its own product (:func:`apply`, then
 :func:`step_images`), rim solve (:func:`control_modes`) and, for a real
 channel, :func:`~cylform.controller.symmetrize_command`.  The bodies are
 the package's as they were, with ``KernelSet.apply`` as a function of the
-set.  The stacked update must give the same commands, in-flight tables and
+set.  The stacked step must give the same commands, in-flight tables and
 step products bit for bit.
 """
 
@@ -134,7 +134,7 @@ class ChannelController:
 def stacked_update(sets, kinds, measured, transport, images):
     """The per-channel updates of one control step on a run's stacks, with
     each channel's own controller: the commands ``(C, len(modes))``;
-    ``transport`` and ``images`` are written as the stacked update writes
+    ``transport`` and ``images`` are written as the stacked step writes
     them."""
     return np.stack([ChannelController(ks, kind).update(*views).command_modes
                      for ks, kind, *views in zip(sets, kinds, measured, transport, images)])

@@ -15,8 +15,8 @@ from cylform.controller import ChannelController, reconstruct_transport
 
 
 class Step(NamedTuple):
-    """One channel's update: its command and the tables the update read
-    and wrote."""
+    """One channel's control step: its command and the tables the step
+    read and wrote."""
 
     command_modes: np.ndarray    #: band coefficients of the rim command (deviation part)
     measured: np.ndarray
@@ -31,7 +31,7 @@ def channel(ks, kind="complex"):
 
 
 def control_step(ctrl, table, steady, line, t):
-    """The update of ``ctrl``'s one channel from the mode table ``table``
+    """The control step of ``ctrl``'s one channel from the mode table ``table``
     measured against ``steady`` and the line's window at ``t``, under the
     estimate of ``ctrl.kernels``; the line is left as it was, so the caller
     records ``command_modes`` when the step should reach the plant."""
@@ -39,6 +39,6 @@ def control_step(ctrl, table, steady, line, t):
     measured = (table - steady) * ctrl.lift
     transport = reconstruct_transport(line, t, ctrl.kernels.delay, grid, ctrl.gain[0])[None]
     images = np.empty((1, grid.modes.size, 2 * grid.M), dtype=complex)
-    commands = ctrl.update(measured, transport, images)
+    commands = ctrl.step(measured, transport, images)
     return Step(commands[0], measured[0], transport[0], images[0, :, :grid.M],
                 images[0, :, grid.M:])

@@ -6,7 +6,7 @@ delay line.  With the delay estimate fixed, the rims and the goal at zero
 and every read past the zero pre-history, one block is a fixed linear map
 of that state, and for the complex planar channel it leaves each row of the
 mode table to itself.  This builds that map per row from the package's own
-step -- :meth:`ChannelController.update` (through
+step -- :meth:`ChannelController.step` (through
 :func:`oracles.channel_step.control_step`), :meth:`DelayLine.record` and
 :meth:`Channel.step`, each on a stack of one -- one column per unit vector, and reads its spectral
 radius ``rho``.  The closed loop decays at ``-ln(rho) / block`` per second,

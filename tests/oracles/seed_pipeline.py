@@ -124,11 +124,11 @@ def install(monkeypatch):
 
     The run's window read receives the channels' gains and its drift call
     their stacked edge flows; the reference forms each channel's gain from
-    its kernel set's advection.  The controller's one update per step
-    hands the reference each channel's tables: the stacked product runs
-    :func:`step_images` per channel, the rim solve :func:`rim_solve` per
-    channel on the kernel sets of the step's update, and so does the
-    drift.  Returns a :class:`~collections.Counter` of the calls made to
+    its kernel set's advection.  The controller's one step per control
+    step hands the reference each channel's tables: the stacked product
+    runs :func:`step_images` per channel in place of the channels'
+    updates, the rim solve :func:`rim_solve` per channel on the kernel
+    sets of the step, and so does the drift.  Returns a :class:`~collections.Counter` of the calls made to
     the reference functions by name, so a replay can show that it ran them.
     """
     calls, sets = Counter(), []
@@ -139,16 +139,16 @@ def install(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    def update(self, *args):
+    def step(self, *args):
         sets[:] = self.kernels.sets
-        return controller_update(self, *args)
+        return controller_step(self, *args)
 
     def transport(line, t, delay_estimate, grid, gain=1.0, table=None, out=None):
         gains = np.repeat([np.exp(0.5 * ks.basis.coeffs.advection) for ks in sets],
                           grid.modes.size)
         return read(line, t, delay_estimate, grid, gains[:, None], out=out)
 
-    def images(transport, measured, step_sets, out, work=None):
+    def images(transport, measured, step_sets, out, work=None, product=None):
         for ks, *tables, images_c in zip(step_sets, transport, measured, out):
             reference_images(*tables, ks, images_c)
         m = step_sets[0].grid.M
@@ -166,8 +166,8 @@ def install(monkeypatch):
     for name in ("to_target_history", "mismatch_drift"):
         monkeypatch.setattr(here, name, counted(getattr(here, name)))
     # the gains depend only on the channels' bases: the window read before
-    # the first update takes them from the sets the controller is built with
-    controller_update = controller.ChannelController.update
+    # the first step takes them from the sets the controller is built with
+    controller_step = controller.ChannelController.step
     controller_init = controller.ChannelController.__init__
 
     def construct(self, *args, **kwargs):
@@ -175,7 +175,7 @@ def install(monkeypatch):
         sets[:] = self.kernels.sets
 
     monkeypatch.setattr(controller.ChannelController, "__init__", construct)
-    monkeypatch.setattr(controller.ChannelController, "update", update)
+    monkeypatch.setattr(controller.ChannelController, "step", step)
     monkeypatch.setattr(runner, "reconstruct_transport", transport)
     monkeypatch.setattr(controller, "step_images", images)
     monkeypatch.setattr(controller, "control_modes", modes)

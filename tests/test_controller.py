@@ -549,10 +549,10 @@ class TestPrecomputedStep:
                 return fn(*args, **kwargs)
             return wrapper
 
-        def update(self, *args):
+        def step(self, *args):
             inside.append(True)
             try:
-                return controller_update(self, *args)
+                return controller_step(self, *args)
             finally:
                 inside.pop()
 
@@ -564,8 +564,8 @@ class TestPrecomputedStep:
         monkeypatch.setattr(DelayLine, "read", counted("read", DelayLine.read))
         monkeypatch.setattr(controller, "read_table",
                             counted("read_table", controller.read_table))
-        controller_update = ChannelController.update
-        monkeypatch.setattr(ChannelController, "update", update)
+        controller_step = ChannelController.step
+        monkeypatch.setattr(ChannelController, "step", step)
         for k in range(8):
             vals = steady + 0.1 * rng.normal(size=(grid.M, grid.N))
             upd = run_update(ctrl, grid.analyze(steady), vals, line, k * 0.02)

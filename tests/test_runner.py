@@ -183,12 +183,12 @@ class TestPlantReads:
 
     @staticmethod
     def _probe(monkeypatch):
-        """Count controller updates by the delay of their kernel stack, and
+        """Count controller steps by the delay of their kernel stack, and
         delay-line reads, read-table builds and weight builds, keyed by
         name, caller, whether the first control step has begun (at its
         window's read table), and the number of instants (the shape of the
         spans, for weights)."""
-        where, updates, calls, started = ["runner"], Counter(), Counter(), []
+        where, steps, calls, started = ["runner"], Counter(), Counter(), []
 
         def inside(name, fn):
             def wrapper(*args, **kwargs):
@@ -205,15 +205,15 @@ class TestPlantReads:
                 return fn(*args, **kwargs)
             return wrapper
 
-        def update(self, *args, **kwargs):
-            updates[self.kernels.delay] += 1
-            return controller_update(self, *args, **kwargs)
+        def step(self, *args, **kwargs):
+            steps[self.kernels.delay] += 1
+            return controller_step(self, *args, **kwargs)
 
         def window(*args, **kwargs):
             started.append(True)
             return window_table(*args, **kwargs)
 
-        controller_update = inside("controller", ChannelController.update)
+        controller_step = inside("controller", ChannelController.step)
         window_table = runner.window_table
         monkeypatch.setattr(runner, "window_table", window)
         monkeypatch.setattr(DelayLine, "read", counted(
@@ -223,27 +223,27 @@ class TestPlantReads:
                 "table", module.read_table, np.size))
         monkeypatch.setattr(plant, "exp_lin_weights", counted(
             "weights", plant.exp_lin_weights, lambda rates, spans: spans.shape))
-        monkeypatch.setattr(ChannelController, "update", update)
+        monkeypatch.setattr(ChannelController, "step", step)
         monkeypatch.setattr(Channel, "step", inside("plant", Channel.step))
         monkeypatch.setattr(Channel, "peek", inside("peek", Channel.peek))
-        return updates, calls
+        return steps, calls
 
     @pytest.mark.parametrize("period", [3, 7])
     def test_one_block_read_per_channel_per_control_step(self, transient_cfg,
                                                          monkeypatch, period):
         cfg = dataclasses.replace(transient_cfg, block=period * 2e-3,
                                   duration=0.2, snapshot_times=())
-        updates, calls = self._probe(monkeypatch)
+        steps, calls = self._probe(monkeypatch)
         rec = run(cfg)
         rows = rec.times.size
         assert not rec.terminated and rows > 2
-        # one update per control step advances both channels
-        assert updates.total() == rows
-        # the controller's window, both channels in one read; the update
+        # one controller step per control step advances both channels
+        assert steps.total() == rows
+        # the controller's window, both channels in one read; the step
         # reads nothing itself
         assert calls.pop(("read", "runner", True, cfg.grid_m)) == rows
         # one window table per kernel-set delay
-        assert calls.pop(("table", "runner", True, cfg.grid_m)) == len(updates)
+        assert calls.pop(("table", "runner", True, cfg.grid_m)) == len(steps)
         (key, n), = [(k, n) for k, n in calls.items() if k[1] == "plant"]
         assert key[0] == "read" and key[3] in {2, 4}   # two per linear piece
         assert n == rows - 1
@@ -304,14 +304,14 @@ class TestTransforms:
                 return fn(*args, **kwargs)
             return wrapper
 
-        def update(self, *args, **kwargs):
+        def step(self, *args, **kwargs):
             started.append(True)
-            return controller_update(self, *args, **kwargs)
+            return controller_step(self, *args, **kwargs)
 
         for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "fft2", "ifft2"):
             monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
-        controller_update = ChannelController.update
-        monkeypatch.setattr(ChannelController, "update", update)
+        controller_step = ChannelController.step
+        monkeypatch.setattr(ChannelController, "step", step)
         cfg = dataclasses.replace(moderate_21x16(fixed, duration=1.5),
                                   snapshot_times=())
         rec = run(cfg)
@@ -329,7 +329,7 @@ class TestChunkedObservation:
     @staticmethod
     def _run_checked(monkeypatch, cfg):
         """The run's record, once its observed series are checked against
-        each step's, from the tables the step's updates read and wrote."""
+        each step's, from the tables the controller's steps read and wrote."""
         plants, goals, steps = [], [], []
 
         class Probe(runner.Channel):
@@ -342,21 +342,21 @@ class TestChunkedObservation:
             goals.append(np.stack(fields))
             return fields
 
-        def update(self, measured, transport, images):
+        def step(self, measured, transport, images):
             assert self.kinds == ("complex", "real")
             table = plants[-1].table - goals[-1]
-            commands = controller_update(self, measured, transport, images)
+            commands = controller_step(self, measured, transport, images)
             steps.append((table, measured.copy(), transport.copy(),
                           images[:, :, :self.grid.M].copy(), commands.copy()))
             return commands
 
-        controller_update = ChannelController.update
+        controller_step = ChannelController.step
         monkeypatch.setattr(runner, "Channel", Probe)
         monkeypatch.setattr(runner, "formation_fields", formations)
-        monkeypatch.setattr(ChannelController, "update", update)
+        monkeypatch.setattr(ChannelController, "step", step)
         rec = run(cfg)
         grid = CylinderGrid(cfg.grid_m, cfg.grid_n, band=-rec.modes[0])
-        # one update per step, on the stacks of both channels
+        # one controller step per control step, on the stacks of both channels
         assert len(steps) == rec.times.size
         want = [step_observation(grid, cfg.ring_rows, *step) for step in steps]
         for name, col in zip(("err_planar", "err_axial", "ring_errors", "control_sup",
@@ -435,21 +435,21 @@ class TestKernelReuse:
     @staticmethod
     def _probe(monkeypatch):
         """Count set builds per kernel basis (one per channel) and log the
-        delay of the tables each controller update reads."""
+        delay of the tables each controller step reads."""
         builds, used = Counter(), []
 
         def build(basis, delay_estimate):
             builds[basis] += 1
             return kernel_set(basis, delay_estimate)
 
-        def update(self, *args):
+        def step(self, *args):
             assert {ks.delay for ks in self.kernels.sets} == {self.kernels.delay}
             used.append(self.kernels.delay)
-            return controller_update(self, *args)
+            return controller_step(self, *args)
 
-        kernel_set, controller_update = runner.KernelSet, ChannelController.update
+        kernel_set, controller_step = runner.KernelSet, ChannelController.step
         monkeypatch.setattr(runner, "KernelSet", build)
-        monkeypatch.setattr(ChannelController, "update", update)
+        monkeypatch.setattr(ChannelController, "step", step)
         return builds, used
 
     def test_flipping_estimate_builds_each_bound_once(self, monkeypatch):
@@ -489,7 +489,7 @@ class TestKernelReuse:
 
     def test_a_swap_moves_the_stacked_tables_along(self, monkeypatch):
         # the per-row tables are stacked once per pair of sets, and a swap
-        # moves them with the sets: the updates read as many stacks, and
+        # moves them with the sets: the steps read as many stacks, and
         # as many stacked rim weights, as the run builds pairs
         builds, used = self._probe(monkeypatch)
         stacks, read = [], []
@@ -498,14 +498,14 @@ class TestKernelReuse:
             stacks.append(kernel_stack(sets))
             return stacks[-1]
 
-        def update(self, *args):
+        def step(self, *args):
             read.append((self.kernels, self.kernels.rim_weight))
-            return controller_update(self, *args)
+            return controller_step(self, *args)
 
-        kernel_stack, controller_update = runner.KernelStack, ChannelController.update
+        kernel_stack, controller_step = runner.KernelStack, ChannelController.step
         for module in (runner, controller):
             monkeypatch.setattr(module, "KernelStack", stack)
-        monkeypatch.setattr(ChannelController, "update", update)
+        monkeypatch.setattr(ChannelController, "step", step)
         rec = run(moderate_21x16(fixed=False, duration=0.8))
         assert np.count_nonzero(np.diff(used)) >= 3
         assert 2 * len(stacks) == sum(builds.values()) <= 4
@@ -534,24 +534,25 @@ class TestKernelReuse:
 
 class TestOneProduct:
     """Per control step each channel makes one table product, with its
-    kernel set's step map, inside the one update, into the controller's
-    one parts buffer; nothing else in the loop calls ``apply``."""
+    kernel set's step map, inside that channel's update of the one
+    controller step, into the controller's one parts buffer; nothing else
+    in the loop calls ``apply``."""
 
     @pytest.mark.parametrize("fixed", [False, True], ids=["adapting", "known-delay"])
     def test_one_apply_per_channel_per_control_step(self, monkeypatch, fixed):
         calls, inside, buffers = Counter(), [], set()
 
-        def update(self, *args, **kwargs):
-            inside.append(self)
+        def update(self, c, *args, **kwargs):
+            inside.append((self, c))
             try:
-                return controller_update(self, *args, **kwargs)
+                return controller_update(self, c, *args, **kwargs)
             finally:
                 inside.pop()
 
         def apply(self, table, split, out):
-            # the channel's own set, at its place in the stack
-            c = inside[-1].kernels.sets.index(self) if inside else None
-            calls[c] += 1
+            # the updating channel's own set, at its place in the stack
+            ctrl, c = inside[-1] if inside else (None, None)
+            calls[c if ctrl is not None and ctrl.kernels.sets[c] is self else None] += 1
             buffers.add(id(out.base))
             return kernel_apply(self, table, split, out)
 
@@ -566,14 +567,15 @@ class TestOneProduct:
 
 
 class TestStackedStep:
-    """One controller update per control step advances both channels' law,
-    and it is the law of each channel on its own, bit for bit."""
+    """One controller step per control step advances both channels' law,
+    with one update per channel for its product, and it is the law of each
+    channel on its own, bit for bit."""
 
     @pytest.mark.parametrize("fixed", [False, True], ids=["adapting", "known-delay"])
-    def test_one_update_per_control_step_after_every_set_up_build(self, monkeypatch,
-                                                                  fixed):
+    def test_one_step_per_control_step_after_every_set_up_build(self, monkeypatch,
+                                                                fixed):
         # the bench ends set-up at the first update: every kernel basis and
-        # set of set-up must be built before it
+        # set of set-up must be built before it, and before the first step
         events = []
 
         def logged(name, fn):
@@ -582,24 +584,27 @@ class TestStackedStep:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for cls, name in ((ChannelController, "update"), (KernelBasis, "__init__"),
-                          (KernelSet, "__init__")):
+        for cls, name in ((ChannelController, "step"), (ChannelController, "update"),
+                          (KernelBasis, "__init__"), (KernelSet, "__init__")):
             monkeypatch.setattr(cls, name, logged(f"{cls.__name__}.{name}",
                                                   getattr(cls, name)))
         rec = run(moderate_21x16(fixed, duration=0.8))
         assert not rec.terminated
-        first = events.index("ChannelController.update")
+        first = events.index("ChannelController.step")
         assert Counter(events[:first]) == Counter({"KernelBasis.__init__": 2,
                                                    "KernelSet.__init__": 2})
+        assert events[first + 1] == "ChannelController.update"
         later = Counter(events[first:])
-        assert later["ChannelController.update"] == rec.times.size
+        assert later["ChannelController.step"] == rec.times.size
+        # the bench counts the controller's updates: one per channel per step
+        assert later["ChannelController.update"] == 2 * rec.times.size
         assert "KernelBasis.__init__" not in later
         # an adapting estimate rebuilds both sets of a stack inside the loop
         assert later["KernelSet.__init__"] == (0 if fixed else 2)
 
     @pytest.mark.parametrize("kinds", [("complex", "real"), ("real", "complex"),
                                        ("real", "real", "complex")])
-    def test_update_on_any_tables_is_the_per_channel_law(self, kinds):
+    def test_step_on_any_tables_is_the_per_channel_law(self, kinds):
         # tables with no conjugate symmetry, so that symmetrizing a real
         # channel's command moves it; the complex channel's coefficients
         # give it a complex map
@@ -611,14 +616,14 @@ class TestStackedStep:
         shape = (len(kinds), grid.modes.size, grid.M)
         ctrl = ChannelController(sets, kinds)
         real = [c for c, kind in enumerate(kinds) if kind == "real"]
-        for _ in range(2):      # the second update reuses the controller's buffers
+        for _ in range(2):      # the second step reuses the controller's buffers
             measured, transport = (rng.normal(size=(2,) + shape)
                                    + 1j * rng.normal(size=(2,) + shape))
             images, want_images = np.empty((2,) + shape[:2] + (2 * grid.M,), dtype=complex)
             want_transport = transport.copy()
             want = channel_law.stacked_update(sets, kinds, measured, want_transport,
                                               want_images)
-            got = ctrl.update(measured, transport, images)
+            got = ctrl.step(measured, transport, images)
             assert np.array_equal(got, want)
             assert np.array_equal(transport, want_transport)
             assert np.array_equal(images, want_images)
@@ -626,7 +631,7 @@ class TestStackedStep:
 
     @pytest.mark.parametrize("planar", [None, PlantCoeffs(12.0 + 3.0j, 0.5 + 0.2j)],
                              ids=["real-maps", "mixed-dtypes"])
-    def test_update_is_the_per_channel_law_bit_for_bit(self, monkeypatch, planar):
+    def test_step_is_the_per_channel_law_bit_for_bit(self, monkeypatch, planar):
         # adapting from hi, the estimate flips between its bounds, so steps
         # run on a rebuilt stack and on the spare swapped back
         cfg = moderate_21x16(fixed=False, duration=0.8)
@@ -635,19 +640,19 @@ class TestStackedStep:
                 cfg.desired, planar_coeffs=planar))
         used = []
 
-        def update(self, measured, transport, images):
+        def step(self, measured, transport, images):
             want_transport, want_images = transport.copy(), np.empty_like(images)
             want = channel_law.stacked_update(self.kernels.sets, self.kinds, measured,
                                               want_transport, want_images)
-            got = controller_update(self, measured, transport, images)
+            got = controller_step(self, measured, transport, images)
             assert np.array_equal(got, want)
             assert np.array_equal(transport, want_transport)
             assert np.array_equal(images, want_images)
             used.append(self.kernels)
             return got
 
-        controller_update = ChannelController.update
-        monkeypatch.setattr(ChannelController, "update", update)
+        controller_step = ChannelController.step
+        monkeypatch.setattr(ChannelController, "step", step)
         rec = run(cfg)
         assert len(used) == rec.times.size
         returns = [k for j, k in enumerate(used[1:], 1)
@@ -860,34 +865,34 @@ class TestTargetResiduals:
     def test_capture_pairs_each_channel_with_its_own_tables(self, monkeypatch):
         # adapting from hi, the estimate flips between the bounds and the
         # loop swaps its kernel sets; a capture at every step must hand each
-        # channel's previous and current update to that channel's tables
+        # channel's previous and current step to that channel's tables
         cfg = moderate_21x16(fixed=False, duration=0.8)
         times = run(cfg).times
-        updates, calls = [], []
+        steps, calls = [], []
 
-        def update(self, measured, transport, images):
-            commands = controller_update(self, measured, transport, images)
-            updates.append((measured, images[:, :, :self.grid.M], self.kernels.sets))
+        def step(self, measured, transport, images):
+            commands = controller_step(self, measured, transport, images)
+            steps.append((measured, images[:, :, :self.grid.M], self.kernels.sets))
             return commands
 
         def residual(prev, curr, dt, ks):
             calls.append((prev, curr, ks))
             return target_residual(prev, curr, dt, ks)
 
-        controller_update, target_residual = ChannelController.update, runner.target_residual
-        monkeypatch.setattr(ChannelController, "update", update)
+        controller_step, target_residual = ChannelController.step, runner.target_residual
+        monkeypatch.setattr(ChannelController, "step", step)
         monkeypatch.setattr(runner, "target_residual", residual)
         rec = run(cfg, capture_residuals=times[1:])
         assert np.count_nonzero(np.diff(rec.estimates)) >= 3
         assert len(rec.residuals) == rec.times.size - 1
-        assert len(updates) == rec.times.size
+        assert len(steps) == rec.times.size
         assert len(calls) == 2 * len(rec.residuals)
         swaps = 0
         for k, (prev, curr, ks) in enumerate(calls):
-            # capture j spans updates j and j + 1; channel c is row c of
-            # their stacks, taken at the sets of the later update
+            # capture j spans steps j and j + 1; channel c is row c of
+            # their stacks, taken at the sets of the later step
             j, c = divmod(k, 2)
-            (m0, h0, sets0), (m1, h1, sets1) = updates[j], updates[j + 1]
+            (m0, h0, sets0), (m1, h1, sets1) = steps[j], steps[j + 1]
             for got, want in ((prev.measured, m0), (prev.target_history, h0),
                               (curr.measured, m1), (curr.target_history, h1)):
                 assert got.shape == want.shape[1:] and np.shares_memory(got, want[c])
@@ -900,26 +905,26 @@ class TestTargetResiduals:
     def test_capture_across_an_estimate_move_is_taken_at_the_tables_in_use(
             self, monkeypatch):
         # the flow defect models no motion of the estimate: across a move it
-        # is the transport defect of the two updates under the current tables
+        # is the transport defect of the two steps under the current tables
         cfg = moderate_21x16(fixed=False, duration=0.8)
         plain = run(cfg)
         k = int(np.flatnonzero(np.diff(plain.estimates))[0]) + 1
-        updates = []
+        steps = []
 
-        def update(self, measured, transport, images):
-            commands = controller_update(self, measured, transport, images)
-            updates.append((images[:, :, :self.grid.M].copy(), self.kernels.sets))
+        def step(self, measured, transport, images):
+            commands = controller_step(self, measured, transport, images)
+            steps.append((images[:, :, :self.grid.M].copy(), self.kernels.sets))
             return commands
 
-        controller_update = ChannelController.update
-        monkeypatch.setattr(ChannelController, "update", update)
+        controller_step = ChannelController.step
+        monkeypatch.setattr(ChannelController, "step", step)
         rec = run(cfg, capture_residuals=[plain.times[k]])
         (t, *captured), = rec.residuals
         assert t == plain.times[k]
-        assert len(updates) == rec.times.size
+        assert len(steps) == rec.times.size
         dt = plain.times[1]
         for c, got in enumerate(captured):
-            (before, sets0), (after, sets) = updates[k - 1], updates[k]
+            (before, sets0), (after, sets) = steps[k - 1], steps[k]
             ks = sets[c]
             assert sets0[c].delay != ks.delay
             h0, h1 = before[c], after[c]
