@@ -7,10 +7,12 @@ the formation's leader profile plus the actuation signal delayed by the true
 (unknown to the controller) dead time.  Commands travel through a
 :class:`DelayLine`, a uniformly sampled ring buffer with linear interpolation
 that reads zero before its first record, through a :class:`ReadTable` of
-record offsets and weights that a reader builds once.  Each of its rows
-holds the commands' Fourier coefficients on the grid's wavenumber band, in
-``grid.modes`` order, of every channel side by side: ``C * K`` entries for
-``C`` channels and ``K`` wavenumbers, channel ``c`` in ``c*K .. (c+1)*K - 1``.
+record offsets and weights that a reader builds once: one gather and one
+weighted sum, the pre-history, hold and wrap being fix-ups of the index.
+Each record holds the commands' Fourier coefficients on the grid's
+wavenumber band, in ``grid.modes`` order, of every channel side by side:
+``C * K`` entries for ``C`` channels and ``K`` wavenumbers, channel ``c`` in
+``c*K .. (c+1)*K - 1``.
 Interpolation, hold and the zero pre-history act on each coefficient alone,
 so a line of band rows reads the coefficients of what a line of physical
 command profiles would read, and one read serves every channel.
@@ -69,10 +71,12 @@ _BREAK_TOL = 1e-9
 
 class ReadTable(NamedTuple):
     """Entry ``j`` of a :meth:`DelayLine.read` from record ``base``: ``weights[0, j]``
-    times record ``base + index[0, j]`` plus ``weights[1, j]`` times the next."""
+    times record ``base + index[0, j]`` plus ``weights[1, j]`` times the next;
+    when the next is the line's first, ``snap[j]`` replaces ``weights[1, j]``."""
 
     index: np.ndarray       #: (2, n) record offsets
     weights: np.ndarray     #: (2, n, 1): ``1 - frac`` and ``frac``
+    snap: np.ndarray        #: (n, 1): 1 within ``_BREAK_TOL`` of the next record, else 0
     low: int                #: the smallest offset read
     high: int               #: the largest offset read
 
@@ -83,6 +87,7 @@ def read_table(positions: np.ndarray) -> ReadTable:
     frac = positions - lower
     index = lower.astype(int) + np.arange(2)[:, None]
     return ReadTable(index, np.stack([1.0 - frac, frac])[..., None],
+                     (frac >= 1.0 - _BREAK_TOL).astype(float)[:, None],
                      int(index[0].min()), int(index[1].max()))
 
 
@@ -95,7 +100,9 @@ class DelayLine:
     Queries before the first record return zeros (actuation had not
     started); queries beyond the newest record hold its value, which serves
     a block whose delayed instants run past the newest record (a delay
-    shorter than the block).
+    shorter than the block).  Buffer row 0 stays zero, and row ``k %
+    capacity + 1`` holds record ``k``; :meth:`read` clamps a record index
+    to the newest record and to -1, the zero row, before it gathers.
     """
 
     def __init__(self, width: int, dt_record: float, horizon: float):
@@ -104,12 +111,13 @@ class DelayLine:
         self.width = int(width)
         self.dt = float(dt_record)
         self.capacity = int(math.ceil(horizon / dt_record)) + 4
-        # the ring's slots, then a zero row for reads before the first record
         self._buf = np.zeros((self.capacity + 1, self.width), dtype=complex)
         self._count = 0
         self._t0 = 0.0
 
     def record(self, t: float, row: np.ndarray) -> None:
+        """Store ``row`` as the next record, at ``t`` on the lattice the
+        first record fixes (buffer row ``k % capacity + 1`` for record ``k``)."""
         row = np.asarray(row)
         if row.shape != (self.width,):
             raise ValueError(f"row shape {row.shape} != ({self.width},)")
@@ -122,34 +130,38 @@ class DelayLine:
                     f"record at t={t} breaks the uniform spacing "
                     f"(expected {expected})"
                 )
-        self._buf[self._count % self.capacity] = row
+        self._buf[self._count % self.capacity + 1] = row
         self._count += 1
 
     def read(self, table: ReadTable, t: float) -> np.ndarray:
         """The ``(n, width)`` rows of ``table`` from the record instant ``t``:
         one gather, one weighted sum.  A read past the newest record holds
-        it; one before the first is zero (the zero row past the ring's
-        slots, or any slot of an empty line), or that record within
-        ``_BREAK_TOL`` of it.  A table reaching below a wrapped ring's oldest
-        record raises :class:`HistoryUnderrunError`.
+        it; one before the first is zero (the zero row), or that record
+        within ``_BREAK_TOL`` of it (the table's ``snap``).  Each fix-up of
+        the index runs only when the read needs it.  A table reaching below
+        a wrapped ring's oldest record raises :class:`HistoryUnderrunError`.
         """
         at = (t - self._t0) / self.dt
         base = round(at)
         if abs(at - base) > _BREAK_TOL:
             raise ValueError(f"read instant t={t} is not a record instant")
-        if base + table.low < self._count - self.capacity > 0:
+        count = self._count
+        if base + table.low < count - self.capacity > 0:
             raise HistoryUnderrunError("requested sample already evicted (horizon too short)")
         index = table.index + base
-        if base + table.high >= self._count:
-            index = np.minimum(index, self._count - 1)
         weights = table.weights
-        slots = index % self.capacity
+        if base + table.high >= count:
+            np.minimum(index, count - 1, out=index)
         if base + table.low < 0:
-            w0, w1 = weights
-            weights = np.stack([w0, np.where(index[0, :, None] == -1,
-                                             w1 >= 1.0 - _BREAK_TOL, w1)])
-            slots = np.where(index < 0, self.capacity, index)
-        return np.add.reduce(weights * self._buf[slots])
+            weights = weights.copy()
+            np.copyto(weights[1], table.snap, where=index[0, :, None] == -1)
+            np.maximum(index, -1, out=index)
+        if count > self.capacity:
+            index %= self.capacity
+        index += 1
+        rows = self._buf.take(index, axis=0)
+        rows *= weights
+        return rows[0] + rows[1]
 
 
 class Stencil:
@@ -344,10 +356,13 @@ class Channel:
         return probe.values
 
     def step(self, t: float, line: DelayLine) -> None:
-        """Advance one block, ``[t, t + block]``, then check the guard on
-        each channel in turn."""
+        """Advance one block, ``[t, t + block]``, then check the guard over
+        the stack; the message names the first channel over it."""
         self.advance(t, 0.0, self.block, line)
-        for peak in np.add.reduce(abs(self.table), axis=1).max(axis=1):
+        sums = np.add.reduce(abs(self.table), axis=1)
+        if sums.max() <= GUARD_LIMIT:
+            return
+        for peak in sums.max(axis=1):
             if not peak <= GUARD_LIMIT:
                 raise InstabilityError(
                     f"field magnitude {peak:.3e} exceeded the guard at "

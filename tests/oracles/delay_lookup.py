@@ -20,7 +20,7 @@ def _row(line, idx):
     if idx < line._count - line.capacity:
         raise HistoryUnderrunError(
             f"sample {idx} already evicted (horizon too short)")
-    return line._buf[idx % line.capacity]
+    return line._buf[idx % line.capacity + 1]
 
 
 def lookup(line, t):

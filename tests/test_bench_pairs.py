@@ -10,8 +10,8 @@ _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
-METRICS = [{"name": "wall_per_sim_s", "better": "lower"},
-           {"name": "ctrl_steps_per_s", "better": "higher"}]
+METRICS = [{"name": "wall_per_sim_s", "better": "lower", "bound": 0.25},
+           {"name": "ctrl_steps_per_s", "better": "higher", "bound": 0.25}]
 
 
 def result(wall, steps=None, correct=True, failed=0):
@@ -97,6 +97,36 @@ def test_no_counted_run_is_not_worse():
     assert not rows([(result(p), None) for p in PARENT])["wall_per_sim_s"]["worse"]
 
 
+def test_the_shift_against_the_bound_follows_the_metric():
+    # 30 % more wall time is outside the 25 % bound; the steps per second
+    # it leaves fall by 23 %, inside it
+    out = rows([(result(p), result(1.3 * p)) for p in PARENT])
+    assert out["wall_per_sim_s"]["shift"] == pytest.approx(0.3)
+    assert not out["wall_per_sim_s"]["inside"]
+    assert out["ctrl_steps_per_s"]["shift"] == pytest.approx(1.0 / 1.3 - 1.0)
+    assert out["ctrl_steps_per_s"]["inside"]
+    assert out["wall_per_sim_s"]["worse"] and out["ctrl_steps_per_s"]["worse"]
+    # a gain of any size is inside
+    out = rows([(result(p), result(0.5 * p)) for p in PARENT])
+    assert out["wall_per_sim_s"]["shift"] == pytest.approx(-0.5)
+    assert out["wall_per_sim_s"]["inside"] and out["ctrl_steps_per_s"]["inside"]
+    assert rows([(result(p), None) for p in PARENT])["wall_per_sim_s"]["shift"] is None
+
+
+def test_worse_by_the_quartile_gap_can_lie_inside_the_bound():
+    # peak memory up by 0.5 MB of 61.4 (0.8 %) against a parent spread
+    # under 0.1 MB: worse by the quartile rule, well inside a 10 % bound
+    rss = [{"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
+    parent = [61.40, 61.35, 61.45, 61.42, 61.38, 61.41, 61.39, 61.44, 61.36, 61.43]
+
+    def run(mb):
+        return {"correct": True, "failed": 0, "metrics": {"peak_rss_mb": {"value": mb}}}
+
+    (row,) = bench_pairs.summarize([(run(p), run(p + 0.5)) for p in parent], rss)
+    assert row["worse"] and row["inside"] and row["bound"] == 0.1
+    assert row["shift"] == pytest.approx(0.5 / 61.405, rel=1e-3)
+
+
 def test_several_workloads_in_one_call(tmp_path, monkeypatch, capsys):
     # each workload runs its own alternating pairs, and gets its own summary
     (tmp_path / "benchmarks").mkdir()
@@ -121,6 +151,9 @@ def test_several_workloads_in_one_call(tmp_path, monkeypatch, capsys):
         assert f"\n{workload}, seed 3, 2 pairs of 1 s runs" in out
     walls = [line for line in out.splitlines() if line.startswith("  wall_per_sim_s")]
     assert len(walls) == 2 and all(line.endswith("worse yes") for line in walls)
+    assert all("shift +50.00 % outside the 25 % bound" in line for line in walls)
+    steps = [line for line in out.splitlines() if line.startswith("  ctrl_steps_per_s")]
+    assert all("shift none" in line for line in steps)
 
 
 def test_an_unknown_workload_is_a_usage_error(tmp_path, capsys):

@@ -6,6 +6,7 @@ from cylform.geometry import CylinderGrid
 from cylform.kernels import PlantCoeffs
 from cylform.plant import Channel, DelayLine, Stencil, read_table
 from cylform.steady import steady_table
+from oracles import delay_read
 from oracles.delay_lookup import lookup, lookup_many
 from oracles.field_norms import l2_norm
 from oracles.rk4_plant import RK4Channel, plant_rhs
@@ -140,6 +141,45 @@ class TestReadTable:
             line.record(0.1 * k, np.ones(2))
         with pytest.raises(ValueError, match="not a record instant"):
             line.read(read_table(np.array([-1.5])), 0.25)
+
+
+class TestReadReference:
+    """:meth:`DelayLine.read` against the reference read over the records
+    kept in a list, bit for bit, from every base record: before the first
+    record, across it, and one and two records past the newest."""
+
+    @pytest.mark.parametrize("records, horizon", [(0, 1.0), (12, 1.0), (80, 5.0)],
+                             ids=["empty", "ring-shorter-than-the-table", "wrapped"])
+    def test_rows_equal_the_reference(self, records, horizon):
+        rng = np.random.default_rng(records)
+        dt, t0, width = 0.1, 0.3 if records else 0.0, 4
+        line = DelayLine(width, dt, horizon)          # capacity 14 or 54
+        kept = []
+        for k in range(records):
+            kept.append(rng.normal(size=width) + 1j * rng.normal(size=width))
+            line.record(t0 + dt * k, kept[-1])
+        lattice = np.arange(-45.0, 4.0)
+        deep = read_table(np.concatenate([
+            rng.uniform(-45.0, 3.0, 100),
+            lattice,                        # on records
+            lattice - 1e-11,                # close enough before a record to read it
+            lattice - 1e-7,                 # not close enough: zero before the first
+        ]))
+        ahead = read_table(np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 2.5]))
+        reads = raised = 0
+        for table in (deep, ahead):
+            for base in range(-3, records + 2):
+                t = t0 + dt * base
+                try:
+                    want = delay_read.read(kept, table, base, width, line.capacity)
+                except HistoryUnderrunError:
+                    with pytest.raises(HistoryUnderrunError, match="evicted"):
+                        line.read(table, t)
+                    raised += 1
+                    continue
+                assert np.array_equal(line.read(table, t), want), (base, table.low)
+                reads += 1
+        assert reads > 0 and (raised > 0) == (records > line.capacity)
 
 
 class TestStencil:
@@ -452,6 +492,17 @@ class TestStack:
             if first == 0:
                 other = message(alone[1], k)
                 assert other != want and other.split(" at ")[1] == want.split(" at ")[1]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_a_non_finite_axial_channel_alone_trips_the_guard(self, bad):
+        g, k = self.grid, self.grid.modes.size
+        initial = np.zeros((2, k, g.M), dtype=complex)
+        initial[1, k // 2, g.M // 2] = bad
+        with np.errstate(invalid="ignore"):     # inf - inf in the transforms
+            stack, _ = self._pair(initial)
+            with pytest.raises(InstabilityError, match=f"at t={stack.block:.6f}"):
+                stack.step(0.0, DelayLine(2 * k, stack.block, 1.0))
+        assert np.isfinite(stack.table[0]).all() and not np.isfinite(stack.table[1]).all()
 
 
 class TestBlockReads:

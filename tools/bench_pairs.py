@@ -19,14 +19,21 @@ worse.  The gain rule: the change wins at least nine tenths of the pairs
 run, ties counting for neither, and its median is better than the
 parent's by more than the distance between the parent's quartiles.  The
 change is worse when its median is worse than the parent's by more than
-that distance.  A run that reports ``correct`` false or a failed operation,
-or prints no result, loses its pair, and so does a metric it leaves out.
+that distance.  Beside those, the script prints the change's median shift
+relative to the parent's median, and whether it lies inside the metric's
+``bound`` of ``BENCHMARK.json``: a shift in the better direction always
+does, one in the worse direction when it is no larger than the bound.  A
+metric whose runs spread tightly can be worse by the quartile rule and
+still inside its bound.  A run that reports ``correct`` false or a failed
+operation, or prints no result, loses its pair, and so does a metric it
+leaves out.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -70,6 +77,14 @@ def _quartiles(values: list) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def _shift(parent: float, change: float) -> float:
+    """``change / parent - 1``; an infinity of the change's sign off a zero
+    parent, and 0 when both are zero."""
+    if parent == 0.0:
+        return 0.0 if change == 0.0 else math.copysign(math.inf, change)
+    return change / parent - 1.0
+
+
 def summarize(pairs: list, metrics: list) -> list:
     """One row per metric of ``metrics`` (the ``end_to_end`` entries of
     ``BENCHMARK.json``) over ``pairs`` of ``(parent, change)`` results.
@@ -78,7 +93,10 @@ def summarize(pairs: list, metrics: list) -> list:
     ``(q1, median, q3)`` over its counted runs (None with none), the change's
     ``wins`` out of ``pairs`` run, whether the gain ``rule`` holds, and
     whether the change is ``worse``: its median worse than the parent's by
-    more than the parent's quartile gap.
+    more than the parent's quartile gap.  ``shift`` is the change's median
+    over the parent's, less one (None without both), and ``inside`` whether
+    that shift, taken in the worse direction, is no larger than the
+    metric's ``bound``, which the row repeats.
     """
     rows = []
     for spec in metrics:
@@ -88,20 +106,32 @@ def summarize(pairs: list, metrics: list) -> list:
                    for p, c in values)
         sides = [[v[i] for v in values if v[i] is not None] for i in (0, 1)]
         parent, change = (_quartiles(side) if side else None for side in sides)
-        rule = worse = False
+        rule = worse = inside = False
+        shift = None
         if parent and change:
             gain = parent[1] - change[1] if lower else change[1] - parent[1]
             gap = parent[2] - parent[0]
             rule = wins >= WIN_SHARE * len(pairs) and gain > gap
             worse = -gain > gap
+            shift = _shift(parent[1], change[1])
+            inside = (shift if lower else -shift) <= spec["bound"]
         rows.append({"name": name, "better": spec["better"], "parent": parent,
                      "change": change, "wins": wins, "pairs": len(pairs),
-                     "rule": rule, "worse": worse})
+                     "rule": rule, "worse": worse, "shift": shift,
+                     "bound": spec["bound"], "inside": inside})
     return rows
 
 
 def _spread(q) -> str:
     return "none counted" if q is None else f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]"
+
+
+def _against_bound(row: dict) -> str:
+    if row["shift"] is None:
+        return "shift none"
+    where = "inside" if row["inside"] else "outside"
+    shift, bound = 100.0 * row["shift"], 100.0 * row["bound"]
+    return f"shift {shift:+.2f} % {where} the {bound:g} % bound"
 
 
 def main(argv=None) -> int:
@@ -147,6 +177,7 @@ def main(argv=None) -> int:
             print(f"  {row['name']:18s} {row['better']:6s} parent {_spread(row['parent'])}"
                   f"  change {_spread(row['change'])}  wins {row['wins']}/{row['pairs']}"
                   f"  gain rule {'holds' if row['rule'] else 'does not hold'}"
+                  f"  {_against_bound(row)}"
                   f"  worse {'yes' if row['worse'] else 'no'}", flush=True)
         print(flush=True)
     return 0
