@@ -31,18 +31,17 @@ is that row over the rim node's own weight, and the command's column of
 the history map then completes the image; :func:`rim_residual` measures
 how far the rim row is from zero.  The laws of the channels differ only in
 their tables, which a :class:`~cylform.kernels.KernelStack` holds stacked,
-in their advection scalings, and in the real channels' commands, which are
-symmetrized.  The drift is completed by the estimator from the history's
-root value (:func:`~cylform.estimator.mismatch_drift`).  The target state,
-which only the residual diagnostics read, is one matrix product of the
-deviation (:func:`to_target_state`); the diagnostics map it when they
-capture.  A step makes no transform: the run synthesizes all channels'
-commands of a chunk of steps at once, for its log.
+and in their advection scalings.  A real channel's tables are real and its
+rim data exact conjugate pairs, so its commands are exact conjugate pairs
+too.  The drift is completed by the estimator from the history's root
+value (:func:`~cylform.estimator.mismatch_drift`).  The target state, which
+only the residual diagnostics read, is one matrix product of the deviation
+(:func:`to_target_state`); the diagnostics map it when they capture.  A
+step makes no transform: the run synthesizes all channels' commands of a
+chunk of steps at once, for its log.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,9 +55,7 @@ __all__ = [
     "step_work",
     "step_images",
     "control_modes",
-    "symmetrize_command",
     "rim_residual",
-    "ChannelUpdate",
     "ChannelController",
 ]
 
@@ -168,17 +165,6 @@ def control_modes(history: np.ndarray, rim_weight: np.ndarray) -> np.ndarray:
     return -history[..., -1] / rim_weight
 
 
-def symmetrize_command(grid: CylinderGrid, cmd: np.ndarray) -> np.ndarray:
-    """Project a command mode vector onto the real-synthesis subspace.
-
-    Each row ``n`` becomes the mean of itself and the conjugate of its
-    mate ``-n`` (``grid.mates``), so each pair of rows ``-a``, ``+a`` is the
-    conjugate pair of their mean; an unpaired row (``0``, ``N/2``) keeps its
-    real part.
-    """
-    return 0.5 * (cmd + cmd[grid.mates].conj())
-
-
 def rim_residual(measured: np.ndarray, transport: np.ndarray,
                  history: np.ndarray) -> np.ndarray:
     """Rim defect of each channel's history image, relative.
@@ -198,32 +184,17 @@ def rim_residual(measured: np.ndarray, transport: np.ndarray,
 # the controller of the channel stack
 
 
-@dataclass
-class ChannelUpdate:
-    """One channel's tables of a control step, views of the run's stacks,
-    as a residual capture reads them."""
-
-    measured: np.ndarray         #: scaled deviation table the step read
-    target_history: np.ndarray   #: history image table (rim row ~ 0 by construction)
-
-
 class ChannelController:
     """Produces the rim commands of a stack of channels, all in one step.
 
-    It holds the channels' kinds, their advection scalings and their kernel
-    sets, :attr:`kernels`, which the run swaps for another stack when the
+    It holds the channels' advection scalings and their kernel sets,
+    :attr:`kernels`, which the run swaps for another stack when the
     delay estimate has drifted.  A single channel is a stack of one.
     """
 
-    def __init__(self, kernel_sets, kinds):
-        self.kinds = tuple(kinds)
-        for kind in self.kinds:
-            if kind not in ("complex", "real"):
-                raise ValueError(f"unknown channel kind {kind!r}")
+    def __init__(self, kernel_sets):
         self.kernels = KernelStack(kernel_sets)
         grid = self.grid = self.kernels.sets[0].grid
-        #: the rows of the stack whose channels' commands are real
-        self.real = [c for c, kind in enumerate(self.kinds) if kind == "real"]
         advection = [ks.basis.coeffs.advection for ks in self.kernels.sets]
         #: ``exp(advection * s / 2)`` per channel, ``(C, 1, M)``: scaling the
         #: deviation by it turns the advection term into a pure shift of the
@@ -233,7 +204,7 @@ class ChannelController:
         #: reciprocal as a column
         self.gain = np.array([np.exp(0.5 * a) for a in advection])
         self.inv_gain = np.array([np.exp(-0.5 * a) for a in advection])[:, None]
-        self._work = step_work(grid, len(self.kinds))
+        self._work = step_work(grid, len(advection))
 
     def step(self, measured: np.ndarray, transport: np.ndarray,
              images: np.ndarray) -> np.ndarray:
@@ -253,8 +224,6 @@ class ChannelController:
         history, _ = step_images(transport, measured, kernels.sets, images, self._work,
                                  self.update)
         cmd = control_modes(history, kernels.rim_weight)
-        for c in self.real:
-            cmd[c] = symmetrize_command(self.grid, cmd[c])
         transport[..., -1] = cmd
         history += cmd[..., None] * kernels.command_column
         return cmd * self.inv_gain

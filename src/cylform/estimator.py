@@ -1,11 +1,11 @@
-"""Delay-estimate adaptation: mismatch drift, update signal, projected stepping.
+"""Delay-estimate adaptation: mismatch drift, update signal, clipped stepping.
 
 The delay estimate follows a scalar gradient-like law.  Each control period
 every channel yields a *mismatch drift* profile (the sensitivity of the
 target history to the estimate error); the inner product of the history
 against that drift, taken with an increasing axial weight, is the update
-signal.  A projection freezes the estimate at either bound when the signal
-points outward, and one forward-Euler step moves it otherwise.
+signal.  One forward-Euler step moves the estimate, clipped to its bounds,
+so a step outward from a bound ends exactly on it.
 
 The drift is linear in the target state and in the history's root value.
 Its state part comes out of the controller's one product per step, through
@@ -30,7 +30,6 @@ __all__ = [
     "EstimatorState",
     "mismatch_drift",
     "update_signal",
-    "project",
     "step_estimate",
 ]
 
@@ -105,31 +104,16 @@ def update_signal(history: np.ndarray, drift: np.ndarray,
     return float(shares.sum())
 
 
-def project(estimate: float, signal: float, lo: float, hi: float) -> float:
-    """Gate the update signal at an active bound.
-
-    Exact float comparison on purpose: the Euler step parks the estimate
-    exactly on a bound when it clips, and only a parked estimate may gate.
-    """
-    if estimate == lo and signal < 0.0:
-        return 0.0
-    if estimate == hi and signal > 0.0:
-        return 0.0
-    return float(signal)
-
-
 def step_estimate(state: EstimatorState, signal: float) -> EstimatorState:
-    """One forward-Euler update of the delay estimate.
+    """One forward-Euler update of the delay estimate, clipped to its bounds.
 
     A NaN signal leaves the estimate untouched (the run logs the signal and
     carries on); infinities park the estimate at the corresponding bound.
-    The clip guards single-step Euler overshoot past a bound -- the
-    projection alone only freezes an estimate already sitting there.
+    The clip is the projection onto the admissible interval: a step outward
+    from a bound, or past one, ends exactly on that bound.
     """
     signal = float(signal)
     if math.isnan(signal):
         return state
-    moved = state.estimate + state.dt * state.gain * project(
-        state.estimate, signal, state.lo, state.hi
-    )
+    moved = state.estimate + state.dt * state.gain * signal
     return replace(state, estimate=float(min(max(moved, state.lo), state.hi)))

@@ -70,10 +70,6 @@ class CylinderGrid:
         a = np.arange(band + 1)
         self.mode_pairs = np.stack([-a, np.where(a <= self.modes[-1], a, -a)],
                                    axis=1) + band
-        #: row of ``-n`` for each row ``n``; the unpaired 0 and ``N/2`` are
-        #: their own
-        self.mates = np.where(-self.modes <= self.modes[-1], -self.modes,
-                              self.modes) + band
 
     def __eq__(self, other):
         return isinstance(other, CylinderGrid) and \
@@ -147,22 +143,3 @@ class CylinderGrid:
         vals = np.fft.ifft(bins, axis=-1)
         return vals.real.copy() if kind == "real" else vals
 
-    # -- calculus on the grid ------------------------------------------------
-
-    def d_s(self, vals: np.ndarray) -> np.ndarray:
-        """First axial derivative: central inside, one-sided 2nd order at rims."""
-        out = np.empty_like(vals)
-        h = self.h_s
-        out[1:-1] = (vals[2:] - vals[:-2]) / (2.0 * h)
-        out[0] = (-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * h)
-        out[-1] = (3.0 * vals[-1] - 4.0 * vals[-2] + vals[-3]) / (2.0 * h)
-        return out
-
-    def d2_s(self, vals: np.ndarray) -> np.ndarray:
-        """Second axial derivative; one-sided 2nd-order stencils at the rims."""
-        out = np.empty_like(vals)
-        h2 = self.h_s**2
-        out[1:-1] = (vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / h2
-        out[0] = (2.0 * vals[0] - 5.0 * vals[1] + 4.0 * vals[2] - vals[3]) / h2
-        out[-1] = (2.0 * vals[-1] - 5.0 * vals[-2] + 4.0 * vals[-3] - vals[-4]) / h2
-        return out

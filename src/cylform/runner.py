@@ -11,19 +11,18 @@ run once over the stack, summing or maximizing over the channels in that
 order.  So does the control law: one
 :class:`~cylform.controller.ChannelController` steps both channels in one
 call per control step, on the stacked tables, taking each channel's
-product in that channel's update; the channels' laws differ
-only in their kernel tables and advection scalings, which it holds per
-channel, and in the axial command's symmetrization.  The plant integrates
-the desired formation's coefficients from the start (the dynamics switch
-the instant the new formation is commanded), with anchor and leader rims
-held at the desired profiles; rim actuation reaches the leader row only
-after the true dead time.  Both formations are their own stencils'
-equilibria (:func:`~cylform.steady.formation_fields`), so the plant can
-reach the goal; the desired stencils serve the goal and the plant.  The
+product in that channel's update; the channels' laws differ only in their
+kernel tables and advection scalings, which it holds per channel.  The
+plant integrates the desired formation's coefficients from the start (the
+dynamics switch the instant the new formation is commanded), with anchor
+and leader rims held at the desired profiles; rim actuation reaches the
+leader row only after the true dead time.  Both formations are their own
+stencils' equilibria (:func:`~cylform.steady.formation_fields`), so the plant
+can reach the goal; the desired stencils serve the goal and the plant.  The
 run's one time step is the control block: the fewest equal blocks spanning
 the horizon, none longer than ``run.block``.  At each block start the
 controller measures the fields and issues new rim commands, and the delay
-estimate takes one projected gradient step driven by both channels; then
+estimate takes one clipped gradient step driven by both channels; then
 the stack advances over the whole block in one exact step, and the guard is
 checked at the block end, planar channel first.  The controller's step is
 one product per channel with that channel's kernel set's ``step_map``,
@@ -79,7 +78,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ScenarioConfig, snapshot_label
-from .controller import (ChannelController, ChannelUpdate, reconstruct_transport,
+from .controller import (ChannelController, reconstruct_transport,
                          rim_residual, to_target_state, window_table)
 from .errors import ConfigError, InstabilityError
 from .estimator import (EstimatorState, mismatch_drift, step_estimate,
@@ -197,9 +196,9 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
     consecutive updates).  The logged observations of each chunk of
     ``_OBS_ROWS`` control steps are reduced together (:func:`_observe`), at
     its last step or, for the last chunk, after the loop ends.  A capture
-    hands each channel's :class:`~cylform.controller.ChannelUpdate` views
-    of the two steps' tables to :func:`target_residual`; they hold until
-    the loop next writes those buffers.
+    hands each channel's views of the two steps' tables to
+    :func:`target_residual`; they hold until the loop next writes those
+    buffers.
     """
     grid = CylinderGrid(cfg.grid_m, cfg.grid_n,
                         band=max(cfg.initial.band, cfg.desired.band))
@@ -225,7 +224,7 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
     plant = Channel(stencils, goal[:, :, 0], goal[:, :, -1], np.stack(inits),
                     dt_ctrl, cfg.true_delay, _KINDS)
     line = DelayLine(len(_KINDS) * modes, dt_ctrl, horizon)
-    ctrl = ChannelController([KernelSet(basis, est.estimate) for basis in bases], _KINDS)
+    ctrl = ChannelController([KernelSet(basis, est.estimate) for basis in bases])
     # each entry of the line's row scaled by its channel's gain, the lift at
     # the rim
     gains = np.repeat(ctrl.gain, modes)[:, None]
@@ -270,16 +269,16 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
             history, mismatch_drift(images[:, :, m:], history, kernels.edge_flow), grid)
         rows.append((t, est.estimate, signal))
         if k == _OBS_ROWS - 1:
-            observed.append(_observe(grid, ring_idx, ctrl.real, *chunk))
+            observed.append(_observe(grid, ring_idx, *chunk))
 
         if b > 0 and _reached(res_queue, t):
             while _reached(res_queue, t):
                 res_queue.pop(0)
             # each channel's views of the last step's tables and of this one's
             last = zip(scaled[(b - 1) % _OBS_ROWS], products[(b - 1) % 2, :, :, :m])
-            residuals.append((t, *(
-                target_residual(ChannelUpdate(*before), ChannelUpdate(*after), dt_ctrl, ks)
-                for before, *after, ks in zip(last, measured, history, kernels.sets))))
+            residuals.append((t, *(target_residual(before, after, dt_ctrl, ks)
+                                   for before, after, ks
+                                   in zip(last, zip(measured, history), kernels.sets))))
 
         if not cfg.fixed_estimate:
             est = step_estimate(est, signal)
@@ -303,7 +302,7 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
             terminated, reason = True, str(exc)
             break
     if k < _OBS_ROWS - 1:
-        observed.append(_observe(grid, ring_idx, ctrl.real, *(a[:k + 1] for a in chunk)))
+        observed.append(_observe(grid, ring_idx, *(a[:k + 1] for a in chunk)))
 
     errs, ring, sup, rim = (np.concatenate(col) for col in zip(*observed))
     times, estimates, signals = (np.array(col, dtype=float) for col in zip(*rows))
@@ -313,9 +312,9 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
                      residuals=residuals)
 
 
-def _observe(grid: CylinderGrid, ring_idx: np.ndarray, real: list,
-             dev: np.ndarray, measured: np.ndarray, transport: np.ndarray,
-             rims: np.ndarray, commands: np.ndarray) -> tuple:
+def _observe(grid: CylinderGrid, ring_idx: np.ndarray, dev: np.ndarray,
+             measured: np.ndarray, transport: np.ndarray, rims: np.ndarray,
+             commands: np.ndarray) -> tuple:
     """The logged reductions of a chunk of control steps, one row per step:
     the (planar, axial) formation errors, the ring errors, ``control_sup``
     and the rim residual.
@@ -335,7 +334,7 @@ def _observe(grid: CylinderGrid, ring_idx: np.ndarray, real: list,
     ring = np.sqrt(TWO_PI * np.add.reduce(np.add.reduce(sq[..., ring_idx], axis=1), axis=1))
     # the physical commands, the real channel's as the real part
     profiles = grid.synthesize_profile(commands)
-    profiles.imag[:, real] = 0.0
+    profiles.imag[:, _KINDS.index("real")] = 0.0
     return (errs.reshape(-1, len(_KINDS)), ring, abs(profiles).max(axis=(1, 2)),
             rim_residual(measured, transport, rims).max(axis=1))
 
@@ -349,11 +348,12 @@ def _surface_norm(stack: np.ndarray, h_s: float) -> float:
     return float(np.sqrt(2.0 * np.pi * h_s * np.sum(np.abs(stack) ** 2)))
 
 
-def target_residual(prev: ChannelUpdate, curr: ChannelUpdate, dt: float,
+def target_residual(prev: tuple, curr: tuple, dt: float,
                     ks: KernelSet) -> TargetResiduals:
     """Defects of the decoupled equations between two consecutive updates.
 
-    Works per angular wavenumber on the mode tables of the two updates; the
+    Works per angular wavenumber on one channel's mode tables of the two
+    updates, each update's ``(scaled deviation, target history)`` pair; the
     target states are mapped from their scaled deviations through the
     delay-independent Volterra table of ``ks.basis``, so both sides of a
     capture that spans a kernel swap see one map.  The moving-rim coupling is
@@ -366,33 +366,35 @@ def target_residual(prev: ChannelUpdate, curr: ChannelUpdate, dt: float,
     image between the two updates' tables.  Time derivatives
     are centered on the interval, so the discretization itself contributes
     at second order in ``dt`` on top of the grid's second-order spatial
-    error.
+    error; the axial derivatives are central differences.
     """
     grid = ks.grid
-    s = grid.s
+    (measured0, h0), (measured1, h1) = prev, curr
+    s, h = grid.s, grid.h_s
     n2 = (grid.modes.astype(float) ** 2)[:, None]          # (modes, 1)
 
-    w0 = to_target_state(prev.measured, ks)
-    w1 = to_target_state(curr.measured, ks)
-    h0, h1 = prev.target_history, curr.target_history
+    w0 = to_target_state(measured0, ks)
+    w1 = to_target_state(measured1, ks)
     near0, near1 = h0[:, 0], h1[:, 0]                      # rim coupling value
     m0 = w0 - s[None, :] * near0[:, None]
     m1 = w1 - s[None, :] * near1[:, None]
 
     m_mid = 0.5 * (m0 + m1)
     near_mid = 0.5 * (near0 + near1)
-    state_res = ((m1 - m0) / dt
-                 - grid.d2_s(m_mid.T).T
-                 + n2 * m_mid
-                 + n2 * s[None, :] * near_mid[:, None]
-                 + s[None, :] * ((near1 - near0) / dt)[:, None])
+    s_in = s[None, 1:-1]
+    state_res = ((m1 - m0)[:, 1:-1] / dt
+                 - (m_mid[:, 2:] - 2.0 * m_mid[:, 1:-1] + m_mid[:, :-2]) / h**2
+                 + n2 * m_mid[:, 1:-1]
+                 + n2 * s_in * near_mid[:, None]
+                 + s_in * ((near1 - near0) / dt)[:, None])
 
     h_mid = 0.5 * (h0 + h1)
-    flow_res = ks.delay * (h1 - h0) / dt - grid.d_s(h_mid.T).T
+    flow_res = (ks.delay * (h1 - h0)[:, 1:-1] / dt
+                - (h_mid[:, 2:] - h_mid[:, :-2]) / (2.0 * h))
 
     return TargetResiduals(
-        interior=_surface_norm(state_res[:, 1:-1], grid.h_s),
-        boundary_flow=_surface_norm(flow_res[:, 1:-1], grid.h_s),
+        interior=_surface_norm(state_res, h),
+        boundary_flow=_surface_norm(flow_res, h),
         rim_defect=float(np.max(np.abs(h1[:, -1]))),
         anchor_defect=float(np.max(np.abs(m1[:, 0]))),
         seam_defect=float(np.max(np.abs(m1[:, -1]))),

@@ -27,7 +27,8 @@ class FormationSpec:
 
     Rim profiles are sparse Fourier coefficient maps ``wavenumber -> value``.
     The axial channel describes a real height field, so its maps must be
-    conjugate-symmetric; the planar channel is genuinely complex.
+    exactly conjugate-symmetric, bit for bit, which alone keeps the run's
+    axial commands real; the planar channel is genuinely complex.
     """
 
     planar_coeffs: PlantCoeffs
@@ -54,8 +55,7 @@ class FormationSpec:
             coeffs = getattr(self, name)
             for n, v in coeffs.items():
                 mate = coeffs.get(-n, 0.0)
-                scale = max(1.0, abs(v))
-                if abs(np.conj(v) - mate) > 1e-12 * scale:
+                if np.conj(v) != mate:
                     raise ConfigError(
                         f"axial rim data must be conjugate-symmetric: "
                         f"{name}[{n}] = {v} but {name}[{-n}] = {mate}"

@@ -3,11 +3,12 @@ step advanced the whole channel stack.
 
 A run made one :meth:`ChannelController.update` call per channel and
 control step, each with its own product (:func:`apply`, then
-:func:`step_images`), rim solve (:func:`control_modes`) and, for a real
-channel, :func:`~cylform.controller.symmetrize_command`.  The bodies are
-the package's as they were, with ``KernelSet.apply`` as a function of the
-set.  The stacked step must give the same commands, in-flight tables and
-step products bit for bit.
+:func:`step_images`) and rim solve (:func:`control_modes`).  The bodies
+are the package's as they were, with ``KernelSet.apply`` as a function of
+the set, less the projection of a real channel's command onto real
+profiles, which its exact conjugate pairs made an identity.  The stacked
+step must give the same commands, in-flight tables and step products bit
+for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cylform.controller import symmetrize_command
 from cylform.kernels import KernelSet
 
 
@@ -94,12 +94,9 @@ class ChannelController:
     estimate drifts far enough that the cached tables are rebuilt.
     """
 
-    def __init__(self, kernel_set: KernelSet, kind: str = "complex"):
-        if kind not in ("complex", "real"):
-            raise ValueError(f"unknown channel kind {kind!r}")
+    def __init__(self, kernel_set: KernelSet):
         self.ks = kernel_set
         grid = self.grid = kernel_set.grid
-        self.kind = kind
         self.advection = kernel_set.basis.coeffs.advection
         #: ``exp(advection * s / 2)``: scaling the deviation by it turns the
         #: advection term into a pure shift of the reaction rate, which is
@@ -124,17 +121,15 @@ class ChannelController:
         transport[:, -1] = 0.0
         history, _ = step_images(transport, measured, ks, images)
         cmd = control_modes(history, ks)
-        if self.kind == "real":
-            cmd = symmetrize_command(self.grid, cmd)
         transport[:, -1] = cmd
         history += cmd[:, None] * ks.command_column
         return ChannelUpdate(cmd * self.inv_gain, measured, history)
 
 
-def stacked_update(sets, kinds, measured, transport, images):
+def stacked_update(sets, measured, transport, images):
     """The per-channel updates of one control step on a run's stacks, with
     each channel's own controller: the commands ``(C, len(modes))``;
     ``transport`` and ``images`` are written as the stacked step writes
     them."""
-    return np.stack([ChannelController(ks, kind).update(*views).command_modes
-                     for ks, kind, *views in zip(sets, kinds, measured, transport, images)])
+    return np.stack([ChannelController(ks).update(*views).command_modes
+                     for ks, *views in zip(sets, measured, transport, images)])

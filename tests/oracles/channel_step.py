@@ -25,9 +25,9 @@ class Step(NamedTuple):
     state_drift: np.ndarray      #: mismatch drift less its history-root term
 
 
-def channel(ks, kind="complex"):
+def channel(ks):
     """The controller of a single channel: a stack of one."""
-    return ChannelController([ks], [kind])
+    return ChannelController([ks])
 
 
 def control_step(ctrl, table, steady, line, t):

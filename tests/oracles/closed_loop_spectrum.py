@@ -12,8 +12,7 @@ step -- :meth:`ChannelController.step` (through
 radius ``rho``.  The closed loop decays at ``-ln(rho) / block`` per second,
 or grows at its negative, which is what a run shows once the pre-history is
 behind it (finite-spectrum assignment: Manitius & Olbrot, IEEE TAC 24,
-1979).  The axial channel is left out: ``symmetrize_command`` couples its
-``+n`` and ``-n`` rows and is only real-linear.
+1979).  Only the planar channel is built.
 """
 
 import math

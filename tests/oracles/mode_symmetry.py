@@ -4,8 +4,8 @@ The mode table of a real field pairs mode ``-n`` with the conjugate of mode
 ``n`` and keeps the unpaired modes real: ``0``, and ``-N/2`` in a table of
 all ``N`` rows (``-N/2 .. N/2 - 1``; mode ``n`` in row ``N/2 + n``).  A band
 table of ``2K + 1`` rows (``-K .. K``) has no unpaired extreme.  The
-package projects onto that subspace where it needs it
-(``symmetrize_command``); the defect below is how tests check the result.
+package keeps the axial channel's tables in that subspace by construction,
+with no projection; the defect below is how tests check that.
 """
 
 import numpy as np

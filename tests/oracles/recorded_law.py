@@ -104,8 +104,8 @@ def control_modes_recorded(measured, line, t, ks):
     counterpart.
 
     Returns ``(cmd, denom, rhs)`` with ``cmd = rhs / denom``, so a caller
-    that post-processes ``cmd`` (symmetrization) can report the honest rim
-    defect of the implicit solve as ``cmd * denom - rhs``.
+    that post-processes ``cmd`` can report the honest rim defect of the
+    implicit solve as ``cmd * denom - rhs``.
     """
     grid = ks.grid
     rows = np.abs(grid.modes)

@@ -19,7 +19,6 @@ from cylform.controller import (
     reconstruct_transport,
     rim_residual,
     step_images,
-    symmetrize_command,
     to_target_state,
 )
 from cylform.geometry import CylinderGrid
@@ -358,25 +357,6 @@ class TestRecordLatticeLaw:
         assert rim_solve(zero, transport, ks)[row] == pytest.approx(axial, rel=1e-9)
 
 
-class TestSymmetrize:
-    def test_projection_gives_real_profile(self, grid):
-        rng = np.random.default_rng(11)
-        cmd = rng.normal(size=grid.N) + 1j * rng.normal(size=grid.N)
-        sym = symmetrize_command(grid, cmd)
-        prof = grid.synthesize_profile(sym)
-        assert np.max(np.abs(prof.imag)) <= 1e-13
-        # projection is idempotent
-        again = symmetrize_command(grid, sym)
-        assert np.allclose(again, sym, atol=1e-15)
-
-    def test_matches_pointwise_real_part(self, grid):
-        rng = np.random.default_rng(12)
-        cmd = rng.normal(size=grid.N) + 1j * rng.normal(size=grid.N)
-        via_modes = grid.synthesize_profile(symmetrize_command(grid, cmd), kind="real")
-        direct = grid.synthesize_profile(cmd).real
-        assert np.max(np.abs(via_modes - direct)) <= 1e-13
-
-
 class TestPeriodicSimpson:
     def test_integrates_harmonics_exactly_below_band_edge(self):
         n, h = 50, 2 * np.pi / 50
@@ -401,9 +381,10 @@ def run_update(controller, steady, values, line, t):
     return upd
 
 
-def physical_command(controller, upd):
-    """The physical rim command profile (deviation part) of ``upd``."""
-    return controller.grid.synthesize_profile(upd.command_modes, controller.kinds[0])
+def physical_command(controller, upd, kind="complex"):
+    """The physical rim command profile (deviation part) of ``upd``, real
+    for ``kind="real"``."""
+    return controller.grid.synthesize_profile(upd.command_modes, kind)
 
 
 def residual(upd):
@@ -430,7 +411,7 @@ class TestChannelController:
         steady = rng.normal(size=(grid.M, grid.N))
         if kind == "complex":
             steady = steady + 1j * rng.normal(size=(grid.M, grid.N))
-        ctrl = channel(ks, kind)
+        ctrl = channel(ks)
         line = DelayLine(grid.modes.size, 0.02, horizon=4.0)
         return ctrl, line, steady
 
@@ -485,6 +466,28 @@ class TestChannelController:
         defect = conjugate_symmetry_defect(transport)
         assert defect <= 1e-12 * (1 + np.max(np.abs(transport)))
 
+    @pytest.mark.parametrize("band", [0, 1, 2, 7])
+    def test_real_maps_keep_conjugate_pairs_on_a_band(self, band):
+        # tables whose row -n is the conjugate of row n stay so through a
+        # step with a real map, bit for bit: the command of a real channel
+        # is a real profile with no projection
+        grid = CylinderGrid(M=15, N=16, band=band)
+        ks = KernelSet(KernelBasis(PlantCoeffs(12.0, 0.5), grid), 0.7)
+        assert np.isrealobj(ks.step_map)
+        rng = np.random.default_rng(band)
+
+        def paired():
+            shape = (band + 1, grid.M)
+            upper = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            upper[0] = upper[0].real
+            return np.concatenate([upper[:0:-1].conj(), upper])
+
+        measured, transport = paired()[None], paired()[None]
+        images = np.empty((1, grid.modes.size, 2 * grid.M), dtype=complex)
+        cmd = channel(ks).step(measured, transport, images)
+        for table in (cmd[0], transport[0], images[0]):
+            assert np.array_equal(table[::-1], table.conj())
+
     def test_transport_rim_row_is_new_command(self, grid):
         # once recorded, the new command is the rim node of the transport
         # rebuilt at the same instant
@@ -519,11 +522,9 @@ class TestChannelController:
             transport = grid.analyze(reads) * np.exp(0.5 * adv)
             transport[:, -1] = 0.0
             cmd = control_modes(to_target_history(transport, measured, ks), ks.rim_weight)
-            if kind == "real":
-                cmd = symmetrize_command(grid, cmd)
             want = grid.synthesize_profile(cmd * np.exp(-0.5 * adv), kind)
             physical.record(t, want)
-            got = physical_command(ctrl, upd)
+            got = physical_command(ctrl, upd, kind)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), k
             commands.append(got)
         # the line of band rows synthesizes to the physical commands
@@ -539,7 +540,7 @@ class TestPrecomputedStep:
         ks = KernelSet(KernelBasis(PlantCoeffs(8.0, 1.0), grid, i_max=64), 1.0)
         rng = np.random.default_rng(20)
         steady = rng.normal(size=(grid.M, grid.N))
-        ctrl = channel(ks, "real")
+        ctrl = channel(ks)
         line = DelayLine(grid.modes.size, 0.02, horizon=4.0)
         calls, inside = Counter(), []
 
@@ -610,7 +611,7 @@ class TestStepProduct:
             return g.analyze(scale * vals)
 
         steady = table()
-        ctrl = channel(ks, kind)
+        ctrl = channel(ks)
         line = DelayLine(g.modes.size, 0.05, horizon=4.0)
         for k in range(30):
             line.record(k * 0.05, table()[:, -1])

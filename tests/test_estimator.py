@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cylform.controller import step_images
-from cylform.estimator import (EstimatorState, mismatch_drift, project,
+from cylform.estimator import (EstimatorState, mismatch_drift,
                                step_estimate, update_signal)
 from cylform.geometry import CylinderGrid
 from cylform.kernels import KernelBasis, KernelSet, PlantCoeffs
@@ -80,22 +80,36 @@ class TestEstimatorState:
 
 
 class TestProjection:
+    """The clip of :func:`step_estimate` is the projection onto the
+    admissible interval: a signal pointing out of it from a bound leaves
+    the estimate exactly on that bound, and any other step is the plain
+    Euler step."""
+
+    @staticmethod
+    def step(estimate, signal):
+        state = EstimatorState(estimate=estimate, lo=0.1, hi=4.0, gain=0.5, dt=0.25)
+        return step_estimate(state, signal).estimate
+
     def test_gates_outward_at_upper_bound(self):
-        assert project(4.0, 2.5, 0.1, 4.0) == 0.0
+        for signal in (2.5, 1e-300, 0.0, -0.0, np.inf):
+            assert self.step(4.0, signal) == 4.0
 
     def test_gates_outward_at_lower_bound(self):
-        assert project(0.1, -2.5, 0.1, 4.0) == 0.0
+        for signal in (-2.5, -1e-300, 0.0, -0.0, -np.inf):
+            assert self.step(0.1, signal) == 0.1
 
     def test_passes_interior_signal_exactly(self):
-        assert project(2.0, 5.25, 0.1, 4.0) == 5.25
-        assert project(2.0, -5.25, 0.1, 4.0) == -5.25
+        assert self.step(2.0, 5.25) == 2.0 + 0.125 * 5.25
+        assert self.step(2.0, -5.25) == 2.0 - 0.125 * 5.25
 
     def test_passes_inward_signal_at_bounds(self):
-        assert project(4.0, -2.5, 0.1, 4.0) == -2.5
-        assert project(0.1, 2.5, 0.1, 4.0) == 2.5
+        assert self.step(4.0, -2.5) == 4.0 - 0.125 * 2.5
+        assert self.step(0.1, 2.5) == 0.1 + 0.125 * 2.5
 
     def test_near_bound_is_not_gated(self):
-        assert project(4.0 - 1e-12, 2.5, 0.1, 4.0) == 2.5
+        # an estimate off the bound moves outward, and only the clip stops it
+        assert self.step(4.0 - 1e-6, 2e-6) == (4.0 - 1e-6) + 0.125 * 2e-6
+        assert self.step(4.0 - 1e-12, 2.5) == 4.0
 
 
 class TestStepEstimate:
@@ -119,7 +133,7 @@ class TestStepEstimate:
         st = self.base(estimate=3.999, gain=0.5, dt=1.0)
         st = step_estimate(st, 10.0)
         assert st.estimate == 4.0
-        # parked estimate is now gated against further outward pushes
+        # a parked estimate stays on the bound under further outward pushes
         assert step_estimate(st, 10.0).estimate == 4.0
 
     def test_nan_signal_keeps_estimate(self):
@@ -222,7 +236,7 @@ class TestMismatchDrift:
     def test_equilibrium_is_a_fixed_point(self, fine_set):
         grid = fine_set.grid
         steady = grid.analyze(np.random.default_rng(4).standard_normal((grid.M, grid.N)))
-        ctrl = channel(fine_set, "real")
+        ctrl = channel(fine_set)
         upd = control_step(ctrl, steady, steady, DelayLine(grid.modes.size, 0.01, 2.0), 0.0)
         out = mismatch_drift(upd.state_drift, upd.target_history, fine_set.edge_flow)
         assert np.max(np.abs(out)) == 0.0

@@ -1,6 +1,9 @@
 import dataclasses
+import importlib.util
 import math
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +24,8 @@ from cylform.runner import (
 )
 from cylform.steady import formation_fields
 from oracles import channel_law, continuum_steady, seed_pipeline
-from oracles.field_norms import field_l2
+from oracles.field_norms import d_s, field_l2
+from oracles.mode_symmetry import conjugate_symmetry_defect
 from oracles.step_observation import step_observation
 
 EQUILIBRIUM = """
@@ -343,7 +347,7 @@ class TestChunkedObservation:
             return fields
 
         def step(self, measured, transport, images):
-            assert self.kinds == ("complex", "real")
+            assert plants[-1].kinds == ("complex", "real")
             table = plants[-1].table - goals[-1]
             commands = controller_step(self, measured, transport, images)
             steps.append((table, measured.copy(), transport.copy(),
@@ -605,29 +609,25 @@ class TestStackedStep:
     @pytest.mark.parametrize("kinds", [("complex", "real"), ("real", "complex"),
                                        ("real", "real", "complex")])
     def test_step_on_any_tables_is_the_per_channel_law(self, kinds):
-        # tables with no conjugate symmetry, so that symmetrizing a real
-        # channel's command moves it; the complex channel's coefficients
-        # give it a complex map
+        # each channel's map is real or complex as its coefficients are, in
+        # any order in the stack; the tables have no conjugate symmetry
         grid = CylinderGrid(15, 8, band=2)
         coeffs = {"real": [PlantCoeffs(12.0, 0.5), PlantCoeffs(8.0, -0.3)],
                   "complex": [PlantCoeffs(10.0 + 2.0j, 0.5 + 0.5j)]}
         sets = [KernelSet(KernelBasis(coeffs[kind].pop(), grid), 0.7) for kind in kinds]
         rng = np.random.default_rng(5)
         shape = (len(kinds), grid.modes.size, grid.M)
-        ctrl = ChannelController(sets, kinds)
-        real = [c for c, kind in enumerate(kinds) if kind == "real"]
+        ctrl = ChannelController(sets)
         for _ in range(2):      # the second step reuses the controller's buffers
             measured, transport = (rng.normal(size=(2,) + shape)
                                    + 1j * rng.normal(size=(2,) + shape))
             images, want_images = np.empty((2,) + shape[:2] + (2 * grid.M,), dtype=complex)
             want_transport = transport.copy()
-            want = channel_law.stacked_update(sets, kinds, measured, want_transport,
-                                              want_images)
+            want = channel_law.stacked_update(sets, measured, want_transport, want_images)
             got = ctrl.step(measured, transport, images)
             assert np.array_equal(got, want)
             assert np.array_equal(transport, want_transport)
             assert np.array_equal(images, want_images)
-            assert np.array_equal(got[real], got[real][:, ::-1].conj())
 
     @pytest.mark.parametrize("planar", [None, PlantCoeffs(12.0 + 3.0j, 0.5 + 0.2j)],
                              ids=["real-maps", "mixed-dtypes"])
@@ -642,7 +642,7 @@ class TestStackedStep:
 
         def step(self, measured, transport, images):
             want_transport, want_images = transport.copy(), np.empty_like(images)
-            want = channel_law.stacked_update(self.kernels.sets, self.kinds, measured,
+            want = channel_law.stacked_update(self.kernels.sets, measured,
                                               want_transport, want_images)
             got = controller_step(self, measured, transport, images)
             assert np.array_equal(got, want)
@@ -793,6 +793,45 @@ class TestNyquistRim:
         assert np.all(np.isfinite(rec.err_axial))
 
 
+def case_config(name):
+    """The ``full-band-15x8`` case of ``tools/record_digests.py``, or the
+    ``known-delay-21x16`` bench workload at seed 0."""
+    root = Path(__file__).resolve().parents[1]
+    if name == "full-band-15x8":
+        spec = importlib.util.spec_from_file_location(
+            "record_digests", root / "tools" / "record_digests.py")
+        digests = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(digests)
+        return parse_config(digests.FULL_BAND, name)
+    if str(root / "benchmarks") not in sys.path:
+        sys.path.insert(0, str(root / "benchmarks"))
+    scenarios = importlib.import_module("cylbench.scenarios")
+    return parse_config(scenarios.scenario_text(scenarios.WORKLOADS[name], 0), name)
+
+
+class TestAxialCommandsStayReal:
+    """The axial channel's rim data are exact conjugate pairs and its maps
+    real, so every command it sends is a real profile bit for bit, with no
+    projection."""
+
+    @pytest.mark.parametrize("name", ["full-band-15x8", "known-delay-21x16"])
+    def test_every_axial_command_is_exactly_conjugate_symmetric(self, monkeypatch, name):
+        cfg = case_config(name)
+        sent = []
+
+        def step(self, measured, transport, images):
+            commands = controller_step(self, measured, transport, images)
+            sent.append(commands[1].copy())
+            return commands
+
+        controller_step = ChannelController.step
+        monkeypatch.setattr(ChannelController, "step", step)
+        rec = run(cfg)
+        assert not rec.terminated and len(sent) == rec.times.size >= 50
+        assert cfg.fixed_estimate or np.count_nonzero(np.diff(rec.estimates)) >= 20
+        assert conjugate_symmetry_defect(np.stack(sent, axis=1)) == 0.0
+
+
 class TestGuard:
     def test_unstable_step_terminates_with_reason(self):
         # open-loop growth far above pi^2 and no command reaching the rim
@@ -893,8 +932,8 @@ class TestTargetResiduals:
             # their stacks, taken at the sets of the later step
             j, c = divmod(k, 2)
             (m0, h0, sets0), (m1, h1, sets1) = steps[j], steps[j + 1]
-            for got, want in ((prev.measured, m0), (prev.target_history, h0),
-                              (curr.measured, m1), (curr.target_history, h1)):
+            # each step's (scaled deviation, target history) pair
+            for got, want in zip((*prev, *curr), (m0, h0, m1, h1)):
                 assert got.shape == want.shape[1:] and np.shares_memory(got, want[c])
             assert ks is sets1[c]
             want = (cfg.desired.planar_coeffs, cfg.desired.axial_coeffs)[c]
@@ -929,7 +968,7 @@ class TestTargetResiduals:
             assert sets0[c].delay != ks.delay
             h0, h1 = before[c], after[c]
             grid = ks.grid
-            flow = ks.delay * (h1 - h0) / dt - grid.d_s((0.5 * (h0 + h1)).T).T
+            flow = ks.delay * (h1 - h0) / dt - d_s(grid, (0.5 * (h0 + h1)).T).T
             want = math.sqrt(2.0 * math.pi * grid.h_s * np.sum(abs(flow[:, 1:-1]) ** 2))
             assert got.boundary_flow == pytest.approx(want, rel=1e-12, abs=0.0)
 

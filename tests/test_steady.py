@@ -13,7 +13,7 @@ from cylform.runner import run
 from cylform.steady import FormationSpec, formation_fields, steady_table
 from oracles import continuum_steady
 from oracles.continuum_steady import steady_mode
-from oracles.field_norms import d2_theta, l2_norm
+from oracles.field_norms import d2_s, d2_theta, d_s, l2_norm
 from oracles.mode_symmetry import conjugate_symmetry_defect
 
 
@@ -129,7 +129,7 @@ class TestSteadyField:
         def resid(g):
             v = g.synthesize(steady_table(Stencil(g, coeffs), {0: 1.0, 1: 0.5j},
                                           {0: -0.3, 1: 1.0}))
-            r = (g.d2_s(v) + d2_theta(g, v) + coeffs.advection * g.d_s(v)
+            r = (d2_s(g, v) + d2_theta(g, v) + coeffs.advection * d_s(g, v)
                  + coeffs.reaction * v)
             return np.max(np.abs(r[2:-2]))
 
@@ -244,6 +244,19 @@ class TestFormationSpecValidation:
                 planar_coeffs=PlantCoeffs(1.0, 0.0),
                 axial_coeffs=PlantCoeffs(1.0, 0.0),
                 axial_leader={1: 1.0 + 1.0j, -1: 1.0 + 1.0j},
+            )
+
+    @pytest.mark.parametrize("mate", [complex(np.nextafter(0.3, 1.0), -0.2),
+                                      complex(0.3, np.nextafter(-0.2, 0.0))],
+                             ids=["real-part", "imaginary-part"])
+    def test_axial_pair_one_ulp_off_rejected(self, mate):
+        # the run keeps the axial commands real on exact pairs alone, so a
+        # pair off by roundoff is refused, not absorbed
+        with pytest.raises(ConfigError, match="conjugate-symmetric"):
+            FormationSpec(
+                planar_coeffs=PlantCoeffs(1.0, 0.0),
+                axial_coeffs=PlantCoeffs(1.0, 0.0),
+                axial_anchor={1: 0.3 + 0.2j, -1: mate},
             )
 
     def test_axial_symmetric_pair_accepted(self):

@@ -4,7 +4,7 @@ Usage, from the root of the repository::
 
     python3 tools/record_digests.py
 
-Runs six cases and prints one JSON object, case name -> the SHA-256 of
+Runs seven cases and prints one JSON object, case name -> the SHA-256 of
 ``cylbench.harness.record_digest`` over every logged series, snapshot and
 residual capture.  A refactor that claims bit-identical records must print
 the same object as its parent commit: run the script in both checkouts (in
@@ -15,7 +15,12 @@ cases:
 * both bench workloads at seeds 0 and 1, with their ``residual_times``;
 * the ``moderate`` preset for 1 s, with residual captures at 0.3 and 0.6 s
   and snapshots at 0, 0.5 and 0.51 s (the last one inside a block);
-* the ``mismatch`` preset for 3 s, which the guard stops.
+* the ``mismatch`` preset for 3 s, which the guard stops;
+* ``full-band-15x8``, 1.5 s in 49 blocks on a 15x8 grid whose rim data
+  reach ``|n| = N/2``, so the loop keeps every wavenumber: axial rims at
+  ``+-1``, ``+-2`` and ``+-4``, a complex planar reaction and advection,
+  an adapting estimate that moves on 24 steps and is held at a bound on
+  the others, a snapshot inside a block and a residual capture at 0.9 s.
 
 Digests are bit-exact, so they depend on the BLAS build: compare two
 checkouts on one machine, never against numbers from another.  BLAS runs
@@ -48,6 +53,37 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+#: the config of the ``full-band-15x8`` case
+FULL_BAND = """
+grid.M = 15
+grid.N = 8
+initial.planar_reaction = (4,1)
+initial.planar_advection = (0.5,0.2)
+initial.axial_reaction = 3
+initial.axial_advection = 0.5
+initial.planar_anchor = (1,0.8,0.1)
+initial.planar_leader = (1,1,0) (-2,0.2,0.3)
+initial.axial_anchor = (0,-1,0) (2,0.1,0.2) (-2,0.1,-0.2)
+initial.axial_leader = (0,1,0) (1,0.2,0.1) (-1,0.2,-0.1)
+desired.planar_reaction = (6,1.5)
+desired.planar_advection = (0.5,0.3)
+desired.axial_reaction = 4
+desired.axial_advection = -0.4
+desired.planar_anchor = (1,0.5,0) (3,0.1,-0.1)
+desired.planar_leader = (1,1,0) (-4,0.05,0.02)
+desired.axial_anchor = (0,-1,0) (4,0.05,0.03) (-4,0.05,-0.03)
+desired.axial_leader = (0,0.8,0) (1,0.3,0.2) (-1,0.3,-0.2) (2,0.1,-0.05) (-2,0.1,0.05)
+delay.true = 0.4
+delay.lo = 0.3
+delay.hi = 0.6
+delay.gain = 0.15
+delay.initial_estimate = 0.6
+run.duration = 1.5
+run.block = 0.0307
+run.snapshots = 0.7
+run.rings = 1 8 15
+"""
+
 
 def records() -> dict:
     """Case name -> the run's record."""
@@ -65,6 +101,8 @@ def records() -> dict:
     out["moderate-1s"] = run(moderate, capture_residuals=(0.3, 0.6))
     mismatch = dataclasses.replace(preset("mismatch"), duration=3.0)
     out["mismatch-3s"] = run(mismatch)
+    out["full-band-15x8"] = run(parse_config(FULL_BAND, "full-band-15x8"),
+                                capture_residuals=(0.9,))
     return out
 
 
