@@ -2,20 +2,20 @@
 
 One :class:`ChannelController` runs the control law of a stack of scalar
 channels (a run's planar and axial channel), per angular wavenumber, in
-one step per control step.  It reads two stacks of tables, one table per
-channel: the scaled deviations (each channel's mode table less the goal's,
-each row scaled by the channel's advection lift
-:attr:`ChannelController.lift`) and the commands in flight.  The run reads
-the latter for all channels at once: :func:`reconstruct_transport` makes
-one read of the shared delay line, whose row holds every channel's band
-coefficients, through a read table built once per delay estimate, and
-scales each row by its channel's advection gain.  The command applied at
-the moving rim is produced by a predictor: the current scaled deviation is
-propagated through the kernel tables, past commands are folded in through
-running exponential convolutions, and the value of the command *being
-computed* is recovered from a small implicit solve (the newest history
-node carries a nonzero quadrature weight, so the rim value appears on both
-sides).
+one step per control step.  It owns the channels' kernel tables at the
+delay estimate, one :class:`~cylform.kernels.KernelStack`, which it keeps
+within a tolerance of the estimate (:meth:`~ChannelController.follow`).  A
+step reads two stacks of tables, one table per channel: the scaled
+deviations (each channel's mode table less the goal's, each row scaled by
+the channel's advection lift :attr:`ChannelController.lift`) and the
+commands in flight, which :meth:`~ChannelController.read` takes from the
+shared delay line in one :func:`reconstruct_transport`.  The command
+applied at the moving rim is produced by a predictor: the current scaled
+deviation is propagated through the kernel tables, past commands are
+folded in through running exponential convolutions, and the value of the
+command *being computed* is recovered from a small implicit solve (the
+newest history node carries a nonzero quadrature weight, so the rim value
+appears on both sides).
 
 For a fixed delay estimate all of this is linear per ``|n|`` in the two
 tables a step reads, the command-in-flight table (``transport``) and the
@@ -23,22 +23,21 @@ scaled deviation, and each channel's
 :class:`~cylform.kernels.KernelSet` folds it into one ``step_map``.  A
 control step gathers the rows ``[transport | deviation]`` of the whole
 stack, with the transport's rim nodes zeroed, and takes one product per
-channel, the channel's :meth:`~ChannelController.update`
-(:func:`step_images`), giving the target histories and the state part of
-the estimator's mismatch drift, written into the run's stack.  The
-control law sets the rim row of each target history to zero: the command
-is that row over the rim node's own weight, and the command's column of
-the history map then completes the image; :func:`rim_residual` measures
-how far the rim row is from zero.  The laws of the channels differ only in
-their tables, which a :class:`~cylform.kernels.KernelStack` holds stacked,
-and in their advection scalings.  A real channel's tables are real and its
-rim data exact conjugate pairs, so its commands are exact conjugate pairs
-too.  The drift is completed by the estimator from the history's root
-value (:func:`~cylform.estimator.mismatch_drift`).  The target state, which
-only the residual diagnostics read, is one matrix product of the deviation
-(:func:`to_target_state`); the diagnostics map it when they capture.  A
-step makes no transform: the run synthesizes all channels' commands of a
-chunk of steps at once, for its log.
+channel, the channel's :meth:`~ChannelController.update`, giving the
+target histories and the state part of the estimator's mismatch drift,
+written into the run's stack.  The control law sets the rim row of each
+target history to zero: the command is that row over the rim node's own
+weight, and the command's column of the history map then completes the
+image; :func:`rim_residual` measures how far the rim row is from zero.
+The laws of the channels differ only in their tables, which the stack
+holds stacked, and in their advection scalings.  A real channel's tables
+are real and its rim data exact conjugate pairs, so its commands are exact
+conjugate pairs too.  The drift is completed by the estimator from the
+history's root value (:func:`~cylform.estimator.mismatch_drift`).  The
+target state, which only the residual diagnostics read, is one matrix
+product of the deviation (:func:`to_target_state`); the diagnostics map it
+when they capture.  A step makes no transform: the run synthesizes all
+channels' commands of a chunk of steps at once, for its log.
 """
 
 from __future__ import annotations
@@ -52,8 +51,6 @@ from .plant import DelayLine, ReadTable, read_table
 __all__ = [
     "reconstruct_transport",
     "to_target_state",
-    "step_work",
-    "step_images",
     "control_modes",
     "rim_residual",
     "ChannelController",
@@ -94,56 +91,6 @@ def to_target_state(measured: np.ndarray, ks: KernelSet) -> np.ndarray:
     """Map the scaled deviation onto the decoupled target variable."""
     v = ks.basis.volterra_fwd_refined
     return measured - measured @ v.T
-
-
-def step_work(grid: CylinderGrid, channels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Work space of :func:`step_images` for a stack of ``channels``.
-
-    First where the row pairs of each ``|n|`` (``grid.mode_pairs``) lie in
-    one channel's ``[transport | measured]`` table seen as a flat array of
-    floats, ``(len(mode_pairs), 4, 2M)``: the pair's real parts, then its
-    imaginary parts.  Then a buffer of the split row pairs and of the
-    products, ``(2, channels, len(mode_pairs), 4, 2M)``.
-    """
-    width = 2 * grid.M
-    parts = np.arange(2)[:, None, None]                     # real, imaginary
-    at = (2 * width * grid.mode_pairs[:, None, :, None] + parts
-          + 2 * np.arange(width)).reshape(len(grid.mode_pairs), 4, width)
-    return at, np.empty((2, channels) + at.shape)
-
-
-def step_images(transport: np.ndarray, measured: np.ndarray, sets,
-                out: np.ndarray | None = None, work: tuple | None = None,
-                product=None) -> tuple[np.ndarray, np.ndarray]:
-    """Target histories and state drifts of a stack of channels, from one
-    product per channel.
-
-    The rows ``+n`` and ``-n`` share one map, so the row pairs
-    ``[transport | measured]`` of each ``|n|`` are gathered and split into
-    real and imaginary parts once for the stack (``work``, the stack's
-    :func:`step_work`); each channel ``c`` takes its product,
-    ``product(c, table, split, parts)``, by default the
-    :meth:`~cylform.kernels.KernelSet.apply` of its set in ``sets``, and
-    the products are scattered into ``out``, ``(C, len(modes), 2M)``: the
-    history image of the command-in-flight table minus the predicted
-    command flow, then the part of the mismatch drift the deviation drives.
-    Both are made when not given; the halves of ``out`` are returned.  The
-    history vanishes at the rim exactly when the newest command satisfies
-    the control law, which makes its rim row a free consistency diagnostic.
-    """
-    grid = sets[0].grid
-    table = np.concatenate([transport, measured], axis=-1, dtype=complex)
-    at, (split, products) = work or step_work(grid, len(table))
-    table.view(float).reshape(len(table), -1).take(at, axis=1, out=split, mode="clip")
-    product = product or (lambda c, *tables: sets[c].apply(*tables))
-    for c, tables in enumerate(zip(table, split, products)):
-        product(c, *tables)
-    if out is None:
-        out = np.empty(table.shape, dtype=complex)
-    pairs, m = grid.mode_pairs, grid.M
-    out.real[:, pairs] = products[:, :, :2]
-    out.imag[:, pairs] = products[:, :, 2:]
-    return out[..., :m], out[..., m:]
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +134,16 @@ def rim_residual(measured: np.ndarray, transport: np.ndarray,
 class ChannelController:
     """Produces the rim commands of a stack of channels, all in one step.
 
-    It holds the channels' advection scalings and their kernel sets,
-    :attr:`kernels`, which the run swaps for another stack when the
-    delay estimate has drifted.  A single channel is a stack of one.
+    It holds the channels' advection scalings and their kernel sets at the
+    delay estimate, :attr:`kernels`, which :meth:`follow` keeps within a
+    tolerance of the estimate, and the stack those replaced,
+    :attr:`spare`.  A single channel is a stack of one.
     """
 
     def __init__(self, kernel_sets):
         self.kernels = KernelStack(kernel_sets)
+        #: the stack :attr:`kernels` last replaced, if any
+        self.spare = None
         grid = self.grid = self.kernels.sets[0].grid
         advection = [ks.basis.coeffs.advection for ks in self.kernels.sets]
         #: ``exp(advection * s / 2)`` per channel, ``(C, 1, M)``: scaling the
@@ -204,7 +154,46 @@ class ChannelController:
         #: reciprocal as a column
         self.gain = np.array([np.exp(0.5 * a) for a in advection])
         self.inv_gain = np.array([np.exp(-0.5 * a) for a in advection])[:, None]
-        self._work = step_work(grid, len(advection))
+        # the gain of each entry of a line's row, the channels side by side
+        self._gains = np.repeat(self.gain, grid.modes.size)[:, None]
+        # where the real, then imaginary, parts of each |n|'s row pairs
+        # (grid.mode_pairs) lie in one channel's [transport | measured] table
+        # seen as floats; buffers of the split pairs and of their products
+        width = 2 * grid.M
+        parts = np.arange(2)[:, None, None]                 # real, imaginary
+        self._at = (2 * width * grid.mode_pairs[:, None, :, None] + parts
+                    + 2 * np.arange(width)).reshape(len(grid.mode_pairs), 4, width)
+        self._split, self._products = np.empty((2, len(advection)) + self._at.shape)
+
+    def follow(self, estimate: float, tol: float) -> None:
+        """Keep :attr:`kernels` within ``tol`` of ``estimate``: swap the
+        :attr:`spare` back if it is within ``tol`` (a projected estimate
+        flipping between its bounds), else build one set per channel at
+        ``estimate`` and keep the stack it replaces as the spare."""
+        kernels = self.kernels
+        if kernels.matches(estimate, tol):
+            return
+        if self.spare is not None and self.spare.matches(estimate, tol):
+            self.kernels, self.spare = self.spare, kernels
+        else:
+            self.kernels = KernelStack([KernelSet(ks.basis, estimate)
+                                        for ks in kernels.sets])
+            self.spare = kernels
+
+    def read(self, line: DelayLine, t: float, out: np.ndarray) -> np.ndarray:
+        """The stacked command-in-flight tables at the estimate of
+        :attr:`kernels`, written to ``out``, ``(C, len(modes), M)``.
+
+        ``line`` holds every channel's band coefficients side by side in
+        each row; one read takes them all, through the stack's window
+        (built at its first read, so a swap carries it along).
+        """
+        kernels, grid = self.kernels, self.grid
+        if kernels.window is None:
+            kernels.window = window_table(line, kernels.delay, grid)
+        reconstruct_transport(line, t, kernels.delay, grid, self._gains, kernels.window,
+                              out.reshape(-1, grid.M))
+        return out
 
     def step(self, measured: np.ndarray, transport: np.ndarray,
              images: np.ndarray) -> np.ndarray:
@@ -213,16 +202,26 @@ class ChannelController:
 
         ``measured`` and ``transport`` are the stacked scaled deviations and
         command-in-flight tables, ``(C, len(modes), M)``, the latter at the
-        estimate of :attr:`kernels`; its rim nodes end as the new commands.
-        The step's products, the target histories then the state drifts
-        (the mismatch drift less its history-root term), are written to
-        ``images``, ``(C, len(modes), 2M)``.  Each channel's product is its
-        :meth:`update`; the rest runs once over the stack.
+        estimate of :attr:`kernels` (:meth:`read`); its rim nodes end as the
+        new commands.  The rows ``+n`` and ``-n`` share one map, so the row
+        pairs ``[transport | measured]`` of each ``|n|`` are gathered and
+        split into real and imaginary parts once for the stack; each
+        channel's :meth:`update` takes its product, and the products are
+        scattered into ``images``, ``(C, len(modes), 2M)``: the target
+        histories, then the state drifts (the mismatch drift less its
+        history-root term).
         """
-        kernels = self.kernels
+        kernels, grid = self.kernels, self.grid
         transport[..., -1] = 0.0
-        history, _ = step_images(transport, measured, kernels.sets, images, self._work,
-                                 self.update)
+        table = np.concatenate([transport, measured], axis=-1, dtype=complex)
+        table.view(float).reshape(len(table), -1).take(self._at, axis=1, out=self._split,
+                                                       mode="clip")
+        for c, tables in enumerate(zip(table, self._split, self._products)):
+            self.update(c, *tables)
+        pairs = grid.mode_pairs
+        images.real[:, pairs] = self._products[:, :, :2]
+        images.imag[:, pairs] = self._products[:, :, 2:]
+        history = images[..., :grid.M]
         cmd = control_modes(history, kernels.rim_weight)
         transport[..., -1] = cmd
         history += cmd[..., None] * kernels.command_column

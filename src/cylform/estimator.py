@@ -74,8 +74,8 @@ def mismatch_drift(state_drift: np.ndarray, history: np.ndarray,
     the target state, the sine transform of its running inverse-Volterra
     integral, the full-span edge integral, and the root value of the target
     history.  ``state_drift`` is the sum of the state terms, which the
-    control step's product already holds (the second half of
-    :func:`~cylform.controller.step_images`); the root value
+    control step's product already holds (the second half of the products
+    :meth:`~cylform.controller.ChannelController.step` writes); the root value
     enters along ``edge_flow``, the kernel set's
     :attr:`~cylform.kernels.KernelSet.edge_flow`, or the channels' stacked
     like the tables.  Vanishes identically at the transformed equilibrium,

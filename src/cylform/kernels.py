@@ -405,8 +405,8 @@ class KernelStack:
     (``rim_weight``, ``command_column`` and ``edge_flow``) stacked on a
     leading channel axis.
 
-    The tables are stacked once, when the stack is built, so a run that
-    swaps its stack for a spare moves them along with the sets.
+    The tables are stacked once, when the stack is built, so a controller
+    that swaps its stack for a spare moves them, and :attr:`window`, along.
     """
 
     def __init__(self, sets):
@@ -415,6 +415,8 @@ class KernelStack:
         self.rim_weight = np.stack([ks.rim_weight for ks in self.sets])
         self.command_column = np.stack([ks.command_column for ks in self.sets])
         self.edge_flow = np.stack([ks.edge_flow for ks in self.sets])
+        #: the in-flight window's read table, built by the stack's first read
+        self.window = None
 
     def matches(self, delay_estimate: float, tol: float) -> bool:
         return abs(self.delay - delay_estimate) <= tol

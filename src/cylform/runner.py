@@ -44,20 +44,15 @@ after the loop, one reduction over the rows gives each step's values, bit
 for bit what the step alone would give.  A physical field is synthesized
 only where it leaves the loop: the snapshots, and per chunk the physical
 commands of both channels at all its steps in one inverse FFT, for
-``control_sup``.  Kernel tables are rebuilt only when the estimate has
-drifted a fixed fraction of the admissible interval away from the tables in
-use.  Both channels' tables are one :class:`~cylform.kernels.KernelStack`,
-whose per-row tables are stacked when it is built.  The stack a rebuild
-replaces is kept as a spare, and an estimate that returns within that
-fraction of it (a projected estimate flipping between its bounds) swaps it
-back, step maps and stacked tables included, instead of rebuilding.  Either
-way the loop repoints the controller's ``kernels``, the only reference it
-keeps to the tables.  An adaptive run checks at set-up that the tables'
-series resolves ``delay.lo``, where it converges slowest.  A
-:func:`target_residual` capture is taken at the tables in use, so one
-across an estimate move includes that move; it reads each channel's views
-of this step's stacks and of the last step's, which the loop keeps in two
-alternating buffers.
+``control_sup``.  The controller owns the kernel tables and the window's
+read table at the estimate; after each estimate step the loop asks it to
+follow the estimate to within a fixed fraction of the admissible interval
+(:meth:`~cylform.controller.ChannelController.follow`).  An adaptive run
+checks at set-up that the tables' series resolves ``delay.lo``, where it
+converges slowest.  A :func:`target_residual` capture is taken at the
+tables in use, so one across an estimate move includes that move; it reads
+each channel's views of this step's rows of the chunk's buffers and of the
+last step's.
 
 Results are collected in a :class:`RunRecord` (one logged row per control
 step) and serialized as CSV: a single time series plus, per requested
@@ -72,19 +67,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
 
 from .config import ScenarioConfig, snapshot_label
-from .controller import (ChannelController, reconstruct_transport,
-                         rim_residual, to_target_state, window_table)
+from .controller import ChannelController, rim_residual, to_target_state
 from .errors import ConfigError, InstabilityError
 from .estimator import (EstimatorState, mismatch_drift, step_estimate,
                         update_signal)
 from .geometry import TWO_PI, CylinderGrid
-from .kernels import KernelBasis, KernelSet, KernelStack
+from .kernels import KernelBasis, KernelSet
 from .plant import Channel, DelayLine, Stencil
 from .steady import formation_fields
 
@@ -197,8 +190,8 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
     ``_OBS_ROWS`` control steps are reduced together (:func:`_observe`), at
     its last step or, for the last chunk, after the loop ends.  A capture
     hands each channel's views of the two steps' tables to
-    :func:`target_residual`; they hold until the loop next writes those
-    buffers.
+    :func:`target_residual`; they hold until the loop writes those rows
+    again, ``_OBS_ROWS`` steps later.
     """
     grid = CylinderGrid(cfg.grid_m, cfg.grid_n,
                         band=max(cfg.initial.band, cfg.desired.band))
@@ -225,26 +218,19 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
                     dt_ctrl, cfg.true_delay, _KINDS)
     line = DelayLine(len(_KINDS) * modes, dt_ctrl, horizon)
     ctrl = ChannelController([KernelSet(basis, est.estimate) for basis in bases])
-    # each entry of the line's row scaled by its channel's gain, the lift at
-    # the rim
-    gains = np.repeat(ctrl.gain, modes)[:, None]
-    windows = lru_cache(maxsize=2)(partial(window_table, line, grid=grid))
-    spare = None                # the kernel stack last replaced
     retable_tol = _RETABLE_FRACTION * (cfg.delay_hi - cfg.delay_lo)
 
     ring_idx = np.array(cfg.ring_rows, dtype=int) - 1
     snap_queue = list(cfg.snapshot_times)
     res_queue = sorted(capture_residuals)
-    # the inputs of the logged reductions, one row per step of the chunk:
-    # the deviation, the scaled deviation, the in-flight table after the
-    # controller's step, the history's rim column and the commands
+    # one row per step of the chunk: the deviation, the scaled deviation,
+    # the in-flight table after the controller's step, the step's products
+    # (target history then state drift) and the commands; the logged
+    # reductions read them all, a residual capture this step's and the last
     devs, scaled, flights = np.empty((3, _OBS_ROWS) + goal.shape, dtype=complex)
-    rims = np.empty((_OBS_ROWS, len(_KINDS), modes, 1), dtype=complex)
+    products = np.empty((_OBS_ROWS, len(_KINDS), modes, 2 * m), dtype=complex)
     sent = np.empty((_OBS_ROWS, len(_KINDS), modes), dtype=complex)
-    chunk = devs, scaled, flights, rims, sent
-    # the step products of both channels, target history then state drift,
-    # of this step and the last (a residual capture reads both)
-    products = np.empty((2, len(_KINDS), modes, 2 * m), dtype=complex)
+    chunk = devs, scaled, flights, products, sent
     rows, observed, snaps, residuals = [], [], [], []
     terminated, reason = False, None
 
@@ -257,13 +243,10 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
         measured = np.multiply(dev, ctrl.lift, out=scaled[k])
         kernels = ctrl.kernels
         # the step leaves the new commands at the rim nodes, in place
-        transport = flights[k]
-        reconstruct_transport(line, t, kernels.delay, grid, gains, windows(kernels.delay),
-                              transport.reshape(-1, m))
-        images = products[b % 2]
+        transport = ctrl.read(line, t, flights[k])
+        images = products[k]
         sent[k] = ctrl.step(measured, transport, images)
         line.record(t, sent[k].reshape(-1))
-        rims[k] = images[:, :, m - 1:m]
         history = images[:, :, :m]
         signal = update_signal(
             history, mismatch_drift(images[:, :, m:], history, kernels.edge_flow), grid)
@@ -275,20 +258,14 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
             while _reached(res_queue, t):
                 res_queue.pop(0)
             # each channel's views of the last step's tables and of this one's
-            last = zip(scaled[(b - 1) % _OBS_ROWS], products[(b - 1) % 2, :, :, :m])
+            last = zip(scaled[(b - 1) % _OBS_ROWS], products[(b - 1) % _OBS_ROWS, :, :, :m])
             residuals.append((t, *(target_residual(before, after, dt_ctrl, ks)
                                    for before, after, ks
                                    in zip(last, zip(measured, history), kernels.sets))))
 
         if not cfg.fixed_estimate:
             est = step_estimate(est, signal)
-            if not kernels.matches(est.estimate, retable_tol):
-                if spare is not None and spare.matches(est.estimate, retable_tol):
-                    ctrl.kernels, spare = spare, kernels
-                else:
-                    spare = kernels
-                    ctrl.kernels = KernelStack(
-                        [KernelSet(ks.basis, est.estimate) for ks in kernels.sets])
+            ctrl.follow(est.estimate, retable_tol)
         if b == blocks:
             break
         # requests inside the block, each at its own instant
@@ -313,7 +290,7 @@ def run(cfg: ScenarioConfig, capture_residuals=()) -> RunRecord:
 
 
 def _observe(grid: CylinderGrid, ring_idx: np.ndarray, dev: np.ndarray,
-             measured: np.ndarray, transport: np.ndarray, rims: np.ndarray,
+             measured: np.ndarray, transport: np.ndarray, products: np.ndarray,
              commands: np.ndarray) -> tuple:
     """The logged reductions of a chunk of control steps, one row per step:
     the (planar, axial) formation errors, the ring errors, ``control_sup``
@@ -321,8 +298,8 @@ def _observe(grid: CylinderGrid, ring_idx: np.ndarray, dev: np.ndarray,
 
     The tables are the steps' stacks of both channels on a second axis:
     the deviation, the scaled deviation, the in-flight table after the
-    controller's step, the history's rim column ``(rows, channels, modes, 1)`` and the
-    commands.  Each reduction adds in the order of a single step's, so a
+    controller's step, the step's products (the target history, whose rim
+    column the rim residual reads, then the state drift) and the commands.  Each reduction adds in the order of a single step's, so a
     row is bit for bit what that step alone would give.
     """
     # Parseval: 2pi times a column sum is a ring's integral of |f|^2
@@ -336,7 +313,7 @@ def _observe(grid: CylinderGrid, ring_idx: np.ndarray, dev: np.ndarray,
     profiles = grid.synthesize_profile(commands)
     profiles.imag[:, _KINDS.index("real")] = 0.0
     return (errs.reshape(-1, len(_KINDS)), ring, abs(profiles).max(axis=(1, 2)),
-            rim_residual(measured, transport, rims).max(axis=1))
+            rim_residual(measured, transport, products[..., :grid.M]).max(axis=1))
 
 
 # ---------------------------------------------------------------------------

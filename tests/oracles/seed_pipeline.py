@@ -97,10 +97,11 @@ def mismatch_drift(target, history, ks):
 
 
 def step_images(transport, measured, ks, out=None):
-    """Target history and the drift's state part, as
-    :func:`cylform.controller.step_images` returns them: the history of
-    :func:`to_target_history`, and the :func:`mismatch_drift` of the target
-    state with a zero history, written to the halves of ``out`` when given."""
+    """Target history and the drift's state part, the halves of the
+    products :meth:`cylform.controller.ChannelController.step` writes: the
+    history of :func:`to_target_history`, and the :func:`mismatch_drift` of
+    the target state with a zero history, written to the halves of ``out``
+    when given."""
     history = to_target_history(transport, measured, ks)
     target = controller.to_target_state(measured, ks)
     drift = mismatch_drift(target, np.zeros_like(history), ks)
@@ -122,13 +123,14 @@ def finish_drift(state_drift, history, sets):
 def install(monkeypatch):
     """Route the controller and the runner through the reference step.
 
-    The run's window read receives the channels' gains and its drift call
-    their stacked edge flows; the reference forms each channel's gain from
-    its kernel set's advection.  The controller's one step per control
-    step hands the reference each channel's tables: the stacked product
-    runs :func:`step_images` per channel in place of the channels'
-    updates, the rim solve :func:`rim_solve` per channel on the kernel
-    sets of the step, and so does the drift.  Returns a :class:`~collections.Counter` of the calls made to
+    The controller's window read receives the channels' gains and the
+    run's drift call their stacked edge flows; the reference forms each
+    channel's gain from its kernel set's advection.  The controller's one
+    step per control step hands the reference each channel's tables: each
+    channel's update runs :func:`step_images` on its ``[transport |
+    measured]`` table and hands the step its row pairs' parts to scatter,
+    the rim solve :func:`rim_solve` per channel on the kernel sets of the
+    step, and so does the drift.  Returns a :class:`~collections.Counter` of the calls made to
     the reference functions by name, so a replay can show that it ran them.
     """
     calls, sets = Counter(), []
@@ -148,11 +150,12 @@ def install(monkeypatch):
                           grid.modes.size)
         return read(line, t, delay_estimate, grid, gains[:, None], out=out)
 
-    def images(transport, measured, step_sets, out, work=None, product=None):
-        for ks, *tables, images_c in zip(step_sets, transport, measured, out):
-            reference_images(*tables, ks, images_c)
-        m = step_sets[0].grid.M
-        return out[..., :m], out[..., m:]
+    def update(self, c, table, split, out):
+        ks, m = self.kernels.sets[c], self.grid.M
+        images = np.empty(table.shape, dtype=complex)
+        reference_images(table[:, :m], table[:, m:], ks, images)
+        rows = images[self.grid.mode_pairs]
+        out[:, :2], out[:, 2:] = rows.real, rows.imag
 
     def modes(history, rim_weight):
         return np.stack([solve(h, ks) for h, ks in zip(history, sets)])
@@ -176,8 +179,8 @@ def install(monkeypatch):
 
     monkeypatch.setattr(controller.ChannelController, "__init__", construct)
     monkeypatch.setattr(controller.ChannelController, "step", step)
-    monkeypatch.setattr(runner, "reconstruct_transport", transport)
-    monkeypatch.setattr(controller, "step_images", images)
+    monkeypatch.setattr(controller, "reconstruct_transport", transport)
+    monkeypatch.setattr(controller.ChannelController, "update", update)
     monkeypatch.setattr(controller, "control_modes", modes)
     monkeypatch.setattr(runner, "mismatch_drift", drift)
     return calls

@@ -58,8 +58,8 @@ def inverse_volterra_rows(basis):
 
 
 def from_target_history(history, target, ks):
-    """Undo the target history of :func:`cylform.controller.step_images`
-    exactly given the target state.
+    """Undo the target history of one channel's control step
+    (:func:`oracles.channel_law.step_images`) exactly given the target state.
 
     The deviation is recovered first (exact solve), its prediction moves to
     the right-hand side, and the remaining convolution relation is solved

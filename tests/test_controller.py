@@ -18,13 +18,12 @@ from cylform.controller import (
     control_modes,
     reconstruct_transport,
     rim_residual,
-    step_images,
     to_target_state,
 )
 from cylform.geometry import CylinderGrid
 from cylform.kernels import KernelBasis, KernelSet, PlantCoeffs
 from cylform.plant import DelayLine
-from oracles import seed_pipeline
+from oracles import channel_law, seed_pipeline
 from oracles.channel_step import channel, control_step
 from oracles.delay_lookup import lookup, lookup_many
 from oracles.dense_law import (
@@ -71,9 +70,9 @@ def smooth_stack(rng, grid, n_band=8, k_s=4, pinned_root=True):
 
 
 def to_target_history(transport, measured, ks):
-    """The target history half of the control step's product, on a stack
-    of one."""
-    return step_images(transport[None], measured[None], [ks])[0][0]
+    """The target history half of the control step's product, from the
+    per-channel law that the controller's step equals bit for bit."""
+    return channel_law.step_images(transport, measured, ks)[0]
 
 
 class TestAdvectionLift:
@@ -581,9 +580,13 @@ class TestPrecomputedStep:
     def test_history_matches_reference_convolution(self, grid, kit):
         rng = np.random.default_rng(21)
         phi = smooth_stack(rng, grid)
-        tht = smooth_stack(rng, grid, pinned_root=False)
-        got = to_target_history(tht, phi, kit)
-        want = seed_pipeline.to_target_history(tht, phi, kit)
+        tht = smooth_stack(rng, grid, pinned_root=False)[None]
+        # the controller's step leaves its new command at the transport's
+        # rim node, and its history is the image of that transport
+        images = np.empty((1, grid.modes.size, 2 * grid.M), dtype=complex)
+        channel(kit).step(phi[None], tht, images)
+        got = images[0, :, :grid.M]
+        want = seed_pipeline.to_target_history(tht[0], phi, kit)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -628,6 +631,98 @@ class TestStepProduct:
                                              ks.edge_flow)
             for got, want in ((upd.target_history, want_hist), (drift, want_drift)):
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestFollow:
+    """A two-channel controller keeps its tables within a tolerance of the
+    estimate: it keeps the stack it replaced as a spare, swaps that back
+    when the estimate returns to it, and builds the window's read table at
+    a stack's first read."""
+
+    TOL = 1e-3
+
+    @pytest.fixture
+    def probe(self, monkeypatch):
+        """A controller at delay 1 on a 15x8 band-2 grid, a complex and a
+        real channel, a line of both channels' rows, and the logs of its
+        set builds (by delay) and window-table builds."""
+        grid = CylinderGrid(15, 8, band=2)
+        sets = [KernelSet(KernelBasis(c, grid), 1.0)
+                for c in (PlantCoeffs(10.0 + 2.0j, 0.5 + 0.5j), PlantCoeffs(12.0, 0.5))]
+        builds, windows = [], []
+
+        def build(basis, delay_estimate):
+            builds.append(delay_estimate)
+            return kernel_set(basis, delay_estimate)
+
+        def window(*args):
+            windows.append(window_table(*args))
+            return windows[-1]
+
+        kernel_set, window_table = controller.KernelSet, controller.window_table
+        monkeypatch.setattr(controller, "KernelSet", build)
+        monkeypatch.setattr(controller, "window_table", window)
+        line = DelayLine(2 * grid.modes.size, 0.05, horizon=4.0)
+        rng = np.random.default_rng(31)
+        for k in range(60):
+            line.record(k * 0.05, rng.normal(size=line.width)
+                        + 1j * rng.normal(size=line.width))
+        return ChannelController(sets), line, builds, windows
+
+    @staticmethod
+    def read(ctrl, line, t=2.9):
+        out = np.empty((2, ctrl.grid.modes.size, ctrl.grid.M), dtype=complex)
+        assert ctrl.read(line, t, out) is out
+        return out
+
+    def test_inside_the_tolerance_nothing_is_built(self, probe):
+        ctrl, line, builds, windows = probe
+        first = ctrl.kernels
+        self.read(ctrl, line)
+        for estimate in (1.0, 1.0 + self.TOL, 1.0 - 0.5 * self.TOL):
+            ctrl.follow(estimate, self.TOL)
+            self.read(ctrl, line)
+        assert ctrl.kernels is first and ctrl.spare is None
+        assert builds == [] and windows == [first.window]
+
+    def test_an_outward_move_builds_a_set_per_channel_and_keeps_the_spare(self, probe):
+        ctrl, line, builds, windows = probe
+        first = ctrl.kernels
+        ctrl.follow(1.5, self.TOL)
+        assert builds == [1.5, 1.5]
+        assert ctrl.spare is first and ctrl.kernels.delay == 1.5
+        assert [ks.basis for ks in ctrl.kernels.sets] == [ks.basis for ks in first.sets]
+        # the new stack reads its own window, at its own delay
+        got = self.read(ctrl, line)
+        assert windows == [ctrl.kernels.window] and first.window is None
+        for c in range(2):
+            rows = slice(c * ctrl.grid.modes.size, (c + 1) * ctrl.grid.modes.size)
+            want = reconstruct_transport(line, 2.9, 1.5, ctrl.grid, ctrl.gain[c])[rows]
+            assert np.array_equal(got[c], want)
+
+    def test_a_return_swaps_the_spare_back_with_its_window(self, probe):
+        ctrl, line, builds, windows = probe
+        first = ctrl.kernels
+        before = self.read(ctrl, line)
+        ctrl.follow(1.5, self.TOL)
+        second = ctrl.kernels
+        self.read(ctrl, line)
+        ctrl.follow(1.0 + 0.5 * self.TOL, self.TOL)
+        assert builds == [1.5, 1.5]
+        assert ctrl.kernels is first and ctrl.spare is second
+        window = first.window
+        assert np.array_equal(self.read(ctrl, line), before)
+        assert ctrl.kernels.window is window and len(windows) == 2
+
+    def test_a_third_estimate_rebuilds_and_drops_the_older_spare(self, probe):
+        ctrl, line, builds, windows = probe
+        first = ctrl.kernels
+        ctrl.follow(1.5, self.TOL)
+        second = ctrl.kernels
+        ctrl.follow(0.5, self.TOL)
+        assert builds == [1.5, 1.5, 0.5, 0.5]
+        assert ctrl.spare is second and ctrl.kernels.delay == 0.5
+        assert first not in (ctrl.kernels, ctrl.spare)
 
 
 class TestSimpsonControl:

@@ -6,13 +6,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cylform.controller import step_images
 from cylform.estimator import (EstimatorState, mismatch_drift,
                                step_estimate, update_signal)
 from cylform.geometry import CylinderGrid
 from cylform.kernels import KernelBasis, KernelSet, PlantCoeffs
 from cylform.plant import DelayLine
 from cylform.quadrature import simpson_weights
+from oracles import channel_law
 from oracles import drift_reference as ref
 from oracles.channel_step import channel, control_step
 from oracles.mode_symmetry import conjugate_symmetry_defect
@@ -217,15 +217,15 @@ def loop_drift(target, history, ks):
     """The mismatch drift as a control step forms it: the state part from
     the step product on the deviation whose target state is ``target``
     (recovered by an exact solve), the root-value part from ``history``."""
-    _, state = step_images(np.zeros_like(target)[None],
-                           from_target_state(target, ks)[None], [ks])
-    return mismatch_drift(state[0], history, ks.edge_flow)
+    _, state = channel_law.step_images(np.zeros_like(target),
+                                       from_target_state(target, ks), ks)
+    return mismatch_drift(state, history, ks.edge_flow)
 
 
 def step_drift(transport, measured, ks):
     """Drift of one control step's own history, from the step's inputs."""
-    history, state = step_images(transport[None], measured[None], [ks])
-    return mismatch_drift(state[0], history[0], ks.edge_flow)
+    history, state = channel_law.step_images(transport, measured, ks)
+    return mismatch_drift(state, history, ks.edge_flow)
 
 
 class TestMismatchDrift:

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate, special
 
 from cylform import kernels
-from cylform.controller import step_images
+from cylform.controller import ChannelController
 from cylform.errors import KernelTruncationError
 from cylform.geometry import CylinderGrid
 from cylform.kernels import (
@@ -398,10 +398,16 @@ class TestBandTables:
         rows = np.abs(full.grid.modes) <= 2
         rng = np.random.default_rng(3)
         transport, measured = rng.normal(size=(2, 16, 21)) + 1j * rng.normal(size=(2, 16, 21))
-        want = np.concatenate(step_images(transport[None], measured[None], [full]),
-                              axis=-1)[0, rows]
-        got = np.concatenate(step_images(transport[None, rows], measured[None, rows], [ks]),
-                             axis=-1)[0]
+
+        def step(kernel_set, transport, measured):
+            # one controller step of a stack of one: its commands and products
+            images = np.empty((1, len(transport), 2 * kernel_set.grid.M), dtype=complex)
+            cmd = ChannelController([kernel_set]).step(measured[None],
+                                                       transport[None].copy(), images)
+            return np.concatenate([images[0], cmd.T], axis=1)
+
+        want = step(full, transport, measured)[rows]
+        got = step(ks, transport[rows], measured[rows])
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 

@@ -199,3 +199,18 @@ def test_bench_tracer_finds_every_layer(tracing):
 def test_bench_tracer_misses_only_stale_targets(tracing):
     missing = {t for gone in tracing.missing_targets().values() for t in gone}
     assert missing <= STALE_TRACER_TARGETS
+
+
+def test_runner_leaves_the_kernel_tables_to_the_controller():
+    # the controller owns the tables at the estimate, their window read
+    # and the control step: the runner names none of that machinery, and
+    # the step has no free functions beside the controller
+    src = Path(cylform.__path__[0])
+    runner, controller = (ast.parse((src / f"{name}.py").read_text(encoding="utf-8"))
+                          for name in ("runner", "controller"))
+    named = {name for node in ast.walk(runner) if isinstance(node, ast.ImportFrom)
+             for alias in node.names for name in (alias.name, alias.asname)}
+    named |= {name for name, _ in _reads(runner)}
+    assert named.isdisjoint({"KernelStack", "window_table", "reconstruct_transport"})
+    defined = {node.name for _, node, _ in _definitions(controller.body)}
+    assert defined.isdisjoint({"step_work", "step_images"})

@@ -181,9 +181,9 @@ class TestDeterminism:
 class TestPlantReads:
     """Per control step the stacked channels make one block step, which
     reads the one delay line once, and the run reads the controller's
-    in-flight window once; the block weights and the block's read table
-    are built before the loop, and the window's read table at the first
-    step under each kernel-set delay."""
+    in-flight window once, through the controller; the block weights and
+    the block's read table are built before the loop, and the window's read
+    table at the first read of each kernel stack."""
 
     @staticmethod
     def _probe(monkeypatch):
@@ -218,8 +218,8 @@ class TestPlantReads:
             return window_table(*args, **kwargs)
 
         controller_step = inside("controller", ChannelController.step)
-        window_table = runner.window_table
-        monkeypatch.setattr(runner, "window_table", window)
+        window_table = controller.window_table
+        monkeypatch.setattr(controller, "window_table", window)
         monkeypatch.setattr(DelayLine, "read", counted(
             "read", DelayLine.read, lambda line, table, *_: table.index.shape[1]))
         for module in (plant, controller):
@@ -243,10 +243,10 @@ class TestPlantReads:
         assert not rec.terminated and rows > 2
         # one controller step per control step advances both channels
         assert steps.total() == rows
-        # the controller's window, both channels in one read; the step
-        # reads nothing itself
+        # the controller's window, both channels in one read outside its
+        # step; the step reads nothing itself
         assert calls.pop(("read", "runner", True, cfg.grid_m)) == rows
-        # one window table per kernel-set delay
+        # one window table per kernel stack
         assert calls.pop(("table", "runner", True, cfg.grid_m)) == len(steps)
         (key, n), = [(k, n) for k, n in calls.items() if k[1] == "plant"]
         assert key[0] == "read" and key[3] in {2, 4}   # two per linear piece
@@ -451,8 +451,10 @@ class TestKernelReuse:
             used.append(self.kernels.delay)
             return controller_step(self, *args)
 
-        kernel_set, controller_step = runner.KernelSet, ChannelController.step
-        monkeypatch.setattr(runner, "KernelSet", build)
+        kernel_set, controller_step = controller.KernelSet, ChannelController.step
+        # the run builds the first sets, the controller every later one
+        for module in (runner, controller):
+            monkeypatch.setattr(module, "KernelSet", build)
         monkeypatch.setattr(ChannelController, "step", step)
         return builds, used
 
@@ -479,12 +481,12 @@ class TestKernelReuse:
         builds, _ = self._probe(monkeypatch)
         read = []
 
-        def step_images(transport, measured, sets, *out):
-            read.extend(ks.step_map for ks in sets)
-            return images(transport, measured, sets, *out)
+        def apply(self, *args):
+            read.append(self.step_map)
+            return kernel_apply(self, *args)
 
-        images = controller.step_images
-        monkeypatch.setattr(controller, "step_images", step_images)
+        kernel_apply = KernelSet.apply
+        monkeypatch.setattr(KernelSet, "apply", apply)
         rec = run(moderate_21x16(fixed=False, duration=0.8))
         assert len(read) == 2 * rec.times.size
         planar = [id(m) for m in read[::2]]
@@ -506,9 +508,8 @@ class TestKernelReuse:
             read.append((self.kernels, self.kernels.rim_weight))
             return controller_step(self, *args)
 
-        kernel_stack, controller_step = runner.KernelStack, ChannelController.step
-        for module in (runner, controller):
-            monkeypatch.setattr(module, "KernelStack", stack)
+        kernel_stack, controller_step = controller.KernelStack, ChannelController.step
+        monkeypatch.setattr(controller, "KernelStack", stack)
         monkeypatch.setattr(ChannelController, "step", step)
         rec = run(moderate_21x16(fixed=False, duration=0.8))
         assert np.count_nonzero(np.diff(used)) >= 3
@@ -525,13 +526,13 @@ class TestKernelReuse:
             windows[delay_estimate] += 1
             return table(line, delay_estimate, grid)
 
-        table = runner.window_table
-        monkeypatch.setattr(runner, "window_table", window_table)
+        table = controller.window_table
+        monkeypatch.setattr(controller, "window_table", window_table)
         rec = run(moderate_21x16(fixed=False, duration=0.8))
         swaps = np.count_nonzero(np.diff(used))
         assert swaps >= 3 and sum(builds.values()) <= 4
-        # one table for both channels per kernel-set delay, built at its
-        # first step; swapping back to a spare set reuses it
+        # one table for both channels per kernel stack, built at its first
+        # read; swapping back to the spare stack reuses it
         assert windows.total() == sum(builds.values()) // 2
         assert set(windows.values()) == {1}
 
